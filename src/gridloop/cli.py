@@ -13,7 +13,6 @@ import os
 import shlex
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cnf import CnfBuilder
@@ -66,10 +65,7 @@ class RunConfig:
     kind: str
     path: str
     solver_cmd: list[str] | None  # None = internal solver
-    timeout: float
-    output: str  # "ascii" | "json"
-    seed: int = 0
-    jobs: int = 1
+    timeout: float | None  # seconds per solver call; None where nothing is solved
 
 
 def infer_kind(path: str, flag: str | None) -> str:
@@ -83,28 +79,10 @@ def infer_kind(path: str, flag: str | None) -> str:
     raise ValueError(f"cannot infer puzzle kind from {path!r}; use --puzzle")
 
 
-def make_config(args, path: str) -> RunConfig:
-    kind = infer_kind(path, getattr(args, "puzzle", None))
-    solver = getattr(args, "solver", None) or os.environ.get(DEFAULT_SOLVER_ENV)
-    cmd = shlex.split(solver) if solver else None
-    timeout = getattr(args, "timeout", 300.0)
-    if timeout <= 0:
-        raise ValueError("time budget must be positive")
-    return RunConfig(
-        kind=kind,
-        path=path,
-        solver_cmd=cmd,
-        timeout=timeout,
-        output=getattr(args, "output", "ascii"),
-        seed=getattr(args, "seed", 0),
-        jobs=getattr(args, "jobs", 1),
-    )
-
-
 def solve_fn_for(config: RunConfig) -> SolveFn:
     if config.solver_cmd:
         return external_solve_fn(config.solver_cmd, timeout=config.timeout)
-    return solve_internal
+    return lambda clauses, nvars: solve_internal(clauses, nvars, timeout=config.timeout)
 
 
 _PARSERS = {
@@ -114,46 +92,85 @@ _PARSERS = {
     "tapa": parse_tapa,
 }
 
+_VERIFIERS = {
+    "roadrunner": verify_roadrunner,
+    "masyu": verify_masyu,
+    "shingoki": verify_shingoki,
+    "tapa": verify_tapa,
+}
 
-def _load_instance(config: RunConfig):
-    with open(config.path) as f:
-        return _PARSERS[config.kind](f.read())
+
+def _load(args, path: str) -> tuple[RunConfig, object]:
+    """The run configuration from the parsed flags, and the parsed instance.
+    Raises ValueError or OSError on bad input."""
+    kind = infer_kind(path, args.puzzle)
+    solver = getattr(args, "solver", None)
+    timeout = getattr(args, "timeout", None)
+    if timeout is not None and timeout <= 0:
+        raise ValueError("time budget must be positive")
+    config = RunConfig(kind, path, shlex.split(solver) if solver else None, timeout)
+    with open(path) as f:
+        return config, _PARSERS[kind](f.read())
 
 
-def _build(config: RunConfig, inst):
-    """Returns (builder, decode(assignment) -> solution, verify(sol),
-    objective counter or None)."""
+def _input_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT
+
+
+def _build(kind: str, inst):
+    """The only code that knows what each ``build_*`` returns.  Gives
+    (builder, decode(assignment) -> solution, objective counter or None)."""
     builder = CnfBuilder()
-    if config.kind == "roadrunner":
-        laser, road, edges, count = build_roadrunner(builder, inst)
-
-        def decode(assignment):
-            return decode_roadrunner(assignment, inst, laser, road)
-
-        return builder, decode, lambda s: verify_roadrunner(inst, s), count
-    if config.kind == "masyu":
+    if kind == "roadrunner":
+        laser, road, _, count = build_roadrunner(builder, inst)
+        return builder, lambda a: decode_roadrunner(a, inst, laser, road), count
+    if kind == "tapa":
+        grid = build_tapa(builder, inst)
+        return builder, lambda a: decode_coloring(a, grid), None
+    if kind == "masyu":
         grid, edges, _ = build_masyu(builder, inst)
-        return (
-            builder,
-            lambda a: decode_loop(a, grid, edges),
-            lambda s: verify_masyu(inst, s),
-            None,
-        )
-    if config.kind == "shingoki":
+    else:
         grid, edges, _ = build_shingoki(builder, inst)
-        return (
-            builder,
-            lambda a: decode_loop(a, grid, edges),
-            lambda s: verify_shingoki(inst, s),
-            None,
-        )
-    grid = build_tapa(builder, inst)
-    return (
-        builder,
-        lambda a: decode_coloring(a, grid),
-        lambda s: verify_tapa(inst, s),
-        None,
-    )
+    return builder, lambda a: decode_loop(a, grid, edges), None
+
+
+@dataclass
+class RunResult:
+    status: str  # "verified" | "rejected" | "infeasible" | "unknown"
+    vars: int
+    clauses: int
+    solution: object = None
+    reason: str | None = None
+    optimum: int | None = None  # objective value, for kinds that maximize
+
+
+def run(config: RunConfig, inst) -> RunResult:
+    """Encode, solve, decode and verify one instance.  A kind with an
+    objective is maximized (at least 1); the others take one solver call."""
+    builder, decode, objective = _build(config.kind, inst)
+    size = (builder.var_count, len(builder.clauses))
+    if builder.unsat:
+        return RunResult("infeasible", *size)
+    fn = solve_fn_for(config)
+    optimum = None
+    if objective is None:
+        outcome = fn(builder.clauses, builder.var_count)
+        status, model, reason = outcome.status, outcome.model, outcome.reason
+    else:
+        result = maximize(builder.clauses, builder.var_count, objective, solve_fn=fn, lo=1)
+        status = {"optimal": "sat", "infeasible": "unsat"}.get(result.status, "unknown")
+        model, reason, optimum = result.best_model, result.reason, result.best_value
+    if status == "unsat":
+        return RunResult("infeasible", *size)
+    if status != "sat":
+        return RunResult("unknown", *size, reason=reason)
+    try:
+        sol = decode(model.assignment)
+    except RuntimeError as e:
+        return RunResult("rejected", *size, reason=str(e))
+    reason = _VERIFIERS[config.kind](inst, sol)
+    return RunResult("rejected" if reason else "verified", *size, sol, reason, optimum)
 
 
 # -- rendering ----------------------------------------------------------
@@ -168,8 +185,8 @@ _LOOP_CHARS = {
 }
 
 
-def render_loop(rows: int, cols: int, sol: LoopSolution) -> str:
-    chars = [["."] * cols for _ in range(rows)]
+def render_loop(inst, sol: LoopSolution) -> str:
+    chars = [["."] * inst.n for _ in range(inst.n)]
     n = len(sol.cycle)
     for i, (r, c) in enumerate(sol.cycle):
         if n == 1:
@@ -183,7 +200,7 @@ def render_loop(rows: int, cols: int, sol: LoopSolution) -> str:
 
 
 def render_roadrunner(inst, sol: RoadrunnerSolution) -> str:
-    lines = []
+    lines = [f"safecircuitlen({sol.k})."]
     clue_at = {(x, y): num for x, y, num in inst.clues}
     for y in range(1, inst.max_y + 1):
         row = []
@@ -218,8 +235,16 @@ def render_tapa(inst, sol: ColoringSolution) -> str:
     return "\n".join(lines)
 
 
-def solution_json(config: RunConfig, inst, sol) -> dict:
-    if config.kind == "roadrunner":
+_RENDER = {
+    "roadrunner": render_roadrunner,
+    "masyu": render_loop,
+    "shingoki": render_loop,
+    "tapa": render_tapa,
+}
+
+
+def solution_json(kind: str, inst, sol) -> dict:
+    if kind == "roadrunner":
         return {
             "kind": "roadrunner",
             "maxX": inst.max_x,
@@ -228,10 +253,10 @@ def solution_json(config: RunConfig, inst, sol) -> dict:
             "road": sol.road,
             "k": sol.k,
         }
-    if config.kind == "tapa":
+    if kind == "tapa":
         return {"kind": "tapa", "n": inst.n, "black": sol.black}
     return {
-        "kind": config.kind,
+        "kind": kind,
         "n": inst.n,
         "cycle": [list(c) for c in sol.cycle],
         "k": sol.k,
@@ -252,72 +277,33 @@ def solution_from_json(kind: str, inst, data: dict):
 
 def cmd_solve(args) -> int:
     try:
-        config = make_config(args, args.instance)
-        inst = _load_instance(config)
+        config, inst = _load(args, args.instance)
     except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    builder, decode, verify, objective = _build(config, inst)
-    fn = solve_fn_for(config)
-    if config.kind == "roadrunner":
-        if builder.unsat:
-            print("INFEASIBLE")
-            return EXIT_INFEASIBLE
-        result = maximize(
-            builder.clauses, builder.var_count, objective, solve_fn=fn, lo=1
-        )
-        if result.status == "infeasible":
-            print("INFEASIBLE")
-            return EXIT_INFEASIBLE
-        if result.status != "optimal":
-            print(f"UNKNOWN: {result.reason}")
-            return EXIT_UNKNOWN
-        sol = decode(result.best_model.assignment)
-        reason = verify(sol)
-        if reason:
-            print(f"error: decoded solution rejected: {reason}", file=sys.stderr)
-            return EXIT_REJECT
-        if config.output == "json":
-            print(json.dumps(solution_json(config, inst, sol)))
-        else:
-            print(f"safecircuitlen({sol.k}).")
-            print(render_roadrunner(inst, sol))
-            print("VERIFIED")
-        return EXIT_OK
-    if builder.unsat:
+        return _input_error(e)
+    result = run(config, inst)
+    if result.status == "infeasible":
         print("INFEASIBLE")
         return EXIT_INFEASIBLE
-    outcome = fn(builder.clauses, builder.var_count)
-    if outcome.is_unsat:
-        print("INFEASIBLE")
-        return EXIT_INFEASIBLE
-    if not outcome.is_sat:
-        print(f"UNKNOWN: {outcome.reason}")
+    if result.status == "unknown":
+        print(f"UNKNOWN: {result.reason}")
         return EXIT_UNKNOWN
-    sol = decode(outcome.model.assignment)
-    reason = verify(sol)
-    if reason:
-        print(f"error: decoded solution rejected: {reason}", file=sys.stderr)
+    if result.status == "rejected":
+        print(f"error: decoded solution rejected: {result.reason}", file=sys.stderr)
         return EXIT_REJECT
-    if config.output == "json":
-        print(json.dumps(solution_json(config, inst, sol)))
+    if args.output == "json":
+        print(json.dumps(solution_json(config.kind, inst, result.solution)))
     else:
-        if config.kind == "tapa":
-            print(render_tapa(inst, sol))
-        else:
-            print(render_loop(inst.n, inst.n, sol))
+        print(_RENDER[config.kind](inst, result.solution))
         print("VERIFIED")
     return EXIT_OK
 
 
 def cmd_encode(args) -> int:
     try:
-        config = make_config(args, args.instance)
-        inst = _load_instance(config)
+        config, inst = _load(args, args.instance)
     except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    builder, _, _, _ = _build(config, inst)
+        return _input_error(e)
+    builder, _, _ = _build(config.kind, inst)
     out = args.out or config.path + ".cnf"
     mapfile = args.map or out + ".map"
     with open(out, "w") as f:
@@ -331,26 +317,17 @@ def cmd_encode(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        config = make_config(args, args.instance)
-        inst = _load_instance(config)
+        config, inst = _load(args, args.instance)
     except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(e)
     try:
         with open(args.solution) as f:
             data = json.load(f)
         sol = solution_from_json(config.kind, inst, data)
     except (OSError, ValueError, KeyError, TypeError) as e:
-        print(f"error: bad solution file: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    verifier = {
-        "roadrunner": verify_roadrunner,
-        "masyu": verify_masyu,
-        "shingoki": verify_shingoki,
-        "tapa": verify_tapa,
-    }[config.kind]
+        return _input_error(f"bad solution file: {e}")
     try:
-        reason = verifier(inst, sol)
+        reason = _VERIFIERS[config.kind](inst, sol)
     except (ValueError, IndexError, KeyError, TypeError):
         print("REJECT malformed-solution")
         return EXIT_INPUT
@@ -364,23 +341,17 @@ def cmd_verify(args) -> int:
 
 def _bench_one(args, path: str):
     start = time.monotonic()
+    name = os.path.basename(path)
     try:
-        config = make_config(args, path)
-        inst = _load_instance(config)
-        builder, decode, verify, objective = _build(config, inst)
-        fn = solve_fn_for(config)
-        nvars, nclauses = builder.var_count, len(builder.clauses)
-        if builder.unsat:
-            result = "infeasible"
-        elif config.kind == "roadrunner":
-            r = maximize(builder.clauses, nvars, objective, solve_fn=fn, lo=1)
-            result = r.status if r.status != "optimal" else f"optimal k={r.best_value}"
+        config, inst = _load(args, path)
+        r = run(config, inst)
+        if r.status == "verified" and r.optimum is not None:
+            result = f"optimal k={r.optimum}"
         else:
-            o = fn(builder.clauses, nvars)
-            result = {"sat": "sat", "unsat": "infeasible"}.get(o.status, "unknown")
-        return (os.path.basename(path), nvars, nclauses, time.monotonic() - start, result)
+            result = r.status
+        return (name, r.vars, r.clauses, time.monotonic() - start, result)
     except Exception as e:  # per-instance failures recorded, run continues
-        return (os.path.basename(path), 0, 0, time.monotonic() - start, f"error: {e}")
+        return (name, 0, 0, time.monotonic() - start, f"error: {e}")
 
 
 def cmd_bench(args) -> int:
@@ -390,14 +361,8 @@ def cmd_bench(args) -> int:
         if os.path.splitext(name)[1].lower() in _EXTENSIONS
     )
     if not paths:
-        print(f"error: no instances in {args.directory}", file=sys.stderr)
-        return EXIT_INPUT
-    jobs = max(1, args.jobs)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda p: _bench_one(args, p), paths))
-    else:
-        rows = [_bench_one(args, p) for p in paths]
+        return _input_error(f"no instances in {args.directory}")
+    rows = [_bench_one(args, p) for p in paths]
     writer = csv.writer(sys.stdout)
     writer.writerow(["instance", "vars", "clauses", "seconds", "result"])
     for name, nvars, nclauses, seconds, result in rows:
@@ -419,36 +384,34 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gridloop", description="SAT-based grid puzzle solver"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    kind = argparse.ArgumentParser(add_help=False)
+    kind.add_argument("--puzzle", choices=KINDS, help="puzzle kind (else inferred from extension)")
+    solving = argparse.ArgumentParser(add_help=False)
+    solving.add_argument(
+        "--solver",
+        default=os.environ.get(DEFAULT_SOLVER_ENV),
+        help=f"external solver command (default: ${DEFAULT_SOLVER_ENV} or internal)",
+    )
+    solving.add_argument("--timeout", type=float, default=300.0, help="time budget in seconds per solver call")
 
-    def common(p):
-        p.add_argument("--puzzle", choices=KINDS, help="puzzle kind (else inferred from extension)")
-        p.add_argument("--solver", help=f"external solver command (default: ${DEFAULT_SOLVER_ENV} or internal)")
-        p.add_argument("--timeout", type=float, default=300.0, help="time budget in seconds")
-        p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("solve", help="solve an instance and verify the solution")
+    p = sub.add_parser("solve", parents=[kind, solving], help="solve an instance and verify the solution")
     p.add_argument("instance")
-    common(p)
     p.add_argument("--output", choices=("ascii", "json"), default="ascii")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("encode", help="write DIMACS plus a variable-map sidecar")
+    p = sub.add_parser("encode", parents=[kind], help="write DIMACS plus a variable-map sidecar")
     p.add_argument("instance")
-    common(p)
     p.add_argument("-o", "--out", help="output CNF path (default: INSTANCE.cnf)")
     p.add_argument("--map", help="variable map path (default: OUT.map)")
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("verify", help="check a JSON solution against an instance")
+    p = sub.add_parser("verify", parents=[kind], help="check a JSON solution against an instance")
     p.add_argument("instance")
     p.add_argument("solution")
-    common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="solve a directory of instances, emit CSV")
+    p = sub.add_parser("bench", parents=[kind, solving], help="solve and verify a directory of instances, emit CSV")
     p.add_argument("directory")
-    common(p)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bench)
     return parser
 

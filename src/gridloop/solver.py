@@ -15,6 +15,7 @@ import os
 import shlex
 import subprocess
 import tempfile
+import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -66,9 +67,10 @@ def check_model(clauses: Sequence[Sequence[Lit]], model: Model) -> bool:
 
 
 class _Solver:
-    def __init__(self, clauses, nvars, max_conflicts=None):
+    def __init__(self, clauses, nvars, max_conflicts=None, deadline=None):
         self.nvars = nvars
         self.max_conflicts = max_conflicts
+        self.deadline = deadline  # time.monotonic() value, or None
         self.val = [0] * (nvars + 1)  # 0 unassigned, 1 true, -1 false
         self.level = [0] * (nvars + 1)
         self.reason: list[list[int] | None] = [None] * (nvars + 1)
@@ -235,6 +237,8 @@ class _Solver:
                     return SolveOutcome("unknown", reason="conflict budget exceeded")
                 if not self.trail_lim:
                     return SolveOutcome("unsat")
+                if self.deadline is not None and time.monotonic() > self.deadline:
+                    return SolveOutcome("unknown", reason="solver timeout")
                 learnt, bj = self._analyze(conflict)
                 self._backjump(bj)
                 if len(learnt) == 1:
@@ -274,9 +278,15 @@ def solve_internal(
     clauses: Sequence[Sequence[Lit]],
     nvars: int,
     max_conflicts: int | None = None,
+    timeout: float | None = None,
 ) -> SolveOutcome:
-    """Complete decision procedure; SAT outcomes carry a verified total model."""
-    outcome = _Solver(clauses, nvars, max_conflicts=max_conflicts).solve()
+    """Complete decision procedure; SAT outcomes carry a verified total model.
+
+    ``timeout`` is a wall-clock budget in seconds for this call, checked at
+    each conflict; when it runs out the outcome is unknown.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
+    outcome = _Solver(clauses, nvars, max_conflicts=max_conflicts, deadline=deadline).solve()
     if outcome.is_sat and not check_model(clauses, outcome.model):
         raise RuntimeError("internal solver produced an invalid model")
     return outcome
@@ -315,50 +325,53 @@ def solve_external(
     the returned reason) and deleted on success.
     """
     fd, path = tempfile.mkstemp(suffix=".cnf", dir=tmpdir, text=True)
+    with os.fdopen(fd, "w") as f:
+        f.write(f"p cnf {nvars} {len(clauses)}\n")
+        for cl in clauses:
+            f.write(" ".join(str(l) for l in cl) + " 0\n")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(f"p cnf {nvars} {len(clauses)}\n")
-            for cl in clauses:
-                f.write(" ".join(str(l) for l in cl) + " 0\n")
-        try:
-            proc = subprocess.run(
-                list(solver_cmd) + [path],
-                capture_output=True,
-                text=True,
-                timeout=timeout,
-            )
-        except subprocess.TimeoutExpired:
-            return SolveOutcome("unknown", reason=f"solver timeout (cnf kept at {path})")
-        except OSError as e:
-            return SolveOutcome("unknown", reason=f"cannot run solver: {e} (cnf kept at {path})")
-        status = None
-        values: list[int] = []
-        for line in proc.stdout.splitlines():
-            if line.startswith("s "):
-                status = line[2:].strip()
-            elif line.startswith("v"):
-                values.extend(int(t) for t in line[1:].split())
-        if status == "UNSATISFIABLE":
-            os.unlink(path)
-            return SolveOutcome("unsat")
-        if status == "SATISFIABLE":
-            assignment = {v: False for v in range(1, nvars + 1)}
-            for lit in values:
-                if lit != 0 and abs(lit) <= nvars:
-                    assignment[abs(lit)] = lit > 0
-            model = Model(assignment)
-            if not check_model(clauses, model):
-                raise RuntimeError(
-                    f"external solver returned a model that fails verification (cnf kept at {path})"
-                )
-            os.unlink(path)
-            return SolveOutcome("sat", model=model)
-        return SolveOutcome(
-            "unknown",
-            reason=f"no status line from solver (exit {proc.returncode}, cnf kept at {path})",
+        proc = subprocess.run(
+            list(solver_cmd) + [path],
+            capture_output=True,
+            text=True,
+            timeout=timeout,
         )
-    except Exception:
-        raise
+    except subprocess.TimeoutExpired:
+        return SolveOutcome("unknown", reason=f"solver timeout (cnf kept at {path})")
+    except OSError as e:
+        return SolveOutcome("unknown", reason=f"cannot run solver: {e} (cnf kept at {path})")
+    status = None
+    values: list[int] = []
+    for line in proc.stdout.splitlines():
+        if line.startswith("s "):
+            status = line[2:].strip()
+        elif line.startswith("v"):
+            try:
+                values.extend(int(t) for t in line[1:].split())
+            except ValueError:
+                return SolveOutcome(
+                    "unknown", reason=f"bad value line {line!r} from solver (cnf kept at {path})"
+                )
+    if status == "UNSATISFIABLE":
+        os.unlink(path)
+        return SolveOutcome("unsat")
+    if status == "SATISFIABLE":
+        assignment = {v: False for v in range(1, nvars + 1)}
+        for lit in values:
+            if lit != 0 and abs(lit) <= nvars:
+                assignment[abs(lit)] = lit > 0
+        model = Model(assignment)
+        if not check_model(clauses, model):
+            return SolveOutcome(
+                "unknown",
+                reason=f"solver model fails verification (cnf kept at {path})",
+            )
+        os.unlink(path)
+        return SolveOutcome("sat", model=model)
+    return SolveOutcome(
+        "unknown",
+        reason=f"no status line from solver (exit {proc.returncode}, cnf kept at {path})",
+    )
 
 
 def external_solve_fn(solver_cmd: Sequence[str], timeout: float | None = None) -> SolveFn:

@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes, output formats, and encode round-trips."""
 import json
 import os
+import shlex
+import sys
 
 import pytest
 
@@ -10,6 +12,7 @@ from gridloop.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_REJECT,
+    EXIT_UNKNOWN,
     infer_kind,
     main,
 )
@@ -37,14 +40,24 @@ def test_solve_masyu_ascii(capsys):
     assert "VERIFIED" in out
 
 
-def test_solve_masyu_json_roundtrip(tmp_path, capsys):
-    assert main(["solve", inst_path("masyu_4x4.masyu"), "--output", "json"]) == EXIT_OK
+@pytest.mark.parametrize(
+    "name",
+    [
+        "masyu_4x4.masyu",
+        "shingoki_4x4.shingoki",
+        "tapa_4x4.tapa",
+        "roadrunner_3x3_0.roadrunner",
+    ],
+)
+def test_solve_json_roundtrip(name, tmp_path, capsys):
+    assert main(["solve", inst_path(name), "--output", "json"]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)
-    assert data["kind"] == "masyu"
-    assert data["k"] == len(data["cycle"])
+    assert data["kind"] == infer_kind(name, None)
+    if "cycle" in data:
+        assert data["k"] == len(data["cycle"])
     sol_file = tmp_path / "sol.json"
     sol_file.write_text(json.dumps(data))
-    assert main(["verify", inst_path("masyu_4x4.masyu"), str(sol_file)]) == EXIT_OK
+    assert main(["verify", inst_path(name), str(sol_file)]) == EXIT_OK
     assert "ACCEPT" in capsys.readouterr().out
 
 
@@ -78,6 +91,54 @@ def test_solve_parse_error_exit(tmp_path, capsys):
 
 def test_solve_missing_file_exit(capsys):
     assert main(["solve", "/nonexistent.masyu"]) == EXIT_INPUT
+
+
+def test_solve_timeout_bounds_internal_solver(capsys):
+    assert main(["solve", inst_path("masyu_7x7.masyu"), "--timeout", "0.001"]) == EXIT_UNKNOWN
+    assert "UNKNOWN" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "output",
+    [
+        "s SATISFIABLE\nv 1 x 0\n",  # a value token that is not an integer
+        "s SATISFIABLE\nv 0\n",  # an all-false model, which breaks the loop clauses
+    ],
+    ids=["non-integer-value", "model-fails-check"],
+)
+def test_solve_bad_solver_output_is_unknown(output, tmp_path, capsys):
+    script = tmp_path / "fake_solver.py"
+    script.write_text(f"print({output!r}, end='')\n")
+    cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+    assert main(["solve", inst_path("masyu_4x4.masyu"), "--solver", cmd]) == EXIT_UNKNOWN
+    out = capsys.readouterr().out
+    assert out.startswith("UNKNOWN")
+    assert "cnf kept at" in out
+
+
+def test_solve_decoder_failure_is_rejected(monkeypatch, capsys):
+    def broken_decode(*args):
+        raise RuntimeError("decoded walk does not close")
+
+    monkeypatch.setattr("gridloop.cli.decode_loop", broken_decode)
+    assert main(["solve", inst_path("masyu_4x4.masyu")]) == EXIT_REJECT
+    err = capsys.readouterr().err
+    assert "error: decoded solution rejected: decoded walk does not close" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encode", inst_path("masyu_4x4.masyu"), "--seed", "1"],
+        ["verify", inst_path("masyu_4x4.masyu"), "sol.json", "--timeout", "1"],
+        ["bench", "no-such-dir", "--jobs", "2"],
+    ],
+    ids=["encode-seed", "verify-timeout", "bench-jobs"],
+)
+def test_subcommands_refuse_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_encode_roundtrip(tmp_path, capsys):
@@ -117,6 +178,14 @@ def test_solve_with_external_solver(capsys):
         main(["solve", inst_path("masyu_4x4.masyu"), "--solver", cmd]) == EXIT_OK
     )
     assert "VERIFIED" in capsys.readouterr().out
+
+
+def test_encode_ignores_solver_env(tmp_path, monkeypatch, capsys):
+    # only solve and bench read the solver command
+    monkeypatch.setenv("GRIDLOOP_SOLVER", '"unbalanced')
+    cnf = tmp_path / "m.cnf"
+    assert main(["encode", inst_path("masyu_4x4.masyu"), "-o", str(cnf)]) == EXIT_OK
+    assert main(["solve", inst_path("masyu_4x4.masyu")]) == EXIT_INPUT
 
 
 def test_verify_mutated_rejects(tmp_path, capsys):
@@ -159,10 +228,16 @@ def test_bench_empty_dir(tmp_path, capsys):
     assert main(["bench", str(tmp_path)]) == EXIT_INPUT
 
 
-def test_bench_parallel(tmp_path, capsys):
-    for name in ("masyu_4x4.masyu", "shingoki_4x4.shingoki"):
+def test_bench_result_per_kind(tmp_path, capsys):
+    expected = {
+        "masyu_4x4.masyu": "verified",
+        "shingoki_4x4.shingoki": "verified",
+        "tapa_4x4.tapa": "verified",
+        "roadrunner_3x3_0.roadrunner": "optimal k=4",
+    }
+    for name in expected:
         with open(inst_path(name)) as f:
             (tmp_path / name).write_text(f.read())
-    assert main(["bench", str(tmp_path), "--jobs", "2"]) == EXIT_OK
-    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
-    assert len(lines) == 4
+    assert main(["bench", str(tmp_path)]) == EXIT_OK
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:-1]]
+    assert {row[0]: row[4] for row in rows} == expected

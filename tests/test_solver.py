@@ -80,6 +80,15 @@ def test_conflict_budget_unknown():
     assert solve_internal(hard, 4).is_unsat
 
 
+def test_timeout_unknown():
+    # the budget is checked at each conflict; this formula conflicts at once
+    hard = [[1, 2], [1, -2], [-1, 2], [-1, -2]]
+    out = solve_internal(hard, 2, timeout=0)
+    assert out.status == "unknown"
+    assert out.reason == "solver timeout"
+    assert solve_internal(hard, 2, timeout=60).is_unsat
+
+
 def test_solve_builder_respects_unsat_flag():
     b = CnfBuilder()
     b.add_clause([])
