@@ -46,7 +46,7 @@ def random_loop(n: int, rng: random.Random):
     while True:
         b = CnfBuilder()
         grid = make_grid(b, n, n)
-        edges, _ = hcp_grid(b, grid)
+        edges = hcp_grid(b, grid)
         forced_in = rng.sample(
             [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)], k=n
         )
@@ -204,14 +204,14 @@ def check(kind, text):
     if kind == "masyu":
         inst = parse_masyu(text)
         b = CnfBuilder()
-        grid, edges, _ = build_masyu(b, inst)
+        grid, edges = build_masyu(b, inst)
         out = solve_internal(b.clauses, b.var_count)
         assert out.is_sat, "generated masyu instance is UNSAT"
         assert verify_masyu(inst, decode_loop(out.model.assignment, grid, edges)) is None
     elif kind == "shingoki":
         inst = parse_shingoki(text)
         b = CnfBuilder()
-        grid, edges, _ = build_shingoki(b, inst)
+        grid, edges = build_shingoki(b, inst)
         out = solve_internal(b.clauses, b.var_count)
         assert out.is_sat, "generated shingoki instance is UNSAT"
         assert verify_shingoki(inst, decode_loop(out.model.assignment, grid, edges)) is None

@@ -129,9 +129,9 @@ def _build(kind: str, inst):
         grid = build_tapa(builder, inst)
         return builder, lambda a: decode_coloring(a, grid), None
     if kind == "masyu":
-        grid, edges, _ = build_masyu(builder, inst)
+        grid, edges = build_masyu(builder, inst)
     else:
-        grid, edges, _ = build_shingoki(builder, inst)
+        grid, edges = build_shingoki(builder, inst)
     return builder, lambda a: decode_loop(a, grid, edges), None
 
 

@@ -307,11 +307,9 @@ class CnfBuilder:
     def emit_dimacs(self, sink) -> None:
         """Write the formula in DIMACS CNF to a text sink."""
         if self.unsat:
-            sink.write("p cnf 1 2\n1 0\n-1 0\n")
-            return
-        sink.write(f"p cnf {self.var_count} {len(self.clauses)}\n")
-        for cl in self.clauses:
-            sink.write(" ".join(str(l) for l in cl) + " 0\n")
+            write_dimacs(sink, 1, [[1], [-1]])
+        else:
+            write_dimacs(sink, self.var_count, self.clauses)
 
     def to_dimacs(self) -> str:
         import io
@@ -324,6 +322,13 @@ class CnfBuilder:
         """Write 'index name' lines for every named variable."""
         for idx in sorted(self.names):
             sink.write(f"{idx} {self.names[idx]}\n")
+
+
+def write_dimacs(sink, nvars: int, clauses: Sequence[Sequence[Lit]]) -> None:
+    """Write ``clauses`` over ``nvars`` variables in DIMACS CNF to a text sink."""
+    sink.write(f"p cnf {nvars} {len(clauses)}\n")
+    for cl in clauses:
+        sink.write(" ".join(map(str, cl)) + " 0\n")
 
 
 def distance_width(n: int) -> int:

@@ -59,6 +59,8 @@ def make_grid(builder: CnfBuilder, rows: int, cols: int, prefix: str = "cell") -
 
 
 def _check_vertices_edges(vs, es, directed: bool):
+    if not vs:
+        raise ValueError("need at least one vertex")
     index = {}
     for i, v in enumerate(vs):
         if v.term in index:
@@ -77,18 +79,19 @@ def _check_vertices_edges(vs, es, directed: bool):
     return index
 
 
-def _start_chain(builder: CnfBuilder, in_lits: Sequence[Lit]) -> list[Lit]:
-    """Literal per vertex: true iff it is the lowest-index in-vertex.
+def _start_chain(builder: CnfBuilder, in_lits: Sequence[Lit]) -> tuple[list[Lit], list[Lit]]:
+    """Literals per vertex i: (start_i, seen_i).  start_i is true iff i is the
+    lowest-index in-vertex; seen_i iff some vertex among 0..i is in.
 
-    Prefix-occupancy chain: p_i <-> p_{i-1} or in_i; start_i <-> in_i and
-    not p_{i-1}.
+    Prefix-occupancy chain: seen_i <-> seen_{i-1} or in_i; start_i <-> in_i
+    and not seen_{i-1}.
     """
     starts = [in_lits[0]]
-    p_prev = in_lits[0]
+    seen = [in_lits[0]]
     for in_i in in_lits[1:]:
-        starts.append(builder.gate_and([in_i, -p_prev]))
-        p_prev = builder.gate_or([p_prev, in_i])
-    return starts
+        starts.append(builder.gate_and([in_i, -seen[-1]]))
+        seen.append(builder.gate_or([seen[-1], in_i]))
+    return starts, seen
 
 
 def hcp(
@@ -96,13 +99,14 @@ def hcp(
     vs: Sequence[VertexSpec],
     es: Sequence[EdgeSpec],
     allow_empty: bool = False,
-) -> UnaryCount:
+) -> None:
     """Constrain the active edges to form a single directed cycle covering
     exactly the in-vertices.
 
     A single in-vertex with no active edges counts as a (degenerate) cycle.
     The empty subgraph is forbidden unless ``allow_empty`` (used by
-    ``subcircuit``).  Returns the unary counter over the in-literals.
+    ``subcircuit``).  No counter over the in-literals is built; ``hcp_k``
+    adds one.
     """
     index = _check_vertices_edges(vs, es, directed=True)
     n = len(vs)
@@ -113,16 +117,15 @@ def hcp(
         builder.add_clause([-e.lit, in_lits[index[e.src]]])
         builder.add_clause([-e.lit, in_lits[index[e.dst]]])
 
-    count = builder.unary_count(in_lits)
+    starts, seen = _start_chain(builder, in_lits)
     if not allow_empty:
-        builder.bound_ge(count, 1)
+        builder.add_clause([seen[-1]])
 
-    # single <-> exactly one in-vertex; then no edges are active and the
-    # degree constraints are suspended
-    if n == 1:
-        single = count.outputs[0]
-    else:
-        single = builder.gate_and([count.outputs[0], -count.outputs[1]])
+    # single <-> exactly one in-vertex: some vertex is in, and no vertex is
+    # in together with an earlier one.  Then no edges are active and the
+    # degree constraints are suspended.
+    repeats = [builder.gate_and([in_lits[i], seen[i - 1]]) for i in range(1, n)]
+    single = builder.gate_and([seen[-1]] + [-x for x in repeats])
     for e in es:
         builder.add_clause([-single, -e.lit])
 
@@ -137,7 +140,6 @@ def hcp(
             if len(lits) > 1:
                 builder.at_most_one(lits)
 
-    starts = _start_chain(builder, in_lits)
     width = distance_width(n)
     dist = [builder.new_bitvec(width, f"dist_{vs[i].term}") for i in range(n)]
     for d in dist:
@@ -156,6 +158,12 @@ def hcp(
             builder.add_clause([-e.lit, starts[j], -db, sb])
             builder.add_clause([-e.lit, starts[j], db, -sb])
         builder.add_clause([-e.lit, starts[j], -overflow])
+
+
+def _fixed_count(builder: CnfBuilder, vs: Sequence[VertexSpec], k: int) -> UnaryCount:
+    """Totalizer over the in-literals, fixed to exactly ``k``."""
+    count = builder.unary_count([v.in_lit for v in vs])
+    builder.fix_count(count, k)
     return count
 
 
@@ -165,9 +173,9 @@ def hcp_k(
     es: Sequence[EdgeSpec],
     k: int,
 ) -> UnaryCount:
-    count = hcp(builder, vs, es)
-    builder.fix_count(count, k)
-    return count
+    """``hcp`` with exactly ``k`` in-vertices; returns the unary counter."""
+    hcp(builder, vs, es)
+    return _fixed_count(builder, vs, k)
 
 
 def grid_graph_edges(builder: CnfBuilder, grid: GridVars) -> list[EdgeSpec]:
@@ -191,27 +199,29 @@ def _grid_vertices(grid: GridVars) -> list[VertexSpec]:
     ]
 
 
-def hcp_grid(builder: CnfBuilder, grid: GridVars) -> tuple[list[EdgeSpec], UnaryCount]:
-    """Apply hcp over the grid's cells; returns (edge list, cell counter)."""
+def hcp_grid(builder: CnfBuilder, grid: GridVars) -> list[EdgeSpec]:
+    """Apply hcp over the grid's cells; returns the edge list."""
     edges = grid_graph_edges(builder, grid)
-    count = hcp(builder, _grid_vertices(grid), edges)
-    return edges, count
+    hcp(builder, _grid_vertices(grid), edges)
+    return edges
 
 
 def hcp_grid_k(builder: CnfBuilder, grid: GridVars, k: int) -> tuple[list[EdgeSpec], UnaryCount]:
-    edges, count = hcp_grid(builder, grid)
-    builder.fix_count(count, k)
-    return edges, count
+    """``hcp_grid`` with exactly ``k`` cells on the cycle; returns (edge list,
+    cell counter)."""
+    edges = grid_graph_edges(builder, grid)
+    return edges, hcp_k(builder, _grid_vertices(grid), edges, k)
 
 
 def scc(
     builder: CnfBuilder,
     vs: Sequence[VertexSpec],
     es: Sequence[EdgeSpec],
-) -> UnaryCount:
+) -> None:
     """Constrain the in-vertices with active undirected edges to form one
     connected component.  Each EdgeSpec is one undirected edge; the reverse
-    orientation shares its literal.  The empty subgraph is accepted.
+    orientation shares its literal.  The empty subgraph is accepted.  No
+    counter over the in-literals is built; ``scc_k`` adds one.
     """
     index = _check_vertices_edges(vs, es, directed=False)
     n = len(vs)
@@ -221,8 +231,7 @@ def scc(
         builder.add_clause([-e.lit, in_lits[index[e.src]]])
         builder.add_clause([-e.lit, in_lits[index[e.dst]]])
 
-    count = builder.unary_count(in_lits)
-    roots = _start_chain(builder, in_lits)
+    roots, _ = _start_chain(builder, in_lits)
     width = distance_width(n)
     dist = [builder.new_bitvec(width, f"sdist_{vs[i].term}") for i in range(n)]
     for d in dist:
@@ -254,16 +263,15 @@ def scc(
         builder.add_clause([roots[i], -in_lits[i]] + parents)
         if len(parents) > 1:
             builder.at_most_one(parents)
-    return count
 
 
 def scc_k(builder: CnfBuilder, vs, es, k: int) -> UnaryCount:
-    count = scc(builder, vs, es)
-    builder.fix_count(count, k)
-    return count
+    """``scc`` with exactly ``k`` in-vertices; returns the unary counter."""
+    scc(builder, vs, es)
+    return _fixed_count(builder, vs, k)
 
 
-def scc_grid(builder: CnfBuilder, grid: GridVars) -> UnaryCount:
+def scc_grid(builder: CnfBuilder, grid: GridVars) -> None:
     """scc over the grid cells, with one undirected edge literal per
     orthogonally adjacent pair, defined as the conjunction of the two cells."""
     es = []
@@ -277,13 +285,13 @@ def scc_grid(builder: CnfBuilder, grid: GridVars) -> UnaryCount:
                     builder.add_clause([-g, b])
                     builder.add_clause([g, -a, -b])
                     es.append(EdgeSpec((r, c), (r2, c2), g))
-    return scc(builder, _grid_vertices(grid), es)
+    scc(builder, _grid_vertices(grid), es)
 
 
 def scc_grid_k(builder: CnfBuilder, grid: GridVars, k: int) -> UnaryCount:
-    count = scc_grid(builder, grid)
-    builder.fix_count(count, k)
-    return count
+    """``scc_grid`` with exactly ``k`` cells in; returns the cell counter."""
+    scc_grid(builder, grid)
+    return _fixed_count(builder, _grid_vertices(grid), k)
 
 
 Adjacency = Mapping[Hashable, Sequence[tuple[Hashable, Lit]]]

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cnf import CnfBuilder, Lit
+from ..cnf import CnfBuilder
 from ..graph import EdgeSpec, GridVars, hcp_grid, make_grid
 from .loops import (
     LoopSolution,
@@ -76,19 +76,11 @@ def black_shapes(r: int, c: int) -> list[list[tuple[int, int]]]:
     ]
 
 
-def constrain_white_masyu(builder, emap, n, r, c):
-    constrain_paths(builder, emap, n, n, white_shapes(r, c))
-
-
-def constrain_black_masyu(builder, emap, n, r, c):
-    constrain_paths(builder, emap, n, n, black_shapes(r, c))
-
-
 def build_masyu(
     builder: CnfBuilder, inst: MasyuInstance
-) -> tuple[GridVars, list[EdgeSpec], dict[tuple[int, int, int, int], Lit]]:
+) -> tuple[GridVars, list[EdgeSpec]]:
     grid = make_grid(builder, inst.n, inst.n)
-    edges, _ = hcp_grid(builder, grid)
+    edges = hcp_grid(builder, grid)
     emap = edge_map(edges)
     for r in range(1, inst.n + 1):
         for c in range(1, inst.n + 1):
@@ -96,11 +88,9 @@ def build_masyu(
             if mark == EMPTY:
                 continue
             builder.add_clause([grid.cell(r, c)])
-            if mark == WHITE:
-                constrain_white_masyu(builder, emap, inst.n, r, c)
-            else:
-                constrain_black_masyu(builder, emap, inst.n, r, c)
-    return grid, edges, emap
+            shapes = white_shapes if mark == WHITE else black_shapes
+            constrain_paths(builder, emap, inst.n, inst.n, shapes(r, c))
+    return grid, edges
 
 
 def verify_masyu(inst: MasyuInstance, sol: LoopSolution) -> str | None:

@@ -141,7 +141,10 @@ def build_roadrunner(
             builder.add_clause([-road_lit(x, y), -lz])
             builder.add_clause([road_lit(x, y), lz] + [laser[p] for p in ps])
 
-    edges, count = hcp_grid(builder, road)  # hcp itself requires K >= 1
+    edges = hcp_grid(builder, road)  # hcp itself requires K >= 1
+    # the objective counts every road cell, hills included (forced off), so
+    # an all-hill board still has a counter to bound
+    count = builder.unary_count([lit for row in road.cells for lit in row])
     return laser, road, edges, count
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cnf import CnfBuilder, Lit
+from ..cnf import CnfBuilder
 from ..graph import EdgeSpec, GridVars, hcp_grid, make_grid
 from .loops import (
     LoopSolution,
@@ -95,19 +95,11 @@ def black_shingoki_shapes(r: int, c: int, clue: int) -> list[list[tuple[int, int
     return shapes
 
 
-def constrain_white_shingoki(builder, emap, n, r, c, clue):
-    constrain_paths(builder, emap, n, n, white_shingoki_shapes(r, c, clue))
-
-
-def constrain_black_shingoki(builder, emap, n, r, c, clue):
-    constrain_paths(builder, emap, n, n, black_shingoki_shapes(r, c, clue))
-
-
 def build_shingoki(
     builder: CnfBuilder, inst: ShingokiInstance
-) -> tuple[GridVars, list[EdgeSpec], dict[tuple[int, int, int, int], Lit]]:
+) -> tuple[GridVars, list[EdgeSpec]]:
     grid = make_grid(builder, inst.n, inst.n)
-    edges, _ = hcp_grid(builder, grid)
+    edges = hcp_grid(builder, grid)
     emap = edge_map(edges)
     for r in range(1, inst.n + 1):
         for c in range(1, inst.n + 1):
@@ -116,11 +108,9 @@ def build_shingoki(
                 continue
             builder.add_clause([grid.cell(r, c)])
             color, clue = mark
-            if color == "w":
-                constrain_white_shingoki(builder, emap, inst.n, r, c, clue)
-            else:
-                constrain_black_shingoki(builder, emap, inst.n, r, c, clue)
-    return grid, edges, emap
+            shapes = white_shingoki_shapes if color == "w" else black_shingoki_shapes
+            constrain_paths(builder, emap, inst.n, inst.n, shapes(r, c, clue))
+    return grid, edges
 
 
 def verify_shingoki(inst: ShingokiInstance, sol: LoopSolution) -> str | None:

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .cnf import CnfBuilder, Lit
+from .cnf import CnfBuilder, Lit, write_dimacs
 
 
 @dataclass
@@ -326,9 +326,7 @@ def solve_external(
     """
     fd, path = tempfile.mkstemp(suffix=".cnf", dir=tmpdir, text=True)
     with os.fdopen(fd, "w") as f:
-        f.write(f"p cnf {nvars} {len(clauses)}\n")
-        for cl in clauses:
-            f.write(" ".join(str(l) for l in cl) + " 0\n")
+        write_dimacs(f, nvars, clauses)
     try:
         proc = subprocess.run(
             list(solver_cmd) + [path],

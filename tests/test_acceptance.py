@@ -258,7 +258,7 @@ def test_criterion_5_corpus_regression(capsys):
         nonlocal solved, mutation_accepts
         inst = parse(open(path).read())
         b = CnfBuilder()
-        grid, edges, _ = build(b, inst)
+        grid, edges = build(b, inst)
         out = solve_internal(b.clauses, b.var_count)
         assert out.is_sat, path
         sol = decode_loop(out.model.assignment, grid, edges)
@@ -415,7 +415,7 @@ def test_criterion_8_soft_large_masyu(capsys):
     path = os.path.join(INSTANCES, "masyu_30x30.masyu")
     inst = parse_masyu(open(path).read())
     b = CnfBuilder()
-    grid, edges, _ = build_masyu(b, inst)
+    grid, edges = build_masyu(b, inst)
     fn = external_solve_fn(cmd.split(), timeout=120)
     start = time.monotonic()
     out = fn(b.clauses, b.var_count)

@@ -50,7 +50,7 @@ def grid_cells(rows, cols):
 def test_hcp_triangle_all_in():
     b = CnfBuilder()
     vs, es = complete_digraph(b, 3)
-    hcp(b, vs, es)
+    assert hcp(b, vs, es) is None  # no counter unless a caller asks for one
     force_in(b, vs, {0, 1, 2})
     out = solve_internal(b.clauses, b.var_count)
     assert out.is_sat
@@ -122,10 +122,11 @@ def test_hcp_distances_bijection():
 def test_hcp_k():
     b = CnfBuilder()
     vs, es = complete_digraph(b, 3)
-    hcp_k(b, vs, es, 2)
+    count = hcp_k(b, vs, es, 2)
     out = solve_internal(b.clauses, b.var_count)
     assert out.is_sat
     assert sum(1 for v in vs if out.model[v.in_lit]) == 2
+    assert count.value(out.model.assignment) == 2
 
 
 def test_hcp_k_zero_unsat():
@@ -166,7 +167,7 @@ def test_hcp_rejects_bad_input():
 def test_hcp_grid_2x2_square():
     b = CnfBuilder()
     grid = make_grid(b, 2, 2)
-    edges, _ = hcp_grid(b, grid)
+    edges = hcp_grid(b, grid)
     for r, c in grid_cells(2, 2):
         b.add_clause([grid.cell(r, c)])
     out = solve_internal(b.clauses, b.var_count)
@@ -205,7 +206,7 @@ def test_hcp_grid_k():
 def test_hcp_grid_edge_order_deterministic():
     b = CnfBuilder()
     grid = make_grid(b, 2, 2)
-    edges, _ = hcp_grid(b, grid)
+    edges = hcp_grid(b, grid)
     # row-major, per cell up/down/left/right filtered to the grid
     assert [(e.src, e.dst) for e in edges[:4]] == [
         ((1, 1), (2, 1)),
@@ -237,7 +238,7 @@ def test_scc_pair_with_edge():
     b = CnfBuilder()
     vs = [VertexSpec(1, b.new_var()), VertexSpec(2, b.new_var())]
     e = EdgeSpec(1, 2, b.new_var())
-    scc(b, vs, [e])
+    assert scc(b, vs, [e]) is None  # no counter unless a caller asks for one
     force_in(b, vs, {1, 2})
     b.add_clause([e.lit])
     assert solve_internal(b.clauses, b.var_count).is_sat
@@ -344,6 +345,15 @@ def test_scc_grid_k():
     out = solve_internal(b.clauses, b.var_count)
     assert out.is_sat
     assert count.value(out.model.assignment) == 3
+
+
+@pytest.mark.parametrize("encode", [hcp_grid, scc_grid])
+def test_grid_encoding_30x30_size(encode):
+    # without a counter nobody reads, a 30x30 grid encodes in O(n log n)
+    # clauses; a totalizer over its 900 cells alone costs about 827k
+    b = CnfBuilder()
+    encode(b, make_grid(b, 30, 30))
+    assert len(b.clauses) < 250_000
 
 
 # -- circuit / subcircuit -------------------------------------------------
