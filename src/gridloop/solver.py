@@ -2,8 +2,11 @@
 
 The internal solver is a complete conflict-driven solver with two-literal
 watching, first-UIP learning, non-chronological backjumping and Luby
-restarts.  Branching is deterministic: activity order with variable-index
-tie-breaking, saved phase (initially positive).
+restarts.  Branching is deterministic: the next decision comes from an
+activity heap (VSIDS-style bumping of the variables met in conflict
+analysis), the lowest variable index wins a tie, and the variable takes its
+saved phase (initially positive).  The same formula always gets the same
+search, which ``SolveOutcome.stats`` counts (conflicts, decisions, restarts).
 
 The external driver writes DIMACS, runs a solver command, parses
 SAT-competition output ("s SATISFIABLE" / "s UNSATISFIABLE", "v " value
@@ -11,12 +14,13 @@ lines) and re-verifies any claimed model before returning it.
 """
 from __future__ import annotations
 
+import heapq
 import os
 import shlex
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .cnf import CnfBuilder, Lit, write_dimacs
@@ -38,6 +42,8 @@ class SolveOutcome:
     status: str  # "sat" | "unsat" | "unknown"
     model: Model | None = None
     reason: str | None = None
+    # internal solver only: conflicts, decisions and restarts of the search
+    stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def is_sat(self) -> bool:
@@ -71,12 +77,24 @@ class _Solver:
         self.nvars = nvars
         self.max_conflicts = max_conflicts
         self.deadline = deadline  # time.monotonic() value, or None
-        self.val = [0] * (nvars + 1)  # 0 unassigned, 1 true, -1 false
+        # val[lit + nvars]: 1 true, -1 false, 0 unassigned; both polarities kept
+        self.val = [0] * (2 * nvars + 1)
         self.level = [0] * (nvars + 1)
         self.reason: list[list[int] | None] = [None] * (nvars + 1)
         self.phase = [True] * (nvars + 1)
         self.activity = [0.0] * (nvars + 1)
         self.var_inc = 1.0
+        # Decision order: a heap of (-activity, var), so the most active
+        # variable comes first and the lowest index wins a tie.  An entry is
+        # live while its key equals the variable's activity.  A bump pushes a
+        # fresh entry; activities only grow between rebuilds, so an older
+        # entry pops after the live one, when its variable is assigned, and
+        # is skipped.  in_heap[var] says whether var has a live entry; every
+        # unassigned variable has one.
+        self.heap = [(-0.0, v) for v in range(1, nvars + 1)]  # sorted, so a heap
+        self.in_heap = [False] + [True] * nvars
+        self.seen = [False] * (nvars + 1)  # _analyze's marks, all False between calls
+        self.stats = {"conflicts": 0, "decisions": 0, "restarts": 0}
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -99,77 +117,104 @@ class _Solver:
         self.watches[cl[1] + n].append(cl)
 
     def _value(self, lit):
-        v = self.val[abs(lit)]
-        return v if lit > 0 else -v
+        return self.val[lit + self.nvars]
 
     def _assign(self, lit, reason):
+        n = self.nvars
+        self.val[lit + n] = 1
+        self.val[n - lit] = -1
         var = abs(lit)
-        self.val[var] = 1 if lit > 0 else -1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.phase[var] = lit > 0
         self.trail.append(lit)
 
     def _propagate(self):
-        """Unit propagation; returns a conflicting clause or None."""
+        """Unit propagation; returns a conflicting clause or None.
+
+        ``_value`` and ``_assign`` are inlined: this loop is the solver's
+        hot path.
+        """
         n = self.nvars
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            falsified = -lit
-            ws = self.watches[falsified + n]
+        val = self.val
+        watches = self.watches
+        trail = self.trail
+        level = self.level
+        reasons = self.reason
+        phase = self.phase
+        cur_level = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            falsified = -trail[qhead]
+            qhead += 1
+            ws = watches[falsified + n]
             i = 0
-            while i < len(ws):
+            end = len(ws)  # ws only shrinks during its own scan
+            while i < end:
                 cl = ws[i]
                 # ensure cl[1] is the falsified watch
-                if cl[0] == falsified:
-                    cl[0], cl[1] = cl[1], cl[0]
                 first = cl[0]
-                if self._value(first) == 1:
+                if first == falsified:
+                    first = cl[1]
+                    cl[0] = first
+                    cl[1] = falsified
+                first_val = val[first + n]
+                if first_val == 1:
                     i += 1
                     continue
                 # look for a new watch
-                moved = False
                 for j in range(2, len(cl)):
-                    if self._value(cl[j]) != -1:
-                        cl[1], cl[j] = cl[j], cl[1]
-                        self.watches[cl[1] + n].append(cl)
-                        ws[i] = ws[-1]
+                    lit = cl[j]
+                    if val[lit + n] != -1:
+                        cl[1] = lit
+                        cl[j] = falsified
+                        watches[lit + n].append(cl)
+                        end -= 1
+                        ws[i] = ws[end]
                         ws.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                if self._value(first) == -1:
-                    return cl  # conflict
-                self._assign(first, cl)
-                i += 1
+                else:
+                    if first_val == -1:
+                        self.qhead = qhead
+                        return cl  # conflict
+                    val[first + n] = 1
+                    val[n - first] = -1
+                    var = first if first > 0 else -first
+                    level[var] = cur_level
+                    reasons[var] = cl
+                    phase[var] = first > 0
+                    trail.append(first)
+                    i += 1
+        self.qhead = qhead
         return None
 
     def _analyze(self, conflict):
         """First-UIP conflict analysis; returns (learnt clause, backjump level)."""
+        seen = self.seen
+        level = self.level
+        trail = self.trail
+        bump = self._bump
         n_seen = 0
-        seen = [False] * (self.nvars + 1)
         learnt = [0]  # placeholder for the asserting literal
         cur_level = len(self.trail_lim)
-        idx = len(self.trail) - 1
-        p = None
+        idx = len(trail) - 1
+        p = 0  # no literal is 0
         reason = conflict
         while True:
             for q in reason:
-                if p is not None and q == p:
+                if q == p:
                     continue
-                var = abs(q)
-                if not seen[var] and self.level[var] > 0:
+                var = q if q > 0 else -q
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
-                    self._bump(var)
-                    if self.level[var] >= cur_level:
+                    bump(var)
+                    if level[var] >= cur_level:
                         n_seen += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self.trail[idx])]:
+            while not seen[abs(trail[idx])]:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             seen[abs(p)] = False
             n_seen -= 1
             if n_seen == 0:
@@ -177,54 +222,96 @@ class _Solver:
             reason = self.reason[abs(p)]
             idx -= 1
         learnt[0] = -p
+        # the current-level marks were cleared on the way; clear the rest
+        for q in learnt[1:]:
+            seen[abs(q)] = False
         if len(learnt) == 1:
             return learnt, 0
-        bj = max(self.level[abs(q)] for q in learnt[1:])
+        bj = max(level[abs(q)] for q in learnt[1:])
         # put a literal of the backjump level in watch position 1
         for i in range(1, len(learnt)):
-            if self.level[abs(learnt[i])] == bj:
+            if level[abs(learnt[i])] == bj:
                 learnt[1], learnt[i] = learnt[i], learnt[1]
                 break
         return learnt, bj
 
     def _bump(self, var):
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for v in range(1, self.nvars + 1):
-                self.activity[v] *= 1e-100
+        act = self.activity[var] + self.var_inc
+        self.activity[var] = act
+        if act > 1e100:
+            self.activity[:] = [a * 1e-100 for a in self.activity]
             self.var_inc *= 1e-100
+            self._rebuild_heap()
+        elif self.in_heap[var]:
+            heapq.heappush(self.heap, (-act, var))
+            if len(self.heap) > 2 * self.nvars:
+                self._rebuild_heap()
+
+    def _rebuild_heap(self):
+        """Replace the heap by one live entry per unassigned variable.
+
+        Called at a rescale, which changes every key, and once the heap holds
+        more than 2 * nvars entries, so that stale entries cannot pile up.
+        """
+        n = self.nvars
+        val = self.val
+        act = self.activity
+        in_heap = [False] * (n + 1)
+        heap = []
+        for v in range(1, n + 1):
+            if val[v + n] == 0:
+                in_heap[v] = True
+                heap.append((-act[v], v))
+        heapq.heapify(heap)
+        self.heap = heap
+        self.in_heap = in_heap
 
     def _backjump(self, lvl):
+        n = self.nvars
+        val = self.val
+        reasons = self.reason
+        act = self.activity
         target = self.trail_lim[lvl]
         for lit in self.trail[target:]:
-            self.val[abs(lit)] = 0
-            self.reason[abs(lit)] = None
+            val[lit + n] = 0
+            val[n - lit] = 0
+            var = lit if lit > 0 else -lit
+            reasons[var] = None
+            if not self.in_heap[var]:
+                self.in_heap[var] = True
+                heapq.heappush(self.heap, (-act[var], var))
+                if len(self.heap) > 2 * n:
+                    self._rebuild_heap()
         del self.trail[target:]
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
 
     def _decide(self):
-        best = 0
-        best_act = -1.0
-        for v in range(1, self.nvars + 1):
-            if self.val[v] == 0 and self.activity[v] > best_act:
-                best = v
-                best_act = self.activity[v]
-        if best == 0:
-            return 0
-        return best if self.phase[best] else -best
+        """The unassigned variable of highest activity (lowest index on a
+        tie) in its saved phase, or 0 when every variable is assigned."""
+        heap = self.heap
+        in_heap = self.in_heap
+        val = self.val
+        n = self.nvars
+        while heap:
+            _, var = heapq.heappop(heap)
+            in_heap[var] = False
+            if val[var + n] == 0:
+                return var if self.phase[var] else -var
+        return 0
 
     def solve(self):
+        stats = self.stats
         if not self.ok:
-            return SolveOutcome("unsat")
+            return SolveOutcome("unsat", stats=stats)
         for u in self.units:
             v = self._value(u)
             if v == -1:
-                return SolveOutcome("unsat")
+                return SolveOutcome("unsat", stats=stats)
             if v == 0:
                 self._assign(u, None)
         if self._propagate() is not None:
-            return SolveOutcome("unsat")
+            return SolveOutcome("unsat", stats=stats)
         conflicts = 0
         restart_unit = 128
         luby_idx = 0
@@ -233,12 +320,13 @@ class _Solver:
             conflict = self._propagate()
             if conflict is not None:
                 conflicts += 1
+                stats["conflicts"] = conflicts
                 if self.max_conflicts is not None and conflicts > self.max_conflicts:
-                    return SolveOutcome("unknown", reason="conflict budget exceeded")
+                    return SolveOutcome("unknown", reason="conflict budget exceeded", stats=stats)
                 if not self.trail_lim:
-                    return SolveOutcome("unsat")
+                    return SolveOutcome("unsat", stats=stats)
                 if self.deadline is not None and time.monotonic() > self.deadline:
-                    return SolveOutcome("unknown", reason="solver timeout")
+                    return SolveOutcome("unknown", reason="solver timeout", stats=stats)
                 learnt, bj = self._analyze(conflict)
                 self._backjump(bj)
                 if len(learnt) == 1:
@@ -249,14 +337,17 @@ class _Solver:
                 self.var_inc /= 0.95
                 if conflicts >= limit:
                     luby_idx += 1
+                    stats["restarts"] = luby_idx
                     limit = conflicts + restart_unit * _luby(luby_idx)
                     if self.trail_lim:
                         self._backjump(0)
             else:
                 lit = self._decide()
                 if lit == 0:
-                    assignment = {v: self.val[v] == 1 for v in range(1, self.nvars + 1)}
-                    return SolveOutcome("sat", model=Model(assignment))
+                    n = self.nvars
+                    assignment = {v: self.val[v + n] == 1 for v in range(1, n + 1)}
+                    return SolveOutcome("sat", model=Model(assignment), stats=stats)
+                stats["decisions"] += 1
                 self.trail_lim.append(len(self.trail))
                 self._assign(lit, None)
 

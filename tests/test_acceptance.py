@@ -239,6 +239,11 @@ def corpus(pattern):
     return sorted(glob.glob(os.path.join(INSTANCES, pattern)))
 
 
+def read(path):
+    with open(path) as f:
+        return f.read()
+
+
 def loop_mutations(sol, n):
     """Single-cell membership flips of a loop solution."""
     for cell in grid_cells(n, n):
@@ -256,7 +261,7 @@ def test_criterion_5_corpus_regression(capsys):
 
     def run_loop_puzzle(path, parse, build, verify):
         nonlocal solved, mutation_accepts
-        inst = parse(open(path).read())
+        inst = parse(read(path))
         b = CnfBuilder()
         grid, edges = build(b, inst)
         out = solve_internal(b.clauses, b.var_count)
@@ -274,7 +279,7 @@ def test_criterion_5_corpus_regression(capsys):
         run_loop_puzzle(path, parse_shingoki, build_shingoki, verify_shingoki)
 
     for path in corpus("tapa_*.tapa"):
-        inst = parse_tapa(open(path).read())
+        inst = parse_tapa(read(path))
         b = CnfBuilder()
         grid = build_tapa(b, inst)
         out = solve_internal(b.clauses, b.var_count)
@@ -290,7 +295,7 @@ def test_criterion_5_corpus_regression(capsys):
                     mutation_accepts += 1
 
     for path in corpus("roadrunner_*.roadrunner"):
-        inst = parse_roadrunner(open(path).read())
+        inst = parse_roadrunner(read(path))
         b = CnfBuilder()
         laser, road, edges, count = build_roadrunner(b, inst)
         res = maximize(b.clauses, b.var_count, count, lo=1)
@@ -323,7 +328,7 @@ def test_criterion_6_roadrunner_optimality(capsys):
     mismatches = 0
     uncertified = 0
     for path in corpus("roadrunner_*.roadrunner"):
-        inst = parse_roadrunner(open(path).read())
+        inst = parse_roadrunner(read(path))
         if inst.max_x > 4 or inst.max_y > 4:
             continue
         b = CnfBuilder()
@@ -354,19 +359,19 @@ def regression_formulas():
     formulas = []
     for path in corpus("masyu_[4-7]x*.masyu"):
         b = CnfBuilder()
-        build_masyu(b, parse_masyu(open(path).read()))
+        build_masyu(b, parse_masyu(read(path)))
         formulas.append((os.path.basename(path), b))
     for path in corpus("shingoki_*.shingoki"):
         b = CnfBuilder()
-        build_shingoki(b, parse_shingoki(open(path).read()))
+        build_shingoki(b, parse_shingoki(read(path)))
         formulas.append((os.path.basename(path), b))
     for path in corpus("tapa_*.tapa"):
         b = CnfBuilder()
-        build_tapa(b, parse_tapa(open(path).read()))
+        build_tapa(b, parse_tapa(read(path)))
         formulas.append((os.path.basename(path), b))
     for path in corpus("roadrunner_*.roadrunner"):
         b = CnfBuilder()
-        build_roadrunner(b, parse_roadrunner(open(path).read()))
+        build_roadrunner(b, parse_roadrunner(read(path)))
         formulas.append((os.path.basename(path), b))
     # infeasible members
     b = CnfBuilder()
@@ -413,7 +418,7 @@ def test_criterion_8_soft_large_masyu(capsys):
         )
         return
     path = os.path.join(INSTANCES, "masyu_30x30.masyu")
-    inst = parse_masyu(open(path).read())
+    inst = parse_masyu(read(path))
     b = CnfBuilder()
     grid, edges = build_masyu(b, inst)
     fn = external_solve_fn(cmd.split(), timeout=120)

@@ -154,6 +154,35 @@ def test_encode_roundtrip(tmp_path, capsys):
     assert "edge_1_1_1_2" in names
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone away, on a real descriptor."""
+
+    def __init__(self, path):
+        self.fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_encode_closed_stdout_exits_cleanly(tmp_path, monkeypatch):
+    pipe = _ClosedPipe(tmp_path / "stdout")
+    monkeypatch.setattr(sys, "stdout", pipe)
+    try:
+        argv = ["encode", inst_path("masyu_4x4.masyu"), "-o", str(tmp_path / "m.cnf")]
+        assert main(argv) == EXIT_REJECT
+        # the descriptor now points at devnull: a later flush cannot fail
+        assert os.path.samestat(os.fstat(pipe.fd), os.stat(os.devnull))
+    finally:
+        os.close(pipe.fd)
+    assert (tmp_path / "m.cnf").exists()
+
+
 def test_encode_external_solver_protocol(tmp_path, capsys):
     # bundled DIMACS solver accepts the emitted file
     import subprocess

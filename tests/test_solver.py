@@ -1,4 +1,5 @@
 """Internal CDCL solver, external driver, and model checking."""
+import os
 import random
 import sys
 
@@ -13,7 +14,8 @@ from gridloop import (
     solve_external,
     solve_internal,
 )
-from gridloop.solver import DEFAULT_SOLVER_ENV, _luby, external_solve_fn
+from gridloop.puzzles import build_masyu, build_tapa, parse_masyu, parse_tapa
+from gridloop.solver import DEFAULT_SOLVER_ENV, _luby, _Solver, external_solve_fn
 from gridloop import dimacs_solver
 
 from oracles import eval_clauses, satisfiable
@@ -87,6 +89,140 @@ def test_timeout_unknown():
     assert out.status == "unknown"
     assert out.reason == "solver timeout"
     assert solve_internal(hard, 2, timeout=60).is_unsat
+
+
+def test_stats_count_the_search():
+    assert solve_internal([[1], [-1]], 1).stats == {
+        "conflicts": 0, "decisions": 0, "restarts": 0,
+    }
+    clauses, nvars = pigeonhole(6, 5)
+    out = solve_internal(clauses, nvars)
+    assert out.is_unsat
+    assert out.stats["conflicts"] > 128 and out.stats["restarts"] >= 1
+    assert out.stats["decisions"] > 0
+    capped = solve_internal(clauses, nvars, max_conflicts=10)
+    assert capped.status == "unknown"
+    assert capped.stats["conflicts"] == 11
+
+
+# -- the decision heap against the linear scan it replaced -----------------
+
+class ScanSolver(_Solver):
+    """Reference: the linear decision scan, strict > keeps the lowest index."""
+
+    def _decide(self):
+        n = self.nvars
+        best = 0
+        best_act = -1.0
+        for v in range(1, n + 1):
+            if self.val[v + n] == 0 and self.activity[v] > best_act:
+                best = v
+                best_act = self.activity[v]
+        if best == 0:
+            return 0
+        return best if self.phase[best] else -best
+
+
+def pigeonhole(pigeons, holes):
+    """Each pigeon in some hole, no two in one: UNSAT when pigeons > holes."""
+    var = lambda p, h: p * holes + h + 1
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for p in range(pigeons):
+            for q in range(p + 1, pigeons):
+                clauses.append([-var(p, h), -var(q, h)])
+    return clauses, pigeons * holes
+
+
+def puzzle_formula(name, parse, build):
+    with open(os.path.join(os.path.dirname(__file__), "..", "instances", name)) as f:
+        inst = parse(f.read())
+    b = CnfBuilder()
+    build(b, inst)
+    return b.clauses, b.var_count
+
+
+def same_search(clauses, nvars, var_inc=1.0):
+    outcomes = []
+    for cls in (_Solver, ScanSolver):
+        s = cls(clauses, nvars)
+        s.var_inc = var_inc
+        outcomes.append(s.solve())
+    heap, scan = outcomes
+    assert heap.status == scan.status
+    assert heap.stats == scan.stats
+    if heap.is_sat:
+        assert heap.model.assignment == scan.model.assignment
+        assert check_model(clauses, heap.model)
+    return heap
+
+
+def test_heap_decides_like_the_scan_on_random_3cnf():
+    rng = random.Random(2024)
+    statuses = set()
+    for _ in range(50):
+        nvars = rng.randint(20, 40)
+        out = same_search(random_3cnf(rng, nvars, round(4.26 * nvars)), nvars)
+        statuses.add(out.status)
+    assert statuses == {"sat", "unsat"}
+
+
+@pytest.mark.parametrize("name,parse,build", [
+    ("masyu_6x6.masyu", parse_masyu, build_masyu),
+    ("tapa_6x6.tapa", parse_tapa, build_tapa),
+])
+def test_heap_decides_like_the_scan_on_puzzles(name, parse, build):
+    out = same_search(*puzzle_formula(name, parse, build))
+    assert out.is_sat and out.stats["conflicts"] > 0
+
+
+def test_activity_rescale():
+    # from var_inc = 1e99 the first bumps pass 1e100 and rescale everything
+    rng = random.Random(8)
+    for _ in range(30):
+        nvars = rng.randint(6, 12)
+        clauses = random_3cnf(rng, nvars, round(4.26 * nvars))
+        s = _Solver(clauses, nvars)
+        s.var_inc = 1e99
+        assert s.solve().is_sat == satisfiable(clauses, nvars), clauses
+    clauses, nvars = pigeonhole(5, 4)
+    s = _Solver(clauses, nvars)
+    s.var_inc = 1e99
+    assert s.solve().is_unsat
+    assert s.var_inc < 1e99  # rescaled at least once
+    # the heap rebuilt at a rescale still picks what the scan picks, also
+    # over the hundreds of conflicts that follow it
+    out = same_search(*pigeonhole(6, 5), var_inc=1e99)
+    assert out.is_unsat and out.stats["conflicts"] > 100
+    same_search(*puzzle_formula("masyu_6x6.masyu", parse_masyu, build_masyu), var_inc=1e99)
+
+
+class CapWatch(_Solver):
+    """Records the heap's largest size after each operation that grows it."""
+
+    largest = 0
+    rebuilds = 0
+
+    def _bump(self, var):
+        super()._bump(var)
+        self.largest = max(self.largest, len(self.heap))
+
+    def _backjump(self, lvl):
+        super()._backjump(lvl)
+        self.largest = max(self.largest, len(self.heap))
+
+    def _rebuild_heap(self):
+        super()._rebuild_heap()
+        self.rebuilds += 1
+
+
+def test_heap_stays_capped():
+    clauses, nvars = pigeonhole(7, 6)
+    s = CapWatch(clauses, nvars)
+    out = s.solve()
+    assert out.is_unsat and out.stats["conflicts"] > 500
+    assert s.rebuilds > 0  # the cap was reached
+    assert s.largest <= 2 * nvars + 1
 
 
 def test_solve_builder_respects_unsat_flag():
