@@ -10,7 +10,7 @@ wherever a literal is expected (``builder.TRUE`` / ``builder.FALSE``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 Lit = int
@@ -79,6 +79,7 @@ class CnfBuilder:
         self.clauses: list[list[Lit]] = [[1]]
         self.unsat = False
         self.names: dict[int, str] = {1: "const_true"}
+        self._increments: dict[tuple[Lit, ...], tuple[BitVec, Lit]] = {}
 
     TRUE: Lit = 1
     FALSE: Lit = -1
@@ -231,13 +232,8 @@ class CnfBuilder:
         return UnaryCount(build(list(lits)))
 
     def fix_count(self, count: UnaryCount, k: int) -> None:
-        n = count.size
-        if not 0 <= k <= n:
-            raise ValueError(f"count bound {k} out of range 0..{n}")
-        if k >= 1:
-            self.add_clause([count.outputs[k - 1]])
-        if k < n:
-            self.add_clause([-count.outputs[k]])
+        self.bound_ge(count, k)
+        self.bound_le(count, k)
 
     def bound_ge(self, count: UnaryCount, k: int) -> None:
         n = count.size
@@ -261,7 +257,11 @@ class CnfBuilder:
         return BitVec(self.new_vars(width, prefix))
 
     def increment(self, x: BitVec) -> tuple[BitVec, Lit]:
-        """Ripple increment: returns (x + 1 as fresh bits, overflow literal)."""
+        """Ripple increment: returns (x + 1 as fresh bits, overflow literal).
+        Built once per bit vector; a repeat call adds nothing."""
+        key = tuple(x.bits)
+        if key in self._increments:
+            return self._increments[key]
         succ: list[Lit] = []
         carry = self.TRUE
         for b in x.bits:
@@ -271,17 +271,22 @@ class CnfBuilder:
             else:
                 succ.append(self.gate_xor(b, carry))
                 carry = self.gate_and([b, carry])
-        return BitVec(succ), carry
+        self._increments[key] = BitVec(succ), carry
+        return self._increments[key]
 
-    def bitvec_successor(self, x: BitVec, y: BitVec, guard: Lit) -> None:
-        """guard -> (y = x + 1); overflow (x all-ones) is banned under guard."""
+    def bitvec_successor(self, x: BitVec, y: BitVec, *guard: Lit) -> None:
+        """AND(guard) -> (y = x + 1); overflow (x all-ones) is banned under
+        the guard.  Needs at least one guard literal."""
+        if not guard:
+            raise ValueError("bitvec_successor needs a guard literal")
         if x.width != y.width:
             raise ValueError("bitvec width mismatch")
         succ, overflow = self.increment(x)
+        pre = [-g for g in guard]
         for yb, sb in zip(y.bits, succ.bits):
-            self.add_clause([-guard, -yb, sb])
-            self.add_clause([-guard, yb, -sb])
-        self.add_clause([-guard, -overflow])
+            self.add_clause([*pre, -yb, sb])
+            self.add_clause([*pre, yb, -sb])
+        self.add_clause([*pre, -overflow])
 
     def bitvec_eq_const(self, x: BitVec, c: int, guard: Lit) -> None:
         if not 0 <= c < (1 << x.width):

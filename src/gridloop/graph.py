@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
-from .cnf import BitVec, CnfBuilder, Lit, UnaryCount, distance_width
+from .cnf import CnfBuilder, Lit, UnaryCount, distance_width
 
 
 @dataclass
@@ -148,16 +148,9 @@ def hcp(
         builder.bitvec_eq_const(dist[i], 0, starts[i])
 
     # active edge (i, j), j not the start -> d_j = d_i + 1
-    succ_cache: dict[int, tuple[BitVec, Lit]] = {}
     for e in es:
         i, j = index[e.src], index[e.dst]
-        if i not in succ_cache:
-            succ_cache[i] = builder.increment(dist[i])
-        succ, overflow = succ_cache[i]
-        for db, sb in zip(dist[j].bits, succ.bits):
-            builder.add_clause([-e.lit, starts[j], -db, sb])
-            builder.add_clause([-e.lit, starts[j], db, -sb])
-        builder.add_clause([-e.lit, starts[j], -overflow])
+        builder.bitvec_successor(dist[i], dist[j], e.lit, -starts[j])
 
 
 def _fixed_count(builder: CnfBuilder, vs: Sequence[VertexSpec], k: int) -> UnaryCount:
@@ -246,20 +239,14 @@ def scc(
         incident[i].append((e.lit, j))
         incident[j].append((e.lit, i))
 
-    succ_cache: dict[int, tuple[BitVec, Lit]] = {}
+    # selected parent j of i -> d_i = d_j + 1
     for i in range(n):
         parents = []
         for elit, j in incident[i]:
             p = builder.new_var()
             builder.add_clause([-p, elit])
             parents.append(p)
-            if j not in succ_cache:
-                succ_cache[j] = builder.increment(dist[j])
-            succ, overflow = succ_cache[j]
-            for db, sb in zip(dist[i].bits, succ.bits):
-                builder.add_clause([-p, -db, sb])
-                builder.add_clause([-p, db, -sb])
-            builder.add_clause([-p, -overflow])
+            builder.bitvec_successor(dist[j], dist[i], p)
         builder.add_clause([roots[i], -in_lits[i]] + parents)
         if len(parents) > 1:
             builder.at_most_one(parents)
@@ -281,8 +268,7 @@ def scc_grid(builder: CnfBuilder, grid: GridVars) -> None:
                 if grid.in_bounds(r2, c2):
                     a, b = grid.cell(r, c), grid.cell(r2, c2)
                     g = builder.new_var(f"uedge_{r}_{c}_{r2}_{c2}")
-                    builder.add_clause([-g, a])
-                    builder.add_clause([-g, b])
+                    # scc's endpoint clauses give g -> a and g -> b
                     builder.add_clause([g, -a, -b])
                     es.append(EdgeSpec((r, c), (r2, c2), g))
     scc(builder, _grid_vertices(grid), es)

@@ -135,7 +135,8 @@ def build_roadrunner(
             lz = laser[(x, y)]
             ps = attacked_positions(inst, x, y)
             for p in ps:
-                builder.add_clause([-lz, -laser[p]])
+                if p > (x, y):  # sight is symmetric: one clause per pair
+                    builder.add_clause([-lz, -laser[p]])
                 builder.add_clause([-lz, -road_lit(*p)])
             # road(x, y) <-> no laser on (x, y) or any attacked position
             builder.add_clause([-road_lit(x, y), -lz])

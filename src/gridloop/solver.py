@@ -407,7 +407,6 @@ def solve_external(
     solver_cmd: Sequence[str],
     clauses: Sequence[Sequence[Lit]],
     nvars: int,
-    tmpdir: str | None = None,
     timeout: float | None = None,
 ) -> SolveOutcome:
     """Run an external DIMACS solver and verify its answer.
@@ -415,7 +414,7 @@ def solve_external(
     The temporary CNF file is kept on protocol failure (its path is part of
     the returned reason) and deleted on success.
     """
-    fd, path = tempfile.mkstemp(suffix=".cnf", dir=tmpdir, text=True)
+    fd, path = tempfile.mkstemp(suffix=".cnf", text=True)
     with os.fdopen(fd, "w") as f:
         write_dimacs(f, nvars, clauses)
     try:

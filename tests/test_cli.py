@@ -154,6 +154,14 @@ def test_encode_roundtrip(tmp_path, capsys):
     assert "edge_1_1_1_2" in names
 
 
+@pytest.mark.parametrize("name", sorted(os.listdir(INSTANCES)))
+def test_encode_repeats_no_clause(name, tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    assert main(["encode", inst_path(name), "-o", str(cnf)]) == EXIT_OK
+    _, clauses = parse_dimacs(cnf.read_text())
+    assert len({frozenset(cl) for cl in clauses}) == len(clauses)
+
+
 class _ClosedPipe:
     """A stdout whose reader has gone away, on a real descriptor."""
 

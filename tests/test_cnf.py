@@ -218,16 +218,20 @@ def test_count_bounds_out_of_range():
             b.bound_le(count, k)
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 4])
-def test_bitvec_successor_exhaustive(width):
+@pytest.mark.parametrize(
+    "width,nguards",
+    [(w, 1) for w in range(1, 5)] + [(w, 2) for w in range(1, 5)],
+    ids=[f"{w}" for w in range(1, 5)] + [f"{w}-2guards" for w in range(1, 5)],
+)
+def test_bitvec_successor_exhaustive(width, nguards):
     b = CnfBuilder()
     x = b.new_bitvec(width)
     y = b.new_bitvec(width)
-    guard = b.new_var()
-    b.bitvec_successor(x, y, guard)
+    guards = b.new_vars(nguards)
+    b.bitvec_successor(x, y, *guards)
     top = (1 << width) - 1
     for v in range(top):
-        units = [guard] + [
+        units = guards + [
             bit if v >> i & 1 else -bit for i, bit in enumerate(x.bits)
         ]
         out = sat_under(b.clauses, b.var_count, units)
@@ -253,21 +257,30 @@ def test_bitvec_successor_overflow_banned():
     assert sat_under(b.clauses, b.var_count, units).is_unsat
 
 
-def test_bitvec_successor_guard_false_unconstrained():
+@pytest.mark.parametrize("nguards", [1, 2])
+def test_bitvec_successor_guard_false_unconstrained(nguards):
     b = CnfBuilder()
     x = b.new_bitvec(2)
     y = b.new_bitvec(2)
-    guard = b.new_var()
-    b.bitvec_successor(x, y, guard)
-    proj = input_projection(b.clauses, b.var_count, x.bits + y.bits + [guard])
-    # guard=false: all 16 (x, y) combinations survive
-    assert sum(1 for bits in proj if not bits[-1]) == 16
+    guards = b.new_vars(nguards)
+    b.bitvec_successor(x, y, *guards)
+    proj = input_projection(b.clauses, b.var_count, x.bits + y.bits + guards)
+    # some guard false: all 16 (x, y) combinations survive
+    for gbits in itertools.product([False, True], repeat=nguards):
+        survivors = sum(1 for bits in proj if bits[4:] == gbits)
+        assert survivors == (3 if all(gbits) else 16)
 
 
 def test_bitvec_successor_width_mismatch():
     b = CnfBuilder()
     with pytest.raises(ValueError):
         b.bitvec_successor(b.new_bitvec(2), b.new_bitvec(3), b.new_var())
+
+
+def test_bitvec_successor_needs_guard():
+    b = CnfBuilder()
+    with pytest.raises(ValueError):
+        b.bitvec_successor(b.new_bitvec(2), b.new_bitvec(2))
 
 
 def test_bitvec_eq_const():
@@ -323,6 +336,16 @@ def test_increment_values():
         assert lit_value(overflow, m) == (v == 7)
         if v < 7:
             assert succ.value(m) == v + 1
+
+
+def test_increment_built_once():
+    b = CnfBuilder()
+    x = b.new_bitvec(3)
+    first = b.increment(x)
+    nvars, nclauses = b.var_count, len(b.clauses)
+    succ, overflow = b.increment(x)
+    assert (succ.bits, overflow) == (first[0].bits, first[1])
+    assert (b.var_count, len(b.clauses)) == (nvars, nclauses)
 
 
 def test_emit_dimacs_round_trip():
