@@ -15,25 +15,15 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from gridloop import CnfBuilder, solve_internal
+from gridloop.cli import _PARSERS, RunConfig, run
 from gridloop.graph import make_grid, hcp_grid, scc_grid
 from gridloop.optimize import maximize
 from gridloop.puzzles import (
     build_roadrunner,
-    decode_loop,
-    decode_roadrunner,
-    parse_masyu,
-    parse_roadrunner,
-    parse_shingoki,
-    parse_tapa,
-    build_masyu,
-    build_shingoki,
-    build_tapa,
     decode_coloring,
+    decode_loop,
     neighbor_ring,
-    verify_masyu,
-    verify_roadrunner,
-    verify_shingoki,
-    verify_tapa,
+    parse_roadrunner,
 )
 from gridloop.puzzles.loops import arm_length, loop_neighbors, straight_at
 from gridloop.puzzles.tapa import _ring_runs
@@ -171,11 +161,11 @@ def roadrunner_instance(max_x: int, max_y: int, rng: random.Random, hills: int) 
         text = f"{max_x} {max_y}\n" + "\n".join(rows) + "\n"
         inst = parse_roadrunner(text)
         b = CnfBuilder()
-        laser, road, edges, count = build_roadrunner(b, inst)
+        decode, count = build_roadrunner(b, inst)
         res = maximize(b.clauses, b.var_count, count, lo=1)
         if res.status != "optimal":
             continue
-        sol = decode_roadrunner(res.best_model.assignment, inst, laser, road)
+        sol = decode(res.best_model.assignment)
         # turn some hills into numbered clues consistent with this solution
         clue_rows = []
         for y in range(1, max_y + 1):
@@ -200,36 +190,11 @@ def roadrunner_instance(max_x: int, max_y: int, rng: random.Random, hills: int) 
 
 
 def check(kind, text):
-    """Solve the generated instance end to end and require verification."""
-    if kind == "masyu":
-        inst = parse_masyu(text)
-        b = CnfBuilder()
-        grid, edges = build_masyu(b, inst)
-        out = solve_internal(b.clauses, b.var_count)
-        assert out.is_sat, "generated masyu instance is UNSAT"
-        assert verify_masyu(inst, decode_loop(out.model.assignment, grid, edges)) is None
-    elif kind == "shingoki":
-        inst = parse_shingoki(text)
-        b = CnfBuilder()
-        grid, edges = build_shingoki(b, inst)
-        out = solve_internal(b.clauses, b.var_count)
-        assert out.is_sat, "generated shingoki instance is UNSAT"
-        assert verify_shingoki(inst, decode_loop(out.model.assignment, grid, edges)) is None
-    elif kind == "tapa":
-        inst = parse_tapa(text)
-        b = CnfBuilder()
-        grid = build_tapa(b, inst)
-        out = solve_internal(b.clauses, b.var_count)
-        assert out.is_sat, "generated tapa instance is UNSAT"
-        assert verify_tapa(inst, decode_coloring(out.model.assignment, grid)) is None
-    elif kind == "roadrunner":
-        inst = parse_roadrunner(text)
-        b = CnfBuilder()
-        laser, road, edges, count = build_roadrunner(b, inst)
-        res = maximize(b.clauses, b.var_count, count, lo=1)
-        assert res.status == "optimal", "generated roadrunner instance is infeasible"
-        sol = decode_roadrunner(res.best_model.assignment, inst, laser, road)
-        assert verify_roadrunner(inst, sol) is None
+    """Solve the generated instance through the CLI pipeline (encode, solve
+    with the internal solver, decode, verify) and require a verified answer."""
+    result = run(RunConfig(kind, f"generated {kind}", None, None), _PARSERS[kind](text))
+    if result.status != "verified":
+        sys.exit(f"generated {kind} instance is {result.status}: {result.reason}\n{text}")
 
 
 def main():

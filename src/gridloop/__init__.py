@@ -25,7 +25,6 @@ from .solver import (
     SolveOutcome,
     check_model,
     default_solver_command,
-    solve_builder,
     solve_external,
     solve_internal,
 )

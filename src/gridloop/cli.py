@@ -31,9 +31,6 @@ from .puzzles import (
     build_roadrunner,
     build_shingoki,
     build_tapa,
-    decode_coloring,
-    decode_loop,
-    decode_roadrunner,
     parse_masyu,
     parse_roadrunner,
     parse_shingoki,
@@ -92,6 +89,16 @@ _PARSERS = {
     "tapa": parse_tapa,
 }
 
+# Each build_* writes its formula into a fresh builder and returns (decode,
+# objective): decode(assignment) gives the solution, objective is the counter
+# to maximize or None.
+_BUILDERS = {
+    "roadrunner": build_roadrunner,
+    "masyu": build_masyu,
+    "shingoki": build_shingoki,
+    "tapa": build_tapa,
+}
+
 _VERIFIERS = {
     "roadrunner": verify_roadrunner,
     "masyu": verify_masyu,
@@ -118,23 +125,6 @@ def _input_error(message) -> int:
     return EXIT_INPUT
 
 
-def _build(kind: str, inst):
-    """The only code that knows what each ``build_*`` returns.  Gives
-    (builder, decode(assignment) -> solution, objective counter or None)."""
-    builder = CnfBuilder()
-    if kind == "roadrunner":
-        laser, road, _, count = build_roadrunner(builder, inst)
-        return builder, lambda a: decode_roadrunner(a, inst, laser, road), count
-    if kind == "tapa":
-        grid = build_tapa(builder, inst)
-        return builder, lambda a: decode_coloring(a, grid), None
-    if kind == "masyu":
-        grid, edges = build_masyu(builder, inst)
-    else:
-        grid, edges = build_shingoki(builder, inst)
-    return builder, lambda a: decode_loop(a, grid, edges), None
-
-
 @dataclass
 class RunResult:
     status: str  # "verified" | "rejected" | "infeasible" | "unknown"
@@ -148,10 +138,9 @@ class RunResult:
 def run(config: RunConfig, inst) -> RunResult:
     """Encode, solve, decode and verify one instance.  A kind with an
     objective is maximized (at least 1); the others take one solver call."""
-    builder, decode, objective = _build(config.kind, inst)
+    builder = CnfBuilder()
+    decode, objective = _BUILDERS[config.kind](builder, inst)
     size = (builder.var_count, len(builder.clauses))
-    if builder.unsat:
-        return RunResult("infeasible", *size)
     fn = solve_fn_for(config)
     optimum = None
     if objective is None:
@@ -303,7 +292,8 @@ def cmd_encode(args) -> int:
         config, inst = _load(args, args.instance)
     except (ValueError, OSError) as e:
         return _input_error(e)
-    builder, _, _ = _build(config.kind, inst)
+    builder = CnfBuilder()
+    _BUILDERS[config.kind](builder, inst)
     out = args.out or config.path + ".cnf"
     mapfile = args.map or out + ".map"
     with open(out, "w") as f:

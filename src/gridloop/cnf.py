@@ -77,7 +77,6 @@ class CnfBuilder:
     def __init__(self):
         self.var_count = 1  # variable 1 is the reserved constant-true
         self.clauses: list[list[Lit]] = [[1]]
-        self.unsat = False
         self.names: dict[int, str] = {1: "const_true"}
         self._increments: dict[tuple[Lit, ...], tuple[BitVec, Lit]] = {}
 
@@ -101,7 +100,8 @@ class CnfBuilder:
         """Append a normalized clause.
 
         Duplicate literals are removed and tautologies dropped.  An empty
-        literal sequence marks the whole formula trivially unsatisfiable.
+        literal sequence is kept as the empty clause: the formula is then
+        unsatisfiable, and every solver and the DIMACS file see that.
         """
         out: list[Lit] = []
         seen: set[Lit] = set()
@@ -115,9 +115,6 @@ class CnfBuilder:
             if l not in seen:
                 seen.add(l)
                 out.append(l)
-        if not out:
-            self.unsat = True
-            return
         self.clauses.append(out)
 
     # -- Tseitin gates --------------------------------------------------
@@ -311,10 +308,7 @@ class CnfBuilder:
 
     def emit_dimacs(self, sink) -> None:
         """Write the formula in DIMACS CNF to a text sink."""
-        if self.unsat:
-            write_dimacs(sink, 1, [[1], [-1]])
-        else:
-            write_dimacs(sink, self.var_count, self.clauses)
+        write_dimacs(sink, self.var_count, self.clauses)
 
     def to_dimacs(self) -> str:
         import io

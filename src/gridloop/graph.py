@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
-from .cnf import CnfBuilder, Lit, UnaryCount, distance_width
+from .cnf import BitVec, CnfBuilder, Lit, UnaryCount, distance_width
 
 
 @dataclass
@@ -94,6 +94,21 @@ def _start_chain(builder: CnfBuilder, in_lits: Sequence[Lit]) -> tuple[list[Lit]
     return starts, seen
 
 
+def _distance_labels(
+    builder: CnfBuilder, vs: Sequence[VertexSpec], zeros: Sequence[Lit], prefix: str
+) -> list[BitVec]:
+    """One label per vertex, at most n - 1, and 0 where its ``zeros`` literal
+    (the start or root from ``_start_chain``) is true."""
+    n = len(vs)
+    width = distance_width(n)
+    dist = [builder.new_bitvec(width, f"{prefix}_{v.term}") for v in vs]
+    for d in dist:
+        builder.bitvec_le_const(d, n - 1)
+    for d, zero in zip(dist, zeros):
+        builder.bitvec_eq_const(d, 0, zero)
+    return dist
+
+
 def hcp(
     builder: CnfBuilder,
     vs: Sequence[VertexSpec],
@@ -140,12 +155,7 @@ def hcp(
             if len(lits) > 1:
                 builder.at_most_one(lits)
 
-    width = distance_width(n)
-    dist = [builder.new_bitvec(width, f"dist_{vs[i].term}") for i in range(n)]
-    for d in dist:
-        builder.bitvec_le_const(d, n - 1)
-    for i in range(n):
-        builder.bitvec_eq_const(dist[i], 0, starts[i])
+    dist = _distance_labels(builder, vs, starts, "dist")
 
     # active edge (i, j), j not the start -> d_j = d_i + 1
     for e in es:
@@ -225,12 +235,7 @@ def scc(
         builder.add_clause([-e.lit, in_lits[index[e.dst]]])
 
     roots, _ = _start_chain(builder, in_lits)
-    width = distance_width(n)
-    dist = [builder.new_bitvec(width, f"sdist_{vs[i].term}") for i in range(n)]
-    for d in dist:
-        builder.bitvec_le_const(d, n - 1)
-    for i in range(n):
-        builder.bitvec_eq_const(dist[i], 0, roots[i])
+    dist = _distance_labels(builder, vs, roots, "sdist")
 
     # parent selection per vertex over its incident edges
     incident: list[list[tuple[Lit, int]]] = [[] for _ in range(n)]

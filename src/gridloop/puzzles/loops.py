@@ -1,12 +1,13 @@
-"""Shared machinery for loop puzzles: edge maps, path-shape constraints,
-and model decoding into a closed cell cycle."""
+"""Shared machinery for loop puzzles: the one loop-puzzle encoding (a loop
+through circles, each passed along one of its path shapes), edge maps,
+path-shape constraints, and model decoding into a closed cell cycle."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..cnf import CnfBuilder, Lit
-from ..graph import EdgeSpec, GridVars
+from ..graph import EdgeSpec, GridVars, hcp_grid, make_grid
 
 Cell = tuple[int, int]
 
@@ -45,6 +46,23 @@ def constrain_paths(
             ]
             choices.append(builder.gate_and(lits))
     builder.add_clause(choices)
+
+
+def build_loop(
+    builder: CnfBuilder,
+    n: int,
+    circles: Iterable[tuple[int, int, Sequence[Sequence[Cell]]]],
+) -> tuple[Callable[[dict[int, bool]], LoopSolution], None]:
+    """One closed loop on the n x n grid through every circle ``(r, c,
+    shapes)``, passing it along one of its path shapes.  Returns (decode,
+    None): ``decode(assignment)`` reads the loop back; there is no objective."""
+    grid = make_grid(builder, n, n)
+    edges = hcp_grid(builder, grid)
+    emap = edge_map(edges)
+    for r, c, shapes in circles:
+        builder.add_clause([grid.cell(r, c)])
+        constrain_paths(builder, emap, n, n, shapes)
+    return (lambda assignment: decode_loop(assignment, grid, edges)), None
 
 
 @dataclass

@@ -6,15 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cnf import CnfBuilder
-from ..graph import EdgeSpec, GridVars, hcp_grid, make_grid
-from .loops import (
-    LoopSolution,
-    check_cycle_shape,
-    constrain_paths,
-    edge_map,
-    loop_neighbors,
-    straight_at,
-)
+from .loops import LoopSolution, build_loop, check_cycle_shape, loop_neighbors, straight_at
 
 EMPTY, WHITE, BLACK = ".", "w", "b"
 
@@ -76,21 +68,16 @@ def black_shapes(r: int, c: int) -> list[list[tuple[int, int]]]:
     ]
 
 
-def build_masyu(
-    builder: CnfBuilder, inst: MasyuInstance
-) -> tuple[GridVars, list[EdgeSpec]]:
-    grid = make_grid(builder, inst.n, inst.n)
-    edges = hcp_grid(builder, grid)
-    emap = edge_map(edges)
-    for r in range(1, inst.n + 1):
-        for c in range(1, inst.n + 1):
-            mark = inst.at(r, c)
-            if mark == EMPTY:
-                continue
-            builder.add_clause([grid.cell(r, c)])
-            shapes = white_shapes if mark == WHITE else black_shapes
-            constrain_paths(builder, emap, inst.n, inst.n, shapes(r, c))
-    return grid, edges
+def build_masyu(builder: CnfBuilder, inst: MasyuInstance):
+    """Returns (decode, None); see ``build_loop``."""
+    shapes = {WHITE: white_shapes, BLACK: black_shapes}
+    circles = [
+        (r, c, shapes[inst.at(r, c)](r, c))
+        for r in range(1, inst.n + 1)
+        for c in range(1, inst.n + 1)
+        if inst.at(r, c) != EMPTY
+    ]
+    return build_loop(builder, inst.n, circles)
 
 
 def verify_masyu(inst: MasyuInstance, sol: LoopSolution) -> str | None:

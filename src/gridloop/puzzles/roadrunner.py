@@ -7,9 +7,10 @@ Coordinates are (x, y) with x the 1-based column and y the 1-based row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..cnf import CnfBuilder, Lit, UnaryCount
-from ..graph import EdgeSpec, GridVars, hcp_grid, make_grid
+from ..graph import GridVars, hcp_grid, make_grid
 
 Pos = tuple[int, int]  # (x, y)
 
@@ -95,8 +96,9 @@ def quadrantal_neighbors(inst: RoadrunnerInstance, x: int, y: int) -> list[Pos]:
 
 def build_roadrunner(
     builder: CnfBuilder, inst: RoadrunnerInstance
-) -> tuple[dict[Pos, Lit], GridVars, list[EdgeSpec], UnaryCount]:
-    """Returns (laser literals per cell, road grid, grid edges, road counter).
+) -> tuple[Callable[[dict[int, bool]], RoadrunnerSolution], UnaryCount]:
+    """Returns (decode, road counter): ``decode(assignment)`` reads lasers
+    and road back; the counter is the objective to maximize.
 
     Road cells are the exact complement of laser-covered cells (full
     biconditional), and they must form a cycle of length >= 1.
@@ -142,11 +144,11 @@ def build_roadrunner(
             builder.add_clause([-road_lit(x, y), -lz])
             builder.add_clause([road_lit(x, y), lz] + [laser[p] for p in ps])
 
-    edges = hcp_grid(builder, road)  # hcp itself requires K >= 1
+    hcp_grid(builder, road)  # hcp itself requires K >= 1
     # the objective counts every road cell, hills included (forced off), so
     # an all-hill board still has a counter to bound
     count = builder.unary_count([lit for row in road.cells for lit in row])
-    return laser, road, edges, count
+    return (lambda assignment: decode_roadrunner(assignment, inst, laser, road)), count
 
 
 @dataclass

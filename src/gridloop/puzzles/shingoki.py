@@ -5,13 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cnf import CnfBuilder
-from ..graph import EdgeSpec, GridVars, hcp_grid, make_grid
 from .loops import (
     LoopSolution,
     arm_length,
+    build_loop,
     check_cycle_shape,
-    constrain_paths,
-    edge_map,
     loop_neighbors,
     straight_at,
 )
@@ -95,22 +93,16 @@ def black_shingoki_shapes(r: int, c: int, clue: int) -> list[list[tuple[int, int
     return shapes
 
 
-def build_shingoki(
-    builder: CnfBuilder, inst: ShingokiInstance
-) -> tuple[GridVars, list[EdgeSpec]]:
-    grid = make_grid(builder, inst.n, inst.n)
-    edges = hcp_grid(builder, grid)
-    emap = edge_map(edges)
-    for r in range(1, inst.n + 1):
-        for c in range(1, inst.n + 1):
-            mark = inst.at(r, c)
-            if mark is None:
-                continue
-            builder.add_clause([grid.cell(r, c)])
-            color, clue = mark
-            shapes = white_shingoki_shapes if color == "w" else black_shingoki_shapes
-            constrain_paths(builder, emap, inst.n, inst.n, shapes(r, c, clue))
-    return grid, edges
+def build_shingoki(builder: CnfBuilder, inst: ShingokiInstance):
+    """Returns (decode, None); see ``build_loop``."""
+    shapes = {"w": white_shingoki_shapes, "b": black_shingoki_shapes}
+    circles = [
+        (r, c, shapes[mark[0]](r, c, mark[1]))
+        for r in range(1, inst.n + 1)
+        for c in range(1, inst.n + 1)
+        if (mark := inst.at(r, c)) is not None
+    ]
+    return build_loop(builder, inst.n, circles)
 
 
 def verify_shingoki(inst: ShingokiInstance, sol: LoopSolution) -> str | None:

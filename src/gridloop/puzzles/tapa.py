@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from ..cnf import CnfBuilder
 from ..graph import GridVars, make_grid, scc_grid
@@ -147,7 +148,11 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def build_tapa(builder: CnfBuilder, inst: TapaInstance) -> GridVars:
+def build_tapa(
+    builder: CnfBuilder, inst: TapaInstance
+) -> tuple[Callable[[dict[int, bool]], ColoringSolution], None]:
+    """Returns (decode, None): ``decode(assignment)`` reads the coloring back;
+    there is no objective."""
     grid = make_grid(builder, inst.n, inst.n)
     scc_grid(builder, grid)
     for r in range(1, inst.n):
@@ -172,7 +177,7 @@ def build_tapa(builder: CnfBuilder, inst: TapaInstance) -> GridVars:
             ]
             choices.append(builder.gate_and(lits))
         builder.add_clause(choices)
-    return grid
+    return (lambda assignment: decode_coloring(assignment, grid)), None
 
 
 def decode_coloring(assignment: dict[int, bool], grid: GridVars) -> ColoringSolution:

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .cnf import CnfBuilder, Lit, write_dimacs
+from .cnf import Lit, write_dimacs
 
 
 @dataclass
@@ -381,13 +381,6 @@ def solve_internal(
     if outcome.is_sat and not check_model(clauses, outcome.model):
         raise RuntimeError("internal solver produced an invalid model")
     return outcome
-
-
-def solve_builder(builder: CnfBuilder, solve_fn: SolveFn | None = None) -> SolveOutcome:
-    if builder.unsat:
-        return SolveOutcome("unsat")
-    fn = solve_fn or solve_internal
-    return fn(builder.clauses, builder.var_count)
 
 
 DEFAULT_SOLVER_ENV = "GRIDLOOP_SOLVER"

@@ -33,9 +33,6 @@ from gridloop.puzzles import (
     build_roadrunner,
     build_shingoki,
     build_tapa,
-    decode_coloring,
-    decode_loop,
-    decode_roadrunner,
     findall_layouts,
     parse_masyu,
     parse_roadrunner,
@@ -263,10 +260,10 @@ def test_criterion_5_corpus_regression(capsys):
         nonlocal solved, mutation_accepts
         inst = parse(read(path))
         b = CnfBuilder()
-        grid, edges = build(b, inst)
+        decode, _ = build(b, inst)
         out = solve_internal(b.clauses, b.var_count)
         assert out.is_sat, path
-        sol = decode_loop(out.model.assignment, grid, edges)
+        sol = decode(out.model.assignment)
         assert verify(inst, sol) is None, path
         solved += 1
         for mut in loop_mutations(sol, inst.n):
@@ -281,10 +278,10 @@ def test_criterion_5_corpus_regression(capsys):
     for path in corpus("tapa_*.tapa"):
         inst = parse_tapa(read(path))
         b = CnfBuilder()
-        grid = build_tapa(b, inst)
+        decode, _ = build_tapa(b, inst)
         out = solve_internal(b.clauses, b.var_count)
         assert out.is_sat, path
-        sol = decode_coloring(out.model.assignment, grid)
+        sol = decode(out.model.assignment)
         assert verify_tapa(inst, sol) is None, path
         solved += 1
         for r in range(inst.n):
@@ -297,10 +294,10 @@ def test_criterion_5_corpus_regression(capsys):
     for path in corpus("roadrunner_*.roadrunner"):
         inst = parse_roadrunner(read(path))
         b = CnfBuilder()
-        laser, road, edges, count = build_roadrunner(b, inst)
+        decode, count = build_roadrunner(b, inst)
         res = maximize(b.clauses, b.var_count, count, lo=1)
         assert res.status == "optimal", path
-        sol = decode_roadrunner(res.best_model.assignment, inst, laser, road)
+        sol = decode(res.best_model.assignment)
         assert verify_roadrunner(inst, sol) is None, path
         solved += 1
         for y in range(inst.max_y):
@@ -332,7 +329,7 @@ def test_criterion_6_roadrunner_optimality(capsys):
         if inst.max_x > 4 or inst.max_y > 4:
             continue
         b = CnfBuilder()
-        _, _, _, count = build_roadrunner(b, inst)
+        _, count = build_roadrunner(b, inst)
         res = maximize(b.clauses, b.var_count, count, lo=1)
         want = rr_optimum(inst)
         checked += 1
@@ -390,8 +387,6 @@ def test_criterion_7_internal_external_agreement(capsys):
     disagreements = 0
     checked = 0
     for name, b in regression_formulas():
-        if b.unsat:
-            continue
         internal_out = solve_internal(b.clauses, b.var_count)
         external_out = external(b.clauses, b.var_count)
         checked += 1
@@ -420,13 +415,13 @@ def test_criterion_8_soft_large_masyu(capsys):
     path = os.path.join(INSTANCES, "masyu_30x30.masyu")
     inst = parse_masyu(read(path))
     b = CnfBuilder()
-    grid, edges = build_masyu(b, inst)
+    decode, _ = build_masyu(b, inst)
     fn = external_solve_fn(cmd.split(), timeout=120)
     start = time.monotonic()
     out = fn(b.clauses, b.var_count)
     elapsed = time.monotonic() - start
     if out.is_sat and elapsed <= 120:
-        sol = decode_loop(out.model.assignment, grid, edges)
+        sol = decode(out.model.assignment)
         verified = verify_masyu(inst, sol) is None
         report(
             capsys,

@@ -2,6 +2,7 @@
 import json
 import os
 import shlex
+import subprocess
 import sys
 
 import pytest
@@ -116,12 +117,23 @@ def test_solve_bad_solver_output_is_unknown(output, tmp_path, capsys):
     assert "cnf kept at" in out
 
 
-def test_solve_decoder_failure_is_rejected(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "name,decoder",
+    [
+        ("masyu_4x4.masyu", "gridloop.puzzles.loops.decode_loop"),
+        ("shingoki_4x4.shingoki", "gridloop.puzzles.loops.decode_loop"),
+        ("tapa_4x4.tapa", "gridloop.puzzles.tapa.decode_coloring"),
+        ("roadrunner_3x3_0.roadrunner", "gridloop.puzzles.roadrunner.decode_roadrunner"),
+    ],
+    ids=["masyu", "shingoki", "tapa", "roadrunner"],
+)
+def test_solve_decoder_failure_is_rejected(name, decoder, monkeypatch, capsys):
+    # each kind's decoder, patched where it is defined, is the one run() calls
     def broken_decode(*args):
         raise RuntimeError("decoded walk does not close")
 
-    monkeypatch.setattr("gridloop.cli.decode_loop", broken_decode)
-    assert main(["solve", inst_path("masyu_4x4.masyu")]) == EXIT_REJECT
+    monkeypatch.setattr(decoder, broken_decode)
+    assert main(["solve", inst_path(name)]) == EXIT_REJECT
     err = capsys.readouterr().err
     assert "error: decoded solution rejected: decoded walk does not close" in err
 
@@ -205,6 +217,23 @@ def test_encode_external_solver_protocol(tmp_path, capsys):
     )
     assert proc.returncode == 10
     assert "s SATISFIABLE" in proc.stdout
+
+
+def test_encode_infeasible_external_solver_unsat(tmp_path, capsys):
+    # the empty clause reaches the DIMACS file, so any solver proves UNSAT
+    bad = tmp_path / "bad.masyu"
+    bad.write_text("1\nw\n")
+    cnf = tmp_path / "bad.cnf"
+    assert main(["encode", str(bad), "-o", str(cnf)]) == EXIT_OK
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridloop.dimacs_solver", str(cnf)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 20
+    assert "s UNSATISFIABLE" in proc.stdout
+    cmd = f"{shlex.quote(sys.executable)} -m gridloop.dimacs_solver"
+    assert main(["solve", str(bad), "--solver", cmd]) == EXIT_INFEASIBLE
 
 
 def test_solve_with_external_solver(capsys):

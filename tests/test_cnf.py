@@ -36,7 +36,6 @@ def test_add_clause_tautology_dropped():
     n = len(b.clauses)
     b.add_clause([a, -a])
     assert len(b.clauses) == n
-    assert not b.unsat
 
 
 def test_add_clause_dedup():
@@ -49,7 +48,7 @@ def test_add_clause_dedup():
 def test_add_clause_empty_marks_unsat():
     b = CnfBuilder()
     b.add_clause([])
-    assert b.unsat
+    assert b.clauses[-1] == []
 
 
 def test_add_clause_rejects_bad_literals():
@@ -367,11 +366,14 @@ def test_emit_dimacs_header_counts():
     assert "1 0\n" in text  # the constant-true unit clause
 
 
-def test_emit_dimacs_unsat_canonical():
+def test_emit_dimacs_empty_clause_reads_back_unsat():
     b = CnfBuilder()
+    v = b.new_var()
+    b.add_clause([v])
     b.add_clause([])
-    assert b.to_dimacs() == "p cnf 1 2\n1 0\n-1 0\n"
+    assert b.to_dimacs() == "p cnf 2 3\n1 0\n2 0\n 0\n"
     nvars, clauses = parse_dimacs(b.to_dimacs())
+    assert clauses == b.clauses
     assert solve_internal(clauses, nvars).is_unsat
 
 

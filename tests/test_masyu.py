@@ -1,11 +1,10 @@
 """Masyu: parsing, circle path shapes, end-to-end solve, verifier rules."""
 import pytest
 
-from gridloop import CnfBuilder, solve_builder, solve_internal
+from gridloop import CnfBuilder, solve_internal
 from gridloop.puzzles import (
     LoopSolution,
     build_masyu,
-    decode_loop,
     parse_masyu,
     verify_masyu,
 )
@@ -55,7 +54,7 @@ def test_black_shape_count():
 def test_single_cell_white_infeasible():
     b = CnfBuilder()
     build_masyu(b, parse_masyu("1\nw\n"))
-    assert solve_builder(b).is_unsat
+    assert solve_internal(b.clauses, b.var_count).is_unsat
 
 
 def test_border_loop_instance():
@@ -64,10 +63,10 @@ def test_border_loop_instance():
     text = "4\nb.w.\n....\n....\n.w.b\n"
     inst = parse_masyu(text)
     b = CnfBuilder()
-    grid, edges = build_masyu(b, inst)
+    decode, _ = build_masyu(b, inst)
     out = solve_internal(b.clauses, b.var_count)
     assert out.is_sat
-    sol = decode_loop(out.model.assignment, grid, edges)
+    sol = decode(out.model.assignment)
     assert verify_masyu(inst, sol) is None
 
 
@@ -128,9 +127,9 @@ def test_check_cycle_shape_bounds():
 def test_decode_loop_roundtrip():
     b = CnfBuilder()
     inst = parse_masyu("4\n.w..\n....\n....\n....\n")
-    grid, edges = build_masyu(b, inst)
+    decode, _ = build_masyu(b, inst)
     out = solve_internal(b.clauses, b.var_count)
     assert out.is_sat
-    sol = decode_loop(out.model.assignment, grid, edges)
+    sol = decode(out.model.assignment)
     assert check_cycle_shape(sol, 4, 4) is None
     assert sol.k == len(sol.cycle) == len(sol.in_cells)

@@ -1,12 +1,11 @@
 """Roadrunner: ray geometry, optimization, exhaustive optimum, verifier."""
 import pytest
 
-from gridloop import CnfBuilder, maximize, solve_builder
+from gridloop import CnfBuilder, maximize, solve_internal
 from gridloop.puzzles import (
     RoadrunnerSolution,
     attacked_positions,
     build_roadrunner,
-    decode_roadrunner,
     parse_roadrunner,
     verify_roadrunner,
 )
@@ -67,16 +66,16 @@ def test_quadrantal_neighbors():
 def solve_instance(text):
     inst = parse_roadrunner(text)
     b = CnfBuilder()
-    laser, road, edges, count = build_roadrunner(b, inst)
+    decode, count = build_roadrunner(b, inst)
     res = maximize(b.clauses, b.var_count, count, lo=1)
-    return inst, laser, road, res
+    return inst, decode, res
 
 
 def test_2x2_open_optimum_4():
-    inst, laser, road, res = solve_instance("2 2\n..\n..\n")
+    inst, decode, res = solve_instance("2 2\n..\n..\n")
     assert res.status == "optimal"
     assert res.best_value == 4
-    sol = decode_roadrunner(res.best_model.assignment, inst, laser, road)
+    sol = decode(res.best_model.assignment)
     assert sum(sum(row) for row in sol.laser) == 0
     assert verify_roadrunner(inst, sol) is None
 
@@ -84,7 +83,7 @@ def test_2x2_open_optimum_4():
 def test_all_hill_infeasible():
     inst = parse_roadrunner("2 2\n##\n##\n")
     b = CnfBuilder()
-    _, _, _, count = build_roadrunner(b, inst)
+    _, count = build_roadrunner(b, inst)
     res = maximize(b.clauses, b.var_count, count, lo=1)
     assert res.status == "infeasible"
 
@@ -94,19 +93,27 @@ def test_unmeetable_clue_infeasible():
     inst = parse_roadrunner("2 2\n4.\n..\n")
     b = CnfBuilder()
     build_roadrunner(b, inst)
-    assert solve_builder(b).is_unsat
+    assert solve_internal(b.clauses, b.var_count).is_unsat
+
+
+def test_unmeetable_clue_maximize_infeasible():
+    # the clue's empty clause is in the clause list that maximize reads
+    inst = parse_roadrunner("3 1\n.4.\n")
+    b = CnfBuilder()
+    _, count = build_roadrunner(b, inst)
+    assert maximize(b.clauses, b.var_count, count, lo=1).status == "infeasible"
 
 
 def test_3x3_matches_exhaustive_optimum():
     for text in ("3 3\n...\n...\n...\n", "3 3\n#..\n...\n..1\n", "3 3\n.0.\n...\n...\n"):
-        inst, laser, road, res = solve_instance(text)
+        inst, decode, res = solve_instance(text)
         want = rr_optimum(inst)
         if want is None:
             assert res.status == "infeasible"
         else:
             assert res.status == "optimal"
             assert res.best_value == want
-            sol = decode_roadrunner(res.best_model.assignment, inst, laser, road)
+            sol = decode(res.best_model.assignment)
             assert verify_roadrunner(inst, sol) is None
 
 

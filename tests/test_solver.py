@@ -10,7 +10,6 @@ from gridloop import (
     Model,
     check_model,
     default_solver_command,
-    solve_builder,
     solve_external,
     solve_internal,
 )
@@ -225,12 +224,6 @@ def test_heap_stays_capped():
     assert s.largest <= 2 * nvars + 1
 
 
-def test_solve_builder_respects_unsat_flag():
-    b = CnfBuilder()
-    b.add_clause([])
-    assert solve_builder(b).is_unsat
-
-
 def test_check_model():
     assert check_model([], Model({}))
     assert not check_model([[1]], Model({1: False}))
@@ -263,6 +256,15 @@ def test_external_sat_verified():
     out = solve_external(BUNDLED, [[1, 2], [-1, -2]], 2)
     assert out.is_sat
     assert out.model[1] != out.model[2]
+
+
+def test_builder_empty_clause_solves_unsat():
+    b = CnfBuilder()
+    v = b.new_var()
+    b.add_clause([v])
+    b.add_clause([])
+    assert solve_internal(b.clauses, b.var_count).is_unsat
+    assert solve_external(BUNDLED, b.clauses, b.var_count).is_unsat
 
 
 def test_external_unsat():

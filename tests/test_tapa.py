@@ -3,11 +3,10 @@ import os
 
 import pytest
 
-from gridloop import CnfBuilder, solve_builder, solve_internal
+from gridloop import CnfBuilder, solve_internal
 from gridloop.puzzles import (
     ColoringSolution,
     build_tapa,
-    decode_coloring,
     findall_layouts,
     neighbor_ring,
     parse_tapa,
@@ -100,10 +99,10 @@ def test_ring_runs_paper_pattern():
 def test_build_tapa_2x2_clue3():
     inst = parse_tapa("2\n3 .\n. .\n")
     b = CnfBuilder()
-    grid = build_tapa(b, inst)
+    decode, _ = build_tapa(b, inst)
     out = solve_internal(b.clauses, b.var_count)
     assert out.is_sat
-    sol = decode_coloring(out.model.assignment, grid)
+    sol = decode(out.model.assignment)
     assert verify_tapa(inst, sol) is None
     assert sum(sum(row) for row in sol.black) == 3
 
@@ -114,7 +113,7 @@ def test_build_tapa_forced_2x2_block_unsat():
     inst = parse_tapa("2\n3 .\n. 3\n")
     b = CnfBuilder()
     build_tapa(b, inst)
-    assert solve_builder(b).is_unsat
+    assert solve_internal(b.clauses, b.var_count).is_unsat
 
 
 def test_solve_bundled_instance():
@@ -122,10 +121,10 @@ def test_solve_bundled_instance():
     with open(path) as f:
         inst = parse_tapa(f.read())
     b = CnfBuilder()
-    grid = build_tapa(b, inst)
+    decode, _ = build_tapa(b, inst)
     out = solve_internal(b.clauses, b.var_count)
     assert out.is_sat
-    assert verify_tapa(inst, decode_coloring(out.model.assignment, grid)) is None
+    assert verify_tapa(inst, decode(out.model.assignment)) is None
 
 
 def test_verify_tapa_rejects():
