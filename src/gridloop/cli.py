@@ -21,7 +21,7 @@ from .solver import (
     DEFAULT_SOLVER_ENV,
     SolveFn,
     external_solve_fn,
-    solve_internal,
+    internal_solve_fn,
 )
 from .puzzles import (
     LoopSolution,
@@ -79,7 +79,7 @@ def infer_kind(path: str, flag: str | None) -> str:
 def solve_fn_for(config: RunConfig) -> SolveFn:
     if config.solver_cmd:
         return external_solve_fn(config.solver_cmd, timeout=config.timeout)
-    return lambda clauses, nvars: solve_internal(clauses, nvars, timeout=config.timeout)
+    return internal_solve_fn(config.timeout)
 
 
 _PARSERS = {
@@ -144,7 +144,7 @@ def run(config: RunConfig, inst) -> RunResult:
     fn = solve_fn_for(config)
     optimum = None
     if objective is None:
-        outcome = fn(builder.clauses, builder.var_count)
+        outcome = fn(builder.clauses, builder.var_count)()
         status, model, reason = outcome.status, outcome.model, outcome.reason
     else:
         result = maximize(builder.clauses, builder.var_count, objective, solve_fn=fn, lo=1)

@@ -353,11 +353,15 @@ def parse_dimacs(text: str) -> tuple[int, list[list[Lit]]]:
                 raise ValueError(f"bad DIMACS header: {line!r}")
             nvars, nclauses = int(parts[2]), int(parts[3])
             continue
+        if nvars is None:
+            raise ValueError("missing DIMACS header")
         for tok in line.split():
             v = int(tok)
             if v == 0:
                 clauses.append(cur)
                 cur = []
+            elif abs(v) > nvars:
+                raise ValueError(f"literal {v} is over variable {abs(v)}, above the header's {nvars}")
             else:
                 cur.append(v)
     if cur:

@@ -3,8 +3,10 @@
 Usage: python -m gridloop.dimacs_solver FILE.cnf
 
 Prints "s SATISFIABLE" with "v " value lines, or "s UNSATISFIABLE".
-Exit code 10 for SAT, 20 for UNSAT.  Backed by the internal CDCL solver,
-so any tool expecting a conforming DIMACS solver can drive this package.
+Exit code 10 for SAT, 20 for UNSAT, and 1 (with "error: ..." on stderr) for
+a file that cannot be read or is not DIMACS CNF.  Backed by the internal CDCL
+solver, so any tool expecting a conforming DIMACS solver can drive this
+package.
 """
 from __future__ import annotations
 
@@ -19,8 +21,12 @@ def main(argv: list[str] | None = None) -> int:
     if len(args) != 1:
         print("usage: python -m gridloop.dimacs_solver FILE.cnf", file=sys.stderr)
         return 1
-    with open(args[0]) as f:
-        nvars, clauses = parse_dimacs(f.read())
+    try:
+        with open(args[0]) as f:
+            nvars, clauses = parse_dimacs(f.read())
+    except (OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     outcome = solve_internal(clauses, nvars)
     if outcome.is_sat:
         print("s SATISFIABLE")

@@ -1,9 +1,11 @@
 """Boolean-sum maximization by binary search over unary-counter bounds.
 
-Each probe is a fresh solver run on the base formula plus a single unit
-clause on the counter (possible because the counter outputs are threshold
-literals).  The achieved value is read back from the model, which may
-exceed the probed bound and saves iterations.
+One solver is opened on the formula, and each probe solves it under a
+single assumption on the counter (possible because the counter outputs are
+threshold literals).  With the internal solver every probe reuses the
+clauses learnt by the earlier ones; an external solver runs once per probe,
+with the assumption written as a unit clause.  The achieved value is read
+back from the model, which may exceed the probed bound and saves iterations.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cnf import Lit, UnaryCount
-from .solver import Model, SolveFn, solve_internal
+from .solver import Model, SolveFn, internal_solve_fn
 
 
 @dataclass
@@ -32,19 +34,19 @@ def maximize(
     lo: int = 0,
     hi: int | None = None,
 ) -> OptimizeResult:
-    """Maximize the number of true objective inputs, bracketing in [lo, hi]."""
-    fn = solve_fn or solve_internal
+    """Maximize the number of true objective inputs, bracketing in [lo, hi].
+
+    ``solve_fn`` defaults to the internal solver without a time budget."""
     n = objective.size
     if hi is None:
         hi = n
     if not 0 <= lo <= hi <= n:
         raise ValueError(f"bad bracket [{lo}, {hi}] for objective of size {n}")
     hi_orig = hi
-    base = list(clauses)
+    solve = (solve_fn or internal_solve_fn())(clauses, nvars)
 
     def probe(bound: int):
-        extra = [[objective.outputs[bound - 1]]] if bound >= 1 else []
-        return fn(base + extra, nvars)
+        return solve([objective.outputs[bound - 1]] if bound >= 1 else [])
 
     calls = 1
     outcome = probe(lo)

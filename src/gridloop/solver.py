@@ -8,9 +8,20 @@ analysis), the lowest variable index wins a tie, and the variable takes its
 saved phase (initially positive).  The same formula always gets the same
 search, which ``SolveOutcome.stats`` counts (conflicts, decisions, restarts).
 
-The external driver writes DIMACS, runs a solver command, parses
-SAT-competition output ("s SATISFIABLE" / "s UNSATISFIABLE", "v " value
-lines) and re-verifies any claimed model before returning it.
+The internal solver is incremental in the style of MiniSat (Een &
+Sorensson, "Temporal Induction by Incremental SAT Solving", 2003): one
+``_Solver`` can be solved many times, each time under its own assumptions
+(literals taken as true for that call only).  Level-0 units, learnt clauses,
+activities and saved phases carry over from call to call; the conflict
+budget, the deadline and the stats are per call.
+
+A solve function (``SolveFn``) opens a probe on a formula, and each probe
+call solves that formula under the assumptions it is given.  The internal
+one (``internal_solve_fn``) keeps one ``_Solver`` per opened formula, so
+probes share its learnt clauses.  The external driver runs one process per
+probe: it writes DIMACS with the assumptions as unit clauses, runs a solver
+command, parses SAT-competition output ("s SATISFIABLE" / "s UNSATISFIABLE",
+"v " value lines) and re-verifies any claimed model before returning it.
 """
 from __future__ import annotations
 
@@ -54,7 +65,10 @@ class SolveOutcome:
         return self.status == "unsat"
 
 
-SolveFn = Callable[[Sequence[Sequence[Lit]], int], SolveOutcome]
+# A probe solves one formula under the assumptions it is given.
+Probe = Callable[[Sequence[Lit]], SolveOutcome]
+# A solve function opens a probe on the formula (clauses, nvars).
+SolveFn = Callable[[Sequence[Sequence[Lit]], int], Probe]
 
 
 def check_model(clauses: Sequence[Sequence[Lit]], model: Model) -> bool:
@@ -73,17 +87,25 @@ def check_model(clauses: Sequence[Sequence[Lit]], model: Model) -> bool:
 
 
 class _Solver:
-    def __init__(self, clauses, nvars, max_conflicts=None, deadline=None):
+    def __init__(self, clauses, nvars):
         self.nvars = nvars
-        self.max_conflicts = max_conflicts
-        self.deadline = deadline  # time.monotonic() value, or None
+        self.var_inc = 1.0
+        self.ok = True  # False once the formula is unsat without assumptions
+        # The first solve builds the search state and attaches these clauses
+        # (_load), so opening a solver costs nothing until its first call and
+        # the set-up is timed with that call.
+        self.pending = clauses
+
+    def _load(self):
+        """Build the search state, attach the pending clauses, then assign
+        and propagate their units at level 0."""
+        nvars = self.nvars
         # val[lit + nvars]: 1 true, -1 false, 0 unassigned; both polarities kept
         self.val = [0] * (2 * nvars + 1)
         self.level = [0] * (nvars + 1)
         self.reason: list[list[int] | None] = [None] * (nvars + 1)
         self.phase = [True] * (nvars + 1)
         self.activity = [0.0] * (nvars + 1)
-        self.var_inc = 1.0
         # Decision order: a heap of (-activity, var), so the most active
         # variable comes first and the lowest index wins a tie.  An entry is
         # live while its key equals the variable's activity.  A bump pushes a
@@ -94,24 +116,35 @@ class _Solver:
         self.heap = [(-0.0, v) for v in range(1, nvars + 1)]  # sorted, so a heap
         self.in_heap = [False] + [True] * nvars
         self.seen = [False] * (nvars + 1)  # _analyze's marks, all False between calls
-        self.stats = {"conflicts": 0, "decisions": 0, "restarts": 0}
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
         # watches[lit + nvars] -> list of clauses watching lit
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * nvars + 1)]
-        self.units: list[int] = []
-        self.ok = True
-        for cl in clauses:
-            self._attach(list(dict.fromkeys(cl)))
+        units = []
+        for cl in self.pending:
+            cl = list(dict.fromkeys(cl))  # a DIMACS clause may repeat a literal
+            if len(cl) > 1:
+                self._attach(cl)
+            elif cl:
+                units.append(cl[0])
+            else:
+                self.ok = False
+        self.pending = None
+        if not self.ok:
+            return
+        for u in units:
+            v = self._value(u)
+            if v == -1:
+                self.ok = False
+                return
+            if v == 0:
+                self._assign(u, None)
+        if self._propagate() is not None:
+            self.ok = False
 
     def _attach(self, cl):
-        if not cl:
-            self.ok = False
-            return
-        if len(cl) == 1:
-            self.units.append(cl[0])
-            return
+        """Watch the first two literals of a clause of two or more."""
         n = self.nvars
         self.watches[cl[0] + n].append(cl)
         self.watches[cl[1] + n].append(cl)
@@ -300,33 +333,39 @@ class _Solver:
                 return var if self.phase[var] else -var
         return 0
 
-    def solve(self):
-        stats = self.stats
+    def solve(self, assumptions=(), max_conflicts=None, deadline=None):
+        """Solve under ``assumptions``, literals taken as true for this call.
+
+        While the decision level k is below ``len(assumptions)``, the next
+        decision is ``assumptions[k]``: the call is unsat if it is false, and
+        an empty level is opened if it is already true.  Only a conflict at
+        level 0 makes the formula itself unsat (``ok`` is cleared); an unsat
+        under assumptions leaves the solver usable.  ``max_conflicts`` and
+        ``deadline`` (a ``time.monotonic()`` value) bound this call, whose
+        counters are in the outcome's ``stats``.  Every return is at level 0.
+        """
+        stats = {"conflicts": 0, "decisions": 0, "restarts": 0}
+        if self.pending is not None:
+            self._load()
         if not self.ok:
-            return SolveOutcome("unsat", stats=stats)
-        for u in self.units:
-            v = self._value(u)
-            if v == -1:
-                return SolveOutcome("unsat", stats=stats)
-            if v == 0:
-                self._assign(u, None)
-        if self._propagate() is not None:
             return SolveOutcome("unsat", stats=stats)
         conflicts = 0
         restart_unit = 128
         luby_idx = 0
         limit = restart_unit * _luby(luby_idx)
+        trail_lim = self.trail_lim
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 conflicts += 1
                 stats["conflicts"] = conflicts
-                if self.max_conflicts is not None and conflicts > self.max_conflicts:
-                    return SolveOutcome("unknown", reason="conflict budget exceeded", stats=stats)
-                if not self.trail_lim:
+                if not trail_lim:
+                    self.ok = False
                     return SolveOutcome("unsat", stats=stats)
-                if self.deadline is not None and time.monotonic() > self.deadline:
-                    return SolveOutcome("unknown", reason="solver timeout", stats=stats)
+                if max_conflicts is not None and conflicts > max_conflicts:
+                    return self._stop(SolveOutcome("unknown", reason="conflict budget exceeded", stats=stats))
+                if deadline is not None and time.monotonic() > deadline:
+                    return self._stop(SolveOutcome("unknown", reason="solver timeout", stats=stats))
                 learnt, bj = self._analyze(conflict)
                 self._backjump(bj)
                 if len(learnt) == 1:
@@ -339,17 +378,31 @@ class _Solver:
                     luby_idx += 1
                     stats["restarts"] = luby_idx
                     limit = conflicts + restart_unit * _luby(luby_idx)
-                    if self.trail_lim:
+                    if trail_lim:
                         self._backjump(0)
+            elif len(trail_lim) < len(assumptions):
+                lit = assumptions[len(trail_lim)]
+                v = self._value(lit)
+                if v == -1:
+                    return self._stop(SolveOutcome("unsat", stats=stats))
+                trail_lim.append(len(self.trail))
+                if v == 0:
+                    self._assign(lit, None)
             else:
                 lit = self._decide()
                 if lit == 0:
                     n = self.nvars
                     assignment = {v: self.val[v + n] == 1 for v in range(1, n + 1)}
-                    return SolveOutcome("sat", model=Model(assignment), stats=stats)
+                    return self._stop(SolveOutcome("sat", model=Model(assignment), stats=stats))
                 stats["decisions"] += 1
-                self.trail_lim.append(len(self.trail))
+                trail_lim.append(len(self.trail))
                 self._assign(lit, None)
+
+    def _stop(self, outcome):
+        """Back to level 0, where every call starts, and return ``outcome``."""
+        if self.trail_lim:
+            self._backjump(0)
+        return outcome
 
 
 def _luby(x: int) -> int:
@@ -370,17 +423,48 @@ def solve_internal(
     nvars: int,
     max_conflicts: int | None = None,
     timeout: float | None = None,
+    assumptions: Sequence[Lit] = (),
+    solver: _Solver | None = None,
 ) -> SolveOutcome:
     """Complete decision procedure; SAT outcomes carry a verified total model.
 
-    ``timeout`` is a wall-clock budget in seconds for this call, checked at
-    each conflict; when it runs out the outcome is unknown.
+    The outcome is that of ``clauses`` plus one unit clause per literal of
+    ``assumptions``.  ``solver`` is a ``_Solver`` opened on ``clauses`` and
+    solved again here, so that what it learnt in earlier calls carries over;
+    without one the call builds its own.  ``timeout`` is a wall-clock budget
+    in seconds for this call, checked at each conflict; when it runs out the
+    outcome is unknown.
     """
+    for a in assumptions:
+        if not 0 < abs(a) <= nvars:
+            raise ValueError(f"assumption {a} is not a literal over {nvars} variables")
     deadline = None if timeout is None else time.monotonic() + timeout
-    outcome = _Solver(clauses, nvars, max_conflicts=max_conflicts, deadline=deadline).solve()
-    if outcome.is_sat and not check_model(clauses, outcome.model):
+    if solver is None:
+        solver = _Solver(clauses, nvars)
+    outcome = solver.solve(assumptions, max_conflicts=max_conflicts, deadline=deadline)
+    if outcome.is_sat and not (
+        check_model(clauses, outcome.model) and all(outcome.model[a] for a in assumptions)
+    ):
         raise RuntimeError("internal solver produced an invalid model")
     return outcome
+
+
+def internal_solve_fn(timeout: float | None = None) -> SolveFn:
+    """Open one internal solver per formula.  Each probe is one
+    ``solve_internal`` call on it, bounded by ``timeout``, so learnt clauses,
+    activities and saved phases carry over from probe to probe."""
+
+    def open_solver(clauses, nvars):
+        solver = _Solver(clauses, nvars)
+
+        def probe(assumptions=()):
+            return solve_internal(
+                clauses, nvars, timeout=timeout, assumptions=assumptions, solver=solver
+            )
+
+        return probe
+
+    return open_solver
 
 
 DEFAULT_SOLVER_ENV = "GRIDLOOP_SOLVER"
@@ -401,12 +485,16 @@ def solve_external(
     clauses: Sequence[Sequence[Lit]],
     nvars: int,
     timeout: float | None = None,
+    assumptions: Sequence[Lit] = (),
 ) -> SolveOutcome:
     """Run an external DIMACS solver and verify its answer.
 
-    The temporary CNF file is kept on protocol failure (its path is part of
+    ``assumptions`` are written as unit clauses after ``clauses``.  The
+    temporary CNF file is kept on protocol failure (its path is part of
     the returned reason) and deleted on success.
     """
+    if assumptions:
+        clauses = [*clauses, *([a] for a in assumptions)]
     fd, path = tempfile.mkstemp(suffix=".cnf", text=True)
     with os.fdopen(fd, "w") as f:
         write_dimacs(f, nvars, clauses)
@@ -456,7 +544,15 @@ def solve_external(
 
 
 def external_solve_fn(solver_cmd: Sequence[str], timeout: float | None = None) -> SolveFn:
-    def fn(clauses, nvars):
-        return solve_external(solver_cmd, clauses, nvars, timeout=timeout)
+    """Open an external solver on a formula: each probe runs ``solver_cmd``
+    once, bounded by ``timeout``, on the clauses plus the assumptions."""
 
-    return fn
+    def open_solver(clauses, nvars):
+        def probe(assumptions=()):
+            return solve_external(
+                solver_cmd, clauses, nvars, timeout=timeout, assumptions=assumptions
+            )
+
+        return probe
+
+    return open_solver

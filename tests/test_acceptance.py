@@ -388,7 +388,7 @@ def test_criterion_7_internal_external_agreement(capsys):
     checked = 0
     for name, b in regression_formulas():
         internal_out = solve_internal(b.clauses, b.var_count)
-        external_out = external(b.clauses, b.var_count)
+        external_out = external(b.clauses, b.var_count)()
         checked += 1
         if internal_out.status != external_out.status:
             disagreements += 1
@@ -418,7 +418,7 @@ def test_criterion_8_soft_large_masyu(capsys):
     decode, _ = build_masyu(b, inst)
     fn = external_solve_fn(cmd.split(), timeout=120)
     start = time.monotonic()
-    out = fn(b.clauses, b.var_count)
+    out = fn(b.clauses, b.var_count)()
     elapsed = time.monotonic() - start
     if out.is_sat and elapsed <= 120:
         sol = decode(out.model.assignment)

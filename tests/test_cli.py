@@ -99,6 +99,12 @@ def test_solve_timeout_bounds_internal_solver(capsys):
     assert "UNKNOWN" in capsys.readouterr().out
 
 
+def test_solve_timeout_bounds_each_maximize_probe(capsys):
+    path = inst_path("roadrunner_6x6_3.roadrunner")
+    assert main(["solve", path, "--timeout", "0.001"]) == EXIT_UNKNOWN
+    assert "UNKNOWN: solver timeout" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "output",
     [

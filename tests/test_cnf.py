@@ -386,6 +386,12 @@ def test_parse_dimacs_errors():
     assert (nvars, clauses) == (2, [[1, -2]])
 
 
+def test_parse_dimacs_rejects_variable_above_header():
+    with pytest.raises(ValueError, match="-3"):
+        parse_dimacs("p cnf 2 1\n1 -3 0\n")
+    assert parse_dimacs("p cnf 3 1\n1 -3 0\n") == (3, [[1, -3]])
+
+
 def test_distance_width():
     assert distance_width(1) == 1
     assert distance_width(2) == 1

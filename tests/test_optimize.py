@@ -81,10 +81,13 @@ def test_unknown_propagates():
     calls = {"n": 0}
 
     def flaky(clauses, nvars):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            return solve_internal(clauses, nvars)
-        return SolveOutcome("unknown", reason="budget")
+        def probe(assumptions=()):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                return solve_internal(clauses, nvars, assumptions=assumptions)
+            return SolveOutcome("unknown", reason="budget")
+
+        return probe
 
     b = CnfBuilder()
     xs = b.new_vars(3)

@@ -1,4 +1,8 @@
 """Roadrunner: ray geometry, optimization, exhaustive optimum, verifier."""
+import glob
+import os
+import sys
+
 import pytest
 
 from gridloop import CnfBuilder, maximize, solve_internal
@@ -10,6 +14,7 @@ from gridloop.puzzles import (
     verify_roadrunner,
 )
 from gridloop.puzzles.roadrunner import has_grid_cycle, quadrantal_neighbors
+from gridloop.solver import external_solve_fn
 
 from oracles import rr_optimum
 
@@ -102,6 +107,36 @@ def test_unmeetable_clue_maximize_infeasible():
     b = CnfBuilder()
     _, count = build_roadrunner(b, inst)
     assert maximize(b.clauses, b.var_count, count, lo=1).status == "infeasible"
+
+
+def read_board(path):
+    with open(path) as f:
+        return f.read()
+
+
+BOARDS = {
+    os.path.basename(p): read_board(p)
+    for p in glob.glob(os.path.join(os.path.dirname(__file__), "..", "instances", "*.roadrunner"))
+}
+BOARDS["unmeetable-clue"] = "3 1\n.4.\n"
+
+
+@pytest.mark.parametrize("name", sorted(BOARDS))
+def test_maximize_internal_and_external_agree(name):
+    # the internal solver answers every probe on one solver under an
+    # assumption; the external one runs a process per probe on unit clauses
+    inst = parse_roadrunner(BOARDS[name])
+    b = CnfBuilder()
+    _, count = build_roadrunner(b, inst)
+    internal = maximize(b.clauses, b.var_count, count, lo=1)
+    external = maximize(
+        b.clauses, b.var_count, count, lo=1,
+        solve_fn=external_solve_fn([sys.executable, "-m", "gridloop.dimacs_solver"], timeout=300),
+    )
+    assert internal.status in ("optimal", "infeasible")
+    assert (external.status, external.best_value, external.certified) == (
+        internal.status, internal.best_value, internal.certified,
+    )
 
 
 def test_3x3_matches_exhaustive_optimum():

@@ -14,7 +14,13 @@ from gridloop import (
     solve_internal,
 )
 from gridloop.puzzles import build_masyu, build_tapa, parse_masyu, parse_tapa
-from gridloop.solver import DEFAULT_SOLVER_ENV, _luby, _Solver, external_solve_fn
+from gridloop.solver import (
+    DEFAULT_SOLVER_ENV,
+    _luby,
+    _Solver,
+    external_solve_fn,
+    internal_solve_fn,
+)
 from gridloop import dimacs_solver
 
 from oracles import eval_clauses, satisfiable
@@ -102,6 +108,96 @@ def test_stats_count_the_search():
     capped = solve_internal(clauses, nvars, max_conflicts=10)
     assert capped.status == "unknown"
     assert capped.stats["conflicts"] == 11
+
+
+# -- incremental solving under assumptions -----------------------------------
+
+def test_incremental_solving_agrees_with_fresh():
+    rng = random.Random(4126)
+    seen = set()
+    for _ in range(40):
+        nvars = rng.randint(20, 40)
+        clauses = random_3cnf(rng, nvars, round(4.26 * nvars))
+        fresh_status = solve_internal(clauses, nvars).status
+        s = _Solver(clauses, nvars)
+        for _ in range(6):
+            vs = rng.sample(range(1, nvars + 1), rng.randint(0, 3))
+            assumptions = [v if rng.random() < 0.5 else -v for v in vs]
+            out = s.solve(assumptions)
+            assert s.trail_lim == []  # every call ends at level 0
+            want = solve_internal(clauses + [[a] for a in assumptions], nvars).status
+            assert out.status == want, (clauses, assumptions)
+            seen.add((fresh_status, out.status, bool(assumptions)))
+            if out.is_sat:
+                assert check_model(clauses, out.model)
+                assert all(out.model[a] for a in assumptions)
+            elif assumptions:
+                # an unsat under assumptions leaves the solver usable
+                assert s.solve().status == fresh_status
+        if fresh_status == "unsat":
+            assert not s.ok and s.solve().is_unsat
+    # every kind of call was met: sat and unsat formulas, and on the
+    # satisfiable ones both answers under assumptions
+    assert {("sat", "sat", True), ("sat", "unsat", True), ("unsat", "unsat", True),
+            ("sat", "sat", False), ("unsat", "unsat", False)} <= seen
+
+
+def test_assumption_forms():
+    s = _Solver([[1, 2], [-1, 3]], 3)
+    assert s.solve([1, -1]).is_unsat  # contradictory assumptions
+    assert s.solve([1, 1]).model[3]  # a repeated one opens an empty level
+    assert s.solve([-3, 1]).is_unsat  # the second is false once -3 is set
+    assert s.solve([-3]).model[2]
+    assert s.ok
+
+
+def guarded_pigeonhole(pigeons, holes):
+    """Pigeonhole clauses that hold only when their last variable is true."""
+    clauses, nvars = pigeonhole(pigeons, holes)
+    sel = nvars + 1
+    return [cl + [-sel] for cl in clauses], sel
+
+
+def test_each_call_has_its_own_budget_and_stats():
+    clauses, sel = guarded_pigeonhole(6, 5)
+    s = _Solver(clauses, sel)
+    capped = s.solve([sel], max_conflicts=10)
+    assert capped.status == "unknown" and capped.stats["conflicts"] == 11
+    first = s.solve([sel])
+    kept = dict(first.stats)
+    assert first.is_unsat and first.stats["conflicts"] > 128
+    assert first.stats["restarts"] >= 1 and first.stats["decisions"] > 0
+    # the refutation ended in the learnt unit -sel, kept at level 0
+    second = s.solve([sel])
+    assert second.is_unsat and second.stats == {"conflicts": 0, "decisions": 0, "restarts": 0}
+    assert first.stats == kept
+    third = s.solve()
+    assert third.is_sat and not third.model[sel]
+    assert s.ok
+
+
+def test_each_call_has_its_own_deadline():
+    clauses, sel = guarded_pigeonhole(6, 5)
+    s = _Solver(clauses, sel)
+    out = solve_internal(clauses, sel, timeout=0, assumptions=[sel], solver=s)
+    assert out.status == "unknown" and out.reason == "solver timeout"
+    assert solve_internal(clauses, sel, timeout=60, assumptions=[sel], solver=s).is_unsat
+
+
+def test_assumption_outside_formula_rejected():
+    with pytest.raises(ValueError):
+        solve_internal([[1]], 1, assumptions=[2])
+    with pytest.raises(ValueError):
+        solve_internal([[1]], 1, assumptions=[0])
+
+
+def test_internal_solve_fn_probes_share_one_solver():
+    clauses, sel = guarded_pigeonhole(6, 5)
+    probe = internal_solve_fn()(clauses, sel)
+    first = probe([sel])
+    assert first.is_unsat and first.stats["conflicts"] > 128
+    assert probe([sel]).stats["conflicts"] == 0  # what the first learnt is kept
+    assert probe().is_sat
 
 
 # -- the decision heap against the linear scan it replaced -----------------
@@ -279,8 +375,11 @@ def test_external_bad_command_unknown():
 
 def test_external_solve_fn():
     fn = external_solve_fn(BUNDLED)
-    assert fn([[1]], 1).is_sat
-    assert fn([[1], [-1]], 1).is_unsat
+    assert fn([[1]], 1)().is_sat
+    assert fn([[1], [-1]], 1)().is_unsat
+    probe = fn([[1, 2]], 2)
+    assert probe([-1]).model[2]
+    assert probe([-1, -2]).is_unsat
 
 
 def test_default_solver_command_env(monkeypatch):
@@ -302,3 +401,15 @@ def test_dimacs_solver_main(tmp_path, capsys):
     unsat.write_text("p cnf 1 2\n1 0\n-1 0\n")
     assert dimacs_solver.main([str(unsat)]) == 20
     assert "s UNSATISFIABLE" in capsys.readouterr().out
+
+
+def test_dimacs_solver_input_errors(tmp_path, capsys):
+    assert dimacs_solver.main([str(tmp_path / "missing.cnf")]) == 1
+    err = capsys.readouterr()
+    assert err.out == "" and err.err.startswith("error: ")
+
+    wide = tmp_path / "wide.cnf"
+    wide.write_text("p cnf 1 1\n2 0\n")  # variable 2 of a 1-variable header
+    assert dimacs_solver.main([str(wide)]) == 1
+    err = capsys.readouterr()
+    assert err.out == "" and "2" in err.err and err.err.startswith("error: ")
