@@ -24,7 +24,6 @@ from .solver import (
     Model,
     SolveOutcome,
     check_model,
-    default_solver_command,
     solve_external,
     solve_internal,
 )

@@ -36,25 +36,35 @@ class EdgeSpec:
 
 @dataclass
 class GridVars:
+    """The cells of a rows x cols board that can be in, and only those: a
+    cell missing from ``cells`` gets no vertex and no edge."""
+
     rows: int
     cols: int
-    cells: list[list[Lit]]  # cells[r][c], 0-based storage
+    cells: dict[tuple[int, int], Lit]  # 1-based (row, col) -> literal, row-major
 
     def cell(self, r: int, c: int) -> Lit:
         """Cell literal at 1-based (row, col)."""
-        return self.cells[r - 1][c - 1]
+        return self.cells[(r, c)]
 
-    def in_bounds(self, r: int, c: int) -> bool:
-        return 1 <= r <= self.rows and 1 <= c <= self.cols
+    def read(self, assignment: Mapping[int, bool]) -> list[list[int]]:
+        """0/1 per cell, row by row; a cell that cannot be in reads 0."""
+        grid = [[0] * self.cols for _ in range(self.rows)]
+        for (r, c), lit in self.cells.items():
+            if assignment[lit]:
+                grid[r - 1][c - 1] = 1
+        return grid
 
 
 def make_grid(builder: CnfBuilder, rows: int, cols: int, prefix: str = "cell") -> GridVars:
+    """A grid in which every cell can be in."""
     if rows < 1 or cols < 1:
         raise ValueError("grid must be at least 1x1")
-    cells = [
-        [builder.new_var(f"{prefix}_{r}_{c}") for c in range(1, cols + 1)]
+    cells = {
+        (r, c): builder.new_var(f"{prefix}_{r}_{c}")
         for r in range(1, rows + 1)
-    ]
+        for c in range(1, cols + 1)
+    }
     return GridVars(rows, cols, cells)
 
 
@@ -152,6 +162,8 @@ def hcp(
     for i in range(n):
         for lits in (outgoing[i], incoming[i]):
             builder.add_clause([single, -in_lits[i]] + lits)
+            if not lits:
+                break  # [single, -in_i] subsumes the other direction's clause
             if len(lits) > 1:
                 builder.at_most_one(lits)
 
@@ -185,21 +197,16 @@ def grid_graph_edges(builder: CnfBuilder, grid: GridVars) -> list[EdgeSpec]:
     """Directed edges between orthogonally adjacent cells, in row-major,
     direction-stable order (per cell: up, down, left, right)."""
     edges = []
-    for r in range(1, grid.rows + 1):
-        for c in range(1, grid.cols + 1):
-            for r2, c2 in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if grid.in_bounds(r2, c2):
-                    lit = builder.new_var(f"edge_{r}_{c}_{r2}_{c2}")
-                    edges.append(EdgeSpec((r, c), (r2, c2), lit))
+    for r, c in grid.cells:
+        for r2, c2 in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if (r2, c2) in grid.cells:
+                lit = builder.new_var(f"edge_{r}_{c}_{r2}_{c2}")
+                edges.append(EdgeSpec((r, c), (r2, c2), lit))
     return edges
 
 
 def _grid_vertices(grid: GridVars) -> list[VertexSpec]:
-    return [
-        VertexSpec((r, c), grid.cell(r, c))
-        for r in range(1, grid.rows + 1)
-        for c in range(1, grid.cols + 1)
-    ]
+    return [VertexSpec(rc, lit) for rc, lit in grid.cells.items()]
 
 
 def hcp_grid(builder: CnfBuilder, grid: GridVars) -> list[EdgeSpec]:
@@ -267,15 +274,13 @@ def scc_grid(builder: CnfBuilder, grid: GridVars) -> None:
     """scc over the grid cells, with one undirected edge literal per
     orthogonally adjacent pair, defined as the conjunction of the two cells."""
     es = []
-    for r in range(1, grid.rows + 1):
-        for c in range(1, grid.cols + 1):
-            for r2, c2 in ((r + 1, c), (r, c + 1)):
-                if grid.in_bounds(r2, c2):
-                    a, b = grid.cell(r, c), grid.cell(r2, c2)
-                    g = builder.new_var(f"uedge_{r}_{c}_{r2}_{c2}")
-                    # scc's endpoint clauses give g -> a and g -> b
-                    builder.add_clause([g, -a, -b])
-                    es.append(EdgeSpec((r, c), (r2, c2), g))
+    for (r, c), a in grid.cells.items():
+        for r2, c2 in ((r + 1, c), (r, c + 1)):
+            if (r2, c2) in grid.cells:
+                g = builder.new_var(f"uedge_{r}_{c}_{r2}_{c2}")
+                # scc's endpoint clauses give g -> a and g -> b
+                builder.add_clause([g, -a, -grid.cells[(r2, c2)]])
+                es.append(EdgeSpec((r, c), (r2, c2), g))
     scc(builder, _grid_vertices(grid), es)
 
 

@@ -82,12 +82,7 @@ def decode_loop(
 ) -> LoopSolution:
     """Follow active successor edges from the first in-cell; the walk must
     close after visiting every in-cell exactly once."""
-    in_cells = {
-        (r, c)
-        for r in range(1, grid.rows + 1)
-        for c in range(1, grid.cols + 1)
-        if assignment[grid.cell(r, c)]
-    }
+    in_cells = {rc for rc, lit in grid.cells.items() if assignment[lit]}
     if not in_cells:
         raise RuntimeError("no in-cells to decode")
     succ: dict[Cell, Cell] = {}

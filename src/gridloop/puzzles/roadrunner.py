@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..cnf import CnfBuilder, Lit, UnaryCount
-from ..graph import GridVars, hcp_grid, make_grid
+from ..graph import GridVars, hcp_grid
 
 Pos = tuple[int, int]  # (x, y)
 
@@ -109,7 +109,12 @@ def build_roadrunner(
         if not 0 <= num <= 4:
             raise ValueError(f"clue value {num} out of range")
 
-    road = make_grid(builder, inst.max_y, inst.max_x, prefix="road")
+    # only white cells can be on the road: hills get no road literal
+    road = GridVars(
+        inst.max_y,
+        inst.max_x,
+        {(y, x): builder.new_var(f"road_{y}_{x}") for (x, y) in inst.white_cells()},
+    )
 
     def road_lit(x: int, y: int) -> Lit:
         return road.cell(y, x)
@@ -129,25 +134,22 @@ def build_roadrunner(
             count = builder.unary_count(neighbor_lasers)
             builder.fix_count(count, num)
 
-    for y in range(1, inst.max_y + 1):
-        for x in range(1, inst.max_x + 1):
-            if inst.is_hill(x, y):
-                builder.add_clause([-road_lit(x, y)])
-                continue
-            lz = laser[(x, y)]
-            ps = attacked_positions(inst, x, y)
-            for p in ps:
-                if p > (x, y):  # sight is symmetric: one clause per pair
-                    builder.add_clause([-lz, -laser[p]])
-                builder.add_clause([-lz, -road_lit(*p)])
-            # road(x, y) <-> no laser on (x, y) or any attacked position
-            builder.add_clause([-road_lit(x, y), -lz])
-            builder.add_clause([road_lit(x, y), lz] + [laser[p] for p in ps])
+    for (x, y), lz in laser.items():
+        ps = attacked_positions(inst, x, y)
+        for p in ps:
+            if p > (x, y):  # sight is symmetric: one clause per pair
+                builder.add_clause([-lz, -laser[p]])
+            builder.add_clause([-lz, -road_lit(*p)])
+        # road(x, y) <-> no laser on (x, y) or any attacked position
+        builder.add_clause([-road_lit(x, y), -lz])
+        builder.add_clause([road_lit(x, y), lz] + [laser[p] for p in ps])
 
-    hcp_grid(builder, road)  # hcp itself requires K >= 1
-    # the objective counts every road cell, hills included (forced off), so
-    # an all-hill board still has a counter to bound
-    count = builder.unary_count([lit for row in road.cells for lit in row])
+    if road.cells:
+        hcp_grid(builder, road)  # hcp itself requires K >= 1
+    else:
+        builder.add_clause([])  # all hills: no road
+    # an all-hill board still gets a counter to bound, over constant false
+    count = builder.unary_count(list(road.cells.values()) or [builder.FALSE])
     return (lambda assignment: decode_roadrunner(assignment, inst, laser, road)), count
 
 
@@ -171,17 +173,11 @@ def decode_roadrunner(
     road: GridVars,
 ) -> RoadrunnerSolution:
     laser_grid = [[0] * inst.max_x for _ in range(inst.max_y)]
-    road_grid = [[0] * inst.max_x for _ in range(inst.max_y)]
     for (x, y), lit in laser.items():
         if assignment[lit]:
             laser_grid[y - 1][x - 1] = 1
-    k = 0
-    for y in range(1, inst.max_y + 1):
-        for x in range(1, inst.max_x + 1):
-            if assignment[road.cell(y, x)]:
-                road_grid[y - 1][x - 1] = 1
-                k += 1
-    return RoadrunnerSolution(laser_grid, road_grid, k)
+    road_grid = road.read(assignment)
+    return RoadrunnerSolution(laser_grid, road_grid, sum(map(sum, road_grid)))
 
 
 def _segment_groups(inst: RoadrunnerInstance):

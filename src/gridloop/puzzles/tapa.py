@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..cnf import CnfBuilder
-from ..graph import GridVars, make_grid, scc_grid
+from ..graph import GridVars, scc_grid
 
 Cell = tuple[int, int]
 
@@ -153,40 +153,49 @@ def build_tapa(
 ) -> tuple[Callable[[dict[int, bool]], ColoringSolution], None]:
     """Returns (decode, None): ``decode(assignment)`` reads the coloring back;
     there is no objective."""
-    grid = make_grid(builder, inst.n, inst.n)
-    scc_grid(builder, grid)
+    # clue cells are white: only the other cells get a literal
+    grid = GridVars(
+        inst.n,
+        inst.n,
+        {
+            (r, c): builder.new_var(f"cell_{r}_{c}")
+            for r in range(1, inst.n + 1)
+            for c in range(1, inst.n + 1)
+            if inst.at(r, c) is None
+        },
+    )
+    if grid.cells:  # an all-clue board has no black cell to connect
+        scc_grid(builder, grid)
     for r in range(1, inst.n):
         for c in range(1, inst.n):
-            builder.add_clause(
-                [
-                    -grid.cell(r, c),
-                    -grid.cell(r, c + 1),
-                    -grid.cell(r + 1, c),
-                    -grid.cell(r + 1, c + 1),
-                ]
-            )
+            window = [(r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1)]
+            if all(p in grid.cells for p in window):
+                builder.add_clause([-grid.cells[p] for p in window])
     for r, c in inst.clue_cells():
-        builder.add_clause([-grid.cell(r, c)])
         ring, circular = neighbor_ring(inst.n, r, c)
-        layouts = findall_layouts(inst.at(r, c), len(ring), circular)
+        if ring:
+            layouts = findall_layouts(inst.at(r, c), len(ring), circular)
+        else:  # a 1x1 board: the ring is empty, so only an all-zero clue is met
+            layouts = [] if any(inst.at(r, c)) else [()]
         choices = []
         for lay in layouts:
+            if any(bit and p not in grid.cells for p, bit in zip(ring, lay)):
+                continue  # black on a clue cell
             lits = [
-                grid.cell(r1, c1) if bit else -grid.cell(r1, c1)
-                for (r1, c1), bit in zip(ring, lay)
+                grid.cells[p] if bit else -grid.cells[p]
+                for p, bit in zip(ring, lay)
+                if p in grid.cells
             ]
+            if not lits:
+                break  # the clue is met whatever the cells are: no clause
             choices.append(builder.gate_and(lits))
-        builder.add_clause(choices)
+        else:
+            builder.add_clause(choices)  # empty if no layout fits: infeasible
     return (lambda assignment: decode_coloring(assignment, grid)), None
 
 
 def decode_coloring(assignment: dict[int, bool], grid: GridVars) -> ColoringSolution:
-    return ColoringSolution(
-        [
-            [1 if assignment[grid.cell(r, c)] else 0 for c in range(1, grid.cols + 1)]
-            for r in range(1, grid.rows + 1)
-        ]
-    )
+    return ColoringSolution(grid.read(assignment))
 
 
 def _ring_runs(pattern: list[int], circular: bool) -> list[int]:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import shlex
 import subprocess
 import tempfile
 import time
@@ -468,16 +467,6 @@ def internal_solve_fn(timeout: float | None = None) -> SolveFn:
 
 
 DEFAULT_SOLVER_ENV = "GRIDLOOP_SOLVER"
-
-
-def default_solver_command() -> list[str]:
-    """Solver command from the environment, or the bundled DIMACS solver."""
-    cmd = os.environ.get(DEFAULT_SOLVER_ENV)
-    if cmd:
-        return shlex.split(cmd)
-    import sys
-
-    return [sys.executable, "-m", "gridloop.dimacs_solver"]
 
 
 def solve_external(

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from gridloop import parse_dimacs, solve_internal
+from gridloop.puzzles import parse_roadrunner, parse_tapa
 from gridloop.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
@@ -178,6 +179,42 @@ def test_encode_repeats_no_clause(name, tmp_path, capsys):
     assert main(["encode", inst_path(name), "-o", str(cnf)]) == EXIT_OK
     _, clauses = parse_dimacs(cnf.read_text())
     assert len({frozenset(cl) for cl in clauses}) == len(clauses)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in os.listdir(INSTANCES) if n.endswith((".roadrunner", ".tapa")))
+)
+def test_encode_names_no_cell_that_cannot_be_in(name, tmp_path, capsys):
+    # a Road Runner hill is never on the road and a Tapa clue cell is never
+    # black: neither gets a literal
+    cnf = tmp_path / "f.cnf"
+    assert main(["encode", inst_path(name), "-o", str(cnf)]) == EXIT_OK
+    names = {ln.split()[1] for ln in (tmp_path / "f.cnf.map").read_text().splitlines()}
+    with open(inst_path(name)) as f:
+        text = f.read()
+    if name.endswith(".roadrunner"):
+        inst = parse_roadrunner(text)
+        cells = [(y, x) for y in range(1, inst.max_y + 1) for x in range(1, inst.max_x + 1)]
+        absent = {(y, x) for y, x in cells if inst.is_hill(x, y)}
+        prefix = "road"
+    else:
+        inst = parse_tapa(text)
+        cells = [(r, c) for r in range(1, inst.n + 1) for c in range(1, inst.n + 1)]
+        absent = set(inst.clue_cells())
+        prefix = "cell"
+    assert absent
+    for r, c in cells:
+        assert (f"{prefix}_{r}_{c}" in names) == ((r, c) not in absent), (r, c)
+
+
+@pytest.mark.parametrize("text, code", [("1\n0\n", EXIT_OK), ("1\n3\n", EXIT_INFEASIBLE)])
+def test_solve_tapa_1x1_clue(text, code, tmp_path, capsys):
+    # the only cell is a clue with an empty ring, so only a zero clue is met
+    path = tmp_path / "one.tapa"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == code
+    assert ("VERIFIED" in capsys.readouterr().out) == (code == EXIT_OK)
+    assert main(["encode", str(path), "-o", str(tmp_path / "one.cnf")]) == EXIT_OK
 
 
 class _ClosedPipe:

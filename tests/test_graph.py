@@ -7,6 +7,7 @@ import pytest
 from gridloop import (
     CnfBuilder,
     EdgeSpec,
+    GridVars,
     VertexSpec,
     circuit,
     hcp,
@@ -45,6 +46,22 @@ def grid_cells(rows, cols):
     return [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
 
 
+def check_grid_with_holes(rows, cols, encode, oracle):
+    """For every non-empty set of present cells (the others are holes with
+    no literal), the SAT status of every in-subset against the oracle."""
+    cells = grid_cells(rows, cols)
+    for present_mask in range(1, 1 << len(cells)):
+        present = [cell for i, cell in enumerate(cells) if present_mask >> i & 1]
+        b = CnfBuilder()
+        grid = GridVars(rows, cols, {cell: b.new_var() for cell in present})
+        encode(b, grid)
+        for mask in range(1 << len(present)):
+            subset = {cell for i, cell in enumerate(present) if mask >> i & 1}
+            units = [[lit] if cell in subset else [-lit] for cell, lit in grid.cells.items()]
+            got = solve_internal(b.clauses + units, b.var_count).is_sat
+            assert got == oracle(subset), (present, subset)
+
+
 # -- hcp ------------------------------------------------------------------
 
 def test_hcp_triangle_all_in():
@@ -77,6 +94,17 @@ def test_hcp_singleton_sat():
     hcp(b, vs, [])
     b.add_clause([vs[0].in_lit])
     assert solve_internal(b.clauses, b.var_count).is_sat
+
+
+def test_hcp_isolated_vertex_repeats_no_clause():
+    # vertex 2 has no edge, so it can be in only as a one-vertex cycle
+    b = CnfBuilder()
+    vs = [VertexSpec(i, b.new_var()) for i in range(3)]
+    hcp(b, vs, [EdgeSpec(0, 1, b.new_var()), EdgeSpec(1, 0, b.new_var())])
+    assert len({frozenset(cl) for cl in b.clauses}) == len(b.clauses)
+    for members, want in [({2}, True), ({0, 1}, True), ({0, 2}, False), ({0, 1, 2}, False)]:
+        units = [[v.in_lit] if v.term in members else [-v.in_lit] for v in vs]
+        assert solve_internal(b.clauses + units, b.var_count).is_sat == want, members
 
 
 def test_hcp_empty_forbidden_by_default():
@@ -217,19 +245,9 @@ def test_hcp_grid_edge_order_deterministic():
 
 
 def test_hcp_grid_exhaustive_2x3():
-    # every in-subset of a 2x3 grid against brute-force cycle search
-    b = CnfBuilder()
-    grid = make_grid(b, 2, 3)
-    hcp_grid(b, grid)
-    cells = grid_cells(2, 3)
-    for mask in range(1 << 6):
-        subset = {cell for i, cell in enumerate(cells) if mask >> i & 1}
-        units = [
-            [grid.cell(r, c)] if (r, c) in subset else [-grid.cell(r, c)]
-            for r, c in cells
-        ]
-        got = solve_internal(b.clauses + units, b.var_count).is_sat
-        assert got == has_ham_cycle_grid(subset), subset
+    # every in-subset of every 2x3 grid with holes against brute-force
+    # cycle search
+    check_grid_with_holes(2, 3, hcp_grid, has_ham_cycle_grid)
 
 
 # -- scc ------------------------------------------------------------------
@@ -324,18 +342,7 @@ def test_scc_grid_single_cell_sat():
 
 
 def test_scc_grid_exhaustive_2x3():
-    b = CnfBuilder()
-    grid = make_grid(b, 2, 3)
-    scc_grid(b, grid)
-    cells = grid_cells(2, 3)
-    for mask in range(1 << 6):
-        subset = {cell for i, cell in enumerate(cells) if mask >> i & 1}
-        units = [
-            [grid.cell(r, c)] if (r, c) in subset else [-grid.cell(r, c)]
-            for r, c in cells
-        ]
-        got = solve_internal(b.clauses + units, b.var_count).is_sat
-        assert got == orthogonally_connected(subset), subset
+    check_grid_with_holes(2, 3, scc_grid, orthogonally_connected)
 
 
 def test_scc_grid_k():

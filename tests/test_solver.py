@@ -9,13 +9,11 @@ from gridloop import (
     CnfBuilder,
     Model,
     check_model,
-    default_solver_command,
     solve_external,
     solve_internal,
 )
 from gridloop.puzzles import build_masyu, build_tapa, parse_masyu, parse_tapa
 from gridloop.solver import (
-    DEFAULT_SOLVER_ENV,
     _luby,
     _Solver,
     external_solve_fn,
@@ -380,13 +378,6 @@ def test_external_solve_fn():
     probe = fn([[1, 2]], 2)
     assert probe([-1]).model[2]
     assert probe([-1, -2]).is_unsat
-
-
-def test_default_solver_command_env(monkeypatch):
-    monkeypatch.setenv(DEFAULT_SOLVER_ENV, "mysolver --opt")
-    assert default_solver_command() == ["mysolver", "--opt"]
-    monkeypatch.delenv(DEFAULT_SOLVER_ENV)
-    assert default_solver_command()[-2:] == ["-m", "gridloop.dimacs_solver"]
 
 
 def test_dimacs_solver_main(tmp_path, capsys):
