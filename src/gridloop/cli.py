@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import shlex
 import sys
@@ -113,8 +114,8 @@ def _load(args, path: str) -> tuple[RunConfig, object]:
     kind = infer_kind(path, args.puzzle)
     solver = getattr(args, "solver", None)
     timeout = getattr(args, "timeout", None)
-    if timeout is not None and timeout <= 0:
-        raise ValueError("time budget must be positive")
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError("time budget must be a finite number of seconds above 0")
     config = RunConfig(kind, path, shlex.split(solver) if solver else None, timeout)
     with open(path) as f:
         return config, _PARSERS[kind](f.read())

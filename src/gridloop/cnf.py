@@ -285,25 +285,6 @@ class CnfBuilder:
             self.add_clause([*pre, yb, -sb])
         self.add_clause([*pre, -overflow])
 
-    def bitvec_eq_const(self, x: BitVec, c: int, guard: Lit) -> None:
-        if not 0 <= c < (1 << x.width):
-            raise ValueError(f"constant {c} out of range for width {x.width}")
-        for i, b in enumerate(x.bits):
-            self.add_clause([-guard, b if (c >> i) & 1 else -b])
-
-    def bitvec_le_const(self, x: BitVec, c: int) -> None:
-        """x <= c, unconditionally."""
-        if c < 0:
-            raise ValueError("bound must be nonnegative")
-        if c >= (1 << x.width) - 1:
-            return
-        ones_above: list[Lit] = []
-        for i in reversed(range(x.width)):
-            if (c >> i) & 1:
-                ones_above.append(-x.bits[i])
-            else:
-                self.add_clause([-x.bits[i]] + ones_above)
-
     # -- output ---------------------------------------------------------
 
     def emit_dimacs(self, sink) -> None:

@@ -3,11 +3,17 @@
 Two families are provided:
 
 * ``hcp`` — the active directed edges form a single cycle covering exactly
-  the in-vertices (distance encoding: a unique start vertex gets distance 0
-  and every cycle edge increments the distance, which bans sub-cycles).
+  the in-vertices (distance encoding: the lowest-index in-vertex is the
+  start, and every active edge into another vertex steps the label by +1).
 * ``scc`` — the in-vertices with their active undirected edges form one
-  connected component (tree encoding: a unique root, a parent per non-root
-  in-vertex, and distances that strictly decrease toward the root).
+  connected component (tree encoding: the lowest-index in-vertex is the
+  root, every other in-vertex picks a parent, and the label steps by +1
+  from parent to child).
+
+The step rule alone, overflow banned, bans sub-cycles and detached parts
+(Miller, Tucker & Zemlin, JACM 1960): labels that strictly increase cannot
+go round a cycle.  So labels carry no bound and the start's label is not
+pinned to 0; ``distance_width(n)`` bits leave room for a model's n - 1 steps.
 
 Plus the classical ``circuit`` / ``subcircuit`` constraints as reductions
 to ``hcp``, and grid variants that synthesize the orthogonal-adjacency
@@ -104,19 +110,11 @@ def _start_chain(builder: CnfBuilder, in_lits: Sequence[Lit]) -> tuple[list[Lit]
     return starts, seen
 
 
-def _distance_labels(
-    builder: CnfBuilder, vs: Sequence[VertexSpec], zeros: Sequence[Lit], prefix: str
-) -> list[BitVec]:
-    """One label per vertex, at most n - 1, and 0 where its ``zeros`` literal
-    (the start or root from ``_start_chain``) is true."""
-    n = len(vs)
-    width = distance_width(n)
-    dist = [builder.new_bitvec(width, f"{prefix}_{v.term}") for v in vs]
-    for d in dist:
-        builder.bitvec_le_const(d, n - 1)
-    for d, zero in zip(dist, zeros):
-        builder.bitvec_eq_const(d, 0, zero)
-    return dist
+def _distance_labels(builder: CnfBuilder, vs: Sequence[VertexSpec], prefix: str) -> list[BitVec]:
+    """One free label per vertex, wide enough for n - 1 steps; only the
+    caller's step clauses constrain it."""
+    width = distance_width(len(vs))
+    return [builder.new_bitvec(width, f"{prefix}_{v.term}") for v in vs]
 
 
 def hcp(
@@ -132,6 +130,14 @@ def hcp(
     The empty subgraph is forbidden unless ``allow_empty`` (used by
     ``subcircuit``).  No counter over the in-literals is built; ``hcp_k``
     adds one.
+
+    Every in-vertex but the start has exactly one active out-edge and one
+    active in-edge; the start has at most one of each and no degree clause.
+    Counting edges then gives the start as many out-edges as in-edges.  If
+    it had none, the other in-vertices would form cycles that avoid the
+    start, and the step rule ``d_j = d_i + 1`` (for every active edge into a
+    non-start j, overflow banned) admits no cycle.  So the start lies on the
+    one cycle, which covers every in-vertex, or is alone.
     """
     index = _check_vertices_edges(vs, es, directed=True)
     n = len(vs)
@@ -146,14 +152,7 @@ def hcp(
     if not allow_empty:
         builder.add_clause([seen[-1]])
 
-    # single <-> exactly one in-vertex: some vertex is in, and no vertex is
-    # in together with an earlier one.  Then no edges are active and the
-    # degree constraints are suspended.
-    repeats = [builder.gate_and([in_lits[i], seen[i - 1]]) for i in range(1, n)]
-    single = builder.gate_and([seen[-1]] + [-x for x in repeats])
-    for e in es:
-        builder.add_clause([-single, -e.lit])
-
+    # every in-vertex but the start: exactly one out-edge and one in-edge
     outgoing: list[list[Lit]] = [[] for _ in range(n)]
     incoming: list[list[Lit]] = [[] for _ in range(n)]
     for e in es:
@@ -161,13 +160,13 @@ def hcp(
         incoming[index[e.dst]].append(e.lit)
     for i in range(n):
         for lits in (outgoing[i], incoming[i]):
-            builder.add_clause([single, -in_lits[i]] + lits)
+            builder.add_clause([starts[i], -in_lits[i]] + lits)
             if not lits:
-                break  # [single, -in_i] subsumes the other direction's clause
+                break  # [start_i, -in_i] subsumes the other direction's clause
             if len(lits) > 1:
                 builder.at_most_one(lits)
 
-    dist = _distance_labels(builder, vs, starts, "dist")
+    dist = _distance_labels(builder, vs, "dist")
 
     # active edge (i, j), j not the start -> d_j = d_i + 1
     for e in es:
@@ -232,6 +231,12 @@ def scc(
     connected component.  Each EdgeSpec is one undirected edge; the reverse
     orientation shares its literal.  The empty subgraph is accepted.  No
     counter over the in-literals is built; ``scc_k`` adds one.
+
+    Every in-vertex but the root selects a parent over an active edge, and
+    its label is its parent's plus one (overflow banned).  Labels strictly
+    fall along a chain of parents, so the chain cannot repeat a vertex and
+    ends at the only vertex that needs no parent: the root.  No label bound
+    is needed.
     """
     index = _check_vertices_edges(vs, es, directed=False)
     n = len(vs)
@@ -242,7 +247,7 @@ def scc(
         builder.add_clause([-e.lit, in_lits[index[e.dst]]])
 
     roots, _ = _start_chain(builder, in_lits)
-    dist = _distance_labels(builder, vs, roots, "sdist")
+    dist = _distance_labels(builder, vs, "sdist")
 
     # parent selection per vertex over its incident edges
     incident: list[list[tuple[Lit, int]]] = [[] for _ in range(n)]
@@ -295,7 +300,9 @@ Adjacency = Mapping[Hashable, Sequence[tuple[Hashable, Lit]]]
 
 def circuit(builder: CnfBuilder, adjacency: Adjacency) -> None:
     """All vertices in; exactly one successor selected per vertex; the
-    selected edges must form a Hamiltonian cycle."""
+    selected edges must form a Hamiltonian cycle.  ``hcp`` already allows at
+    most one out-edge per vertex, so only the at-least-one clause is added
+    here."""
     vs = [VertexSpec(t, builder.TRUE) for t in adjacency]
     es = []
     for t, cands in adjacency.items():
@@ -305,17 +312,17 @@ def circuit(builder: CnfBuilder, adjacency: Adjacency) -> None:
                 raise ValueError(f"self-loop candidate on {t!r}")
             es.append(EdgeSpec(t, u, lit))
             lits.append(lit)
-        if lits:
-            builder.exactly_one(lits)
-        else:
-            builder.add_clause([])
+        builder.add_clause(lits)  # no candidate: the empty clause
     hcp(builder, vs, es)
 
 
 def subcircuit(builder: CnfBuilder, adjacency: Adjacency) -> dict[Hashable, Lit]:
     """Each vertex either stays (not in the subgraph) or selects a successor;
     the in-vertices must form a cycle.  The all-stay assignment (empty
-    subgraph) is accepted.  Returns the per-vertex stay literals."""
+    subgraph) is accepted.  Returns the per-vertex stay literals.
+
+    Only "stay or some successor" is added here: ``hcp`` already allows at
+    most one out-edge per vertex, and an active edge puts its source in."""
     stay = {t: builder.new_var(f"stay_{t}") for t in adjacency}
     vs = [VertexSpec(t, -stay[t]) for t in adjacency]
     es = []
@@ -326,6 +333,6 @@ def subcircuit(builder: CnfBuilder, adjacency: Adjacency) -> dict[Hashable, Lit]
                 raise ValueError(f"self-loop candidate on {t!r}")
             es.append(EdgeSpec(t, u, lit))
             lits.append(lit)
-        builder.exactly_one(lits)
+        builder.add_clause(lits)
     hcp(builder, vs, es, allow_empty=True)
     return stay

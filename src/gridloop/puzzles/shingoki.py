@@ -29,6 +29,8 @@ def parse_shingoki(text: str) -> ShingokiInstance:
     if not lines:
         raise ValueError("empty instance")
     n = int(lines[0].split()[0])
+    if n < 1:
+        raise ValueError("grid size must be >= 1")
     rows = lines[1 : n + 1]
     if len(rows) != n:
         raise ValueError(f"expected {n} board rows, found {len(rows)}")

@@ -89,6 +89,27 @@ def has_ham_cycle_grid(cells):
     return bt()
 
 
+def directed_cycles(n, edges):
+    """Every single directed cycle of the digraph on vertices 0..n-1, as
+    (vertex set, edge set) frozensets; each vertex alone, with no edge,
+    counts as a one-vertex cycle.  Found by depth-first search from each
+    cycle's lowest vertex."""
+    succ = {v: sorted(b for a, b in edges if a == v) for v in range(n)}
+    cycles = {(frozenset([v]), frozenset()) for v in range(n)}
+
+    def extend(start, path):
+        for nxt in succ[path[-1]]:
+            if nxt == start and len(path) > 1:
+                steps = zip(path, path[1:] + [start])
+                cycles.add((frozenset(path), frozenset(steps)))
+            elif nxt > start and nxt not in path:
+                extend(start, path + [nxt])
+
+    for v in range(n):
+        extend(v, [v])
+    return cycles
+
+
 def orthogonally_connected(cells):
     """Flood fill; the empty set counts as connected."""
     cells = set(cells)

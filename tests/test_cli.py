@@ -85,10 +85,25 @@ def test_solve_infeasible_exit(tmp_path, capsys):
 
 
 def test_solve_parse_error_exit(tmp_path, capsys):
-    bad = tmp_path / "bad.masyu"
-    bad.write_text("not a grid\n")
-    assert main(["solve", str(bad)]) == EXIT_INPUT
-    assert "error:" in capsys.readouterr().err
+    # a grid size below 1 is an input error for every grid kind
+    for name, text in [
+        ("bad.masyu", "not a grid\n"),
+        ("zero.shingoki", "0\n"),
+        ("zero.tapa", "0\n"),
+        ("negative.tapa", "-1\n"),
+    ]:
+        bad = tmp_path / name
+        bad.write_text(text)
+        assert main(["solve", str(bad)]) == EXIT_INPUT, name
+        assert "error:" in capsys.readouterr().err, name
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+def test_solve_timeout_must_be_finite_and_positive(timeout, capsys):
+    for solver in ([], ["--solver", "no-such-solver"]):
+        argv = ["solve", inst_path("masyu_4x4.masyu"), "--timeout", timeout, *solver]
+        assert main(argv) == EXIT_INPUT, solver
+        assert "time budget" in capsys.readouterr().err
 
 
 def test_solve_missing_file_exit(capsys):

@@ -282,47 +282,6 @@ def test_bitvec_successor_needs_guard():
         b.bitvec_successor(b.new_bitvec(2), b.new_bitvec(2))
 
 
-def test_bitvec_eq_const():
-    b = CnfBuilder()
-    x = b.new_bitvec(3)
-    guard = b.new_var()
-    b.bitvec_eq_const(x, 5, guard)
-    out = sat_under(b.clauses, b.var_count, [guard])
-    assert out.is_sat and x.value(out.model.assignment) == 5
-    # bits are (1, 0, 1) little-endian
-    m = out.model.assignment
-    assert [m[abs(l)] for l in x.bits] == [True, False, True]
-    # guard false leaves x unconstrained: 2^3 values remain
-    proj = input_projection(b.clauses, b.var_count, x.bits + [guard])
-    assert sum(1 for bits in proj if not bits[-1]) == 8
-
-
-def test_bitvec_eq_const_zero():
-    b = CnfBuilder()
-    x = b.new_bitvec(3)
-    guard = b.new_var()
-    b.bitvec_eq_const(x, 0, guard)
-    out = sat_under(b.clauses, b.var_count, [guard])
-    assert x.value(out.model.assignment) == 0
-
-
-def test_bitvec_eq_const_out_of_range():
-    b = CnfBuilder()
-    x = b.new_bitvec(3)
-    with pytest.raises(ValueError):
-        b.bitvec_eq_const(x, 8, b.new_var())
-
-
-@pytest.mark.parametrize("width,c", [(3, 0), (3, 2), (3, 5), (3, 6), (4, 9)])
-def test_bitvec_le_const_model_counts(width, c):
-    b = CnfBuilder()
-    x = b.new_bitvec(width)
-    b.bitvec_le_const(x, c)
-    proj = input_projection(b.clauses, b.var_count, x.bits)
-    values = {sum(1 << i for i, bit in enumerate(bits) if bit) for bits in proj}
-    assert values == set(range(c + 1))
-
-
 def test_increment_values():
     b = CnfBuilder()
     x = b.new_bitvec(3)

@@ -23,7 +23,12 @@ from gridloop import (
     subcircuit,
 )
 
-from oracles import connected_in_graph, has_ham_cycle_grid, orthogonally_connected
+from oracles import (
+    connected_in_graph,
+    directed_cycles,
+    has_ham_cycle_grid,
+    orthogonally_connected,
+)
 
 
 def complete_digraph(b, n):
@@ -124,7 +129,9 @@ def test_hcp_allow_empty():
 
 
 def test_hcp_distances_bijection():
-    # distance labels in any model are exactly {0..K-1} over the in-vertices
+    # labels carry no bound and the start's is not pinned, but 4 vertices
+    # fill the 2-bit width: three steps from the start without overflow
+    # leave only {0..3}
     b = CnfBuilder()
     vs, es = complete_digraph(b, 4)
     hcp(b, vs, es)
@@ -145,6 +152,32 @@ def test_hcp_distances_bijection():
                 v |= 1 << bit
         values.append(v)
     assert sorted(values) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("allow_empty", [False, True])
+def test_hcp_random_digraphs_vs_oracle(allow_empty):
+    # each ordered pair is an edge on its own coin, so an edge's reverse may
+    # be missing; the formula admits exactly the single directed cycles
+    rng = random.Random(5)
+    for n in range(1, 6):
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for _ in range(6):
+            edges = [p for p in pairs if rng.random() < 0.5]
+            b = CnfBuilder()
+            vs = [VertexSpec(i, b.new_var()) for i in range(n)]
+            es = [EdgeSpec(i, j, b.new_var()) for i, j in edges]
+            hcp(b, vs, es, allow_empty=allow_empty)
+            got = {
+                (
+                    frozenset(v.term for v, bit in zip(vs, bits) if bit),
+                    frozenset((e.src, e.dst) for e, bit in zip(es, bits[n:]) if bit),
+                )
+                for bits in enumerate_selector_models(b, [v.in_lit for v in vs] + [e.lit for e in es])
+            }
+            want = directed_cycles(n, edges)
+            if allow_empty:
+                want.add((frozenset(), frozenset()))
+            assert got == want, edges
 
 
 def test_hcp_k():
@@ -415,6 +448,14 @@ def test_circuit_rejects_self_loop():
     b = CnfBuilder()
     with pytest.raises(ValueError):
         circuit(b, {1: [(1, b.new_var())]})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_subcircuit_repeats_no_clause(n):
+    # hcp's out-degree rule already gives at most one successor per vertex
+    b = CnfBuilder()
+    subcircuit(b, {i: [(j, b.new_var()) for j in range(n) if j != i] for i in range(n)})
+    assert len({frozenset(cl) for cl in b.clauses}) == len(b.clauses)
 
 
 def test_subcircuit_all_stay_sat():
