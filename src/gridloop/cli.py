@@ -23,6 +23,7 @@ from .solver import (
     SolveFn,
     external_solve_fn,
     internal_solve_fn,
+    solve_lazily,
 )
 from .puzzles import (
     LoopSolution,
@@ -100,6 +101,10 @@ _BUILDERS = {
     "tapa": build_tapa,
 }
 
+# Kinds whose build_* takes ``lazy``: on the internal solver it builds the
+# lazy loop model and returns (decode, cuts) instead; see ``build_loop``.
+_LAZY_KINDS = ("masyu", "shingoki")
+
 _VERIFIERS = {
     "roadrunner": verify_roadrunner,
     "masyu": verify_masyu,
@@ -138,14 +143,22 @@ class RunResult:
 
 def run(config: RunConfig, inst) -> RunResult:
     """Encode, solve, decode and verify one instance.  A kind with an
-    objective is maximized (at least 1); the others take one solver call."""
+    objective is maximized (at least 1); a lazy model is solved cut by cut on
+    the internal solver; the others take one solver call."""
     builder = CnfBuilder()
-    decode, objective = _BUILDERS[config.kind](builder, inst)
+    cuts = objective = None
+    if config.solver_cmd is None and config.kind in _LAZY_KINDS:
+        decode, cuts = _BUILDERS[config.kind](builder, inst, lazy=True)
+    else:
+        decode, objective = _BUILDERS[config.kind](builder, inst)
     size = (builder.var_count, len(builder.clauses))
     fn = solve_fn_for(config)
     optimum = None
     if objective is None:
-        outcome = fn(builder.clauses, builder.var_count)()
+        if cuts is None:
+            outcome = fn(builder.clauses, builder.var_count)()
+        else:
+            outcome = solve_lazily(builder.clauses, builder.var_count, cuts, config.timeout)
         status, model, reason = outcome.status, outcome.model, outcome.reason
     else:
         result = maximize(builder.clauses, builder.var_count, objective, solve_fn=fn, lo=1)

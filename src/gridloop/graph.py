@@ -100,11 +100,16 @@ def _start_chain(builder: CnfBuilder, in_lits: Sequence[Lit]) -> tuple[list[Lit]
     lowest-index in-vertex; seen_i iff some vertex among 0..i is in.
 
     Prefix-occupancy chain: seen_i <-> seen_{i-1} or in_i; start_i <-> in_i
-    and not seen_{i-1}.
+    and not seen_{i-1}.  Once seen_{i-1} is the constant true, as when every
+    in-literal is (``circuit``), the rest of the chain is constant too.
     """
     starts = [in_lits[0]]
     seen = [in_lits[0]]
     for in_i in in_lits[1:]:
+        if seen[-1] == builder.TRUE:
+            starts.append(builder.FALSE)
+            seen.append(builder.TRUE)
+            continue
         starts.append(builder.gate_and([in_i, -seen[-1]]))
         seen.append(builder.gate_or([seen[-1], in_i]))
     return starts, seen
@@ -143,13 +148,15 @@ def hcp(
     n = len(vs)
     in_lits = [v.in_lit for v in vs]
 
-    # active edge -> both endpoints are in
+    # active edge -> both endpoints are in (nothing to say of an end that
+    # is always in)
     for e in es:
-        builder.add_clause([-e.lit, in_lits[index[e.src]]])
-        builder.add_clause([-e.lit, in_lits[index[e.dst]]])
+        for end in (e.src, e.dst):
+            if in_lits[index[end]] != builder.TRUE:
+                builder.add_clause([-e.lit, in_lits[index[end]]])
 
     starts, seen = _start_chain(builder, in_lits)
-    if not allow_empty:
+    if not allow_empty and seen[-1] != builder.TRUE:
         builder.add_clause([seen[-1]])
 
     # every in-vertex but the start: exactly one out-edge and one in-edge

@@ -1,10 +1,12 @@
 """Shared machinery for loop puzzles: the one loop-puzzle encoding (a loop
-through circles, each passed along one of its path shapes), edge maps,
-path-shape constraints, and model decoding into a closed cell cycle."""
+through circles, each passed along one of its path shapes) in an eager and a
+lazy model, edge maps, path-shape constraints, and model decoding into a
+closed cell cycle."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from ..cnf import CnfBuilder, Lit
 from ..graph import EdgeSpec, GridVars, hcp_grid, make_grid
@@ -27,42 +29,160 @@ def constrain_paths(
     """Require that at least one of the given path shapes occurs in the loop.
 
     Each shape is a cell sequence; it and its reverse each contribute a
-    conjunction over the consecutive edge literals.  Shapes with off-grid
-    cells are dropped.  If nothing survives, the empty disjunction makes the
+    conjunction over the consecutive edge literals, one per distinct set of
+    literals: where ``emap`` gives both directions of an edge one literal, a
+    shape and its reverse share one conjunction.  Shapes with off-grid cells
+    are dropped.  If nothing survives, the empty disjunction makes the
     formula unsatisfiable (the circled cell cannot be traversed legally).
     """
     choices: list[Lit] = []
-    seen: set[tuple[Cell, ...]] = set()
+    seen: set[frozenset[Lit]] = set()
     for shape in shapes:
         if any(not (1 <= r <= rows and 1 <= c <= cols) for r, c in shape):
             continue
-        for path in (tuple(shape), tuple(reversed(shape))):
-            if path in seen:
-                continue
-            seen.add(path)
+        for path in (shape, shape[::-1]):
             lits = [
                 emap[(path[i][0], path[i][1], path[i + 1][0], path[i + 1][1])]
                 for i in range(len(path) - 1)
             ]
+            key = frozenset(lits)
+            if key in seen:
+                continue
+            seen.add(key)
             choices.append(builder.gate_and(lits))
     builder.add_clause(choices)
+
+
+# cuts(assignment) -> clauses that exclude the model, none if it is one loop
+Cuts = Callable[[dict[int, bool]], list[list[Lit]]]
 
 
 def build_loop(
     builder: CnfBuilder,
     n: int,
-    circles: Iterable[tuple[int, int, Sequence[Sequence[Cell]]]],
-) -> tuple[Callable[[dict[int, bool]], LoopSolution], None]:
+    circles: Sequence[tuple[int, int, Sequence[Sequence[Cell]]]],
+    lazy: bool = False,
+) -> tuple[Callable[[dict[int, bool]], LoopSolution], Cuts | None]:
     """One closed loop on the n x n grid through every circle ``(r, c,
     shapes)``, passing it along one of its path shapes.  Returns (decode,
-    None): ``decode(assignment)`` reads the loop back; there is no objective."""
+    cuts): ``decode(assignment)`` reads the loop back.
+
+    The eager model (``hcp`` over directed edges) is complete on its own, and
+    ``cuts`` is None.  With ``lazy`` and at least one circle, the lazy model
+    is built instead (see ``_lazy_loop``): it admits every set of disjoint
+    cycles, and ``cuts(assignment)`` gives the clauses that exclude a model
+    of two or more cycles, or no clause for a model of one cycle."""
     grid = make_grid(builder, n, n)
+    if lazy and circles:
+        return _lazy_loop(builder, grid, circles)
     edges = hcp_grid(builder, grid)
     emap = edge_map(edges)
     for r, c, shapes in circles:
         builder.add_clause([grid.cell(r, c)])
         constrain_paths(builder, emap, n, n, shapes)
     return (lambda assignment: decode_loop(assignment, grid, edges)), None
+
+
+def _lazy_loop(
+    builder: CnfBuilder,
+    grid: GridVars,
+    circles: Sequence[tuple[int, int, Sequence[Sequence[Cell]]]],
+) -> tuple[Callable[[dict[int, bool]], LoopSolution], Cuts]:
+    """The lazy model: one literal per undirected edge, an active edge puts
+    both of its cells in, and every in-cell has exactly two active edges, so
+    the active edges form disjoint cycles.  No distance label bans a second
+    cycle; ``cuts`` does that on demand (subtour elimination, Dantzig,
+    Fulkerson & Johnson 1954).  For each cycle S of a model with two or
+    more, in row-major order:
+
+    * S holds a circle and some circle lies outside S: some edge that
+      crosses S's boundary is on, since the one loop passes both circles;
+    * S holds no circle: not all of S's active edges are on, since the one
+      loop would then be S, which misses the circles.
+
+    Both cuts keep every solution only because the board has a circle.
+    Every model of two or more cycles gets at least one cut, and the cut is
+    false in that model.
+    """
+    n = grid.rows
+    edges: dict[tuple[Cell, Cell], Lit] = {}  # row-major, (up or left cell, other)
+    incident: dict[Cell, list[Lit]] = {rc: [] for rc in grid.cells}
+    for (r, c), a in grid.cells.items():
+        for b in ((r + 1, c), (r, c + 1)):
+            if b in grid.cells:
+                e = builder.new_var(f"edge_{r}_{c}_{b[0]}_{b[1]}")
+                edges[((r, c), b)] = e
+                incident[(r, c)].append(e)
+                incident[b].append(e)
+                builder.add_clause([-e, a])
+                builder.add_clause([-e, grid.cells[b]])
+    for rc, lits in incident.items():
+        for trio in itertools.combinations(lits, 3):
+            builder.add_clause([-e for e in trio])
+        # in -> some other edge besides each one: at least two edges
+        for i in range(len(lits)):
+            builder.add_clause([-grid.cells[rc]] + lits[:i] + lits[i + 1 :])
+        if not lits:
+            builder.add_clause([-grid.cells[rc]])
+    emap = {}
+    for ((r1, c1), (r2, c2)), e in edges.items():
+        emap[(r1, c1, r2, c2)] = emap[(r2, c2, r1, c1)] = e
+    for r, c, shapes in circles:
+        builder.add_clause([grid.cell(r, c)])
+        constrain_paths(builder, emap, n, n, shapes)
+    circle_cells = {(r, c) for r, c, _ in circles}
+
+    def cuts(assignment: dict[int, bool]) -> list[list[Lit]]:
+        cycles = _cycles(grid, edges, assignment)
+        if len(cycles) == 1:
+            return []
+        out = []
+        for cycle in cycles:
+            inside = set(cycle)
+            if not inside & circle_cells:
+                out.append([-e for (a, _), e in edges.items() if a in inside and assignment[e]])
+            elif not circle_cells <= inside:
+                out.append([e for (a, b), e in edges.items() if (a in inside) != (b in inside)])
+        return out
+
+    def decode(assignment: dict[int, bool]) -> LoopSolution:
+        cycles = _cycles(grid, edges, assignment)
+        if len(cycles) != 1:
+            raise RuntimeError(f"active edges form {len(cycles)} cycles, not one")
+        cycle = cycles[0]
+        directed = [
+            EdgeSpec(a, b, emap[(*a, *b)]) for a, b in zip(cycle, cycle[1:] + cycle[:1])
+        ]
+        return decode_loop(assignment, grid, directed)
+
+    return decode, cuts
+
+
+def _cycles(
+    grid: GridVars, edges: dict[tuple[Cell, Cell], Lit], assignment: dict[int, bool]
+) -> list[list[Cell]]:
+    """The cycles of the lazy model's active edges, each walked from its
+    first cell in row-major order, and listed in that order.  The model's
+    degree clauses give every cell none or two active edges."""
+    nbrs: dict[Cell, list[Cell]] = {}
+    for (a, b), e in edges.items():
+        if assignment[e]:
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+    cycles = []
+    seen: set[Cell] = set()
+    for start in grid.cells:
+        if start not in nbrs or start in seen:
+            continue
+        cycle = [start]
+        prev, cur = start, nbrs[start][0]
+        while cur != start:
+            cycle.append(cur)
+            x, y = nbrs[cur]
+            prev, cur = cur, y if x == prev else x
+        seen.update(cycle)
+        cycles.append(cycle)
+    return cycles
 
 
 @dataclass

@@ -68,8 +68,8 @@ def black_shapes(r: int, c: int) -> list[list[tuple[int, int]]]:
     ]
 
 
-def build_masyu(builder: CnfBuilder, inst: MasyuInstance):
-    """Returns (decode, None); see ``build_loop``."""
+def build_masyu(builder: CnfBuilder, inst: MasyuInstance, lazy: bool = False):
+    """Returns (decode, cuts); see ``build_loop``, which ``lazy`` is passed to."""
     shapes = {WHITE: white_shapes, BLACK: black_shapes}
     circles = [
         (r, c, shapes[inst.at(r, c)](r, c))
@@ -77,7 +77,7 @@ def build_masyu(builder: CnfBuilder, inst: MasyuInstance):
         for c in range(1, inst.n + 1)
         if inst.at(r, c) != EMPTY
     ]
-    return build_loop(builder, inst.n, circles)
+    return build_loop(builder, inst.n, circles, lazy)
 
 
 def verify_masyu(inst: MasyuInstance, sol: LoopSolution) -> str | None:

@@ -95,8 +95,8 @@ def black_shingoki_shapes(r: int, c: int, clue: int) -> list[list[tuple[int, int
     return shapes
 
 
-def build_shingoki(builder: CnfBuilder, inst: ShingokiInstance):
-    """Returns (decode, None); see ``build_loop``."""
+def build_shingoki(builder: CnfBuilder, inst: ShingokiInstance, lazy: bool = False):
+    """Returns (decode, cuts); see ``build_loop``, which ``lazy`` is passed to."""
     shapes = {"w": white_shingoki_shapes, "b": black_shingoki_shapes}
     circles = [
         (r, c, shapes[mark[0]](r, c, mark[1]))
@@ -104,7 +104,7 @@ def build_shingoki(builder: CnfBuilder, inst: ShingokiInstance):
         for c in range(1, inst.n + 1)
         if (mark := inst.at(r, c)) is not None
     ]
-    return build_loop(builder, inst.n, circles)
+    return build_loop(builder, inst.n, circles, lazy)
 
 
 def verify_shingoki(inst: ShingokiInstance, sol: LoopSolution) -> str | None:

@@ -13,7 +13,9 @@ Sorensson, "Temporal Induction by Incremental SAT Solving", 2003): one
 ``_Solver`` can be solved many times, each time under its own assumptions
 (literals taken as true for that call only).  Level-0 units, learnt clauses,
 activities and saved phases carry over from call to call; the conflict
-budget, the deadline and the stats are per call.
+budget, the deadline and the stats are per call.  Between calls,
+``add_clauses`` adds clauses; ``solve_lazily`` uses it to solve a formula
+whose clauses are generated from the models found (lazy cuts).
 
 A solve function (``SolveFn``) opens a probe on a formula, and each probe
 call solves that formula under the assumptions it is given.  The internal
@@ -139,6 +141,37 @@ class _Solver:
                 return
             if v == 0:
                 self._assign(u, None)
+        if self._propagate() is not None:
+            self.ok = False
+
+    def add_clauses(self, clauses):
+        """Add clauses between calls to ``solve``, at level 0, where every
+        call returns.  A clause with a literal true at level 0 is dropped and
+        its false literals are stripped; a unit clause is assigned and
+        propagated; an empty clause, or a conflict in that propagation, makes
+        the formula unsat and clears ``ok``."""
+        if self.pending is not None:
+            self._load()
+        if not self.ok:
+            return
+        n = self.nvars
+        val = self.val
+        for cl in clauses:
+            lits = []
+            for lit in dict.fromkeys(cl):
+                v = val[lit + n]
+                if v == 1:
+                    break
+                if v == 0:
+                    lits.append(lit)
+            else:
+                if len(lits) > 1:
+                    self._attach(lits)
+                elif lits:
+                    self._assign(lits[0], None)
+                else:
+                    self.ok = False
+                    return
         if self._propagate() is not None:
             self.ok = False
 
@@ -446,6 +479,38 @@ def solve_internal(
     ):
         raise RuntimeError("internal solver produced an invalid model")
     return outcome
+
+
+def solve_lazily(
+    clauses: Sequence[Sequence[Lit]],
+    nvars: int,
+    cuts: Callable[[dict[int, bool]], list[list[Lit]]],
+    timeout: float | None = None,
+) -> SolveOutcome:
+    """Solve ``clauses`` plus the cuts that each model calls for, round by
+    round: every SAT round asks ``cuts(assignment)`` for clauses that the
+    model breaks, and the first model that calls for none is the outcome.
+    Each cut must keep every model the caller accepts, so an unsat round
+    makes the formula unsat.
+
+    One ``_Solver`` serves every round and takes the cuts with
+    ``add_clauses``, so learnt clauses carry over.  Each round is one
+    ``solve_internal`` call, which checks its model against ``clauses`` and
+    the cuts so far; ``timeout`` is one wall-clock budget for all rounds.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
+    solver = _Solver(clauses, nvars)
+    clauses = list(clauses)
+    while True:
+        left = None if deadline is None else deadline - time.monotonic()
+        outcome = solve_internal(clauses, nvars, timeout=left, solver=solver)
+        if not outcome.is_sat:
+            return outcome
+        new = cuts(outcome.model.assignment)
+        if not new:
+            return outcome
+        solver.add_clauses(new)
+        clauses.extend(new)
 
 
 def internal_solve_fn(timeout: float | None = None) -> SolveFn:

@@ -1,5 +1,6 @@
 """Oracle-backed tests for the hcp/scc encodings and circuit reductions."""
 import itertools
+import math
 import random
 
 import pytest
@@ -456,6 +457,19 @@ def test_subcircuit_repeats_no_clause(n):
     b = CnfBuilder()
     subcircuit(b, {i: [(j, b.new_var()) for j in range(n) if j != i] for i in range(n)})
     assert len({frozenset(cl) for cl in b.clauses}) == len(b.clauses)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_circuit_repeats_no_clause(n):
+    # every in-literal is constant true: hcp says nothing of an end that is
+    # always in, and its start chain is constant after the first vertex
+    b = CnfBuilder()
+    adjacency = {i: [(j, b.new_var()) for j in range(n) if j != i] for i in range(n)}
+    circuit(b, adjacency)
+    assert len({frozenset(cl) for cl in b.clauses}) == len(b.clauses)
+    # still every directed Hamiltonian cycle of the complete digraph, once
+    selectors = [lit for cands in adjacency.values() for _, lit in cands]
+    assert len(enumerate_selector_models(b, selectors)) == max(1, math.factorial(n - 1))
 
 
 def test_subcircuit_all_stay_sat():

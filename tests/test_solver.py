@@ -18,6 +18,7 @@ from gridloop.solver import (
     _Solver,
     external_solve_fn,
     internal_solve_fn,
+    solve_lazily,
 )
 from gridloop import dimacs_solver
 
@@ -187,6 +188,96 @@ def test_assumption_outside_formula_rejected():
         solve_internal([[1]], 1, assumptions=[2])
     with pytest.raises(ValueError):
         solve_internal([[1]], 1, assumptions=[0])
+
+
+# -- clauses added between solves --------------------------------------------
+
+def test_add_clauses_drops_a_clause_satisfied_at_level_0():
+    s = _Solver([[1], [2, 3]], 3)
+    assert s.solve().is_sat
+    watched = sum(map(len, s.watches))
+    s.add_clauses([[1, -2, -3]])  # 1 is true at level 0
+    assert sum(map(len, s.watches)) == watched
+    assert s.solve().is_sat
+
+
+def test_add_clauses_propagates_a_unit():
+    s = _Solver([[-1, 2], [-2, 3]], 3)
+    assert s.solve().is_sat
+    s.add_clauses([[1]])
+    assert s.ok and s.trail == [1, 2, 3] and s.trail_lim == []
+    # a clause whose other literals are false at level 0 is a unit too
+    s2 = _Solver([[-1]], 3)
+    s2.add_clauses([[1, 2], [-2, 3]])
+    assert [s2._value(v) for v in (1, 2, 3)] == [-1, 1, 1]
+    out = s2.solve()
+    assert out.is_sat and out.stats["decisions"] == 0
+
+
+def test_add_clauses_falsified_at_level_0_is_unsat():
+    s = _Solver([[1], [-1, 2]], 2)
+    assert s.solve().is_sat
+    s.add_clauses([[-1, -2]])
+    assert not s.ok
+    assert s.solve().is_unsat
+    # an empty clause, and one that a unit then falsifies by propagation
+    s = _Solver([[1, 2]], 2)
+    s.add_clauses([[]])
+    assert not s.ok and s.solve().is_unsat
+    s = _Solver([[1, 2], [1, -2]], 2)
+    assert s.solve().is_sat
+    s.add_clauses([[-1]])
+    assert not s.ok and s.solve().is_unsat
+
+
+def test_add_clauses_agrees_with_a_fresh_solve():
+    rng = random.Random(977)
+    seen = set()
+    for _ in range(60):
+        nvars = rng.randint(10, 30)
+        clauses = random_3cnf(rng, nvars, round(4.26 * nvars))
+        half = len(clauses) // 2
+        s = _Solver(clauses[:half], nvars)
+        first = s.solve()
+        assert first.status == solve_internal(clauses[:half], nvars).status
+        s.add_clauses(clauses[half:])
+        assert s.trail_lim == []
+        out = s.solve()
+        want = solve_internal(clauses, nvars).status
+        assert out.status == want, clauses
+        if out.is_sat:
+            assert check_model(clauses, out.model)
+        seen.add((first.status, out.status))
+    assert {("sat", "sat"), ("sat", "unsat")} <= seen
+
+
+def test_solve_lazily_adds_cuts_until_a_model_needs_none(monkeypatch):
+    # the first model sets x1 (the saved phase), and its cut -x1 sets every
+    # variable false through the chain x4 -> x3 -> x2 -> x1
+    clauses = [[1, -2], [2, -3], [3, -4], [-1, -4]]
+    rounds = []
+    opened = []
+
+    class CountedSolver(_Solver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            opened.append(self)
+
+    monkeypatch.setattr("gridloop.solver._Solver", CountedSolver)
+
+    def cuts(assignment):
+        rounds.append(dict(assignment))
+        return [[-1]] if assignment[1] else []
+
+    out = solve_lazily(clauses, 4, cuts)
+    assert out.is_sat and not any(out.model.assignment.values())
+    assert len(rounds) == 2 and len(opened) == 1  # one solver for every round
+    # a cut that contradicts the base clauses makes the whole formula unsat
+    assert solve_lazily([[1], [2]], 2, lambda a: [[-1, -2]]).is_unsat
+    # the time budget bounds the rounds
+    clauses, sel = guarded_pigeonhole(6, 5)
+    out = solve_lazily(clauses, sel, lambda a: [] if a[sel] else [[sel]], timeout=1e-9)
+    assert out.status == "unknown" and out.reason == "solver timeout"
 
 
 def test_internal_solve_fn_probes_share_one_solver():
