@@ -161,7 +161,7 @@ def roadrunner_instance(max_x: int, max_y: int, rng: random.Random, hills: int) 
         text = f"{max_x} {max_y}\n" + "\n".join(rows) + "\n"
         inst = parse_roadrunner(text)
         b = CnfBuilder()
-        decode, count = build_roadrunner(b, inst)
+        decode, count, _ = build_roadrunner(b, inst)
         res = maximize(b.clauses, b.var_count, count, lo=1)
         if res.status != "optimal":
             continue

@@ -10,13 +10,9 @@ from .graph import (
     circuit,
     hcp,
     hcp_grid,
-    hcp_grid_k,
-    hcp_k,
     make_grid,
     scc,
     scc_grid,
-    scc_grid_k,
-    scc_k,
     subcircuit,
 )
 from .optimize import OptimizeResult, maximize

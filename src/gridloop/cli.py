@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -18,13 +19,7 @@ from dataclasses import dataclass
 
 from .cnf import CnfBuilder
 from .optimize import maximize
-from .solver import (
-    DEFAULT_SOLVER_ENV,
-    SolveFn,
-    external_solve_fn,
-    internal_solve_fn,
-    solve_lazily,
-)
+from .solver import DEFAULT_SOLVER_ENV, SolveFn, external_solve_fn, internal_solve_fn
 from .puzzles import (
     LoopSolution,
     RoadrunnerSolution,
@@ -64,7 +59,7 @@ class RunConfig:
     kind: str
     path: str
     solver_cmd: list[str] | None  # None = internal solver
-    timeout: float | None  # seconds per solver call; None where nothing is solved
+    timeout: float | None  # seconds per solver probe; None where nothing is solved
 
 
 def infer_kind(path: str, flag: str | None) -> str:
@@ -91,19 +86,17 @@ _PARSERS = {
     "tapa": parse_tapa,
 }
 
-# Each build_* writes its formula into a fresh builder and returns (decode,
-# objective): decode(assignment) gives the solution, objective is the counter
-# to maximize or None.
+# Each build_*(builder, inst, lazy=False) writes its formula into a fresh
+# builder and returns (decode, objective, cuts): decode(assignment) gives the
+# solution, objective is the counter to maximize or None, and cuts is None
+# for a complete formula.  ``lazy`` asks for a model that the solve function
+# completes with cuts; a builder without one returns the complete formula.
 _BUILDERS = {
     "roadrunner": build_roadrunner,
     "masyu": build_masyu,
     "shingoki": build_shingoki,
     "tapa": build_tapa,
 }
-
-# Kinds whose build_* takes ``lazy``: on the internal solver it builds the
-# lazy loop model and returns (decode, cuts) instead; see ``build_loop``.
-_LAZY_KINDS = ("masyu", "shingoki")
 
 _VERIFIERS = {
     "roadrunner": verify_roadrunner,
@@ -142,23 +135,20 @@ class RunResult:
 
 
 def run(config: RunConfig, inst) -> RunResult:
-    """Encode, solve, decode and verify one instance.  A kind with an
-    objective is maximized (at least 1); a lazy model is solved cut by cut on
-    the internal solver; the others take one solver call."""
+    """Encode, solve, decode and verify one instance.  The internal solver
+    takes a lazy model where the kind's builder has one, an external solver
+    the complete formula.  A kind with an objective is maximized (at least
+    1); the others take one probe."""
     builder = CnfBuilder()
-    cuts = objective = None
-    if config.solver_cmd is None and config.kind in _LAZY_KINDS:
-        decode, cuts = _BUILDERS[config.kind](builder, inst, lazy=True)
-    else:
-        decode, objective = _BUILDERS[config.kind](builder, inst)
+    decode, objective, cuts = _BUILDERS[config.kind](
+        builder, inst, lazy=config.solver_cmd is None
+    )
     size = (builder.var_count, len(builder.clauses))
-    fn = solve_fn_for(config)
+    # every probe meets the cuts, maximize's too
+    fn = functools.partial(solve_fn_for(config), cuts=cuts)
     optimum = None
     if objective is None:
-        if cuts is None:
-            outcome = fn(builder.clauses, builder.var_count)()
-        else:
-            outcome = solve_lazily(builder.clauses, builder.var_count, cuts, config.timeout)
+        outcome = fn(builder.clauses, builder.var_count)()
         status, model, reason = outcome.status, outcome.model, outcome.reason
     else:
         result = maximize(builder.clauses, builder.var_count, objective, solve_fn=fn, lo=1)
@@ -396,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get(DEFAULT_SOLVER_ENV),
         help=f"external solver command (default: ${DEFAULT_SOLVER_ENV} or internal)",
     )
-    solving.add_argument("--timeout", type=float, default=300.0, help="time budget in seconds per solver call")
+    solving.add_argument("--timeout", type=float, default=300.0, help="time budget in seconds per solver probe")
 
     p = sub.add_parser("solve", parents=[kind, solving], help="solve an instance and verify the solution")
     p.add_argument("instance")

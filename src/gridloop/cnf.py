@@ -142,17 +142,6 @@ class CnfBuilder:
         self.add_clause([-g] + list(lits))
         return g
 
-    def gate_implies(self, a: Lit, b: Lit) -> Lit:
-        return self.gate_or([-a, b])
-
-    def gate_iff(self, a: Lit, b: Lit) -> Lit:
-        g = self.new_var()
-        self.add_clause([-g, -a, b])
-        self.add_clause([-g, a, -b])
-        self.add_clause([g, a, b])
-        self.add_clause([g, -a, -b])
-        return g
-
     def gate_xor(self, a: Lit, b: Lit) -> Lit:
         g = self.new_var()
         self.add_clause([-g, a, b])

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
-from .cnf import BitVec, CnfBuilder, Lit, UnaryCount, distance_width
+from .cnf import BitVec, CnfBuilder, Lit, distance_width
 
 
 @dataclass
@@ -133,8 +133,7 @@ def hcp(
 
     A single in-vertex with no active edges counts as a (degenerate) cycle.
     The empty subgraph is forbidden unless ``allow_empty`` (used by
-    ``subcircuit``).  No counter over the in-literals is built; ``hcp_k``
-    adds one.
+    ``subcircuit``).  No counter over the in-literals is built.
 
     Every in-vertex but the start has exactly one active out-edge and one
     active in-edge; the start has at most one of each and no degree clause.
@@ -181,24 +180,6 @@ def hcp(
         builder.bitvec_successor(dist[i], dist[j], e.lit, -starts[j])
 
 
-def _fixed_count(builder: CnfBuilder, vs: Sequence[VertexSpec], k: int) -> UnaryCount:
-    """Totalizer over the in-literals, fixed to exactly ``k``."""
-    count = builder.unary_count([v.in_lit for v in vs])
-    builder.fix_count(count, k)
-    return count
-
-
-def hcp_k(
-    builder: CnfBuilder,
-    vs: Sequence[VertexSpec],
-    es: Sequence[EdgeSpec],
-    k: int,
-) -> UnaryCount:
-    """``hcp`` with exactly ``k`` in-vertices; returns the unary counter."""
-    hcp(builder, vs, es)
-    return _fixed_count(builder, vs, k)
-
-
 def grid_graph_edges(builder: CnfBuilder, grid: GridVars) -> list[EdgeSpec]:
     """Directed edges between orthogonally adjacent cells, in row-major,
     direction-stable order (per cell: up, down, left, right)."""
@@ -222,13 +203,6 @@ def hcp_grid(builder: CnfBuilder, grid: GridVars) -> list[EdgeSpec]:
     return edges
 
 
-def hcp_grid_k(builder: CnfBuilder, grid: GridVars, k: int) -> tuple[list[EdgeSpec], UnaryCount]:
-    """``hcp_grid`` with exactly ``k`` cells on the cycle; returns (edge list,
-    cell counter)."""
-    edges = grid_graph_edges(builder, grid)
-    return edges, hcp_k(builder, _grid_vertices(grid), edges, k)
-
-
 def scc(
     builder: CnfBuilder,
     vs: Sequence[VertexSpec],
@@ -237,7 +211,7 @@ def scc(
     """Constrain the in-vertices with active undirected edges to form one
     connected component.  Each EdgeSpec is one undirected edge; the reverse
     orientation shares its literal.  The empty subgraph is accepted.  No
-    counter over the in-literals is built; ``scc_k`` adds one.
+    counter over the in-literals is built.
 
     Every in-vertex but the root selects a parent over an active edge, and
     its label is its parent's plus one (overflow banned).  Labels strictly
@@ -276,12 +250,6 @@ def scc(
             builder.at_most_one(parents)
 
 
-def scc_k(builder: CnfBuilder, vs, es, k: int) -> UnaryCount:
-    """``scc`` with exactly ``k`` in-vertices; returns the unary counter."""
-    scc(builder, vs, es)
-    return _fixed_count(builder, vs, k)
-
-
 def scc_grid(builder: CnfBuilder, grid: GridVars) -> None:
     """scc over the grid cells, with one undirected edge literal per
     orthogonally adjacent pair, defined as the conjunction of the two cells."""
@@ -294,12 +262,6 @@ def scc_grid(builder: CnfBuilder, grid: GridVars) -> None:
                 builder.add_clause([g, -a, -grid.cells[(r2, c2)]])
                 es.append(EdgeSpec((r, c), (r2, c2), g))
     scc(builder, _grid_vertices(grid), es)
-
-
-def scc_grid_k(builder: CnfBuilder, grid: GridVars, k: int) -> UnaryCount:
-    """``scc_grid`` with exactly ``k`` cells in; returns the cell counter."""
-    scc_grid(builder, grid)
-    return _fixed_count(builder, _grid_vertices(grid), k)
 
 
 Adjacency = Mapping[Hashable, Sequence[tuple[Hashable, Lit]]]

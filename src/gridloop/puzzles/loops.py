@@ -10,6 +10,7 @@ from typing import Callable, Sequence
 
 from ..cnf import CnfBuilder, Lit
 from ..graph import EdgeSpec, GridVars, hcp_grid, make_grid
+from ..solver import Cuts
 
 Cell = tuple[int, int]
 
@@ -53,34 +54,33 @@ def constrain_paths(
     builder.add_clause(choices)
 
 
-# cuts(assignment) -> clauses that exclude the model, none if it is one loop
-Cuts = Callable[[dict[int, bool]], list[list[Lit]]]
-
-
 def build_loop(
     builder: CnfBuilder,
     n: int,
     circles: Sequence[tuple[int, int, Sequence[Sequence[Cell]]]],
     lazy: bool = False,
-) -> tuple[Callable[[dict[int, bool]], LoopSolution], Cuts | None]:
+) -> tuple[Callable[[dict[int, bool]], LoopSolution], None, Cuts | None]:
     """One closed loop on the n x n grid through every circle ``(r, c,
     shapes)``, passing it along one of its path shapes.  Returns (decode,
-    cuts): ``decode(assignment)`` reads the loop back.
+    None, cuts): ``decode(assignment)`` reads the loop back, and there is no
+    objective.
 
     The eager model (``hcp`` over directed edges) is complete on its own, and
     ``cuts`` is None.  With ``lazy`` and at least one circle, the lazy model
     is built instead (see ``_lazy_loop``): it admits every set of disjoint
     cycles, and ``cuts(assignment)`` gives the clauses that exclude a model
-    of two or more cycles, or no clause for a model of one cycle."""
+    of two or more cycles, or no clause for a model of one cycle.  This is
+    the only place that decides which model a loop puzzle gets."""
     grid = make_grid(builder, n, n)
     if lazy and circles:
-        return _lazy_loop(builder, grid, circles)
+        decode, cuts = _lazy_loop(builder, grid, circles)
+        return decode, None, cuts
     edges = hcp_grid(builder, grid)
     emap = edge_map(edges)
     for r, c, shapes in circles:
         builder.add_clause([grid.cell(r, c)])
         constrain_paths(builder, emap, n, n, shapes)
-    return (lambda assignment: decode_loop(assignment, grid, edges)), None
+    return (lambda assignment: decode_loop(assignment, grid, edges)), None, None
 
 
 def _lazy_loop(

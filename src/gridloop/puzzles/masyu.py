@@ -69,7 +69,8 @@ def black_shapes(r: int, c: int) -> list[list[tuple[int, int]]]:
 
 
 def build_masyu(builder: CnfBuilder, inst: MasyuInstance, lazy: bool = False):
-    """Returns (decode, cuts); see ``build_loop``, which ``lazy`` is passed to."""
+    """Returns (decode, None, cuts); see ``build_loop``, which ``lazy`` is
+    passed to."""
     shapes = {WHITE: white_shapes, BLACK: black_shapes}
     circles = [
         (r, c, shapes[inst.at(r, c)](r, c))

@@ -95,10 +95,12 @@ def quadrantal_neighbors(inst: RoadrunnerInstance, x: int, y: int) -> list[Pos]:
 
 
 def build_roadrunner(
-    builder: CnfBuilder, inst: RoadrunnerInstance
-) -> tuple[Callable[[dict[int, bool]], RoadrunnerSolution], UnaryCount]:
-    """Returns (decode, road counter): ``decode(assignment)`` reads lasers
-    and road back; the counter is the objective to maximize.
+    builder: CnfBuilder, inst: RoadrunnerInstance, lazy: bool = False
+) -> tuple[Callable[[dict[int, bool]], RoadrunnerSolution], UnaryCount, None]:
+    """Returns (decode, road counter, None): ``decode(assignment)`` reads
+    lasers and road back; the counter is the objective to maximize.  Road
+    Runner has no lazy model yet, so ``lazy`` is ignored and the formula is
+    complete: no cuts.
 
     Road cells are the exact complement of laser-covered cells (full
     biconditional), and they must form a cycle of length >= 1.
@@ -150,7 +152,7 @@ def build_roadrunner(
         builder.add_clause([])  # all hills: no road
     # an all-hill board still gets a counter to bound, over constant false
     count = builder.unary_count(list(road.cells.values()) or [builder.FALSE])
-    return (lambda assignment: decode_roadrunner(assignment, inst, laser, road)), count
+    return (lambda assignment: decode_roadrunner(assignment, inst, laser, road)), count, None
 
 
 @dataclass

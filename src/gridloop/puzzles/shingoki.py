@@ -96,7 +96,8 @@ def black_shingoki_shapes(r: int, c: int, clue: int) -> list[list[tuple[int, int
 
 
 def build_shingoki(builder: CnfBuilder, inst: ShingokiInstance, lazy: bool = False):
-    """Returns (decode, cuts); see ``build_loop``, which ``lazy`` is passed to."""
+    """Returns (decode, None, cuts); see ``build_loop``, which ``lazy`` is
+    passed to."""
     shapes = {"w": white_shingoki_shapes, "b": black_shingoki_shapes}
     circles = [
         (r, c, shapes[mark[0]](r, c, mark[1]))

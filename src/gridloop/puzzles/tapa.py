@@ -151,10 +151,11 @@ def _compositions(total: int, parts: int):
 
 
 def build_tapa(
-    builder: CnfBuilder, inst: TapaInstance
-) -> tuple[Callable[[dict[int, bool]], ColoringSolution], None]:
-    """Returns (decode, None): ``decode(assignment)`` reads the coloring back;
-    there is no objective."""
+    builder: CnfBuilder, inst: TapaInstance, lazy: bool = False
+) -> tuple[Callable[[dict[int, bool]], ColoringSolution], None, None]:
+    """Returns (decode, None, None): ``decode(assignment)`` reads the coloring
+    back; there is no objective.  Tapa has no lazy model yet, so ``lazy`` is
+    ignored and the formula is complete: no cuts."""
     # clue cells are white: only the other cells get a literal
     grid = GridVars(
         inst.n,
@@ -193,7 +194,7 @@ def build_tapa(
             choices.append(builder.gate_and(lits))
         else:
             builder.add_clause(choices)  # empty if no layout fits: infeasible
-    return (lambda assignment: decode_coloring(assignment, grid)), None
+    return (lambda assignment: decode_coloring(assignment, grid)), None, None
 
 
 def decode_coloring(assignment: dict[int, bool], grid: GridVars) -> ColoringSolution:

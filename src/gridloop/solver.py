@@ -14,16 +14,17 @@ Sorensson, "Temporal Induction by Incremental SAT Solving", 2003): one
 (literals taken as true for that call only).  Level-0 units, learnt clauses,
 activities and saved phases carry over from call to call; the conflict
 budget, the deadline and the stats are per call.  Between calls,
-``add_clauses`` adds clauses; ``solve_lazily`` uses it to solve a formula
-whose clauses are generated from the models found (lazy cuts).
+``add_clauses`` adds clauses.
 
 A solve function (``SolveFn``) opens a probe on a formula, and each probe
 call solves that formula under the assumptions it is given.  The internal
 one (``internal_solve_fn``) keeps one ``_Solver`` per opened formula, so
-probes share its learnt clauses.  The external driver runs one process per
-probe: it writes DIMACS with the assumptions as unit clauses, runs a solver
-command, parses SAT-competition output ("s SATISFIABLE" / "s UNSATISFIABLE",
-"v " value lines) and re-verifies any claimed model before returning it.
+probes share its learnt clauses.  It also takes lazy cuts: clauses generated
+from the models found, added until a model needs none.  The external driver
+runs one process per probe: it writes DIMACS with the assumptions as unit
+clauses, runs a solver command, parses SAT-competition output
+("s SATISFIABLE" / "s UNSATISFIABLE", "v " value lines) and re-verifies any
+claimed model before returning it.
 """
 from __future__ import annotations
 
@@ -66,10 +67,12 @@ class SolveOutcome:
         return self.status == "unsat"
 
 
+# cuts(assignment) -> clauses that the model breaks, none if it is accepted
+Cuts = Callable[[dict[int, bool]], list[list[Lit]]]
 # A probe solves one formula under the assumptions it is given.
 Probe = Callable[[Sequence[Lit]], SolveOutcome]
-# A solve function opens a probe on the formula (clauses, nvars).
-SolveFn = Callable[[Sequence[Sequence[Lit]], int], Probe]
+# A solve function opens a probe on the formula (clauses, nvars, cuts=None).
+SolveFn = Callable[..., Probe]
 
 
 def check_model(clauses: Sequence[Sequence[Lit]], model: Model) -> bool:
@@ -481,50 +484,39 @@ def solve_internal(
     return outcome
 
 
-def solve_lazily(
-    clauses: Sequence[Sequence[Lit]],
-    nvars: int,
-    cuts: Callable[[dict[int, bool]], list[list[Lit]]],
-    timeout: float | None = None,
-) -> SolveOutcome:
-    """Solve ``clauses`` plus the cuts that each model calls for, round by
-    round: every SAT round asks ``cuts(assignment)`` for clauses that the
-    model breaks, and the first model that calls for none is the outcome.
-    Each cut must keep every model the caller accepts, so an unsat round
-    makes the formula unsat.
-
-    One ``_Solver`` serves every round and takes the cuts with
-    ``add_clauses``, so learnt clauses carry over.  Each round is one
-    ``solve_internal`` call, which checks its model against ``clauses`` and
-    the cuts so far; ``timeout`` is one wall-clock budget for all rounds.
-    """
-    deadline = None if timeout is None else time.monotonic() + timeout
-    solver = _Solver(clauses, nvars)
-    clauses = list(clauses)
-    while True:
-        left = None if deadline is None else deadline - time.monotonic()
-        outcome = solve_internal(clauses, nvars, timeout=left, solver=solver)
-        if not outcome.is_sat:
-            return outcome
-        new = cuts(outcome.model.assignment)
-        if not new:
-            return outcome
-        solver.add_clauses(new)
-        clauses.extend(new)
-
-
 def internal_solve_fn(timeout: float | None = None) -> SolveFn:
-    """Open one internal solver per formula.  Each probe is one
-    ``solve_internal`` call on it, bounded by ``timeout``, so learnt clauses,
-    activities and saved phases carry over from probe to probe."""
+    """Open one internal solver per formula, so that learnt clauses,
+    activities and saved phases carry over from probe to probe.
 
-    def open_solver(clauses, nvars):
+    A probe solves round by round under its assumptions: while a model
+    calls for ``cuts(assignment)``, they are added with ``add_clauses`` and
+    the formula is solved again, and the first model that calls for none
+    (or any model, without ``cuts``) is the outcome.  Each cut must keep
+    every model the caller accepts, so an unsat round is the probe's answer
+    and the cuts stay for later probes.  Each round is one ``solve_internal``
+    call, which checks its model against the clauses and the cuts so far;
+    ``timeout`` is one wall-clock budget for all the rounds of a probe.
+    """
+
+    def open_solver(clauses, nvars, cuts: Cuts | None = None):
         solver = _Solver(clauses, nvars)
+        if cuts is not None:
+            clauses = list(clauses)  # grows by the cuts
 
         def probe(assumptions=()):
-            return solve_internal(
-                clauses, nvars, timeout=timeout, assumptions=assumptions, solver=solver
-            )
+            deadline = None if timeout is None else time.monotonic() + timeout
+            while True:
+                left = None if deadline is None else deadline - time.monotonic()
+                outcome = solve_internal(
+                    clauses, nvars, timeout=left, assumptions=assumptions, solver=solver
+                )
+                if cuts is None or not outcome.is_sat:
+                    return outcome
+                new = cuts(outcome.model.assignment)
+                if not new:
+                    return outcome
+                solver.add_clauses(new)
+                clauses.extend(new)
 
         return probe
 
@@ -599,9 +591,13 @@ def solve_external(
 
 def external_solve_fn(solver_cmd: Sequence[str], timeout: float | None = None) -> SolveFn:
     """Open an external solver on a formula: each probe runs ``solver_cmd``
-    once, bounded by ``timeout``, on the clauses plus the assumptions."""
+    once, bounded by ``timeout``, on the clauses plus the assumptions.  It
+    takes the complete formula, so it refuses cuts."""
 
-    def open_solver(clauses, nvars):
+    def open_solver(clauses, nvars, cuts: Cuts | None = None):
+        if cuts is not None:
+            raise ValueError("an external solver takes a complete formula, not cuts")
+
         def probe(assumptions=()):
             return solve_external(
                 solver_cmd, clauses, nvars, timeout=timeout, assumptions=assumptions

@@ -26,7 +26,7 @@ from gridloop import (
     solve_internal,
 )
 from gridloop.cnf import lit_value
-from gridloop.solver import DEFAULT_SOLVER_ENV, external_solve_fn, solve_lazily
+from gridloop.solver import DEFAULT_SOLVER_ENV, external_solve_fn, internal_solve_fn
 from gridloop.puzzles import (
     LoopSolution,
     build_masyu,
@@ -262,11 +262,8 @@ def test_criterion_5_corpus_regression(capsys):
         inst = parse(read(path))
         for lazy in (False, True):
             b = CnfBuilder()
-            decode, cuts = build(b, inst, lazy=lazy)
-            if lazy:
-                out = solve_lazily(b.clauses, b.var_count, cuts)
-            else:
-                out = solve_internal(b.clauses, b.var_count)
+            decode, _, cuts = build(b, inst, lazy=lazy)
+            out = internal_solve_fn()(b.clauses, b.var_count, cuts)()
             assert out.is_sat, (path, lazy)
             sol = decode(out.model.assignment)
             assert verify(inst, sol) is None, (path, lazy)
@@ -283,7 +280,7 @@ def test_criterion_5_corpus_regression(capsys):
     for path in corpus("tapa_*.tapa"):
         inst = parse_tapa(read(path))
         b = CnfBuilder()
-        decode, _ = build_tapa(b, inst)
+        decode, _, _ = build_tapa(b, inst)
         out = solve_internal(b.clauses, b.var_count)
         assert out.is_sat, path
         sol = decode(out.model.assignment)
@@ -299,7 +296,7 @@ def test_criterion_5_corpus_regression(capsys):
     for path in corpus("roadrunner_*.roadrunner"):
         inst = parse_roadrunner(read(path))
         b = CnfBuilder()
-        decode, count = build_roadrunner(b, inst)
+        decode, count, _ = build_roadrunner(b, inst)
         res = maximize(b.clauses, b.var_count, count, lo=1)
         assert res.status == "optimal", path
         sol = decode(res.best_model.assignment)
@@ -334,7 +331,7 @@ def test_criterion_6_roadrunner_optimality(capsys):
         if inst.max_x > 4 or inst.max_y > 4:
             continue
         b = CnfBuilder()
-        _, count = build_roadrunner(b, inst)
+        _, count, _ = build_roadrunner(b, inst)
         res = maximize(b.clauses, b.var_count, count, lo=1)
         want = rr_optimum(inst)
         checked += 1
@@ -415,14 +412,14 @@ def test_criterion_8_soft_large_masyu(capsys):
     path = os.path.join(INSTANCES, "masyu_30x30.masyu")
     inst = parse_masyu(read(path))
     b = CnfBuilder()
-    decode, cuts = build_masyu(b, inst, lazy=not cmd)
+    decode, _, cuts = build_masyu(b, inst, lazy=not cmd)
     start = time.monotonic()
     if cmd:
         how = "externally"
         out = external_solve_fn(cmd.split(), timeout=120)(b.clauses, b.var_count)()
     else:
         how = "by the internal solver with lazy cuts"
-        out = solve_lazily(b.clauses, b.var_count, cuts, timeout=120)
+        out = internal_solve_fn(timeout=120)(b.clauses, b.var_count, cuts)()
     elapsed = time.monotonic() - start
     if out.is_sat and elapsed <= 120:
         sol = decode(out.model.assignment)

@@ -7,16 +7,20 @@ import sys
 
 import pytest
 
-from gridloop import parse_dimacs, solve_internal
-from gridloop.puzzles import parse_roadrunner, parse_tapa
+from gridloop import CnfBuilder, parse_dimacs, solve_internal
+from gridloop.puzzles import build_masyu, parse_masyu, parse_roadrunner, parse_tapa
 from gridloop.cli import (
+    _BUILDERS,
+    _PARSERS,
     EXIT_INFEASIBLE,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_REJECT,
     EXIT_UNKNOWN,
+    RunConfig,
     infer_kind,
     main,
+    run,
 )
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
@@ -194,6 +198,46 @@ def test_encode_repeats_no_clause(name, tmp_path, capsys):
     assert main(["encode", inst_path(name), "-o", str(cnf)]) == EXIT_OK
     _, clauses = parse_dimacs(cnf.read_text())
     assert len({frozenset(cl) for cl in clauses}) == len(clauses)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(INSTANCES)))
+def test_builders_share_one_contract(name, tmp_path, capsys):
+    # every builder returns (decode, objective, cuts); only the lazy loop
+    # model has cuts, and it needs a circle on the board
+    kind = infer_kind(name, None)
+    with open(inst_path(name)) as f:
+        inst = _PARSERS[kind](f.read())
+    cnf = tmp_path / "f.cnf"
+    assert main(["encode", inst_path(name), "-o", str(cnf)]) == EXIT_OK
+    _, encoded = parse_dimacs(cnf.read_text())
+    has_circle = kind in ("masyu", "shingoki") and any(
+        cell not in (".", None) for row in inst.board for cell in row
+    )
+    for lazy in (False, True):
+        b = CnfBuilder()
+        out = _BUILDERS[kind](b, inst, lazy=lazy)
+        assert isinstance(out, tuple) and len(out) == 3
+        decode, objective, cuts = out
+        assert callable(decode)
+        assert (objective is None) == (kind != "roadrunner")
+        if lazy:
+            assert (cuts is not None) == has_circle
+        else:
+            assert cuts is None and b.clauses == encoded
+
+
+@pytest.mark.parametrize("external", [False, True], ids=["internal", "external"])
+def test_run_takes_the_lazy_model_on_the_internal_solver_only(external):
+    # run() reports the size of the formula it solved
+    path = inst_path("masyu_4x4.masyu")
+    with open(path) as f:
+        inst = parse_masyu(f.read())
+    cmd = [sys.executable, "-m", "gridloop.dimacs_solver"] if external else None
+    result = run(RunConfig("masyu", path, cmd, 60.0), inst)
+    b = CnfBuilder()
+    build_masyu(b, inst, lazy=not external)
+    assert result.status == "verified"
+    assert (result.vars, result.clauses) == (b.var_count, len(b.clauses))
 
 
 @pytest.mark.parametrize(

@@ -83,12 +83,8 @@ def test_gate_or_truth_table(n):
 def test_binary_gates_truth_tables():
     b = CnfBuilder()
     x, y = b.new_var(), b.new_var()
-    gi = b.gate_implies(x, y)
-    ge = b.gate_iff(x, y)
     gx = b.gate_xor(x, y)
     for m in all_models(b.clauses, b.var_count):
-        assert m[gi] == ((not m[x]) or m[y])
-        assert m[ge] == (m[x] == m[y])
         assert m[gx] == (m[x] != m[y])
 
 
@@ -97,14 +93,6 @@ def test_gate_and_single_literal_identity():
     a = b.new_var()
     assert b.gate_and([a]) == a
     assert b.gate_or([a]) == a
-
-
-def test_gate_iff_self_forced_true():
-    b = CnfBuilder()
-    a = b.new_var()
-    g = b.gate_iff(a, a)
-    for m in all_models(b.clauses, b.var_count):
-        assert m[g]
 
 
 def test_exactly_one_small_clauses():

@@ -13,13 +13,9 @@ from gridloop import (
     circuit,
     hcp,
     hcp_grid,
-    hcp_grid_k,
-    hcp_k,
     make_grid,
     scc,
     scc_grid,
-    scc_grid_k,
-    scc_k,
     solve_internal,
     subcircuit,
 )
@@ -181,35 +177,6 @@ def test_hcp_random_digraphs_vs_oracle(allow_empty):
             assert got == want, edges
 
 
-def test_hcp_k():
-    b = CnfBuilder()
-    vs, es = complete_digraph(b, 3)
-    count = hcp_k(b, vs, es, 2)
-    out = solve_internal(b.clauses, b.var_count)
-    assert out.is_sat
-    assert sum(1 for v in vs if out.model[v.in_lit]) == 2
-    assert count.value(out.model.assignment) == 2
-
-
-def test_hcp_k_zero_unsat():
-    b = CnfBuilder()
-    vs, es = complete_digraph(b, 3)
-    hcp_k(b, vs, es, 0)
-    assert solve_internal(b.clauses, b.var_count).is_unsat
-
-
-def test_hcp_k_full_missing_edge_unsat():
-    # 4-vertex digraph whose only Hamiltonian cycle needs edge 3->0; drop it
-    b = CnfBuilder()
-    vs = [VertexSpec(i, b.new_var()) for i in range(4)]
-    es = [
-        EdgeSpec(src, dst, b.new_var())
-        for src, dst in [(0, 1), (1, 2), (2, 3), (3, 2), (2, 1), (1, 0)]
-    ]
-    hcp_k(b, vs, es, 4)
-    assert solve_internal(b.clauses, b.var_count).is_unsat
-
-
 def test_hcp_rejects_bad_input():
     b = CnfBuilder()
     v1, v2 = VertexSpec(1, b.new_var()), VertexSpec(2, b.new_var())
@@ -254,15 +221,6 @@ def test_hcp_grid_1x3_unsat():
     for r, c in grid_cells(1, 3):
         b.add_clause([grid.cell(r, c)])
     assert solve_internal(b.clauses, b.var_count).is_unsat
-
-
-def test_hcp_grid_k():
-    b = CnfBuilder()
-    grid = make_grid(b, 3, 3)
-    _, count = hcp_grid_k(b, grid, 8)
-    out = solve_internal(b.clauses, b.var_count)
-    assert out.is_sat
-    assert count.value(out.model.assignment) == 8
 
 
 def test_hcp_grid_edge_order_deterministic():
@@ -342,16 +300,6 @@ def test_scc_random_graphs_vs_oracle():
                 assert got == connected_in_graph(subset, edges), (edges, subset)
 
 
-def test_scc_k():
-    b = CnfBuilder()
-    vs = [VertexSpec(i, b.new_var()) for i in range(4)]
-    es = [EdgeSpec(i, i + 1, b.new_var()) for i in range(3)]
-    count = scc_k(b, vs, es, 3)
-    out = solve_internal(b.clauses, b.var_count)
-    assert out.is_sat
-    assert count.value(out.model.assignment) == 3
-
-
 # -- scc_grid -------------------------------------------------------------
 
 def test_scc_grid_diagonal_unsat():
@@ -377,15 +325,6 @@ def test_scc_grid_single_cell_sat():
 
 def test_scc_grid_exhaustive_2x3():
     check_grid_with_holes(2, 3, scc_grid, orthogonally_connected)
-
-
-def test_scc_grid_k():
-    b = CnfBuilder()
-    grid = make_grid(b, 2, 2)
-    count = scc_grid_k(b, grid, 3)
-    out = solve_internal(b.clauses, b.var_count)
-    assert out.is_sat
-    assert count.value(out.model.assignment) == 3
 
 
 @pytest.mark.parametrize("encode", [hcp_grid, scc_grid])

@@ -16,7 +16,7 @@ from gridloop.puzzles import (
     verify_masyu,
     verify_shingoki,
 )
-from gridloop.solver import solve_lazily
+from gridloop.solver import internal_solve_fn
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
 KINDS = {
@@ -33,8 +33,8 @@ def statuses(kind, text):
     build(b, inst)
     eager = solve_internal(b.clauses, b.var_count).status
     b = CnfBuilder()
-    decode, cuts = build(b, inst, lazy=True)
-    out = solve_lazily(b.clauses, b.var_count, cuts)
+    decode, _, cuts = build(b, inst, lazy=True)
+    out = internal_solve_fn()(b.clauses, b.var_count, cuts)()
     if out.is_sat:
         assert verify(inst, decode(out.model.assignment)) is None, text
     return eager, out.status
@@ -95,7 +95,7 @@ def test_board_with_no_circle_builds_the_eager_model():
     inst = parse_masyu("3\n...\n...\n...\n")
     eager, lazy = CnfBuilder(), CnfBuilder()
     build_masyu(eager, inst)
-    _, cuts = build_masyu(lazy, inst, lazy=True)
+    _, _, cuts = build_masyu(lazy, inst, lazy=True)
     assert cuts is None and lazy.clauses == eager.clauses
 
 
@@ -118,7 +118,7 @@ def test_cut_rules():
     # a cycle holding every circle gets no cut, one holding none gets
     # "not all of its active edges", in row-major edge order
     b = CnfBuilder()
-    decode, cuts = build_masyu(b, parse_masyu("4\nb...\n....\n....\n....\n"), lazy=True)
+    decode, _, cuts = build_masyu(b, parse_masyu("4\nb...\n....\n....\n....\n"), lazy=True)
     assignment = two_squares(b)
     square = edges(b, "edge_3_3_4_3", "edge_3_3_3_4", "edge_3_4_4_4", "edge_4_3_4_4")
     assert cuts(assignment) == [[-e for e in square]]
@@ -126,7 +126,7 @@ def test_cut_rules():
         decode(assignment)
     # with a circle in each cycle, each gets "some edge across my boundary"
     b = CnfBuilder()
-    _, cuts = build_masyu(b, parse_masyu("4\nb...\n....\n....\n...b\n"), lazy=True)
+    _, _, cuts = build_masyu(b, parse_masyu("4\nb...\n....\n....\n...b\n"), lazy=True)
     assert cuts(two_squares(b)) == [
         edges(b, "edge_1_2_1_3", "edge_2_1_3_1", "edge_2_2_3_2", "edge_2_2_2_3"),
         edges(b, "edge_2_3_3_3", "edge_2_4_3_4", "edge_3_2_3_3", "edge_4_2_4_3"),

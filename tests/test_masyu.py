@@ -63,7 +63,7 @@ def test_border_loop_instance():
     text = "4\nb.w.\n....\n....\n.w.b\n"
     inst = parse_masyu(text)
     b = CnfBuilder()
-    decode, _ = build_masyu(b, inst)
+    decode, _, _ = build_masyu(b, inst)
     out = solve_internal(b.clauses, b.var_count)
     assert out.is_sat
     sol = decode(out.model.assignment)
@@ -127,7 +127,7 @@ def test_check_cycle_shape_bounds():
 def test_decode_loop_roundtrip():
     b = CnfBuilder()
     inst = parse_masyu("4\n.w..\n....\n....\n....\n")
-    decode, _ = build_masyu(b, inst)
+    decode, _, _ = build_masyu(b, inst)
     out = solve_internal(b.clauses, b.var_count)
     assert out.is_sat
     sol = decode(out.model.assignment)

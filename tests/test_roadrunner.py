@@ -71,7 +71,7 @@ def test_quadrantal_neighbors():
 def solve_instance(text):
     inst = parse_roadrunner(text)
     b = CnfBuilder()
-    decode, count = build_roadrunner(b, inst)
+    decode, count, _ = build_roadrunner(b, inst)
     res = maximize(b.clauses, b.var_count, count, lo=1)
     return inst, decode, res
 
@@ -88,7 +88,7 @@ def test_2x2_open_optimum_4():
 def test_all_hill_infeasible():
     inst = parse_roadrunner("2 2\n##\n##\n")
     b = CnfBuilder()
-    _, count = build_roadrunner(b, inst)
+    _, count, _ = build_roadrunner(b, inst)
     res = maximize(b.clauses, b.var_count, count, lo=1)
     assert res.status == "infeasible"
 
@@ -105,7 +105,7 @@ def test_unmeetable_clue_maximize_infeasible():
     # the clue's empty clause is in the clause list that maximize reads
     inst = parse_roadrunner("3 1\n.4.\n")
     b = CnfBuilder()
-    _, count = build_roadrunner(b, inst)
+    _, count, _ = build_roadrunner(b, inst)
     assert maximize(b.clauses, b.var_count, count, lo=1).status == "infeasible"
 
 
@@ -127,7 +127,7 @@ def test_maximize_internal_and_external_agree(name):
     # assumption; the external one runs a process per probe on unit clauses
     inst = parse_roadrunner(BOARDS[name])
     b = CnfBuilder()
-    _, count = build_roadrunner(b, inst)
+    _, count, _ = build_roadrunner(b, inst)
     internal = maximize(b.clauses, b.var_count, count, lo=1)
     external = maximize(
         b.clauses, b.var_count, count, lo=1,

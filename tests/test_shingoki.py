@@ -57,7 +57,7 @@ def test_solve_and_verify_small():
     # satisfied by the 4x4 border loop: w3 mid-edge, b6 corner
     inst = parse_shingoki("4\n. w3 . .\n. . . .\n. . . .\n. . . b6\n")
     b = CnfBuilder()
-    decode, _ = build_shingoki(b, inst)
+    decode, _, _ = build_shingoki(b, inst)
     out = solve_internal(b.clauses, b.var_count)
     assert out.is_sat
     sol = decode(out.model.assignment)

@@ -2,6 +2,7 @@
 import os
 import random
 import sys
+import time
 
 import pytest
 
@@ -18,7 +19,6 @@ from gridloop.solver import (
     _Solver,
     external_solve_fn,
     internal_solve_fn,
-    solve_lazily,
 )
 from gridloop import dimacs_solver
 
@@ -251,7 +251,7 @@ def test_add_clauses_agrees_with_a_fresh_solve():
     assert {("sat", "sat"), ("sat", "unsat")} <= seen
 
 
-def test_solve_lazily_adds_cuts_until_a_model_needs_none(monkeypatch):
+def test_probe_adds_cuts_until_a_model_needs_none(monkeypatch):
     # the first model sets x1 (the saved phase), and its cut -x1 sets every
     # variable false through the chain x4 -> x3 -> x2 -> x1
     clauses = [[1, -2], [2, -3], [3, -4], [-1, -4]]
@@ -269,15 +269,73 @@ def test_solve_lazily_adds_cuts_until_a_model_needs_none(monkeypatch):
         rounds.append(dict(assignment))
         return [[-1]] if assignment[1] else []
 
-    out = solve_lazily(clauses, 4, cuts)
+    out = internal_solve_fn()(clauses, 4, cuts)()
     assert out.is_sat and not any(out.model.assignment.values())
     assert len(rounds) == 2 and len(opened) == 1  # one solver for every round
     # a cut that contradicts the base clauses makes the whole formula unsat
-    assert solve_lazily([[1], [2]], 2, lambda a: [[-1, -2]]).is_unsat
+    assert internal_solve_fn()([[1], [2]], 2, lambda a: [[-1, -2]])().is_unsat
     # the time budget bounds the rounds
     clauses, sel = guarded_pigeonhole(6, 5)
-    out = solve_lazily(clauses, sel, lambda a: [] if a[sel] else [[sel]], timeout=1e-9)
+    probe = internal_solve_fn(timeout=1e-9)(clauses, sel, lambda a: [] if a[sel] else [[sel]])
+    out = probe()
     assert out.status == "unknown" and out.reason == "solver timeout"
+
+
+def test_a_later_probe_needs_no_recut():
+    # the first probe cuts x1 and x2, which then stay in the solver: the
+    # second probe's first model already satisfies them
+    rounds = []
+    added = []
+
+    def cuts(assignment):
+        rounds.append(dict(assignment))
+        new = [[-v] for v in (1, 2) if assignment[v]]
+        added.extend(new)
+        return new
+
+    probe = internal_solve_fn()([[1, 2, 3]], 3, cuts)
+    assert probe().is_sat and len(rounds) == 2 and added == [[-1], [-2]]
+    rounds.clear()
+    out = probe()
+    assert out.is_sat and len(rounds) == 1
+    assert check_model(added, out.model)
+
+
+def test_a_probe_meets_its_assumptions_and_the_cuts():
+    # the cuts allow at most one of x1..x4; the assumptions rule out x1, x2
+    def cuts(assignment):
+        on = [v for v in range(1, 5) if assignment[v]]
+        return [[-on[0], -v] for v in on[1:]]
+
+    probe = internal_solve_fn()([[1, 2, 3, 4]], 4, cuts)
+    out = probe([-1, -2])
+    assert out.is_sat and not out.model[1] and not out.model[2]
+    assert sum(out.model[v] for v in range(1, 5)) == 1
+    # unsat under assumptions, through a cut, leaves the formula sat
+    assert probe([3, 4]).is_unsat
+    assert probe().is_sat
+
+
+def test_the_rounds_of_a_probe_share_one_deadline(monkeypatch):
+    # each round is one call of the module-global solve_internal, given what
+    # is left of its probe's budget; a later probe starts a fresh budget
+    budgets = []
+
+    def recorded(*args, timeout=None, **kwargs):
+        budgets.append(timeout)
+        return solve_internal(*args, timeout=timeout, **kwargs)
+
+    monkeypatch.setattr("gridloop.solver.solve_internal", recorded)
+
+    def cuts(assignment):
+        time.sleep(0.02)
+        return [[-1]] if assignment[1] else []
+
+    probe = internal_solve_fn(timeout=60)([[1, -2], [2, -3]], 3, cuts)
+    assert probe().is_sat and len(budgets) == 2
+    assert 60 >= budgets[0] > budgets[1] + 0.015
+    assert probe().is_sat and len(budgets) == 3
+    assert budgets[2] > budgets[1] + 0.015
 
 
 def test_internal_solve_fn_probes_share_one_solver():
@@ -469,6 +527,12 @@ def test_external_solve_fn():
     probe = fn([[1, 2]], 2)
     assert probe([-1]).model[2]
     assert probe([-1, -2]).is_unsat
+
+
+def test_external_solve_fn_refuses_cuts():
+    # an external solver takes the complete, eager formula
+    with pytest.raises(ValueError, match="cuts"):
+        external_solve_fn(BUNDLED)([[1]], 1, lambda assignment: [])
 
 
 def test_dimacs_solver_main(tmp_path, capsys):

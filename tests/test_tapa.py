@@ -99,7 +99,7 @@ def test_ring_runs_paper_pattern():
 def test_build_tapa_2x2_clue3():
     inst = parse_tapa("2\n3 .\n. .\n")
     b = CnfBuilder()
-    decode, _ = build_tapa(b, inst)
+    decode, _, _ = build_tapa(b, inst)
     out = solve_internal(b.clauses, b.var_count)
     assert out.is_sat
     sol = decode(out.model.assignment)
@@ -121,7 +121,7 @@ def test_solve_bundled_instance():
     with open(path) as f:
         inst = parse_tapa(f.read())
     b = CnfBuilder()
-    decode, _ = build_tapa(b, inst)
+    decode, _, _ = build_tapa(b, inst)
     out = solve_internal(b.clauses, b.var_count)
     assert out.is_sat
     assert verify_tapa(inst, decode(out.model.assignment)) is None
