@@ -7,13 +7,11 @@ from .graph import (
     EdgeSpec,
     GridVars,
     VertexSpec,
-    circuit,
     hcp,
     hcp_grid,
     make_grid,
     scc,
     scc_grid,
-    subcircuit,
 )
 from .optimize import OptimizeResult, maximize
 from .solver import (

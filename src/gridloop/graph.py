@@ -15,9 +15,8 @@ The step rule alone, overflow banned, bans sub-cycles and detached parts
 go round a cycle.  So labels carry no bound and the start's label is not
 pinned to 0; ``distance_width(n)`` bits leave room for a model's n - 1 steps.
 
-Plus the classical ``circuit`` / ``subcircuit`` constraints as reductions
-to ``hcp``, and grid variants that synthesize the orthogonal-adjacency
-edges of a cell grid.
+Plus grid variants that synthesize the orthogonal-adjacency edges of a cell
+grid.
 """
 from __future__ import annotations
 
@@ -100,16 +99,11 @@ def _start_chain(builder: CnfBuilder, in_lits: Sequence[Lit]) -> tuple[list[Lit]
     lowest-index in-vertex; seen_i iff some vertex among 0..i is in.
 
     Prefix-occupancy chain: seen_i <-> seen_{i-1} or in_i; start_i <-> in_i
-    and not seen_{i-1}.  Once seen_{i-1} is the constant true, as when every
-    in-literal is (``circuit``), the rest of the chain is constant too.
+    and not seen_{i-1}.
     """
     starts = [in_lits[0]]
     seen = [in_lits[0]]
     for in_i in in_lits[1:]:
-        if seen[-1] == builder.TRUE:
-            starts.append(builder.FALSE)
-            seen.append(builder.TRUE)
-            continue
         starts.append(builder.gate_and([in_i, -seen[-1]]))
         seen.append(builder.gate_or([seen[-1], in_i]))
     return starts, seen
@@ -122,18 +116,13 @@ def _distance_labels(builder: CnfBuilder, vs: Sequence[VertexSpec], prefix: str)
     return [builder.new_bitvec(width, f"{prefix}_{v.term}") for v in vs]
 
 
-def hcp(
-    builder: CnfBuilder,
-    vs: Sequence[VertexSpec],
-    es: Sequence[EdgeSpec],
-    allow_empty: bool = False,
-) -> None:
+def hcp(builder: CnfBuilder, vs: Sequence[VertexSpec], es: Sequence[EdgeSpec]) -> None:
     """Constrain the active edges to form a single directed cycle covering
     exactly the in-vertices.
 
     A single in-vertex with no active edges counts as a (degenerate) cycle.
-    The empty subgraph is forbidden unless ``allow_empty`` (used by
-    ``subcircuit``).  No counter over the in-literals is built.
+    The empty subgraph is forbidden.  No counter over the in-literals is
+    built.
 
     Every in-vertex but the start has exactly one active out-edge and one
     active in-edge; the start has at most one of each and no degree clause.
@@ -147,16 +136,13 @@ def hcp(
     n = len(vs)
     in_lits = [v.in_lit for v in vs]
 
-    # active edge -> both endpoints are in (nothing to say of an end that
-    # is always in)
+    # active edge -> both endpoints are in
     for e in es:
-        for end in (e.src, e.dst):
-            if in_lits[index[end]] != builder.TRUE:
-                builder.add_clause([-e.lit, in_lits[index[end]]])
+        builder.add_clause([-e.lit, in_lits[index[e.src]]])
+        builder.add_clause([-e.lit, in_lits[index[e.dst]]])
 
     starts, seen = _start_chain(builder, in_lits)
-    if not allow_empty and seen[-1] != builder.TRUE:
-        builder.add_clause([seen[-1]])
+    builder.add_clause([seen[-1]])
 
     # every in-vertex but the start: exactly one out-edge and one in-edge
     outgoing: list[list[Lit]] = [[] for _ in range(n)]
@@ -262,46 +248,3 @@ def scc_grid(builder: CnfBuilder, grid: GridVars) -> None:
                 builder.add_clause([g, -a, -grid.cells[(r2, c2)]])
                 es.append(EdgeSpec((r, c), (r2, c2), g))
     scc(builder, _grid_vertices(grid), es)
-
-
-Adjacency = Mapping[Hashable, Sequence[tuple[Hashable, Lit]]]
-
-
-def circuit(builder: CnfBuilder, adjacency: Adjacency) -> None:
-    """All vertices in; exactly one successor selected per vertex; the
-    selected edges must form a Hamiltonian cycle.  ``hcp`` already allows at
-    most one out-edge per vertex, so only the at-least-one clause is added
-    here."""
-    vs = [VertexSpec(t, builder.TRUE) for t in adjacency]
-    es = []
-    for t, cands in adjacency.items():
-        lits = []
-        for u, lit in cands:
-            if u == t:
-                raise ValueError(f"self-loop candidate on {t!r}")
-            es.append(EdgeSpec(t, u, lit))
-            lits.append(lit)
-        builder.add_clause(lits)  # no candidate: the empty clause
-    hcp(builder, vs, es)
-
-
-def subcircuit(builder: CnfBuilder, adjacency: Adjacency) -> dict[Hashable, Lit]:
-    """Each vertex either stays (not in the subgraph) or selects a successor;
-    the in-vertices must form a cycle.  The all-stay assignment (empty
-    subgraph) is accepted.  Returns the per-vertex stay literals.
-
-    Only "stay or some successor" is added here: ``hcp`` already allows at
-    most one out-edge per vertex, and an active edge puts its source in."""
-    stay = {t: builder.new_var(f"stay_{t}") for t in adjacency}
-    vs = [VertexSpec(t, -stay[t]) for t in adjacency]
-    es = []
-    for t, cands in adjacency.items():
-        lits = [stay[t]]
-        for u, lit in cands:
-            if u == t:
-                raise ValueError(f"self-loop candidate on {t!r}")
-            es.append(EdgeSpec(t, u, lit))
-            lits.append(lit)
-        builder.add_clause(lits)
-    hcp(builder, vs, es, allow_empty=True)
-    return stay

@@ -1,7 +1,7 @@
 """Shared machinery for loop puzzles: the one loop-puzzle encoding (a loop
 through circles, each passed along one of its path shapes) in an eager and a
-lazy model, edge maps, path-shape constraints, and model decoding into a
-closed cell cycle."""
+lazy model, edge maps, path-shape constraints, and ``decode_loop``, which
+reads a model of either model back into a closed cell cycle."""
 from __future__ import annotations
 
 import itertools
@@ -16,8 +16,12 @@ Cell = tuple[int, int]
 
 
 def edge_map(edges: Sequence[EdgeSpec]) -> dict[tuple[int, int, int, int], Lit]:
-    """Index directed grid edges by (r1, c1, r2, c2)."""
-    return {(e.src[0], e.src[1], e.dst[0], e.dst[1]): e.lit for e in edges}
+    """Index grid edges by (r1, c1, r2, c2).  An edge whose reverse is not
+    listed is undirected: both directions share its literal."""
+    emap = {(*e.src, *e.dst): e.lit for e in edges}
+    for e in edges:
+        emap.setdefault((*e.dst, *e.src), e.lit)
+    return emap
 
 
 def constrain_paths(
@@ -62,8 +66,8 @@ def build_loop(
 ) -> tuple[Callable[[dict[int, bool]], LoopSolution], None, Cuts | None]:
     """One closed loop on the n x n grid through every circle ``(r, c,
     shapes)``, passing it along one of its path shapes.  Returns (decode,
-    None, cuts): ``decode(assignment)`` reads the loop back, and there is no
-    objective.
+    None, cuts): ``decode(assignment)`` reads the loop back with
+    ``decode_loop``, and there is no objective.
 
     The eager model (``hcp`` over directed edges) is complete on its own, and
     ``cuts`` is None.  With ``lazy`` and at least one circle, the lazy model
@@ -73,21 +77,21 @@ def build_loop(
     the only place that decides which model a loop puzzle gets."""
     grid = make_grid(builder, n, n)
     if lazy and circles:
-        decode, cuts = _lazy_loop(builder, grid, circles)
-        return decode, None, cuts
-    edges = hcp_grid(builder, grid)
+        edges, cuts = _lazy_loop(builder, grid, circles)
+    else:
+        edges, cuts = hcp_grid(builder, grid), None
     emap = edge_map(edges)
     for r, c, shapes in circles:
         builder.add_clause([grid.cell(r, c)])
         constrain_paths(builder, emap, n, n, shapes)
-    return (lambda assignment: decode_loop(assignment, grid, edges)), None, None
+    return (lambda assignment: decode_loop(assignment, grid, edges)), None, cuts
 
 
 def _lazy_loop(
     builder: CnfBuilder,
     grid: GridVars,
     circles: Sequence[tuple[int, int, Sequence[Sequence[Cell]]]],
-) -> tuple[Callable[[dict[int, bool]], LoopSolution], Cuts]:
+) -> tuple[list[EdgeSpec], Cuts]:
     """The lazy model: one literal per undirected edge, an active edge puts
     both of its cells in, and every in-cell has exactly two active edges, so
     the active edges form disjoint cycles.  No distance label bans a second
@@ -102,16 +106,16 @@ def _lazy_loop(
 
     Both cuts keep every solution only because the board has a circle.
     Every model of two or more cycles gets at least one cut, and the cut is
-    false in that model.
+    false in that model.  Returns the edges, row-major as (up or left cell,
+    other), and the cuts.
     """
-    n = grid.rows
-    edges: dict[tuple[Cell, Cell], Lit] = {}  # row-major, (up or left cell, other)
+    edges: list[EdgeSpec] = []
     incident: dict[Cell, list[Lit]] = {rc: [] for rc in grid.cells}
     for (r, c), a in grid.cells.items():
         for b in ((r + 1, c), (r, c + 1)):
             if b in grid.cells:
                 e = builder.new_var(f"edge_{r}_{c}_{b[0]}_{b[1]}")
-                edges[((r, c), b)] = e
+                edges.append(EdgeSpec((r, c), b, e))
                 incident[(r, c)].append(e)
                 incident[b].append(e)
                 builder.add_clause([-e, a])
@@ -124,51 +128,40 @@ def _lazy_loop(
             builder.add_clause([-grid.cells[rc]] + lits[:i] + lits[i + 1 :])
         if not lits:
             builder.add_clause([-grid.cells[rc]])
-    emap = {}
-    for ((r1, c1), (r2, c2)), e in edges.items():
-        emap[(r1, c1, r2, c2)] = emap[(r2, c2, r1, c1)] = e
-    for r, c, shapes in circles:
-        builder.add_clause([grid.cell(r, c)])
-        constrain_paths(builder, emap, n, n, shapes)
     circle_cells = {(r, c) for r, c, _ in circles}
 
     def cuts(assignment: dict[int, bool]) -> list[list[Lit]]:
-        cycles = _cycles(grid, edges, assignment)
+        cycles = _cycles(assignment, grid, edges)
         if len(cycles) == 1:
             return []
         out = []
         for cycle in cycles:
             inside = set(cycle)
             if not inside & circle_cells:
-                out.append([-e for (a, _), e in edges.items() if a in inside and assignment[e]])
+                out.append([-e.lit for e in edges if e.src in inside and assignment[e.lit]])
             elif not circle_cells <= inside:
-                out.append([e for (a, b), e in edges.items() if (a in inside) != (b in inside)])
+                out.append([e.lit for e in edges if (e.src in inside) != (e.dst in inside)])
         return out
 
-    def decode(assignment: dict[int, bool]) -> LoopSolution:
-        cycles = _cycles(grid, edges, assignment)
-        if len(cycles) != 1:
-            raise RuntimeError(f"active edges form {len(cycles)} cycles, not one")
-        cycle = cycles[0]
-        directed = [
-            EdgeSpec(a, b, emap[(*a, *b)]) for a, b in zip(cycle, cycle[1:] + cycle[:1])
-        ]
-        return decode_loop(assignment, grid, directed)
-
-    return decode, cuts
+    return edges, cuts
 
 
 def _cycles(
-    grid: GridVars, edges: dict[tuple[Cell, Cell], Lit], assignment: dict[int, bool]
+    assignment: dict[int, bool], grid: GridVars, edges: Sequence[EdgeSpec]
 ) -> list[list[Cell]]:
-    """The cycles of the lazy model's active edges, each walked from its
-    first cell in row-major order, and listed in that order.  The model's
-    degree clauses give every cell none or two active edges."""
+    """The cycles of the active edges, read without their direction: each is
+    walked from its first cell in row-major order along that cell's first
+    active edge, and they are listed in that order.  Raises RuntimeError
+    unless every cell has none or two active edges; a directed 2-cycle, one
+    active edge each way, counts as two."""
     nbrs: dict[Cell, list[Cell]] = {}
-    for (a, b), e in edges.items():
-        if assignment[e]:
-            nbrs.setdefault(a, []).append(b)
-            nbrs.setdefault(b, []).append(a)
+    for e in edges:
+        if assignment[e.lit]:
+            nbrs.setdefault(e.src, []).append(e.dst)
+            nbrs.setdefault(e.dst, []).append(e.src)
+    for cell, ns in nbrs.items():
+        if len(ns) != 2:
+            raise RuntimeError(f"active-edge degree {len(ns)} at {cell}, not 0 or 2")
     cycles = []
     seen: set[Cell] = set()
     for start in grid.cells:
@@ -200,34 +193,18 @@ def decode_loop(
     grid: GridVars,
     edges: Sequence[EdgeSpec],
 ) -> LoopSolution:
-    """Follow active successor edges from the first in-cell; the walk must
-    close after visiting every in-cell exactly once."""
+    """The one loop of a model of either loop model: the cycle of active
+    edges (see ``_cycles``), which must pass exactly the in-cells, or a lone
+    in-cell with no active edge.  Raises RuntimeError otherwise."""
     in_cells = {rc for rc, lit in grid.cells.items() if assignment[lit]}
-    if not in_cells:
-        raise RuntimeError("no in-cells to decode")
-    succ: dict[Cell, Cell] = {}
-    for e in edges:
-        if assignment[e.lit]:
-            if e.src in succ:
-                raise RuntimeError(f"two active outgoing edges at {e.src}")
-            succ[e.src] = e.dst
-    start = min(in_cells)
-    if len(in_cells) == 1:
-        if succ:
-            raise RuntimeError("singleton solution has active edges")
-        return LoopSolution(in_cells, [start])
-    cycle = [start]
-    cur = succ.get(start)
-    while cur is not None and cur != start:
-        if cur in cycle and cur != start:
-            raise RuntimeError("decoded walk revisits a cell")
-        cycle.append(cur)
-        cur = succ.get(cur)
-    if cur != start:
-        raise RuntimeError("decoded walk does not close")
-    if set(cycle) != in_cells:
-        raise RuntimeError("decoded cycle does not cover all in-cells")
-    return LoopSolution(in_cells, cycle)
+    cycles = _cycles(assignment, grid, edges)
+    if not cycles and len(in_cells) == 1:
+        cycles = [list(in_cells)]
+    if len(cycles) != 1:
+        raise RuntimeError(f"active edges form {len(cycles)} cycles, not one")
+    if set(cycles[0]) != in_cells:
+        raise RuntimeError("decoded cycle does not pass exactly the in-cells")
+    return LoopSolution(in_cells, cycles[0])
 
 
 def check_cycle_shape(sol: LoopSolution, rows: int, cols: int) -> str | None:

@@ -217,7 +217,8 @@ def verify_roadrunner(inst: RoadrunnerInstance, sol: RoadrunnerSolution) -> str 
                 return "hill-cell-used"
             if sol.laser_at(x, y) and sol.road_at(x, y):
                 return "laser-on-road"
-    for seg in _segment_groups(inst):
+    segments = _segment_groups(inst)
+    for seg in segments:
         if sum(1 for p in seg if sol.laser_at(*p)) > 1:
             return "lasers-see-each-other"
     for x, y, num in inst.clues:
@@ -226,7 +227,7 @@ def verify_roadrunner(inst: RoadrunnerInstance, sol: RoadrunnerSolution) -> str 
             return "clue-sum-mismatch"
     # safe cells: white, not a laser, not covered by any laser in its segments
     covered = set()
-    for seg in _segment_groups(inst):
+    for seg in segments:
         if any(sol.laser_at(*p) for p in seg):
             covered.update(seg)
     safe = {p for p in inst.white_cells() if p not in covered}

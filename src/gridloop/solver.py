@@ -101,8 +101,8 @@ class _Solver:
         self.pending = clauses
 
     def _load(self):
-        """Build the search state, attach the pending clauses, then assign
-        and propagate their units at level 0."""
+        """Build the search state, then take the pending clauses through
+        ``add_clauses``."""
         nvars = self.nvars
         # val[lit + nvars]: 1 true, -1 false, 0 unassigned; both polarities kept
         self.val = [0] * (2 * nvars + 1)
@@ -125,27 +125,8 @@ class _Solver:
         self.qhead = 0
         # watches[lit + nvars] -> list of clauses watching lit
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * nvars + 1)]
-        units = []
-        for cl in self.pending:
-            cl = list(dict.fromkeys(cl))  # a DIMACS clause may repeat a literal
-            if len(cl) > 1:
-                self._attach(cl)
-            elif cl:
-                units.append(cl[0])
-            else:
-                self.ok = False
-        self.pending = None
-        if not self.ok:
-            return
-        for u in units:
-            v = self._value(u)
-            if v == -1:
-                self.ok = False
-                return
-            if v == 0:
-                self._assign(u, None)
-        if self._propagate() is not None:
-            self.ok = False
+        clauses, self.pending = self.pending, None
+        self.add_clauses(clauses)
 
     def add_clauses(self, clauses):
         """Add clauses between calls to ``solve``, at level 0, where every
@@ -161,7 +142,7 @@ class _Solver:
         val = self.val
         for cl in clauses:
             lits = []
-            for lit in dict.fromkeys(cl):
+            for lit in dict.fromkeys(cl):  # a DIMACS clause may repeat a literal
                 v = val[lit + n]
                 if v == 1:
                     break

@@ -1,6 +1,5 @@
-"""Oracle-backed tests for the hcp/scc encodings and circuit reductions."""
+"""Oracle-backed tests for the hcp/scc encodings."""
 import itertools
-import math
 import random
 
 import pytest
@@ -10,14 +9,12 @@ from gridloop import (
     EdgeSpec,
     GridVars,
     VertexSpec,
-    circuit,
     hcp,
     hcp_grid,
     make_grid,
     scc,
     scc_grid,
     solve_internal,
-    subcircuit,
 )
 
 from oracles import (
@@ -62,6 +59,19 @@ def check_grid_with_holes(rows, cols, encode, oracle):
             units = [[lit] if cell in subset else [-lit] for cell, lit in grid.cells.items()]
             got = solve_internal(b.clauses + units, b.var_count).is_sat
             assert got == oracle(subset), (present, subset)
+
+
+def enumerate_selector_models(b, selectors):
+    """All distinct projections onto the selector literals."""
+    clauses = list(b.clauses)
+    found = []
+    while True:
+        out = solve_internal(clauses, b.var_count)
+        if not out.is_sat:
+            return found
+        bits = tuple(out.model[s] for s in selectors)
+        found.append(bits)
+        clauses.append([-s if bit else s for s, bit in zip(selectors, bits)])
 
 
 # -- hcp ------------------------------------------------------------------
@@ -117,14 +127,6 @@ def test_hcp_empty_forbidden_by_default():
     assert solve_internal(b.clauses, b.var_count).is_unsat
 
 
-def test_hcp_allow_empty():
-    b = CnfBuilder()
-    vs, es = complete_digraph(b, 3)
-    hcp(b, vs, es, allow_empty=True)
-    force_in(b, vs, set())
-    assert solve_internal(b.clauses, b.var_count).is_sat
-
-
 def test_hcp_distances_bijection():
     # labels carry no bound and the start's is not pinned, but 4 vertices
     # fill the 2-bit width: three steps from the start without overflow
@@ -151,8 +153,7 @@ def test_hcp_distances_bijection():
     assert sorted(values) == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("allow_empty", [False, True])
-def test_hcp_random_digraphs_vs_oracle(allow_empty):
+def test_hcp_random_digraphs_vs_oracle():
     # each ordered pair is an edge on its own coin, so an edge's reverse may
     # be missing; the formula admits exactly the single directed cycles
     rng = random.Random(5)
@@ -163,7 +164,7 @@ def test_hcp_random_digraphs_vs_oracle(allow_empty):
             b = CnfBuilder()
             vs = [VertexSpec(i, b.new_var()) for i in range(n)]
             es = [EdgeSpec(i, j, b.new_var()) for i, j in edges]
-            hcp(b, vs, es, allow_empty=allow_empty)
+            hcp(b, vs, es)
             got = {
                 (
                     frozenset(v.term for v, bit in zip(vs, bits) if bit),
@@ -171,10 +172,7 @@ def test_hcp_random_digraphs_vs_oracle(allow_empty):
                 )
                 for bits in enumerate_selector_models(b, [v.in_lit for v in vs] + [e.lit for e in es])
             }
-            want = directed_cycles(n, edges)
-            if allow_empty:
-                want.add((frozenset(), frozenset()))
-            assert got == want, edges
+            assert got == directed_cycles(n, edges), edges
 
 
 def test_hcp_rejects_bad_input():
@@ -334,131 +332,3 @@ def test_grid_encoding_30x30_size(encode):
     b = CnfBuilder()
     encode(b, make_grid(b, 30, 30))
     assert len(b.clauses) < 250_000
-
-
-# -- circuit / subcircuit -------------------------------------------------
-
-def enumerate_selector_models(b, selectors):
-    """All distinct projections onto the selector literals."""
-    clauses = list(b.clauses)
-    found = []
-    while True:
-        out = solve_internal(clauses, b.var_count)
-        if not out.is_sat:
-            return found
-        bits = tuple(out.model[s] for s in selectors)
-        found.append(bits)
-        clauses.append([-s if bit else s for s, bit in zip(selectors, bits)])
-
-
-def test_circuit_triangle_two_cycles():
-    b = CnfBuilder()
-    sel = {
-        (i, j): b.new_var() for i in range(3) for j in range(3) if i != j
-    }
-    adjacency = {
-        i: [(j, sel[(i, j)]) for j in range(3) if j != i] for i in range(3)
-    }
-    circuit(b, adjacency)
-    models = enumerate_selector_models(b, list(sel.values()))
-    assert len(models) == 2  # the two directed Hamiltonian cycles of K3
-
-
-def test_circuit_two_vertices_unique():
-    b = CnfBuilder()
-    s12, s21 = b.new_var(), b.new_var()
-    circuit(b, {1: [(2, s12)], 2: [(1, s21)]})
-    models = enumerate_selector_models(b, [s12, s21])
-    assert models == [(True, True)]
-
-
-def test_circuit_crafted_unsat():
-    # vertex 3 only reaches 1, vertices 1 and 2 both require successor 3
-    b = CnfBuilder()
-    adjacency = {
-        1: [(3, b.new_var())],
-        2: [(3, b.new_var())],
-        3: [(1, b.new_var())],
-    }
-    circuit(b, adjacency)
-    assert solve_internal(b.clauses, b.var_count).is_unsat
-
-
-def test_circuit_rejects_self_loop():
-    b = CnfBuilder()
-    with pytest.raises(ValueError):
-        circuit(b, {1: [(1, b.new_var())]})
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_subcircuit_repeats_no_clause(n):
-    # hcp's out-degree rule already gives at most one successor per vertex
-    b = CnfBuilder()
-    subcircuit(b, {i: [(j, b.new_var()) for j in range(n) if j != i] for i in range(n)})
-    assert len({frozenset(cl) for cl in b.clauses}) == len(b.clauses)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_circuit_repeats_no_clause(n):
-    # every in-literal is constant true: hcp says nothing of an end that is
-    # always in, and its start chain is constant after the first vertex
-    b = CnfBuilder()
-    adjacency = {i: [(j, b.new_var()) for j in range(n) if j != i] for i in range(n)}
-    circuit(b, adjacency)
-    assert len({frozenset(cl) for cl in b.clauses}) == len(b.clauses)
-    # still every directed Hamiltonian cycle of the complete digraph, once
-    selectors = [lit for cands in adjacency.values() for _, lit in cands]
-    assert len(enumerate_selector_models(b, selectors)) == max(1, math.factorial(n - 1))
-
-
-def test_subcircuit_all_stay_sat():
-    b = CnfBuilder()
-    adjacency = {
-        1: [(2, b.new_var())],
-        2: [(3, b.new_var())],
-        3: [(1, b.new_var())],
-    }
-    stay = subcircuit(b, adjacency)
-    for s in stay.values():
-        b.add_clause([s])
-    assert solve_internal(b.clauses, b.var_count).is_sat
-
-
-def test_subcircuit_single_nonstay_unsat():
-    b = CnfBuilder()
-    adjacency = {
-        1: [(2, b.new_var())],
-        2: [(3, b.new_var())],
-        3: [(1, b.new_var())],
-    }
-    stay = subcircuit(b, adjacency)
-    b.add_clause([-stay[1]])
-    b.add_clause([stay[2]])
-    b.add_clause([stay[3]])
-    assert solve_internal(b.clauses, b.var_count).is_unsat
-
-
-def test_subcircuit_three_cycle_with_stayer():
-    b = CnfBuilder()
-    sel = {}
-    adjacency = {}
-    for i in range(1, 5):
-        cands = []
-        for j in range(1, 5):
-            if i != j:
-                sel[(i, j)] = b.new_var()
-                cands.append((j, sel[(i, j)]))
-        adjacency[i] = cands
-    stay = subcircuit(b, adjacency)
-    b.add_clause([stay[4]])
-    for i in (1, 2, 3):
-        b.add_clause([-stay[i]])
-    out = solve_internal(b.clauses, b.var_count)
-    assert out.is_sat
-    succ = {i: j for (i, j), s in sel.items() if out.model[s]}
-    assert set(succ) == {1, 2, 3}
-    walk, cur = [1], succ[1]
-    while cur != 1:
-        walk.append(cur)
-        cur = succ[cur]
-    assert sorted(walk) == [1, 2, 3]

@@ -7,10 +7,12 @@ import random
 
 import pytest
 
-from gridloop import CnfBuilder, solve_internal
+from gridloop import CnfBuilder, make_grid, solve_internal
+from gridloop.graph import grid_graph_edges
 from gridloop.puzzles import (
     build_masyu,
     build_shingoki,
+    decode_loop,
     parse_masyu,
     parse_shingoki,
     verify_masyu,
@@ -139,3 +141,63 @@ def test_a_shape_and_its_reverse_share_one_gate():
     b = CnfBuilder()
     build_masyu(b, parse_masyu("5\n.....\n.....\n..w..\n.....\n.....\n"), lazy=True)
     assert b.var_count == 1 + 25 + 40 + 8
+
+
+# -- decode_loop: the one walk that reads both models -----------------------
+
+def test_eager_decode_walks_along_the_directed_edges():
+    # each step of the cycle, as the JSON output lists it, is an active edge
+    b = CnfBuilder()
+    decode, _, _ = build_masyu(b, parse_masyu("4\n.w..\n....\n....\n....\n"))
+    out = solve_internal(b.clauses, b.var_count)
+    cycle = decode(out.model.assignment).cycle
+    lit = {name: v for v, name in b.names.items()}
+    assert len(cycle) > 2
+    for (r1, c1), (r2, c2) in zip(cycle, cycle[1:] + cycle[:1]):
+        assert out.model[lit[f"edge_{r1}_{c1}_{r2}_{c2}"]], cycle
+
+
+def walk(rows, cols, cells, steps):
+    """decode_loop on a rows x cols grid with an edge each way between
+    neighbours, where exactly ``cells`` are in and the directed ``steps``
+    are on."""
+    b = CnfBuilder()
+    grid = make_grid(b, rows, cols)
+    es = grid_graph_edges(b, grid)
+    assignment = {v: False for v in range(1, b.var_count + 1)}
+    for rc in cells:
+        assignment[grid.cell(*rc)] = True
+    for e in es:
+        assignment[e.lit] = (e.src, e.dst) in steps
+    return decode_loop(assignment, grid, es)
+
+
+def test_decode_a_directed_two_cycle():
+    sol = walk(2, 2, {(1, 2), (2, 2)}, {((2, 2), (1, 2)), ((1, 2), (2, 2))})
+    assert sol.cycle == [(1, 2), (2, 2)] and sol.in_cells == {(1, 2), (2, 2)}
+
+
+def test_decode_a_lone_in_cell():
+    sol = walk(2, 2, {(2, 1)}, set())
+    assert sol.cycle == [(2, 1)] and sol.in_cells == {(2, 1)}
+
+
+SQUARE = {((1, 1), (1, 2)), ((1, 2), (2, 2)), ((2, 2), (2, 1)), ((2, 1), (1, 1))}
+
+
+@pytest.mark.parametrize(
+    "rows,cols,cells,steps,message",
+    [
+        (
+            1, 5, {(1, 1), (1, 2), (1, 4), (1, 5)},
+            {((1, 1), (1, 2)), ((1, 2), (1, 1)), ((1, 4), (1, 5)), ((1, 5), (1, 4))},
+            "2 cycles",
+        ),
+        (2, 2, {(1, 1), (1, 2), (2, 1), (2, 2)}, SQUARE | {((1, 2), (1, 1))}, "degree 3"),
+        (1, 3, {(1, 1), (1, 2), (1, 3)}, {((1, 1), (1, 2)), ((1, 2), (1, 3))}, "degree 1"),
+    ],
+    ids=["two-disjoint-cycles", "three-edges-at-a-cell", "open-path"],
+)
+def test_decode_rejects_anything_but_one_cycle(rows, cols, cells, steps, message):
+    with pytest.raises(RuntimeError, match=message):
+        walk(rows, cols, cells, steps)
