@@ -7,8 +7,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from ..cnf import CnfBuilder
+from ..cnf import CnfBuilder, Lit
 from ..graph import GridVars, scc_grid
+from ..solver import Cuts
 
 Cell = tuple[int, int]
 
@@ -152,10 +153,16 @@ def _compositions(total: int, parts: int):
 
 def build_tapa(
     builder: CnfBuilder, inst: TapaInstance, lazy: bool = False
-) -> tuple[Callable[[dict[int, bool]], ColoringSolution], None, None]:
-    """Returns (decode, None, None): ``decode(assignment)`` reads the coloring
-    back; there is no objective.  Tapa has no lazy model yet, so ``lazy`` is
-    ignored and the formula is complete: no cuts."""
+) -> tuple[Callable[[dict[int, bool]], ColoringSolution], None, Cuts | None]:
+    """Returns (decode, None, cuts): ``decode(assignment)`` reads the
+    coloring back, and there is no objective.
+
+    The eager model (``scc_grid`` over the non-clue cells, the 2x2 windows
+    and the clue layouts) is complete on its own, and ``cuts`` is None.
+    With ``lazy`` the lazy model is built instead: the same formula without
+    ``scc_grid``, so its black cells may fall apart, and ``cuts(assignment)``
+    gives the clauses that exclude a model whose black cells do (see
+    ``_connectivity_cuts``), or no clause for a connected one."""
     # clue cells are white: only the other cells get a literal
     grid = GridVars(
         inst.n,
@@ -167,7 +174,10 @@ def build_tapa(
             if inst.at(r, c) is None
         },
     )
-    if grid.cells:  # an all-clue board has no black cell to connect
+    cuts = None
+    if lazy:
+        cuts = _connectivity_cuts(grid)
+    elif grid.cells:  # an all-clue board has no black cell to connect
         scc_grid(builder, grid)
     for r in range(1, inst.n):
         for c in range(1, inst.n):
@@ -194,7 +204,52 @@ def build_tapa(
             choices.append(builder.gate_and(lits))
         else:
             builder.add_clause(choices)  # empty if no layout fits: infeasible
-    return (lambda assignment: decode_coloring(assignment, grid)), None, None
+    return (lambda assignment: decode_coloring(assignment, grid)), None, cuts
+
+
+def _connectivity_cuts(grid: GridVars) -> Cuts:
+    """Cuts for the lazy model: for a model whose black cells form two or
+    more 4-connected components, listed by their first cell in row-major
+    order, each component C gets
+
+        not b_u  or  not b_v  or  OR(b_w : w a non-clue cell next to C, not in C)
+
+    where u is C's first cell and v the first cell of the next component,
+    taken cyclically.  Every solution meets it with no guard: if u and v are
+    black and the black cells are connected, a black path from u to v leaves
+    C through a black neighbour of C, which is not a clue cell.  In the model
+    every neighbour of C is white, so the cut is false there.  This is the
+    vertex-separator cut for connected subgraphs (Carvajal, Constantino,
+    Goycoolea, Vielma & Weintraub, Operations Research 2013)."""
+
+    def cuts(assignment: dict[int, bool]) -> list[list[Lit]]:
+        black = dict.fromkeys(rc for rc, lit in grid.cells.items() if assignment[lit])
+        comps = []  # (first cell, its non-clue neighbours not in it)
+        seen: set[Cell] = set()
+        for start in black:  # row-major, so ``start`` is its component's first cell
+            if start in seen:
+                continue
+            border, stack = set(), [start]
+            seen.add(start)
+            while stack:
+                r, c = stack.pop()
+                for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                    if nb in black:
+                        if nb not in seen:
+                            seen.add(nb)
+                            stack.append(nb)
+                    elif nb in grid.cells:
+                        border.add(nb)
+            comps.append((start, border))
+        if len(comps) < 2:
+            return []
+        return [
+            [-grid.cells[u], -grid.cells[comps[(i + 1) % len(comps)][0]]]
+            + [grid.cells[w] for w in sorted(border)]
+            for i, (u, border) in enumerate(comps)
+        ]
+
+    return cuts
 
 
 def decode_coloring(assignment: dict[int, bool], grid: GridVars) -> ColoringSolution:

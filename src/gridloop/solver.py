@@ -476,7 +476,10 @@ def internal_solve_fn(timeout: float | None = None) -> SolveFn:
     every model the caller accepts, so an unsat round is the probe's answer
     and the cuts stay for later probes.  Each round is one ``solve_internal``
     call, which checks its model against the clauses and the cuts so far;
-    ``timeout`` is one wall-clock budget for all the rounds of a probe.
+    ``timeout`` is one wall-clock budget for all the rounds of a probe.  The
+    outcome's ``stats`` are the search counters summed over the probe's
+    rounds, plus ``rounds`` and ``cut_clauses``, the cut clauses the probe
+    added.
     """
 
     def open_solver(clauses, nvars, cuts: Cuts | None = None):
@@ -486,11 +489,16 @@ def internal_solve_fn(timeout: float | None = None) -> SolveFn:
 
         def probe(assumptions=()):
             deadline = None if timeout is None else time.monotonic() + timeout
+            total = {"rounds": 0, "cut_clauses": 0}
             while True:
                 left = None if deadline is None else deadline - time.monotonic()
                 outcome = solve_internal(
                     clauses, nvars, timeout=left, assumptions=assumptions, solver=solver
                 )
+                total["rounds"] += 1
+                for key, n in outcome.stats.items():
+                    total[key] = total.get(key, 0) + n
+                outcome.stats = total
                 if cuts is None or not outcome.is_sat:
                     return outcome
                 new = cuts(outcome.model.assignment)
@@ -498,6 +506,7 @@ def internal_solve_fn(timeout: float | None = None) -> SolveFn:
                     return outcome
                 solver.add_clauses(new)
                 clauses.extend(new)
+                total["cut_clauses"] += len(new)
 
         return probe
 

@@ -252,11 +252,20 @@ def loop_mutations(sol, n):
             yield LoopSolution(set(cycle), cycle)
 
 
+def cell_flips(sol, n):
+    """Every coloring one cell away from a Tapa solution."""
+    for r in range(n):
+        for c in range(n):
+            mut = copy.deepcopy(sol)
+            mut.black[r][c] ^= 1
+            yield mut
+
+
 def test_criterion_5_corpus_regression(capsys):
     solved = 0
     mutation_accepts = 0
 
-    def run_loop_puzzle(path, parse, build, verify):
+    def run_both_models(path, parse, build, verify, mutations):
         # through the eager model, then the lazy one (the internal solver's)
         nonlocal solved, mutation_accepts
         inst = parse(read(path))
@@ -268,30 +277,16 @@ def test_criterion_5_corpus_regression(capsys):
             sol = decode(out.model.assignment)
             assert verify(inst, sol) is None, (path, lazy)
             solved += 1
-            for mut in loop_mutations(sol, inst.n):
+            for mut in mutations(sol, inst.n):
                 if verify(inst, mut) is None:
                     mutation_accepts += 1
 
     for path in corpus("masyu_[4-7]x*.masyu"):
-        run_loop_puzzle(path, parse_masyu, build_masyu, verify_masyu)
+        run_both_models(path, parse_masyu, build_masyu, verify_masyu, loop_mutations)
     for path in corpus("shingoki_*.shingoki"):
-        run_loop_puzzle(path, parse_shingoki, build_shingoki, verify_shingoki)
-
+        run_both_models(path, parse_shingoki, build_shingoki, verify_shingoki, loop_mutations)
     for path in corpus("tapa_*.tapa"):
-        inst = parse_tapa(read(path))
-        b = CnfBuilder()
-        decode, _, _ = build_tapa(b, inst)
-        out = solve_internal(b.clauses, b.var_count)
-        assert out.is_sat, path
-        sol = decode(out.model.assignment)
-        assert verify_tapa(inst, sol) is None, path
-        solved += 1
-        for r in range(inst.n):
-            for c in range(inst.n):
-                mut = copy.deepcopy(sol)
-                mut.black[r][c] ^= 1
-                if verify_tapa(inst, mut) is None:
-                    mutation_accepts += 1
+        run_both_models(path, parse_tapa, build_tapa, verify_tapa, cell_flips)
 
     for path in corpus("roadrunner_*.roadrunner"):
         inst = parse_roadrunner(read(path))
@@ -312,11 +307,11 @@ def test_criterion_5_corpus_regression(capsys):
                     if verify_roadrunner(inst, mut) is None:
                         mutation_accepts += 1
 
-    ok = solved >= 24 and mutation_accepts == 0
+    ok = solved >= 28 and mutation_accepts == 0
     report(
         capsys,
         f"ACCEPTANCE 5: {'PASS' if ok else 'FAIL'} — {solved} corpus solves "
-        f"(loop puzzles through the eager and the lazy model) verifier-accepted; "
+        f"(loop puzzles and Tapa through the eager and the lazy model) verifier-accepted; "
         f"{mutation_accepts} single-cell mutations wrongly accepted",
     )
     assert ok

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from gridloop import CnfBuilder, parse_dimacs, solve_internal
-from gridloop.puzzles import build_masyu, parse_masyu, parse_roadrunner, parse_tapa
+from gridloop.puzzles import parse_roadrunner, parse_tapa
 from gridloop.cli import (
     _BUILDERS,
     _PARSERS,
@@ -202,16 +202,17 @@ def test_encode_repeats_no_clause(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(os.listdir(INSTANCES)))
 def test_builders_share_one_contract(name, tmp_path, capsys):
-    # every builder returns (decode, objective, cuts); only the lazy loop
-    # model has cuts, and it needs a circle on the board
+    # every builder returns (decode, objective, cuts); with lazy, Tapa has
+    # cuts, and the loop puzzles have them when a circle is on the board
     kind = infer_kind(name, None)
     with open(inst_path(name)) as f:
         inst = _PARSERS[kind](f.read())
     cnf = tmp_path / "f.cnf"
     assert main(["encode", inst_path(name), "-o", str(cnf)]) == EXIT_OK
     _, encoded = parse_dimacs(cnf.read_text())
-    has_circle = kind in ("masyu", "shingoki") and any(
-        cell not in (".", None) for row in inst.board for cell in row
+    has_cuts = kind == "tapa" or (
+        kind in ("masyu", "shingoki")
+        and any(cell not in (".", None) for row in inst.board for cell in row)
     )
     for lazy in (False, True):
         b = CnfBuilder()
@@ -221,7 +222,7 @@ def test_builders_share_one_contract(name, tmp_path, capsys):
         assert callable(decode)
         assert (objective is None) == (kind != "roadrunner")
         if lazy:
-            assert (cuts is not None) == has_circle
+            assert (cuts is not None) == has_cuts
         else:
             assert cuts is None and b.clauses == encoded
 
@@ -229,15 +230,17 @@ def test_builders_share_one_contract(name, tmp_path, capsys):
 @pytest.mark.parametrize("external", [False, True], ids=["internal", "external"])
 def test_run_takes_the_lazy_model_on_the_internal_solver_only(external):
     # run() reports the size of the formula it solved
-    path = inst_path("masyu_4x4.masyu")
-    with open(path) as f:
-        inst = parse_masyu(f.read())
     cmd = [sys.executable, "-m", "gridloop.dimacs_solver"] if external else None
-    result = run(RunConfig("masyu", path, cmd, 60.0), inst)
-    b = CnfBuilder()
-    build_masyu(b, inst, lazy=not external)
-    assert result.status == "verified"
-    assert (result.vars, result.clauses) == (b.var_count, len(b.clauses))
+    for name in ("masyu_4x4.masyu", "tapa_4x4.tapa"):
+        path = inst_path(name)
+        kind = infer_kind(name, None)
+        with open(path) as f:
+            inst = _PARSERS[kind](f.read())
+        result = run(RunConfig(kind, path, cmd, 60.0), inst)
+        b = CnfBuilder()
+        _BUILDERS[kind](b, inst, lazy=not external)
+        assert result.status == "verified", name
+        assert (result.vars, result.clauses) == (b.var_count, len(b.clauses)), name
 
 
 @pytest.mark.parametrize(

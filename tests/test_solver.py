@@ -294,10 +294,14 @@ def test_a_later_probe_needs_no_recut():
         return new
 
     probe = internal_solve_fn()([[1, 2, 3]], 3, cuts)
-    assert probe().is_sat and len(rounds) == 2 and added == [[-1], [-2]]
+    out = probe()
+    assert out.is_sat and len(rounds) == 2 and added == [[-1], [-2]]
+    # each probe reports its own rounds and the cut clauses it added
+    assert (out.stats["rounds"], out.stats["cut_clauses"]) == (2, 2)
     rounds.clear()
     out = probe()
     assert out.is_sat and len(rounds) == 1
+    assert (out.stats["rounds"], out.stats["cut_clauses"]) == (1, 0)
     assert check_model(added, out.model)
 
 
@@ -338,12 +342,33 @@ def test_the_rounds_of_a_probe_share_one_deadline(monkeypatch):
     assert budgets[2] > budgets[1] + 0.015
 
 
+def test_probe_stats_sum_the_search_over_its_rounds(monkeypatch):
+    rounds = []
+
+    def recorded(*args, **kwargs):
+        out = solve_internal(*args, **kwargs)
+        rounds.append(dict(out.stats))
+        return out
+
+    monkeypatch.setattr("gridloop.solver.solve_internal", recorded)
+    clauses, sel = guarded_pigeonhole(6, 5)
+    # the first model has sel false; the cut asks for sel, which is unsat
+    out = internal_solve_fn()(clauses, sel, lambda a: [] if a[sel] else [[sel]])()
+    assert out.is_unsat and len(rounds) == 2
+    for key in ("conflicts", "decisions", "restarts"):
+        assert out.stats[key] == sum(r[key] for r in rounds)
+    assert out.stats["conflicts"] > rounds[0]["conflicts"]
+    assert (out.stats["rounds"], out.stats["cut_clauses"]) == (2, 1)
+
+
 def test_internal_solve_fn_probes_share_one_solver():
     clauses, sel = guarded_pigeonhole(6, 5)
     probe = internal_solve_fn()(clauses, sel)
     first = probe([sel])
     assert first.is_unsat and first.stats["conflicts"] > 128
-    assert probe([sel]).stats["conflicts"] == 0  # what the first learnt is kept
+    again = probe([sel])
+    assert again.stats["conflicts"] == 0  # what the first learnt is kept
+    assert (again.stats["rounds"], again.stats["cut_clauses"]) == (1, 0)  # no cuts
     assert probe().is_sat
 
 
