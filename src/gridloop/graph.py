@@ -16,14 +16,18 @@ go round a cycle.  So labels carry no bound and the start's label is not
 pinned to 0; ``distance_width(n)`` bits leave room for a model's n - 1 steps.
 
 Plus grid variants that synthesize the orthogonal-adjacency edges of a cell
-grid.
+grid, and ``cycle_grid``, whose cycles are cut down to one on demand.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
-from .cnf import BitVec, CnfBuilder, Lit, distance_width
+from .cnf import BitVec, CnfBuilder, Lit, UnaryCount, distance_width, lit_value
+from .solver import Cuts
+
+Cell = tuple[int, int]
 
 
 @dataclass
@@ -248,3 +252,102 @@ def scc_grid(builder: CnfBuilder, grid: GridVars) -> None:
                 builder.add_clause([g, -a, -grid.cells[(r2, c2)]])
                 es.append(EdgeSpec((r, c), (r2, c2), g))
     scc(builder, _grid_vertices(grid), es)
+
+
+def cycle_grid(
+    builder: CnfBuilder, grid: GridVars, anchors: Sequence[Cell] = (), count: UnaryCount | None = None
+) -> tuple[list[EdgeSpec], Cuts]:
+    """The lazy twin of ``hcp_grid``: one literal per undirected edge, an
+    active edge puts both of its cells in, and every in-cell has exactly two
+    active edges, so the active edges form disjoint cycles.  No distance
+    label bans a second cycle; ``cuts(assignment)`` does that on demand, and
+    gives no clause for a model of one cycle.  The caller puts a cell in:
+    ``anchors`` are cells that every model has in (a circle, say).
+
+    ``count``, a counter over the cell literals, lets a cycle have one or two
+    cells, as in ``hcp``: an in-cell needs an active edge only if the count
+    is at least 2, and two only if it is at least 3.
+
+    For each cycle S of a model with two or more, in row-major order, let u
+    be the first anchor in S (else S's first cell) and v the first anchor
+    outside S (else the next cycle's first cell).  The cut is ``¬in_u ∨ ¬in_v
+    ∨ OR(edges with one end in S)``, the generalized subtour elimination
+    constraint (Balas, "The prize collecting traveling salesman problem",
+    Networks 1989): one cycle through u and v leaves S, and in the model
+    nothing does, so the cut is false there.  Where u and v are anchors it is
+    the boundary cut of Dantzig, Fulkerson & Johnson (1954).  Returns the
+    edges, row-major as (up or left cell, other), and ``cuts``.
+    """
+    edges: list[EdgeSpec] = []
+    incident: dict[Cell, list[Lit]] = {rc: [] for rc in grid.cells}
+    for (r, c), a in grid.cells.items():
+        for b in ((r + 1, c), (r, c + 1)):
+            if b in grid.cells:
+                e = builder.new_var(f"edge_{r}_{c}_{b[0]}_{b[1]}")
+                edges.append(EdgeSpec((r, c), b, e))
+                incident[(r, c)].append(e)
+                incident[b].append(e)
+                builder.add_clause([-e, a])
+                builder.add_clause([-e, grid.cells[b]])
+    # a counter over fewer than three cells lacks an output, which is false
+    at_least_2, at_least_3 = (count.outputs + [builder.FALSE] * 2)[1:3] if count else (None, None)
+    for rc, lits in incident.items():
+        guard = [-grid.cells[rc]] + ([-at_least_3] if count else [])
+        for trio in itertools.combinations(lits, 3):
+            builder.add_clause([-e for e in trio])
+        if count:
+            builder.add_clause([-grid.cells[rc], -at_least_2] + lits)
+        # in -> some other edge besides each one: at least two edges
+        for i in range(len(lits)):
+            builder.add_clause(guard + lits[:i] + lits[i + 1 :])
+        if not lits:
+            builder.add_clause(guard)
+
+    def cuts(assignment: dict[int, bool]) -> list[list[Lit]]:
+        if count and not lit_value(at_least_3, assignment):
+            return []  # one or two in-cells: one cycle by the clauses above
+        cycles = grid_cycles(assignment, grid, edges)
+        if len(cycles) < 2:
+            return []
+        out = []
+        for i, cycle in enumerate(cycles):
+            inside = set(cycle)
+            u = next((a for a in anchors if a in inside), cycle[0])
+            v = next((a for a in anchors if a not in inside), cycles[(i + 1) % len(cycles)][0])
+            leaving = [e.lit for e in edges if (e.src in inside) != (e.dst in inside)]
+            out.append([-grid.cells[u], -grid.cells[v]] + leaving)
+        return out
+
+    return edges, cuts
+
+
+def grid_cycles(
+    assignment: dict[int, bool], grid: GridVars, edges: Sequence[EdgeSpec]
+) -> list[list[Cell]]:
+    """The cycles of the active edges, read without their direction: each is
+    walked from its first cell in row-major order along that cell's first
+    active edge, and they are listed in that order.  Raises RuntimeError
+    unless every cell has none or two active edges; a directed 2-cycle, one
+    active edge each way, counts as two."""
+    nbrs: dict[Cell, list[Cell]] = {}
+    for e in edges:
+        if assignment[e.lit]:
+            nbrs.setdefault(e.src, []).append(e.dst)
+            nbrs.setdefault(e.dst, []).append(e.src)
+    for cell, ns in nbrs.items():
+        if len(ns) != 2:
+            raise RuntimeError(f"active-edge degree {len(ns)} at {cell}, not 0 or 2")
+    cycles = []
+    seen: set[Cell] = set()
+    for start in grid.cells:
+        if start not in nbrs or start in seen:
+            continue
+        cycle = [start]
+        prev, cur = start, nbrs[start][0]
+        while cur != start:
+            cycle.append(cur)
+            x, y = nbrs[cur]
+            prev, cur = cur, y if x == prev else x
+        seen.update(cycle)
+        cycles.append(cycle)
+    return cycles

@@ -32,17 +32,13 @@ def maximize(
     objective: UnaryCount,
     solve_fn: SolveFn | None = None,
     lo: int = 0,
-    hi: int | None = None,
 ) -> OptimizeResult:
-    """Maximize the number of true objective inputs, bracketing in [lo, hi].
+    """Maximize the number of true objective inputs, bracketing in [lo, size].
 
     ``solve_fn`` defaults to the internal solver without a time budget."""
-    n = objective.size
-    if hi is None:
-        hi = n
-    if not 0 <= lo <= hi <= n:
-        raise ValueError(f"bad bracket [{lo}, {hi}] for objective of size {n}")
-    hi_orig = hi
+    n = hi = objective.size
+    if not 0 <= lo <= n:
+        raise ValueError(f"bad bracket [{lo}, {n}] for objective of size {n}")
     solve = (solve_fn or internal_solve_fn())(clauses, nvars)
 
     def probe(bound: int):
@@ -76,5 +72,5 @@ def maximize(
             return OptimizeResult(
                 "unknown", best_model, best, calls, reason=outcome.reason
             )
-    certified = best == hi_orig or last_unsat_bound == best + 1
+    certified = best == n or last_unsat_bound == best + 1
     return OptimizeResult("optimal", best_model, best, calls, certified=certified)

@@ -4,15 +4,12 @@ lazy model, edge maps, path-shape constraints, and ``decode_loop``, which
 reads a model of either model back into a closed cell cycle."""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..cnf import CnfBuilder, Lit
-from ..graph import EdgeSpec, GridVars, hcp_grid, make_grid
+from ..graph import Cell, EdgeSpec, GridVars, cycle_grid, grid_cycles, hcp_grid, make_grid
 from ..solver import Cuts
-
-Cell = tuple[int, int]
 
 
 def edge_map(edges: Sequence[EdgeSpec]) -> dict[tuple[int, int, int, int], Lit]:
@@ -71,13 +68,14 @@ def build_loop(
 
     The eager model (``hcp`` over directed edges) is complete on its own, and
     ``cuts`` is None.  With ``lazy`` and at least one circle, the lazy model
-    is built instead (see ``_lazy_loop``): it admits every set of disjoint
-    cycles, and ``cuts(assignment)`` gives the clauses that exclude a model
-    of two or more cycles, or no clause for a model of one cycle.  This is
-    the only place that decides which model a loop puzzle gets."""
+    ``cycle_grid`` is built instead, with the circles as its anchors: it
+    admits every set of disjoint cycles, and ``cuts(assignment)`` gives the
+    clauses that exclude a model of two or more cycles.  A board without a
+    circle, where nothing puts a cell in, keeps the eager model.  This is the
+    only place that decides which model a loop puzzle gets."""
     grid = make_grid(builder, n, n)
     if lazy and circles:
-        edges, cuts = _lazy_loop(builder, grid, circles)
+        edges, cuts = cycle_grid(builder, grid, [(r, c) for r, c, _ in circles])
     else:
         edges, cuts = hcp_grid(builder, grid), None
     emap = edge_map(edges)
@@ -85,97 +83,6 @@ def build_loop(
         builder.add_clause([grid.cell(r, c)])
         constrain_paths(builder, emap, n, n, shapes)
     return (lambda assignment: decode_loop(assignment, grid, edges)), None, cuts
-
-
-def _lazy_loop(
-    builder: CnfBuilder,
-    grid: GridVars,
-    circles: Sequence[tuple[int, int, Sequence[Sequence[Cell]]]],
-) -> tuple[list[EdgeSpec], Cuts]:
-    """The lazy model: one literal per undirected edge, an active edge puts
-    both of its cells in, and every in-cell has exactly two active edges, so
-    the active edges form disjoint cycles.  No distance label bans a second
-    cycle; ``cuts`` does that on demand (subtour elimination, Dantzig,
-    Fulkerson & Johnson 1954).  For each cycle S of a model with two or
-    more, in row-major order:
-
-    * S holds a circle and some circle lies outside S: some edge that
-      crosses S's boundary is on, since the one loop passes both circles;
-    * S holds no circle: not all of S's active edges are on, since the one
-      loop would then be S, which misses the circles.
-
-    Both cuts keep every solution only because the board has a circle.
-    Every model of two or more cycles gets at least one cut, and the cut is
-    false in that model.  Returns the edges, row-major as (up or left cell,
-    other), and the cuts.
-    """
-    edges: list[EdgeSpec] = []
-    incident: dict[Cell, list[Lit]] = {rc: [] for rc in grid.cells}
-    for (r, c), a in grid.cells.items():
-        for b in ((r + 1, c), (r, c + 1)):
-            if b in grid.cells:
-                e = builder.new_var(f"edge_{r}_{c}_{b[0]}_{b[1]}")
-                edges.append(EdgeSpec((r, c), b, e))
-                incident[(r, c)].append(e)
-                incident[b].append(e)
-                builder.add_clause([-e, a])
-                builder.add_clause([-e, grid.cells[b]])
-    for rc, lits in incident.items():
-        for trio in itertools.combinations(lits, 3):
-            builder.add_clause([-e for e in trio])
-        # in -> some other edge besides each one: at least two edges
-        for i in range(len(lits)):
-            builder.add_clause([-grid.cells[rc]] + lits[:i] + lits[i + 1 :])
-        if not lits:
-            builder.add_clause([-grid.cells[rc]])
-    circle_cells = {(r, c) for r, c, _ in circles}
-
-    def cuts(assignment: dict[int, bool]) -> list[list[Lit]]:
-        cycles = _cycles(assignment, grid, edges)
-        if len(cycles) == 1:
-            return []
-        out = []
-        for cycle in cycles:
-            inside = set(cycle)
-            if not inside & circle_cells:
-                out.append([-e.lit for e in edges if e.src in inside and assignment[e.lit]])
-            elif not circle_cells <= inside:
-                out.append([e.lit for e in edges if (e.src in inside) != (e.dst in inside)])
-        return out
-
-    return edges, cuts
-
-
-def _cycles(
-    assignment: dict[int, bool], grid: GridVars, edges: Sequence[EdgeSpec]
-) -> list[list[Cell]]:
-    """The cycles of the active edges, read without their direction: each is
-    walked from its first cell in row-major order along that cell's first
-    active edge, and they are listed in that order.  Raises RuntimeError
-    unless every cell has none or two active edges; a directed 2-cycle, one
-    active edge each way, counts as two."""
-    nbrs: dict[Cell, list[Cell]] = {}
-    for e in edges:
-        if assignment[e.lit]:
-            nbrs.setdefault(e.src, []).append(e.dst)
-            nbrs.setdefault(e.dst, []).append(e.src)
-    for cell, ns in nbrs.items():
-        if len(ns) != 2:
-            raise RuntimeError(f"active-edge degree {len(ns)} at {cell}, not 0 or 2")
-    cycles = []
-    seen: set[Cell] = set()
-    for start in grid.cells:
-        if start not in nbrs or start in seen:
-            continue
-        cycle = [start]
-        prev, cur = start, nbrs[start][0]
-        while cur != start:
-            cycle.append(cur)
-            x, y = nbrs[cur]
-            prev, cur = cur, y if x == prev else x
-        seen.update(cycle)
-        cycles.append(cycle)
-    return cycles
 
 
 @dataclass
@@ -194,10 +101,10 @@ def decode_loop(
     edges: Sequence[EdgeSpec],
 ) -> LoopSolution:
     """The one loop of a model of either loop model: the cycle of active
-    edges (see ``_cycles``), which must pass exactly the in-cells, or a lone
+    edges (see ``grid_cycles``), which must pass exactly the in-cells, or a lone
     in-cell with no active edge.  Raises RuntimeError otherwise."""
     in_cells = {rc for rc, lit in grid.cells.items() if assignment[lit]}
-    cycles = _cycles(assignment, grid, edges)
+    cycles = grid_cycles(assignment, grid, edges)
     if not cycles and len(in_cells) == 1:
         cycles = [list(in_cells)]
     if len(cycles) != 1:

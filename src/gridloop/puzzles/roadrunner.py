@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..cnf import CnfBuilder, Lit, UnaryCount
-from ..graph import GridVars, hcp_grid
+from ..graph import GridVars, cycle_grid, hcp_grid
+from ..solver import Cuts
 
 Pos = tuple[int, int]  # (x, y)
 
@@ -96,14 +97,13 @@ def quadrantal_neighbors(inst: RoadrunnerInstance, x: int, y: int) -> list[Pos]:
 
 def build_roadrunner(
     builder: CnfBuilder, inst: RoadrunnerInstance, lazy: bool = False
-) -> tuple[Callable[[dict[int, bool]], RoadrunnerSolution], UnaryCount, None]:
-    """Returns (decode, road counter, None): ``decode(assignment)`` reads
-    lasers and road back; the counter is the objective to maximize.  Road
-    Runner has no lazy model yet, so ``lazy`` is ignored and the formula is
-    complete: no cuts.
+) -> tuple[Callable[[dict[int, bool]], RoadrunnerSolution], UnaryCount, Cuts | None]:
+    """Returns (decode, road counter, cuts): ``decode(assignment)`` reads
+    lasers and road back; the counter is the objective to maximize.
 
     Road cells are the exact complement of laser-covered cells (full
-    biconditional), and they must form a cycle of length >= 1.
+    biconditional), and they must form a cycle of length >= 1: ``hcp`` (no
+    cuts), or with ``lazy`` ``cycle_grid`` and its cuts.
     """
     for x, y, num in inst.clues:
         if not inst.in_bounds(x, y) or not inst.is_hill(x, y):
@@ -146,13 +146,21 @@ def build_roadrunner(
         builder.add_clause([-road_lit(x, y), -lz])
         builder.add_clause([road_lit(x, y), lz] + [laser[p] for p in ps])
 
-    if road.cells:
-        hcp_grid(builder, road)  # hcp itself requires K >= 1
-    else:
-        builder.add_clause([])  # all hills: no road
     # an all-hill board still gets a counter to bound, over constant false
-    count = builder.unary_count(list(road.cells.values()) or [builder.FALSE])
-    return (lambda assignment: decode_roadrunner(assignment, inst, laser, road)), count, None
+    cells = list(road.cells.values()) or [builder.FALSE]
+    cuts = None
+    if lazy:
+        # the counter comes first: cycle_grid's degree clauses read it
+        count = builder.unary_count(cells)
+        builder.add_clause([count.outputs[0]])  # K >= 1
+        _, cuts = cycle_grid(builder, road, count=count)
+    else:
+        if road.cells:
+            hcp_grid(builder, road)  # hcp itself requires K >= 1
+        else:
+            builder.add_clause([])  # all hills: no road
+        count = builder.unary_count(cells)
+    return (lambda assignment: decode_roadrunner(assignment, inst, laser, road)), count, cuts
 
 
 @dataclass

@@ -12,9 +12,8 @@ The internal solver is incremental in the style of MiniSat (Een &
 Sorensson, "Temporal Induction by Incremental SAT Solving", 2003): one
 ``_Solver`` can be solved many times, each time under its own assumptions
 (literals taken as true for that call only).  Level-0 units, learnt clauses,
-activities and saved phases carry over from call to call; the conflict
-budget, the deadline and the stats are per call.  Between calls,
-``add_clauses`` adds clauses.
+activities and saved phases carry over from call to call; the deadline
+and the stats are per call.  Between calls, ``add_clauses`` adds clauses.
 
 A solve function (``SolveFn``) opens a probe on a formula, and each probe
 call solves that formula under the assumptions it is given.  The internal
@@ -349,16 +348,16 @@ class _Solver:
                 return var if self.phase[var] else -var
         return 0
 
-    def solve(self, assumptions=(), max_conflicts=None, deadline=None):
+    def solve(self, assumptions=(), deadline=None):
         """Solve under ``assumptions``, literals taken as true for this call.
 
         While the decision level k is below ``len(assumptions)``, the next
         decision is ``assumptions[k]``: the call is unsat if it is false, and
         an empty level is opened if it is already true.  Only a conflict at
         level 0 makes the formula itself unsat (``ok`` is cleared); an unsat
-        under assumptions leaves the solver usable.  ``max_conflicts`` and
-        ``deadline`` (a ``time.monotonic()`` value) bound this call, whose
-        counters are in the outcome's ``stats``.  Every return is at level 0.
+        under assumptions leaves the solver usable.  ``deadline`` (a
+        ``time.monotonic()`` value) bounds this call, whose counters are in
+        the outcome's ``stats``.  Every return is at level 0.
         """
         stats = {"conflicts": 0, "decisions": 0, "restarts": 0}
         if self.pending is not None:
@@ -378,8 +377,6 @@ class _Solver:
                 if not trail_lim:
                     self.ok = False
                     return SolveOutcome("unsat", stats=stats)
-                if max_conflicts is not None and conflicts > max_conflicts:
-                    return self._stop(SolveOutcome("unknown", reason="conflict budget exceeded", stats=stats))
                 if deadline is not None and time.monotonic() > deadline:
                     return self._stop(SolveOutcome("unknown", reason="solver timeout", stats=stats))
                 learnt, bj = self._analyze(conflict)
@@ -437,7 +434,6 @@ def _luby(x: int) -> int:
 def solve_internal(
     clauses: Sequence[Sequence[Lit]],
     nvars: int,
-    max_conflicts: int | None = None,
     timeout: float | None = None,
     assumptions: Sequence[Lit] = (),
     solver: _Solver | None = None,
@@ -457,7 +453,7 @@ def solve_internal(
     deadline = None if timeout is None else time.monotonic() + timeout
     if solver is None:
         solver = _Solver(clauses, nvars)
-    outcome = solver.solve(assumptions, max_conflicts=max_conflicts, deadline=deadline)
+    outcome = solver.solve(assumptions, deadline=deadline)
     if outcome.is_sat and not (
         check_model(clauses, outcome.model) and all(outcome.model[a] for a in assumptions)
     ):

@@ -202,15 +202,16 @@ def test_encode_repeats_no_clause(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(os.listdir(INSTANCES)))
 def test_builders_share_one_contract(name, tmp_path, capsys):
-    # every builder returns (decode, objective, cuts); with lazy, Tapa has
-    # cuts, and the loop puzzles have them when a circle is on the board
+    # every builder returns (decode, objective, cuts); with lazy, Tapa and
+    # Road Runner have cuts, and the loop puzzles have them when a circle is
+    # on the board
     kind = infer_kind(name, None)
     with open(inst_path(name)) as f:
         inst = _PARSERS[kind](f.read())
     cnf = tmp_path / "f.cnf"
     assert main(["encode", inst_path(name), "-o", str(cnf)]) == EXIT_OK
     _, encoded = parse_dimacs(cnf.read_text())
-    has_cuts = kind == "tapa" or (
+    has_cuts = kind in ("tapa", "roadrunner") or (
         kind in ("masyu", "shingoki")
         and any(cell not in (".", None) for row in inst.board for cell in row)
     )
@@ -231,7 +232,7 @@ def test_builders_share_one_contract(name, tmp_path, capsys):
 def test_run_takes_the_lazy_model_on_the_internal_solver_only(external):
     # run() reports the size of the formula it solved
     cmd = [sys.executable, "-m", "gridloop.dimacs_solver"] if external else None
-    for name in ("masyu_4x4.masyu", "tapa_4x4.tapa"):
+    for name in ("masyu_4x4.masyu", "tapa_4x4.tapa", "roadrunner_4x4_1.roadrunner"):
         path = inst_path(name)
         kind = infer_kind(name, None)
         with open(path) as f:

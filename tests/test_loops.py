@@ -103,10 +103,12 @@ def test_board_with_no_circle_builds_the_eager_model():
 
 def two_squares(b):
     """An assignment with the cycles around the 2x2 squares at (1, 1) and
-    (3, 3) of a 4x4 board: every edge literal false but theirs."""
+    (3, 3) of a 4x4 board: every cell and edge literal false but theirs."""
     on = {
         "edge_1_1_2_1", "edge_1_1_1_2", "edge_1_2_2_2", "edge_2_1_2_2",
         "edge_3_3_4_3", "edge_3_3_3_4", "edge_3_4_4_4", "edge_4_3_4_4",
+    } | {f"cell_{r}_{c}" for r, c in ((1, 1), (1, 2), (2, 1), (2, 2))} | {
+        f"cell_{r}_{c}" for r, c in ((3, 3), (3, 4), (4, 3), (4, 4))
     }
     return {v: v == 1 or b.names.get(v) in on for v in range(1, b.var_count + 1)}
 
@@ -117,22 +119,30 @@ def edges(b, *names):
 
 
 def test_cut_rules():
-    # a cycle holding every circle gets no cut, one holding none gets
-    # "not all of its active edges", in row-major edge order
+    # one rule: cycle S gets "not u, not v, or some edge across S's
+    # boundary", u the first circle in S (else S's first cell) and v the
+    # first circle outside S (else the next cycle's first cell); the
+    # boundary edges in row-major edge order
     b = CnfBuilder()
     decode, _, cuts = build_masyu(b, parse_masyu("4\nb...\n....\n....\n....\n"), lazy=True)
     assignment = two_squares(b)
-    square = edges(b, "edge_3_3_4_3", "edge_3_3_3_4", "edge_3_4_4_4", "edge_4_3_4_4")
-    assert cuts(assignment) == [[-e for e in square]]
+    c11, c33, c44 = edges(b, "cell_1_1", "cell_3_3", "cell_4_4")
+    first = edges(b, "edge_1_2_1_3", "edge_2_1_3_1", "edge_2_2_3_2", "edge_2_2_2_3")
+    second = edges(b, "edge_2_3_3_3", "edge_2_4_3_4", "edge_3_2_3_3", "edge_4_2_4_3")
+    out = cuts(assignment)
+    assert out == [[-c11, -c33] + first, [-c33, -c11] + second]
     with pytest.raises(RuntimeError, match="2 cycles"):
         decode(assignment)
-    # with a circle in each cycle, each gets "some edge across my boundary"
+    # with a circle in each cycle, u and v are the circles, which are in at
+    # level 0: the cut is "some edge across S's boundary"
     b = CnfBuilder()
     _, _, cuts = build_masyu(b, parse_masyu("4\nb...\n....\n....\n...b\n"), lazy=True)
-    assert cuts(two_squares(b)) == [
-        edges(b, "edge_1_2_1_3", "edge_2_1_3_1", "edge_2_2_3_2", "edge_2_2_2_3"),
-        edges(b, "edge_2_3_3_3", "edge_2_4_3_4", "edge_3_2_3_3", "edge_4_2_4_3"),
-    ]
+    assignment = two_squares(b)
+    assert cuts(assignment) == [[-c11, -c44] + first, [-c44, -c11] + second]
+    out += cuts(assignment)
+    # every cut is false in the model that it cuts off
+    assert not any(assignment[abs(lit)] == (lit > 0) for cut in out for lit in cut)
+    assert cuts({v: v == 1 for v in assignment}) == []  # no cycle at all
 
 
 def test_a_shape_and_its_reverse_share_one_gate():
