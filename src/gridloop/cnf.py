@@ -293,11 +293,17 @@ class CnfBuilder:
             sink.write(f"{idx} {self.names[idx]}\n")
 
 
+# Clauses joined into one string per ``sink.write`` call.
+_DIMACS_CHUNK = 4096
+
+
 def write_dimacs(sink, nvars: int, clauses: Sequence[Sequence[Lit]]) -> None:
-    """Write ``clauses`` over ``nvars`` variables in DIMACS CNF to a text sink."""
+    """Write ``clauses`` over ``nvars`` variables in DIMACS CNF to a text
+    sink: the header, then one line per clause, ended by 0."""
     sink.write(f"p cnf {nvars} {len(clauses)}\n")
-    for cl in clauses:
-        sink.write(" ".join(map(str, cl)) + " 0\n")
+    for i in range(0, len(clauses), _DIMACS_CHUNK):
+        chunk = clauses[i : i + _DIMACS_CHUNK]
+        sink.write("".join([" ".join(map(str, cl)) + " 0\n" for cl in chunk]))
 
 
 def distance_width(n: int) -> int:

@@ -1,7 +1,7 @@
 """Shared machinery for loop puzzles: the one loop-puzzle encoding (a loop
-through circles, each passed along one of its path shapes) in an eager and a
-lazy model, edge maps, path-shape constraints, and ``decode_loop``, which
-reads a model of either model back into a closed cell cycle."""
+through circles, each held to its puzzle's rule) in an eager and a lazy
+model, edge maps, path-shape constraints, and ``decode_loop``, which reads a
+model of either model back into a closed cell cycle."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,7 +12,10 @@ from ..graph import Cell, EdgeSpec, GridVars, cycle_grid, grid_cycles, hcp_grid,
 from ..solver import Cuts
 
 
-def edge_map(edges: Sequence[EdgeSpec]) -> dict[tuple[int, int, int, int], Lit]:
+EdgeMap = dict[tuple[int, int, int, int], Lit]
+
+
+def edge_map(edges: Sequence[EdgeSpec]) -> EdgeMap:
     """Index grid edges by (r1, c1, r2, c2).  An edge whose reverse is not
     listed is undirected: both directions share its literal."""
     emap = {(*e.src, *e.dst): e.lit for e in edges}
@@ -23,7 +26,7 @@ def edge_map(edges: Sequence[EdgeSpec]) -> dict[tuple[int, int, int, int], Lit]:
 
 def constrain_paths(
     builder: CnfBuilder,
-    emap: dict[tuple[int, int, int, int], Lit],
+    emap: EdgeMap,
     rows: int,
     cols: int,
     shapes: Sequence[Sequence[Cell]],
@@ -58,13 +61,15 @@ def constrain_paths(
 def build_loop(
     builder: CnfBuilder,
     n: int,
-    circles: Sequence[tuple[int, int, Sequence[Sequence[Cell]]]],
+    circles: Sequence[Cell],
+    constrain: Callable[[Cell, EdgeMap], None],
     lazy: bool = False,
 ) -> tuple[Callable[[dict[int, bool]], LoopSolution], None, Cuts | None]:
-    """One closed loop on the n x n grid through every circle ``(r, c,
-    shapes)``, passing it along one of its path shapes.  Returns (decode,
-    None, cuts): ``decode(assignment)`` reads the loop back with
-    ``decode_loop``, and there is no objective.
+    """One closed loop on the n x n grid through every circle, each of which
+    ``constrain(circle, emap)`` holds to the puzzle's rule, reading the edge
+    literals from ``emap`` (see ``edge_map``).  Returns (decode, None, cuts):
+    ``decode(assignment)`` reads the loop back with ``decode_loop``, and
+    there is no objective.
 
     The eager model (``hcp`` over directed edges) is complete on its own, and
     ``cuts`` is None.  With ``lazy`` and at least one circle, the lazy model
@@ -75,13 +80,13 @@ def build_loop(
     only place that decides which model a loop puzzle gets."""
     grid = make_grid(builder, n, n)
     if lazy and circles:
-        edges, cuts = cycle_grid(builder, grid, [(r, c) for r, c, _ in circles])
+        edges, cuts = cycle_grid(builder, grid, circles)
     else:
         edges, cuts = hcp_grid(builder, grid), None
     emap = edge_map(edges)
-    for r, c, shapes in circles:
-        builder.add_clause([grid.cell(r, c)])
-        constrain_paths(builder, emap, n, n, shapes)
+    for cell in circles:
+        builder.add_clause([grid.cell(*cell)])
+        constrain(cell, emap)
     return (lambda assignment: decode_loop(assignment, grid, edges)), None, cuts
 
 

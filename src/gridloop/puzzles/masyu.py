@@ -6,7 +6,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cnf import CnfBuilder
-from .loops import LoopSolution, build_loop, check_cycle_shape, loop_neighbors, straight_at
+from ..graph import Cell
+from .loops import (
+    EdgeMap,
+    LoopSolution,
+    build_loop,
+    check_cycle_shape,
+    constrain_paths,
+    loop_neighbors,
+    straight_at,
+)
 
 EMPTY, WHITE, BLACK = ".", "w", "b"
 
@@ -70,15 +79,19 @@ def black_shapes(r: int, c: int) -> list[list[tuple[int, int]]]:
 
 def build_masyu(builder: CnfBuilder, inst: MasyuInstance, lazy: bool = False):
     """Returns (decode, None, cuts); see ``build_loop``, which ``lazy`` is
-    passed to."""
+    passed to.  Each circle is passed along one of its path shapes."""
     shapes = {WHITE: white_shapes, BLACK: black_shapes}
     circles = [
-        (r, c, shapes[inst.at(r, c)](r, c))
+        (r, c)
         for r in range(1, inst.n + 1)
         for c in range(1, inst.n + 1)
         if inst.at(r, c) != EMPTY
     ]
-    return build_loop(builder, inst.n, circles, lazy)
+
+    def constrain(cell: Cell, emap: EdgeMap) -> None:
+        constrain_paths(builder, emap, inst.n, inst.n, shapes[inst.at(*cell)](*cell))
+
+    return build_loop(builder, inst.n, circles, constrain, lazy)
 
 
 def verify_masyu(inst: MasyuInstance, sol: LoopSolution) -> str | None:

@@ -89,6 +89,43 @@ def has_ham_cycle_grid(cells):
     return bt()
 
 
+def grid_loops(n):
+    """Every closed walk that a loop model on the n x n grid can stand for,
+    as a cell list in walk order: each cell alone, each pair of adjacent
+    cells (a 2-cycle), and each simple cycle, once, found by depth-first
+    search from its lowest cell with its second cell below its last."""
+    cells = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
+    loops = [[cell] for cell in cells]
+    loops += [[a, b] for a, b in itertools.combinations(cells, 2) if grid_adjacent(a, b)]
+
+    def extend(path):
+        r, c = path[-1]
+        for nxt in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if nxt == path[0] and len(path) > 2 and path[1] < path[-1]:
+                loops.append(list(path))
+            elif nxt > path[0] and nxt in cell_set and nxt not in path:
+                extend(path + [nxt])
+
+    cell_set = set(cells)
+    for cell in cells:
+        extend([cell])
+    return loops
+
+
+def straight_run(cycle, i, step):
+    """Cells passed from ``cycle[i]`` walking by ``step`` (+1 or -1) along
+    the cycle before the walk first turns."""
+    n = len(cycle)
+    (r0, c0), (r1, c1) = cycle[i], cycle[(i + step) % n]
+    dr, dc = r1 - r0, c1 - c0
+    run = 1
+    while True:
+        (ra, ca), (rb, cb) = cycle[(i + run * step) % n], cycle[(i + (run + 1) * step) % n]
+        if (rb - ra, cb - ca) != (dr, dc):
+            return run
+        run += 1
+
+
 def directed_cycles(n, edges):
     """Every single directed cycle of the digraph on vertices 0..n-1, as
     (vertex set, edge set) frozensets; each vertex alone, with no edge,

@@ -47,10 +47,12 @@ from gridloop.puzzles import (
 
 from oracles import (
     connected_in_graph,
+    grid_loops,
     has_ham_cycle_grid,
     orthogonally_connected,
     rr_optimum,
     sat_under,
+    straight_run,
     tapa_layout_patterns,
 )
 
@@ -436,3 +438,97 @@ def test_criterion_8_soft_large_masyu(capsys):
             f"ACCEPTANCE 8: WARN (soft) — 30x30 Masyu not solved within 120 s "
             f"(status {out.status} after {elapsed:.1f}s); soft target missed",
         )
+
+
+def shingoki_oracle_boards(n, loops, rng):
+    """Boards of one clue at each cell, both colours, clues 2-6; 30 of 2-4
+    clues read off a random simple cycle, so that it meets them; and 10 of
+    2-4 random clues."""
+    boards = [
+        {cell: (color, clue)}
+        for cell in grid_cells(n, n)
+        for color in "wb"
+        for clue in range(2, 7)
+    ]
+    cycles = [loop for loop in loops if len(loop) > 2]
+    for _ in range(30):
+        cycle = rng.choice(cycles)
+        board = {}
+        for i in rng.sample(range(len(cycle)), rng.randint(2, min(4, len(cycle)))):
+            back, ahead = straight_run(cycle, i, -1), straight_run(cycle, i, 1)
+            (r0, c0), (r1, c1) = cycle[i - 1], cycle[(i + 1) % len(cycle)]
+            board[cycle[i]] = ("w" if r0 == r1 or c0 == c1 else "b", back + ahead)
+        boards.append(board)
+    for _ in range(10):
+        cells = rng.sample(grid_cells(n, n), rng.randint(2, 4))
+        boards.append({cell: (rng.choice("wb"), rng.randint(2, 6)) for cell in cells})
+    def row(board, r):
+        marks = [board.get((r, c)) for c in range(1, n + 1)]
+        return " ".join("." if mark is None else f"{mark[0]}{mark[1]}" for mark in marks)
+
+    return [f"{n}\n" + "".join(row(board, r) + "\n" for r in range(1, n + 1)) for board in boards]
+
+
+def loop_literals(b):
+    """The cell and edge literals of a loop model, by the names it gives
+    them: cell -> literal, and literal -> the edge's two cells."""
+    cells, edges = {}, {}
+    for var, name in b.names.items():
+        kind, *rc = name.split("_")
+        if kind == "cell":
+            cells[tuple(map(int, rc))] = var
+        elif kind == "edge":
+            r1, c1, r2, c2 = map(int, rc)
+            edges[var] = frozenset([(r1, c1), (r2, c2)])
+    return cells, edges
+
+
+def test_criterion_9_shingoki_clue_oracle(capsys):
+    # every loop a 4x4 model can stand for, checked under assumptions: its
+    # cells in and the rest out, and every edge off the loop off; both
+    # models must admit exactly the loops that verify_shingoki accepts
+    n = 4
+    start = time.monotonic()
+    loops = grid_loops(n)
+    boards = shingoki_oracle_boards(n, loops, random.Random(20090415))
+    on = [{frozenset([a, loop[(i + 1) % len(loop)]]) for i, a in enumerate(loop)} for loop in loops]
+    per_loop = {}  # the literals -> each loop's (signed cell literals, edge assumptions)
+    mismatches = []
+    accepted = 0
+    for text in boards:
+        inst = parse_shingoki(text)
+        circles = [rc for rc in grid_cells(n, n) if inst.at(*rc) is not None]
+        want = [
+            verify_shingoki(inst, LoopSolution(set(loop), loop)) is None for loop in loops
+        ]
+        accepted += sum(want)
+        for lazy in (False, True):
+            b = CnfBuilder()
+            build_shingoki(b, inst, lazy=lazy)
+            cells, edges = loop_literals(b)
+            key = (tuple(cells.items()), tuple(edges.items()))
+            if key not in per_loop:
+                per_loop[key] = [
+                    (
+                        {rc: lit if rc in loop else -lit for rc, lit in cells.items()},
+                        [-var for var, e in edges.items() if e not in on_loop],
+                    )
+                    for loop, on_loop in zip(loops, on)
+                ]
+            probe = internal_solve_fn()(b.clauses, b.var_count)
+            for loop, ok, (signed, off) in zip(loops, want, per_loop[key]):
+                # the circles first, so that a loop that misses one fails at once
+                assumptions = [signed[rc] for rc in circles] + list(signed.values()) + off
+                if probe(assumptions).is_sat != ok:
+                    mismatches.append((text, lazy, loop))
+    elapsed = time.monotonic() - start
+    cycles = sum(len(loop) > 2 for loop in loops)
+    ok = not mismatches and accepted >= 40 and cycles == 213
+    report(
+        capsys,
+        f"ACCEPTANCE 9: {'PASS' if ok else 'FAIL'} — Shingoki clues vs verify_shingoki "
+        f"on {len(boards)} 4x4 boards x {len(loops)} loops (lone cells, 2-cycles and all "
+        f"{cycles} simple cycles), eager and lazy model: "
+        f"{len(mismatches)} mismatches, {accepted} loops accepted ({elapsed:.1f}s)",
+    )
+    assert ok, mismatches[:3]

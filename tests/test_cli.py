@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -123,6 +124,17 @@ def test_solve_timeout_bounds_each_maximize_probe(capsys):
     path = inst_path("roadrunner_6x6_3.roadrunner")
     assert main(["solve", path, "--timeout", "0.001"]) == EXIT_UNKNOWN
     assert "UNKNOWN: solver timeout" in capsys.readouterr().out
+
+
+def test_shingoki_build_time_does_not_grow_with_the_clue(tmp_path, capsys):
+    # no pair of arms on a 3x3 board sums to the clue, which the build
+    # finds without counting up to it
+    path = tmp_path / "huge.shingoki"
+    path.write_text("3\n. . .\n. w1000000 .\n. . .\n")
+    start = time.monotonic()
+    assert main(["solve", str(path)]) == EXIT_INFEASIBLE
+    assert time.monotonic() - start < 1.0
+    assert "INFEASIBLE" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from gridloop import CnfBuilder, distance_width, parse_dimacs, solve_internal
-from gridloop.cnf import lit_value
+from gridloop.cnf import _DIMACS_CHUNK, lit_value, write_dimacs
 
 from oracles import all_models, input_projection, sat_under
 
@@ -322,6 +322,28 @@ def test_emit_dimacs_empty_clause_reads_back_unsat():
     nvars, clauses = parse_dimacs(b.to_dimacs())
     assert clauses == b.clauses
     assert solve_internal(clauses, nvars).is_unsat
+
+
+class CountingSink(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+@pytest.mark.parametrize("n", [0, 1, _DIMACS_CHUNK, 2 * _DIMACS_CHUNK + 3])
+def test_write_dimacs_matches_one_line_per_clause(n):
+    # the header, unit clauses and empty clauses, over several chunks, read
+    # byte for byte as a writer of one line per clause reads them
+    clauses = [[[1], [], [-2, 3], [2], [-1, 2, -3]][i % 5] for i in range(n)]
+    sink = CountingSink()
+    write_dimacs(sink, 3, clauses)
+    reference = f"p cnf 3 {n}\n" + "".join(" ".join(map(str, cl)) + " 0\n" for cl in clauses)
+    assert sink.getvalue() == reference
+    assert sink.writes == 1 + -(-n // _DIMACS_CHUNK)
 
 
 def test_parse_dimacs_errors():

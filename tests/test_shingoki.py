@@ -1,4 +1,6 @@
-"""Shingoki: clue splits, shape generation, solve + arm-length verification."""
+"""Shingoki: parsing, the arm rule of the clues, solve + arm-length verification."""
+import itertools
+
 import pytest
 
 from gridloop import CnfBuilder, solve_internal
@@ -8,7 +10,7 @@ from gridloop.puzzles import (
     parse_shingoki,
     verify_shingoki,
 )
-from gridloop.puzzles.shingoki import black_shingoki_shapes, white_shingoki_shapes
+from gridloop.puzzles.shingoki import constrain_arms
 
 
 def test_parse_shingoki():
@@ -28,31 +30,6 @@ def test_parse_shingoki_errors():
         parse_shingoki("2\n. .\n")
 
 
-def test_white_shapes_clue2():
-    # single split (1, 1): 4 vertical + 4 horizontal end-turn combinations
-    shapes = white_shingoki_shapes(3, 3, 2)
-    assert len(shapes) == 8
-    # the straight run spans clue+1 cells plus the two witness turn cells
-    for shape in shapes:
-        assert len(shape) == 5
-        assert (3, 3) in shape
-
-
-def test_white_shape_counts_scale_with_splits():
-    assert len(white_shingoki_shapes(5, 5, 4)) == 3 * 8
-
-
-def test_black_shapes_structure():
-    # per split: 4 corner orientations x 4 end-turn pairs
-    shapes = black_shingoki_shapes(4, 4, 2)
-    assert len(shapes) == 16
-    shapes4 = black_shingoki_shapes(5, 5, 4)
-    assert len(shapes4) == 3 * 16
-    # the paper's 3+1 split exists: horizontal arm 3, vertical arm 1
-    arm31 = [s for s in shapes4 if (5, 8) in s and (6, 5) in s]
-    assert arm31
-
-
 def test_solve_and_verify_small():
     # satisfied by the 4x4 border loop: w3 mid-edge, b6 corner
     inst = parse_shingoki("4\n. w3 . .\n. . . .\n. . . .\n. . . b6\n")
@@ -70,6 +47,71 @@ def test_impossible_clue_unsat():
     b = CnfBuilder()
     build_shingoki(b, inst)
     assert solve_internal(b.clauses, b.var_count).is_unsat
+
+
+@pytest.mark.parametrize("color", ["w", "b"])
+@pytest.mark.parametrize("cell", [(3, 3), (1, 3), (1, 1), (2, 4)])
+@pytest.mark.parametrize("clue", [2, 3, 5, 7])
+def test_arm_rule_alone_puts_exactly_one_pair_on(color, cell, clue):
+    # over free edge literals, with no loop model to bound a cell's degree,
+    # the rule admits exactly the sets of first edges that are one pair of
+    # the colour whose arms can reach the clue on the 5x5 board
+    n = 5
+    b = CnfBuilder()
+    lits = {}
+
+    def edge(x, y):
+        key = frozenset([x, y])
+        if key not in lits:
+            lits[key] = b.new_var()
+        return lits[key]
+
+    constrain_arms(b, edge, b.add_clause, n, cell, color, clue)
+    r, c = cell
+    first = {
+        (dr, dc): edge(cell, (r + dr, c + dc))
+        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
+        if 1 <= r + dr <= n and 1 <= c + dc <= n
+    }
+
+    def reach(dr, dc):
+        steps = 0
+        while 1 <= r + (steps + 1) * dr <= n and 1 <= c + (steps + 1) * dc <= n:
+            steps += 1
+        return steps
+
+    def one_pair(on):
+        if len(on) != 2:
+            return False
+        (d1, d2) = on
+        straight = d1[0] == -d2[0] and d1[1] == -d2[1]
+        return straight == (color == "w") and reach(*d1) + reach(*d2) >= clue
+
+    for bits in itertools.product([False, True], repeat=len(first)):
+        on = [d for d, bit in zip(first, bits) if bit]
+        units = [lit if bit else -lit for lit, bit in zip(first.values(), bits)]
+        got = solve_internal(b.clauses + [[u] for u in units], b.var_count).is_sat
+        assert got == one_pair(on), on
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "4\nb4 w3 . b6\nw3 . . .\n. . . .\nb6 . . b6\n",  # corners and sides
+        "4\n. w3 . .\n. b4 . .\n. . . .\n. . . .\n",  # both force edge (1,2)-(2,2) off
+        "3\nw2 . b2\n. . .\nb2 w2 w5\n",  # white corners: two empty clauses
+    ],
+    ids=["corners-and-sides", "one-edge-forced-off-twice", "infeasible-corners"],
+)
+def test_arm_clauses_hold_no_constant_and_no_repeat(text, lazy):
+    # an edge off the board drops out of the arm rule: no clause but the
+    # first one holds the constant literal, and no clause comes twice
+    b = CnfBuilder()
+    build_shingoki(b, parse_shingoki(text), lazy=lazy)
+    assert b.clauses[0] == [b.TRUE]
+    assert not any(lit in (b.TRUE, b.FALSE) for cl in b.clauses[1:] for lit in cl)
+    assert len({frozenset(cl) for cl in b.clauses}) == len(b.clauses)
 
 
 def border_loop(n):
