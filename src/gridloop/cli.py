@@ -110,7 +110,9 @@ def _load(args, path: str) -> tuple[RunConfig, object]:
     """The run configuration from the parsed flags, and the parsed instance.
     Raises ValueError or OSError on bad input."""
     kind = infer_kind(path, args.puzzle)
-    solver = getattr(args, "solver", None)
+    solver = getattr(args, "solver", "")  # encode and verify solve nothing
+    if solver is None:  # no --solver: the environment's, read on every run
+        solver = os.environ.get(DEFAULT_SOLVER_ENV)
     timeout = getattr(args, "timeout", None)
     if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
         raise ValueError("time budget must be a finite number of seconds above 0")
@@ -373,7 +375,10 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: it holds no default that can change
+    between calls, so ``main`` builds it once."""
     parser = argparse.ArgumentParser(
         prog="gridloop", description="SAT-based grid puzzle solver"
     )
@@ -383,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     solving = argparse.ArgumentParser(add_help=False)
     solving.add_argument(
         "--solver",
-        default=os.environ.get(DEFAULT_SOLVER_ENV),
         help=f"external solver command (default: ${DEFAULT_SOLVER_ENV} or internal)",
     )
     solving.add_argument("--timeout", type=float, default=300.0, help="time budget in seconds per solver probe")

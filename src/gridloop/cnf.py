@@ -71,6 +71,11 @@ _AMO_PAIRWISE_MAX = 6
 class CnfBuilder:
     """Fresh-variable allocation and clause storage.
 
+    ``add_clause`` checks and normalizes a clause.  The gate, cardinality
+    and bit-vector methods append theirs unchecked, as ``add_trusted``
+    does, so the literals passed to one call must be over distinct
+    variables.
+
     Single-owner: a builder must not be shared across concurrent tasks.
     """
 
@@ -117,6 +122,15 @@ class CnfBuilder:
                 out.append(l)
         self.clauses.append(out)
 
+    def add_trusted(self, clause: list[Lit]) -> None:
+        """Append ``clause`` as given, with none of ``add_clause``'s checks:
+        the path of this package's own encoders, which build each clause
+        from literals they allocated.  The caller guarantees a list of
+        nonzero literals over allocated variables, none repeated and no
+        complementary pair; the internal solver watches two literals of each
+        clause and relies on that.  The list is stored, not copied."""
+        self.clauses.append(clause)
+
     # -- Tseitin gates --------------------------------------------------
 
     def gate_and(self, lits: Sequence[Lit]) -> Lit:
@@ -126,9 +140,10 @@ class CnfBuilder:
         if len(lits) == 1:
             return lits[0]
         g = self.new_var()
+        add = self.clauses.append
         for l in lits:
-            self.add_clause([-g, l])
-        self.add_clause([g] + [-l for l in lits])
+            add([-g, l])
+        add([g] + [-l for l in lits])
         return g
 
     def gate_or(self, lits: Sequence[Lit]) -> Lit:
@@ -137,17 +152,15 @@ class CnfBuilder:
         if len(lits) == 1:
             return lits[0]
         g = self.new_var()
+        add = self.clauses.append
         for l in lits:
-            self.add_clause([g, -l])
-        self.add_clause([-g] + list(lits))
+            add([g, -l])
+        add([-g] + list(lits))
         return g
 
     def gate_xor(self, a: Lit, b: Lit) -> Lit:
         g = self.new_var()
-        self.add_clause([-g, a, b])
-        self.add_clause([-g, -a, -b])
-        self.add_clause([g, -a, b])
-        self.add_clause([g, a, -b])
+        self.clauses += [[-g, a, b], [-g, -a, -b], [g, -a, b], [g, a, -b]]
         return g
 
     # -- cardinality ----------------------------------------------------
@@ -155,23 +168,24 @@ class CnfBuilder:
     def at_least_one(self, lits: Sequence[Lit]) -> None:
         if not lits:
             raise ValueError("at_least_one needs at least one literal")
-        self.add_clause(lits)
+        self.add_trusted(list(lits))
 
     def at_most_one(self, lits: Sequence[Lit]) -> None:
         if not lits:
             raise ValueError("at_most_one needs at least one literal")
+        add = self.clauses.append
         if len(lits) <= _AMO_PAIRWISE_MAX:
             for i in range(len(lits)):
                 for j in range(i + 1, len(lits)):
-                    self.add_clause([-lits[i], -lits[j]])
+                    add([-lits[i], -lits[j]])
             return
         # sequential ladder: s_i = "some true among lits[0..i]"
         s_prev = lits[0]
         for l in lits[1:]:
             s = self.new_var()
-            self.add_clause([-s_prev, s])
-            self.add_clause([-l, s])
-            self.add_clause([-l, -s_prev])
+            add([-s_prev, s])
+            add([-l, s])
+            add([-l, -s_prev])
             s_prev = s
 
     def exactly_one(self, lits: Sequence[Lit]) -> None:
@@ -193,26 +207,25 @@ class CnfBuilder:
             mid = len(seg) // 2
             return merge(build(seg[:mid]), build(seg[mid:]))
 
+        add = self.clauses.append
+
         def merge(a: list[Lit], b: list[Lit]) -> list[Lit]:
             p, q = len(a), len(b)
             r = self.new_vars(p + q)
+            # a_ge[i] is false when at least i of a are true, a_le[i] when at
+            # most i are; each is empty where that always holds.  Joining
+            # them gives every clause a list of its exact size.
+            a_ge = [[]] + [[-x] for x in a]
+            a_le = [[x] for x in a] + [[]]
+            b_ge = [[]] + [[-x] for x in b]
+            b_le = [[x] for x in b] + [[]]
             for i in range(p + 1):
                 for j in range(q + 1):
                     k = i + j
                     if k >= 1:
-                        cl = [r[k - 1]]
-                        if i >= 1:
-                            cl.append(-a[i - 1])
-                        if j >= 1:
-                            cl.append(-b[j - 1])
-                        self.add_clause(cl)
+                        add([r[k - 1]] + a_ge[i] + b_ge[j])
                     if k <= p + q - 1:
-                        cl = [-r[k]]
-                        if i < p:
-                            cl.append(a[i])
-                        if j < q:
-                            cl.append(b[j])
-                        self.add_clause(cl)
+                        add([-r[k]] + a_le[i] + b_le[j])
             return r
 
         return UnaryCount(build(list(lits)))
@@ -226,14 +239,14 @@ class CnfBuilder:
         if not 0 <= k <= n:
             raise ValueError(f"count bound {k} out of range 0..{n}")
         if k >= 1:
-            self.add_clause([count.outputs[k - 1]])
+            self.add_trusted([count.outputs[k - 1]])
 
     def bound_le(self, count: UnaryCount, k: int) -> None:
         n = count.size
         if not 0 <= k <= n:
             raise ValueError(f"count bound {k} out of range 0..{n}")
         if k < n:
-            self.add_clause([-count.outputs[k]])
+            self.add_trusted([-count.outputs[k]])
 
     # -- bit-vector arithmetic ------------------------------------------
 
@@ -269,10 +282,13 @@ class CnfBuilder:
             raise ValueError("bitvec width mismatch")
         succ, overflow = self.increment(x)
         pre = [-g for g in guard]
+        add = self.clauses.append
+        # ``pre + [...]`` gives each clause a list of its exact size, where
+        # ``[*pre, ...]`` would over-allocate it
         for yb, sb in zip(y.bits, succ.bits):
-            self.add_clause([*pre, -yb, sb])
-            self.add_clause([*pre, yb, -sb])
-        self.add_clause([*pre, -overflow])
+            add(pre + [-yb, sb])
+            add(pre + [yb, -sb])
+        add(pre + [-overflow])
 
     # -- output ---------------------------------------------------------
 
@@ -314,7 +330,8 @@ def distance_width(n: int) -> int:
 
 
 def parse_dimacs(text: str) -> tuple[int, list[list[Lit]]]:
-    """Parse a DIMACS CNF string into (nvars, clauses)."""
+    """Parse a DIMACS CNF string into (nvars, clauses).  A literal repeated
+    within a clause is kept once, as the internal solver needs."""
     nvars = None
     nclauses = None
     clauses: list[list[Lit]] = []
@@ -334,14 +351,14 @@ def parse_dimacs(text: str) -> tuple[int, list[list[Lit]]]:
         for tok in line.split():
             v = int(tok)
             if v == 0:
-                clauses.append(cur)
+                clauses.append(list(dict.fromkeys(cur)))
                 cur = []
             elif abs(v) > nvars:
                 raise ValueError(f"literal {v} is over variable {abs(v)}, above the header's {nvars}")
             else:
                 cur.append(v)
     if cur:
-        clauses.append(cur)
+        clauses.append(list(dict.fromkeys(cur)))
     if nvars is None:
         raise ValueError("missing DIMACS header")
     if nclauses is not None and nclauses != len(clauses):

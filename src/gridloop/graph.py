@@ -17,6 +17,9 @@ pinned to 0; ``distance_width(n)`` bits leave room for a model's n - 1 steps.
 
 Plus grid variants that synthesize the orthogonal-adjacency edges of a cell
 grid, and ``cycle_grid``, whose cycles are cut down to one on demand.
+
+Clauses go in through ``CnfBuilder.add_trusted``, unchecked, so every vertex
+and edge literal given to these functions must be over a variable of its own.
 """
 from __future__ import annotations
 
@@ -142,11 +145,11 @@ def hcp(builder: CnfBuilder, vs: Sequence[VertexSpec], es: Sequence[EdgeSpec]) -
 
     # active edge -> both endpoints are in
     for e in es:
-        builder.add_clause([-e.lit, in_lits[index[e.src]]])
-        builder.add_clause([-e.lit, in_lits[index[e.dst]]])
+        builder.add_trusted([-e.lit, in_lits[index[e.src]]])
+        builder.add_trusted([-e.lit, in_lits[index[e.dst]]])
 
     starts, seen = _start_chain(builder, in_lits)
-    builder.add_clause([seen[-1]])
+    builder.add_trusted([seen[-1]])
 
     # every in-vertex but the start: exactly one out-edge and one in-edge
     outgoing: list[list[Lit]] = [[] for _ in range(n)]
@@ -156,7 +159,8 @@ def hcp(builder: CnfBuilder, vs: Sequence[VertexSpec], es: Sequence[EdgeSpec]) -
         incoming[index[e.dst]].append(e.lit)
     for i in range(n):
         for lits in (outgoing[i], incoming[i]):
-            builder.add_clause([starts[i], -in_lits[i]] + lits)
+            if i:  # vertex 0 is the start whenever it is in: a tautology
+                builder.add_trusted([starts[i], -in_lits[i]] + lits)
             if not lits:
                 break  # [start_i, -in_i] subsumes the other direction's clause
             if len(lits) > 1:
@@ -214,8 +218,8 @@ def scc(
     in_lits = [v.in_lit for v in vs]
 
     for e in es:
-        builder.add_clause([-e.lit, in_lits[index[e.src]]])
-        builder.add_clause([-e.lit, in_lits[index[e.dst]]])
+        builder.add_trusted([-e.lit, in_lits[index[e.src]]])
+        builder.add_trusted([-e.lit, in_lits[index[e.dst]]])
 
     roots, _ = _start_chain(builder, in_lits)
     dist = _distance_labels(builder, vs, "sdist")
@@ -232,10 +236,11 @@ def scc(
         parents = []
         for elit, j in incident[i]:
             p = builder.new_var()
-            builder.add_clause([-p, elit])
+            builder.add_trusted([-p, elit])
             parents.append(p)
             builder.bitvec_successor(dist[j], dist[i], p)
-        builder.add_clause([roots[i], -in_lits[i]] + parents)
+        if i:  # vertex 0 is the root whenever it is in: a tautology
+            builder.add_trusted([roots[i], -in_lits[i]] + parents)
         if len(parents) > 1:
             builder.at_most_one(parents)
 
@@ -249,7 +254,7 @@ def scc_grid(builder: CnfBuilder, grid: GridVars) -> None:
             if (r2, c2) in grid.cells:
                 g = builder.new_var(f"uedge_{r}_{c}_{r2}_{c2}")
                 # scc's endpoint clauses give g -> a and g -> b
-                builder.add_clause([g, -a, -grid.cells[(r2, c2)]])
+                builder.add_trusted([g, -a, -grid.cells[(r2, c2)]])
                 es.append(EdgeSpec((r, c), (r2, c2), g))
     scc(builder, _grid_vertices(grid), es)
 
@@ -287,21 +292,21 @@ def cycle_grid(
                 edges.append(EdgeSpec((r, c), b, e))
                 incident[(r, c)].append(e)
                 incident[b].append(e)
-                builder.add_clause([-e, a])
-                builder.add_clause([-e, grid.cells[b]])
+                builder.add_trusted([-e, a])
+                builder.add_trusted([-e, grid.cells[b]])
     # a counter over fewer than three cells lacks an output, which is false
     at_least_2, at_least_3 = (count.outputs + [builder.FALSE] * 2)[1:3] if count else (None, None)
     for rc, lits in incident.items():
         guard = [-grid.cells[rc]] + ([-at_least_3] if count else [])
         for trio in itertools.combinations(lits, 3):
-            builder.add_clause([-e for e in trio])
+            builder.add_trusted([-e for e in trio])
         if count:
-            builder.add_clause([-grid.cells[rc], -at_least_2] + lits)
+            builder.add_trusted([-grid.cells[rc], -at_least_2] + lits)
         # in -> some other edge besides each one: at least two edges
         for i in range(len(lits)):
-            builder.add_clause(guard + lits[:i] + lits[i + 1 :])
+            builder.add_trusted(guard + lits[:i] + lits[i + 1 :])
         if not lits:
-            builder.add_clause(guard)
+            builder.add_trusted(guard)
 
     def cuts(assignment: dict[int, bool]) -> list[list[Lit]]:
         if count and not lit_value(at_least_3, assignment):

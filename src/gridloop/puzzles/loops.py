@@ -55,7 +55,7 @@ def constrain_paths(
                 continue
             seen.add(key)
             choices.append(builder.gate_and(lits))
-    builder.add_clause(choices)
+    builder.add_trusted(choices)
 
 
 def build_loop(
@@ -85,7 +85,7 @@ def build_loop(
         edges, cuts = hcp_grid(builder, grid), None
     emap = edge_map(edges)
     for cell in circles:
-        builder.add_clause([grid.cell(*cell)])
+        builder.add_trusted([grid.cell(*cell)])
         constrain(cell, emap)
     return (lambda assignment: decode_loop(assignment, grid, edges)), None, cuts
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..cnf import CnfBuilder, Lit, UnaryCount
-from ..graph import GridVars, cycle_grid, hcp_grid
+from ..graph import EdgeSpec, GridVars, cycle_grid, grid_cycles, hcp_grid
 from ..solver import Cuts
 
 Pos = tuple[int, int]  # (x, y)
@@ -130,7 +130,7 @@ def build_roadrunner(
             laser[p] for p in quadrantal_neighbors(inst, x, y) if p in laser
         ]
         if num > len(neighbor_lasers):
-            builder.add_clause([])  # clue cannot be met
+            builder.add_trusted([])  # clue cannot be met
             continue
         if neighbor_lasers:
             count = builder.unary_count(neighbor_lasers)
@@ -140,27 +140,27 @@ def build_roadrunner(
         ps = attacked_positions(inst, x, y)
         for p in ps:
             if p > (x, y):  # sight is symmetric: one clause per pair
-                builder.add_clause([-lz, -laser[p]])
-            builder.add_clause([-lz, -road_lit(*p)])
+                builder.add_trusted([-lz, -laser[p]])
+            builder.add_trusted([-lz, -road_lit(*p)])
         # road(x, y) <-> no laser on (x, y) or any attacked position
-        builder.add_clause([-road_lit(x, y), -lz])
-        builder.add_clause([road_lit(x, y), lz] + [laser[p] for p in ps])
+        builder.add_trusted([-road_lit(x, y), -lz])
+        builder.add_trusted([road_lit(x, y), lz] + [laser[p] for p in ps])
 
     # an all-hill board still gets a counter to bound, over constant false
     cells = list(road.cells.values()) or [builder.FALSE]
-    cuts = None
+    cuts, edges = None, []
     if lazy:
         # the counter comes first: cycle_grid's degree clauses read it
         count = builder.unary_count(cells)
-        builder.add_clause([count.outputs[0]])  # K >= 1
-        _, cuts = cycle_grid(builder, road, count=count)
+        builder.add_trusted([count.outputs[0]])  # K >= 1
+        edges, cuts = cycle_grid(builder, road, count=count)
     else:
         if road.cells:
-            hcp_grid(builder, road)  # hcp itself requires K >= 1
+            edges = hcp_grid(builder, road)  # hcp itself requires K >= 1
         else:
-            builder.add_clause([])  # all hills: no road
+            builder.add_trusted([])  # all hills: no road
         count = builder.unary_count(cells)
-    return (lambda assignment: decode_roadrunner(assignment, inst, laser, road)), count, cuts
+    return (lambda assignment: decode_roadrunner(assignment, inst, laser, road, edges)), count, cuts
 
 
 @dataclass
@@ -168,6 +168,9 @@ class RoadrunnerSolution:
     laser: list[list[int]]  # laser[y-1][x-1]
     road: list[list[int]]
     k: int
+    # the circuit's road cells in walk order, or None when unknown (a JSON
+    # solution carries no order)
+    cycle: list[Pos] | None = None
 
     def laser_at(self, x: int, y: int) -> bool:
         return bool(self.laser[y - 1][x - 1])
@@ -181,13 +184,24 @@ def decode_roadrunner(
     inst: RoadrunnerInstance,
     laser: dict[Pos, Lit],
     road: GridVars,
+    edges: list[EdgeSpec],
 ) -> RoadrunnerSolution:
+    """Lasers and road, and the circuit's order: the cycle of active edges
+    (see ``grid_cycles``), or the road cells in row-major order where there
+    are at most two, which need no edge.  Raises RuntimeError unless the
+    active edges form one cycle."""
     laser_grid = [[0] * inst.max_x for _ in range(inst.max_y)]
     for (x, y), lit in laser.items():
         if assignment[lit]:
             laser_grid[y - 1][x - 1] = 1
     road_grid = road.read(assignment)
-    return RoadrunnerSolution(laser_grid, road_grid, sum(map(sum, road_grid)))
+    cycle = [(x, y) for (y, x), lit in road.cells.items() if assignment[lit]]
+    if len(cycle) > 2:
+        cycles = grid_cycles(assignment, road, edges)
+        if len(cycles) != 1:
+            raise RuntimeError(f"active edges form {len(cycles)} cycles, not one")
+        cycle = [(x, y) for y, x in cycles[0]]
+    return RoadrunnerSolution(laser_grid, road_grid, sum(map(sum, road_grid)), cycle)
 
 
 def _segment_groups(inst: RoadrunnerInstance):
@@ -214,7 +228,9 @@ def _segment_groups(inst: RoadrunnerInstance):
 
 def verify_roadrunner(inst: RoadrunnerInstance, sol: RoadrunnerSolution) -> str | None:
     """Re-check the game rules directly: laser mutual visibility, clue sums,
-    road = safe cells (set equality), and the single-circuit property."""
+    road = safe cells (set equality), and the single-circuit property: the
+    solution's cycle order must walk the road, or, without an order, a
+    search must find such a walk."""
     if len(sol.laser) != inst.max_y or len(sol.road) != inst.max_y:
         return "wrong-grid-size"
     if any(len(row) != inst.max_x for row in sol.laser + sol.road):
@@ -246,9 +262,23 @@ def verify_roadrunner(inst: RoadrunnerInstance, sol: RoadrunnerSolution) -> str 
         return "k-mismatch"
     if not roads:
         return "no-road-cell"
-    if not has_grid_cycle(roads):
+    if not (has_grid_cycle(roads) if sol.cycle is None else walks_circuit(roads, sol.cycle)):
         return "road-not-a-circuit"
     return None
+
+
+def walks_circuit(cells: set[Pos], order: list[Pos]) -> bool:
+    """True iff ``order`` is a closed walk of orthogonal steps that visits
+    every cell of ``cells`` exactly once, back to its start.  A single cell
+    counts; two adjacent cells form a 2-cycle."""
+    if len(order) != len(cells) or set(order) != cells:
+        return False
+    if len(order) == 1:
+        return True
+    return all(
+        abs(x1 - x2) + abs(y1 - y2) == 1
+        for (x1, y1), (x2, y2) in zip(order, order[1:] + order[:1])
+    )
 
 
 def has_grid_cycle(cells: set[Pos]) -> bool:

@@ -109,10 +109,10 @@ def constrain_arms(
     for i, d in enumerate(live):
         for p in live[i + 1 :]:
             if p not in partners[d]:
-                builder.add_clause([-first[d], -first[p]])
+                builder.add_trusted([-first[d], -first[p]])
     for d in first:
         add_once([-first[d]] + [first[q] for q in partners[d]])
-    builder.add_clause([first[d] for d in live])
+    builder.add_trusted([first[d] for d in live])
 
     ladder = {}
     for d in live:
@@ -124,13 +124,13 @@ def constrain_arms(
     for d, p in pairs:
         a, b = ladder[d], ladder[p]
         for L in range(max(1, clue + 1 - len(b)), len(a) + 1):
-            builder.add_clause([-a[L - 1], -b[clue - L]])
+            builder.add_trusted([-a[L - 1], -b[clue - L]])
         # L = 1 and L = clue hold by the guard; one side is on the board,
         # since the arms reach clue in sum
         for L in range(2, clue):
             longer = [a[L - 1]] if L <= len(a) else []
             longer += [b[clue - L]] if clue - L < len(b) else []
-            builder.add_clause([-first[d], -first[p]] + longer)
+            builder.add_trusted([-first[d], -first[p]] + longer)
 
 
 def build_shingoki(builder: CnfBuilder, inst: ShingokiInstance, lazy: bool = False):
@@ -150,7 +150,7 @@ def build_shingoki(builder: CnfBuilder, inst: ShingokiInstance, lazy: bool = Fal
     def add_once(clause: list[Lit]) -> None:
         if tuple(clause) not in added:
             added.add(tuple(clause))
-            builder.add_clause(clause)
+            builder.add_trusted(clause)
 
     def constrain(cell: Cell, emap: EdgeMap) -> None:
         def edge(a: Cell, b: Cell) -> Lit:

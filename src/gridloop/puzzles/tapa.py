@@ -183,7 +183,7 @@ def build_tapa(
         for c in range(1, inst.n):
             window = [(r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1)]
             if all(p in grid.cells for p in window):
-                builder.add_clause([-grid.cells[p] for p in window])
+                builder.add_trusted([-grid.cells[p] for p in window])
     for r, c in inst.clue_cells():
         ring, circular = neighbor_ring(inst.n, r, c)
         if ring:
@@ -203,7 +203,7 @@ def build_tapa(
                 break  # the clue is met whatever the cells are: no clause
             choices.append(builder.gate_and(lits))
         else:
-            builder.add_clause(choices)  # empty if no layout fits: infeasible
+            builder.add_trusted(choices)  # empty if no layout fits: infeasible
     return (lambda assignment: decode_coloring(assignment, grid)), None, cuts
 
 

@@ -75,17 +75,18 @@ SolveFn = Callable[..., Probe]
 
 
 def check_model(clauses: Sequence[Sequence[Lit]], model: Model) -> bool:
-    """True iff every clause has a satisfied literal under the model."""
+    """True iff every clause has a satisfied literal under the model.
+    Raises ValueError for a clause with no true literal over a variable the
+    model lacks."""
     a = model.assignment
+    true = {v if b else -v for v, b in a.items()}
     for cl in clauses:
+        if not true.isdisjoint(cl):
+            continue
         for l in cl:
-            var = abs(l)
-            if var not in a:
-                raise ValueError(f"model missing variable {var}")
-            if a[var] == (l > 0):
-                break
-        else:
-            return False
+            if abs(l) not in a:
+                raise ValueError(f"model missing variable {abs(l)}")
+        return False
     return True
 
 
@@ -100,8 +101,14 @@ class _Solver:
         self.pending = clauses
 
     def _load(self):
-        """Build the search state, then take the pending clauses through
-        ``add_clauses``."""
+        """Build the search state and attach the pending clauses.
+
+        The state is empty, so each clause goes in as given, unfiltered: a
+        clause of two or more literals is copied (the search reorders its
+        literals in place) and watched on its first two, and a unit is
+        assigned.  The closing ``_propagate`` walks the whole trail, so it
+        meets every watched literal that a unit made false.  A clause must
+        repeat no literal."""
         nvars = self.nvars
         # val[lit + nvars]: 1 true, -1 false, 0 unassigned; both polarities kept
         self.val = [0] * (2 * nvars + 1)
@@ -124,15 +131,30 @@ class _Solver:
         self.qhead = 0
         # watches[lit + nvars] -> list of clauses watching lit
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * nvars + 1)]
+        val, watches = self.val, self.watches
         clauses, self.pending = self.pending, None
-        self.add_clauses(clauses)
+        for cl in clauses:
+            if len(cl) > 1:
+                cl = list(cl)
+                watches[cl[0] + nvars].append(cl)
+                watches[cl[1] + nvars].append(cl)
+                continue
+            v = val[cl[0] + nvars] if cl else -1
+            if v == -1:  # the empty clause, or a unit against an earlier one
+                self.ok = False
+                return
+            if v == 0:
+                self._assign(cl[0], None)
+        if self._propagate() is not None:
+            self.ok = False
 
     def add_clauses(self, clauses):
         """Add clauses between calls to ``solve``, at level 0, where every
         call returns.  A clause with a literal true at level 0 is dropped and
         its false literals are stripped; a unit clause is assigned and
         propagated; an empty clause, or a conflict in that propagation, makes
-        the formula unsat and clears ``ok``."""
+        the formula unsat and clears ``ok``.  A clause must repeat no
+        literal."""
         if self.pending is not None:
             self._load()
         if not self.ok:
@@ -141,7 +163,7 @@ class _Solver:
         val = self.val
         for cl in clauses:
             lits = []
-            for lit in dict.fromkeys(cl):  # a DIMACS clause may repeat a literal
+            for lit in cl:
                 v = val[lit + n]
                 if v == 1:
                     break

@@ -280,3 +280,25 @@ def rr_optimum(inst):
         if best is None or len(safe) > best:
             best = len(safe)
     return best
+
+
+def clause_faults(clauses, nvars):
+    """Why each clause, if any, breaks the contract of clauses that reach
+    the internal solver unchecked: a list of ints, each over a variable in
+    1..nvars, with no literal repeated and no complementary pair."""
+    faults = []
+    for i, cl in enumerate(clauses):
+        if type(cl) is not list:
+            why = f"a {type(cl).__name__}, not a list"
+        elif not all(type(l) is int for l in cl):
+            why = "a literal that is not an int"
+        elif not all(0 < abs(l) <= nvars for l in cl):
+            why = f"a literal over no variable in 1..{nvars}"
+        elif len(set(cl)) != len(cl):
+            why = "a repeated literal"
+        elif len({abs(l) for l in cl}) != len(cl):
+            why = "a complementary pair"
+        else:
+            continue
+        faults.append(f"clause {i} {cl!r}: {why}")
+    return faults

@@ -19,6 +19,7 @@ from gridloop.cli import (
     EXIT_REJECT,
     EXIT_UNKNOWN,
     RunConfig,
+    build_parser,
     infer_kind,
     main,
     run,
@@ -370,6 +371,34 @@ def test_encode_ignores_solver_env(tmp_path, monkeypatch, capsys):
     cnf = tmp_path / "m.cnf"
     assert main(["encode", inst_path("masyu_4x4.masyu"), "-o", str(cnf)]) == EXIT_OK
     assert main(["solve", inst_path("masyu_4x4.masyu")]) == EXIT_INPUT
+
+
+def test_cached_parser_reads_solver_env_on_every_run(monkeypatch, capsys):
+    # the parser is built once per process, so the environment is read
+    # when a command runs, not when the parser was built
+    assert build_parser() is build_parser()
+    monkeypatch.delenv("GRIDLOOP_SOLVER", raising=False)
+    assert main(["solve", inst_path("masyu_4x4.masyu")]) == EXIT_OK
+    monkeypatch.setenv("GRIDLOOP_SOLVER", '"unbalanced')
+    assert main(["solve", inst_path("masyu_4x4.masyu")]) == EXIT_INPUT
+    monkeypatch.delenv("GRIDLOOP_SOLVER")
+    assert main(["solve", inst_path("masyu_4x4.masyu")]) == EXIT_OK
+
+
+def test_dimacs_solver_takes_a_repeated_literal(tmp_path):
+    # 1 1 -2 is the clause 1 -2; with the tautology and -1 the one model
+    # is -1 -2
+    cnf = tmp_path / "rep.cnf"
+    cnf.write_text("p cnf 2 3\n1 1 -2 0\n1 -1 0\n-1 -1 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridloop.dimacs_solver", str(cnf)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 10
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "s SATISFIABLE"
+    assert " ".join(ln[2:] for ln in lines[1:]) == "-1 -2 0"
 
 
 def test_verify_mutated_rejects(tmp_path, capsys):

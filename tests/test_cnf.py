@@ -370,3 +370,19 @@ def test_distance_width():
     assert distance_width(16) == 4
     with pytest.raises(ValueError):
         distance_width(0)
+
+
+def test_parse_dimacs_keeps_a_repeated_literal_once():
+    # tautologies stay; a repeated literal would break the solver's watches
+    assert parse_dimacs("p cnf 2 3\n1 1 -2 0\n1 -1 0\n-1 2 -1 2\n") == (
+        2,
+        [[1, -2], [1, -1], [-1, 2]],
+    )
+
+
+def test_add_trusted_stores_the_clause_as_given():
+    b = CnfBuilder()
+    a, c = b.new_var(), b.new_var()
+    clause = [a, -c]
+    b.add_trusted(clause)
+    assert b.clauses[-1] is clause

@@ -1,4 +1,5 @@
 """Roadrunner: ray geometry, optimization, exhaustive optimum, verifier."""
+import functools
 import glob
 import os
 import sys
@@ -13,8 +14,8 @@ from gridloop.puzzles import (
     parse_roadrunner,
     verify_roadrunner,
 )
-from gridloop.puzzles.roadrunner import has_grid_cycle, quadrantal_neighbors
-from gridloop.solver import external_solve_fn
+from gridloop.puzzles.roadrunner import has_grid_cycle, quadrantal_neighbors, walks_circuit
+from gridloop.solver import external_solve_fn, internal_solve_fn
 
 from oracles import rr_optimum
 
@@ -194,6 +195,53 @@ def test_verify_roadrunner_clue_sum():
         0,
     )
     assert verify_roadrunner(inst, one_laser) == "clue-sum-mismatch"
+
+
+def test_verify_roadrunner_checks_the_cycle_order():
+    # a 3x2 board with no hill: the safe road is all six cells, (x, y)
+    inst = parse_roadrunner("3 2\n...\n...\n")
+    none, road = [[0] * 3] * 2, [[1] * 3] * 2
+    ring = [(1, 1), (2, 1), (3, 1), (3, 2), (2, 2), (1, 2)]
+    assert verify_roadrunner(inst, RoadrunnerSolution(none, road, 6, ring)) is None
+    wrong = {
+        "non-adjacent step": [(1, 1), (3, 1), (2, 1), (3, 2), (2, 2), (1, 2)],
+        "repeated cell": [(1, 1), (2, 1), (3, 1), (3, 2), (2, 2), (2, 1)],
+        "missed road cell": [(1, 1), (2, 1), (2, 2), (1, 2)],
+        "extra cell": ring + [(1, 1)],
+    }
+    for why, order in wrong.items():
+        sol = RoadrunnerSolution(none, road, 6, order)
+        assert verify_roadrunner(inst, sol) == "road-not-a-circuit", why
+    # without an order, a search decides
+    assert verify_roadrunner(inst, RoadrunnerSolution(none, road, 6)) is None
+
+
+def test_walks_circuit():
+    assert walks_circuit({(1, 1)}, [(1, 1)])
+    assert walks_circuit({(1, 1), (1, 2)}, [(1, 2), (1, 1)])
+    assert not walks_circuit({(1, 1), (1, 3)}, [(1, 1), (1, 3)])
+    assert not walks_circuit({(1, 1)}, [])
+    square = [(1, 1), (2, 1), (2, 2), (1, 2)]
+    assert walks_circuit(set(square), square)
+    assert not walks_circuit(set(square), [(1, 1), (2, 2), (2, 1), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "instances", "*.roadrunner"))),
+)
+def test_decoded_solutions_carry_their_cycle(path):
+    with open(path) as f:
+        inst = parse_roadrunner(f.read())
+    for lazy in (False, True):
+        b = CnfBuilder()
+        decode, count, cuts = build_roadrunner(b, inst, lazy=lazy)
+        fn = functools.partial(internal_solve_fn(), cuts=cuts)
+        res = maximize(b.clauses, b.var_count, count, solve_fn=fn, lo=1)
+        sol = decode(res.best_model.assignment)
+        roads = {(x, y) for y, row in enumerate(sol.road, 1) for x, bit in enumerate(row, 1) if bit}
+        assert sol.cycle is not None and walks_circuit(roads, sol.cycle)
+        assert verify_roadrunner(inst, sol) is None
 
 
 def test_has_grid_cycle():
