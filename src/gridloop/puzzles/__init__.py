@@ -1,4 +1,4 @@
-from .loops import LoopSolution, decode_loop, edge_map
+from .loops import LoopSolution, decode_loop
 from .roadrunner import (
     RoadrunnerInstance,
     RoadrunnerSolution,
@@ -24,7 +24,6 @@ from .tapa import (
 __all__ = [
     "LoopSolution",
     "decode_loop",
-    "edge_map",
     "RoadrunnerInstance",
     "RoadrunnerSolution",
     "attacked_positions",

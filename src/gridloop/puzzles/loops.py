@@ -1,7 +1,8 @@
 """Shared machinery for loop puzzles: the one loop-puzzle encoding (a loop
 through circles, each held to its puzzle's rule) in an eager and a lazy
-model, edge maps, path-shape constraints, and ``decode_loop``, which reads a
-model of either model back into a closed cell cycle."""
+model, the arm ladders that every circle's rule is written over, and
+``decode_loop``, which reads a model of either model back into a closed cell
+cycle."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,81 +13,126 @@ from ..graph import Cell, EdgeSpec, GridVars, cycle_grid, grid_cycles, hcp_grid,
 from ..solver import Cuts
 
 
-EdgeMap = dict[tuple[int, int, int, int], Lit]
+EdgeReader = Callable[[Cell, Cell], Lit]
+AddOnce = Callable[[list[Lit]], None]
+
+# The steps from a circle: up, down, left, right.  A white circle is passed
+# along an opposite pair of them, a black one along a perpendicular pair.
+STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+PAIRS = {"w": ((0, 1), (2, 3)), "b": ((0, 2), (0, 3), (1, 2), (1, 3))}
 
 
-def edge_map(edges: Sequence[EdgeSpec]) -> EdgeMap:
-    """Index grid edges by (r1, c1, r2, c2).  An edge whose reverse is not
-    listed is undirected: both directions share its literal."""
-    emap = {(*e.src, *e.dst): e.lit for e in edges}
-    for e in edges:
-        emap.setdefault((*e.dst, *e.src), e.lit)
-    return emap
+def reaches(n: int, cell: Cell) -> tuple[int, int, int, int]:
+    """The edges from ``cell`` to the border of the n x n board, per step."""
+    r, c = cell
+    return (r - 1, n - r, c - 1, n - c)
 
 
-def constrain_paths(
+def arm_ladders(
     builder: CnfBuilder,
-    emap: EdgeMap,
-    rows: int,
-    cols: int,
-    shapes: Sequence[Sequence[Cell]],
-) -> None:
-    """Require that at least one of the given path shapes occurs in the loop.
+    edge: EdgeReader,
+    add_once: AddOnce,
+    n: int,
+    cell: Cell,
+    pairs: Sequence[tuple[int, int]],
+    depth: int,
+) -> dict[int, list[Lit]]:
+    """The loop passes the circle at ``cell`` on the n x n board along one of
+    ``pairs``, pairs of directions (indices into ``STEPS``) whose first edges
+    are on the board.  ``edge(a, b)`` is the literal of the edge between
+    cells a and b being on, and ``add_once`` adds a clause unless it was
+    added before: two circles can force one edge off alike, or both be unmet.
 
-    Each shape is a cell sequence; it and its reverse each contribute a
-    conjunction over the consecutive edge literals, one per distinct set of
-    literals: where ``emap`` gives both directions of an edge one literal, a
-    shape and its reverse share one conjunction.  Shapes with off-grid cells
-    are dropped.  If nothing survives, the empty disjunction makes the
-    formula unsatisfiable (the circled cell cannot be traversed legally).
+    Returns the arm ladders, the order encoding of each arm's length
+    (Tamura et al., "Compiling finite linear CSP into SAT", Constraints
+    2009): over the edges e_d(1), e_d(2), ... from the circle toward d,
+    a_d(1) = e_d(1) and a_d(L) <-> a_d(L-1) and e_d(L), up to the border or
+    to L = ``depth``, so ``ladder[d][L - 1]`` is a_d(L), true iff the arm is
+    at least L long.  Only directions in some pair get a ladder.  The
+    clauses:
+
+    * colour: two first edges that are not a pair are not both on;
+    * partner: an on first edge has an on partner, and some first edge is
+      on, so exactly one pair is on whatever the loop model allows (the
+      eager model's lone in-cell and directed 2-cycle among it).
+
+    With no pair the clause is empty.
     """
-    choices: list[Lit] = []
-    seen: set[frozenset[Lit]] = set()
-    for shape in shapes:
-        if any(not (1 <= r <= rows and 1 <= c <= cols) for r, c in shape):
-            continue
-        for path in (shape, shape[::-1]):
-            lits = [
-                emap[(path[i][0], path[i][1], path[i + 1][0], path[i + 1][1])]
-                for i in range(len(path) - 1)
-            ]
-            key = frozenset(lits)
-            if key in seen:
-                continue
-            seen.add(key)
-            choices.append(builder.gate_and(lits))
-    builder.add_trusted(choices)
+    if not pairs:
+        add_once([])
+        return {}
+    r, c = cell
+    reach = reaches(n, cell)
+    first = {d: edge(cell, (r + dr, c + dc)) for d, (dr, dc) in enumerate(STEPS) if reach[d]}
+    partners = {d: [q for pair in pairs if d in pair for q in pair if q != d] for d in first}
+    live = [d for d in first if partners[d]]
+    # implied where a cell has at most two on edges, but without them, or
+    # the forced-off units below, the lazy masyu_30x30 took 123 s, not 7 s
+    for i, d in enumerate(live):
+        for p in live[i + 1 :]:
+            if p not in partners[d]:
+                builder.add_trusted([-first[d], -first[p]])
+    for d in first:
+        add_once([-first[d]] + [first[q] for q in partners[d]])
+    builder.add_trusted([first[d] for d in live])
+
+    ladder = {}
+    for d in live:
+        (dr, dc), arm = STEPS[d], [first[d]]
+        for i in range(1, min(depth, reach[d])):
+            a, b = (r + i * dr, c + i * dc), (r + (i + 1) * dr, c + (i + 1) * dc)
+            arm.append(builder.gate_and([arm[-1], edge(a, b)]))
+        ladder[d] = arm
+    return ladder
 
 
 def build_loop(
     builder: CnfBuilder,
     n: int,
     circles: Sequence[Cell],
-    constrain: Callable[[Cell, EdgeMap], None],
+    constrain: Callable[[Cell, EdgeReader, AddOnce], None],
     lazy: bool = False,
 ) -> tuple[Callable[[dict[int, bool]], LoopSolution], None, Cuts | None]:
     """One closed loop on the n x n grid through every circle, each of which
-    ``constrain(circle, emap)`` holds to the puzzle's rule, reading the edge
-    literals from ``emap`` (see ``edge_map``).  Returns (decode, None, cuts):
+    ``constrain(circle, edge, add_once)`` holds to the puzzle's rule (see
+    ``arm_ladders`` for the two readers).  Returns (decode, None, cuts):
     ``decode(assignment)`` reads the loop back with ``decode_loop``, and
     there is no objective.
 
     The eager model (``hcp`` over directed edges) is complete on its own, and
-    ``cuts`` is None.  With ``lazy`` and at least one circle, the lazy model
-    ``cycle_grid`` is built instead, with the circles as its anchors: it
+    ``cuts`` is None; ``edge(a, b)`` there is one ``gate_or`` of the two
+    directions, built the first time a rule reads the edge.  With ``lazy``
+    and at least one circle, the lazy model ``cycle_grid`` is built instead,
+    with the circles as its anchors: its edge literals are undirected, it
     admits every set of disjoint cycles, and ``cuts(assignment)`` gives the
     clauses that exclude a model of two or more cycles.  A board without a
-    circle, where nothing puts a cell in, keeps the eager model.  This is the
-    only place that decides which model a loop puzzle gets."""
+    circle, where nothing puts a cell in, keeps the eager model, whose lone
+    in-cell is a loop.  This is the only place that decides which model a
+    loop puzzle gets."""
     grid = make_grid(builder, n, n)
     if lazy and circles:
         edges, cuts = cycle_grid(builder, grid, circles)
     else:
         edges, cuts = hcp_grid(builder, grid), None
-    emap = edge_map(edges)
+    directed = {(e.src, e.dst): e.lit for e in edges}
+    # keyed (up or left cell, other), as the lazy model lists its edges
+    undirected = dict(directed) if cuts else {}
+    added: set[tuple[Lit, ...]] = set()
+
+    def edge(a: Cell, b: Cell) -> Lit:
+        key = (a, b) if a < b else (b, a)
+        if key not in undirected:
+            undirected[key] = builder.gate_or([directed[(a, b)], directed[(b, a)]])
+        return undirected[key]
+
+    def add_once(clause: list[Lit]) -> None:
+        if tuple(clause) not in added:
+            added.add(tuple(clause))
+            builder.add_trusted(clause)
+
     for cell in circles:
         builder.add_trusted([grid.cell(*cell)])
-        constrain(cell, emap)
+        constrain(cell, edge, add_once)
     return (lambda assignment: decode_loop(assignment, grid, edges)), None, cuts
 
 

@@ -8,12 +8,15 @@ from dataclasses import dataclass
 from ..cnf import CnfBuilder
 from ..graph import Cell
 from .loops import (
-    EdgeMap,
+    PAIRS,
+    AddOnce,
+    EdgeReader,
     LoopSolution,
+    arm_ladders,
     build_loop,
     check_cycle_shape,
-    constrain_paths,
     loop_neighbors,
+    reaches,
     straight_at,
 )
 
@@ -51,36 +54,31 @@ def parse_masyu(text: str) -> MasyuInstance:
     return MasyuInstance(n, board)
 
 
-def white_shapes(r: int, c: int) -> list[list[tuple[int, int]]]:
-    """The 8 path shapes through a white circle: straight through (r, c) with
-    a turn in the previous and/or next cell."""
-    return [
-        [(r, c - 1), (r, c), (r, c + 1), (r - 1, c + 1)],
-        [(r, c - 1), (r, c), (r, c + 1), (r + 1, c + 1)],
-        [(r - 1, c - 1), (r, c - 1), (r, c), (r, c + 1)],
-        [(r + 1, c - 1), (r, c - 1), (r, c), (r, c + 1)],
-        [(r - 1, c - 1), (r - 1, c), (r, c), (r + 1, c)],
-        [(r - 1, c + 1), (r - 1, c), (r, c), (r + 1, c)],
-        [(r - 1, c), (r, c), (r + 1, c), (r + 1, c - 1)],
-        [(r - 1, c), (r, c), (r + 1, c), (r + 1, c + 1)],
-    ]
-
-
-def black_shapes(r: int, c: int) -> list[list[tuple[int, int]]]:
-    """Path shapes through a black circle: a turn at (r, c) with straight
-    2-cell arms; 4 L-orientations, doubled by direction downstream."""
-    return [
-        [(r, c - 2), (r, c - 1), (r, c), (r + 1, c), (r + 2, c)],
-        [(r, c - 2), (r, c - 1), (r, c), (r - 1, c), (r - 2, c)],
-        [(r, c + 2), (r, c + 1), (r, c), (r + 1, c), (r + 2, c)],
-        [(r, c + 2), (r, c + 1), (r, c), (r - 1, c), (r - 2, c)],
-    ]
+def constrain_circle(
+    builder: CnfBuilder, edge: EdgeReader, add_once: AddOnce, n: int, cell: Cell, color: str
+) -> None:
+    """The circle at ``cell`` on the n x n board, over the ladders of
+    ``arm_ladders`` to depth 2.  A white circle is passed along an opposite
+    pair, and per pair ``¬a_d(2) ∨ ¬a_p(2)``: the loop turns next to it.  A
+    black circle is passed along a perpendicular pair whose arms both reach
+    2, and per direction ``e_d(1) → a_d(2)``: both arms run straight through
+    the neighbour."""
+    reach = reaches(n, cell)
+    least = 1 if color == WHITE else 2
+    pairs = [(d, p) for d, p in PAIRS[color] if min(reach[d], reach[p]) >= least]
+    ladder = arm_ladders(builder, edge, add_once, n, cell, pairs, 2)
+    if color == WHITE:
+        for d, p in pairs:
+            if len(ladder[d]) == len(ladder[p]) == 2:
+                builder.add_trusted([-ladder[d][1], -ladder[p][1]])
+    else:
+        for arm in ladder.values():
+            builder.add_trusted([-arm[0], arm[1]])
 
 
 def build_masyu(builder: CnfBuilder, inst: MasyuInstance, lazy: bool = False):
     """Returns (decode, None, cuts); see ``build_loop``, which ``lazy`` is
-    passed to.  Each circle is passed along one of its path shapes."""
-    shapes = {WHITE: white_shapes, BLACK: black_shapes}
+    passed to.  Each circle gets the rule of ``constrain_circle``."""
     circles = [
         (r, c)
         for r in range(1, inst.n + 1)
@@ -88,8 +86,8 @@ def build_masyu(builder: CnfBuilder, inst: MasyuInstance, lazy: bool = False):
         if inst.at(r, c) != EMPTY
     ]
 
-    def constrain(cell: Cell, emap: EdgeMap) -> None:
-        constrain_paths(builder, emap, inst.n, inst.n, shapes[inst.at(*cell)](*cell))
+    def constrain(cell: Cell, edge: EdgeReader, add_once: AddOnce) -> None:
+        constrain_circle(builder, edge, add_once, inst.n, cell, inst.at(*cell))
 
     return build_loop(builder, inst.n, circles, constrain, lazy)
 

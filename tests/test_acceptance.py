@@ -483,28 +483,23 @@ def loop_literals(b):
     return cells, edges
 
 
-def test_criterion_9_shingoki_clue_oracle(capsys):
-    # every loop a 4x4 model can stand for, checked under assumptions: its
-    # cells in and the rest out, and every edge off the loop off; both
-    # models must admit exactly the loops that verify_shingoki accepts
-    n = 4
-    start = time.monotonic()
-    loops = grid_loops(n)
-    boards = shingoki_oracle_boards(n, loops, random.Random(20090415))
+def loop_oracle(n, loops, boards, parse, build, verify):
+    """Every loop a model on the n x n grid can stand for, checked under
+    assumptions: its cells in and the rest out, and every edge off the loop
+    off.  Both models of each board must admit exactly the loops that
+    ``verify`` accepts.  Returns (mismatches, loops accepted)."""
     on = [{frozenset([a, loop[(i + 1) % len(loop)]]) for i, a in enumerate(loop)} for loop in loops]
     per_loop = {}  # the literals -> each loop's (signed cell literals, edge assumptions)
     mismatches = []
     accepted = 0
     for text in boards:
-        inst = parse_shingoki(text)
-        circles = [rc for rc in grid_cells(n, n) if inst.at(*rc) is not None]
-        want = [
-            verify_shingoki(inst, LoopSolution(set(loop), loop)) is None for loop in loops
-        ]
+        inst = parse(text)
+        circles = [rc for rc in grid_cells(n, n) if inst.at(*rc) not in (None, ".")]
+        want = [verify(inst, LoopSolution(set(loop), loop)) is None for loop in loops]
         accepted += sum(want)
         for lazy in (False, True):
             b = CnfBuilder()
-            build_shingoki(b, inst, lazy=lazy)
+            build(b, inst, lazy=lazy)
             cells, edges = loop_literals(b)
             key = (tuple(cells.items()), tuple(edges.items()))
             if key not in per_loop:
@@ -521,6 +516,17 @@ def test_criterion_9_shingoki_clue_oracle(capsys):
                 assumptions = [signed[rc] for rc in circles] + list(signed.values()) + off
                 if probe(assumptions).is_sat != ok:
                     mismatches.append((text, lazy, loop))
+    return mismatches, accepted
+
+
+def test_criterion_9_shingoki_clue_oracle(capsys):
+    n = 4
+    start = time.monotonic()
+    loops = grid_loops(n)
+    boards = shingoki_oracle_boards(n, loops, random.Random(20090415))
+    mismatches, accepted = loop_oracle(
+        n, loops, boards, parse_shingoki, build_shingoki, verify_shingoki
+    )
     elapsed = time.monotonic() - start
     cycles = sum(len(loop) > 2 for loop in loops)
     ok = not mismatches and accepted >= 40 and cycles == 213
@@ -532,3 +538,58 @@ def test_criterion_9_shingoki_clue_oracle(capsys):
         f"{len(mismatches)} mismatches, {accepted} loops accepted ({elapsed:.1f}s)",
     )
     assert ok, mismatches[:3]
+
+
+def masyu_oracle_boards(n, loops, rng):
+    """Boards of one circle at each cell, both colours; 120 of 2-4 circles
+    read off a random simple cycle (white where it runs straight, black where
+    it turns), which it may or may not meet; and 60 of 2-4 random circles."""
+    boards = [{cell: color} for cell in grid_cells(n, n) for color in "wb"]
+    cycles = [loop for loop in loops if len(loop) > 2]
+    for _ in range(120):
+        cycle = rng.choice(cycles)
+        board = {}
+        for i in rng.sample(range(len(cycle)), rng.randint(2, min(4, len(cycle)))):
+            (r0, c0), (r1, c1) = cycle[i - 1], cycle[(i + 1) % len(cycle)]
+            board[cycle[i]] = "w" if r0 == r1 or c0 == c1 else "b"
+        boards.append(board)
+    for _ in range(60):
+        cells = rng.sample(grid_cells(n, n), rng.randint(2, 4))
+        boards.append({cell: rng.choice("wb") for cell in cells})
+    def row(board, r):
+        return "".join(board.get((r, c), ".") for c in range(1, n + 1))
+
+    return [f"{n}\n" + "".join(row(board, r) + "\n" for r in range(1, n + 1)) for board in boards]
+
+
+def test_criterion_10_masyu_clue_oracle(capsys):
+    start = time.monotonic()
+    loops = grid_loops(4)
+    boards = masyu_oracle_boards(4, loops, random.Random(20091231))
+    mismatches, accepted = loop_oracle(4, loops, boards, parse_masyu, build_masyu, verify_masyu)
+    cycles = sum(len(loop) > 2 for loop in loops)
+    # on 4x4 no white circle has two neighbours that could run straight on,
+    # which needs five cells in a row: one at the centre of the 5x5 grid
+    wide = grid_loops(5)
+    wide_boards = ["5\n.....\n.....\n..w..\n.....\n.....\n"]
+    wide_mismatches, wide_accepted = loop_oracle(
+        5, wide, wide_boards, parse_masyu, build_masyu, verify_masyu
+    )
+    elapsed = time.monotonic() - start
+    ok = (
+        not mismatches + wide_mismatches
+        and len(boards) >= 200
+        and accepted >= 200
+        and cycles == 213
+        and wide_accepted >= 100
+        and len(wide) == 9414
+    )
+    report(
+        capsys,
+        f"ACCEPTANCE 10: {'PASS' if ok else 'FAIL'} — Masyu circles vs verify_masyu "
+        f"on {len(boards)} 4x4 boards x {len(loops)} loops (lone cells, 2-cycles and all "
+        f"{cycles} simple cycles) and a white centre on 5x5 x {len(wide)} loops, "
+        f"eager and lazy model: {len(mismatches) + len(wide_mismatches)} mismatches, "
+        f"{accepted} + {wide_accepted} loops accepted ({elapsed:.1f}s)",
+    )
+    assert ok, (mismatches + wide_mismatches)[:3]

@@ -365,6 +365,31 @@ def test_solve_with_external_solver(capsys):
     assert "VERIFIED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("external", [False, True], ids=["internal", "external"])
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("one.masyu", "1\n.\n"),
+        ("two.masyu", "2\n..\n..\n"),
+        ("one.shingoki", "1\n.\n"),
+        ("two.shingoki", "2\n. .\n. .\n"),
+    ],
+)
+def test_blank_loop_board_is_solved(name, text, external, tmp_path, capsys):
+    # no circle puts a cell in, so a blank board keeps the eager model, in
+    # which a lone in-cell is a loop
+    path = tmp_path / name
+    path.write_text(text)
+    argv = ["solve", str(path), "--output", "json"]
+    if external:
+        argv += ["--solver", f"{shlex.quote(sys.executable)} -m gridloop.dimacs_solver"]
+    assert main(argv) == EXIT_OK
+    answer = tmp_path / "answer.json"
+    answer.write_text(capsys.readouterr().out)
+    assert main(["verify", str(path), str(answer)]) == EXIT_OK
+    assert "ACCEPT" in capsys.readouterr().out
+
+
 def test_encode_ignores_solver_env(tmp_path, monkeypatch, capsys):
     # only solve and bench read the solver command
     monkeypatch.setenv("GRIDLOOP_SOLVER", '"unbalanced')

@@ -145,12 +145,27 @@ def test_cut_rules():
     assert cuts({v: v == 1 for v in assignment}) == []  # no cycle at all
 
 
-def test_a_shape_and_its_reverse_share_one_gate():
-    # one white circle in the middle of 5x5: 8 shapes, each one undirected
-    # edge set, so 8 gates besides the 25 cells, the 40 edges and constant true
+def test_a_white_circle_adds_four_ladder_gates():
+    # one white circle in the middle of 5x5: a depth-2 ladder toward each
+    # side, so 4 gates besides the 25 cells, the 40 edges and constant true
     b = CnfBuilder()
     build_masyu(b, parse_masyu("5\n.....\n.....\n..w..\n.....\n.....\n"), lazy=True)
-    assert b.var_count == 1 + 25 + 40 + 8
+    assert b.var_count == 1 + 25 + 40 + 4
+
+
+def test_adjacent_circles_share_one_gate_per_edge():
+    # on the eager model each edge a rule reads gets one gate_or of its two
+    # directions; white circles at (3, 2) and (3, 3) both read the edges
+    # (3, 1)-(3, 2), (3, 2)-(3, 3) and (3, 3)-(3, 4), which get one gate each
+    def eager_vars(row):
+        b = CnfBuilder()
+        build_masyu(b, parse_masyu(f"5\n.....\n.....\n{row}\n.....\n.....\n"))
+        return b.var_count
+
+    blank = eager_vars(".....")
+    left, right, both = (eager_vars(row) - blank for row in (".w...", "..w..", ".ww.."))
+    assert (left, right) == (7 + 3, 8 + 4)  # the edges read, the ladder gates
+    assert both == left + right - 3
 
 
 # -- decode_loop: the one walk that reads both models -----------------------

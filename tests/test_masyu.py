@@ -1,4 +1,5 @@
-"""Masyu: parsing, circle path shapes, end-to-end solve, verifier rules."""
+"""Masyu: parsing, end-to-end solve, verifier rules.  The circle rule itself
+is pinned beside Shingoki's, whose arm ladders it shares (test_shingoki.py)."""
 import pytest
 
 from gridloop import CnfBuilder, solve_internal
@@ -8,7 +9,6 @@ from gridloop.puzzles import (
     parse_masyu,
     verify_masyu,
 )
-from gridloop.puzzles.masyu import black_shapes, white_shapes
 from gridloop.puzzles.loops import check_cycle_shape
 
 
@@ -29,26 +29,6 @@ def test_parse_masyu_errors():
         parse_masyu("2\n.x\n..\n")  # bad cell
     with pytest.raises(ValueError):
         parse_masyu("2\n...\n..\n")  # wrong length
-
-
-def test_white_shape_count():
-    shapes = white_shapes(3, 3)
-    assert len(shapes) == 8
-    # straight through the circle in every shape
-    for shape in shapes:
-        assert (3, 3) in shape
-    # direction-doubling yields 16 distinct directed paths for an interior cell
-    directed = {tuple(s) for s in shapes} | {tuple(reversed(s)) for s in shapes}
-    assert len(directed) == 16
-
-
-def test_black_shape_count():
-    shapes = black_shapes(3, 3)
-    assert len(shapes) == 4
-    directed = {tuple(s) for s in shapes} | {tuple(reversed(s)) for s in shapes}
-    assert len(directed) == 8
-    # the paper's example orientation: left arm then downward arm
-    assert [(3, 1), (3, 2), (3, 3), (4, 3), (5, 3)] in shapes
 
 
 def test_single_cell_white_infeasible():

@@ -1,4 +1,5 @@
-"""Shingoki: parsing, the arm rule of the clues, solve + arm-length verification."""
+"""Shingoki: parsing, the arm rule of the clues (and of Masyu's circles,
+which share its ladders), solve + arm-length verification."""
 import itertools
 
 import pytest
@@ -10,6 +11,7 @@ from gridloop.puzzles import (
     parse_shingoki,
     verify_shingoki,
 )
+from gridloop.puzzles.masyu import constrain_circle
 from gridloop.puzzles.shingoki import constrain_arms
 
 
@@ -51,11 +53,12 @@ def test_impossible_clue_unsat():
 
 @pytest.mark.parametrize("color", ["w", "b"])
 @pytest.mark.parametrize("cell", [(3, 3), (1, 3), (1, 1), (2, 4)])
-@pytest.mark.parametrize("clue", [2, 3, 5, 7])
+@pytest.mark.parametrize("clue", [2, 3, 5, 7, None])
 def test_arm_rule_alone_puts_exactly_one_pair_on(color, cell, clue):
     # over free edge literals, with no loop model to bound a cell's degree,
     # the rule admits exactly the sets of first edges that are one pair of
-    # the colour whose arms can reach the clue on the 5x5 board
+    # the colour whose arms can reach the clue on the 5x5 board; a clue of
+    # None is a Masyu circle, whose black arms reach 2 each
     n = 5
     b = CnfBuilder()
     lits = {}
@@ -66,7 +69,10 @@ def test_arm_rule_alone_puts_exactly_one_pair_on(color, cell, clue):
             lits[key] = b.new_var()
         return lits[key]
 
-    constrain_arms(b, edge, b.add_clause, n, cell, color, clue)
+    if clue is None:
+        constrain_circle(b, edge, b.add_clause, n, cell, color)
+    else:
+        constrain_arms(b, edge, b.add_clause, n, cell, color, clue)
     r, c = cell
     first = {
         (dr, dc): edge(cell, (r + dr, c + dc))
@@ -85,7 +91,11 @@ def test_arm_rule_alone_puts_exactly_one_pair_on(color, cell, clue):
             return False
         (d1, d2) = on
         straight = d1[0] == -d2[0] and d1[1] == -d2[1]
-        return straight == (color == "w") and reach(*d1) + reach(*d2) >= clue
+        if straight != (color == "w"):
+            return False
+        if clue is None:
+            return straight or min(reach(*d1), reach(*d2)) >= 2
+        return reach(*d1) + reach(*d2) >= clue
 
     for bits in itertools.product([False, True], repeat=len(first)):
         on = [d for d, bit in zip(first, bits) if bit]
