@@ -87,10 +87,11 @@ _PARSERS = {
 }
 
 # Each build_*(builder, inst, lazy=False) writes its formula into a fresh
-# builder and returns (decode, objective, cuts): decode(assignment) gives the
-# solution, objective is the counter to maximize or None, and cuts is None
-# for a complete formula.  ``lazy`` asks for a model that the solve function
-# completes with cuts; a builder without one returns the complete formula.
+# builder and returns (decode, objective, propagator): decode(assignment)
+# gives the solution, objective is the counter to maximize or None, and
+# propagator is None for a complete formula.  ``lazy`` asks for a model that
+# the internal solver completes with the propagator; a builder without one
+# returns the complete formula.
 _BUILDERS = {
     "roadrunner": build_roadrunner,
     "masyu": build_masyu,
@@ -142,12 +143,12 @@ def run(config: RunConfig, inst) -> RunResult:
     the complete formula.  A kind with an objective is maximized (at least
     1); the others take one probe."""
     builder = CnfBuilder()
-    decode, objective, cuts = _BUILDERS[config.kind](
+    decode, objective, propagator = _BUILDERS[config.kind](
         builder, inst, lazy=config.solver_cmd is None
     )
     size = (builder.var_count, len(builder.clauses))
-    # every probe meets the cuts, maximize's too
-    fn = functools.partial(solve_fn_for(config), cuts=cuts)
+    # every probe searches with the propagator, maximize's too
+    fn = functools.partial(solve_fn_for(config), propagator=propagator)
     optimum = None
     if objective is None:
         outcome = fn(builder.clauses, builder.var_count)()

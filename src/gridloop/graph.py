@@ -16,7 +16,8 @@ go round a cycle.  So labels carry no bound and the start's label is not
 pinned to 0; ``distance_width(n)`` bits leave room for a model's n - 1 steps.
 
 Plus grid variants that synthesize the orthogonal-adjacency edges of a cell
-grid, and ``cycle_grid``, whose cycles are cut down to one on demand.
+grid, and ``cycle_grid``, whose cycles are cut down to one during the
+search by its propagator, ``OneCycle``.
 
 Clauses go in through ``CnfBuilder.add_trusted``, unchecked, so every vertex
 and edge literal given to these functions must be over a variable of its own.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 from .cnf import BitVec, CnfBuilder, Lit, UnaryCount, distance_width, lit_value
-from .solver import Cuts
+from .solver import Propagator
 
 Cell = tuple[int, int]
 
@@ -261,27 +262,18 @@ def scc_grid(builder: CnfBuilder, grid: GridVars) -> None:
 
 def cycle_grid(
     builder: CnfBuilder, grid: GridVars, anchors: Sequence[Cell] = (), count: UnaryCount | None = None
-) -> tuple[list[EdgeSpec], Cuts]:
+) -> tuple[list[EdgeSpec], OneCycle]:
     """The lazy twin of ``hcp_grid``: one literal per undirected edge, an
     active edge puts both of its cells in, and every in-cell has exactly two
     active edges, so the active edges form disjoint cycles.  No distance
-    label bans a second cycle; ``cuts(assignment)`` does that on demand, and
-    gives no clause for a model of one cycle.  The caller puts a cell in:
-    ``anchors`` are cells that every model has in (a circle, say).
+    label bans a second cycle; the returned propagator (see ``OneCycle``)
+    does that during the search.  The caller puts a cell in: ``anchors`` are
+    cells that every model has in (a circle, say).
 
     ``count``, a counter over the cell literals, lets a cycle have one or two
     cells, as in ``hcp``: an in-cell needs an active edge only if the count
-    is at least 2, and two only if it is at least 3.
-
-    For each cycle S of a model with two or more, in row-major order, let u
-    be the first anchor in S (else S's first cell) and v the first anchor
-    outside S (else the next cycle's first cell).  The cut is ``¬in_u ∨ ¬in_v
-    ∨ OR(edges with one end in S)``, the generalized subtour elimination
-    constraint (Balas, "The prize collecting traveling salesman problem",
-    Networks 1989): one cycle through u and v leaves S, and in the model
-    nothing does, so the cut is false there.  Where u and v are anchors it is
-    the boundary cut of Dantzig, Fulkerson & Johnson (1954).  Returns the
-    edges, row-major as (up or left cell, other), and ``cuts``.
+    is at least 2, and two only if it is at least 3.  Returns the edges,
+    row-major as (up or left cell, other), and the propagator.
     """
     edges: list[EdgeSpec] = []
     incident: dict[Cell, list[Lit]] = {rc: [] for rc in grid.cells}
@@ -307,23 +299,125 @@ def cycle_grid(
             builder.add_trusted(guard + lits[:i] + lits[i + 1 :])
         if not lits:
             builder.add_trusted(guard)
+    return edges, OneCycle(grid, edges, anchors, at_least_3)
 
-    def cuts(assignment: dict[int, bool]) -> list[list[Lit]]:
-        if count and not lit_value(at_least_3, assignment):
-            return []  # one or two in-cells: one cycle by the clauses above
-        cycles = grid_cycles(assignment, grid, edges)
+
+class OneCycle(Propagator):
+    """The propagator of ``cycle_grid``: it bans a model of two or more
+    cycles with the generalized subtour elimination constraint (Balas, "The
+    prize collecting traveling salesman problem", Networks 1989).  For a
+    cycle S, a cell u in S and a cell v outside it, the cut is ``¬in_u ∨
+    ¬in_v ∨ OR(edges with one end in S)``: one cycle through u and v leaves
+    S.  u is the first anchor in S, else S's first cell in row-major order.
+    Where u and v are anchors it is the boundary cut of Dantzig, Fulkerson &
+    Johnson (1954).
+
+    ``check`` reads the true edge literals of the trail in order and keeps,
+    for each end of a path of them, the path's other end (``end``, indexed
+    by cell), with an undo log keyed by trail position, so each new true
+    edge costs O(1).  When an edge joins the two ends of one path, it closes
+    a cycle S.  If a cell outside S is in, v is the first such anchor, else
+    the first such cell in row-major order, where a cell is in if its
+    literal is true on the trail, and ``check`` returns the cut.  The cut is
+    false there: its cells are in, and the degree clauses have turned off
+    every other edge of S's cells.
+
+    ``final`` cuts every cycle of a total model with two or more, in
+    row-major order.  There v is the first anchor outside S, else the next
+    cycle's first cell, so the cut is false in the model.  With a counter
+    (``at_least_3``), a model of fewer than three in-cells has one cycle by
+    the degree clauses, and gets no cut."""
+
+    def __init__(
+        self, grid: GridVars, edges: Sequence[EdgeSpec], anchors: Sequence[Cell], at_least_3: Lit | None
+    ):
+        self.grid = grid
+        self.edges = edges
+        self.at_least_3 = at_least_3
+        cells = list(grid.cells)  # row-major: a cell's index orders it
+        self.index = {rc: i for i, rc in enumerate(cells)}
+        self.in_lits = list(grid.cells.values())
+        self.anchors = [self.index[a] for a in anchors]
+        # edge variable -> its two cells; cell -> [(edge literal, other cell)]
+        top = max((e.lit for e in edges), default=0)
+        self.ends_of: list[tuple[int, int] | None] = [None] * (top + 1)
+        self.incident: list[list[tuple[Lit, int]]] = [[] for _ in cells]
+        for e in edges:
+            a, b = self.index[e.src], self.index[e.dst]
+            self.ends_of[e.lit] = (a, b)
+            self.incident[a].append((e.lit, b))
+            self.incident[b].append((e.lit, a))
+        # end[c]: the other end of the path that ends at c, c itself if c has
+        # no true edge; stale at a cell inside a path, which no edge reaches
+        self.end = list(range(len(cells)))
+        self.log: list[tuple[int, int, int]] = []  # (trail position, cell, old end)
+        self.head = 0  # the trail entries before head have been read
+
+    def check(self, solver) -> list[Lit] | None:
+        trail = solver.trail
+        ends_of, end, log = self.ends_of, self.end, self.log
+        top = len(ends_of)
+        pos, stop = self.head, len(trail)
+        while pos < stop:
+            lit = trail[pos]
+            pos += 1
+            if not 0 < lit < top or ends_of[lit] is None:
+                continue
+            a, b = ends_of[lit]
+            ea, eb = end[a], end[b]
+            if ea == b:
+                cut = self._closed(solver, a, b)
+                if cut is not None:
+                    self.head = pos
+                    return cut
+                continue
+            log.append((pos - 1, ea, end[ea]))
+            log.append((pos - 1, eb, end[eb]))
+            end[ea], end[eb] = eb, ea
+        self.head = pos
+        return None
+
+    def undo(self, trail_len: int) -> None:
+        end, log = self.end, self.log
+        while log and log[-1][0] >= trail_len:
+            _, cell, old = log.pop()
+            end[cell] = old
+        self.head = min(self.head, trail_len)
+
+    def _closed(self, solver, a: int, b: int) -> list[Lit] | None:
+        """The cut for the cycle that the true edge (a, b) closes, or None
+        if no cell outside it is in."""
+        n, val = solver.nvars, solver.val
+        incident, in_lits = self.incident, self.in_lits
+        cycle, prev, cur = [a], b, a
+        while cur != b:
+            # cur has two true edges, and the one that goes on is not to prev
+            prev, cur = cur, next(o for e, o in incident[cur] if o != prev and val[e + n] == 1)
+            cycle.append(cur)
+        inside = set(cycle)
+        outside_in = (c for c in itertools.chain(self.anchors, range(len(in_lits)))
+                      if c not in inside and val[in_lits[c] + n] == 1)
+        v = next(outside_in, None)
+        return None if v is None else self._cut(inside, v)
+
+    def _cut(self, inside: set[int], v: int) -> list[Lit]:
+        u = next((c for c in self.anchors if c in inside), min(inside))
+        leaving = sorted(e for c in inside for e, o in self.incident[c] if o not in inside)
+        return [-self.in_lits[u], -self.in_lits[v]] + leaving
+
+    def final(self, assignment: dict[int, bool]) -> list[list[Lit]]:
+        if self.at_least_3 is not None and not lit_value(self.at_least_3, assignment):
+            return []  # one or two in-cells: one cycle by the degree clauses
+        cycles = grid_cycles(assignment, self.grid, self.edges)
         if len(cycles) < 2:
             return []
+        index = self.index
+        sets = [{index[rc] for rc in cycle} for cycle in cycles]
         out = []
-        for i, cycle in enumerate(cycles):
-            inside = set(cycle)
-            u = next((a for a in anchors if a in inside), cycle[0])
-            v = next((a for a in anchors if a not in inside), cycles[(i + 1) % len(cycles)][0])
-            leaving = [e.lit for e in edges if (e.src in inside) != (e.dst in inside)]
-            out.append([-grid.cells[u], -grid.cells[v]] + leaving)
+        for i, inside in enumerate(sets):
+            v = next((a for a in self.anchors if a not in inside), min(sets[(i + 1) % len(sets)]))
+            out.append(self._cut(inside, v))
         return out
-
-    return edges, cuts
 
 
 def grid_cycles(

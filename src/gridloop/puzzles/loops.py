@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 from ..cnf import CnfBuilder, Lit
 from ..graph import Cell, EdgeSpec, GridVars, cycle_grid, grid_cycles, hcp_grid, make_grid
-from ..solver import Cuts
+from ..solver import Propagator
 
 
 EdgeReader = Callable[[Cell, Cell], Lit]
@@ -92,31 +92,31 @@ def build_loop(
     circles: Sequence[Cell],
     constrain: Callable[[Cell, EdgeReader, AddOnce], None],
     lazy: bool = False,
-) -> tuple[Callable[[dict[int, bool]], LoopSolution], None, Cuts | None]:
+) -> tuple[Callable[[dict[int, bool]], LoopSolution], None, Propagator | None]:
     """One closed loop on the n x n grid through every circle, each of which
     ``constrain(circle, edge, add_once)`` holds to the puzzle's rule (see
-    ``arm_ladders`` for the two readers).  Returns (decode, None, cuts):
-    ``decode(assignment)`` reads the loop back with ``decode_loop``, and
-    there is no objective.
+    ``arm_ladders`` for the two readers).  Returns (decode, None,
+    propagator): ``decode(assignment)`` reads the loop back with
+    ``decode_loop``, and there is no objective.
 
     The eager model (``hcp`` over directed edges) is complete on its own, and
-    ``cuts`` is None; ``edge(a, b)`` there is one ``gate_or`` of the two
-    directions, built the first time a rule reads the edge.  With ``lazy``
-    and at least one circle, the lazy model ``cycle_grid`` is built instead,
-    with the circles as its anchors: its edge literals are undirected, it
-    admits every set of disjoint cycles, and ``cuts(assignment)`` gives the
-    clauses that exclude a model of two or more cycles.  A board without a
+    the propagator is None; ``edge(a, b)`` there is one ``gate_or`` of the
+    two directions, built the first time a rule reads the edge.  With
+    ``lazy`` and at least one circle, the lazy model ``cycle_grid`` is built
+    instead, with the circles as its anchors: its edge literals are
+    undirected, its clauses admit every set of disjoint cycles, and its
+    propagator cuts a second cycle off during the search.  A board without a
     circle, where nothing puts a cell in, keeps the eager model, whose lone
     in-cell is a loop.  This is the only place that decides which model a
     loop puzzle gets."""
     grid = make_grid(builder, n, n)
     if lazy and circles:
-        edges, cuts = cycle_grid(builder, grid, circles)
+        edges, propagator = cycle_grid(builder, grid, circles)
     else:
-        edges, cuts = hcp_grid(builder, grid), None
+        edges, propagator = hcp_grid(builder, grid), None
     directed = {(e.src, e.dst): e.lit for e in edges}
     # keyed (up or left cell, other), as the lazy model lists its edges
-    undirected = dict(directed) if cuts else {}
+    undirected = dict(directed) if propagator is not None else {}
     added: set[tuple[Lit, ...]] = set()
 
     def edge(a: Cell, b: Cell) -> Lit:
@@ -133,7 +133,7 @@ def build_loop(
     for cell in circles:
         builder.add_trusted([grid.cell(*cell)])
         constrain(cell, edge, add_once)
-    return (lambda assignment: decode_loop(assignment, grid, edges)), None, cuts
+    return (lambda assignment: decode_loop(assignment, grid, edges)), None, propagator
 
 
 @dataclass

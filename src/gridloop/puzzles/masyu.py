@@ -77,7 +77,7 @@ def constrain_circle(
 
 
 def build_masyu(builder: CnfBuilder, inst: MasyuInstance, lazy: bool = False):
-    """Returns (decode, None, cuts); see ``build_loop``, which ``lazy`` is
+    """Returns (decode, None, propagator); see ``build_loop``, which ``lazy`` is
     passed to.  Each circle gets the rule of ``constrain_circle``."""
     circles = [
         (r, c)

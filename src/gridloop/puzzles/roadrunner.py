@@ -11,7 +11,7 @@ from typing import Callable
 
 from ..cnf import CnfBuilder, Lit, UnaryCount
 from ..graph import EdgeSpec, GridVars, cycle_grid, grid_cycles, hcp_grid
-from ..solver import Cuts
+from ..solver import Propagator
 
 Pos = tuple[int, int]  # (x, y)
 
@@ -97,13 +97,13 @@ def quadrantal_neighbors(inst: RoadrunnerInstance, x: int, y: int) -> list[Pos]:
 
 def build_roadrunner(
     builder: CnfBuilder, inst: RoadrunnerInstance, lazy: bool = False
-) -> tuple[Callable[[dict[int, bool]], RoadrunnerSolution], UnaryCount, Cuts | None]:
-    """Returns (decode, road counter, cuts): ``decode(assignment)`` reads
-    lasers and road back; the counter is the objective to maximize.
+) -> tuple[Callable[[dict[int, bool]], RoadrunnerSolution], UnaryCount, Propagator | None]:
+    """Returns (decode, road counter, propagator): ``decode(assignment)``
+    reads lasers and road back; the counter is the objective to maximize.
 
     Road cells are the exact complement of laser-covered cells (full
     biconditional), and they must form a cycle of length >= 1: ``hcp`` (no
-    cuts), or with ``lazy`` ``cycle_grid`` and its cuts.
+    propagator), or with ``lazy`` ``cycle_grid`` and its propagator.
     """
     for x, y, num in inst.clues:
         if not inst.in_bounds(x, y) or not inst.is_hill(x, y):
@@ -148,19 +148,19 @@ def build_roadrunner(
 
     # an all-hill board still gets a counter to bound, over constant false
     cells = list(road.cells.values()) or [builder.FALSE]
-    cuts, edges = None, []
+    propagator, edges = None, []
     if lazy:
         # the counter comes first: cycle_grid's degree clauses read it
         count = builder.unary_count(cells)
         builder.add_trusted([count.outputs[0]])  # K >= 1
-        edges, cuts = cycle_grid(builder, road, count=count)
+        edges, propagator = cycle_grid(builder, road, count=count)
     else:
         if road.cells:
             edges = hcp_grid(builder, road)  # hcp itself requires K >= 1
         else:
             builder.add_trusted([])  # all hills: no road
         count = builder.unary_count(cells)
-    return (lambda assignment: decode_roadrunner(assignment, inst, laser, road, edges)), count, cuts
+    return (lambda assignment: decode_roadrunner(assignment, inst, laser, road, edges)), count, propagator
 
 
 @dataclass

@@ -97,7 +97,7 @@ def constrain_arms(
 
 
 def build_shingoki(builder: CnfBuilder, inst: ShingokiInstance, lazy: bool = False):
-    """Returns (decode, None, cuts); see ``build_loop``, which ``lazy`` is
+    """Returns (decode, None, propagator); see ``build_loop``, which ``lazy`` is
     passed to.  Each circle gets the arm rule of ``constrain_arms``."""
     circles = [
         (r, c)

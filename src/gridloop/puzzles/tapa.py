@@ -9,7 +9,7 @@ from typing import Callable
 
 from ..cnf import CnfBuilder, Lit
 from ..graph import GridVars, scc_grid
-from ..solver import Cuts
+from ..solver import Propagator
 
 Cell = tuple[int, int]
 
@@ -153,16 +153,17 @@ def _compositions(total: int, parts: int):
 
 def build_tapa(
     builder: CnfBuilder, inst: TapaInstance, lazy: bool = False
-) -> tuple[Callable[[dict[int, bool]], ColoringSolution], None, Cuts | None]:
-    """Returns (decode, None, cuts): ``decode(assignment)`` reads the
+) -> tuple[Callable[[dict[int, bool]], ColoringSolution], None, Propagator | None]:
+    """Returns (decode, None, propagator): ``decode(assignment)`` reads the
     coloring back, and there is no objective.
 
     The eager model (``scc_grid`` over the non-clue cells, the 2x2 windows
-    and the clue layouts) is complete on its own, and ``cuts`` is None.
-    With ``lazy`` the lazy model is built instead: the same formula without
-    ``scc_grid``, so its black cells may fall apart, and ``cuts(assignment)``
-    gives the clauses that exclude a model whose black cells do (see
-    ``_connectivity_cuts``), or no clause for a connected one."""
+    and the clue layouts) is complete on its own, and the propagator is
+    None.  With ``lazy`` the lazy model is built instead: the same formula
+    without ``scc_grid``, so its black cells may fall apart, and the
+    propagator's final check gives the clauses that exclude a model whose
+    black cells do (see ``Connectivity``), or no clause for a connected
+    one."""
     # clue cells are white: only the other cells get a literal
     grid = GridVars(
         inst.n,
@@ -174,9 +175,9 @@ def build_tapa(
             if inst.at(r, c) is None
         },
     )
-    cuts = None
+    propagator = None
     if lazy:
-        cuts = _connectivity_cuts(grid)
+        propagator = Connectivity(grid)
     elif grid.cells:  # an all-clue board has no black cell to connect
         scc_grid(builder, grid)
     for r in range(1, inst.n):
@@ -204,13 +205,14 @@ def build_tapa(
             choices.append(builder.gate_and(lits))
         else:
             builder.add_trusted(choices)  # empty if no layout fits: infeasible
-    return (lambda assignment: decode_coloring(assignment, grid)), None, cuts
+    return (lambda assignment: decode_coloring(assignment, grid)), None, propagator
 
 
-def _connectivity_cuts(grid: GridVars) -> Cuts:
-    """Cuts for the lazy model: for a model whose black cells form two or
-    more 4-connected components, listed by their first cell in row-major
-    order, each component C gets
+class Connectivity(Propagator):
+    """The propagator of the lazy model, which checks nothing until a model
+    is total.  For a model whose black cells form two or more 4-connected
+    components, listed by their first cell in row-major order, ``final``
+    cuts each component C with
 
         not b_u  or  not b_v  or  OR(b_w : w a non-clue cell next to C, not in C)
 
@@ -222,7 +224,11 @@ def _connectivity_cuts(grid: GridVars) -> Cuts:
     vertex-separator cut for connected subgraphs (Carvajal, Constantino,
     Goycoolea, Vielma & Weintraub, Operations Research 2013)."""
 
-    def cuts(assignment: dict[int, bool]) -> list[list[Lit]]:
+    def __init__(self, grid: GridVars):
+        self.grid = grid
+
+    def final(self, assignment: dict[int, bool]) -> list[list[Lit]]:
+        grid = self.grid
         black = dict.fromkeys(rc for rc, lit in grid.cells.items() if assignment[lit])
         comps = []  # (first cell, its non-clue neighbours not in it)
         seen: set[Cell] = set()
@@ -248,8 +254,6 @@ def _connectivity_cuts(grid: GridVars) -> Cuts:
             + [grid.cells[w] for w in sorted(border)]
             for i, (u, border) in enumerate(comps)
         ]
-
-    return cuts
 
 
 def decode_coloring(assignment: dict[int, bool], grid: GridVars) -> ColoringSolution:

@@ -15,25 +15,34 @@ Sorensson, "Temporal Induction by Incremental SAT Solving", 2003): one
 activities and saved phases carry over from call to call; the deadline
 and the stats are per call.  Between calls, ``add_clauses`` adds clauses.
 
+A ``_Solver`` may also take a ``Propagator``, a theory that adds clauses
+during the search, as in lazy clause generation (Ohrimenko, Stuckey &
+Codish, Constraints 2009) and SAT modulo monotonic theories (Bayless et al.,
+AAAI 2015).  Its ``check`` runs at each unit-propagation fixpoint and may
+return a clause that the trail falsifies; its ``final`` check runs on each
+total assignment and may return clauses that the assignment breaks.  Both
+kinds of clause stay for good, and the search goes on in the same call.
+
 A solve function (``SolveFn``) opens a probe on a formula, and each probe
 call solves that formula under the assumptions it is given.  The internal
 one (``internal_solve_fn``) keeps one ``_Solver`` per opened formula, so
-probes share its learnt clauses.  It also takes lazy cuts: clauses generated
-from the models found, added until a model needs none.  The external driver
-runs one process per probe: it writes DIMACS with the assumptions as unit
-clauses, runs a solver command, parses SAT-competition output
-("s SATISFIABLE" / "s UNSATISFIABLE", "v " value lines) and re-verifies any
-claimed model before returning it.
+probes share its learnt clauses and the propagator's clauses, and each probe
+is one search.  The external driver runs one process per probe: it writes
+DIMACS with the assumptions as unit clauses, runs a solver command, parses
+SAT-competition output ("s SATISFIABLE" / "s UNSATISFIABLE", "v " value
+lines) and re-verifies any claimed model before returning it.
 """
 from __future__ import annotations
 
+import collections
 import heapq
+import itertools
 import os
 import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cnf import Lit, write_dimacs
 
@@ -66,15 +75,40 @@ class SolveOutcome:
         return self.status == "unsat"
 
 
-# cuts(assignment) -> clauses that the model breaks, none if it is accepted
-Cuts = Callable[[dict[int, bool]], list[list[Lit]]]
+class Propagator:
+    """A theory that ``_Solver`` consults during its search.  Every clause
+    it returns must hold in every model that the caller accepts; the solver
+    keeps each one for good.
+
+    * ``check(solver)`` runs at each unit-propagation fixpoint and returns a
+      clause that is false under ``solver.trail``, or None.  It may read the
+      trail and ``solver.val``, and keep state over the trail prefix it has
+      read.
+    * ``undo(trail_len)`` runs when the solver backjumps to a trail of that
+      length: state over the entries cut off must go.
+    * ``final(assignment)`` runs on each total assignment that the clauses
+      allow, and returns the clauses that it breaks, or none to accept it.
+
+    State over the trail ties a propagator to one solver.  This base class
+    checks nothing until the final check, which accepts every assignment."""
+
+    def check(self, solver: _Solver) -> list[Lit] | None:
+        return None
+
+    def undo(self, trail_len: int) -> None:
+        pass
+
+    def final(self, assignment: dict[int, bool]) -> list[list[Lit]]:
+        return []
+
+
 # A probe solves one formula under the assumptions it is given.
 Probe = Callable[[Sequence[Lit]], SolveOutcome]
-# A solve function opens a probe on the formula (clauses, nvars, cuts=None).
+# A solve function opens a probe on the formula (clauses, nvars, propagator=None).
 SolveFn = Callable[..., Probe]
 
 
-def check_model(clauses: Sequence[Sequence[Lit]], model: Model) -> bool:
+def check_model(clauses: Iterable[Sequence[Lit]], model: Model) -> bool:
     """True iff every clause has a satisfied literal under the model.
     Raises ValueError for a clause with no true literal over a variable the
     model lacks."""
@@ -91,10 +125,15 @@ def check_model(clauses: Sequence[Sequence[Lit]], model: Model) -> bool:
 
 
 class _Solver:
-    def __init__(self, clauses, nvars):
+    def __init__(self, clauses, nvars, propagator: Propagator | None = None):
         self.nvars = nvars
         self.var_inc = 1.0
         self.ok = True  # False once the formula is unsat without assumptions
+        self.prop = propagator
+        # every clause that the propagator returned, and those of them that
+        # wait for _drain to attach them
+        self.added: list[list[int]] = []
+        self.queue: collections.deque[list[int]] = collections.deque()
         # The first solve builds the search state and attaches these clauses
         # (_load), so opening a solver costs nothing until its first call and
         # the set-up is timed with that call.
@@ -355,6 +394,50 @@ class _Solver:
         del self.trail[target:]
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
+        if self.prop is not None:
+            self.prop.undo(target)
+
+    def _drain(self):
+        """Attach the queued propagator clauses, in order, at a
+        unit-propagation fixpoint.  A clause with two literals that are not
+        false is watched on them.  One with a single such literal is watched
+        on it and on its false literal of highest level, and the literal is
+        assigned, with the clause as its reason, if it is unassigned; a unit
+        clause is assigned at level 0, after a backjump there.  A false
+        clause stops the drain and is returned, still queued, as the
+        conflict: if none of its literals is at the current level, the
+        solver first backjumps to its highest level, so level 0 means unsat.
+        Returns None once the queue is empty."""
+        n = self.nvars
+        val = self.val
+        level = self.level
+        queue = self.queue
+        while queue:
+            cl = queue[0]
+            free = [lit for lit in cl if val[lit + n] != -1]
+            if not free:
+                top = max((level[abs(lit)] for lit in cl), default=0)
+                if top < len(self.trail_lim):
+                    self._backjump(top)
+                return cl
+            queue.popleft()
+            if len(cl) == 1:
+                lit = cl[0]
+                if val[lit + n] == 0 or level[abs(lit)] > 0:
+                    if self.trail_lim:
+                        self._backjump(0)
+                    self._assign(lit, None)
+                continue
+            unit = len(free) == 1
+            if unit:
+                # the other watch: the false literal that is undone last
+                free.append(max((lit for lit in cl if lit != free[0]), key=lambda l: level[abs(l)]))
+            watched = free[:2]
+            cl[:] = watched + [lit for lit in cl if lit not in watched]
+            self._attach(cl)
+            if unit and val[cl[0] + n] == 0:
+                self._assign(cl[0], cl)
+        return None
 
     def _decide(self):
         """The unassigned variable of highest activity (lowest index on a
@@ -380,8 +463,18 @@ class _Solver:
         under assumptions leaves the solver usable.  ``deadline`` (a
         ``time.monotonic()`` value) bounds this call, whose counters are in
         the outcome's ``stats``.  Every return is at level 0.
+
+        With a propagator, each unit-propagation fixpoint first attaches the
+        queued clauses (``_drain``) and then asks ``check``; a total
+        assignment goes to ``final``, and is the model only if ``final``
+        returns no clause.  Their clauses join the queue, so a false one is
+        the next conflict, and the stats count them as ``propagated``
+        (from ``check``) and ``cut_clauses`` (from ``final``).
         """
         stats = {"conflicts": 0, "decisions": 0, "restarts": 0}
+        prop = self.prop
+        if prop is not None:
+            stats["cut_clauses"] = stats["propagated"] = 0
         if self.pending is not None:
             self._load()
         if not self.ok:
@@ -391,8 +484,20 @@ class _Solver:
         luby_idx = 0
         limit = restart_unit * _luby(luby_idx)
         trail_lim = self.trail_lim
+        queue = self.queue
         while True:
             conflict = self._propagate()
+            if conflict is None and prop is not None:
+                if queue:
+                    conflict = self._drain()
+                    if conflict is None and self.qhead < len(self.trail):
+                        continue  # the drain assigned literals: propagate them first
+                if conflict is None:
+                    clause = prop.check(self)
+                    if clause is not None:
+                        stats["propagated"] += 1
+                        self._queue([clause])
+                        conflict = self._drain()
             if conflict is not None:
                 conflicts += 1
                 stats["conflicts"] = conflicts
@@ -428,10 +533,23 @@ class _Solver:
                 if lit == 0:
                     n = self.nvars
                     assignment = {v: self.val[v + n] == 1 for v in range(1, n + 1)}
+                    if prop is not None:
+                        cuts = prop.final(assignment)
+                        if cuts:
+                            stats["cut_clauses"] += len(cuts)
+                            self._queue(cuts)
+                            continue
                     return self._stop(SolveOutcome("sat", model=Model(assignment), stats=stats))
                 stats["decisions"] += 1
                 trail_lim.append(len(self.trail))
                 self._assign(lit, None)
+
+    def _queue(self, clauses):
+        """Keep copies of the propagator's clauses, queued for ``_drain``."""
+        for cl in clauses:
+            cl = list(cl)
+            self.added.append(cl)
+            self.queue.append(cl)
 
     def _stop(self, outcome):
         """Back to level 0, where every call starts, and return ``outcome``."""
@@ -465,9 +583,10 @@ def solve_internal(
     The outcome is that of ``clauses`` plus one unit clause per literal of
     ``assumptions``.  ``solver`` is a ``_Solver`` opened on ``clauses`` and
     solved again here, so that what it learnt in earlier calls carries over;
-    without one the call builds its own.  ``timeout`` is a wall-clock budget
-    in seconds for this call, checked at each conflict; when it runs out the
-    outcome is unknown.
+    without one the call builds its own.  A model is checked against the
+    clauses and every clause that the solver's propagator returned.
+    ``timeout`` is a wall-clock budget in seconds for this call, checked at
+    each conflict; when it runs out the outcome is unknown.
     """
     for a in assumptions:
         if not 0 < abs(a) <= nvars:
@@ -477,7 +596,8 @@ def solve_internal(
         solver = _Solver(clauses, nvars)
     outcome = solver.solve(assumptions, deadline=deadline)
     if outcome.is_sat and not (
-        check_model(clauses, outcome.model) and all(outcome.model[a] for a in assumptions)
+        check_model(itertools.chain(clauses, solver.added), outcome.model)
+        and all(outcome.model[a] for a in assumptions)
     ):
         raise RuntimeError("internal solver produced an invalid model")
     return outcome
@@ -485,46 +605,24 @@ def solve_internal(
 
 def internal_solve_fn(timeout: float | None = None) -> SolveFn:
     """Open one internal solver per formula, so that learnt clauses,
-    activities and saved phases carry over from probe to probe.
+    activities, saved phases and the propagator's clauses carry over from
+    probe to probe.
 
-    A probe solves round by round under its assumptions: while a model
-    calls for ``cuts(assignment)``, they are added with ``add_clauses`` and
-    the formula is solved again, and the first model that calls for none
-    (or any model, without ``cuts``) is the outcome.  Each cut must keep
-    every model the caller accepts, so an unsat round is the probe's answer
-    and the cuts stay for later probes.  Each round is one ``solve_internal``
-    call, which checks its model against the clauses and the cuts so far;
-    ``timeout`` is one wall-clock budget for all the rounds of a probe.  The
-    outcome's ``stats`` are the search counters summed over the probe's
-    rounds, plus ``rounds`` and ``cut_clauses``, the cut clauses the probe
-    added.
+    ``propagator``, if given, is consulted during each search (see
+    ``_Solver.solve``); each of its clauses must keep every model the caller
+    accepts, so an unsat probe is the answer and the clauses stay for later
+    probes.  A probe is one ``solve_internal`` call under its assumptions,
+    bounded by ``timeout``, and its ``stats`` are that search's counters,
+    with ``propagated`` and ``cut_clauses`` under a propagator.
     """
 
-    def open_solver(clauses, nvars, cuts: Cuts | None = None):
-        solver = _Solver(clauses, nvars)
-        if cuts is not None:
-            clauses = list(clauses)  # grows by the cuts
+    def open_solver(clauses, nvars, propagator: Propagator | None = None):
+        solver = _Solver(clauses, nvars, propagator)
 
         def probe(assumptions=()):
-            deadline = None if timeout is None else time.monotonic() + timeout
-            total = {"rounds": 0, "cut_clauses": 0}
-            while True:
-                left = None if deadline is None else deadline - time.monotonic()
-                outcome = solve_internal(
-                    clauses, nvars, timeout=left, assumptions=assumptions, solver=solver
-                )
-                total["rounds"] += 1
-                for key, n in outcome.stats.items():
-                    total[key] = total.get(key, 0) + n
-                outcome.stats = total
-                if cuts is None or not outcome.is_sat:
-                    return outcome
-                new = cuts(outcome.model.assignment)
-                if not new:
-                    return outcome
-                solver.add_clauses(new)
-                clauses.extend(new)
-                total["cut_clauses"] += len(new)
+            return solve_internal(
+                clauses, nvars, timeout=timeout, assumptions=assumptions, solver=solver
+            )
 
         return probe
 
@@ -600,11 +698,11 @@ def solve_external(
 def external_solve_fn(solver_cmd: Sequence[str], timeout: float | None = None) -> SolveFn:
     """Open an external solver on a formula: each probe runs ``solver_cmd``
     once, bounded by ``timeout``, on the clauses plus the assumptions.  It
-    takes the complete formula, so it refuses cuts."""
+    takes the complete formula, so it refuses a propagator."""
 
-    def open_solver(clauses, nvars, cuts: Cuts | None = None):
-        if cuts is not None:
-            raise ValueError("an external solver takes a complete formula, not cuts")
+    def open_solver(clauses, nvars, propagator: Propagator | None = None):
+        if propagator is not None:
+            raise ValueError("an external solver takes a complete formula, not a propagator")
 
         def probe(assumptions=()):
             return solve_external(

@@ -3,12 +3,15 @@
 Nothing in this module shares code with the encodings under test: cycles are
 found by backtracking search, connectivity by flood fill, Tapa layouts by
 filtering all bit patterns, Roadrunner optima by enumerating laser subsets.
+``Recording`` wraps a propagator and keeps the clauses it returns, for tests
+that hold them against these oracles.
 """
 from __future__ import annotations
 
 import itertools
 
 from gridloop import solve_internal
+from gridloop.solver import Propagator
 
 
 def eval_clauses(clauses, assignment):
@@ -302,3 +305,36 @@ def clause_faults(clauses, nvars):
             continue
         faults.append(f"clause {i} {cl!r}: {why}")
     return faults
+
+
+class Recording(Propagator):
+    """A propagator that passes every call on to ``inner`` and keeps a copy
+    of each clause that it returns: ``checked`` from ``check``, each of them
+    asserted false under the solver's trail, and ``finals`` from ``final``,
+    each asserted false in the assignment that it came from."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.checked = []
+        self.finals = []
+
+    def check(self, solver):
+        clause = self.inner.check(solver)
+        if clause is not None:
+            assert all(solver.val[lit + solver.nvars] == -1 for lit in clause), clause
+            self.checked.append(list(clause))
+        return clause
+
+    def undo(self, trail_len):
+        self.inner.undo(trail_len)
+
+    def final(self, assignment):
+        clauses = self.inner.final(assignment)
+        for cl in clauses:
+            assert not any(assignment[abs(lit)] == (lit > 0) for lit in cl), cl
+            self.finals.append(list(cl))
+        return clauses
+
+    @property
+    def clauses(self):
+        return self.checked + self.finals

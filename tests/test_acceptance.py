@@ -274,8 +274,8 @@ def test_criterion_5_corpus_regression(capsys):
         inst = parse(read(path))
         for lazy in (False, True):
             b = CnfBuilder()
-            decode, _, cuts = build(b, inst, lazy=lazy)
-            out = internal_solve_fn()(b.clauses, b.var_count, cuts)()
+            decode, _, propagator = build(b, inst, lazy=lazy)
+            out = internal_solve_fn()(b.clauses, b.var_count, propagator)()
             assert out.is_sat, (path, lazy)
             sol = decode(out.model.assignment)
             assert verify(inst, sol) is None, (path, lazy)
@@ -322,7 +322,7 @@ def test_criterion_5_corpus_regression(capsys):
 
 def test_criterion_6_roadrunner_optimality(capsys):
     # through the eager model, then the lazy one (the internal solver's),
-    # whose probes all meet its cuts
+    # whose probes all search with its propagator
     checked = 0
     mismatches = 0
     uncertified = 0
@@ -333,8 +333,8 @@ def test_criterion_6_roadrunner_optimality(capsys):
         want = rr_optimum(inst)
         for lazy in (False, True):
             b = CnfBuilder()
-            _, count, cuts = build_roadrunner(b, inst, lazy=lazy)
-            solve_fn = functools.partial(internal_solve_fn(), cuts=cuts)
+            _, count, propagator = build_roadrunner(b, inst, lazy=lazy)
+            solve_fn = functools.partial(internal_solve_fn(), propagator=propagator)
             res = maximize(b.clauses, b.var_count, count, solve_fn=solve_fn, lo=1)
             checked += 1
             if want is None:
@@ -409,19 +409,19 @@ def test_criterion_7_internal_external_agreement(capsys):
 
 def test_criterion_8_soft_large_masyu(capsys):
     # an external solver takes the eager model; the internal one, the lazy
-    # model solved cut by cut, as `gridloop solve` does
+    # model in one search with its cycle propagator, as `gridloop solve` does
     cmd = os.environ.get(DEFAULT_SOLVER_ENV)
     path = os.path.join(INSTANCES, "masyu_30x30.masyu")
     inst = parse_masyu(read(path))
     b = CnfBuilder()
-    decode, _, cuts = build_masyu(b, inst, lazy=not cmd)
+    decode, _, propagator = build_masyu(b, inst, lazy=not cmd)
     start = time.monotonic()
     if cmd:
         how = "externally"
         out = external_solve_fn(cmd.split(), timeout=120)(b.clauses, b.var_count)()
     else:
-        how = "by the internal solver with lazy cuts"
-        out = internal_solve_fn(timeout=120)(b.clauses, b.var_count, cuts)()
+        how = "by the internal solver with its cycle propagator"
+        out = internal_solve_fn(timeout=120)(b.clauses, b.var_count, propagator)()
     elapsed = time.monotonic() - start
     if out.is_sat and elapsed <= 120:
         sol = decode(out.model.assignment)

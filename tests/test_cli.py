@@ -215,16 +215,16 @@ def test_encode_repeats_no_clause(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(os.listdir(INSTANCES)))
 def test_builders_share_one_contract(name, tmp_path, capsys):
-    # every builder returns (decode, objective, cuts); with lazy, Tapa and
-    # Road Runner have cuts, and the loop puzzles have them when a circle is
-    # on the board
+    # every builder returns (decode, objective, propagator); with lazy, Tapa
+    # and Road Runner have a propagator, and the loop puzzles have one when a
+    # circle is on the board
     kind = infer_kind(name, None)
     with open(inst_path(name)) as f:
         inst = _PARSERS[kind](f.read())
     cnf = tmp_path / "f.cnf"
     assert main(["encode", inst_path(name), "-o", str(cnf)]) == EXIT_OK
     _, encoded = parse_dimacs(cnf.read_text())
-    has_cuts = kind in ("tapa", "roadrunner") or (
+    has_propagator = kind in ("tapa", "roadrunner") or (
         kind in ("masyu", "shingoki")
         and any(cell not in (".", None) for row in inst.board for cell in row)
     )
@@ -232,13 +232,13 @@ def test_builders_share_one_contract(name, tmp_path, capsys):
         b = CnfBuilder()
         out = _BUILDERS[kind](b, inst, lazy=lazy)
         assert isinstance(out, tuple) and len(out) == 3
-        decode, objective, cuts = out
+        decode, objective, propagator = out
         assert callable(decode)
         assert (objective is None) == (kind != "roadrunner")
         if lazy:
-            assert (cuts is not None) == has_cuts
+            assert (propagator is not None) == has_propagator
         else:
-            assert cuts is None and b.clauses == encoded
+            assert propagator is None and b.clauses == encoded
 
 
 @pytest.mark.parametrize("external", [False, True], ids=["internal", "external"])

@@ -35,8 +35,8 @@ def statuses(kind, text):
     build(b, inst)
     eager = solve_internal(b.clauses, b.var_count).status
     b = CnfBuilder()
-    decode, _, cuts = build(b, inst, lazy=True)
-    out = internal_solve_fn()(b.clauses, b.var_count, cuts)()
+    decode, _, propagator = build(b, inst, lazy=True)
+    out = internal_solve_fn()(b.clauses, b.var_count, propagator)()
     if out.is_sat:
         assert verify(inst, decode(out.model.assignment)) is None, text
     return eager, out.status
@@ -93,12 +93,12 @@ def test_lazy_agrees_with_eager_on_random_boards(kind):
 
 
 def test_board_with_no_circle_builds_the_eager_model():
-    # the cuts are valid only when a circle is on the loop
+    # the lazy model's cuts are valid only when a circle is on the loop
     inst = parse_masyu("3\n...\n...\n...\n")
     eager, lazy = CnfBuilder(), CnfBuilder()
     build_masyu(eager, inst)
-    _, _, cuts = build_masyu(lazy, inst, lazy=True)
-    assert cuts is None and lazy.clauses == eager.clauses
+    _, _, propagator = build_masyu(lazy, inst, lazy=True)
+    assert propagator is None and lazy.clauses == eager.clauses
 
 
 def two_squares(b):
@@ -124,25 +124,25 @@ def test_cut_rules():
     # first circle outside S (else the next cycle's first cell); the
     # boundary edges in row-major edge order
     b = CnfBuilder()
-    decode, _, cuts = build_masyu(b, parse_masyu("4\nb...\n....\n....\n....\n"), lazy=True)
+    decode, _, propagator = build_masyu(b, parse_masyu("4\nb...\n....\n....\n....\n"), lazy=True)
     assignment = two_squares(b)
     c11, c33, c44 = edges(b, "cell_1_1", "cell_3_3", "cell_4_4")
     first = edges(b, "edge_1_2_1_3", "edge_2_1_3_1", "edge_2_2_3_2", "edge_2_2_2_3")
     second = edges(b, "edge_2_3_3_3", "edge_2_4_3_4", "edge_3_2_3_3", "edge_4_2_4_3")
-    out = cuts(assignment)
+    out = propagator.final(assignment)
     assert out == [[-c11, -c33] + first, [-c33, -c11] + second]
     with pytest.raises(RuntimeError, match="2 cycles"):
         decode(assignment)
     # with a circle in each cycle, u and v are the circles, which are in at
     # level 0: the cut is "some edge across S's boundary"
     b = CnfBuilder()
-    _, _, cuts = build_masyu(b, parse_masyu("4\nb...\n....\n....\n...b\n"), lazy=True)
+    _, _, propagator = build_masyu(b, parse_masyu("4\nb...\n....\n....\n...b\n"), lazy=True)
     assignment = two_squares(b)
-    assert cuts(assignment) == [[-c11, -c44] + first, [-c44, -c11] + second]
-    out += cuts(assignment)
+    assert propagator.final(assignment) == [[-c11, -c44] + first, [-c44, -c11] + second]
+    out += propagator.final(assignment)
     # every cut is false in the model that it cuts off
     assert not any(assignment[abs(lit)] == (lit > 0) for cut in out for lit in cut)
-    assert cuts({v: v == 1 for v in assignment}) == []  # no cycle at all
+    assert propagator.final({v: v == 1 for v in assignment}) == []  # no cycle at all
 
 
 def test_a_white_circle_adds_four_ladder_gates():

@@ -235,8 +235,8 @@ def test_decoded_solutions_carry_their_cycle(path):
         inst = parse_roadrunner(f.read())
     for lazy in (False, True):
         b = CnfBuilder()
-        decode, count, cuts = build_roadrunner(b, inst, lazy=lazy)
-        fn = functools.partial(internal_solve_fn(), cuts=cuts)
+        decode, count, propagator = build_roadrunner(b, inst, lazy=lazy)
+        fn = functools.partial(internal_solve_fn(), propagator=propagator)
         res = maximize(b.clauses, b.var_count, count, solve_fn=fn, lo=1)
         sol = decode(res.best_model.assignment)
         roads = {(x, y) for y, row in enumerate(sol.road, 1) for x, bit in enumerate(row, 1) if bit}

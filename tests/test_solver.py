@@ -17,6 +17,7 @@ from gridloop.puzzles import build_masyu, build_tapa, parse_masyu, parse_tapa
 from gridloop.solver import (
     _luby,
     _Solver,
+    Propagator,
     external_solve_fn,
     internal_solve_fn,
 )
@@ -235,11 +236,20 @@ def test_add_clauses_agrees_with_a_fresh_solve():
     assert {("sat", "sat"), ("sat", "unsat")} <= seen
 
 
+def final_check(final):
+    """A propagator that checks nothing during the search and whose final
+    check is ``final``."""
+    propagator = Propagator()
+    propagator.final = final
+    return propagator
+
+
 def test_probe_adds_cuts_until_a_model_needs_none(monkeypatch):
-    # the first model sets x1 (the saved phase), and its cut -x1 sets every
-    # variable false through the chain x4 -> x3 -> x2 -> x1
+    # the first total assignment sets x1 (the saved phase), and the final
+    # check's cut -x1 sets every variable false through the chain
+    # x4 -> x3 -> x2 -> x1, in the same search
     clauses = [[1, -2], [2, -3], [3, -4], [-1, -4]]
-    rounds = []
+    asked = []
     opened = []
 
     class CountedSolver(_Solver):
@@ -250,42 +260,40 @@ def test_probe_adds_cuts_until_a_model_needs_none(monkeypatch):
     monkeypatch.setattr("gridloop.solver._Solver", CountedSolver)
 
     def cuts(assignment):
-        rounds.append(dict(assignment))
+        asked.append(dict(assignment))
         return [[-1]] if assignment[1] else []
 
-    out = internal_solve_fn()(clauses, 4, cuts)()
+    out = internal_solve_fn()(clauses, 4, final_check(cuts))()
     assert out.is_sat and not any(out.model.assignment.values())
-    assert len(rounds) == 2 and len(opened) == 1  # one solver for every round
+    # the final check is asked again until it returns nothing, and the
+    # model is the assignment that it accepted
+    assert len(asked) == 2 and asked[-1] == out.model.assignment
+    assert len(opened) == 1 and opened[0].added == [[-1]]
     # a cut that contradicts the base clauses makes the whole formula unsat
-    assert internal_solve_fn()([[1], [2]], 2, lambda a: [[-1, -2]])().is_unsat
-    # the time budget bounds the rounds
-    clauses, sel = guarded_pigeonhole(6, 5)
-    probe = internal_solve_fn(timeout=1e-9)(clauses, sel, lambda a: [] if a[sel] else [[sel]])
-    out = probe()
-    assert out.status == "unknown" and out.reason == "solver timeout"
+    assert internal_solve_fn()([[1], [2]], 2, final_check(lambda a: [[-1, -2]]))().is_unsat
 
 
 def test_a_later_probe_needs_no_recut():
     # the first probe cuts x1 and x2, which then stay in the solver: the
-    # second probe's first model already satisfies them
-    rounds = []
+    # second probe's first total assignment already satisfies them
+    asked = []
     added = []
 
     def cuts(assignment):
-        rounds.append(dict(assignment))
+        asked.append(dict(assignment))
         new = [[-v] for v in (1, 2) if assignment[v]]
         added.extend(new)
         return new
 
-    probe = internal_solve_fn()([[1, 2, 3]], 3, cuts)
+    probe = internal_solve_fn()([[1, 2, 3]], 3, final_check(cuts))
     out = probe()
-    assert out.is_sat and len(rounds) == 2 and added == [[-1], [-2]]
-    # each probe reports its own rounds and the cut clauses it added
-    assert (out.stats["rounds"], out.stats["cut_clauses"]) == (2, 2)
-    rounds.clear()
+    assert out.is_sat and len(asked) == 2 and added == [[-1], [-2]]
+    # each probe reports the cut clauses that it added
+    assert (out.stats["cut_clauses"], out.stats["propagated"]) == (2, 0)
+    asked.clear()
     out = probe()
-    assert out.is_sat and len(rounds) == 1
-    assert (out.stats["rounds"], out.stats["cut_clauses"]) == (1, 0)
+    assert out.is_sat and len(asked) == 1
+    assert (out.stats["cut_clauses"], out.stats["propagated"]) == (0, 0)
     assert check_model(added, out.model)
 
 
@@ -295,7 +303,7 @@ def test_a_probe_meets_its_assumptions_and_the_cuts():
         on = [v for v in range(1, 5) if assignment[v]]
         return [[-on[0], -v] for v in on[1:]]
 
-    probe = internal_solve_fn()([[1, 2, 3, 4]], 4, cuts)
+    probe = internal_solve_fn()([[1, 2, 3, 4]], 4, final_check(cuts))
     out = probe([-1, -2])
     assert out.is_sat and not out.model[1] and not out.model[2]
     assert sum(out.model[v] for v in range(1, 5)) == 1
@@ -304,9 +312,11 @@ def test_a_probe_meets_its_assumptions_and_the_cuts():
     assert probe().is_sat
 
 
-def test_the_rounds_of_a_probe_share_one_deadline(monkeypatch):
-    # each round is one call of the module-global solve_internal, given what
-    # is left of its probe's budget; a later probe starts a fresh budget
+def test_a_probe_has_one_deadline(monkeypatch):
+    # a probe is one solve_internal call, given the whole budget; the time
+    # that the final check takes counts against it, so the conflict that
+    # its cut starts finds the budget spent.  The cut stays queued, and the
+    # next probe, with a budget of its own, takes it in
     budgets = []
 
     def recorded(*args, timeout=None, **kwargs):
@@ -316,33 +326,64 @@ def test_the_rounds_of_a_probe_share_one_deadline(monkeypatch):
     monkeypatch.setattr("gridloop.solver.solve_internal", recorded)
 
     def cuts(assignment):
-        time.sleep(0.02)
+        time.sleep(0.05)
         return [[-1]] if assignment[1] else []
 
-    probe = internal_solve_fn(timeout=60)([[1, -2], [2, -3]], 3, cuts)
-    assert probe().is_sat and len(budgets) == 2
-    assert 60 >= budgets[0] > budgets[1] + 0.015
-    assert probe().is_sat and len(budgets) == 3
-    assert budgets[2] > budgets[1] + 0.015
+    probe = internal_solve_fn(timeout=0.02)([[1, -2], [2, -3]], 3, final_check(cuts))
+    out = probe()
+    assert out.status == "unknown" and out.reason == "solver timeout"
+    out = probe()
+    assert out.is_sat and not out.model[1]
+    assert budgets == [0.02, 0.02]
 
 
-def test_probe_stats_sum_the_search_over_its_rounds(monkeypatch):
-    rounds = []
+def test_probe_stats_count_its_one_search(monkeypatch):
+    calls = []
 
     def recorded(*args, **kwargs):
         out = solve_internal(*args, **kwargs)
-        rounds.append(dict(out.stats))
+        calls.append(dict(out.stats))
         return out
 
     monkeypatch.setattr("gridloop.solver.solve_internal", recorded)
     clauses, sel = guarded_pigeonhole(6, 5)
-    # the first model has sel false; the cut asks for sel, which is unsat
-    out = internal_solve_fn()(clauses, sel, lambda a: [] if a[sel] else [[sel]])()
-    assert out.is_unsat and len(rounds) == 2
-    for key in ("conflicts", "decisions", "restarts"):
-        assert out.stats[key] == sum(r[key] for r in rounds)
-    assert out.stats["conflicts"] > rounds[0]["conflicts"]
-    assert (out.stats["rounds"], out.stats["cut_clauses"]) == (2, 1)
+    # the first total assignment has sel false; the cut asks for sel, and
+    # the same search refutes the pigeonhole clauses
+    out = internal_solve_fn()(clauses, sel, final_check(lambda a: [] if a[sel] else [[sel]]))()
+    assert out.is_unsat and calls == [out.stats]
+    assert out.stats["conflicts"] > 128 and out.stats["restarts"] >= 1
+    assert (out.stats["cut_clauses"], out.stats["propagated"]) == (1, 0)
+
+
+def test_drain_attaches_each_queued_clause_by_its_state():
+    # x1, x2, x3 decided at levels 1-3
+    s = _Solver([], 6)
+    s._load()
+    for lit in (1, 2, 3):
+        s.trail_lim.append(len(s.trail))
+        s._assign(lit, None)
+    s._queue([[-1, 4, -3, 5], [-1, -3, 6, -2], [-1, 2, -3]])
+    watched, unit, true = s.added
+    assert s._drain() is None and not s.queue
+    # two literals not false: watched on them
+    assert watched[:2] == [4, 5]
+    # one unassigned literal, the rest false: assigned with the clause as
+    # its reason, and watched on it and the false literal of highest level
+    assert unit[:2] == [6, -3] and s.trail[-1] == 6 and s.reason[6] is unit
+    # one true literal: watched on it and the false literal of highest level
+    assert true[:2] == [2, -3]
+    for cl in (watched, unit, true):
+        assert cl in s.watches[cl[0] + 6] and cl in s.watches[cl[1] + 6]
+    # false, with no literal at level 3: the conflict, still queued, after a
+    # backjump to level 2, which undoes x3 and x6
+    s._queue([[-2, -1]])
+    false = s.added[-1]
+    assert s._drain() is false and list(s.queue) == [false]
+    assert s.trail == [1, 2] and s.trail_lim == [0, 1]
+    # a unit clause goes in at level 0, whatever the level of the drain
+    s.queue.clear()
+    s._queue([[-5]])
+    assert s._drain() is None and s.trail == [-5] and s.level[5] == 0
 
 
 def test_internal_solve_fn_probes_share_one_solver():
@@ -351,8 +392,8 @@ def test_internal_solve_fn_probes_share_one_solver():
     first = probe([sel])
     assert first.is_unsat and first.stats["conflicts"] > 128
     again = probe([sel])
-    assert again.stats["conflicts"] == 0  # what the first learnt is kept
-    assert (again.stats["rounds"], again.stats["cut_clauses"]) == (1, 0)  # no cuts
+    # what the first learnt is kept; no propagator, so no propagator counts
+    assert again.stats == {"conflicts": 0, "decisions": 0, "restarts": 0}
     assert probe().is_sat
 
 
@@ -539,9 +580,9 @@ def test_external_solve_fn():
 
 
 def test_external_solve_fn_refuses_cuts():
-    # an external solver takes the complete, eager formula
-    with pytest.raises(ValueError, match="cuts"):
-        external_solve_fn(BUNDLED)([[1]], 1, lambda assignment: [])
+    # an external solver takes the complete, eager formula, not a propagator
+    with pytest.raises(ValueError, match="propagator"):
+        external_solve_fn(BUNDLED)([[1]], 1, Propagator())
 
 
 def test_dimacs_solver_main(tmp_path, capsys):

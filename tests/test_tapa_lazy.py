@@ -11,6 +11,8 @@ from gridloop import CnfBuilder, solve_internal
 from gridloop.puzzles import build_tapa, parse_tapa, verify_tapa
 from gridloop.solver import _Solver, internal_solve_fn
 
+from oracles import Recording
+
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
 
 
@@ -21,8 +23,8 @@ def statuses(text):
     build_tapa(b, inst)
     eager = solve_internal(b.clauses, b.var_count).status
     b = CnfBuilder()
-    decode, _, cuts = build_tapa(b, inst, lazy=True)
-    out = internal_solve_fn()(b.clauses, b.var_count, cuts)()
+    decode, _, propagator = build_tapa(b, inst, lazy=True)
+    out = internal_solve_fn()(b.clauses, b.var_count, propagator)()
     if out.is_sat:
         assert verify_tapa(inst, decode(out.model.assignment)) is None, text
     return eager, out.status
@@ -76,11 +78,11 @@ def test_one_cut_per_component():
     # clue at (1,3) is next to the first two but has no literal, so it is in
     # no cut.
     b = CnfBuilder()
-    _, _, cuts = build_tapa(b, parse_tapa("4\n. . 1 .\n. . . .\n. . . .\n. . . .\n"), lazy=True)
+    _, _, propagator = build_tapa(b, parse_tapa("4\n. . 1 .\n. . . .\n. . . .\n. . . .\n"), lazy=True)
     black = set(lits(b, "cell_1_1", "cell_1_2", "cell_2_4", "cell_3_3", "cell_4_3"))
     assignment = {v: v == 1 or v in black for v in range(1, b.var_count + 1)}
     b11, b24, b33 = lits(b, "cell_1_1", "cell_2_4", "cell_3_3")
-    out = cuts(assignment)
+    out = propagator.final(assignment)
     assert [sorted(cut) for cut in out] == [
         sorted([-b11, -b24] + lits(b, "cell_2_1", "cell_2_2")),
         sorted([-b24, -b33] + lits(b, "cell_1_4", "cell_2_3", "cell_3_4")),
@@ -92,11 +94,11 @@ def test_one_cut_per_component():
 
 def test_no_cut_for_one_component_or_none():
     b = CnfBuilder()
-    _, _, cuts = build_tapa(b, parse_tapa("3\n. . .\n. 1 .\n. . .\n"), lazy=True)
+    _, _, propagator = build_tapa(b, parse_tapa("3\n. . .\n. 1 .\n. . .\n"), lazy=True)
     white = {v: v == 1 for v in range(1, b.var_count + 1)}
-    assert cuts(white) == []
+    assert propagator.final(white) == []
     one = set(lits(b, "cell_1_1", "cell_1_2", "cell_1_3", "cell_2_3"))
-    assert cuts({v: v == 1 or v in one for v in range(1, b.var_count + 1)}) == []
+    assert propagator.final({v: v == 1 or v in one for v in range(1, b.var_count + 1)}) == []
 
 
 def black_sets(text):
@@ -125,35 +127,35 @@ def black_sets(text):
     ],
 )
 def test_every_cut_keeps_every_solution(text):
+    # every clause of the propagator, of which there is at least one: the
+    # search met a model with its black cells apart
     solutions = black_sets(text)
     b = CnfBuilder()
-    _, _, cuts = build_tapa(b, parse_tapa(text), lazy=True)
-    added = []
-
-    def recorded(assignment):
-        new = cuts(assignment)
-        added.extend(new)
-        return new
-
-    out = internal_solve_fn()(b.clauses, b.var_count, recorded)()
-    assert out.is_sat and out.stats["rounds"] >= 2 and solutions
-    for cut in added:
+    _, _, propagator = build_tapa(b, parse_tapa(text), lazy=True)
+    recording = Recording(propagator)
+    out = internal_solve_fn()(b.clauses, b.var_count, recording)()
+    assert out.is_sat and recording.clauses and solutions
+    for cut in recording.clauses:
         for black in solutions:
             assert any((b.names[abs(l)] in black) == (l > 0) for l in cut), (cut, black)
 
 
-def test_probe_reports_its_rounds_and_cut_clauses():
+def test_probe_reports_its_cut_clauses():
+    # one search asks the final check until it accepts a total model; the
+    # stats count the clauses that it returned, and Tapa's propagator has
+    # no check during the search
     text = "5\n. . . . .\n3 . . . .\n. . 2 . .\n. . . . .\n. 1 . . .\n"
     b = CnfBuilder()
-    _, _, cuts = build_tapa(b, parse_tapa(text), lazy=True)
-    rounds = []
+    _, _, propagator = build_tapa(b, parse_tapa(text), lazy=True)
+    returned = []
 
-    def counted(assignment):
-        new = cuts(assignment)
-        rounds.append(len(new))
-        return new
+    class Counted(Recording):
+        def final(self, assignment):
+            clauses = super().final(assignment)
+            returned.append(len(clauses))
+            return clauses
 
-    out = internal_solve_fn()(b.clauses, b.var_count, counted)()
-    assert out.is_sat and len(rounds) >= 2 and rounds[-1] == 0
-    assert out.stats["rounds"] == len(rounds)
-    assert out.stats["cut_clauses"] == sum(rounds) > 0
+    out = internal_solve_fn()(b.clauses, b.var_count, Counted(propagator))()
+    assert out.is_sat and len(returned) >= 2 and returned[-1] == 0
+    assert out.stats["cut_clauses"] == sum(returned) > 0
+    assert out.stats["propagated"] == 0

@@ -1,7 +1,8 @@
 """The encoders write their clauses through ``CnfBuilder.add_trusted``, and
 the internal solver attaches them as given: every clause of every bundled
-instance, in the eager and the lazy model, and every cut the lazy solve
-returns, must keep the contract that ``oracles.clause_faults`` checks."""
+instance, in the eager and the lazy model, and every clause that the lazy
+model's propagator returns while solving, must keep the contract that
+``oracles.clause_faults`` checks."""
 import functools
 import os
 
@@ -11,11 +12,9 @@ from gridloop import CnfBuilder, maximize
 from gridloop.cli import _BUILDERS, _PARSERS, infer_kind
 from gridloop.solver import internal_solve_fn
 
-from oracles import clause_faults
+from oracles import Recording, clause_faults
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
-# criterion 8 of test_acceptance solves this one; here it is only encoded
-UNSOLVED = {"masyu_30x30.masyu"}
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(INSTANCES)))
@@ -25,23 +24,17 @@ def test_encoders_keep_the_trusted_contract(name, lazy):
     with open(os.path.join(INSTANCES, name)) as f:
         inst = _PARSERS[kind](f.read())
     b = CnfBuilder()
-    _, objective, cuts = _BUILDERS[kind](b, inst, lazy=lazy)
+    _, objective, propagator = _BUILDERS[kind](b, inst, lazy=lazy)
     assert clause_faults(b.clauses, b.var_count) == []
-    if not lazy or cuts is None or name in UNSOLVED:
+    if not lazy or propagator is None:
         return
-    returned = []
-
-    def recording(assignment):
-        new = cuts(assignment)
-        returned.extend(new)
-        return new
-
-    fn = functools.partial(internal_solve_fn(), cuts=recording)
+    recording = Recording(propagator)
+    fn = functools.partial(internal_solve_fn(), propagator=recording)
     if objective is None:
         assert fn(b.clauses, b.var_count)().is_sat
     else:
         assert maximize(b.clauses, b.var_count, objective, solve_fn=fn, lo=1).status == "optimal"
-    assert clause_faults(returned, b.var_count) == []
+    assert clause_faults(recording.clauses, b.var_count) == []
 
 
 def test_clause_faults_names_each_breach():
