@@ -1,0 +1,54 @@
+#!/usr/bin/env python3
+"""Print the internal solver's stats for every probe of a fixed puzzle set.
+
+    python scripts/probe_stats.py CHECKOUT [SEED] [ROUNDS] > stats.jsonl
+
+The puzzles are the first ROUNDS rounds (default 40) of the puzzle-mix and
+roadrunner-opt benchmark workloads at SEED (default 300), then every bundled
+instance.  Each is solved by ``gridloop.cli.run`` from CHECKOUT's ``src``,
+and one JSON line per puzzle gives its name, its result and the ``stats`` of
+each solver probe in order.  Run it on two checkouts and compare the lines
+to tell whether a change keeps the search step for step.
+"""
+from __future__ import annotations
+
+import glob
+import json
+import os
+import sys
+
+root = os.path.abspath(sys.argv[1])
+seed = int(sys.argv[2]) if len(sys.argv) > 2 else 300
+rounds = int(sys.argv[3]) if len(sys.argv) > 3 else 40
+perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+sys.path[:0] = [os.path.join(root, "src"), perfbench]
+
+import gridloop.solver  # noqa: E402
+import workloads  # noqa: E402
+from gridloop.cli import _PARSERS, RunConfig, infer_kind, run  # noqa: E402
+
+probes = []
+solve_internal = gridloop.solver.solve_internal
+
+
+def recorded(*args, **kwargs):
+    out = solve_internal(*args, **kwargs)
+    probes.append(out.stats)
+    return out
+
+
+# internal_solve_fn looks solve_internal up in its module on every probe
+gridloop.solver.solve_internal = recorded
+
+puzzles = [
+    (f"{w}/{inst.name}", inst.kind, inst.text)
+    for w in ("puzzle-mix", "roadrunner-opt")
+    for inst in workloads.make_pool(w, seed, root, rounds=rounds).items
+]
+for path in sorted(glob.glob(os.path.join(root, "instances", "*"))):
+    with open(path) as f:
+        puzzles.append((os.path.basename(path), infer_kind(path, None), f.read()))
+for name, kind, text in puzzles:
+    probes.clear()
+    result = run(RunConfig(kind, name, None, None), _PARSERS[kind](text))
+    print(json.dumps({"name": name, "result": result.status, "probes": probes}))

@@ -303,10 +303,13 @@ def cmd_encode(args) -> int:
     _BUILDERS[config.kind](builder, inst)
     out = args.out or config.path + ".cnf"
     mapfile = args.map or out + ".map"
-    with open(out, "w") as f:
-        builder.emit_dimacs(f)
-    with open(mapfile, "w") as f:
-        builder.emit_varmap(f)
+    try:
+        with open(out, "w") as f:
+            builder.emit_dimacs(f)
+        with open(mapfile, "w") as f:
+            builder.emit_varmap(f)
+    except OSError as e:
+        return _input_error(e)
     print(f"wrote {out} ({builder.var_count} vars, {len(builder.clauses)} clauses)")
     print(f"wrote {mapfile}")
     return EXIT_OK
@@ -352,9 +355,13 @@ def _bench_one(args, path: str):
 
 
 def cmd_bench(args) -> int:
+    try:
+        names = os.listdir(args.directory)
+    except OSError as e:
+        return _input_error(e)
     paths = sorted(
         os.path.join(args.directory, name)
-        for name in os.listdir(args.directory)
+        for name in names
         if os.path.splitext(name)[1].lower() in _EXTENSIONS
     )
     if not paths:

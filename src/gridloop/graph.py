@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
-from .cnf import BitVec, CnfBuilder, Lit, UnaryCount, distance_width, lit_value
+from .cnf import BitVec, CnfBuilder, Lit, UnaryCount, distance_width
 from .solver import Propagator
 
 Cell = tuple[int, int]
@@ -299,7 +299,7 @@ def cycle_grid(
             builder.add_trusted(guard + lits[:i] + lits[i + 1 :])
         if not lits:
             builder.add_trusted(guard)
-    return edges, OneCycle(grid, edges, anchors, at_least_3)
+    return edges, OneCycle(grid, edges, anchors)
 
 
 class OneCycle(Propagator):
@@ -322,18 +322,14 @@ class OneCycle(Propagator):
     false there: its cells are in, and the degree clauses have turned off
     every other edge of S's cells.
 
-    ``final`` cuts every cycle of a total model with two or more, in
-    row-major order.  There v is the first anchor outside S, else the next
-    cycle's first cell, so the cut is false in the model.  With a counter
-    (``at_least_3``), a model of fewer than three in-cells has one cycle by
-    the degree clauses, and gets no cut."""
+    That is complete, with no check on the total model: in a model of two
+    or more cycles, the edge that comes last on the trail among those that
+    close a cycle is read at a fixpoint where every other cycle's edges,
+    and so their cells, are in, and it gets a cut.  ``decode_loop`` and
+    ``decode_roadrunner`` still raise on a model of two cycles, so a fault
+    here shows as a rejected answer (exit 1), never as a wrong VERIFIED."""
 
-    def __init__(
-        self, grid: GridVars, edges: Sequence[EdgeSpec], anchors: Sequence[Cell], at_least_3: Lit | None
-    ):
-        self.grid = grid
-        self.edges = edges
-        self.at_least_3 = at_least_3
+    def __init__(self, grid: GridVars, edges: Sequence[EdgeSpec], anchors: Sequence[Cell]):
         cells = list(grid.cells)  # row-major: a cell's index orders it
         self.index = {rc: i for i, rc in enumerate(cells)}
         self.in_lits = list(grid.cells.values())
@@ -353,7 +349,7 @@ class OneCycle(Propagator):
         self.log: list[tuple[int, int, int]] = []  # (trail position, cell, old end)
         self.head = 0  # the trail entries before head have been read
 
-    def check(self, solver) -> list[Lit] | None:
+    def check(self, solver) -> list[list[Lit]]:
         trail = solver.trail
         ends_of, end, log = self.ends_of, self.end, self.log
         top = len(ends_of)
@@ -369,13 +365,13 @@ class OneCycle(Propagator):
                 cut = self._closed(solver, a, b)
                 if cut is not None:
                     self.head = pos
-                    return cut
+                    return [cut]
                 continue
             log.append((pos - 1, ea, end[ea]))
             log.append((pos - 1, eb, end[eb]))
             end[ea], end[eb] = eb, ea
         self.head = pos
-        return None
+        return []
 
     def undo(self, trail_len: int) -> None:
         end, log = self.end, self.log
@@ -404,20 +400,6 @@ class OneCycle(Propagator):
         u = next((c for c in self.anchors if c in inside), min(inside))
         leaving = sorted(e for c in inside for e, o in self.incident[c] if o not in inside)
         return [-self.in_lits[u], -self.in_lits[v]] + leaving
-
-    def final(self, assignment: dict[int, bool]) -> list[list[Lit]]:
-        if self.at_least_3 is not None and not lit_value(self.at_least_3, assignment):
-            return []  # one or two in-cells: one cycle by the degree clauses
-        cycles = grid_cycles(assignment, self.grid, self.edges)
-        if len(cycles) < 2:
-            return []
-        index = self.index
-        sets = [{index[rc] for rc in cycle} for cycle in cycles]
-        out = []
-        for i, inside in enumerate(sets):
-            v = next((a for a in self.anchors if a not in inside), min(sets[(i + 1) % len(sets)]))
-            out.append(self._cut(inside, v))
-        return out
 
 
 def grid_cycles(

@@ -57,7 +57,10 @@ def parse_tapa(text: str) -> TapaInstance:
             if tok == ".":
                 row.append(None)
             elif tok.isdigit() and 1 <= len(tok) <= 4:
-                row.append([int(ch) for ch in tok])
+                clue = [int(ch) for ch in tok]
+                if max(clue) > 8:  # a ring has eight cells
+                    raise ValueError(f"clue {tok!r} has a digit above 8")
+                row.append(clue)
             else:
                 raise ValueError(f"bad token {tok!r}")
         board.append(row)
@@ -161,9 +164,9 @@ def build_tapa(
     and the clue layouts) is complete on its own, and the propagator is
     None.  With ``lazy`` the lazy model is built instead: the same formula
     without ``scc_grid``, so its black cells may fall apart, and the
-    propagator's final check gives the clauses that exclude a model whose
-    black cells do (see ``Connectivity``), or no clause for a connected
-    one."""
+    propagator's check on a total trail gives the clauses that exclude a
+    model whose black cells do (see ``Connectivity``), or no clause for a
+    connected one."""
     # clue cells are white: only the other cells get a literal
     grid = GridVars(
         inst.n,
@@ -209,10 +212,10 @@ def build_tapa(
 
 
 class Connectivity(Propagator):
-    """The propagator of the lazy model, which checks nothing until a model
-    is total.  For a model whose black cells form two or more 4-connected
-    components, listed by their first cell in row-major order, ``final``
-    cuts each component C with
+    """The propagator of the lazy model, whose ``check`` returns nothing
+    until the trail is total.  For a model whose black cells form two or
+    more 4-connected components, listed by their first cell in row-major
+    order, it cuts each component C with
 
         not b_u  or  not b_v  or  OR(b_w : w a non-clue cell next to C, not in C)
 
@@ -227,9 +230,12 @@ class Connectivity(Propagator):
     def __init__(self, grid: GridVars):
         self.grid = grid
 
-    def final(self, assignment: dict[int, bool]) -> list[list[Lit]]:
+    def check(self, solver) -> list[list[Lit]]:
+        n, val = solver.nvars, solver.val
+        if len(solver.trail) < n:
+            return []
         grid = self.grid
-        black = dict.fromkeys(rc for rc, lit in grid.cells.items() if assignment[lit])
+        black = dict.fromkeys(rc for rc, lit in grid.cells.items() if val[lit + n] == 1)
         comps = []  # (first cell, its non-clue neighbours not in it)
         seen: set[Cell] = set()
         for start in black:  # row-major, so ``start`` is its component's first cell

@@ -13,15 +13,15 @@ Sorensson, "Temporal Induction by Incremental SAT Solving", 2003): one
 ``_Solver`` can be solved many times, each time under its own assumptions
 (literals taken as true for that call only).  Level-0 units, learnt clauses,
 activities and saved phases carry over from call to call; the deadline
-and the stats are per call.  Between calls, ``add_clauses`` adds clauses.
+and the stats are per call.
 
 A ``_Solver`` may also take a ``Propagator``, a theory that adds clauses
 during the search, as in lazy clause generation (Ohrimenko, Stuckey &
 Codish, Constraints 2009) and SAT modulo monotonic theories (Bayless et al.,
-AAAI 2015).  Its ``check`` runs at each unit-propagation fixpoint and may
-return a clause that the trail falsifies; its ``final`` check runs on each
-total assignment and may return clauses that the assignment breaks.  Both
-kinds of clause stay for good, and the search goes on in the same call.
+AAAI 2015).  Its ``check`` runs at each unit-propagation fixpoint, the one
+where the trail becomes total included, and may return clauses that the
+trail falsifies.  They stay for good, and the search goes on in the same
+call.
 
 A solve function (``SolveFn``) opens a probe on a formula, and each probe
 call solves that formula under the assumptions it is given.  The internal
@@ -63,7 +63,8 @@ class SolveOutcome:
     status: str  # "sat" | "unsat" | "unknown"
     model: Model | None = None
     reason: str | None = None
-    # internal solver only: conflicts, decisions and restarts of the search
+    # internal solver only: conflicts, decisions and restarts of the search,
+    # and under a propagator the clauses that it returned (propagated)
     stats: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -80,26 +81,24 @@ class Propagator:
     it returns must hold in every model that the caller accepts; the solver
     keeps each one for good.
 
-    * ``check(solver)`` runs at each unit-propagation fixpoint and returns a
-      clause that is false under ``solver.trail``, or None.  It may read the
-      trail and ``solver.val``, and keep state over the trail prefix it has
-      read.
+    * ``check(solver)`` runs at each unit-propagation fixpoint and returns
+      the clauses that are false under ``solver.trail``, or none.  It may
+      read the trail and ``solver.val``, and keep state over the trail
+      prefix it has read.  It also runs at the fixpoint where the trail
+      becomes total (``len(solver.trail) == solver.nvars``), which is the
+      model unless it returns a clause: a theory that needs the whole model
+      tests for that.
     * ``undo(trail_len)`` runs when the solver backjumps to a trail of that
       length: state over the entries cut off must go.
-    * ``final(assignment)`` runs on each total assignment that the clauses
-      allow, and returns the clauses that it breaks, or none to accept it.
 
     State over the trail ties a propagator to one solver.  This base class
-    checks nothing until the final check, which accepts every assignment."""
+    checks nothing, so it accepts every model."""
 
-    def check(self, solver: _Solver) -> list[Lit] | None:
-        return None
+    def check(self, solver: _Solver) -> list[list[Lit]]:
+        return []
 
     def undo(self, trail_len: int) -> None:
         pass
-
-    def final(self, assignment: dict[int, bool]) -> list[list[Lit]]:
-        return []
 
 
 # A probe solves one formula under the assumptions it is given.
@@ -184,38 +183,6 @@ class _Solver:
                 return
             if v == 0:
                 self._assign(cl[0], None)
-        if self._propagate() is not None:
-            self.ok = False
-
-    def add_clauses(self, clauses):
-        """Add clauses between calls to ``solve``, at level 0, where every
-        call returns.  A clause with a literal true at level 0 is dropped and
-        its false literals are stripped; a unit clause is assigned and
-        propagated; an empty clause, or a conflict in that propagation, makes
-        the formula unsat and clears ``ok``.  A clause must repeat no
-        literal."""
-        if self.pending is not None:
-            self._load()
-        if not self.ok:
-            return
-        n = self.nvars
-        val = self.val
-        for cl in clauses:
-            lits = []
-            for lit in cl:
-                v = val[lit + n]
-                if v == 1:
-                    break
-                if v == 0:
-                    lits.append(lit)
-            else:
-                if len(lits) > 1:
-                    self._attach(lits)
-                elif lits:
-                    self._assign(lits[0], None)
-                else:
-                    self.ok = False
-                    return
         if self._propagate() is not None:
             self.ok = False
 
@@ -465,16 +432,15 @@ class _Solver:
         the outcome's ``stats``.  Every return is at level 0.
 
         With a propagator, each unit-propagation fixpoint first attaches the
-        queued clauses (``_drain``) and then asks ``check``; a total
-        assignment goes to ``final``, and is the model only if ``final``
-        returns no clause.  Their clauses join the queue, so a false one is
-        the next conflict, and the stats count them as ``propagated``
-        (from ``check``) and ``cut_clauses`` (from ``final``).
+        queued clauses (``_drain``) and then asks ``check``, so a total
+        assignment is the model only if ``check`` returns no clause there.
+        Its clauses join the queue, so a false one is the next conflict,
+        and the stats count them as ``propagated``.
         """
         stats = {"conflicts": 0, "decisions": 0, "restarts": 0}
         prop = self.prop
         if prop is not None:
-            stats["cut_clauses"] = stats["propagated"] = 0
+            stats["propagated"] = 0
         if self.pending is not None:
             self._load()
         if not self.ok:
@@ -493,10 +459,10 @@ class _Solver:
                     if conflict is None and self.qhead < len(self.trail):
                         continue  # the drain assigned literals: propagate them first
                 if conflict is None:
-                    clause = prop.check(self)
-                    if clause is not None:
-                        stats["propagated"] += 1
-                        self._queue([clause])
+                    clauses = prop.check(self)
+                    if clauses:
+                        stats["propagated"] += len(clauses)
+                        self._queue(clauses)
                         conflict = self._drain()
             if conflict is not None:
                 conflicts += 1
@@ -533,12 +499,6 @@ class _Solver:
                 if lit == 0:
                     n = self.nvars
                     assignment = {v: self.val[v + n] == 1 for v in range(1, n + 1)}
-                    if prop is not None:
-                        cuts = prop.final(assignment)
-                        if cuts:
-                            stats["cut_clauses"] += len(cuts)
-                            self._queue(cuts)
-                            continue
                     return self._stop(SolveOutcome("sat", model=Model(assignment), stats=stats))
                 stats["decisions"] += 1
                 trail_lim.append(len(self.trail))
@@ -613,7 +573,7 @@ def internal_solve_fn(timeout: float | None = None) -> SolveFn:
     accepts, so an unsat probe is the answer and the clauses stay for later
     probes.  A probe is one ``solve_internal`` call under its assumptions,
     bounded by ``timeout``, and its ``stats`` are that search's counters,
-    with ``propagated`` and ``cut_clauses`` under a propagator.
+    with ``propagated`` under a propagator.
     """
 
     def open_solver(clauses, nvars, propagator: Propagator | None = None):

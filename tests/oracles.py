@@ -4,14 +4,16 @@ Nothing in this module shares code with the encodings under test: cycles are
 found by backtracking search, connectivity by flood fill, Tapa layouts by
 filtering all bit patterns, Roadrunner optima by enumerating laser subsets.
 ``Recording`` wraps a propagator and keeps the clauses it returns, for tests
-that hold them against these oracles.
+that hold them against these oracles; ``check_on`` runs a propagator's
+check on a trail of one's choosing, and ``all_kept_models`` enumerates the
+models of a formula.
 """
 from __future__ import annotations
 
 import itertools
 
 from gridloop import solve_internal
-from gridloop.solver import Propagator
+from gridloop.solver import Propagator, _Solver
 
 
 def eval_clauses(clauses, assignment):
@@ -309,32 +311,65 @@ def clause_faults(clauses, nvars):
 
 class Recording(Propagator):
     """A propagator that passes every call on to ``inner`` and keeps a copy
-    of each clause that it returns: ``checked`` from ``check``, each of them
-    asserted false under the solver's trail, and ``finals`` from ``final``,
-    each asserted false in the assignment that it came from."""
+    of each clause that it returns in ``clauses``, each of them asserted
+    false under the solver's trail."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.checked = []
-        self.finals = []
+        self.clauses = []
 
     def check(self, solver):
-        clause = self.inner.check(solver)
-        if clause is not None:
-            assert all(solver.val[lit + solver.nvars] == -1 for lit in clause), clause
-            self.checked.append(list(clause))
-        return clause
+        clauses = self.inner.check(solver)
+        for cl in clauses:
+            assert all(solver.val[lit + solver.nvars] == -1 for lit in cl), cl
+            self.clauses.append(list(cl))
+        return clauses
 
     def undo(self, trail_len):
         self.inner.undo(trail_len)
 
-    def final(self, assignment):
-        clauses = self.inner.final(assignment)
-        for cl in clauses:
-            assert not any(assignment[abs(lit)] == (lit > 0) for lit in cl), cl
-            self.finals.append(list(cl))
-        return clauses
 
-    @property
-    def clauses(self):
-        return self.checked + self.finals
+class Enumerator(Propagator):
+    """Every model of a formula, told apart by the variables ``kept``: at
+    each total trail ``check`` records their values in ``models`` and
+    returns the clause that blocks them, so one search goes on until no
+    model is left."""
+
+    def __init__(self, kept):
+        self.kept = kept
+        self.models = []
+
+    def check(self, solver):
+        n = solver.nvars
+        if len(solver.trail) < n:
+            return []
+        model = {v: solver.val[v + n] == 1 for v in self.kept}
+        self.models.append(model)
+        return [[-v if model[v] else v for v in self.kept]]
+
+
+def on_trail(nvars, lits):
+    """A solver over ``nvars`` variables and no clauses whose trail holds
+    ``lits`` in order, at level 0: a trail for a propagator's check."""
+    solver = _Solver([], nvars)
+    solver._load()
+    for lit in lits:
+        solver._assign(lit, None)
+    return solver
+
+
+def check_on(propagator, assignment, order=None):
+    """What ``propagator``'s check returns, read from the start, on a trail
+    that holds ``assignment`` with its variables in ``order`` (default: the
+    assignment's)."""
+    propagator.undo(0)
+    lits = [v if assignment[v] else -v for v in order or assignment]
+    return propagator.check(on_trail(len(assignment), lits))
+
+
+def all_kept_models(clauses, nvars, kept):
+    """Every model of ``clauses`` over the variables ``kept``, once each, as
+    a dict from variable to value, by one search with an ``Enumerator``."""
+    enumerator = Enumerator(kept)
+    assert _Solver(clauses, nvars, enumerator).solve().is_unsat
+    return enumerator.models

@@ -91,17 +91,24 @@ def test_solve_infeasible_exit(tmp_path, capsys):
 
 
 def test_solve_parse_error_exit(tmp_path, capsys):
-    # a grid size below 1 is an input error for every grid kind
+    # a grid size below 1 is an input error for every grid kind, and so is
+    # a Tapa clue digit above 8, which no ring of eight cells can meet
     for name, text in [
         ("bad.masyu", "not a grid\n"),
         ("zero.shingoki", "0\n"),
         ("zero.tapa", "0\n"),
         ("negative.tapa", "-1\n"),
+        ("nine.tapa", "3\n. . .\n. 9 .\n. . .\n"),
+        ("nine_in_four.tapa", "3\n. . .\n. 1119 .\n. . .\n"),
+        ("arabic_nine.tapa", "3\n. . .\n. \u0669 .\n. . .\n"),
     ]:
         bad = tmp_path / name
-        bad.write_text(text)
+        bad.write_text(text, encoding="utf-8")
         assert main(["solve", str(bad)]) == EXIT_INPUT, name
         assert "error:" in capsys.readouterr().err, name
+    assert main(["encode", str(tmp_path / "nine.tapa")]) == EXIT_INPUT
+    assert "digit above 8" in capsys.readouterr().err
+    assert not (tmp_path / "nine.tapa.cnf").exists()
 
 
 @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
@@ -203,6 +210,15 @@ def test_encode_roundtrip(tmp_path, capsys):
     names = (tmp_path / "m.cnf.map").read_text()
     assert "cell_1_1" in names
     assert "edge_1_1_1_2" in names
+
+
+@pytest.mark.parametrize("flag", ["-o", "--map"])
+def test_encode_into_a_missing_directory_is_input_error(flag, tmp_path, capsys):
+    paths = {"-o": str(tmp_path / "f.cnf"), "--map": str(tmp_path / "f.map")}
+    paths[flag] = str(tmp_path / "missing" / "f")
+    argv = ["encode", inst_path("masyu_4x4.masyu"), "-o", paths["-o"], "--map", paths["--map"]]
+    assert main(argv) == EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(INSTANCES)))
@@ -464,6 +480,12 @@ def test_bench_csv(tmp_path, capsys):
 
 def test_bench_empty_dir(tmp_path, capsys):
     assert main(["bench", str(tmp_path)]) == EXIT_INPUT
+
+
+def test_bench_on_a_missing_directory_or_a_file_is_input_error(tmp_path, capsys):
+    for path in (tmp_path / "missing", inst_path("masyu_4x4.masyu")):
+        assert main(["bench", str(path)]) == EXIT_INPUT, path
+        assert "error:" in capsys.readouterr().err, path
 
 
 def test_bench_result_per_kind(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """The lazy cycle model ``cycle_grid`` (Masyu, Shingoki and Road Runner on
 the internal solver): the same answers as a Hamiltonian-cycle oracle, cuts
-from the propagator's check and final check that every solution meets and
-that the trail or model they came from breaks, path ends that undo restores,
-and lazy Road Runner optima equal to exhaustive search."""
+from the propagator's check that every solution meets and that the trail
+they came from breaks, a check that leaves no total trail with two cycles,
+path ends that undo restores, and lazy Road Runner optima equal to
+exhaustive search."""
 import functools
 import itertools
 import random
@@ -10,7 +11,7 @@ import random
 import pytest
 
 from gridloop import CnfBuilder, GridVars, maximize
-from gridloop.graph import cycle_grid
+from gridloop.graph import cycle_grid, grid_cycles
 from gridloop.puzzles import (
     build_masyu,
     build_roadrunner,
@@ -20,7 +21,7 @@ from gridloop.puzzles import (
 )
 from gridloop.solver import _Solver, internal_solve_fn
 
-from oracles import Recording, has_ham_cycle_grid, rr_optimum
+from oracles import Recording, all_kept_models, has_ham_cycle_grid, rr_optimum
 
 
 def grid_cells(rows, cols):
@@ -63,8 +64,8 @@ def check_every_in_subset(build, subsets, oracle, short):
     """Solve the formula of ``build()`` once per subset, with exactly the
     subset's cells in, against ``oracle``; every clause that the propagator
     returned holds in every model of ``one_cycle_models``.  Returns the
-    number of clauses from ``check``."""
-    returned, checked = [], 0
+    number of those clauses."""
+    returned = []
     for subset in subsets:
         b, grid, edges, propagator = build()
         recording = Recording(propagator)
@@ -72,12 +73,11 @@ def check_every_in_subset(build, subsets, oracle, short):
         out = internal_solve_fn()(b.clauses + units, b.var_count, recording)()
         assert out.is_sat == oracle(subset), (sorted(grid.cells), subset)
         returned += recording.clauses
-        checked += len(recording.checked)
     models = one_cycle_models(grid, edges, short)
     for clause in returned:
         for model in models:
             assert any(model[abs(lit)] == (lit > 0) for lit in clause), (clause, model)
-    return checked
+    return len(returned)
 
 
 def test_with_a_count_every_cycle_counts_as_in_hcp():
@@ -130,27 +130,6 @@ def test_with_anchors_only_a_cycle_through_them_is_left(rows, cols):
     assert bool(checked) == (cols == 5)
 
 
-def test_without_anchors_each_cycle_pairs_with_the_next():
-    # three squares on a 2x8 grid, every other cell out: u is a square's
-    # first cell and v the next square's, cyclically
-    b = CnfBuilder()
-    grid = GridVars(2, 8, {cell: b.new_var() for cell in grid_cells(2, 8)})
-    edges, propagator = cycle_grid(b, grid)
-    squares = [{(r, c) for r in (1, 2) for c in (c0, c0 + 1)} for c0 in (1, 4, 7)]
-    assignment = {v: v == 1 for v in range(1, b.var_count + 1)}
-    for square in squares:
-        for cell in square:
-            assignment[grid.cells[cell]] = True
-        for e in edges:
-            assignment[e.lit] |= e.src in square and e.dst in square
-    firsts = [grid.cells[(1, c0)] for c0 in (1, 4, 7)]
-    assert propagator.final(assignment) == [
-        [-firsts[i], -firsts[(i + 1) % 3]]
-        + [e.lit for e in edges if (e.src in square) != (e.dst in square)]
-        for i, square in enumerate(squares)
-    ]
-
-
 def path_ends(pairs, ncells):
     """For each cell with at most one of the edges ``pairs`` (cell index
     pairs): the other end of its path, or the cell itself with none."""
@@ -185,12 +164,12 @@ def test_undo_restores_the_path_ends(n):
     solver._load()
     undos = cuts = 0
     while undos < 300:
-        conflict = solver._propagate()
-        if conflict is None:
-            conflict = propagator.check(solver)
-            cuts += conflict is not None
+        conflict = solver._propagate() is not None
+        if not conflict:
+            conflict = bool(propagator.check(solver))
+            cuts += conflict
         free = [v for v in range(1, b.var_count + 1) if solver._value(v) == 0]
-        if conflict is not None or not free or (solver.trail_lim and rng.random() < 0.1):
+        if conflict or not free or (solver.trail_lim and rng.random() < 0.1):
             assert solver.trail_lim  # a conflict at level 0 would be unsat
             solver._backjump(rng.randrange(len(solver.trail_lim)))
             undos += 1
@@ -204,16 +183,58 @@ def test_undo_restores_the_path_ends(n):
     assert cuts > 10
 
 
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("kind", ["anchors", "count"])
+def test_check_leaves_no_total_trail_with_two_cycles(kind, n):
+    # random decisions, propagation and the propagator's check, as above;
+    # at each total trail where check returns nothing, the active edges form
+    # at most one cycle, so no check of the total model is needed.  Two
+    # anchors in opposite corners, or a count of at least 1 with no anchor
+    rng = random.Random(f"complete/{kind}/{n}")
+    b = CnfBuilder()
+    grid = GridVars(n, n, {cell: b.new_var() for cell in grid_cells(n, n)})
+    if kind == "anchors":
+        anchors = [(1, 1), (n, n)]
+        for cell in anchors:
+            b.add_clause([grid.cells[cell]])
+        edges, propagator = cycle_grid(b, grid, anchors)
+    else:
+        count = b.unary_count(list(grid.cells.values()))
+        b.add_clause([count.outputs[0]])
+        edges, propagator = cycle_grid(b, grid, count=count)
+    solver = _Solver(b.clauses, b.var_count, propagator)
+    solver._load()
+    totals = cuts = 0
+    while totals < 200:
+        conflict = solver._propagate() is not None
+        if not conflict:
+            conflict = bool(propagator.check(solver))
+            cuts += conflict
+        if not conflict and len(solver.trail) == b.var_count:
+            a = {v: solver._value(v) == 1 for v in range(1, b.var_count + 1)}
+            # one or two in-cells need no edge with a count: no cycle to walk
+            if sum(a[lit] for lit in grid.cells.values()) > 2:
+                assert len(grid_cycles(a, grid, edges)) <= 1
+            totals += 1
+            conflict = True
+        if conflict:
+            assert solver.trail_lim  # a conflict at level 0 would be unsat
+            solver._backjump(rng.randrange(len(solver.trail_lim)))
+            continue
+        free = [v for v in range(1, b.var_count + 1) if solver._value(v) == 0]
+        var = rng.choice(free)
+        solver.trail_lim.append(len(solver.trail))
+        solver._assign(var if rng.random() < 0.6 else -var, None)
+    assert cuts > 100  # second cycles were met, and cut during the search
+
+
 def undirected_solutions(b):
     """Every model of an eager formula, as the set of names of its true cell,
     road and laser literals and of the lazy model's undirected edges
-    ``edge_{up or left cell}_{other}``: on where either direction is on.
-    Found by solving again with each model's cells and edges blocked."""
+    ``edge_{up or left cell}_{other}``: on where either direction is on."""
     kept = [v for v, name in b.names.items() if name.startswith(("cell_", "road_", "laser_", "edge_"))]
-    solver = _Solver(b.clauses, b.var_count)
     out = []
-    while (found := solver.solve()).is_sat:
-        a = found.model.assignment
+    for a in all_kept_models(b.clauses, b.var_count, kept):
         names = set()
         for v in kept:
             if a[v]:
@@ -225,7 +246,6 @@ def undirected_solutions(b):
                 else:
                     names.add(b.names[v])
         out.append(names)
-        solver.add_clauses([[-v if a[v] else v for v in kept]])
     return out
 
 
@@ -243,8 +263,8 @@ def undirected_solutions(b):
 )
 def test_every_cut_keeps_every_solution(kind, text):
     # the clauses that the propagator returned while solving (Road Runner:
-    # while maximizing), from its check and its final check, against every
-    # solution of the eager formula, whatever its road length
+    # while maximizing) against every solution of the eager formula,
+    # whatever its road length
     parse, build = {
         "masyu": (parse_masyu, build_masyu),
         "roadrunner": (parse_roadrunner, build_roadrunner),

@@ -20,6 +20,8 @@ from gridloop.puzzles import (
 )
 from gridloop.solver import internal_solve_fn
 
+from oracles import check_on
+
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
 KINDS = {
     "masyu": (parse_masyu, build_masyu, verify_masyu),
@@ -119,17 +121,20 @@ def edges(b, *names):
 
 
 def test_cut_rules():
-    # one rule: cycle S gets "not u, not v, or some edge across S's
-    # boundary", u the first circle in S (else S's first cell) and v the
-    # first circle outside S (else the next cycle's first cell); the
-    # boundary edges in row-major edge order
+    # one rule: the cycle S that closes first on the trail gets "not u, not
+    # v, or some edge across S's boundary", u the first circle in S (else
+    # S's first cell) and v the first circle outside S (else the first
+    # in-cell outside S); the boundary edges in row-major edge order.  The
+    # variables in increasing order close the square at (1, 1) first, in
+    # decreasing order the one at (3, 3)
     b = CnfBuilder()
     decode, _, propagator = build_masyu(b, parse_masyu("4\nb...\n....\n....\n....\n"), lazy=True)
     assignment = two_squares(b)
+    up, down = sorted(assignment), sorted(assignment, reverse=True)
     c11, c33, c44 = edges(b, "cell_1_1", "cell_3_3", "cell_4_4")
     first = edges(b, "edge_1_2_1_3", "edge_2_1_3_1", "edge_2_2_3_2", "edge_2_2_2_3")
     second = edges(b, "edge_2_3_3_3", "edge_2_4_3_4", "edge_3_2_3_3", "edge_4_2_4_3")
-    out = propagator.final(assignment)
+    out = check_on(propagator, assignment, up) + check_on(propagator, assignment, down)
     assert out == [[-c11, -c33] + first, [-c33, -c11] + second]
     with pytest.raises(RuntimeError, match="2 cycles"):
         decode(assignment)
@@ -138,11 +143,12 @@ def test_cut_rules():
     b = CnfBuilder()
     _, _, propagator = build_masyu(b, parse_masyu("4\nb...\n....\n....\n...b\n"), lazy=True)
     assignment = two_squares(b)
-    assert propagator.final(assignment) == [[-c11, -c44] + first, [-c44, -c11] + second]
-    out += propagator.final(assignment)
+    cuts = check_on(propagator, assignment, up) + check_on(propagator, assignment, down)
+    assert cuts == [[-c11, -c44] + first, [-c44, -c11] + second]
+    out += cuts
     # every cut is false in the model that it cuts off
     assert not any(assignment[abs(lit)] == (lit > 0) for cut in out for lit in cut)
-    assert propagator.final({v: v == 1 for v in assignment}) == []  # no cycle at all
+    assert check_on(propagator, {v: v == 1 for v in assignment}, up) == []  # no cycle at all
 
 
 def test_a_white_circle_adds_four_ladder_gates():

@@ -175,78 +175,44 @@ def test_assumption_outside_formula_rejected():
         solve_internal([[1]], 1, assumptions=[0])
 
 
-# -- clauses added between solves --------------------------------------------
+# -- clauses from a propagator ----------------------------------------------
 
-def test_add_clauses_drops_a_clause_satisfied_at_level_0():
-    s = _Solver([[1], [2, 3]], 3)
-    assert s.solve().is_sat
-    watched = sum(map(len, s.watches))
-    s.add_clauses([[1, -2, -3]])  # 1 is true at level 0
-    assert sum(map(len, s.watches)) == watched
-    assert s.solve().is_sat
+def total_check(cuts):
+    """A propagator whose check returns nothing until the trail is total,
+    and then ``cuts(assignment)``."""
 
+    class Total(Propagator):
+        def check(self, solver):
+            n = solver.nvars
+            if len(solver.trail) < n:
+                return []
+            return cuts({v: solver.val[v + n] == 1 for v in range(1, n + 1)})
 
-def test_add_clauses_propagates_a_unit():
-    s = _Solver([[-1, 2], [-2, 3]], 3)
-    assert s.solve().is_sat
-    s.add_clauses([[1]])
-    assert s.ok and s.trail == [1, 2, 3] and s.trail_lim == []
-    # a clause whose other literals are false at level 0 is a unit too
-    s2 = _Solver([[-1]], 3)
-    s2.add_clauses([[1, 2], [-2, 3]])
-    assert [s2._value(v) for v in (1, 2, 3)] == [-1, 1, 1]
-    out = s2.solve()
-    assert out.is_sat and out.stats["decisions"] == 0
+    return Total()
 
 
-def test_add_clauses_falsified_at_level_0_is_unsat():
-    s = _Solver([[1], [-1, 2]], 2)
-    assert s.solve().is_sat
-    s.add_clauses([[-1, -2]])
-    assert not s.ok
-    assert s.solve().is_unsat
-    # an empty clause, and one that a unit then falsifies by propagation
-    s = _Solver([[1, 2]], 2)
-    s.add_clauses([[]])
-    assert not s.ok and s.solve().is_unsat
-    s = _Solver([[1, 2], [1, -2]], 2)
-    assert s.solve().is_sat
-    s.add_clauses([[-1]])
-    assert not s.ok and s.solve().is_unsat
-
-
-def test_add_clauses_agrees_with_a_fresh_solve():
+def test_clauses_from_a_total_check_agree_with_a_fresh_solve():
+    # half the clauses go in up front, and the check returns those of the
+    # other half that a total trail breaks, several at a time
     rng = random.Random(977)
     seen = set()
     for _ in range(60):
         nvars = rng.randint(10, 30)
         clauses = random_3cnf(rng, nvars, round(4.26 * nvars))
         half = len(clauses) // 2
-        s = _Solver(clauses[:half], nvars)
-        first = s.solve()
-        assert first.status == solve_internal(clauses[:half], nvars).status
-        s.add_clauses(clauses[half:])
-        assert s.trail_lim == []
-        out = s.solve()
-        want = solve_internal(clauses, nvars).status
-        assert out.status == want, clauses
+        rest = clauses[half:]
+        check = total_check(lambda a: [cl for cl in rest if not eval_clauses([cl], a)])
+        out = internal_solve_fn()(clauses[:half], nvars, check)()
+        assert out.status == solve_internal(clauses, nvars).status, clauses
         if out.is_sat:
             assert check_model(clauses, out.model)
-        seen.add((first.status, out.status))
+        seen.add((solve_internal(clauses[:half], nvars).status, out.status))
     assert {("sat", "sat"), ("sat", "unsat")} <= seen
 
 
-def final_check(final):
-    """A propagator that checks nothing during the search and whose final
-    check is ``final``."""
-    propagator = Propagator()
-    propagator.final = final
-    return propagator
-
-
 def test_probe_adds_cuts_until_a_model_needs_none(monkeypatch):
-    # the first total assignment sets x1 (the saved phase), and the final
-    # check's cut -x1 sets every variable false through the chain
+    # the first total assignment sets x1 (the saved phase), and the check's
+    # cut -x1 there sets every variable false through the chain
     # x4 -> x3 -> x2 -> x1, in the same search
     clauses = [[1, -2], [2, -3], [3, -4], [-1, -4]]
     asked = []
@@ -263,14 +229,14 @@ def test_probe_adds_cuts_until_a_model_needs_none(monkeypatch):
         asked.append(dict(assignment))
         return [[-1]] if assignment[1] else []
 
-    out = internal_solve_fn()(clauses, 4, final_check(cuts))()
+    out = internal_solve_fn()(clauses, 4, total_check(cuts))()
     assert out.is_sat and not any(out.model.assignment.values())
-    # the final check is asked again until it returns nothing, and the
-    # model is the assignment that it accepted
+    # each total trail is checked until one gets no clause, and the model
+    # is the assignment that the check accepted
     assert len(asked) == 2 and asked[-1] == out.model.assignment
     assert len(opened) == 1 and opened[0].added == [[-1]]
     # a cut that contradicts the base clauses makes the whole formula unsat
-    assert internal_solve_fn()([[1], [2]], 2, final_check(lambda a: [[-1, -2]]))().is_unsat
+    assert internal_solve_fn()([[1], [2]], 2, total_check(lambda a: [[-1, -2]]))().is_unsat
 
 
 def test_a_later_probe_needs_no_recut():
@@ -285,15 +251,15 @@ def test_a_later_probe_needs_no_recut():
         added.extend(new)
         return new
 
-    probe = internal_solve_fn()([[1, 2, 3]], 3, final_check(cuts))
+    probe = internal_solve_fn()([[1, 2, 3]], 3, total_check(cuts))
     out = probe()
     assert out.is_sat and len(asked) == 2 and added == [[-1], [-2]]
-    # each probe reports the cut clauses that it added
-    assert (out.stats["cut_clauses"], out.stats["propagated"]) == (2, 0)
+    # each probe reports the clauses that the check returned
+    assert out.stats["propagated"] == 2
     asked.clear()
     out = probe()
     assert out.is_sat and len(asked) == 1
-    assert (out.stats["cut_clauses"], out.stats["propagated"]) == (0, 0)
+    assert out.stats["propagated"] == 0
     assert check_model(added, out.model)
 
 
@@ -303,7 +269,7 @@ def test_a_probe_meets_its_assumptions_and_the_cuts():
         on = [v for v in range(1, 5) if assignment[v]]
         return [[-on[0], -v] for v in on[1:]]
 
-    probe = internal_solve_fn()([[1, 2, 3, 4]], 4, final_check(cuts))
+    probe = internal_solve_fn()([[1, 2, 3, 4]], 4, total_check(cuts))
     out = probe([-1, -2])
     assert out.is_sat and not out.model[1] and not out.model[2]
     assert sum(out.model[v] for v in range(1, 5)) == 1
@@ -314,8 +280,8 @@ def test_a_probe_meets_its_assumptions_and_the_cuts():
 
 def test_a_probe_has_one_deadline(monkeypatch):
     # a probe is one solve_internal call, given the whole budget; the time
-    # that the final check takes counts against it, so the conflict that
-    # its cut starts finds the budget spent.  The cut stays queued, and the
+    # that the check takes counts against it, so the conflict that its cut
+    # starts finds the budget spent.  The cut stays queued, and the
     # next probe, with a budget of its own, takes it in
     budgets = []
 
@@ -329,7 +295,7 @@ def test_a_probe_has_one_deadline(monkeypatch):
         time.sleep(0.05)
         return [[-1]] if assignment[1] else []
 
-    probe = internal_solve_fn(timeout=0.02)([[1, -2], [2, -3]], 3, final_check(cuts))
+    probe = internal_solve_fn(timeout=0.02)([[1, -2], [2, -3]], 3, total_check(cuts))
     out = probe()
     assert out.status == "unknown" and out.reason == "solver timeout"
     out = probe()
@@ -349,10 +315,10 @@ def test_probe_stats_count_its_one_search(monkeypatch):
     clauses, sel = guarded_pigeonhole(6, 5)
     # the first total assignment has sel false; the cut asks for sel, and
     # the same search refutes the pigeonhole clauses
-    out = internal_solve_fn()(clauses, sel, final_check(lambda a: [] if a[sel] else [[sel]]))()
+    out = internal_solve_fn()(clauses, sel, total_check(lambda a: [] if a[sel] else [[sel]]))()
     assert out.is_unsat and calls == [out.stats]
     assert out.stats["conflicts"] > 128 and out.stats["restarts"] >= 1
-    assert (out.stats["cut_clauses"], out.stats["propagated"]) == (1, 0)
+    assert out.stats["propagated"] == 1
 
 
 def test_drain_attaches_each_queued_clause_by_its_state():

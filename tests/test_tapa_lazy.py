@@ -9,9 +9,9 @@ import pytest
 
 from gridloop import CnfBuilder, solve_internal
 from gridloop.puzzles import build_tapa, parse_tapa, verify_tapa
-from gridloop.solver import _Solver, internal_solve_fn
+from gridloop.solver import internal_solve_fn
 
-from oracles import Recording
+from oracles import Recording, all_kept_models, check_on, on_trail
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
 
@@ -82,7 +82,7 @@ def test_one_cut_per_component():
     black = set(lits(b, "cell_1_1", "cell_1_2", "cell_2_4", "cell_3_3", "cell_4_3"))
     assignment = {v: v == 1 or v in black for v in range(1, b.var_count + 1)}
     b11, b24, b33 = lits(b, "cell_1_1", "cell_2_4", "cell_3_3")
-    out = propagator.final(assignment)
+    out = check_on(propagator, assignment)
     assert [sorted(cut) for cut in out] == [
         sorted([-b11, -b24] + lits(b, "cell_2_1", "cell_2_2")),
         sorted([-b24, -b33] + lits(b, "cell_1_4", "cell_2_3", "cell_3_4")),
@@ -96,25 +96,26 @@ def test_no_cut_for_one_component_or_none():
     b = CnfBuilder()
     _, _, propagator = build_tapa(b, parse_tapa("3\n. . .\n. 1 .\n. . .\n"), lazy=True)
     white = {v: v == 1 for v in range(1, b.var_count + 1)}
-    assert propagator.final(white) == []
+    assert check_on(propagator, white) == []
     one = set(lits(b, "cell_1_1", "cell_1_2", "cell_1_3", "cell_2_3"))
-    assert propagator.final({v: v == 1 or v in one for v in range(1, b.var_count + 1)}) == []
+    assert check_on(propagator, {v: v == 1 or v in one for v in range(1, b.var_count + 1)}) == []
+    # and none before the trail is total, even with the black cells apart
+    apart = [v if v == 1 or v in lits(b, "cell_1_1", "cell_3_3") else -v for v in range(1, b.var_count + 1)]
+    assert propagator.check(on_trail(b.var_count, apart[:-1])) == []
+    assert len(propagator.check(on_trail(b.var_count, apart))) == 2
 
 
 def black_sets(text):
-    """Every verified solution of a board, as its set of black cell names:
-    the eager formula, solved again with each coloring blocked."""
+    """Every verified solution of a board, as its set of black cell names,
+    from the eager formula."""
     inst = parse_tapa(text)
     b = CnfBuilder()
     decode, _, _ = build_tapa(b, inst)
     cells = [v for v, name in b.names.items() if name.startswith("cell_")]
-    solver = _Solver(b.clauses, b.var_count)
     out = []
-    while (found := solver.solve()).is_sat:
-        a = found.model.assignment
+    for a in all_kept_models(b.clauses, b.var_count, cells):
         assert verify_tapa(inst, decode(a)) is None
         out.append({b.names[v] for v in cells if a[v]})
-        solver.add_clauses([[-v if a[v] else v for v in cells]])
     return out
 
 
@@ -141,21 +142,23 @@ def test_every_cut_keeps_every_solution(text):
 
 
 def test_probe_reports_its_cut_clauses():
-    # one search asks the final check until it accepts a total model; the
-    # stats count the clauses that it returned, and Tapa's propagator has
-    # no check during the search
+    # one search checks each total trail until one gets no cut, and the
+    # stats count the cuts; before the trail is total the check returns
+    # nothing
     text = "5\n. . . . .\n3 . . . .\n. . 2 . .\n. . . . .\n. 1 . . .\n"
     b = CnfBuilder()
     _, _, propagator = build_tapa(b, parse_tapa(text), lazy=True)
     returned = []
 
     class Counted(Recording):
-        def final(self, assignment):
-            clauses = super().final(assignment)
-            returned.append(len(clauses))
+        def check(self, solver):
+            clauses = super().check(solver)
+            if len(solver.trail) == solver.nvars:
+                returned.append(len(clauses))
+            else:
+                assert clauses == []
             return clauses
 
     out = internal_solve_fn()(b.clauses, b.var_count, Counted(propagator))()
     assert out.is_sat and len(returned) >= 2 and returned[-1] == 0
-    assert out.stats["cut_clauses"] == sum(returned) > 0
-    assert out.stats["propagated"] == 0
+    assert out.stats["propagated"] == sum(returned) > 0
