@@ -14,7 +14,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from gridloop import CnfBuilder, solve_internal
+from gridloop import CnfBuilder, open_internal, solve_internal
 from gridloop.cli import _PARSERS, RunConfig, run
 from gridloop.graph import make_grid, hcp_grid, scc_grid
 from gridloop.optimize import maximize
@@ -162,7 +162,7 @@ def roadrunner_instance(max_x: int, max_y: int, rng: random.Random, hills: int) 
         inst = parse_roadrunner(text)
         b = CnfBuilder()
         decode, count, _ = build_roadrunner(b, inst)
-        res = maximize(b.clauses, b.var_count, count, lo=1)
+        res = maximize(open_internal(b.clauses, b.var_count), count, lo=1)
         if res.status != "optimal":
             continue
         sol = decode(res.best_model.assignment)

@@ -37,7 +37,7 @@ def recorded(*args, **kwargs):
     return out
 
 
-# internal_solve_fn looks solve_internal up in its module on every probe
+# open_internal's probe looks solve_internal up in its module on every call
 gridloop.solver.solve_internal = recorded
 
 puzzles = [

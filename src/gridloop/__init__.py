@@ -18,6 +18,8 @@ from .solver import (
     Model,
     SolveOutcome,
     check_model,
+    open_external,
+    open_internal,
     solve_external,
     solve_internal,
 )

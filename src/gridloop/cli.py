@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .cnf import CnfBuilder
 from .optimize import maximize
-from .solver import DEFAULT_SOLVER_ENV, SolveFn, external_solve_fn, internal_solve_fn
+from .solver import DEFAULT_SOLVER_ENV, open_external, open_internal
 from .puzzles import (
     LoopSolution,
     RoadrunnerSolution,
@@ -71,12 +71,6 @@ def infer_kind(path: str, flag: str | None) -> str:
     if ext in _EXTENSIONS:
         return _EXTENSIONS[ext]
     raise ValueError(f"cannot infer puzzle kind from {path!r}; use --puzzle")
-
-
-def solve_fn_for(config: RunConfig) -> SolveFn:
-    if config.solver_cmd:
-        return external_solve_fn(config.solver_cmd, timeout=config.timeout)
-    return internal_solve_fn(config.timeout)
 
 
 _PARSERS = {
@@ -138,23 +132,26 @@ class RunResult:
 
 
 def run(config: RunConfig, inst) -> RunResult:
-    """Encode, solve, decode and verify one instance.  The internal solver
-    takes a lazy model where the kind's builder has one, an external solver
-    the complete formula.  A kind with an objective is maximized (at least
-    1); the others take one probe."""
+    """Encode, solve, decode and verify one instance through one probe.  The
+    internal solver takes a lazy model where the kind's builder has one, an
+    external solver the complete formula.  A kind with an objective is
+    maximized (at least 1); the others take one probe call."""
     builder = CnfBuilder()
     decode, objective, propagator = _BUILDERS[config.kind](
         builder, inst, lazy=config.solver_cmd is None
     )
-    size = (builder.var_count, len(builder.clauses))
-    # every probe searches with the propagator, maximize's too
-    fn = functools.partial(solve_fn_for(config), propagator=propagator)
+    clauses, nvars = builder.clauses, builder.var_count
+    size = (nvars, len(clauses))
+    if config.solver_cmd:
+        probe = open_external(config.solver_cmd, clauses, nvars, config.timeout)
+    else:  # every call searches with the propagator, maximize's too
+        probe = open_internal(clauses, nvars, propagator, config.timeout)
     optimum = None
     if objective is None:
-        outcome = fn(builder.clauses, builder.var_count)()
+        outcome = probe()
         status, model, reason = outcome.status, outcome.model, outcome.reason
     else:
-        result = maximize(builder.clauses, builder.var_count, objective, solve_fn=fn, lo=1)
+        result = maximize(probe, objective, lo=1)
         status = {"optimal": "sat", "infeasible": "unsat"}.get(result.status, "unknown")
         model, reason, optimum = result.best_model, result.reason, result.best_value
     if status == "unsat":
@@ -248,6 +245,7 @@ def solution_json(kind: str, inst, sol) -> dict:
             "laser": sol.laser,
             "road": sol.road,
             "k": sol.k,
+            "cycle": [list(p) for p in sol.cycle],
         }
     if kind == "tapa":
         return {"kind": "tapa", "n": inst.n, "black": sol.black}
@@ -262,7 +260,11 @@ def solution_json(kind: str, inst, sol) -> dict:
 def solution_from_json(kind: str, inst, data: dict):
     if kind == "roadrunner":
         laser, road = data["laser"], data["road"]
-        return RoadrunnerSolution(laser, road, int(data.get("k", sum(map(sum, road)))))
+        k = int(data.get("k", sum(map(sum, road))))
+        cycle = data.get("cycle")  # absent from older files: then the verifier searches
+        if cycle is not None:
+            cycle = [(int(x), int(y)) for x, y in cycle]
+        return RoadrunnerSolution(laser, road, k, cycle)
     if kind == "tapa":
         return ColoringSolution(data["black"])
     cycle = [(int(r), int(c)) for r, c in data["cycle"]]
@@ -303,12 +305,19 @@ def cmd_encode(args) -> int:
     _BUILDERS[config.kind](builder, inst)
     out = args.out or config.path + ".cnf"
     mapfile = args.map or out + ".map"
+    if os.path.realpath(out) == os.path.realpath(mapfile):
+        return _input_error(f"the CNF and the map cannot both go to {out}")
+    opened = []  # both files are open before either is written
     try:
-        with open(out, "w") as f:
-            builder.emit_dimacs(f)
-        with open(mapfile, "w") as f:
-            builder.emit_varmap(f)
+        with open(out, "w") as cnf:
+            opened.append(out)
+            with open(mapfile, "w") as varmap:
+                opened.append(mapfile)
+                builder.emit_dimacs(cnf)
+                builder.emit_varmap(varmap)
     except OSError as e:
+        for path in opened:  # a failed encode leaves no file behind
+            os.unlink(path)
         return _input_error(e)
     print(f"wrote {out} ({builder.var_count} vars, {len(builder.clauses)} clauses)")
     print(f"wrote {mapfile}")

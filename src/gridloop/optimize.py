@@ -1,19 +1,19 @@
 """Boolean-sum maximization by binary search over unary-counter bounds.
 
-One solver is opened on the formula, and each probe solves it under a
-single assumption on the counter (possible because the counter outputs are
-threshold literals).  With the internal solver every probe reuses the
-clauses learnt by the earlier ones; an external solver runs once per probe,
-with the assumption written as a unit clause.  The achieved value is read
-back from the model, which may exceed the probed bound and saves iterations.
+``maximize`` takes a probe on the formula (see ``gridloop.solver``), and
+each probe call solves it under a single assumption on the counter (possible
+because the counter outputs are threshold literals).  An internal probe
+reuses the clauses learnt by the earlier calls; an external one runs once
+per call, with the assumption written as a unit clause.  The achieved value
+is read back from the model, which may exceed the probed bound and saves
+iterations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .cnf import Lit, UnaryCount
-from .solver import Model, SolveFn, internal_solve_fn
+from .cnf import UnaryCount
+from .solver import Model, Probe
 
 
 @dataclass
@@ -26,26 +26,18 @@ class OptimizeResult:
     reason: str | None = None
 
 
-def maximize(
-    clauses: Sequence[Sequence[Lit]],
-    nvars: int,
-    objective: UnaryCount,
-    solve_fn: SolveFn | None = None,
-    lo: int = 0,
-) -> OptimizeResult:
-    """Maximize the number of true objective inputs, bracketing in [lo, size].
-
-    ``solve_fn`` defaults to the internal solver without a time budget."""
+def maximize(probe: Probe, objective: UnaryCount, lo: int = 0) -> OptimizeResult:
+    """Maximize the number of true objective inputs, bracketing in [lo, size],
+    with one ``probe`` call per bound."""
     n = hi = objective.size
     if not 0 <= lo <= n:
         raise ValueError(f"bad bracket [{lo}, {n}] for objective of size {n}")
-    solve = (solve_fn or internal_solve_fn())(clauses, nvars)
 
-    def probe(bound: int):
-        return solve([objective.outputs[bound - 1]] if bound >= 1 else [])
+    def at_least(bound: int):
+        return probe([objective.outputs[bound - 1]] if bound >= 1 else [])
 
     calls = 1
-    outcome = probe(lo)
+    outcome = at_least(lo)
     if outcome.is_unsat:
         return OptimizeResult("infeasible", None, None, calls)
     if not outcome.is_sat:
@@ -58,7 +50,7 @@ def maximize(
     while lo <= hi:
         mid = (lo + hi + 1) // 2
         calls += 1
-        outcome = probe(mid)
+        outcome = at_least(mid)
         if outcome.is_sat:
             v = objective.value(outcome.model.assignment)
             if v < mid:

@@ -169,7 +169,7 @@ class RoadrunnerSolution:
     road: list[list[int]]
     k: int
     # the circuit's road cells in walk order, or None when unknown (a JSON
-    # solution carries no order)
+    # solution without "cycle" carries no order)
     cycle: list[Pos] | None = None
 
     def laser_at(self, x: int, y: int) -> bool:
@@ -288,6 +288,10 @@ def has_grid_cycle(cells: set[Pos]) -> bool:
         return False
     if len(cells) == 1:
         return True
+    # each step changes the checkerboard colour, so a closed walk over two
+    # or more cells has as many of one colour as of the other
+    if 2 * sum((x + y) % 2 for x, y in cells) != len(cells):
+        return False
     adj = {
         (x, y): [
             p

@@ -3,7 +3,7 @@ connected group with no 2x2 black area, and every clue cell's neighbor ring
 contains black blocks of exactly the given sizes, separated by whites."""
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,68 +90,36 @@ def neighbor_ring(n: int, r: int, c: int) -> tuple[list[Cell], bool]:
 
 def findall_layouts(clues: list[int], ring_len: int, circular: bool) -> list[tuple[int, ...]]:
     """All 0/1 layouts over the ring realizing black blocks with the clue
-    sizes (order-insensitive), pairwise separated by at least one white.
-    Separation applies across the wrap point iff ``circular``."""
+    sizes (order-insensitive), pairwise separated by at least one white,
+    in ascending order.  Separation applies across the wrap point iff
+    ``circular``."""
     if not clues or any(not 0 <= cl <= 8 for cl in clues):
         raise ValueError(f"bad clue list {clues!r}")
-    if ring_len < 1:
-        raise ValueError("ring length must be >= 1")
-    sizes = [cl for cl in clues if cl > 0]
-    if not sizes:
-        return [tuple([0] * ring_len)]
-
-    layouts: set[tuple[int, ...]] = set()
-    k = len(sizes)
-    for perm in set(itertools.permutations(sizes)):
-        total = sum(perm)
-        if circular:
-            if k == 1:
-                size = perm[0]
-                if size == ring_len:
-                    layouts.add(tuple([1] * ring_len))
-                elif size < ring_len:
-                    for s in range(ring_len):
-                        lay = [0] * ring_len
-                        for i in range(size):
-                            lay[(s + i) % ring_len] = 1
-                        layouts.add(tuple(lay))
-                continue
-            slack = ring_len - total - k  # gaps are 1 + extra slack
-            if slack < 0:
-                continue
-            for s in range(ring_len):
-                for extras in _compositions(slack, k):
-                    lay = [0] * ring_len
-                    pos = s
-                    for bi, size in enumerate(perm):
-                        for i in range(size):
-                            lay[(pos + i) % ring_len] = 1
-                        pos += size + 1 + extras[bi]
-                    layouts.add(tuple(lay))
-        else:
-            slack = ring_len - total - (k - 1)
-            if slack < 0:
-                continue
-            # slack distributed over k+1 gaps (leading/trailing may be 0)
-            for extras in _compositions(slack, k + 1):
-                lay = [0] * ring_len
-                pos = extras[0]
-                for bi, size in enumerate(perm):
-                    for i in range(size):
-                        lay[pos + i] = 1
-                    pos += size + (1 + extras[bi + 1] if bi < k - 1 else 0)
-                layouts.add(tuple(lay))
-    return sorted(layouts)
+    if not 1 <= ring_len <= 8:
+        raise ValueError(f"ring length {ring_len} is not 1 to 8")
+    sizes = tuple(sorted(cl for cl in clues if cl))
+    return list(_ring_layouts(ring_len, circular).get(sizes, ()))  # a copy of the cached list
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer tuples of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+@functools.cache
+def _ring_layouts(ring_len: int, circular: bool) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Every bit pattern of the ring, in ascending order, grouped by its
+    sorted block sizes."""
+    by_sizes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for mask in range(1 << ring_len):
+        bits = format(mask, f"0{ring_len}b")
+        by_sizes.setdefault(_block_sizes(bits, circular), []).append(tuple(map(int, bits)))
+    return by_sizes
+
+
+def _block_sizes(bits: str, circular: bool) -> tuple[int, ...]:
+    """Sorted lengths of the black blocks ("1" runs) of a layout.  On a
+    circular ring the layout is first turned to start at a white cell, so
+    that no block wraps; an all-black ring is one block."""
+    if circular and "0" in bits:
+        i = bits.index("0")
+        bits = bits[i:] + bits[:i]
+    return tuple(sorted(len(run) for run in bits.split("0") if run))
 
 
 def build_tapa(

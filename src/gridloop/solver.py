@@ -23,14 +23,15 @@ where the trail becomes total included, and may return clauses that the
 trail falsifies.  They stay for good, and the search goes on in the same
 call.
 
-A solve function (``SolveFn``) opens a probe on a formula, and each probe
-call solves that formula under the assumptions it is given.  The internal
-one (``internal_solve_fn``) keeps one ``_Solver`` per opened formula, so
-probes share its learnt clauses and the propagator's clauses, and each probe
-is one search.  The external driver runs one process per probe: it writes
-DIMACS with the assumptions as unit clauses, runs a solver command, parses
-SAT-competition output ("s SATISFIABLE" / "s UNSATISFIABLE", "v " value
-lines) and re-verifies any claimed model before returning it.
+A probe (``Probe``) solves one formula under the assumptions it is given,
+and it is all that runs between a built formula and its answer.
+``open_internal`` returns a probe that holds one ``_Solver``, so its calls
+share the learnt clauses and the propagator's clauses, and each call is one
+search.  ``open_external`` returns a probe that runs one process per call:
+it writes DIMACS with the assumptions as unit clauses, runs a solver
+command, parses SAT-competition output ("s SATISFIABLE" /
+"s UNSATISFIABLE", "v " value lines) and re-verifies any claimed model
+before returning it.
 """
 from __future__ import annotations
 
@@ -103,8 +104,6 @@ class Propagator:
 
 # A probe solves one formula under the assumptions it is given.
 Probe = Callable[[Sequence[Lit]], SolveOutcome]
-# A solve function opens a probe on the formula (clauses, nvars, propagator=None).
-SolveFn = Callable[..., Probe]
 
 
 def check_model(clauses: Iterable[Sequence[Lit]], model: Model) -> bool:
@@ -563,30 +562,31 @@ def solve_internal(
     return outcome
 
 
-def internal_solve_fn(timeout: float | None = None) -> SolveFn:
-    """Open one internal solver per formula, so that learnt clauses,
-    activities, saved phases and the propagator's clauses carry over from
-    probe to probe.
+def open_internal(
+    clauses: Sequence[Sequence[Lit]],
+    nvars: int,
+    propagator: Propagator | None = None,
+    timeout: float | None = None,
+) -> Probe:
+    """A probe that holds one internal solver on the formula, so that learnt
+    clauses, activities, saved phases and the propagator's clauses carry
+    over from call to call.
 
     ``propagator``, if given, is consulted during each search (see
     ``_Solver.solve``); each of its clauses must keep every model the caller
-    accepts, so an unsat probe is the answer and the clauses stay for later
-    probes.  A probe is one ``solve_internal`` call under its assumptions,
+    accepts, so an unsat call is the answer and the clauses stay for later
+    calls.  A call is one ``solve_internal`` call under its assumptions,
     bounded by ``timeout``, and its ``stats`` are that search's counters,
     with ``propagated`` under a propagator.
     """
+    solver = _Solver(clauses, nvars, propagator)
 
-    def open_solver(clauses, nvars, propagator: Propagator | None = None):
-        solver = _Solver(clauses, nvars, propagator)
+    def probe(assumptions=()):
+        return solve_internal(
+            clauses, nvars, timeout=timeout, assumptions=assumptions, solver=solver
+        )
 
-        def probe(assumptions=()):
-            return solve_internal(
-                clauses, nvars, timeout=timeout, assumptions=assumptions, solver=solver
-            )
-
-        return probe
-
-    return open_solver
+    return probe
 
 
 DEFAULT_SOLVER_ENV = "GRIDLOOP_SOLVER"
@@ -655,20 +655,19 @@ def solve_external(
     )
 
 
-def external_solve_fn(solver_cmd: Sequence[str], timeout: float | None = None) -> SolveFn:
-    """Open an external solver on a formula: each probe runs ``solver_cmd``
-    once, bounded by ``timeout``, on the clauses plus the assumptions.  It
-    takes the complete formula, so it refuses a propagator."""
+def open_external(
+    solver_cmd: Sequence[str],
+    clauses: Sequence[Sequence[Lit]],
+    nvars: int,
+    timeout: float | None = None,
+) -> Probe:
+    """A probe that runs ``solver_cmd`` once per call, bounded by
+    ``timeout``, on the clauses plus the assumptions: the complete formula,
+    since an external solver takes no propagator."""
 
-    def open_solver(clauses, nvars, propagator: Propagator | None = None):
-        if propagator is not None:
-            raise ValueError("an external solver takes a complete formula, not a propagator")
+    def probe(assumptions=()):
+        return solve_external(
+            solver_cmd, clauses, nvars, timeout=timeout, assumptions=assumptions
+        )
 
-        def probe(assumptions=()):
-            return solve_external(
-                solver_cmd, clauses, nvars, timeout=timeout, assumptions=assumptions
-            )
-
-        return probe
-
-    return open_solver
+    return probe

@@ -5,7 +5,6 @@ pytest's capture so it shows in the run log).  Criterion 8 is a soft
 performance target: missing or failing it logs a warning, not a failure.
 """
 import copy
-import functools
 import glob
 import itertools
 import os
@@ -27,7 +26,7 @@ from gridloop import (
     solve_internal,
 )
 from gridloop.cnf import lit_value
-from gridloop.solver import DEFAULT_SOLVER_ENV, external_solve_fn, internal_solve_fn
+from gridloop.solver import DEFAULT_SOLVER_ENV, open_external, open_internal
 from gridloop.puzzles import (
     LoopSolution,
     build_masyu,
@@ -275,7 +274,7 @@ def test_criterion_5_corpus_regression(capsys):
         for lazy in (False, True):
             b = CnfBuilder()
             decode, _, propagator = build(b, inst, lazy=lazy)
-            out = internal_solve_fn()(b.clauses, b.var_count, propagator)()
+            out = open_internal(b.clauses, b.var_count, propagator)()
             assert out.is_sat, (path, lazy)
             sol = decode(out.model.assignment)
             assert verify(inst, sol) is None, (path, lazy)
@@ -295,7 +294,7 @@ def test_criterion_5_corpus_regression(capsys):
         inst = parse_roadrunner(read(path))
         b = CnfBuilder()
         decode, count, _ = build_roadrunner(b, inst)
-        res = maximize(b.clauses, b.var_count, count, lo=1)
+        res = maximize(open_internal(b.clauses, b.var_count), count, lo=1)
         assert res.status == "optimal", path
         sol = decode(res.best_model.assignment)
         assert verify_roadrunner(inst, sol) is None, path
@@ -334,8 +333,7 @@ def test_criterion_6_roadrunner_optimality(capsys):
         for lazy in (False, True):
             b = CnfBuilder()
             _, count, propagator = build_roadrunner(b, inst, lazy=lazy)
-            solve_fn = functools.partial(internal_solve_fn(), propagator=propagator)
-            res = maximize(b.clauses, b.var_count, count, solve_fn=solve_fn, lo=1)
+            res = maximize(open_internal(b.clauses, b.var_count, propagator), count, lo=1)
             checked += 1
             if want is None:
                 if res.status != "infeasible":
@@ -385,14 +383,12 @@ def regression_formulas():
 
 
 def test_criterion_7_internal_external_agreement(capsys):
-    external = external_solve_fn(
-        [sys.executable, "-m", "gridloop.dimacs_solver"], timeout=300
-    )
+    cmd = [sys.executable, "-m", "gridloop.dimacs_solver"]
     disagreements = 0
     checked = 0
     for name, b in regression_formulas():
         internal_out = solve_internal(b.clauses, b.var_count)
-        external_out = external(b.clauses, b.var_count)()
+        external_out = open_external(cmd, b.clauses, b.var_count, timeout=300)()
         checked += 1
         if internal_out.status != external_out.status:
             disagreements += 1
@@ -418,10 +414,10 @@ def test_criterion_8_soft_large_masyu(capsys):
     start = time.monotonic()
     if cmd:
         how = "externally"
-        out = external_solve_fn(cmd.split(), timeout=120)(b.clauses, b.var_count)()
+        out = open_external(cmd.split(), b.clauses, b.var_count, timeout=120)()
     else:
         how = "by the internal solver with its cycle propagator"
-        out = internal_solve_fn(timeout=120)(b.clauses, b.var_count, propagator)()
+        out = open_internal(b.clauses, b.var_count, propagator, timeout=120)()
     elapsed = time.monotonic() - start
     if out.is_sat and elapsed <= 120:
         sol = decode(out.model.assignment)
@@ -510,7 +506,7 @@ def loop_oracle(n, loops, boards, parse, build, verify):
                     )
                     for loop, on_loop in zip(loops, on)
                 ]
-            probe = internal_solve_fn()(b.clauses, b.var_count)
+            probe = open_internal(b.clauses, b.var_count)
             for loop, ok, (signed, off) in zip(loops, want, per_loop[key]):
                 # the circles first, so that a loop that misses one fails at once
                 assumptions = [signed[rc] for rc in circles] + list(signed.values()) + off

@@ -221,6 +221,29 @@ def test_encode_into_a_missing_directory_is_input_error(flag, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", [None, "f.cnf"])
+def test_a_failed_encode_leaves_no_file(out, tmp_path, capsys):
+    # the map cannot be opened, so the CNF, by default next to the
+    # instance, must not be written either
+    inst = tmp_path / "x.masyu"
+    with open(inst_path("masyu_4x4.masyu")) as f:
+        inst.write_text(f.read())
+    argv = ["encode", str(inst), "--map", str(tmp_path / "missing" / "x.map")]
+    if out:
+        argv += ["-o", str(tmp_path / out)]
+    assert main(argv) == EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["x.masyu"]
+
+
+def test_encode_refuses_one_file_for_the_cnf_and_the_map(tmp_path, capsys):
+    # two handles on one file would interleave the CNF and the map
+    out = str(tmp_path / "f")
+    assert main(["encode", inst_path("masyu_4x4.masyu"), "-o", out, "--map", out]) == EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("name", sorted(os.listdir(INSTANCES)))
 def test_encode_repeats_no_clause(name, tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
@@ -440,6 +463,37 @@ def test_dimacs_solver_takes_a_repeated_literal(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0] == "s SATISFIABLE"
     assert " ".join(ln[2:] for ln in lines[1:]) == "-1 -2 0"
+
+
+def test_roadrunner_json_carries_its_circuit(tmp_path, capsys):
+    # an empty 8x8 board puts all 64 cells on the road; without the order
+    # in the JSON, verify would search for a circuit through them
+    board = tmp_path / "empty.roadrunner"
+    board.write_text("8 8\n" + "........\n" * 8)
+    assert main(["solve", str(board), "--output", "json"]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["cycle"]) == data["k"] == 64
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(data))
+    assert main(["verify", str(board), str(sol)]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "ACCEPT"
+    # the verifier walks the order it is given
+    data["cycle"][0], data["cycle"][2] = data["cycle"][2], data["cycle"][0]
+    sol.write_text(json.dumps(data))
+    assert main(["verify", str(board), str(sol)]) == EXIT_REJECT
+    assert capsys.readouterr().out.strip() == "REJECT road-not-a-circuit"
+
+
+def test_roadrunner_json_without_a_circuit_on_an_odd_board(tmp_path, capsys):
+    # an all-road 7x7 answer with no order: 49 cells have no closed walk
+    board = tmp_path / "empty.roadrunner"
+    board.write_text("7 7\n" + ".......\n" * 7)
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(
+        {"kind": "roadrunner", "laser": [[0] * 7] * 7, "road": [[1] * 7] * 7, "k": 49}
+    ))
+    assert main(["verify", str(board), str(sol)]) == EXIT_REJECT
+    assert capsys.readouterr().out.strip() == "REJECT road-not-a-circuit"
 
 
 def test_verify_mutated_rejects(tmp_path, capsys):

@@ -4,7 +4,6 @@ from the propagator's check that every solution meets and that the trail
 they came from breaks, a check that leaves no total trail with two cycles,
 path ends that undo restores, and lazy Road Runner optima equal to
 exhaustive search."""
-import functools
 import itertools
 import random
 
@@ -19,7 +18,7 @@ from gridloop.puzzles import (
     parse_roadrunner,
     verify_roadrunner,
 )
-from gridloop.solver import _Solver, internal_solve_fn
+from gridloop.solver import _Solver, open_internal
 
 from oracles import Recording, all_kept_models, has_ham_cycle_grid, rr_optimum
 
@@ -70,7 +69,7 @@ def check_every_in_subset(build, subsets, oracle, short):
         b, grid, edges, propagator = build()
         recording = Recording(propagator)
         units = [[lit] if cell in subset else [-lit] for cell, lit in grid.cells.items()]
-        out = internal_solve_fn()(b.clauses + units, b.var_count, recording)()
+        out = open_internal(b.clauses + units, b.var_count, recording)()
         assert out.is_sat == oracle(subset), (sorted(grid.cells), subset)
         returned += recording.clauses
     models = one_cycle_models(grid, edges, short)
@@ -276,11 +275,11 @@ def test_every_cut_keeps_every_solution(kind, text):
     b = CnfBuilder()
     _, count, propagator = build(b, inst, lazy=True)
     recording = Recording(propagator)
-    solve_fn = functools.partial(internal_solve_fn(), propagator=recording)
+    probe = open_internal(b.clauses, b.var_count, recording)
     if count is None:
-        assert solve_fn(b.clauses, b.var_count)().is_sat
+        assert probe().is_sat
     else:
-        assert maximize(b.clauses, b.var_count, count, solve_fn=solve_fn, lo=1).certified
+        assert maximize(probe, count, lo=1).certified
     assert recording.clauses and solutions
     for cut in recording.clauses:
         for names in solutions:
@@ -309,8 +308,7 @@ def test_lazy_optimum_equals_exhaustive_search_on_random_boards():
         inst = parse_roadrunner(text)
         b = CnfBuilder()
         decode, count, propagator = build_roadrunner(b, inst, lazy=True)
-        solve_fn = functools.partial(internal_solve_fn(), propagator=propagator)
-        res = maximize(b.clauses, b.var_count, count, solve_fn=solve_fn, lo=1)
+        res = maximize(open_internal(b.clauses, b.var_count, propagator), count, lo=1)
         want = rr_optimum(inst)
         seen.add(want)
         if want is None:

@@ -18,7 +18,7 @@ from gridloop.puzzles import (
     verify_masyu,
     verify_shingoki,
 )
-from gridloop.solver import internal_solve_fn
+from gridloop.solver import open_internal
 
 from oracles import check_on
 
@@ -38,7 +38,7 @@ def statuses(kind, text):
     eager = solve_internal(b.clauses, b.var_count).status
     b = CnfBuilder()
     decode, _, propagator = build(b, inst, lazy=True)
-    out = internal_solve_fn()(b.clauses, b.var_count, propagator)()
+    out = open_internal(b.clauses, b.var_count, propagator)()
     if out.is_sat:
         assert verify(inst, decode(out.model.assignment)) is None, text
     return eager, out.status

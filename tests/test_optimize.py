@@ -2,14 +2,14 @@
 import pytest
 
 from gridloop import CnfBuilder, maximize
-from gridloop.solver import SolveOutcome, solve_internal
+from gridloop.solver import SolveOutcome, open_internal
 
 
 def test_free_objective_max():
     b = CnfBuilder()
     xs = b.new_vars(3)
     count = b.unary_count(xs)
-    res = maximize(b.clauses, b.var_count, count)
+    res = maximize(open_internal(b.clauses, b.var_count), count)
     assert res.status == "optimal"
     assert res.best_value == 3
     assert res.certified  # best == objective size
@@ -21,7 +21,7 @@ def test_at_most_one_objective():
     xs = b.new_vars(3)
     b.at_most_one(xs)
     count = b.unary_count(xs)
-    res = maximize(b.clauses, b.var_count, count)
+    res = maximize(open_internal(b.clauses, b.var_count), count)
     assert res.status == "optimal"
     assert res.best_value == 1
     assert res.certified  # UNSAT probe at 2 was seen
@@ -32,7 +32,7 @@ def test_infeasible_at_lower_bound():
     xs = b.new_vars(3)
     b.at_most_one(xs)
     count = b.unary_count(xs)
-    res = maximize(b.clauses, b.var_count, count, lo=2)
+    res = maximize(open_internal(b.clauses, b.var_count), count, lo=2)
     assert res.status == "infeasible"
     assert res.best_model is None
 
@@ -42,7 +42,7 @@ def test_solve_calls_bounded():
     xs = b.new_vars(8)
     count = b.unary_count(xs)
     b.bound_le(count, 5)
-    res = maximize(b.clauses, b.var_count, count)
+    res = maximize(open_internal(b.clauses, b.var_count), count)
     assert res.best_value == 5
     assert res.solve_calls <= 8 + 1
 
@@ -54,7 +54,7 @@ def test_overshoot_saves_iterations():
     b = CnfBuilder()
     xs = b.new_vars(6)
     count = b.unary_count(xs)
-    res = maximize(b.clauses, b.var_count, count)
+    res = maximize(open_internal(b.clauses, b.var_count), count)
     assert res.best_value == 6
     assert res.solve_calls <= 2
 
@@ -63,28 +63,27 @@ def test_bracket_validation():
     b = CnfBuilder()
     count = b.unary_count(b.new_vars(3))
     with pytest.raises(ValueError):
-        maximize(b.clauses, b.var_count, count, lo=-1)
+        maximize(open_internal(b.clauses, b.var_count), count, lo=-1)
     with pytest.raises(ValueError):
-        maximize(b.clauses, b.var_count, count, lo=4)
+        maximize(open_internal(b.clauses, b.var_count), count, lo=4)
 
 
 def test_unknown_propagates():
     calls = {"n": 0}
 
-    def flaky(clauses, nvars):
-        def probe(assumptions=()):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                return solve_internal(clauses, nvars, assumptions=assumptions)
-            return SolveOutcome("unknown", reason="budget")
-
-        return probe
-
     b = CnfBuilder()
     xs = b.new_vars(3)
     b.at_most_one(xs)
     count = b.unary_count(xs)
-    res = maximize(b.clauses, b.var_count, count, solve_fn=flaky)
+    probe = open_internal(b.clauses, b.var_count)
+
+    def flaky(assumptions=()):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            return probe(assumptions)
+        return SolveOutcome("unknown", reason="budget")
+
+    res = maximize(flaky, count)
     assert res.status == "unknown"
     assert res.reason == "budget"
     assert res.best_value is not None  # best-so-far retained

@@ -1,5 +1,4 @@
 """Roadrunner: ray geometry, optimization, exhaustive optimum, verifier."""
-import functools
 import glob
 import os
 import sys
@@ -15,7 +14,7 @@ from gridloop.puzzles import (
     verify_roadrunner,
 )
 from gridloop.puzzles.roadrunner import has_grid_cycle, quadrantal_neighbors, walks_circuit
-from gridloop.solver import external_solve_fn, internal_solve_fn
+from gridloop.solver import open_external, open_internal
 
 from oracles import rr_optimum
 
@@ -73,7 +72,7 @@ def solve_instance(text):
     inst = parse_roadrunner(text)
     b = CnfBuilder()
     decode, count, _ = build_roadrunner(b, inst)
-    res = maximize(b.clauses, b.var_count, count, lo=1)
+    res = maximize(open_internal(b.clauses, b.var_count), count, lo=1)
     return inst, decode, res
 
 
@@ -90,7 +89,7 @@ def test_all_hill_infeasible():
     inst = parse_roadrunner("2 2\n##\n##\n")
     b = CnfBuilder()
     _, count, _ = build_roadrunner(b, inst)
-    res = maximize(b.clauses, b.var_count, count, lo=1)
+    res = maximize(open_internal(b.clauses, b.var_count), count, lo=1)
     assert res.status == "infeasible"
 
 
@@ -107,7 +106,7 @@ def test_unmeetable_clue_maximize_infeasible():
     inst = parse_roadrunner("3 1\n.4.\n")
     b = CnfBuilder()
     _, count, _ = build_roadrunner(b, inst)
-    assert maximize(b.clauses, b.var_count, count, lo=1).status == "infeasible"
+    assert maximize(open_internal(b.clauses, b.var_count), count, lo=1).status == "infeasible"
 
 
 def read_board(path):
@@ -129,10 +128,10 @@ def test_maximize_internal_and_external_agree(name):
     inst = parse_roadrunner(BOARDS[name])
     b = CnfBuilder()
     _, count, _ = build_roadrunner(b, inst)
-    internal = maximize(b.clauses, b.var_count, count, lo=1)
+    internal = maximize(open_internal(b.clauses, b.var_count), count, lo=1)
     external = maximize(
-        b.clauses, b.var_count, count, lo=1,
-        solve_fn=external_solve_fn([sys.executable, "-m", "gridloop.dimacs_solver"], timeout=300),
+        open_external([sys.executable, "-m", "gridloop.dimacs_solver"], b.clauses, b.var_count, timeout=300),
+        count, lo=1,
     )
     assert internal.status in ("optimal", "infeasible")
     assert (external.status, external.best_value, external.certified) == (
@@ -236,8 +235,7 @@ def test_decoded_solutions_carry_their_cycle(path):
     for lazy in (False, True):
         b = CnfBuilder()
         decode, count, propagator = build_roadrunner(b, inst, lazy=lazy)
-        fn = functools.partial(internal_solve_fn(), propagator=propagator)
-        res = maximize(b.clauses, b.var_count, count, solve_fn=fn, lo=1)
+        res = maximize(open_internal(b.clauses, b.var_count, propagator), count, lo=1)
         sol = decode(res.best_model.assignment)
         roads = {(x, y) for y, row in enumerate(sol.road, 1) for x, bit in enumerate(row, 1) if bit}
         assert sol.cycle is not None and walks_circuit(roads, sol.cycle)
@@ -255,3 +253,6 @@ def test_has_grid_cycle():
     assert has_grid_cycle({(r, c) for r in (1, 2) for c in (1, 2, 3)})
     # plus-pentomino: center has 4 neighbors but no closed tour exists
     assert not has_grid_cycle({(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)})
+    # a full 7x7 board has 25 cells of one colour and 24 of the other, so
+    # no closed walk: rejected by the count, before any search
+    assert not has_grid_cycle({(x, y) for x in range(1, 8) for y in range(1, 8)})

@@ -18,8 +18,8 @@ from gridloop.solver import (
     _luby,
     _Solver,
     Propagator,
-    external_solve_fn,
-    internal_solve_fn,
+    open_external,
+    open_internal,
 )
 from gridloop import dimacs_solver
 
@@ -202,7 +202,7 @@ def test_clauses_from_a_total_check_agree_with_a_fresh_solve():
         half = len(clauses) // 2
         rest = clauses[half:]
         check = total_check(lambda a: [cl for cl in rest if not eval_clauses([cl], a)])
-        out = internal_solve_fn()(clauses[:half], nvars, check)()
+        out = open_internal(clauses[:half], nvars, check)()
         assert out.status == solve_internal(clauses, nvars).status, clauses
         if out.is_sat:
             assert check_model(clauses, out.model)
@@ -229,14 +229,14 @@ def test_probe_adds_cuts_until_a_model_needs_none(monkeypatch):
         asked.append(dict(assignment))
         return [[-1]] if assignment[1] else []
 
-    out = internal_solve_fn()(clauses, 4, total_check(cuts))()
+    out = open_internal(clauses, 4, total_check(cuts))()
     assert out.is_sat and not any(out.model.assignment.values())
     # each total trail is checked until one gets no clause, and the model
     # is the assignment that the check accepted
     assert len(asked) == 2 and asked[-1] == out.model.assignment
     assert len(opened) == 1 and opened[0].added == [[-1]]
     # a cut that contradicts the base clauses makes the whole formula unsat
-    assert internal_solve_fn()([[1], [2]], 2, total_check(lambda a: [[-1, -2]]))().is_unsat
+    assert open_internal([[1], [2]], 2, total_check(lambda a: [[-1, -2]]))().is_unsat
 
 
 def test_a_later_probe_needs_no_recut():
@@ -251,7 +251,7 @@ def test_a_later_probe_needs_no_recut():
         added.extend(new)
         return new
 
-    probe = internal_solve_fn()([[1, 2, 3]], 3, total_check(cuts))
+    probe = open_internal([[1, 2, 3]], 3, total_check(cuts))
     out = probe()
     assert out.is_sat and len(asked) == 2 and added == [[-1], [-2]]
     # each probe reports the clauses that the check returned
@@ -269,7 +269,7 @@ def test_a_probe_meets_its_assumptions_and_the_cuts():
         on = [v for v in range(1, 5) if assignment[v]]
         return [[-on[0], -v] for v in on[1:]]
 
-    probe = internal_solve_fn()([[1, 2, 3, 4]], 4, total_check(cuts))
+    probe = open_internal([[1, 2, 3, 4]], 4, total_check(cuts))
     out = probe([-1, -2])
     assert out.is_sat and not out.model[1] and not out.model[2]
     assert sum(out.model[v] for v in range(1, 5)) == 1
@@ -295,7 +295,7 @@ def test_a_probe_has_one_deadline(monkeypatch):
         time.sleep(0.05)
         return [[-1]] if assignment[1] else []
 
-    probe = internal_solve_fn(timeout=0.02)([[1, -2], [2, -3]], 3, total_check(cuts))
+    probe = open_internal([[1, -2], [2, -3]], 3, total_check(cuts), timeout=0.02)
     out = probe()
     assert out.status == "unknown" and out.reason == "solver timeout"
     out = probe()
@@ -315,7 +315,7 @@ def test_probe_stats_count_its_one_search(monkeypatch):
     clauses, sel = guarded_pigeonhole(6, 5)
     # the first total assignment has sel false; the cut asks for sel, and
     # the same search refutes the pigeonhole clauses
-    out = internal_solve_fn()(clauses, sel, total_check(lambda a: [] if a[sel] else [[sel]]))()
+    out = open_internal(clauses, sel, total_check(lambda a: [] if a[sel] else [[sel]]))()
     assert out.is_unsat and calls == [out.stats]
     assert out.stats["conflicts"] > 128 and out.stats["restarts"] >= 1
     assert out.stats["propagated"] == 1
@@ -352,9 +352,9 @@ def test_drain_attaches_each_queued_clause_by_its_state():
     assert s._drain() is None and s.trail == [-5] and s.level[5] == 0
 
 
-def test_internal_solve_fn_probes_share_one_solver():
+def test_open_internal_calls_share_one_solver():
     clauses, sel = guarded_pigeonhole(6, 5)
-    probe = internal_solve_fn()(clauses, sel)
+    probe = open_internal(clauses, sel)
     first = probe([sel])
     assert first.is_unsat and first.stats["conflicts"] > 128
     again = probe([sel])
@@ -536,19 +536,12 @@ def test_external_bad_command_unknown():
     assert "cannot run solver" in out.reason
 
 
-def test_external_solve_fn():
-    fn = external_solve_fn(BUNDLED)
-    assert fn([[1]], 1)().is_sat
-    assert fn([[1], [-1]], 1)().is_unsat
-    probe = fn([[1, 2]], 2)
+def test_open_external():
+    assert open_external(BUNDLED, [[1]], 1)().is_sat
+    assert open_external(BUNDLED, [[1], [-1]], 1)().is_unsat
+    probe = open_external(BUNDLED, [[1, 2]], 2)
     assert probe([-1]).model[2]
     assert probe([-1, -2]).is_unsat
-
-
-def test_external_solve_fn_refuses_cuts():
-    # an external solver takes the complete, eager formula, not a propagator
-    with pytest.raises(ValueError, match="propagator"):
-        external_solve_fn(BUNDLED)([[1]], 1, Propagator())
 
 
 def test_dimacs_solver_main(tmp_path, capsys):

@@ -88,6 +88,8 @@ def test_findall_layouts_errors():
         findall_layouts([9], 4, True)
     with pytest.raises(ValueError):
         findall_layouts([1], 0, True)
+    with pytest.raises(ValueError):
+        findall_layouts([1], 9, True)
 
 
 def test_ring_runs_paper_pattern():

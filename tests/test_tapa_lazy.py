@@ -9,7 +9,7 @@ import pytest
 
 from gridloop import CnfBuilder, solve_internal
 from gridloop.puzzles import build_tapa, parse_tapa, verify_tapa
-from gridloop.solver import internal_solve_fn
+from gridloop.solver import open_internal
 
 from oracles import Recording, all_kept_models, check_on, on_trail
 
@@ -24,7 +24,7 @@ def statuses(text):
     eager = solve_internal(b.clauses, b.var_count).status
     b = CnfBuilder()
     decode, _, propagator = build_tapa(b, inst, lazy=True)
-    out = internal_solve_fn()(b.clauses, b.var_count, propagator)()
+    out = open_internal(b.clauses, b.var_count, propagator)()
     if out.is_sat:
         assert verify_tapa(inst, decode(out.model.assignment)) is None, text
     return eager, out.status
@@ -134,7 +134,7 @@ def test_every_cut_keeps_every_solution(text):
     b = CnfBuilder()
     _, _, propagator = build_tapa(b, parse_tapa(text), lazy=True)
     recording = Recording(propagator)
-    out = internal_solve_fn()(b.clauses, b.var_count, recording)()
+    out = open_internal(b.clauses, b.var_count, recording)()
     assert out.is_sat and recording.clauses and solutions
     for cut in recording.clauses:
         for black in solutions:
@@ -159,6 +159,6 @@ def test_probe_reports_its_cut_clauses():
                 assert clauses == []
             return clauses
 
-    out = internal_solve_fn()(b.clauses, b.var_count, Counted(propagator))()
+    out = open_internal(b.clauses, b.var_count, Counted(propagator))()
     assert out.is_sat and len(returned) >= 2 and returned[-1] == 0
     assert out.stats["propagated"] == sum(returned) > 0

@@ -3,14 +3,13 @@ the internal solver attaches them as given: every clause of every bundled
 instance, in the eager and the lazy model, and every clause that the lazy
 model's propagator returns while solving, must keep the contract that
 ``oracles.clause_faults`` checks."""
-import functools
 import os
 
 import pytest
 
 from gridloop import CnfBuilder, maximize
 from gridloop.cli import _BUILDERS, _PARSERS, infer_kind
-from gridloop.solver import internal_solve_fn
+from gridloop.solver import open_internal
 
 from oracles import Recording, clause_faults
 
@@ -29,11 +28,11 @@ def test_encoders_keep_the_trusted_contract(name, lazy):
     if not lazy or propagator is None:
         return
     recording = Recording(propagator)
-    fn = functools.partial(internal_solve_fn(), propagator=recording)
+    probe = open_internal(b.clauses, b.var_count, recording)
     if objective is None:
-        assert fn(b.clauses, b.var_count)().is_sat
+        assert probe().is_sat
     else:
-        assert maximize(b.clauses, b.var_count, objective, solve_fn=fn, lo=1).status == "optimal"
+        assert maximize(probe, objective, lo=1).status == "optimal"
     assert clause_faults(recording.clauses, b.var_count) == []
 
 
