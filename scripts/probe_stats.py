@@ -6,9 +6,10 @@
 The puzzles are the first ROUNDS rounds (default 40) of the puzzle-mix and
 roadrunner-opt benchmark workloads at SEED (default 300), then every bundled
 instance.  Each is solved by ``gridloop.cli.run`` from CHECKOUT's ``src``,
-and one JSON line per puzzle gives its name, its result and the ``stats`` of
-each solver probe in order.  Run it on two checkouts and compare the lines
-to tell whether a change keeps the search step for step.
+and one JSON line per puzzle gives its name, its result, the size of its
+formula (``vars`` and ``clauses``) and the ``stats`` of each solver probe in
+order.  Run it on two checkouts and compare the lines to tell whether a
+change keeps the formula and the search step for step.
 """
 from __future__ import annotations
 
@@ -51,4 +52,4 @@ for path in sorted(glob.glob(os.path.join(root, "instances", "*"))):
 for name, kind, text in puzzles:
     probes.clear()
     result = run(RunConfig(kind, name, None, None), _PARSERS[kind](text))
-    print(json.dumps({"name": name, "result": result.status, "probes": probes}))
+    print(json.dumps({"name": name, "result": result.status, "vars": result.vars, "clauses": result.clauses, "probes": probes}))

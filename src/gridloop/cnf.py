@@ -40,15 +40,20 @@ class BitVec:
 
 @dataclass
 class UnaryCount:
-    """Monotone threshold outputs: ``outputs[i-1]`` is true iff sum >= i."""
+    """Threshold outputs over ``inputs``: ``outputs[i-1]`` stands for
+    sum >= i (see ``CnfBuilder.unary_count`` for which outputs are defined
+    both ways)."""
 
     outputs: list[Lit]
+    inputs: list[Lit]
 
     @property
     def size(self) -> int:
         return len(self.outputs)
 
     def value(self, assignment: dict[int, bool]) -> int:
+        """The number of true outputs, which is the sum where every output
+        is exact."""
         v = 0
         for o in self.outputs:
             if lit_value(o, assignment):
@@ -135,15 +140,23 @@ class CnfBuilder:
 
     def gate_and(self, lits: Sequence[Lit]) -> Lit:
         """Fresh g with g <-> AND(lits).  A single literal is returned as-is."""
+        g = self.implies_and(lits)
+        if len(lits) > 1:
+            self.clauses.append([g] + [-l for l in lits])
+        return g
+
+    def implies_and(self, lits: Sequence[Lit]) -> Lit:
+        """Fresh g with g -> AND(lits): the half of ``gate_and`` that a
+        reader of g in positive polarity needs (Plaisted & Greenbaum, J.
+        Symbolic Computation 1986).  A single literal is returned as-is."""
         if not lits:
-            raise ValueError("gate_and needs at least one literal")
+            raise ValueError("an AND gate needs at least one literal")
         if len(lits) == 1:
             return lits[0]
         g = self.new_var()
         add = self.clauses.append
         for l in lits:
             add([-g, l])
-        add([g] + [-l for l in lits])
         return g
 
     def gate_or(self, lits: Sequence[Lit]) -> Lit:
@@ -192,14 +205,26 @@ class CnfBuilder:
         self.at_least_one(lits)
         self.at_most_one(lits)
 
-    def unary_count(self, lits: Sequence[Lit]) -> UnaryCount:
-        """Totalizer over ``lits``.
+    def unary_count(self, lits: Sequence[Lit], exact: int | None = None) -> UnaryCount:
+        """Totalizer over ``lits`` (Bailleux & Boufkhad, CP 2003).
 
-        The outputs are fully defined in every model (o_i <-> sum >= i), so
-        a single unit clause on an output is a sound sum bound.
+        Without ``exact`` the outputs are fully defined in every model
+        (o_i <-> sum >= i), so a single unit clause on an output is a sound
+        sum bound either way.  With ``exact``, outputs 1..exact are defined
+        both ways, and above it each merge writes only o_i -> sum >= i, the
+        direction that a positive unit or assumption on o_i reads: such an
+        output may be false in a model whose sum reaches i, so neither a
+        negative unit on it (``bound_le``) nor its truth value measures the
+        sum.  Each of those outputs is the negation of a fresh variable, so
+        a solver whose saved phase starts positive decides a free one false,
+        which forces nothing.
         """
         if not lits:
             raise ValueError("unary_count needs at least one literal")
+        if exact is None:
+            exact = len(lits)
+        elif exact < 0:
+            raise ValueError(f"exact must be >= 0, not {exact}")
 
         def build(seg: Sequence[Lit]) -> list[Lit]:
             if len(seg) == 1:
@@ -212,6 +237,7 @@ class CnfBuilder:
         def merge(a: list[Lit], b: list[Lit]) -> list[Lit]:
             p, q = len(a), len(b)
             r = self.new_vars(p + q)
+            r[exact:] = [-v for v in r[exact:]]
             # a_ge[i] is false when at least i of a are true, a_le[i] when at
             # most i are; each is empty where that always holds.  Joining
             # them gives every clause a list of its exact size.
@@ -222,13 +248,14 @@ class CnfBuilder:
             for i in range(p + 1):
                 for j in range(q + 1):
                     k = i + j
-                    if k >= 1:
+                    if 1 <= k <= exact:
                         add([r[k - 1]] + a_ge[i] + b_ge[j])
                     if k <= p + q - 1:
                         add([-r[k]] + a_le[i] + b_le[j])
             return r
 
-        return UnaryCount(build(list(lits)))
+        inputs = list(lits)
+        return UnaryCount(build(inputs), inputs)
 
     def fix_count(self, count: UnaryCount, k: int) -> None:
         self.bound_ge(count, k)
@@ -242,6 +269,7 @@ class CnfBuilder:
             self.add_trusted([count.outputs[k - 1]])
 
     def bound_le(self, count: UnaryCount, k: int) -> None:
+        """sum <= k, through output k + 1: it must be an exact one."""
         n = count.size
         if not 0 <= k <= n:
             raise ValueError(f"count bound {k} out of range 0..{n}")

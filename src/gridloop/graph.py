@@ -272,7 +272,9 @@ def cycle_grid(
 
     ``count``, a counter over the cell literals, lets a cycle have one or two
     cells, as in ``hcp``: an in-cell needs an active edge only if the count
-    is at least 2, and two only if it is at least 3.  Returns the edges,
+    is at least 2, and two only if it is at least 3.  Those guards read
+    outputs 2 and 3 as false, so both must be exact (``unary_count`` with
+    ``exact`` at least 3).  Returns the edges,
     row-major as (up or left cell, other), and the propagator.
     """
     edges: list[EdgeSpec] = []

@@ -1,18 +1,20 @@
 """Boolean-sum maximization by binary search over unary-counter bounds.
 
 ``maximize`` takes a probe on the formula (see ``gridloop.solver``), and
-each probe call solves it under a single assumption on the counter (possible
-because the counter outputs are threshold literals).  An internal probe
-reuses the clauses learnt by the earlier calls; an external one runs once
-per call, with the assumption written as a unit clause.  The achieved value
-is read back from the model, which may exceed the probed bound and saves
-iterations.
+each probe call solves it under a single assumption on the counter: output
+k implies sum >= k, which is all a positive assumption reads, so the
+counter may define its outputs one way (see ``CnfBuilder.unary_count``).
+An internal probe reuses the clauses learnt by the earlier calls; an
+external one runs once per call, with the assumption written as a unit
+clause.  The achieved value is the number of true inputs in the model,
+not of true outputs, which may be fewer; it may exceed the probed bound
+and save iterations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import UnaryCount
+from .cnf import UnaryCount, lit_value
 from .solver import Model, Probe
 
 
@@ -36,6 +38,9 @@ def maximize(probe: Probe, objective: UnaryCount, lo: int = 0) -> OptimizeResult
     def at_least(bound: int):
         return probe([objective.outputs[bound - 1]] if bound >= 1 else [])
 
+    def achieved(model: Model) -> int:
+        return sum(lit_value(x, model.assignment) for x in objective.inputs)
+
     calls = 1
     outcome = at_least(lo)
     if outcome.is_unsat:
@@ -44,7 +49,7 @@ def maximize(probe: Probe, objective: UnaryCount, lo: int = 0) -> OptimizeResult
         return OptimizeResult("unknown", None, None, calls, reason=outcome.reason)
 
     best_model = outcome.model
-    best = objective.value(best_model.assignment)
+    best = achieved(best_model)
     lo = best + 1
     last_unsat_bound = None
     while lo <= hi:
@@ -52,7 +57,7 @@ def maximize(probe: Probe, objective: UnaryCount, lo: int = 0) -> OptimizeResult
         calls += 1
         outcome = at_least(mid)
         if outcome.is_sat:
-            v = objective.value(outcome.model.assignment)
+            v = achieved(outcome.model)
             if v < mid:
                 raise RuntimeError("model violates the probed objective bound")
             best_model, best = outcome.model, v

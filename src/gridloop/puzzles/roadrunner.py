@@ -103,7 +103,12 @@ def build_roadrunner(
 
     Road cells are the exact complement of laser-covered cells (full
     biconditional), and they must form a cycle of length >= 1: ``hcp`` (no
-    propagator), or with ``lazy`` ``cycle_grid`` and its propagator.
+    propagator), or with ``lazy`` ``cycle_grid`` and its propagator.  The
+    counter defines an output both ways only where a clause reads it as
+    false (see ``CnfBuilder.unary_count``): outputs 1 to 3 in the lazy
+    model, whose ``cycle_grid`` guards read outputs 2 and 3, and none in the
+    eager one, where ``hcp`` requires a road cell by itself.  The others
+    only imply their bound, which is all ``maximize``'s assumptions read.
     """
     for x, y, num in inst.clues:
         if not inst.in_bounds(x, y) or not inst.is_hill(x, y):
@@ -151,7 +156,7 @@ def build_roadrunner(
     propagator, edges = None, []
     if lazy:
         # the counter comes first: cycle_grid's degree clauses read it
-        count = builder.unary_count(cells)
+        count = builder.unary_count(cells, exact=3)
         builder.add_trusted([count.outputs[0]])  # K >= 1
         edges, propagator = cycle_grid(builder, road, count=count)
     else:
@@ -159,7 +164,7 @@ def build_roadrunner(
             edges = hcp_grid(builder, road)  # hcp itself requires K >= 1
         else:
             builder.add_trusted([])  # all hills: no road
-        count = builder.unary_count(cells)
+        count = builder.unary_count(cells, exact=0)
     return (lambda assignment: decode_roadrunner(assignment, inst, laser, road, edges)), count, propagator
 
 

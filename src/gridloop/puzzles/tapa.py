@@ -173,7 +173,8 @@ def build_tapa(
             ]
             if not lits:
                 break  # the clue is met whatever the cells are: no clause
-            choices.append(builder.gate_and(lits))
+            # a choice is read only in OR(choices), so it need only imply its layout
+            choices.append(builder.implies_and(lits))
         else:
             builder.add_trusted(choices)  # empty if no layout fits: infeasible
     return (lambda assignment: decode_coloring(assignment, grid)), None, propagator

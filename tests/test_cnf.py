@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from gridloop import CnfBuilder, distance_width, parse_dimacs, solve_internal
+from gridloop import CnfBuilder, distance_width, open_internal, parse_dimacs, solve_internal
 from gridloop.cnf import _DIMACS_CHUNK, lit_value, write_dimacs
 
 from oracles import all_models, input_projection, sat_under
@@ -88,11 +88,29 @@ def test_binary_gates_truth_tables():
         assert m[gx] == (m[x] != m[y])
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_implies_and_truth_table(n):
+    b = CnfBuilder()
+    xs = b.new_vars(n)
+    g = b.implies_and(xs)
+    assert len(b.clauses) == 1 + n  # the constant and one [-g, x] per input
+    models = all_models(b.clauses, b.var_count)
+    assert all(all(m[x] for x in xs) for m in models if m[g])
+    # g may be false anywhere, and true wherever the conjunction holds
+    for bits in itertools.product([False, True], repeat=n):
+        units = [x if bit else -x for x, bit in zip(xs, bits)]
+        assert sat_under(b.clauses, b.var_count, units + [-g]).is_sat
+        assert sat_under(b.clauses, b.var_count, units + [g]).is_sat == all(bits)
+
+
 def test_gate_and_single_literal_identity():
     b = CnfBuilder()
     a = b.new_var()
     assert b.gate_and([a]) == a
     assert b.gate_or([a]) == a
+    assert b.implies_and([a]) == a
+    with pytest.raises(ValueError):
+        b.implies_and([])
 
 
 def test_exactly_one_small_clauses():
@@ -156,6 +174,42 @@ def test_unary_count_outputs_forced(n):
         for i, o in enumerate(count.outputs, start=1):
             wrong = -o if total >= i else o
             assert sat_under(b.clauses, b.var_count, units + [wrong]).is_unsat
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_unary_count_exact_table(n):
+    # every exact in 0..n, every input assignment: each output implies its
+    # bound, outputs 1..exact are also implied by it, and any output up to
+    # the sum can be true
+    for exact in range(n + 1):
+        b = CnfBuilder()
+        xs = b.new_vars(n)
+        count = b.unary_count(xs, exact=exact)
+        assert count.size == n and count.inputs == xs
+        if n > 1:  # a lone input is its own output
+            # the speed of a free output depends on this: the solver's saved
+            # phase starts positive, so it decides a free output false
+            assert all(o < 0 for o in count.outputs[exact:])
+        probe = open_internal(b.clauses, b.var_count)
+        for bits in itertools.product([False, True], repeat=n):
+            units = [x if bit else -x for x, bit in zip(xs, bits)]
+            total = sum(bits)
+            where = f"exact={exact} {bits}"
+            assert probe(units).is_sat, where
+            for i, o in enumerate(count.outputs, start=1):
+                assert probe(units + [o]).is_sat == (total >= i), f"{where} output {i}"
+                if i <= exact and total >= i:
+                    assert probe(units + [-o]).is_unsat, f"{where} output {i} unforced"
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_unary_count_exact_n_is_the_full_totalizer(n):
+    full, exact = CnfBuilder(), CnfBuilder()
+    a = full.unary_count(full.new_vars(n))
+    b = exact.unary_count(exact.new_vars(n), exact=n)
+    assert (a.outputs, full.clauses, full.var_count) == (b.outputs, exact.clauses, exact.var_count)
+    with pytest.raises(ValueError):
+        exact.unary_count(exact.new_vars(n), exact=-1)
 
 
 def test_unary_count_single_input():

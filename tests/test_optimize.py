@@ -59,6 +59,30 @@ def test_overshoot_saves_iterations():
     assert res.solve_calls <= 2
 
 
+@pytest.mark.parametrize("exact", [0, 1, 3])
+def test_one_way_objective(exact):
+    # above ``exact`` the objective's outputs only imply their bound, so a
+    # model of a probe at k may leave outputs below k false: the value is
+    # read from the inputs, and the optimum (4, set by a separate full
+    # counter) is still found and certified
+    b = CnfBuilder()
+    xs = b.new_vars(8)
+    b.bound_le(b.unary_count(xs), 4)
+    objective = b.unary_count(xs, exact=exact)
+    res = maximize(open_internal(b.clauses, b.var_count), objective)
+    assert (res.status, res.best_value, res.certified) == ("optimal", 4, True)
+    assert sum(res.best_model.assignment[x] for x in xs) == 4
+
+
+def test_one_way_free_objective():
+    b = CnfBuilder()
+    xs = b.new_vars(6)
+    objective = b.unary_count(xs, exact=0)
+    res = maximize(open_internal(b.clauses, b.var_count), objective, lo=2)
+    assert (res.status, res.best_value, res.certified) == ("optimal", 6, True)
+    assert res.solve_calls <= 2
+
+
 def test_bracket_validation():
     b = CnfBuilder()
     count = b.unary_count(b.new_vars(3))
