@@ -95,7 +95,7 @@ def shingoki_from_loop(sol, n: int, rng: random.Random, count: int) -> str:
     cands = []
     for cell in sol.cycle:
         prev, nxt = neighbors[cell]
-        clue = arm_length(sol, cell, prev) + arm_length(sol, cell, nxt)
+        clue = arm_length(neighbors, cell, prev) + arm_length(neighbors, cell, nxt)
         color = "w" if straight_at(prev, cell, nxt) else "b"
         cands.append((cell, color, clue))
     rng.shuffle(cands)

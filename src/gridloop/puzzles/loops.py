@@ -6,7 +6,7 @@ cycle."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Container, Sequence
 
 from ..cnf import CnfBuilder, Lit
 from ..graph import Cell, EdgeSpec, GridVars, cycle_grid, grid_cycles, hcp_grid, make_grid
@@ -22,34 +22,48 @@ STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 PAIRS = {"w": ((0, 1), (2, 3)), "b": ((0, 2), (0, 3), (1, 2), (1, 3))}
 
 
-def reaches(n: int, cell: Cell) -> tuple[int, int, int, int]:
-    """The edges from ``cell`` to the border of the n x n board, per step."""
+def reaches(n: int, cell: Cell, black: Container[Cell], depth: int) -> tuple[int, int, int, int]:
+    """The edges from ``cell`` toward the border of the n x n board, per
+    step, cut at the first cell of ``black`` closer than ``depth``: the loop
+    turns at every black circle, so no arm passes one, though an arm may end
+    on it.  Only the cells closer than ``depth`` are scanned, since no caller
+    reads a reach beyond it, and a white circle, passed straight, never
+    cuts.  A reach is cut to 1 at least, so a first edge on the board
+    stays."""
     r, c = cell
-    return (r - 1, n - r, c - 1, n - c)
+    out = []
+    for (dr, dc), reach in zip(STEPS, (r - 1, n - r, c - 1, n - c)):
+        for i in range(1, min(reach, depth)):
+            if (r + i * dr, c + i * dc) in black:
+                reach = i
+                break
+        out.append(reach)
+    return tuple(out)
 
 
 def arm_ladders(
     builder: CnfBuilder,
     edge: EdgeReader,
     add_once: AddOnce,
-    n: int,
+    reach: Sequence[int],
     cell: Cell,
     pairs: Sequence[tuple[int, int]],
     depth: int,
 ) -> dict[int, list[Lit]]:
-    """The loop passes the circle at ``cell`` on the n x n board along one of
-    ``pairs``, pairs of directions (indices into ``STEPS``) whose first edges
-    are on the board.  ``edge(a, b)`` is the literal of the edge between
-    cells a and b being on, and ``add_once`` adds a clause unless it was
-    added before: two circles can force one edge off alike, or both be unmet.
+    """The loop passes the circle at ``cell`` along one of ``pairs``, pairs
+    of directions (indices into ``STEPS``) whose first edges are on the
+    board; ``reach`` is the circle's ``reaches``.  ``edge(a, b)`` is the
+    literal of the edge between cells a and b being on, and ``add_once``
+    adds a clause unless it was added before: two circles can force one edge
+    off alike, or both be unmet.
 
     Returns the arm ladders, the order encoding of each arm's length
     (Tamura et al., "Compiling finite linear CSP into SAT", Constraints
     2009): over the edges e_d(1), e_d(2), ... from the circle toward d,
     a_d(1) = e_d(1) and a_d(L) <-> a_d(L-1) and e_d(L), up to the border or
-    to L = ``depth``, so ``ladder[d][L - 1]`` is a_d(L), true iff the arm is
-    at least L long.  Only directions in some pair get a ladder.  The
-    clauses:
+    a black circle (``reach[d]``) or to L = ``depth``, so
+    ``ladder[d][L - 1]`` is a_d(L), true iff the arm is at least L long.
+    Only directions in some pair get a ladder.  The clauses:
 
     * colour: two first edges that are not a pair are not both on;
     * partner: an on first edge has an on partner, and some first edge is
@@ -62,7 +76,6 @@ def arm_ladders(
         add_once([])
         return {}
     r, c = cell
-    reach = reaches(n, cell)
     first = {d: edge(cell, (r + dr, c + dc)) for d, (dr, dc) in enumerate(STEPS) if reach[d]}
     partners = {d: [q for pair in pairs if d in pair for q in pair if q != d] for d in first}
     live = [d for d in first if partners[d]]
@@ -202,18 +215,17 @@ def straight_at(prev: Cell, cell: Cell, nxt: Cell) -> bool:
     return (prev[0] - cell[0], prev[1] - cell[1]) == (cell[0] - nxt[0], cell[1] - nxt[1])
 
 
-def arm_length(sol: LoopSolution, cell: Cell, first: Cell) -> int:
-    """Edges traversed from ``cell`` toward loop-neighbor ``first`` while the
-    walk continues in a straight line."""
-    idx = {c: i for i, c in enumerate(sol.cycle)}
-    n = len(sol.cycle)
-    step = 1 if sol.cycle[(idx[cell] + 1) % n] == first else -1
+def arm_length(neighbors: dict[Cell, tuple[Cell, Cell]], cell: Cell, first: Cell) -> int:
+    """Edges traversed from ``cell`` toward its loop-neighbor ``first`` while
+    the walk continues in a straight line; ``neighbors`` is the loop's
+    ``loop_neighbors``, which must have at least three cells."""
     direction = (first[0] - cell[0], first[1] - cell[1])
     length = 1
-    prev = first
+    prev, cur = cell, first
     while True:
-        nxt = sol.cycle[(idx[prev] + step) % n]
-        if (nxt[0] - prev[0], nxt[1] - prev[1]) != direction:
+        a, b = neighbors[cur]
+        nxt = b if a == prev else a
+        if (nxt[0] - cur[0], nxt[1] - cur[1]) != direction:
             return length
         length += 1
-        prev = nxt
+        prev, cur = cur, nxt

@@ -4,6 +4,7 @@ with straight travel through both neighbors."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Container
 
 from ..cnf import CnfBuilder
 from ..graph import Cell
@@ -55,18 +56,25 @@ def parse_masyu(text: str) -> MasyuInstance:
 
 
 def constrain_circle(
-    builder: CnfBuilder, edge: EdgeReader, add_once: AddOnce, n: int, cell: Cell, color: str
+    builder: CnfBuilder,
+    edge: EdgeReader,
+    add_once: AddOnce,
+    n: int,
+    black: Container[Cell],
+    cell: Cell,
+    color: str,
 ) -> None:
-    """The circle at ``cell`` on the n x n board, over the ladders of
-    ``arm_ladders`` to depth 2.  A white circle is passed along an opposite
-    pair, and per pair ``¬a_d(2) ∨ ¬a_p(2)``: the loop turns next to it.  A
-    black circle is passed along a perpendicular pair whose arms both reach
-    2, and per direction ``e_d(1) → a_d(2)``: both arms run straight through
-    the neighbour."""
-    reach = reaches(n, cell)
+    """The circle at ``cell`` on the n x n board whose black circles are
+    ``black``, over the ladders of ``arm_ladders`` to depth 2, which stop
+    before the border or a black circle (see ``reaches``).  A white circle
+    is passed along an opposite pair, and per pair ``¬a_d(2) ∨ ¬a_p(2)``:
+    the loop turns next to it.  A black circle is passed along a
+    perpendicular pair whose arms both reach 2, and per direction ``e_d(1)
+    → a_d(2)``: both arms run straight through the neighbour."""
+    reach = reaches(n, cell, black, 2)
     least = 1 if color == WHITE else 2
     pairs = [(d, p) for d, p in PAIRS[color] if min(reach[d], reach[p]) >= least]
-    ladder = arm_ladders(builder, edge, add_once, n, cell, pairs, 2)
+    ladder = arm_ladders(builder, edge, add_once, reach, cell, pairs, 2)
     if color == WHITE:
         for d, p in pairs:
             if len(ladder[d]) == len(ladder[p]) == 2:
@@ -85,9 +93,10 @@ def build_masyu(builder: CnfBuilder, inst: MasyuInstance, lazy: bool = False):
         for c in range(1, inst.n + 1)
         if inst.at(r, c) != EMPTY
     ]
+    black = {cell for cell in circles if inst.at(*cell) == BLACK}
 
     def constrain(cell: Cell, edge: EdgeReader, add_once: AddOnce) -> None:
-        constrain_circle(builder, edge, add_once, inst.n, cell, inst.at(*cell))
+        constrain_circle(builder, edge, add_once, inst.n, black, cell, inst.at(*cell))
 
     return build_loop(builder, inst.n, circles, constrain, lazy)
 

@@ -3,6 +3,7 @@ length of the two line segments meeting at the cell (in unit steps)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Container
 
 from ..cnf import CnfBuilder
 from ..graph import Cell
@@ -65,25 +66,27 @@ def constrain_arms(
     edge: EdgeReader,
     add_once: AddOnce,
     n: int,
+    black: Container[Cell],
     cell: Cell,
     color: str,
     clue: int,
 ) -> None:
-    """The clue of the circle at ``cell`` on the n x n board: the loop passes
-    it along one pair of directions of ``PAIRS[color]``, and the two arms,
-    the runs of on-edges straight out of the circle in those directions, sum
-    to ``clue``.  Over the ladders of ``arm_ladders`` to depth ``clue``, per
-    pair (d, p): ``¬a_d(L) ∨ ¬a_p(clue+1-L)`` (at most clue) and
-    ``¬e_d(1) ∨ ¬e_p(1) ∨ a_d(L) ∨ a_p(clue+1-L)`` (at least clue).
+    """The clue of the circle at ``cell`` on the n x n board whose black
+    circles are ``black``: the loop passes it along one pair of directions
+    of ``PAIRS[color]``, and the two arms, the runs of on-edges straight out
+    of the circle in those directions, sum to ``clue``.  Over the ladders of
+    ``arm_ladders`` to depth ``clue``, per pair (d, p): ``¬a_d(L) ∨
+    ¬a_p(clue+1-L)`` (at most clue) and ``¬e_d(1) ∨ ¬e_p(1) ∨ a_d(L) ∨
+    a_p(clue+1-L)`` (at least clue).
 
     A pair with a first edge off the board, or whose arms cannot reach
-    ``clue`` before the border, is dropped before any clause is written, so
-    no literal is a constant and the work depends on the board, not on the
-    clue.
+    ``clue`` before the border or a black circle (see ``reaches``), is
+    dropped before any clause is written, so no literal is a constant and
+    the work depends on the board, not on the clue.
     """
-    reach = reaches(n, cell)
+    reach = reaches(n, cell, black, clue)
     pairs = [(d, p) for d, p in PAIRS[color] if reach[d] and reach[p] and reach[d] + reach[p] >= clue]
-    ladder = arm_ladders(builder, edge, add_once, n, cell, pairs, clue)
+    ladder = arm_ladders(builder, edge, add_once, reach, cell, pairs, clue)
     for d, p in pairs:
         a, b = ladder[d], ladder[p]
         for L in range(max(1, clue + 1 - len(b)), len(a) + 1):
@@ -105,9 +108,10 @@ def build_shingoki(builder: CnfBuilder, inst: ShingokiInstance, lazy: bool = Fal
         for c in range(1, inst.n + 1)
         if inst.at(r, c) is not None
     ]
+    black = {cell for cell in circles if inst.at(*cell)[0] == "b"}
 
     def constrain(cell: Cell, edge: EdgeReader, add_once: AddOnce) -> None:
-        constrain_arms(builder, edge, add_once, inst.n, cell, *inst.at(*cell))
+        constrain_arms(builder, edge, add_once, inst.n, black, cell, *inst.at(*cell))
 
     return build_loop(builder, inst.n, circles, constrain, lazy)
 
@@ -134,7 +138,7 @@ def verify_shingoki(inst: ShingokiInstance, sol: LoopSolution) -> str | None:
                 return "white-not-straight"
             if color == "b" and straight:
                 return "black-not-turned"
-            total = arm_length(sol, (r, c), prev) + arm_length(sol, (r, c), nxt)
+            total = arm_length(neighbors, (r, c), prev) + arm_length(neighbors, (r, c), nxt)
             if total != clue:
                 return "clue-length-mismatch"
     return None

@@ -144,8 +144,8 @@ class _Solver:
         clause of two or more literals is copied (the search reorders its
         literals in place) and watched on its first two, and a unit is
         assigned.  The closing ``_propagate`` walks the whole trail, so it
-        meets every watched literal that a unit made false.  A clause must
-        repeat no literal."""
+        meets every watched literal that a unit made false; the decision
+        heap is built after it.  A clause must repeat no literal."""
         nvars = self.nvars
         # val[lit + nvars]: 1 true, -1 false, 0 unassigned; both polarities kept
         self.val = [0] * (2 * nvars + 1)
@@ -153,15 +153,6 @@ class _Solver:
         self.reason: list[list[int] | None] = [None] * (nvars + 1)
         self.phase = [True] * (nvars + 1)
         self.activity = [0.0] * (nvars + 1)
-        # Decision order: a heap of (-activity, var), so the most active
-        # variable comes first and the lowest index wins a tie.  An entry is
-        # live while its key equals the variable's activity.  A bump pushes a
-        # fresh entry; activities only grow between rebuilds, so an older
-        # entry pops after the live one, when its variable is assigned, and
-        # is skipped.  in_heap[var] says whether var has a live entry; every
-        # unassigned variable has one.
-        self.heap = [(-0.0, v) for v in range(1, nvars + 1)]  # sorted, so a heap
-        self.in_heap = [False] + [True] * nvars
         self.seen = [False] * (nvars + 1)  # _analyze's marks, all False between calls
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
@@ -179,11 +170,24 @@ class _Solver:
             v = val[cl[0] + nvars] if cl else -1
             if v == -1:  # the empty clause, or a unit against an earlier one
                 self.ok = False
-                return
+                break
             if v == 0:
                 self._assign(cl[0], None)
-        if self._propagate() is not None:
-            self.ok = False
+        else:
+            if self._propagate() is not None:
+                self.ok = False
+        # Decision order: a heap of (-activity, var), so the most active
+        # variable comes first and the lowest index wins a tie.  An entry is
+        # live while its key equals the variable's activity.  A bump pushes a
+        # fresh entry; activities only grow between rebuilds, so an older
+        # entry pops after the live one, when its variable is assigned, and
+        # is skipped.  in_heap[var] says whether var has a live entry; every
+        # unassigned variable has one.  Built after level 0 is propagated,
+        # it holds only the variables left unassigned, in index order: sorted,
+        # so a heap.
+        values = val[nvars + 1 :]  # of the variables 1..nvars
+        self.heap = [(-0.0, v) for v, x in enumerate(values, 1) if not x]
+        self.in_heap = [False] + [not x for x in values]
 
     def _attach(self, cl):
         """Watch the first two literals of a clause of two or more."""

@@ -436,10 +436,44 @@ def test_criterion_8_soft_large_masyu(capsys):
         )
 
 
+LINE_BOARDS = 40
+
+
+def line_boards(n, loops, rng, read, draw):
+    """LINE_BOARDS boards of 2-3 circles on one row or column, one black at
+    least, where each circle can stop another's arm: half read off a random
+    simple cycle, so that it meets them (``read(cycle, i, color)`` gives the
+    mark of ``cycle[i]``), and half at random cells of a random line
+    (``draw(color)``)."""
+    cycles = [loop for loop in loops if len(loop) > 2]
+
+    def color(cycle, i):
+        (r0, c0), (r1, c1) = cycle[i - 1], cycle[(i + 1) % len(cycle)]
+        return "w" if r0 == r1 or c0 == c1 else "b"
+
+    boards = []
+    while len(boards) < LINE_BOARDS // 2:
+        cycle, axis, line = rng.choice(cycles), rng.randrange(2), rng.randint(1, n)
+        on = [i for i, cell in enumerate(cycle) if cell[axis] == line]
+        turns = [i for i in on if color(cycle, i) == "b"]
+        if len(on) < 2 or not turns:
+            continue
+        first = rng.choice(turns)
+        rest = rng.sample([i for i in on if i != first], min(len(on) - 1, rng.randint(1, 2)))
+        boards.append({cycle[i]: read(cycle, i, color(cycle, i)) for i in [first] + rest})
+    while len(boards) < LINE_BOARDS:
+        axis, line = rng.randrange(2), rng.randint(1, n)
+        at = rng.sample(range(1, n + 1), rng.randint(2, 3))
+        colors = [rng.choice("wb") for _ in at]
+        colors[rng.randrange(len(at))] = "b"
+        boards.append({(line, k) if axis == 0 else (k, line): draw(c) for k, c in zip(at, colors)})
+    return boards
+
+
 def shingoki_oracle_boards(n, loops, rng):
     """Boards of one clue at each cell, both colours, clues 2-6; 30 of 2-4
-    clues read off a random simple cycle, so that it meets them; and 10 of
-    2-4 random clues."""
+    clues read off a random simple cycle, so that it meets them; 10 of 2-4
+    random clues; and the ``line_boards``, clues 2-6 where drawn."""
     boards = [
         {cell: (color, clue)}
         for cell in grid_cells(n, n)
@@ -458,6 +492,14 @@ def shingoki_oracle_boards(n, loops, rng):
     for _ in range(10):
         cells = rng.sample(grid_cells(n, n), rng.randint(2, 4))
         boards.append({cell: (rng.choice("wb"), rng.randint(2, 6)) for cell in cells})
+    boards += line_boards(
+        n,
+        loops,
+        rng,
+        lambda cycle, i, color: (color, straight_run(cycle, i, -1) + straight_run(cycle, i, 1)),
+        lambda color: (color, rng.randint(2, 6)),
+    )
+
     def row(board, r):
         marks = [board.get((r, c)) for c in range(1, n + 1)]
         return " ".join("." if mark is None else f"{mark[0]}{mark[1]}" for mark in marks)
@@ -525,11 +567,12 @@ def test_criterion_9_shingoki_clue_oracle(capsys):
     )
     elapsed = time.monotonic() - start
     cycles = sum(len(loop) > 2 for loop in loops)
-    ok = not mismatches and accepted >= 40 and cycles == 213
+    ok = not mismatches and len(boards) >= 240 and accepted >= 40 and cycles == 213
     report(
         capsys,
         f"ACCEPTANCE 9: {'PASS' if ok else 'FAIL'} — Shingoki clues vs verify_shingoki "
-        f"on {len(boards)} 4x4 boards x {len(loops)} loops (lone cells, 2-cycles and all "
+        f"on {len(boards)} 4x4 boards ({LINE_BOARDS} with 2-3 clues on one line, one "
+        f"black at least) x {len(loops)} loops (lone cells, 2-cycles and all "
         f"{cycles} simple cycles), eager and lazy model: "
         f"{len(mismatches)} mismatches, {accepted} loops accepted ({elapsed:.1f}s)",
     )
@@ -539,7 +582,8 @@ def test_criterion_9_shingoki_clue_oracle(capsys):
 def masyu_oracle_boards(n, loops, rng):
     """Boards of one circle at each cell, both colours; 120 of 2-4 circles
     read off a random simple cycle (white where it runs straight, black where
-    it turns), which it may or may not meet; and 60 of 2-4 random circles."""
+    it turns), which it may or may not meet; 60 of 2-4 random circles; and
+    the ``line_boards``."""
     boards = [{cell: color} for cell in grid_cells(n, n) for color in "wb"]
     cycles = [loop for loop in loops if len(loop) > 2]
     for _ in range(120):
@@ -552,6 +596,8 @@ def masyu_oracle_boards(n, loops, rng):
     for _ in range(60):
         cells = rng.sample(grid_cells(n, n), rng.randint(2, 4))
         boards.append({cell: rng.choice("wb") for cell in cells})
+    boards += line_boards(n, loops, rng, lambda cycle, i, color: color, lambda color: color)
+
     def row(board, r):
         return "".join(board.get((r, c), ".") for c in range(1, n + 1))
 
@@ -574,7 +620,7 @@ def test_criterion_10_masyu_clue_oracle(capsys):
     elapsed = time.monotonic() - start
     ok = (
         not mismatches + wide_mismatches
-        and len(boards) >= 200
+        and len(boards) >= 252
         and accepted >= 200
         and cycles == 213
         and wide_accepted >= 100
@@ -583,7 +629,8 @@ def test_criterion_10_masyu_clue_oracle(capsys):
     report(
         capsys,
         f"ACCEPTANCE 10: {'PASS' if ok else 'FAIL'} — Masyu circles vs verify_masyu "
-        f"on {len(boards)} 4x4 boards x {len(loops)} loops (lone cells, 2-cycles and all "
+        f"on {len(boards)} 4x4 boards ({LINE_BOARDS} with 2-3 circles on one line, "
+        f"one black at least) x {len(loops)} loops (lone cells, 2-cycles and all "
         f"{cycles} simple cycles) and a white centre on 5x5 x {len(wide)} loops, "
         f"eager and lazy model: {len(mismatches) + len(wide_mismatches)} mismatches, "
         f"{accepted} + {wide_accepted} loops accepted ({elapsed:.1f}s)",

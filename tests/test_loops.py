@@ -159,6 +159,16 @@ def test_a_white_circle_adds_four_ladder_gates():
     assert b.var_count == 1 + 25 + 40 + 4
 
 
+@pytest.mark.parametrize("row,gates", [("..wb.", 3 + 3), ("..ww.", 4 + 3)])
+def test_a_black_neighbour_stops_the_ladder(row, gates):
+    # the white circle at (3, 3) gets no rung toward a black circle at
+    # (3, 4), where the loop turns; a white one is passed straight.  The
+    # circle at (3, 4) has ladders up, down and left (the border is 1 away)
+    b = CnfBuilder()
+    build_masyu(b, parse_masyu(f"5\n.....\n.....\n{row}\n.....\n.....\n"), lazy=True)
+    assert b.var_count == 1 + 25 + 40 + gates
+
+
 def test_adjacent_circles_share_one_gate_per_edge():
     # on the eager model each edge a rule reads gets one gate_or of its two
     # directions; white circles at (3, 2) and (3, 3) both read the edges

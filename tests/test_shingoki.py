@@ -5,12 +5,14 @@ import itertools
 import pytest
 
 from gridloop import CnfBuilder, solve_internal
+from gridloop.solver import open_internal
 from gridloop.puzzles import (
     LoopSolution,
     build_shingoki,
     parse_shingoki,
     verify_shingoki,
 )
+from gridloop.puzzles.loops import STEPS, reaches
 from gridloop.puzzles.masyu import constrain_circle
 from gridloop.puzzles.shingoki import constrain_arms
 
@@ -51,6 +53,68 @@ def test_impossible_clue_unsat():
     assert solve_internal(b.clauses, b.var_count).is_unsat
 
 
+class Looked(set):
+    """A set of cells that records every cell looked up in it."""
+
+    def __init__(self, cells):
+        super().__init__(cells)
+        self.looked = []
+
+    def __contains__(self, cell):
+        self.looked.append(cell)
+        return super().__contains__(cell)
+
+
+@pytest.mark.parametrize("d", range(4))
+@pytest.mark.parametrize("distance", [1, 2, 3, 4])
+def test_reaches_stop_at_the_first_black_circle_closer_than_depth(d, distance):
+    # from the centre of 9x9 the border is 4 edges away each way; a black
+    # circle 1 or 2 cells away cuts the reach to it, one at depth 3 or
+    # beyond does not, and the circle itself, black too, never cuts
+    (dr, dc), cell = STEPS[d], (5, 5)
+    black = Looked({cell, (5 + distance * dr, 5 + distance * dc), (4, 4), (6, 7)})
+    want = [4] * 4
+    want[d] = distance if distance < 3 else 4
+    assert reaches(9, cell, black, 3) == tuple(want)
+    # only the cells closer than depth are scanned, and not the circle
+    assert all(0 < abs(r - 5) + abs(c - 5) < 3 for r, c in black.looked)
+    assert reaches(9, cell, black, 1) == (4, 4, 4, 4)
+
+
+def test_reaches_the_border_and_the_nearest_black_circle():
+    # (1, 2) on 4x4: 0 up and 1 left whatever is black; a black circle at
+    # (1, 3) is the first of two on the right, and the border at (4, 2) is
+    # 3 away when depth only reaches it
+    assert reaches(4, (1, 2), set(), 9) == (0, 3, 1, 2)
+    assert reaches(4, (1, 2), {(1, 2), (1, 3), (1, 4), (1, 1)}, 9) == (0, 3, 1, 1)
+    assert reaches(4, (1, 2), {(1, 4), (4, 2)}, 9) == (0, 3, 1, 2)
+    assert reaches(4, (1, 2), {(3, 2), (1, 3)}, 3) == (0, 2, 1, 1)
+    assert reaches(4, (1, 2), {(3, 2)}, 2) == (0, 3, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "text,status",
+    [
+        # the border loop passes (1, 3) straight: 1 + 2 and 2 + 1 edges
+        ("4\n. w3 w3 .\n. . . .\n. . . .\n. . . .\n", "sat"),
+        # a black (1, 3) stops the arm of (1, 2) there: 1 + 1 is not 3
+        ("4\n. w3 b3 .\n. . . .\n. . . .\n. . . .\n", "unsat"),
+        # but an arm may end on it: 1 + 1 is 2
+        ("4\n. w2 b4 .\n. . . .\n. . . .\n. . . .\n", "sat"),
+    ],
+    ids=["white-passed", "black-stops", "black-ends"],
+)
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+def test_an_arm_passes_a_white_circle_and_ends_at_a_black_one(text, status, lazy):
+    inst = parse_shingoki(text)
+    b = CnfBuilder()
+    decode, _, propagator = build_shingoki(b, inst, lazy=lazy)
+    out = open_internal(b.clauses, b.var_count, propagator)()
+    assert out.status == status
+    if out.is_sat:
+        assert verify_shingoki(inst, decode(out.model.assignment)) is None
+
+
 @pytest.mark.parametrize("color", ["w", "b"])
 @pytest.mark.parametrize("cell", [(3, 3), (1, 3), (1, 1), (2, 4)])
 @pytest.mark.parametrize("clue", [2, 3, 5, 7, None])
@@ -70,9 +134,9 @@ def test_arm_rule_alone_puts_exactly_one_pair_on(color, cell, clue):
         return lits[key]
 
     if clue is None:
-        constrain_circle(b, edge, b.add_clause, n, cell, color)
+        constrain_circle(b, edge, b.add_clause, n, set(), cell, color)
     else:
-        constrain_arms(b, edge, b.add_clause, n, cell, color, clue)
+        constrain_arms(b, edge, b.add_clause, n, set(), cell, color, clue)
     r, c = cell
     first = {
         (dr, dc): edge(cell, (r + dr, c + dc))

@@ -483,6 +483,27 @@ def test_heap_stays_capped():
     assert s.largest <= 2 * nvars + 1
 
 
+@pytest.mark.parametrize(
+    "clauses,nvars,ok,free",
+    [
+        # 1 and then 2 by propagation; 3 in a clause, 4 in none
+        ([[1], [-1, 2], [2, 3]], 4, True, [3, 4]),
+        ([[1], [-1, 2], [-2, -1]], 3, False, [3]),  # conflict in propagation
+        ([[1, 2], [2], []], 3, False, [1, 3]),  # the empty clause
+        ([[3], [1, 2], [-3]], 3, False, [1, 2]),  # a unit against a unit
+        ([], 2, True, [1, 2]),
+    ],
+)
+def test_load_puts_only_the_unassigned_variables_in_the_heap(clauses, nvars, ok, free):
+    # in index order, each with a live entry, also where _load stops early
+    s = _Solver(clauses, nvars)
+    s._load()
+    assert s.ok == ok
+    assert s.heap == [(-0.0, v) for v in free]
+    assert [v for v in range(1, nvars + 1) if s.in_heap[v]] == free
+    assert not s.in_heap[0]
+
+
 def test_check_model():
     assert check_model([], Model({}))
     assert not check_model([[1]], Model({1: False}))
