@@ -51,5 +51,5 @@ for path in sorted(glob.glob(os.path.join(root, "instances", "*"))):
         puzzles.append((os.path.basename(path), infer_kind(path, None), f.read()))
 for name, kind, text in puzzles:
     probes.clear()
-    result = run(RunConfig(kind, name, None, None), _PARSERS[kind](text))
+    result = run(RunConfig(kind, None, None), _PARSERS[kind](text))
     print(json.dumps({"name": name, "result": result.status, "vars": result.vars, "clauses": result.clauses, "probes": probes}))

@@ -57,7 +57,6 @@ _EXTENSIONS = {
 @dataclass
 class RunConfig:
     kind: str
-    path: str
     solver_cmd: list[str] | None  # None = internal solver
     timeout: float | None  # seconds per solver probe; None where nothing is solved
 
@@ -111,7 +110,7 @@ def _load(args, path: str) -> tuple[RunConfig, object]:
     timeout = getattr(args, "timeout", None)
     if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
         raise ValueError("time budget must be a finite number of seconds above 0")
-    config = RunConfig(kind, path, shlex.split(solver) if solver else None, timeout)
+    config = RunConfig(kind, shlex.split(solver) if solver else None, timeout)
     with open(path) as f:
         return config, _PARSERS[kind](f.read())
 
@@ -303,7 +302,7 @@ def cmd_encode(args) -> int:
         return _input_error(e)
     builder = CnfBuilder()
     _BUILDERS[config.kind](builder, inst)
-    out = args.out or config.path + ".cnf"
+    out = args.out or args.instance + ".cnf"
     mapfile = args.map or out + ".map"
     if os.path.realpath(out) == os.path.realpath(mapfile):
         return _input_error(f"the CNF and the map cannot both go to {out}")

@@ -69,12 +69,12 @@ class GridVars:
         return grid
 
 
-def make_grid(builder: CnfBuilder, rows: int, cols: int, prefix: str = "cell") -> GridVars:
+def make_grid(builder: CnfBuilder, rows: int, cols: int) -> GridVars:
     """A grid in which every cell can be in."""
     if rows < 1 or cols < 1:
         raise ValueError("grid must be at least 1x1")
     cells = {
-        (r, c): builder.new_var(f"{prefix}_{r}_{c}")
+        (r, c): builder.new_var(f"cell_{r}_{c}")
         for r in range(1, rows + 1)
         for c in range(1, cols + 1)
     }

@@ -40,7 +40,7 @@ def parse_masyu(text: str) -> MasyuInstance:
     n = int(lines[0].split()[0])
     if n < 1:
         raise ValueError("grid size must be >= 1")
-    rows = lines[1 : n + 1]
+    rows = lines[1:]
     if len(rows) != n:
         raise ValueError(f"expected {n} board rows, found {len(rows)}")
     board = []

@@ -48,7 +48,7 @@ def parse_roadrunner(text: str) -> RoadrunnerInstance:
     max_x, max_y = int(head[0]), int(head[1])
     if max_x < 1 or max_y < 1:
         raise ValueError("grid must be at least 1x1")
-    rows = lines[1 : max_y + 1]
+    rows = lines[1:]
     if len(rows) != max_y:
         raise ValueError(f"expected {max_y} board rows, found {len(rows)}")
     hill = []

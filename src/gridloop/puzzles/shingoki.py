@@ -38,7 +38,7 @@ def parse_shingoki(text: str) -> ShingokiInstance:
     n = int(lines[0].split()[0])
     if n < 1:
         raise ValueError("grid size must be >= 1")
-    rows = lines[1 : n + 1]
+    rows = lines[1:]
     if len(rows) != n:
         raise ValueError(f"expected {n} board rows, found {len(rows)}")
     board: list[list[tuple[str, int] | None]] = []

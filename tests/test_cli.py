@@ -111,6 +111,27 @@ def test_solve_parse_error_exit(tmp_path, capsys):
     assert not (tmp_path / "nine.tapa.cnf").exists()
 
 
+@pytest.mark.parametrize(
+    "name, board, row, rows",
+    [
+        ("extra.masyu", "3\n...\n...\n...\n", "...\n", 3),
+        ("extra.shingoki", "3\n. . .\n. . .\n. . .\n", ". . .\n", 3),
+        ("extra.tapa", "3\n. . .\n. . .\n. . .\n", ". . .\n", 3),
+        ("extra.roadrunner", "3 2\n...\n...\n", "...\n", 2),
+    ],
+    ids=["masyu", "shingoki", "tapa", "roadrunner"],
+)
+def test_a_row_beyond_the_header_is_input_error(name, board, row, rows, tmp_path, capsys):
+    # the board alone is read; one row more is refused, not dropped
+    path = tmp_path / name
+    path.write_text(board)
+    assert main(["solve", str(path)]) != EXIT_INPUT
+    capsys.readouterr()
+    path.write_text(board + row)
+    assert main(["solve", str(path)]) == EXIT_INPUT
+    assert f"error: expected {rows} board rows, found {rows + 1}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
 def test_solve_timeout_must_be_finite_and_positive(timeout, capsys):
     for solver in ([], ["--solver", "no-such-solver"]):
@@ -289,7 +310,7 @@ def test_run_takes_the_lazy_model_on_the_internal_solver_only(external):
         kind = infer_kind(name, None)
         with open(path) as f:
             inst = _PARSERS[kind](f.read())
-        result = run(RunConfig(kind, path, cmd, 60.0), inst)
+        result = run(RunConfig(kind, cmd, 60.0), inst)
         b = CnfBuilder()
         _BUILDERS[kind](b, inst, lazy=not external)
         assert result.status == "verified", name
