@@ -8,6 +8,7 @@ from typing import Container
 
 from ..cnf import CnfBuilder
 from ..graph import Cell
+from .board import square_rows
 from .loops import (
     PAIRS,
     AddOnce,
@@ -34,18 +35,13 @@ class MasyuInstance:
 
 
 def parse_masyu(text: str) -> MasyuInstance:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty instance")
-    n = int(lines[0].split()[0])
-    if n < 1:
-        raise ValueError("grid size must be >= 1")
-    rows = lines[1:]
-    if len(rows) != n:
-        raise ValueError(f"expected {n} board rows, found {len(rows)}")
+    n, rows = square_rows(text)
     board = []
     for ln in rows:
-        row = ln.split()[0] if " " in ln.strip() else ln.strip()
+        toks = ln.split()
+        if len(toks) != 1:
+            raise ValueError(f"row {ln.strip()!r} has {len(toks)} tokens, expected 1")
+        row = toks[0]
         if len(row) != n:
             raise ValueError(f"row {row!r} has length {len(row)}, expected {n}")
         for ch in row:

@@ -7,6 +7,7 @@ from typing import Container
 
 from ..cnf import CnfBuilder
 from ..graph import Cell
+from .board import square_rows
 from .loops import (
     PAIRS,
     AddOnce,
@@ -32,15 +33,7 @@ class ShingokiInstance:
 
 
 def parse_shingoki(text: str) -> ShingokiInstance:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty instance")
-    n = int(lines[0].split()[0])
-    if n < 1:
-        raise ValueError("grid size must be >= 1")
-    rows = lines[1:]
-    if len(rows) != n:
-        raise ValueError(f"expected {n} board rows, found {len(rows)}")
+    n, rows = square_rows(text)
     board: list[list[tuple[str, int] | None]] = []
     for ln in rows:
         toks = ln.split()

@@ -10,6 +10,7 @@ from typing import Callable
 from ..cnf import CnfBuilder, Lit
 from ..graph import GridVars, scc_grid
 from ..solver import Propagator
+from .board import square_rows
 
 Cell = tuple[int, int]
 
@@ -38,15 +39,7 @@ class ColoringSolution:
 
 
 def parse_tapa(text: str) -> TapaInstance:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty instance")
-    n = int(lines[0].split()[0])
-    if n < 1:
-        raise ValueError("grid size must be >= 1")
-    rows = lines[1:]
-    if len(rows) != n:
-        raise ValueError(f"expected {n} board rows, found {len(rows)}")
+    n, rows = square_rows(text)
     board: list[list[list[int] | None]] = []
     for ln in rows:
         toks = ln.split()

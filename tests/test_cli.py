@@ -132,6 +132,27 @@ def test_a_row_beyond_the_header_is_input_error(name, board, row, rows, tmp_path
     assert f"error: expected {rows} board rows, found {rows + 1}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, board, bad, message",
+    [
+        ("row.masyu", "3\n...\n...\n...\n", "3\n...\n... x\n...\n", "row '... x' has 2 tokens, expected 1"),
+        ("header.masyu", "3\n...\n...\n...\n", "3 7\n...\n...\n...\n", "expected header 'n', found '3 7'"),
+        ("header.shingoki", "3\n. . .\n. . .\n. . .\n", "3 7\n. . .\n. . .\n. . .\n", "expected header 'n', found '3 7'"),
+        ("header.tapa", "3\n. . .\n. . .\n. . .\n", "3 7\n. . .\n. . .\n. . .\n", "expected header 'n', found '3 7'"),
+    ],
+    ids=["masyu-row", "masyu-header", "shingoki-header", "tapa-header"],
+)
+def test_extra_tokens_are_input_errors(name, board, bad, message, tmp_path, capsys):
+    # a token past the one a line holds is refused, not dropped
+    path = tmp_path / name
+    path.write_text(board)
+    assert main(["solve", str(path)]) != EXIT_INPUT
+    capsys.readouterr()
+    path.write_text(bad)
+    assert main(["solve", str(path)]) == EXIT_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
 def test_solve_timeout_must_be_finite_and_positive(timeout, capsys):
     for solver in ([], ["--solver", "no-such-solver"]):

@@ -1,13 +1,18 @@
 """Exhaustive truth-table tests for the CNF substrate."""
 import io
 import itertools
+import os
+import random
 
 import pytest
 
 from gridloop import CnfBuilder, distance_width, open_internal, parse_dimacs, solve_internal
-from gridloop.cnf import _DIMACS_CHUNK, lit_value, write_dimacs
+from gridloop.cli import _BUILDERS, _PARSERS, infer_kind
+from gridloop.cnf import _DIMACS_CHUNK, _FORMAT_BATCH, lit_value, write_dimacs
 
 from oracles import all_models, input_projection, sat_under
+
+INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
 
 
 def test_new_var_sequential():
@@ -57,6 +62,17 @@ def test_add_clause_rejects_bad_literals():
         b.add_clause([0])
     with pytest.raises(ValueError):
         b.add_clause([99])  # unallocated
+
+
+@pytest.mark.parametrize("lit", [True, False])
+def test_add_clause_rejects_bool_literals(lit):
+    # a bool is an int to isinstance, but it is no literal: True would be
+    # written as "True" or as variable 1
+    b = CnfBuilder()
+    v = b.new_var()
+    with pytest.raises(ValueError, match="bad literal"):
+        b.add_clause([lit, -v])
+    assert b.clauses == [[1]]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -397,6 +413,41 @@ def test_write_dimacs_matches_one_line_per_clause(n):
     write_dimacs(sink, 3, clauses)
     reference = f"p cnf 3 {n}\n" + "".join(" ".join(map(str, cl)) + " 0\n" for cl in clauses)
     assert sink.getvalue() == reference
+    assert sink.writes == 1 + -(-n // _DIMACS_CHUNK)
+
+
+def one_line_per_clause(nvars, clauses):
+    return f"p cnf {nvars} {len(clauses)}\n" + "".join(" ".join(map(str, cl)) + " 0\n" for cl in clauses)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(INSTANCES)))
+def test_write_dimacs_matches_one_line_per_clause_on_bundled_instances(name):
+    # the eager formula, which ``encode`` writes, masyu_30x30's 155k clauses
+    # among them
+    kind = infer_kind(name, None)
+    with open(os.path.join(INSTANCES, name)) as f:
+        parsed = _PARSERS[kind](f.read())
+    b = CnfBuilder()
+    _BUILDERS[kind](b, parsed)
+    sink = io.StringIO()
+    write_dimacs(sink, b.var_count, b.clauses)
+    assert sink.getvalue() == one_line_per_clause(b.var_count, b.clauses)
+
+
+@pytest.mark.parametrize(
+    "n", [_FORMAT_BATCH + 1, _DIMACS_CHUNK, _DIMACS_CHUNK + 1, 2 * _DIMACS_CHUNK, 2 * _DIMACS_CHUNK + 1]
+)
+def test_write_dimacs_matches_one_line_per_clause_on_random_clauses(n):
+    # clause lengths 0 to 300 and literals up to 10^7 in magnitude, so each
+    # batch mixes many line formats and literal widths
+    rng = random.Random(f"write_dimacs/{n}")
+    nvars = 10**7
+    lengths = [0, 300] + [rng.randint(0, 300) if rng.random() < 0.05 else rng.randint(0, 6) for _ in range(n - 2)]
+    rng.shuffle(lengths)
+    clauses = [[rng.choice((-1, 1)) * rng.randint(1, nvars) for _ in range(k)] for k in lengths]
+    sink = CountingSink()
+    write_dimacs(sink, nvars, clauses)
+    assert sink.getvalue() == one_line_per_clause(nvars, clauses)
     assert sink.writes == 1 + -(-n // _DIMACS_CHUNK)
 
 
