@@ -251,7 +251,10 @@ def verify_roadrunner(inst: RoadrunnerInstance, sol: RoadrunnerSolution) -> str 
         if sum(1 for p in seg if sol.laser_at(*p)) > 1:
             return "lasers-see-each-other"
     for x, y, num in inst.clues:
-        got = sum(1 for p in quadrantal_neighbors(inst, x, y) if sol.laser_at(*p))
+        got = sum(
+            inst.in_bounds(x1, y1) and sol.laser_at(x1, y1)
+            for x1, y1 in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1))
+        )
         if got != num:
             return "clue-sum-mismatch"
     # safe cells: white, not a laser, not covered by any laser in its segments

@@ -285,9 +285,14 @@ def verify_tapa(inst: TapaInstance, sol: ColoringSolution) -> str | None:
         if seen != blacks:
             return "black-not-connected"
     for r, c in inst.clue_cells():
-        ring, circular = neighbor_ring(n, r, c)
-        pattern = [1 if sol.is_black(r1, c1) else 0 for r1, c1 in ring]
-        runs = sorted(_ring_runs(pattern, circular))
+        # the cells around the clue that lie on the board, clockwise from
+        # the upper left; blocks wrap round only when all eight do
+        pattern = [
+            int((r + dr, c + dc) in blacks)
+            for dr, dc in ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
+            if 1 <= r + dr <= n and 1 <= c + dc <= n
+        ]
+        runs = sorted(_ring_runs(pattern, len(pattern) == 8))
         want = sorted(cl for cl in inst.at(r, c) if cl > 0)
         if runs != want:
             return "clue-blocks-mismatch"

@@ -20,7 +20,8 @@ during the search, as in lazy clause generation (Ohrimenko, Stuckey &
 Codish, Constraints 2009) and SAT modulo monotonic theories (Bayless et al.,
 AAAI 2015).  Its ``check`` runs at each unit-propagation fixpoint, the one
 where the trail becomes total included, and may return clauses that the
-trail falsifies.  They stay for good, and the search goes on in the same
+trail falsifies, each a lemma.  They are attached at once and stay for
+good, one of them is the next conflict, and the search goes on in the same
 call.
 
 A probe (``Probe``) solves one formula under the assumptions it is given,
@@ -35,7 +36,6 @@ before returning it.
 """
 from __future__ import annotations
 
-import collections
 import heapq
 import itertools
 import os
@@ -83,12 +83,13 @@ class Propagator:
     keeps each one for good.
 
     * ``check(solver)`` runs at each unit-propagation fixpoint and returns
-      the clauses that are false under ``solver.trail``, or none.  It may
-      read the trail and ``solver.val``, and keep state over the trail
-      prefix it has read.  It also runs at the fixpoint where the trail
-      becomes total (``len(solver.trail) == solver.nvars``), which is the
-      model unless it returns a clause: a theory that needs the whole model
-      tests for that.
+      clauses of two or more literals, each literal false under
+      ``solver.trail``, or none; the solver raises ValueError for any other
+      clause.  It may read the trail and ``solver.val``, and keep state over
+      the trail prefix it has read.  It also runs at the fixpoint where the
+      trail becomes total (``len(solver.trail) == solver.nvars``), which is
+      the model unless it returns a clause: a theory that needs the whole
+      model tests for that.
     * ``undo(trail_len)`` runs when the solver backjumps to a trail of that
       length: state over the entries cut off must go.
 
@@ -128,10 +129,8 @@ class _Solver:
         self.var_inc = 1.0
         self.ok = True  # False once the formula is unsat without assumptions
         self.prop = propagator
-        # every clause that the propagator returned, and those of them that
-        # wait for _drain to attach them
+        # every clause that the propagator returned
         self.added: list[list[int]] = []
-        self.queue: collections.deque[list[int]] = collections.deque()
         # The first solve builds the search state and attaches these clauses
         # (_load), so opening a solver costs nothing until its first call and
         # the set-up is timed with that call.
@@ -367,47 +366,35 @@ class _Solver:
         if self.prop is not None:
             self.prop.undo(target)
 
-    def _drain(self):
-        """Attach the queued propagator clauses, in order, at a
-        unit-propagation fixpoint.  A clause with two literals that are not
-        false is watched on them.  One with a single such literal is watched
-        on it and on its false literal of highest level, and the literal is
-        assigned, with the clause as its reason, if it is unassigned; a unit
-        clause is assigned at level 0, after a backjump there.  A false
-        clause stops the drain and is returned, still queued, as the
-        conflict: if none of its literals is at the current level, the
-        solver first backjumps to its highest level, so level 0 means unsat.
-        Returns None once the queue is empty."""
+    def _take(self, clauses):
+        """Keep the propagator's clauses and attach them, and return the
+        conflict: the clause whose highest level is lowest (the first such
+        on a tie), after a backjump to that level if it is below the
+        current one, so level 0 means unsat.
+
+        Each copy has its literals in order of level, highest first (a
+        stable sort keeps the propagator's order on a tie), and is watched
+        on its first two.  Every other clause has its top literal at or
+        above the conflict's level, which conflict analysis then undoes, so
+        none stays false; one left unit is not propagated, but its watch
+        fires when the last literal goes false.  Raises ValueError, before
+        taking any, for a clause of fewer than two literals or with one that
+        is not false."""
         n = self.nvars
         val = self.val
         level = self.level
-        queue = self.queue
-        while queue:
-            cl = queue[0]
-            free = [lit for lit in cl if val[lit + n] != -1]
-            if not free:
-                top = max((level[abs(lit)] for lit in cl), default=0)
-                if top < len(self.trail_lim):
-                    self._backjump(top)
-                return cl
-            queue.popleft()
-            if len(cl) == 1:
-                lit = cl[0]
-                if val[lit + n] == 0 or level[abs(lit)] > 0:
-                    if self.trail_lim:
-                        self._backjump(0)
-                    self._assign(lit, None)
-                continue
-            unit = len(free) == 1
-            if unit:
-                # the other watch: the false literal that is undone last
-                free.append(max((lit for lit in cl if lit != free[0]), key=lambda l: level[abs(l)]))
-            watched = free[:2]
-            cl[:] = watched + [lit for lit in cl if lit not in watched]
+        for cl in clauses:
+            if len(cl) < 2 or any(val[lit + n] != -1 for lit in cl):
+                raise ValueError(f"propagator clause {list(cl)} is not two or more false literals")
+        taken = [sorted(cl, key=lambda lit: level[abs(lit)], reverse=True) for cl in clauses]
+        for cl in taken:
             self._attach(cl)
-            if unit and val[cl[0] + n] == 0:
-                self._assign(cl[0], cl)
-        return None
+        self.added += taken
+        conflict = min(taken, key=lambda cl: level[abs(cl[0])])
+        top = level[abs(conflict[0])]
+        if top < len(self.trail_lim):
+            self._backjump(top)
+        return conflict
 
     def _decide(self):
         """The unassigned variable of highest activity (lowest index on a
@@ -434,11 +421,10 @@ class _Solver:
         ``time.monotonic()`` value) bounds this call, whose counters are in
         the outcome's ``stats``.  Every return is at level 0.
 
-        With a propagator, each unit-propagation fixpoint first attaches the
-        queued clauses (``_drain``) and then asks ``check``, so a total
-        assignment is the model only if ``check`` returns no clause there.
-        Its clauses join the queue, so a false one is the next conflict,
-        and the stats count them as ``propagated``.
+        With a propagator, each unit-propagation fixpoint asks ``check``, so
+        a total assignment is the model only if ``check`` returns no clause
+        there.  Its clauses are attached at once (``_take``), one of them is
+        the next conflict, and the stats count them as ``propagated``.
         """
         stats = {"conflicts": 0, "decisions": 0, "restarts": 0}
         prop = self.prop
@@ -453,20 +439,13 @@ class _Solver:
         luby_idx = 0
         limit = restart_unit * _luby(luby_idx)
         trail_lim = self.trail_lim
-        queue = self.queue
         while True:
             conflict = self._propagate()
             if conflict is None and prop is not None:
-                if queue:
-                    conflict = self._drain()
-                    if conflict is None and self.qhead < len(self.trail):
-                        continue  # the drain assigned literals: propagate them first
-                if conflict is None:
-                    clauses = prop.check(self)
-                    if clauses:
-                        stats["propagated"] += len(clauses)
-                        self._queue(clauses)
-                        conflict = self._drain()
+                clauses = prop.check(self)
+                if clauses:
+                    stats["propagated"] += len(clauses)
+                    conflict = self._take(clauses)
             if conflict is not None:
                 conflicts += 1
                 stats["conflicts"] = conflicts
@@ -506,13 +485,6 @@ class _Solver:
                 stats["decisions"] += 1
                 trail_lim.append(len(self.trail))
                 self._assign(lit, None)
-
-    def _queue(self, clauses):
-        """Keep copies of the propagator's clauses, queued for ``_drain``."""
-        for cl in clauses:
-            cl = list(cl)
-            self.added.append(cl)
-            self.queue.append(cl)
 
     def _stop(self, outcome):
         """Back to level 0, where every call starts, and return ``outcome``."""

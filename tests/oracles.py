@@ -312,7 +312,9 @@ def clause_faults(clauses, nvars):
 class Recording(Propagator):
     """A propagator that passes every call on to ``inner`` and keeps a copy
     of each clause that it returns in ``clauses``, each of them asserted
-    false under the solver's trail."""
+    false under the solver's trail.  ``_Solver._take`` also refuses a
+    clause that is not false; this assertion is kept apart from it, so that
+    a weaker check there still shows."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -333,7 +335,8 @@ class Enumerator(Propagator):
     """Every model of a formula, told apart by the variables ``kept``: at
     each total trail ``check`` records their values in ``models`` and
     returns the clause that blocks them, so one search goes on until no
-    model is left."""
+    model is left.  ``kept`` holds two or more variables: the solver
+    refuses a propagator clause of one literal."""
 
     def __init__(self, kept):
         self.kept = kept

@@ -211,9 +211,9 @@ def test_clauses_from_a_total_check_agree_with_a_fresh_solve():
 
 
 def test_probe_adds_cuts_until_a_model_needs_none(monkeypatch):
-    # the first total assignment sets x1 (the saved phase), and the check's
-    # cut -x1 there sets every variable false through the chain
-    # x4 -> x3 -> x2 -> x1, in the same search
+    # the first total assignment sets x1 and x2 (the saved phase), and the
+    # check's cut -x1 | -x2 there sets x2, x3 and x4 false through the chain
+    # x4 -> x3 -> x2, in the same search
     clauses = [[1, -2], [2, -3], [3, -4], [-1, -4]]
     asked = []
     opened = []
@@ -227,33 +227,35 @@ def test_probe_adds_cuts_until_a_model_needs_none(monkeypatch):
 
     def cuts(assignment):
         asked.append(dict(assignment))
-        return [[-1]] if assignment[1] else []
+        return [[-1, -2]] if assignment[1] and assignment[2] else []
 
     out = open_internal(clauses, 4, total_check(cuts))()
-    assert out.is_sat and not any(out.model.assignment.values())
+    assert out.is_sat and out.model.assignment == {1: True, 2: False, 3: False, 4: False}
     # each total trail is checked until one gets no clause, and the model
     # is the assignment that the check accepted
     assert len(asked) == 2 and asked[-1] == out.model.assignment
-    assert len(opened) == 1 and opened[0].added == [[-1]]
+    # the solver keeps its copy, highest level first: x2 was decided after x1
+    assert len(opened) == 1 and opened[0].added == [[-2, -1]]
     # a cut that contradicts the base clauses makes the whole formula unsat
     assert open_internal([[1], [2]], 2, total_check(lambda a: [[-1, -2]]))().is_unsat
 
 
 def test_a_later_probe_needs_no_recut():
-    # the first probe cuts x1 and x2, which then stay in the solver: the
-    # second probe's first total assignment already satisfies them
+    # the first probe cuts x1 off from x2 and from x3, in one check, and the
+    # cuts then stay in the solver: the second probe's first total
+    # assignment already satisfies them
     asked = []
     added = []
 
     def cuts(assignment):
         asked.append(dict(assignment))
-        new = [[-v] for v in (1, 2) if assignment[v]]
+        new = [[-1, -v] for v in (2, 3) if assignment[1] and assignment[v]]
         added.extend(new)
         return new
 
     probe = open_internal([[1, 2, 3]], 3, total_check(cuts))
     out = probe()
-    assert out.is_sat and len(asked) == 2 and added == [[-1], [-2]]
+    assert out.is_sat and len(asked) == 2 and added == [[-1, -2], [-1, -3]]
     # each probe reports the clauses that the check returned
     assert out.stats["propagated"] == 2
     asked.clear()
@@ -281,8 +283,8 @@ def test_a_probe_meets_its_assumptions_and_the_cuts():
 def test_a_probe_has_one_deadline(monkeypatch):
     # a probe is one solve_internal call, given the whole budget; the time
     # that the check takes counts against it, so the conflict that its cut
-    # starts finds the budget spent.  The cut stays queued, and the
-    # next probe, with a budget of its own, takes it in
+    # starts finds the budget spent.  The cut is attached already, and the
+    # next probe, with a budget of its own, propagates through it
     budgets = []
 
     def recorded(*args, timeout=None, **kwargs):
@@ -293,13 +295,13 @@ def test_a_probe_has_one_deadline(monkeypatch):
 
     def cuts(assignment):
         time.sleep(0.05)
-        return [[-1]] if assignment[1] else []
+        return [[-1, -2]] if assignment[1] and assignment[2] else []
 
     probe = open_internal([[1, -2], [2, -3]], 3, total_check(cuts), timeout=0.02)
     out = probe()
     assert out.status == "unknown" and out.reason == "solver timeout"
     out = probe()
-    assert out.is_sat and not out.model[1]
+    assert out.is_sat and out.model[1] and not out.model[2]
     assert budgets == [0.02, 0.02]
 
 
@@ -313,43 +315,84 @@ def test_probe_stats_count_its_one_search(monkeypatch):
 
     monkeypatch.setattr("gridloop.solver.solve_internal", recorded)
     clauses, sel = guarded_pigeonhole(6, 5)
-    # the first total assignment has sel false; the cut asks for sel, and
-    # the same search refutes the pigeonhole clauses
-    out = open_internal(clauses, sel, total_check(lambda a: [] if a[sel] else [[sel]]))()
+    # the first total assignment has sel false; the cut asks for sel or off,
+    # which a unit clause keeps false, and the same search refutes the
+    # pigeonhole clauses
+    off = sel + 1
+    cut = total_check(lambda a: [] if a[sel] else [[sel, off]])
+    out = open_internal(clauses + [[-off]], off, cut)()
     assert out.is_unsat and calls == [out.stats]
     assert out.stats["conflicts"] > 128 and out.stats["restarts"] >= 1
     assert out.stats["propagated"] == 1
 
 
-def test_drain_attaches_each_queued_clause_by_its_state():
-    # x1, x2, x3 decided at levels 1-3
+def test_take_watches_the_top_two_and_returns_the_lowest_top():
+    # x5 false at level 0, then x1, x2, x3, x4 decided at levels 1-4, and x6
+    # set false at level 2
     s = _Solver([], 6)
     s._load()
-    for lit in (1, 2, 3):
-        s.trail_lim.append(len(s.trail))
+    s._assign(-5, None)
+    for lit in (1, 2, -6, 3, 4):
+        if lit != -6:
+            s.trail_lim.append(len(s.trail))
         s._assign(lit, None)
-    s._queue([[-1, 4, -3, 5], [-1, -3, 6, -2], [-1, 2, -3]])
-    watched, unit, true = s.added
-    assert s._drain() is None and not s.queue
-    # two literals not false: watched on them
-    assert watched[:2] == [4, 5]
-    # one unassigned literal, the rest false: assigned with the clause as
-    # its reason, and watched on it and the false literal of highest level
-    assert unit[:2] == [6, -3] and s.trail[-1] == 6 and s.reason[6] is unit
-    # one true literal: watched on it and the false literal of highest level
-    assert true[:2] == [2, -3]
-    for cl in (watched, unit, true):
+    top4, top3, tie3 = [-1, 5, -4, -2], [5, -1, 6, -3, -2], [-3, 5, -1]
+    conflict = s._take([top4, top3, tie3])
+    # copies, highest level first; equal levels keep the given order
+    assert s.added == [[-4, -2, -1, 5], [-3, 6, -2, -1, 5], [-3, -1, 5]]
+    assert top4 == [-1, 5, -4, -2]
+    for cl in s.added:
         assert cl in s.watches[cl[0] + 6] and cl in s.watches[cl[1] + 6]
-    # false, with no literal at level 3: the conflict, still queued, after a
-    # backjump to level 2, which undoes x3 and x6
-    s._queue([[-2, -1]])
-    false = s.added[-1]
-    assert s._drain() is false and list(s.queue) == [false]
-    assert s.trail == [1, 2] and s.trail_lim == [0, 1]
-    # a unit clause goes in at level 0, whatever the level of the drain
-    s.queue.clear()
-    s._queue([[-5]])
-    assert s._drain() is None and s.trail == [-5] and s.level[5] == 0
+    # the first clause whose highest level is lowest, after a backjump to
+    # that level: x4 is undone
+    assert conflict is s.added[1]
+    assert s.trail == [-5, 1, 2, -6, 3] and len(s.trail_lim) == 3
+    # a clause of one literal, or with a literal that is not false, breaks
+    # the propagator contract, and no clause of that call is taken
+    for bad in ([-1], [-1, -4], [-1, 2]):
+        with pytest.raises(ValueError):
+            s._take([[-2, -1], bad])
+    assert len(s.added) == 3 and len(s.trail_lim) == 3
+
+
+def test_clauses_from_a_partial_check_agree_with_a_fresh_solve():
+    # half the clauses go in up front, and the check returns each clause of
+    # the other half that the trail falsifies.  It skips most fixpoints
+    # short of a total trail, so one call can hand over several clauses
+    # with their tops at different levels
+    rng = random.Random(2009)
+    seen = set()
+    spread = 0  # checks that returned clauses with different top levels
+
+    class Partial(Propagator):
+        def __init__(self, rest):
+            self.rest = rest
+            self.taken = set()
+
+        def check(self, solver):
+            nonlocal spread
+            val, level, n = solver.val, solver.level, solver.nvars
+            if len(solver.trail) < n and rng.random() < 0.7:
+                return []
+            false = [cl for cl in self.rest if all(val[lit + n] == -1 for lit in cl)]
+            # the conflict's backjump leaves no clause that the solver took
+            # false, and its watches keep it so
+            assert self.taken.isdisjoint(map(id, false))
+            self.taken.update(map(id, false))
+            spread += len({max(level[abs(lit)] for lit in cl) for cl in false}) > 1
+            return false
+
+    for _ in range(80):
+        nvars = rng.randint(10, 30)
+        clauses = random_3cnf(rng, nvars, round(4.26 * nvars))
+        half = len(clauses) // 2
+        out = open_internal(clauses[:half], nvars, Partial(clauses[half:]))()
+        assert out.status == solve_internal(clauses, nvars).status, clauses
+        if out.is_sat:
+            assert check_model(clauses, out.model)
+        seen.add((solve_internal(clauses[:half], nvars).status, out.status))
+    assert {("sat", "sat"), ("sat", "unsat")} <= seen
+    assert spread > 0
 
 
 def test_open_internal_calls_share_one_solver():
