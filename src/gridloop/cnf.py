@@ -73,6 +73,18 @@ def lit_value(lit: Lit, assignment: dict[int, bool]) -> bool:
 # At-most-one switches from pairwise to a ladder above this many literals.
 _AMO_PAIRWISE_MAX = 6
 
+# The constant literals, ``CnfBuilder.TRUE`` and ``CnfBuilder.FALSE``.
+_CONSTANTS = (1, -1)
+
+
+def _fold(lits: list[Lit]) -> list[Lit] | None:
+    """``lits`` as a clause with its constants folded: None if it holds
+    ``TRUE`` or a complementary pair, else its literals without ``FALSE``
+    and without repeats."""
+    if 1 in lits or any(-l in lits for l in lits):
+        return None
+    return list(dict.fromkeys(l for l in lits if l != -1))
+
 
 class CnfBuilder:
     """Fresh-variable allocation and clause storage.
@@ -89,7 +101,7 @@ class CnfBuilder:
         self.var_count = 1  # variable 1 is the reserved constant-true
         self.clauses: list[list[Lit]] = [[1]]
         self.names: dict[int, str] = {1: "const_true"}
-        self._increments: dict[tuple[Lit, ...], tuple[BitVec, Lit]] = {}
+        self._increments: dict[tuple[Lit, ...], BitVec] = {}
 
     TRUE: Lit = 1
     FALSE: Lit = -1
@@ -203,6 +215,8 @@ class CnfBuilder:
             s_prev = s
 
     def exactly_one(self, lits: Sequence[Lit]) -> None:
+        """No encoder calls it: it stays for criterion 3, whose exhaustive
+        table checks it with ``at_least_one`` and ``at_most_one``."""
         self.at_least_one(lits)
         self.at_most_one(lits)
 
@@ -284,53 +298,83 @@ class CnfBuilder:
             raise ValueError("BitVec width must be >= 1")
         return BitVec(self.new_vars(width, prefix))
 
-    def increment(self, x: BitVec) -> tuple[BitVec, Lit]:
-        """Ripple increment: returns (x + 1 as fresh bits, overflow literal).
-        Built once per bit vector; a repeat call adds nothing."""
+    def increment(self, x: BitVec) -> BitVec:
+        """x + 1 mod 2^width as a ripple carry, built once per bit vector; a
+        repeat call adds nothing.  Constant bits (``TRUE``, ``FALSE``) fold: a
+        constant carry, or a carry into a constant bit, adds no gate, and the
+        carry out of the top bit is never built."""
         key = tuple(x.bits)
         if key in self._increments:
             return self._increments[key]
+        TRUE, FALSE = self.TRUE, self.FALSE
         succ: list[Lit] = []
-        carry = self.TRUE
-        for b in x.bits:
-            if carry == self.TRUE:
+        carry = TRUE
+        top = x.width - 1
+        for k, b in enumerate(x.bits):
+            if carry == TRUE:
                 succ.append(-b)
                 carry = b
+            elif carry == FALSE or b == FALSE:
+                succ.append(b if carry == FALSE else carry)
+                carry = FALSE
+            elif b == TRUE:
+                succ.append(-carry)
             else:
                 succ.append(self.gate_xor(b, carry))
-                carry = self.gate_and([b, carry])
-        self._increments[key] = BitVec(succ), carry
+                if k < top:
+                    carry = self.gate_and([b, carry])
+        self._increments[key] = BitVec(succ)
         return self._increments[key]
 
-    def bitvec_successor(self, x: BitVec, y: BitVec, *guard: Lit) -> None:
-        """AND(guard) -> (y = x + 1); overflow (x all-ones) is banned under
-        the guard.  Needs at least one guard literal."""
-        if not guard:
-            raise ValueError("bitvec_successor needs a guard literal")
-        if x.width != y.width:
-            raise ValueError("bitvec width mismatch")
-        succ, overflow = self.increment(x)
-        pre = [-g for g in guard]
-        add = self.clauses.append
-        # ``pre + [...]`` gives each clause a list of its exact size, where
-        # ``[*pre, ...]`` would over-allocate it
-        for yb, sb in zip(y.bits, succ.bits):
-            add(pre + [-yb, sb])
-            add(pre + [yb, -sb])
-        add(pre + [-overflow])
+    def bitvec_successor(self, x: BitVec, y: BitVec, *guard: Lit, wrap: bool = False) -> None:
+        """AND(guard) -> (y = x + 1).  Without ``wrap``, overflow (x
+        all-ones) is banned under the guard; with it, the sum is taken mod
+        2^width.  Needs at least one guard literal."""
+        self.bitvec_successors(x, [(y, guard)], wrap)
+
+    def bitvec_successors(
+        self, x: BitVec, steps: Sequence[tuple[BitVec, Sequence[Lit]]], wrap: bool = False
+    ) -> None:
+        """``bitvec_successor`` from one x to each (y, guard) of ``steps``,
+        over one ``increment`` of x, with the clauses appended in one batch.
+
+        Constant bits fold: a clause with a ``TRUE`` literal is dropped and
+        ``FALSE`` literals are stripped, so a bit that is the same literal in
+        y and in x + 1 costs nothing."""
+        succ = self.increment(x).bits
+        overflow = None if wrap else _fold([-b for b in x.bits])
+        out: list[list[Lit]] = []
+        add = out.append
+        for y, guard in steps:
+            if not guard:
+                raise ValueError("bitvec_successor needs a guard literal")
+            if y.width != x.width:
+                raise ValueError("bitvec width mismatch")
+            # ``pre + [...]`` gives each clause a list of its exact size, where
+            # ``[*pre, ...]`` would over-allocate it; one guard literal, the
+            # usual case, needs no concatenation
+            pre = [-g for g in guard]
+            g = pre[0] if len(pre) == 1 else None
+            for yb, sb in zip(y.bits, succ):
+                if yb == sb:
+                    continue
+                if yb in _CONSTANTS or sb in _CONSTANTS or yb == -sb:
+                    out += [pre + body for body in (_fold([-yb, sb]), _fold([yb, -sb])) if body is not None]
+                elif g is not None:
+                    add([g, -yb, sb])
+                    add([g, yb, -sb])
+                else:
+                    add(pre + [-yb, sb])
+                    add(pre + [yb, -sb])
+            if overflow is not None:
+                add(pre + overflow)
+        self.clauses += out
 
     # -- output ---------------------------------------------------------
 
     def emit_dimacs(self, sink) -> None:
         """Write the formula in DIMACS CNF to a text sink."""
         write_dimacs(sink, self.var_count, self.clauses)
-
-    def to_dimacs(self) -> str:
-        import io
-
-        buf = io.StringIO()
-        self.emit_dimacs(buf)
-        return buf.getvalue()
 
     def emit_varmap(self, sink) -> None:
         """Write 'index name' lines for every named variable."""

@@ -3,23 +3,29 @@
 Two families are provided:
 
 * ``hcp`` — the active directed edges form a single cycle covering exactly
-  the in-vertices (distance encoding: the lowest-index in-vertex is the
-  start, and every active edge into another vertex steps the label by +1).
+  the in-vertices (distance encoding: the first anchor, or without anchors
+  the lowest-index in-vertex, is the start, and every active edge into
+  another vertex steps the label by +1).
 * ``scc`` — the in-vertices with their active undirected edges form one
   connected component (tree encoding: the lowest-index in-vertex is the
   root, every other in-vertex picks a parent, and the label steps by +1
   from parent to child).
 
-The step rule alone, overflow banned, bans sub-cycles and detached parts
-(Miller, Tucker & Zemlin, JACM 1960): labels that strictly increase cannot
-go round a cycle.  So labels carry no bound and the start's label is not
-pinned to 0; ``distance_width(n)`` bits leave room for a model's n - 1 steps.
+The step rule alone bans sub-cycles and detached parts (Miller, Tucker &
+Zemlin, JACM 1960): ``distance_width(n)`` bits hold labels mod 2^w >= n,
+and labels that step by +1 mod 2^w cannot go round a cycle of fewer than
+2^w steps, which every cycle that avoids the start (or root) is.  So labels
+carry no bound, the start's label is not pinned, and a step may wrap.  On a
+bipartite graph, every grid among them, each step crosses from one side to
+the other, so bit 0 of each label is its vertex's side, a constant: adding
+1 to every label keeps every step, so this loses no model.
 
 Plus grid variants that synthesize the orthogonal-adjacency edges of a cell
 grid, and ``cycle_grid``, whose cycles are cut down to one during the
 search by its propagator, ``OneCycle``.
 
-Clauses go in through ``CnfBuilder.add_trusted``, unchecked, so every vertex
+Clauses go in unchecked, through ``CnfBuilder.add_trusted`` or appended to
+``CnfBuilder.clauses`` in a batch, so every vertex
 and edge literal given to these functions must be over a variable of its own.
 """
 from __future__ import annotations
@@ -102,6 +108,16 @@ def _check_vertices_edges(vs, es, directed: bool):
     return index
 
 
+def _edge_ends(
+    builder: CnfBuilder, es: Sequence[EdgeSpec], index: Mapping[Hashable, int], in_lits: Sequence[Lit]
+) -> list[tuple[int, int]]:
+    """The (src, dst) vertex indices of each edge, whose literal puts both
+    of its ends in."""
+    ends = [(index[e.src], index[e.dst]) for e in es]
+    builder.clauses += [c for e, (i, j) in zip(es, ends) for c in ([-e.lit, in_lits[i]], [-e.lit, in_lits[j]])]
+    return ends
+
+
 def _start_chain(builder: CnfBuilder, in_lits: Sequence[Lit]) -> tuple[list[Lit], list[Lit]]:
     """Literals per vertex i: (start_i, seen_i).  start_i is true iff i is the
     lowest-index in-vertex; seen_i iff some vertex among 0..i is in.
@@ -117,62 +133,109 @@ def _start_chain(builder: CnfBuilder, in_lits: Sequence[Lit]) -> tuple[list[Lit]
     return starts, seen
 
 
-def _distance_labels(builder: CnfBuilder, vs: Sequence[VertexSpec], prefix: str) -> list[BitVec]:
-    """One free label per vertex, wide enough for n - 1 steps; only the
-    caller's step clauses constrain it."""
+def _sides(n: int, ends: Sequence[tuple[int, int]]) -> list[Lit] | None:
+    """A 2-colouring of the vertices 0..n-1 under the edges ``ends``, as the
+    constant bit 0 of each label: ``FALSE`` on the side of each connected
+    part's lowest vertex, ``TRUE`` on the other.  None if an edge joins two
+    vertices of one side, which an odd cycle makes unavoidable."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for i, j in ends:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    side = [0] * n  # 0: not reached yet
+    for root in range(n):
+        if side[root]:
+            continue
+        side[root] = CnfBuilder.FALSE
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in nbrs[i]:
+                if not side[j]:
+                    side[j] = -side[i]
+                    stack.append(j)
+                elif side[j] == side[i]:
+                    return None
+    return side
+
+
+def _distance_labels(
+    builder: CnfBuilder, vs: Sequence[VertexSpec], ends: Sequence[tuple[int, int]], prefix: str
+) -> list[BitVec]:
+    """One label per vertex, of ``distance_width(n)`` bits, so 2^w >= n; only
+    the caller's step clauses constrain it.  Its bits are named ``<prefix>_<term>_<i>``.
+    Every step crosses an edge, so where ``_sides`` 2-colours the graph, bit
+    0 is its vertex's side, a constant; otherwise it is free too."""
     width = distance_width(len(vs))
-    return [builder.new_bitvec(width, f"{prefix}_{v.term}") for v in vs]
+    sides = _sides(len(vs), ends)
+    if sides is None:
+        return [builder.new_bitvec(width, f"{prefix}_{v.term}") for v in vs]
+    labels = []
+    for v, side in zip(vs, sides):
+        name = f"{prefix}_{v.term}"
+        labels.append(BitVec([side] + [builder.new_var(f"{name}_{i}") for i in range(1, width)]))
+    return labels
 
 
-def hcp(builder: CnfBuilder, vs: Sequence[VertexSpec], es: Sequence[EdgeSpec]) -> None:
+def hcp(
+    builder: CnfBuilder, vs: Sequence[VertexSpec], es: Sequence[EdgeSpec], anchors: Sequence[Hashable] = ()
+) -> None:
     """Constrain the active edges to form a single directed cycle covering
     exactly the in-vertices.
 
     A single in-vertex with no active edges counts as a (degenerate) cycle.
-    The empty subgraph is forbidden.  No counter over the in-literals is
-    built.
+    Without ``anchors`` the empty subgraph is forbidden, and the start is
+    the lowest-index in-vertex.  ``anchors`` are vertex terms that every
+    model has in, and the caller puts them in: the first is then the start,
+    the start chain is not built, and the others are not read.  No counter
+    over the in-literals is built.
 
     Every in-vertex but the start has exactly one active out-edge and one
     active in-edge; the start has at most one of each and no degree clause.
     Counting edges then gives the start as many out-edges as in-edges.  If
     it had none, the other in-vertices would form cycles that avoid the
-    start, and the step rule ``d_j = d_i + 1`` (for every active edge into a
-    non-start j, overflow banned) admits no cycle.  So the start lies on the
-    one cycle, which covers every in-vertex, or is alone.
+    start, and the step rule ``d_j = d_i + 1 mod 2^w`` (for every active
+    edge into a non-start j) admits none: such a cycle has fewer than n <=
+    2^w steps.
     """
     index = _check_vertices_edges(vs, es, directed=True)
     n = len(vs)
     in_lits = [v.in_lit for v in vs]
+    ends = _edge_ends(builder, es, index, in_lits)
 
-    # active edge -> both endpoints are in
-    for e in es:
-        builder.add_trusted([-e.lit, in_lits[index[e.src]]])
-        builder.add_trusted([-e.lit, in_lits[index[e.dst]]])
-
-    starts, seen = _start_chain(builder, in_lits)
-    builder.add_trusted([seen[-1]])
+    if anchors:
+        if anchors[0] not in index:
+            raise ValueError(f"anchor {anchors[0]!r} is not a vertex")
+        start, starts = index[anchors[0]], None
+    else:
+        # vertex 0 is the start whenever it is in
+        start, (starts, seen) = 0, _start_chain(builder, in_lits)
+        builder.add_trusted([seen[-1]])
 
     # every in-vertex but the start: exactly one out-edge and one in-edge
     outgoing: list[list[Lit]] = [[] for _ in range(n)]
     incoming: list[list[Lit]] = [[] for _ in range(n)]
-    for e in es:
-        outgoing[index[e.src]].append(e.lit)
-        incoming[index[e.dst]].append(e.lit)
+    for e, (i, j) in zip(es, ends):
+        outgoing[i].append(e.lit)
+        incoming[j].append(e.lit)
     for i in range(n):
         for lits in (outgoing[i], incoming[i]):
-            if i:  # vertex 0 is the start whenever it is in: a tautology
-                builder.add_trusted([starts[i], -in_lits[i]] + lits)
+            if i != start:
+                builder.add_trusted(([starts[i], -in_lits[i]] if starts else [-in_lits[i]]) + lits)
             if not lits:
-                break  # [start_i, -in_i] subsumes the other direction's clause
+                break  # the clause above subsumes the other direction's clause
             if len(lits) > 1:
                 builder.at_most_one(lits)
 
-    dist = _distance_labels(builder, vs, "dist")
-
     # active edge (i, j), j not the start -> d_j = d_i + 1
-    for e in es:
-        i, j = index[e.src], index[e.dst]
-        builder.bitvec_successor(dist[i], dist[j], e.lit, -starts[j])
+    dist = _distance_labels(builder, vs, ends, "dist")
+    steps: list[list[tuple[BitVec, list[Lit]]]] = [[] for _ in range(n)]
+    for e, (i, j) in zip(es, ends):
+        if j != start:
+            steps[i].append((dist[j], [e.lit, -starts[j]] if starts else [e.lit]))
+    for i in range(n):
+        if steps[i]:
+            builder.bitvec_successors(dist[i], steps[i], wrap=True)
 
 
 def grid_graph_edges(builder: CnfBuilder, grid: GridVars) -> list[EdgeSpec]:
@@ -191,10 +254,11 @@ def _grid_vertices(grid: GridVars) -> list[VertexSpec]:
     return [VertexSpec(rc, lit) for rc, lit in grid.cells.items()]
 
 
-def hcp_grid(builder: CnfBuilder, grid: GridVars) -> list[EdgeSpec]:
-    """Apply hcp over the grid's cells; returns the edge list."""
+def hcp_grid(builder: CnfBuilder, grid: GridVars, anchors: Sequence[Cell] = ()) -> list[EdgeSpec]:
+    """Apply hcp over the grid's cells, with ``anchors`` as hcp's; returns
+    the edge list."""
     edges = grid_graph_edges(builder, grid)
-    hcp(builder, _grid_vertices(grid), edges)
+    hcp(builder, _grid_vertices(grid), edges, anchors)
     return edges
 
 
@@ -208,42 +272,42 @@ def scc(
     orientation shares its literal.  The empty subgraph is accepted.  No
     counter over the in-literals is built.
 
-    Every in-vertex but the root selects a parent over an active edge, and
-    its label is its parent's plus one (overflow banned).  Labels strictly
-    fall along a chain of parents, so the chain cannot repeat a vertex and
-    ends at the only vertex that needs no parent: the root.  No label bound
-    is needed.
+    Every in-vertex but the root (the lowest-index in-vertex) selects a
+    parent over an active edge, and its label is its parent's plus one, mod
+    2^w.  A chain of parents that repeats a vertex without passing the root
+    would be a cycle of fewer than n <= 2^w steps, which the labels cannot
+    go round; so every chain ends at the root.  No label bound is needed.
     """
     index = _check_vertices_edges(vs, es, directed=False)
     n = len(vs)
     in_lits = [v.in_lit for v in vs]
-
-    for e in es:
-        builder.add_trusted([-e.lit, in_lits[index[e.src]]])
-        builder.add_trusted([-e.lit, in_lits[index[e.dst]]])
+    ends = _edge_ends(builder, es, index, in_lits)
 
     roots, _ = _start_chain(builder, in_lits)
-    dist = _distance_labels(builder, vs, "sdist")
+    dist = _distance_labels(builder, vs, ends, "sdist")
 
-    # parent selection per vertex over its incident edges
+    # parent selection per vertex over its incident edges; vertex 0 is the
+    # root whenever it is in, so it needs no parent
     incident: list[list[tuple[Lit, int]]] = [[] for _ in range(n)]
-    for e in es:
-        i, j = index[e.src], index[e.dst]
+    for e, (i, j) in zip(es, ends):
         incident[i].append((e.lit, j))
         incident[j].append((e.lit, i))
 
     # selected parent j of i -> d_i = d_j + 1
-    for i in range(n):
+    steps: list[list[tuple[BitVec, list[Lit]]]] = [[] for _ in range(n)]
+    for i in range(1, n):
         parents = []
         for elit, j in incident[i]:
             p = builder.new_var()
             builder.add_trusted([-p, elit])
             parents.append(p)
-            builder.bitvec_successor(dist[j], dist[i], p)
-        if i:  # vertex 0 is the root whenever it is in: a tautology
-            builder.add_trusted([roots[i], -in_lits[i]] + parents)
+            steps[j].append((dist[i], [p]))
+        builder.add_trusted([roots[i], -in_lits[i]] + parents)
         if len(parents) > 1:
             builder.at_most_one(parents)
+    for j in range(n):
+        if steps[j]:
+            builder.bitvec_successors(dist[j], steps[j], wrap=True)
 
 
 def scc_grid(builder: CnfBuilder, grid: GridVars) -> None:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gridloop import CnfBuilder, distance_width, open_internal, parse_dimacs, solve_internal
+from gridloop import BitVec, CnfBuilder, distance_width, open_internal, parse_dimacs, solve_internal
 from gridloop.cli import _BUILDERS, _PARSERS, infer_kind
 from gridloop.cnf import _DIMACS_CHUNK, _FORMAT_BATCH, lit_value, write_dimacs
 
@@ -341,17 +341,15 @@ def test_bitvec_successor_needs_guard():
 
 
 def test_increment_values():
+    # x + 1 wraps: 7 + 1 is 0
     b = CnfBuilder()
     x = b.new_bitvec(3)
-    succ, overflow = b.increment(x)
+    succ = b.increment(x)
     for v in range(8):
         units = [bit if v >> i & 1 else -bit for i, bit in enumerate(x.bits)]
         out = sat_under(b.clauses, b.var_count, units)
         assert out.is_sat
-        m = out.model.assignment
-        assert lit_value(overflow, m) == (v == 7)
-        if v < 7:
-            assert succ.value(m) == v + 1
+        assert succ.value(out.model.assignment) == (v + 1) % 8
 
 
 def test_increment_built_once():
@@ -359,9 +357,78 @@ def test_increment_built_once():
     x = b.new_bitvec(3)
     first = b.increment(x)
     nvars, nclauses = b.var_count, len(b.clauses)
-    succ, overflow = b.increment(x)
-    assert (succ.bits, overflow) == (first[0].bits, first[1])
+    assert b.increment(x).bits == first.bits
     assert (b.var_count, len(b.clauses)) == (nvars, nclauses)
+
+
+def with_bit0(b, width, bit0):
+    """A bit vector whose bit 0 is the constant ``bit0`` and whose other
+    bits are fresh."""
+    return BitVec([bit0] + b.new_vars(width - 1))
+
+
+def values(vec, bit0):
+    """Every value of ``vec`` with its bit 0 equal to ``bit0``, with the
+    units that set its free bits to it."""
+    for v in range(1 << vec.width):
+        if bool(v & 1) == (bit0 == CnfBuilder.TRUE):
+            yield v, [bit if v >> i & 1 else -bit for i, bit in enumerate(vec.bits[1:], start=1)]
+
+
+@pytest.mark.parametrize("width", range(1, 5))
+@pytest.mark.parametrize("bit0", [CnfBuilder.TRUE, CnfBuilder.FALSE])
+def test_increment_with_a_constant_bit_0(width, bit0):
+    # x + 1 wraps, for every value of x; a carry that is constant, as out of
+    # an even x's bit 0, adds no gate
+    b = CnfBuilder()
+    x = with_bit0(b, width, bit0)
+    nvars, nclauses = b.var_count, len(b.clauses)
+    succ = b.increment(x)
+    if bit0 == CnfBuilder.FALSE:
+        assert (b.var_count, len(b.clauses)) == (nvars, nclauses)
+    for v, units in values(x, bit0):
+        out = sat_under(b.clauses, b.var_count, units)
+        assert out.is_sat
+        assert succ.value(out.model.assignment) == (v + 1) % (1 << width)
+
+
+@pytest.mark.parametrize("width", range(1, 5))
+@pytest.mark.parametrize("bit0", [CnfBuilder.TRUE, CnfBuilder.FALSE])
+@pytest.mark.parametrize("wrap", [False, True])
+def test_bitvec_successor_with_a_constant_bit_0(width, bit0, wrap):
+    # y's bit 0 is the other constant, as across an edge of a bipartite
+    # graph: under the guard y is x + 1 and nothing else, where x + 1
+    # overflows only with wrap; with the guard false, every pair survives
+    b = CnfBuilder()
+    x, y = with_bit0(b, width, bit0), with_bit0(b, width, -bit0)
+    guard = b.new_var()
+    b.bitvec_successor(x, y, guard, wrap=wrap)
+    top = 1 << width
+    assert all(1 not in cl and -1 not in cl for cl in b.clauses[1:])  # constants folded
+    for v, units in values(x, bit0):
+        if v == top - 1 and not wrap:
+            assert sat_under(b.clauses, b.var_count, [guard] + units).is_unsat
+            continue
+        for w, eq in values(y, -bit0):
+            got = sat_under(b.clauses, b.var_count, [guard] + units + eq).is_sat
+            assert got == (w == (v + 1) % top), (v, w)
+            assert sat_under(b.clauses, b.var_count, [-guard] + units + eq).is_sat
+
+
+def test_bitvec_successor_bans_what_a_constant_bit_rules_out():
+    # y's bit 0 equals x's: y = x + 1 cannot hold, so the guard is false
+    b = CnfBuilder()
+    x, y = with_bit0(b, 2, CnfBuilder.TRUE), with_bit0(b, 2, CnfBuilder.TRUE)
+    guard = b.new_var()
+    b.bitvec_successor(x, y, guard, wrap=True)
+    assert sat_under(b.clauses, b.var_count, [guard]).is_unsat
+    assert sat_under(b.clauses, b.var_count, [-guard]).is_sat
+
+
+def dimacs(b):
+    out = io.StringIO()
+    b.emit_dimacs(out)
+    return out.getvalue()
 
 
 def test_emit_dimacs_round_trip():
@@ -369,7 +436,7 @@ def test_emit_dimacs_round_trip():
     xs = b.new_vars(5)
     b.exactly_one(xs)
     b.gate_and(xs[:3])
-    nvars, clauses = parse_dimacs(b.to_dimacs())
+    nvars, clauses = parse_dimacs(dimacs(b))
     assert nvars == b.var_count
     assert clauses == b.clauses
 
@@ -378,7 +445,7 @@ def test_emit_dimacs_header_counts():
     b = CnfBuilder()
     v = b.new_var()
     b.add_clause([v, -1])
-    text = b.to_dimacs()
+    text = dimacs(b)
     assert text.startswith(f"p cnf {b.var_count} {len(b.clauses)}\n")
     assert "1 0\n" in text  # the constant-true unit clause
 
@@ -388,8 +455,8 @@ def test_emit_dimacs_empty_clause_reads_back_unsat():
     v = b.new_var()
     b.add_clause([v])
     b.add_clause([])
-    assert b.to_dimacs() == "p cnf 2 3\n1 0\n2 0\n 0\n"
-    nvars, clauses = parse_dimacs(b.to_dimacs())
+    assert dimacs(b) == "p cnf 2 3\n1 0\n2 0\n 0\n"
+    nvars, clauses = parse_dimacs(dimacs(b))
     assert clauses == b.clauses
     assert solve_internal(clauses, nvars).is_unsat
 

@@ -9,6 +9,7 @@ from gridloop import (
     EdgeSpec,
     GridVars,
     VertexSpec,
+    distance_width,
     hcp,
     hcp_grid,
     make_grid,
@@ -129,8 +130,8 @@ def test_hcp_empty_forbidden_by_default():
 
 def test_hcp_distances_bijection():
     # labels carry no bound and the start's is not pinned, but 4 vertices
-    # fill the 2-bit width: three steps from the start without overflow
-    # leave only {0..3}
+    # fill the 2-bit width: three steps of +1 mod 4 from the start leave
+    # only {0..3}
     b = CnfBuilder()
     vs, es = complete_digraph(b, 4)
     hcp(b, vs, es)
@@ -175,6 +176,31 @@ def test_hcp_random_digraphs_vs_oracle():
             assert got == directed_cycles(n, edges), edges
 
 
+def test_hcp_anchored_random_digraphs_vs_oracle():
+    # with an anchor, which the caller puts in, the formula admits exactly
+    # the single directed cycles through it
+    rng = random.Random(6)
+    for n in range(1, 6):
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for _ in range(4):
+            edges = [p for p in pairs if rng.random() < 0.5]
+            for anchor in range(n):
+                b = CnfBuilder()
+                vs = [VertexSpec(i, b.new_var()) for i in range(n)]
+                es = [EdgeSpec(i, j, b.new_var()) for i, j in edges]
+                hcp(b, vs, es, anchors=[anchor])
+                b.add_clause([vs[anchor].in_lit])
+                got = {
+                    (
+                        frozenset(v.term for v, bit in zip(vs, bits) if bit),
+                        frozenset((e.src, e.dst) for e, bit in zip(es, bits[n:]) if bit),
+                    )
+                    for bits in enumerate_selector_models(b, [v.in_lit for v in vs] + [e.lit for e in es])
+                }
+                want = {c for c in directed_cycles(n, edges) if anchor in c[0]}
+                assert got == want, (edges, anchor)
+
+
 def test_hcp_rejects_bad_input():
     b = CnfBuilder()
     v1, v2 = VertexSpec(1, b.new_var()), VertexSpec(2, b.new_var())
@@ -187,6 +213,8 @@ def test_hcp_rejects_bad_input():
     e = EdgeSpec(1, 2, b.new_var())
     with pytest.raises(ValueError):
         hcp(b, [v1, v2], [e, EdgeSpec(1, 2, b.new_var())])
+    with pytest.raises(ValueError):
+        hcp(b, [v1, v2], [e], anchors=[3])
 
 
 # -- hcp_grid -------------------------------------------------------------
@@ -238,6 +266,97 @@ def test_hcp_grid_exhaustive_2x3():
     # every in-subset of every 2x3 grid with holes against brute-force
     # cycle search
     check_grid_with_holes(2, 3, hcp_grid, has_ham_cycle_grid)
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3), (3, 3)])
+def test_hcp_grid_anchored_exhaustive(rows, cols):
+    # every subset against brute-force cycle search, for every anchor, which
+    # the caller puts in.  The full 2x2 with its anchor at (1, 2) or (2, 1),
+    # whose label bit 0 is TRUE, needs a step that wraps: its labels run
+    # 1, 2, 3, 0 or 3, 0, 1, 2
+    cells = grid_cells(rows, cols)
+    for anchor in cells:
+        b = CnfBuilder()
+        grid = make_grid(b, rows, cols)
+        hcp_grid(b, grid, anchors=[anchor])
+        b.add_clause([grid.cell(*anchor)])
+        for mask in range(1 << len(cells)):
+            subset = {cell for i, cell in enumerate(cells) if mask >> i & 1}
+            units = [[lit] if cell in subset else [-lit] for cell, lit in grid.cells.items()]
+            got = solve_internal(b.clauses + units, b.var_count).is_sat
+            assert got == (anchor in subset and has_ham_cycle_grid(subset)), (anchor, subset)
+
+
+def labels(b, model, prefix, terms, width, bit0):
+    """Each term's label in ``model``: its bits named ``<prefix>_<term>_<i>``
+    for i >= 1, and bit 0 from ``bit0(term)``."""
+    lit = {name: v for v, name in b.names.items()}
+    out = {}
+    for term in terms:
+        assert f"{prefix}_{term}_0" not in lit  # bit 0 is no variable
+        out[term] = int(bit0(term)) | sum(
+            model[lit[f"{prefix}_{term}_{i}"]] << i for i in range(1, width)
+        )
+    return out
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+def test_hcp_grid_label_bit_0_is_the_cell_colour(anchored):
+    # on a full grid the side of (1, 1) is FALSE, so bit 0 of a cell's label
+    # is (r + c) odd; in every model found, each active edge into a cell
+    # other than the start steps that label by +1 mod 2^w
+    rows, cols = 3, 4
+    cells = grid_cells(rows, cols)
+    width = distance_width(len(cells))
+    for mask in range(1, 1 << len(cells)):
+        subset = {cell for i, cell in enumerate(cells) if mask >> i & 1}
+        if not has_ham_cycle_grid(subset):
+            continue
+        start = min(subset)
+        b = CnfBuilder()
+        grid = make_grid(b, rows, cols)
+        edges = hcp_grid(b, grid, anchors=[start] if anchored else ())
+        units = [[lit] if cell in subset else [-lit] for cell, lit in grid.cells.items()]
+        out = solve_internal(b.clauses + units, b.var_count)
+        d = labels(b, out.model, "dist", cells, width, lambda rc: sum(rc) % 2)
+        for e in edges:
+            if out.model[e.lit] and e.dst != start:
+                assert d[e.dst] == (d[e.src] + 1) % (1 << width), (subset, e)
+
+
+def test_scc_grid_label_bit_0_is_the_cell_colour():
+    # every in-cell but the root, the first in row-major order, has an
+    # in-neighbour whose label is one less, mod 2^w
+    rows, cols = 3, 3
+    cells = grid_cells(rows, cols)
+    width = distance_width(len(cells))
+    for mask in range(1, 1 << len(cells)):
+        subset = {cell for i, cell in enumerate(cells) if mask >> i & 1}
+        if not orthogonally_connected(subset):
+            continue
+        b = CnfBuilder()
+        grid = make_grid(b, rows, cols)
+        scc_grid(b, grid)
+        units = [[lit] if cell in subset else [-lit] for cell, lit in grid.cells.items()]
+        out = solve_internal(b.clauses + units, b.var_count)
+        d = labels(b, out.model, "sdist", cells, width, lambda rc: sum(rc) % 2)
+        for r, c in subset - {min(subset)}:
+            nbrs = {(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)} & subset
+            assert any(d[(r, c)] == (d[nb] + 1) % (1 << width) for nb in nbrs), (subset, (r, c))
+
+
+@pytest.mark.parametrize("encode", [hcp, scc])
+def test_an_odd_cycle_keeps_a_free_bit_0(encode):
+    # a 5-cycle (a triangle would fit in 2 bits) cannot be 2-coloured: each
+    # label keeps a variable for bit 0, and the full cycle is a model
+    b = CnfBuilder()
+    vs = [VertexSpec(i, b.new_var()) for i in range(5)]
+    es = [EdgeSpec(i, (i + 1) % 5, b.new_var()) for i in range(5)]
+    encode(b, vs, es)
+    prefix = "dist" if encode is hcp else "sdist"
+    assert {f"{prefix}_{i}_0" for i in range(5)} <= set(b.names.values())
+    force_in(b, vs, set(range(5)))
+    assert solve_internal(b.clauses, b.var_count).is_sat
 
 
 # -- scc ------------------------------------------------------------------

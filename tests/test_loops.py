@@ -172,14 +172,17 @@ def test_a_black_neighbour_stops_the_ladder(row, gates):
 def test_adjacent_circles_share_one_gate_per_edge():
     # on the eager model each edge a rule reads gets one gate_or of its two
     # directions; white circles at (3, 2) and (3, 3) both read the edges
-    # (3, 1)-(3, 2), (3, 2)-(3, 3) and (3, 3)-(3, 4), which get one gate each
+    # (3, 1)-(3, 2), (3, 2)-(3, 3) and (3, 3)-(3, 4), which get one gate each.
+    # Every board has the black circle at (5, 5), whose arms read none of
+    # those edges: a board with a circle builds no start chain, so each
+    # board is held against one that has a circle too
     def eager_vars(row):
         b = CnfBuilder()
-        build_masyu(b, parse_masyu(f"5\n.....\n.....\n{row}\n.....\n.....\n"))
+        build_masyu(b, parse_masyu(f"5\n.....\n.....\n{row}\n.....\n....b\n"))
         return b.var_count
 
-    blank = eager_vars(".....")
-    left, right, both = (eager_vars(row) - blank for row in (".w...", "..w..", ".ww.."))
+    base = eager_vars(".....")
+    left, right, both = (eager_vars(row) - base for row in (".w...", "..w..", ".ww.."))
     assert (left, right) == (7 + 3, 8 + 4)  # the edges read, the ladder gates
     assert both == left + right - 3
 
