@@ -326,23 +326,23 @@ class CnfBuilder:
         self._increments[key] = BitVec(succ)
         return self._increments[key]
 
-    def bitvec_successor(self, x: BitVec, y: BitVec, *guard: Lit, wrap: bool = False) -> None:
-        """AND(guard) -> (y = x + 1).  Without ``wrap``, overflow (x
-        all-ones) is banned under the guard; with it, the sum is taken mod
-        2^width.  Needs at least one guard literal."""
-        self.bitvec_successors(x, [(y, guard)], wrap)
+    def bitvec_successor(self, x: BitVec, y: BitVec, *guard: Lit) -> None:
+        """AND(guard) -> (y = x + 1), with overflow (x all-ones) banned under
+        the guard.  Needs at least one guard literal."""
+        self.bitvec_successors(x, [(y, guard)])
+        overflow = _fold([-b for b in x.bits])
+        if overflow is not None:
+            self.add_trusted([-g for g in guard] + overflow)
 
-    def bitvec_successors(
-        self, x: BitVec, steps: Sequence[tuple[BitVec, Sequence[Lit]]], wrap: bool = False
-    ) -> None:
-        """``bitvec_successor`` from one x to each (y, guard) of ``steps``,
-        over one ``increment`` of x, with the clauses appended in one batch.
+    def bitvec_successors(self, x: BitVec, steps: Sequence[tuple[BitVec, Sequence[Lit]]]) -> None:
+        """For each (y, guard) of ``steps``: AND(guard) -> (y = x + 1 mod
+        2^width), over one ``increment`` of x, with the clauses appended in
+        one batch.  Each guard needs at least one literal.
 
         Constant bits fold: a clause with a ``TRUE`` literal is dropped and
         ``FALSE`` literals are stripped, so a bit that is the same literal in
         y and in x + 1 costs nothing."""
         succ = self.increment(x).bits
-        overflow = None if wrap else _fold([-b for b in x.bits])
         out: list[list[Lit]] = []
         add = out.append
         for y, guard in steps:
@@ -351,23 +351,16 @@ class CnfBuilder:
             if y.width != x.width:
                 raise ValueError("bitvec width mismatch")
             # ``pre + [...]`` gives each clause a list of its exact size, where
-            # ``[*pre, ...]`` would over-allocate it; one guard literal, the
-            # usual case, needs no concatenation
+            # ``[*pre, ...]`` would over-allocate it
             pre = [-g for g in guard]
-            g = pre[0] if len(pre) == 1 else None
             for yb, sb in zip(y.bits, succ):
                 if yb == sb:
                     continue
                 if yb in _CONSTANTS or sb in _CONSTANTS or yb == -sb:
                     out += [pre + body for body in (_fold([-yb, sb]), _fold([yb, -sb])) if body is not None]
-                elif g is not None:
-                    add([g, -yb, sb])
-                    add([g, yb, -sb])
                 else:
                     add(pre + [-yb, sb])
                     add(pre + [yb, -sb])
-            if overflow is not None:
-                add(pre + overflow)
         self.clauses += out
 
     # -- output ---------------------------------------------------------

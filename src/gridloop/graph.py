@@ -3,8 +3,8 @@
 Two families are provided:
 
 * ``hcp`` — the active directed edges form a single cycle covering exactly
-  the in-vertices (distance encoding: the first anchor, or without anchors
-  the lowest-index in-vertex, is the start, and every active edge into
+  the in-vertices (distance encoding: the given start vertex, or without
+  one the lowest-index in-vertex, is the start, and every active edge into
   another vertex steps the label by +1).
 * ``scc`` — the in-vertices with their active undirected edges form one
   connected component (tree encoding: the lowest-index in-vertex is the
@@ -178,16 +178,15 @@ def _distance_labels(
 
 
 def hcp(
-    builder: CnfBuilder, vs: Sequence[VertexSpec], es: Sequence[EdgeSpec], anchors: Sequence[Hashable] = ()
+    builder: CnfBuilder, vs: Sequence[VertexSpec], es: Sequence[EdgeSpec], start: Hashable | None = None
 ) -> None:
     """Constrain the active edges to form a single directed cycle covering
     exactly the in-vertices.
 
     A single in-vertex with no active edges counts as a (degenerate) cycle.
-    Without ``anchors`` the empty subgraph is forbidden, and the start is
-    the lowest-index in-vertex.  ``anchors`` are vertex terms that every
-    model has in, and the caller puts them in: the first is then the start,
-    the start chain is not built, and the others are not read.  No counter
+    ``start`` is a vertex term that every model has in, and the caller puts
+    it in; no start chain is then built.  Without it the empty subgraph is
+    forbidden, and the start is the lowest-index in-vertex.  No counter
     over the in-literals is built.
 
     Every in-vertex but the start has exactly one active out-edge and one
@@ -203,10 +202,10 @@ def hcp(
     in_lits = [v.in_lit for v in vs]
     ends = _edge_ends(builder, es, index, in_lits)
 
-    if anchors:
-        if anchors[0] not in index:
-            raise ValueError(f"anchor {anchors[0]!r} is not a vertex")
-        start, starts = index[anchors[0]], None
+    if start is not None:
+        if start not in index:
+            raise ValueError(f"start {start!r} is not a vertex")
+        start, starts = index[start], None
     else:
         # vertex 0 is the start whenever it is in
         start, (starts, seen) = 0, _start_chain(builder, in_lits)
@@ -235,7 +234,7 @@ def hcp(
             steps[i].append((dist[j], [e.lit, -starts[j]] if starts else [e.lit]))
     for i in range(n):
         if steps[i]:
-            builder.bitvec_successors(dist[i], steps[i], wrap=True)
+            builder.bitvec_successors(dist[i], steps[i])
 
 
 def grid_graph_edges(builder: CnfBuilder, grid: GridVars) -> list[EdgeSpec]:
@@ -254,11 +253,11 @@ def _grid_vertices(grid: GridVars) -> list[VertexSpec]:
     return [VertexSpec(rc, lit) for rc, lit in grid.cells.items()]
 
 
-def hcp_grid(builder: CnfBuilder, grid: GridVars, anchors: Sequence[Cell] = ()) -> list[EdgeSpec]:
-    """Apply hcp over the grid's cells, with ``anchors`` as hcp's; returns
+def hcp_grid(builder: CnfBuilder, grid: GridVars, start: Cell | None = None) -> list[EdgeSpec]:
+    """Apply hcp over the grid's cells, with ``start`` as hcp's; returns
     the edge list."""
     edges = grid_graph_edges(builder, grid)
-    hcp(builder, _grid_vertices(grid), edges, anchors)
+    hcp(builder, _grid_vertices(grid), edges, start)
     return edges
 
 
@@ -307,7 +306,7 @@ def scc(
             builder.at_most_one(parents)
     for j in range(n):
         if steps[j]:
-            builder.bitvec_successors(dist[j], steps[j], wrap=True)
+            builder.bitvec_successors(dist[j], steps[j])
 
 
 def scc_grid(builder: CnfBuilder, grid: GridVars) -> None:

@@ -112,8 +112,8 @@ def build_loop(
     propagator): ``decode(assignment)`` reads the loop back with
     ``decode_loop``, and there is no objective.
 
-    The eager model (``hcp`` over directed edges, with the circles as its
-    anchors) is complete on its own, and the propagator is None;
+    The eager model (``hcp`` over directed edges, started at the first
+    circle) is complete on its own, and the propagator is None;
     ``edge(a, b)`` there is one ``gate_or`` of the two directions, built the
     first time a rule reads the edge.  With
     ``lazy`` and at least one circle, the lazy model ``cycle_grid`` is built
@@ -127,7 +127,7 @@ def build_loop(
     if lazy and circles:
         edges, propagator = cycle_grid(builder, grid, circles)
     else:
-        edges, propagator = hcp_grid(builder, grid, circles), None
+        edges, propagator = hcp_grid(builder, grid, circles[0] if circles else None), None
     directed = {(e.src, e.dst): e.lit for e in edges}
     # keyed (up or left cell, other), as the lazy model lists its edges
     undirected = dict(directed) if propagator is not None else {}

@@ -275,33 +275,78 @@ def test_count_bounds_out_of_range():
             b.bound_le(count, k)
 
 
+def successor(b, x, y, guards, wrap):
+    """y = x + 1 under ``guards``: mod 2^w through ``bitvec_successors``
+    with ``wrap``, else through ``bitvec_successor``, which bans overflow."""
+    if wrap:
+        b.bitvec_successors(x, [(y, guards)])
+    else:
+        b.bitvec_successor(x, y, *guards)
+
+
 @pytest.mark.parametrize(
-    "width,nguards",
-    [(w, 1) for w in range(1, 5)] + [(w, 2) for w in range(1, 5)],
-    ids=[f"{w}" for w in range(1, 5)] + [f"{w}-2guards" for w in range(1, 5)],
+    "width,nguards,wrap",
+    [(w, g, wrap) for wrap in (False, True) for g in (1, 2) for w in range(1, 5)],
+    ids=[
+        f"{w}{'-2guards' if g == 2 else ''}{'-wrap' if wrap else ''}"
+        for wrap in (False, True) for g in (1, 2) for w in range(1, 5)
+    ],
 )
-def test_bitvec_successor_exhaustive(width, nguards):
+def test_bitvec_successor_exhaustive(width, nguards, wrap):
     b = CnfBuilder()
     x = b.new_bitvec(width)
     y = b.new_bitvec(width)
     guards = b.new_vars(nguards)
-    b.bitvec_successor(x, y, *guards)
+    successor(b, x, y, guards, wrap)
     top = (1 << width) - 1
-    for v in range(top):
+    for v in range(top + 1):
         units = guards + [
             bit if v >> i & 1 else -bit for i, bit in enumerate(x.bits)
         ]
         out = sat_under(b.clauses, b.var_count, units)
+        if v == top and not wrap:
+            assert out.is_unsat
+            continue
+        want = (v + 1) & top
         assert out.is_sat
-        assert y.value(out.model.assignment) == v + 1
+        assert y.value(out.model.assignment) == want
         # y is forced: any other value is UNSAT
         for w in range(1 << width):
-            if w == v + 1:
+            if w == want:
                 continue
             wrong = [
                 bit if w >> i & 1 else -bit for i, bit in enumerate(y.bits)
             ]
             assert sat_under(b.clauses, b.var_count, units + wrong).is_unsat
+
+
+def test_bitvec_successors_several_steps_from_one_x():
+    # three steps out of one x, over one increment: each y is x + 1 mod 8
+    # under its own guard and free under a false one
+    b = CnfBuilder()
+    x = b.new_bitvec(3)
+    ys = [b.new_bitvec(3) for _ in range(3)]
+    guards = [[b.new_var()], [b.new_var(), b.new_var()], [b.new_var()]]
+    b.bitvec_successors(x, list(zip(ys, guards)))
+    gates = b.var_count
+    b.increment(x)
+    assert b.var_count == gates  # the increment was built once
+    flat = [g for gs in guards for g in gs]
+    proj = input_projection(b.clauses, b.var_count, x.bits + [bit for y in ys for bit in y.bits] + flat)
+
+    def value(bits):
+        return sum(bit << i for i, bit in enumerate(bits))
+
+    for bits in itertools.product([False, True], repeat=4):
+        on = [bits[0], bits[1] and bits[2], bits[3]]
+        survivors = [p for p in proj if p[12:] == bits]
+        # every y not forced is free: 8 x values times 8 per free y
+        assert len(survivors) == 8 * 8 ** on.count(False)
+        for p in survivors:
+            v = value(p[:3])
+            for k, y_on in enumerate(on):
+                if y_on:
+                    assert value(p[3 + 3 * k:6 + 3 * k]) == (v + 1) % 8
 
 
 def test_bitvec_successor_overflow_banned():
@@ -398,11 +443,11 @@ def test_increment_with_a_constant_bit_0(width, bit0):
 def test_bitvec_successor_with_a_constant_bit_0(width, bit0, wrap):
     # y's bit 0 is the other constant, as across an edge of a bipartite
     # graph: under the guard y is x + 1 and nothing else, where x + 1
-    # overflows only with wrap; with the guard false, every pair survives
+    # overflows only without wrap; with the guard false, every pair survives
     b = CnfBuilder()
     x, y = with_bit0(b, width, bit0), with_bit0(b, width, -bit0)
     guard = b.new_var()
-    b.bitvec_successor(x, y, guard, wrap=wrap)
+    successor(b, x, y, [guard], wrap)
     top = 1 << width
     assert all(1 not in cl and -1 not in cl for cl in b.clauses[1:])  # constants folded
     for v, units in values(x, bit0):
@@ -420,7 +465,7 @@ def test_bitvec_successor_bans_what_a_constant_bit_rules_out():
     b = CnfBuilder()
     x, y = with_bit0(b, 2, CnfBuilder.TRUE), with_bit0(b, 2, CnfBuilder.TRUE)
     guard = b.new_var()
-    b.bitvec_successor(x, y, guard, wrap=True)
+    b.bitvec_successors(x, [(y, [guard])])
     assert sat_under(b.clauses, b.var_count, [guard]).is_unsat
     assert sat_under(b.clauses, b.var_count, [-guard]).is_sat
 

@@ -176,20 +176,20 @@ def test_hcp_random_digraphs_vs_oracle():
             assert got == directed_cycles(n, edges), edges
 
 
-def test_hcp_anchored_random_digraphs_vs_oracle():
-    # with an anchor, which the caller puts in, the formula admits exactly
+def test_hcp_started_random_digraphs_vs_oracle():
+    # with a start, which the caller puts in, the formula admits exactly
     # the single directed cycles through it
     rng = random.Random(6)
     for n in range(1, 6):
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         for _ in range(4):
             edges = [p for p in pairs if rng.random() < 0.5]
-            for anchor in range(n):
+            for start in range(n):
                 b = CnfBuilder()
                 vs = [VertexSpec(i, b.new_var()) for i in range(n)]
                 es = [EdgeSpec(i, j, b.new_var()) for i, j in edges]
-                hcp(b, vs, es, anchors=[anchor])
-                b.add_clause([vs[anchor].in_lit])
+                hcp(b, vs, es, start=start)
+                b.add_clause([vs[start].in_lit])
                 got = {
                     (
                         frozenset(v.term for v, bit in zip(vs, bits) if bit),
@@ -197,8 +197,8 @@ def test_hcp_anchored_random_digraphs_vs_oracle():
                     )
                     for bits in enumerate_selector_models(b, [v.in_lit for v in vs] + [e.lit for e in es])
                 }
-                want = {c for c in directed_cycles(n, edges) if anchor in c[0]}
-                assert got == want, (edges, anchor)
+                want = {c for c in directed_cycles(n, edges) if start in c[0]}
+                assert got == want, (edges, start)
 
 
 def test_hcp_rejects_bad_input():
@@ -214,7 +214,7 @@ def test_hcp_rejects_bad_input():
     with pytest.raises(ValueError):
         hcp(b, [v1, v2], [e, EdgeSpec(1, 2, b.new_var())])
     with pytest.raises(ValueError):
-        hcp(b, [v1, v2], [e], anchors=[3])
+        hcp(b, [v1, v2], [e], start=3)
 
 
 # -- hcp_grid -------------------------------------------------------------
@@ -269,22 +269,22 @@ def test_hcp_grid_exhaustive_2x3():
 
 
 @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3), (3, 3)])
-def test_hcp_grid_anchored_exhaustive(rows, cols):
-    # every subset against brute-force cycle search, for every anchor, which
-    # the caller puts in.  The full 2x2 with its anchor at (1, 2) or (2, 1),
+def test_hcp_grid_started_exhaustive(rows, cols):
+    # every subset against brute-force cycle search, for every start, which
+    # the caller puts in.  The full 2x2 with its start at (1, 2) or (2, 1),
     # whose label bit 0 is TRUE, needs a step that wraps: its labels run
     # 1, 2, 3, 0 or 3, 0, 1, 2
     cells = grid_cells(rows, cols)
-    for anchor in cells:
+    for start in cells:
         b = CnfBuilder()
         grid = make_grid(b, rows, cols)
-        hcp_grid(b, grid, anchors=[anchor])
-        b.add_clause([grid.cell(*anchor)])
+        hcp_grid(b, grid, start=start)
+        b.add_clause([grid.cell(*start)])
         for mask in range(1 << len(cells)):
             subset = {cell for i, cell in enumerate(cells) if mask >> i & 1}
             units = [[lit] if cell in subset else [-lit] for cell, lit in grid.cells.items()]
             got = solve_internal(b.clauses + units, b.var_count).is_sat
-            assert got == (anchor in subset and has_ham_cycle_grid(subset)), (anchor, subset)
+            assert got == (start in subset and has_ham_cycle_grid(subset)), (start, subset)
 
 
 def labels(b, model, prefix, terms, width, bit0):
@@ -300,8 +300,8 @@ def labels(b, model, prefix, terms, width, bit0):
     return out
 
 
-@pytest.mark.parametrize("anchored", [False, True])
-def test_hcp_grid_label_bit_0_is_the_cell_colour(anchored):
+@pytest.mark.parametrize("started", [False, True])
+def test_hcp_grid_label_bit_0_is_the_cell_colour(started):
     # on a full grid the side of (1, 1) is FALSE, so bit 0 of a cell's label
     # is (r + c) odd; in every model found, each active edge into a cell
     # other than the start steps that label by +1 mod 2^w
@@ -315,7 +315,7 @@ def test_hcp_grid_label_bit_0_is_the_cell_colour(anchored):
         start = min(subset)
         b = CnfBuilder()
         grid = make_grid(b, rows, cols)
-        edges = hcp_grid(b, grid, anchors=[start] if anchored else ())
+        edges = hcp_grid(b, grid, start=start if started else None)
         units = [[lit] if cell in subset else [-lit] for cell, lit in grid.cells.items()]
         out = solve_internal(b.clauses + units, b.var_count)
         d = labels(b, out.model, "dist", cells, width, lambda rc: sum(rc) % 2)
