@@ -8,8 +8,12 @@ roadrunner-opt benchmark workloads at SEED (default 300), then every bundled
 instance.  Each is solved by ``gridloop.cli.run`` from CHECKOUT's ``src``,
 and one JSON line per puzzle gives its name, its result, the size of its
 formula (``vars`` and ``clauses``) and the ``stats`` of each solver probe in
-order.  Run it on two checkouts and compare the lines to tell whether a
-change keeps the formula and the search step for step.
+order.  Then each bundled instance but ``masyu_30x30`` (which the internal
+solver does not finish without a propagator) is solved the same way through
+its eager formula, the one ``encode`` and ``--solver`` take, with no
+propagator: its line is named ``eager/<instance>``, and Road Runner's probes
+are ``maximize``'s.  Run it on two checkouts and compare the lines to tell
+whether a change keeps the formula and the search step for step.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ sys.path[:0] = [os.path.join(root, "src"), perfbench]
 
 import gridloop.solver  # noqa: E402
 import workloads  # noqa: E402
-from gridloop.cli import _PARSERS, RunConfig, infer_kind, run  # noqa: E402
+from gridloop.cli import _BUILDERS, _PARSERS, RunConfig, infer_kind, run  # noqa: E402
 
 probes = []
 solve_internal = gridloop.solver.solve_internal
@@ -46,10 +50,22 @@ puzzles = [
     for w in ("puzzle-mix", "roadrunner-opt")
     for inst in workloads.make_pool(w, seed, root, rounds=rounds).items
 ]
+bundled = []
 for path in sorted(glob.glob(os.path.join(root, "instances", "*"))):
     with open(path) as f:
-        puzzles.append((os.path.basename(path), infer_kind(path, None), f.read()))
-for name, kind, text in puzzles:
-    probes.clear()
-    result = run(RunConfig(kind, None, None), _PARSERS[kind](text))
-    print(json.dumps({"name": name, "result": result.status, "vars": result.vars, "clauses": result.clauses, "probes": probes}))
+        bundled.append((os.path.basename(path), infer_kind(path, None), f.read()))
+
+
+def report(puzzles):
+    for name, kind, text in puzzles:
+        probes.clear()
+        result = run(RunConfig(kind, None, None), _PARSERS[kind](text))
+        print(json.dumps({"name": name, "result": result.status, "vars": result.vars, "clauses": result.clauses, "probes": probes}))
+
+
+report(puzzles + bundled)
+# ``run`` builds the lazy model for the internal solver; these builders
+# ignore that and build the eager one, whose propagator is None
+for kind, build in list(_BUILDERS.items()):
+    _BUILDERS[kind] = lambda b, inst, lazy, build=build: build(b, inst)
+report((f"eager/{name}", kind, text) for name, kind, text in bundled if name != "masyu_30x30.masyu")

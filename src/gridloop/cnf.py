@@ -10,7 +10,6 @@ wherever a literal is expected (``builder.TRUE`` / ``builder.FALSE``).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -75,6 +74,16 @@ _AMO_PAIRWISE_MAX = 6
 
 # The constant literals, ``CnfBuilder.TRUE`` and ``CnfBuilder.FALSE``.
 _CONSTANTS = (1, -1)
+
+# _LFSR_TAPS[m] is the primitive polynomial of degree m that
+# ``lfsr_successors`` steps by, as its terms below x^m (bit k for x^k): of
+# the fewest terms, then the least; x^8 + x^4 + x^3 + x^2 + 1 is 0x1D.  Its
+# nonzero states form one cycle of 2^m - 1 steps (Golomb, Shift Register
+# Sequences, 1967); tests/test_cnf.py checks each entry's period.
+_LFSR_TAPS = (
+    None, 0x1, 0x3, 0x3, 0x3, 0x5, 0x3, 0x3, 0x1D, 0x11, 0x9,
+    0x5, 0x53, 0x1B, 0x2B, 0x3, 0x2D, 0x9, 0x81, 0x27, 0x9,
+)
 
 
 def _fold(lits: list[Lit]) -> list[Lit] | None:
@@ -302,7 +311,11 @@ class CnfBuilder:
         """x + 1 mod 2^width as a ripple carry, built once per bit vector; a
         repeat call adds nothing.  Constant bits (``TRUE``, ``FALSE``) fold: a
         constant carry, or a carry into a constant bit, adds no gate, and the
-        carry out of the top bit is never built."""
+        carry out of the top bit is never built.  No encoder calls it: the
+        labels of ``hcp`` and ``scc`` step by ``lfsr_successors``.  It stays,
+        with the two successor methods over it, for criterion 3, whose
+        exhaustive table checks ``bitvec_successor``, as ``exactly_one``
+        does."""
         key = tuple(x.bits)
         if key in self._increments:
             return self._increments[key]
@@ -328,7 +341,8 @@ class CnfBuilder:
 
     def bitvec_successor(self, x: BitVec, y: BitVec, *guard: Lit) -> None:
         """AND(guard) -> (y = x + 1), with overflow (x all-ones) banned under
-        the guard.  Needs at least one guard literal."""
+        the guard.  Needs at least one guard literal.  No encoder calls it;
+        criterion 3's exhaustive table checks it."""
         self.bitvec_successors(x, [(y, guard)])
         overflow = _fold([-b for b in x.bits])
         if overflow is not None:
@@ -336,24 +350,50 @@ class CnfBuilder:
 
     def bitvec_successors(self, x: BitVec, steps: Sequence[tuple[BitVec, Sequence[Lit]]]) -> None:
         """For each (y, guard) of ``steps``: AND(guard) -> (y = x + 1 mod
-        2^width), over one ``increment`` of x, with the clauses appended in
-        one batch.  Each guard needs at least one literal.
+        2^width), over one ``increment`` of x (see ``_steps_to``)."""
+        self._steps_to(self.increment(x).bits, steps)
+
+    def lfsr_successors(self, x: BitVec, steps: Sequence[tuple[BitVec, Sequence[Lit]]]) -> None:
+        """For each (y, guard) of ``steps``: AND(guard) -> (y = f(x)), where
+        f is one step of a Galois shift register (LFSR) over the primitive
+        polynomial ``_LFSR_TAPS[m]`` of x's m state bits (see ``_steps_to``).
+
+        Where x's bit 0 is a constant, as on a 2-coloured graph, its other
+        bits are the state, and f flips bit 0: from ``FALSE`` it keeps the
+        state, from ``TRUE`` it shifts it.  Otherwise every bit is state, and
+        f shifts it.  A shift multiplies the state by x modulo the
+        polynomial, with one ``gate_xor`` per feedback tap, built once per
+        call.  Its nonzero states form one cycle of 2^m - 1 shifts, and zero
+        is a fixed point, which the caller bans."""
+        bits = x.bits
+        head, state = ([-bits[0]], bits[1:]) if bits[0] in _CONSTANTS else ([], bits)
+        m = len(state)
+        if not 0 < m < len(_LFSR_TAPS):
+            raise ValueError(f"no shift register of width {m}")
+        if bits[0] != self.FALSE:
+            taps, out = _LFSR_TAPS[m], state[-1]
+            state = [out] + [self.gate_xor(s, out) if taps >> k & 1 else s for k, s in enumerate(state[:-1], 1)]
+        self._steps_to(head + state, steps)
+
+    def _steps_to(self, image: list[Lit], steps: Sequence[tuple[BitVec, Sequence[Lit]]]) -> None:
+        """For each (y, guard) of ``steps``: AND(guard) -> (y = image), with
+        the clauses appended in one batch.  Each guard needs at least one
+        literal.
 
         Constant bits fold: a clause with a ``TRUE`` literal is dropped and
         ``FALSE`` literals are stripped, so a bit that is the same literal in
-        y and in x + 1 costs nothing."""
-        succ = self.increment(x).bits
+        y and in the image costs nothing."""
         out: list[list[Lit]] = []
         add = out.append
         for y, guard in steps:
             if not guard:
-                raise ValueError("bitvec_successor needs a guard literal")
-            if y.width != x.width:
+                raise ValueError("a successor step needs a guard literal")
+            if y.width != len(image):
                 raise ValueError("bitvec width mismatch")
             # ``pre + [...]`` gives each clause a list of its exact size, where
             # ``[*pre, ...]`` would over-allocate it
             pre = [-g for g in guard]
-            for yb, sb in zip(y.bits, succ):
+            for yb, sb in zip(y.bits, image):
                 if yb == sb:
                     continue
                 if yb in _CONSTANTS or sb in _CONSTANTS or yb == -sb:
@@ -416,13 +456,6 @@ def write_dimacs(sink, nvars: int, clauses: Sequence[Sequence[Lit]]) -> None:
     for i in range(0, len(clauses), _DIMACS_CHUNK):
         end = min(i + _DIMACS_CHUNK, len(clauses))
         sink.write("".join([lines(clauses[j : j + _FORMAT_BATCH]) for j in range(i, end, _FORMAT_BATCH)]))
-
-
-def distance_width(n: int) -> int:
-    """Bit width for distance labels over n vertices: max(1, ceil(log2 n))."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    return max(1, math.ceil(math.log2(n))) if n > 1 else 1
 
 
 def parse_dimacs(text: str) -> tuple[int, list[list[Lit]]]:

@@ -5,20 +5,24 @@ Two families are provided:
 * ``hcp`` — the active directed edges form a single cycle covering exactly
   the in-vertices (distance encoding: the given start vertex, or without
   one the lowest-index in-vertex, is the start, and every active edge into
-  another vertex steps the label by +1).
+  another vertex steps the label once).
 * ``scc`` — the in-vertices with their active undirected edges form one
   connected component (tree encoding: the lowest-index in-vertex is the
-  root, every other in-vertex picks a parent, and the label steps by +1
+  root, every other in-vertex picks a parent, and the label steps once
   from parent to child).
 
 The step rule alone bans sub-cycles and detached parts (Miller, Tucker &
-Zemlin, JACM 1960): ``distance_width(n)`` bits hold labels mod 2^w >= n,
-and labels that step by +1 mod 2^w cannot go round a cycle of fewer than
-2^w steps, which every cycle that avoids the start (or root) is.  So labels
-carry no bound, the start's label is not pinned, and a step may wrap.  On a
-bipartite graph, every grid among them, each step crosses from one side to
-the other, so bit 0 of each label is its vertex's side, a constant: adding
-1 to every label keeps every step, so this loses no model.
+Zemlin, JACM 1960).  It needs no +1, only a step that no short cycle of
+labels can follow: a step is one move of a maximal-length shift register
+(``CnfBuilder.lfsr_successors``), whose nonzero states of m bits form one
+cycle of P = 2^m - 1 shifts.  Labels ban the zero state, and P is larger
+than the number of shifts on any cycle that avoids the start (or root):
+P > n - 1 over n vertices.  So labels carry no bound and the start's label
+is not pinned.  On a bipartite graph, every grid among them, each step
+crosses from one side to the other, so bit 0 of each label is its vertex's
+side, a constant; a step from the FALSE side keeps the state and one from
+the TRUE side shifts it, so a cycle of 2k steps shifts k times, and
+P > (n - 1) // 2 is enough.
 
 Plus grid variants that synthesize the orthogonal-adjacency edges of a cell
 grid, and ``cycle_grid``, whose cycles are cut down to one during the
@@ -34,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
-from .cnf import BitVec, CnfBuilder, Lit, UnaryCount, distance_width
+from .cnf import BitVec, CnfBuilder, Lit, UnaryCount
 from .solver import Propagator
 
 Cell = tuple[int, int]
@@ -119,16 +123,18 @@ def _edge_ends(
 
 
 def _start_chain(builder: CnfBuilder, in_lits: Sequence[Lit]) -> tuple[list[Lit], list[Lit]]:
-    """Literals per vertex i: (start_i, seen_i).  start_i is true iff i is the
-    lowest-index in-vertex; seen_i iff some vertex among 0..i is in.
+    """Literals per vertex i: (start_i, seen_i).  seen_i is true iff some
+    vertex among 0..i is in; start_i implies that i is the lowest-index
+    in-vertex, and start_0 is in_0.
 
-    Prefix-occupancy chain: seen_i <-> seen_{i-1} or in_i; start_i <-> in_i
-    and not seen_{i-1}.
+    Prefix-occupancy chain: seen_i <-> seen_{i-1} or in_i; start_i -> in_i
+    and not seen_{i-1}, one way only, since every reader reads start_i
+    positively.  So at most one start is true, and possibly none.
     """
     starts = [in_lits[0]]
     seen = [in_lits[0]]
     for in_i in in_lits[1:]:
-        starts.append(builder.gate_and([in_i, -seen[-1]]))
+        starts.append(builder.implies_and([in_i, -seen[-1]]))
         seen.append(builder.gate_or([seen[-1], in_i]))
     return starts, seen
 
@@ -162,18 +168,28 @@ def _sides(n: int, ends: Sequence[tuple[int, int]]) -> list[Lit] | None:
 def _distance_labels(
     builder: CnfBuilder, vs: Sequence[VertexSpec], ends: Sequence[tuple[int, int]], prefix: str
 ) -> list[BitVec]:
-    """One label per vertex, of ``distance_width(n)`` bits, so 2^w >= n; only
-    the caller's step clauses constrain it.  Its bits are named ``<prefix>_<term>_<i>``.
-    Every step crosses an edge, so where ``_sides`` 2-colours the graph, bit
-    0 is its vertex's side, a constant; otherwise it is free too."""
-    width = distance_width(len(vs))
-    sides = _sides(len(vs), ends)
+    """One label per vertex for ``CnfBuilder.lfsr_successors``, its bits
+    named ``<prefix>_<term>_<i>``; only the caller's step clauses and a ban
+    on the shift register's zero state constrain it.  Where ``_sides``
+    2-colours the graph, bit 0 is its vertex's side, a constant, and the
+    other m bits are the state, with 2^m - 1 > (n - 1) // 2; only the TRUE
+    side bans zero, since a step out of it shifts a nonzero state to a
+    nonzero one, and a step out of the FALSE side keeps the state.
+    Otherwise all m bits are state, 2^m - 1 > n - 1, and every label bans
+    zero."""
+    n = len(vs)
+    sides = _sides(n, ends)
     if sides is None:
-        return [builder.new_bitvec(width, f"{prefix}_{v.term}") for v in vs]
+        labels = [builder.new_bitvec(n.bit_length(), f"{prefix}_{v.term}") for v in vs]
+        builder.clauses += [list(d.bits) for d in labels]
+        return labels
+    width = 1 + ((n - 1) // 2 + 1).bit_length()
     labels = []
     for v, side in zip(vs, sides):
         name = f"{prefix}_{v.term}"
         labels.append(BitVec([side] + [builder.new_var(f"{name}_{i}") for i in range(1, width)]))
+        if side == builder.TRUE:
+            builder.add_trusted(labels[-1].bits[1:])
     return labels
 
 
@@ -193,9 +209,19 @@ def hcp(
     active in-edge; the start has at most one of each and no degree clause.
     Counting edges then gives the start as many out-edges as in-edges.  If
     it had none, the other in-vertices would form cycles that avoid the
-    start, and the step rule ``d_j = d_i + 1 mod 2^w`` (for every active
-    edge into a non-start j) admits none: such a cycle has fewer than n <=
-    2^w steps.
+    start, and the step rule ``d_j = f(d_i)`` (for every active edge into a
+    non-start j, f a step of ``CnfBuilder.lfsr_successors``) admits none:
+    going round a cycle shifts a nonzero state a multiple of P = 2^m - 1
+    times, and ``_distance_labels`` makes P larger than the shifts of a
+    cycle of at most n - 1 vertices.
+
+    The start chain's start_i only implies that i is the lowest in-vertex,
+    so a model could set every start_i false.  Then every in-vertex has its
+    degree clauses and every active edge steps, so the in-vertices lie on
+    cycles that each shift a multiple of P times: one cycle through all n
+    vertices (n = 2P on a 2-coloured graph, n = P otherwise), a valid
+    answer, except that vertex 0 is then in and start_0 is in_0.  So every
+    model has its start.
     """
     index = _check_vertices_edges(vs, es, directed=True)
     n = len(vs)
@@ -226,7 +252,7 @@ def hcp(
             if len(lits) > 1:
                 builder.at_most_one(lits)
 
-    # active edge (i, j), j not the start -> d_j = d_i + 1
+    # active edge (i, j), j not the start -> d_j = f(d_i)
     dist = _distance_labels(builder, vs, ends, "dist")
     steps: list[list[tuple[BitVec, list[Lit]]]] = [[] for _ in range(n)]
     for e, (i, j) in zip(es, ends):
@@ -234,7 +260,7 @@ def hcp(
             steps[i].append((dist[j], [e.lit, -starts[j]] if starts else [e.lit]))
     for i in range(n):
         if steps[i]:
-            builder.bitvec_successors(dist[i], steps[i])
+            builder.lfsr_successors(dist[i], steps[i])
 
 
 def grid_graph_edges(builder: CnfBuilder, grid: GridVars) -> list[EdgeSpec]:
@@ -272,10 +298,14 @@ def scc(
     counter over the in-literals is built.
 
     Every in-vertex but the root (the lowest-index in-vertex) selects a
-    parent over an active edge, and its label is its parent's plus one, mod
-    2^w.  A chain of parents that repeats a vertex without passing the root
-    would be a cycle of fewer than n <= 2^w steps, which the labels cannot
-    go round; so every chain ends at the root.  No label bound is needed.
+    parent over an active edge, and its label is one step of
+    ``CnfBuilder.lfsr_successors`` from its parent's.  A chain of parents
+    that repeats a vertex without passing the root would be a cycle of at
+    most n - 1 vertices, which the labels cannot go round (see ``hcp``); so
+    every chain ends at the root.  No label bound is needed.  A model with
+    every one-way root_i false would have every in-vertex pick a parent, on
+    a parent cycle through all n vertices; vertex 0 is then in, and root_0
+    is in_0, so every model with an in-vertex has its root.
     """
     index = _check_vertices_edges(vs, es, directed=False)
     n = len(vs)
@@ -292,7 +322,7 @@ def scc(
         incident[i].append((e.lit, j))
         incident[j].append((e.lit, i))
 
-    # selected parent j of i -> d_i = d_j + 1
+    # selected parent j of i -> d_i = f(d_j)
     steps: list[list[tuple[BitVec, list[Lit]]]] = [[] for _ in range(n)]
     for i in range(1, n):
         parents = []
@@ -306,7 +336,7 @@ def scc(
             builder.at_most_one(parents)
     for j in range(n):
         if steps[j]:
-            builder.bitvec_successors(dist[j], steps[j])
+            builder.lfsr_successors(dist[j], steps[j])
 
 
 def scc_grid(builder: CnfBuilder, grid: GridVars) -> None:

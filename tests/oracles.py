@@ -2,7 +2,9 @@
 
 Nothing in this module shares code with the encodings under test: cycles are
 found by backtracking search, connectivity by flood fill, Tapa layouts by
-filtering all bit patterns, Roadrunner optima by enumerating laser subsets.
+filtering all bit patterns, Roadrunner optima by enumerating laser subsets,
+and a label step of the shift register on integers (it reads only the
+encoder's tap table).
 ``Recording`` wraps a propagator and keeps the clauses it returns, for tests
 that hold them against these oracles; ``check_on`` runs a propagator's
 check on a trail of one's choosing, and ``all_kept_models`` enumerates the
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 
 from gridloop import solve_internal
+from gridloop.cnf import _LFSR_TAPS
 from gridloop.solver import Propagator, _Solver
 
 
@@ -55,6 +58,22 @@ def input_projection(clauses, nvars, input_lits):
         if sat_under(clauses, nvars, units).is_sat:
             out.add(tuple(bits))
     return out
+
+
+def lfsr_step(m, v):
+    """The m-bit state v one shift on: v times x modulo the polynomial
+    ``_LFSR_TAPS[m]``."""
+    return (v << 1 & (1 << m) - 1) ^ (_LFSR_TAPS[m] if v >> (m - 1) else 0)
+
+
+def label_step(d, m, coloured):
+    """The label one step after d.  With ``coloured``, bit 0 of d is its
+    side and the m bits above it the state: a step from side 0 keeps the
+    state, one from side 1 shifts it, and each flips the side.  Otherwise
+    all of d is the state, and a step shifts it."""
+    if not coloured:
+        return lfsr_step(m, d)
+    return d | 1 if d & 1 == 0 else lfsr_step(m, d >> 1) << 1
 
 
 # -- graphs ---------------------------------------------------------------

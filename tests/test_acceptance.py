@@ -15,6 +15,7 @@ import time
 import pytest
 
 from gridloop import (
+    BitVec,
     CnfBuilder,
     EdgeSpec,
     VertexSpec,
@@ -48,6 +49,7 @@ from oracles import (
     connected_in_graph,
     grid_loops,
     has_ham_cycle_grid,
+    label_step,
     orthogonally_connected,
     rr_optimum,
     sat_under,
@@ -200,12 +202,38 @@ def test_criterion_3_encoding_unit_suites(capsys):
                 if not sat_under(b.clauses, b.var_count, units + eq).is_unsat:
                     failures.append(f"successor width={width} x={v} y={w} allowed")
 
+    # lfsr_successors, 1..4 state bits under bit 0 free, FALSE or TRUE (then
+    # y's is the other constant): y forced to the label step of x
+    for m in range(1, 5):
+        for bit0 in (None, CnfBuilder.FALSE, CnfBuilder.TRUE):
+            b = CnfBuilder()
+            x, y = ((b.new_bitvec(m), b.new_bitvec(m)) if bit0 is None else
+                    (BitVec([bit0] + b.new_vars(m)), BitVec([-bit0] + b.new_vars(m))))
+            guard = b.new_var()
+            b.lfsr_successors(x, [(y, [guard])])
+            coloured = bit0 is not None
+            for v in range(1 << (m + coloured)):
+                if coloured and v & 1 != (bit0 == CnfBuilder.TRUE):
+                    continue
+                units = [guard] + [bit if v >> i & 1 else -bit for i, bit in enumerate(x.bits) if i or not coloured]
+                want = label_step(v, m, coloured)
+                out = sat_under(b.clauses, b.var_count, units)
+                if not out.is_sat or y.value(out.model.assignment) != want:
+                    failures.append(f"lfsr step m={m} bit0={bit0} x={v}")
+                    continue
+                for w in range(1 << (m + coloured)):
+                    if w == want or coloured and w & 1 != want & 1:
+                        continue
+                    eq = [bit if w >> i & 1 else -bit for i, bit in enumerate(y.bits) if i or not coloured]
+                    if not sat_under(b.clauses, b.var_count, units + eq).is_unsat:
+                        failures.append(f"lfsr step m={m} bit0={bit0} x={v} y={w} allowed")
+
     ok = not failures
     report(
         capsys,
         f"ACCEPTANCE 3: {'PASS' if ok else 'FAIL'} — exhaustive truth tables for "
-        f"gates, exactly-one (<=8), unary counters (<=8), bitvec successor (<=4): "
-        f"{len(failures)} failures",
+        f"gates, exactly-one (<=8), unary counters (<=8), bitvec successor (<=4), "
+        f"shift-register label step (<=4 state bits): {len(failures)} failures",
     )
     assert ok, failures[:5]
 

@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from gridloop import BitVec, CnfBuilder, distance_width, open_internal, parse_dimacs, solve_internal
+from gridloop import BitVec, CnfBuilder, open_internal, parse_dimacs, solve_internal
 from gridloop.cli import _BUILDERS, _PARSERS, infer_kind
-from gridloop.cnf import _DIMACS_CHUNK, _FORMAT_BATCH, lit_value, write_dimacs
+from gridloop.cnf import _DIMACS_CHUNK, _FORMAT_BATCH, _LFSR_TAPS, lit_value, write_dimacs
 
-from oracles import all_models, input_projection, sat_under
+from oracles import all_models, input_projection, label_step, lfsr_step, sat_under
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
 
@@ -470,6 +470,74 @@ def test_bitvec_successor_bans_what_a_constant_bit_rules_out():
     assert sat_under(b.clauses, b.var_count, [-guard]).is_sat
 
 
+def test_lfsr_taps_have_full_period():
+    # from state 1, each register comes back after exactly 2^m - 1 shifts,
+    # so its nonzero states form one cycle
+    for m in range(1, len(_LFSR_TAPS)):
+        v, shifts = lfsr_step(m, 1), 1
+        while v != 1:
+            v, shifts = lfsr_step(m, v), shifts + 1
+        assert shifts == (1 << m) - 1, m
+
+
+def value_units(vec, v):
+    """Units that set the variable bits of ``vec`` to those of ``v``."""
+    constants = (CnfBuilder.TRUE, CnfBuilder.FALSE)
+    return [bit if v >> i & 1 else -bit for i, bit in enumerate(vec.bits) if bit not in constants]
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("bit0", [None, CnfBuilder.FALSE, CnfBuilder.TRUE], ids=["free", "FALSE", "TRUE"])
+@pytest.mark.parametrize("nguards", [1, 2])
+def test_lfsr_successors_exhaustive(m, bit0, nguards):
+    # two steps out of one x of m state bits, with bit 0 free or a constant
+    # (then y's bit 0 is the other constant): for every x, zero included,
+    # each y under its guards is forced to the step of x, every other y is
+    # refused, and with a guard false y is free.  A shift costs one gate per
+    # feedback tap, built once; a step from the FALSE side costs none
+    b = CnfBuilder()
+
+    def label(bit0):
+        return b.new_bitvec(m) if bit0 is None else BitVec([bit0] + b.new_vars(m))
+
+    x = label(bit0)
+    other = None if bit0 is None else -bit0
+    ys = [label(other), label(other)]
+    guards = [b.new_vars(nguards), b.new_vars(1)]
+    nvars = b.var_count
+    b.lfsr_successors(x, list(zip(ys, guards)))
+    assert b.var_count - nvars == (0 if bit0 == CnfBuilder.FALSE else bin(_LFSR_TAPS[m]).count("1") - 1)
+    coloured = bit0 is not None
+    on = [g for gs in guards for g in gs]
+    for v in range(1 << (m + coloured)):
+        if coloured and v & 1 != (bit0 == CnfBuilder.TRUE):
+            continue
+        want = label_step(v, m, coloured)
+        units = on + value_units(x, v)
+        out = sat_under(b.clauses, b.var_count, units)
+        assert out.is_sat
+        assert [y.value(out.model.assignment) for y in ys] == [want, want], v
+        for y, guard in zip(ys, guards):
+            for w in range(1 << (m + coloured)):
+                if coloured and w & 1 != want & 1:
+                    continue
+                eq = value_units(y, w)
+                assert sat_under(b.clauses, b.var_count, units + eq).is_sat == (w == want), (v, w)
+                off = [-guard[0]] + value_units(x, v) + eq
+                assert sat_under(b.clauses, b.var_count, off).is_sat, (v, w)
+
+
+def test_lfsr_successors_needs_a_register():
+    # no state bits, or more than the tap table holds
+    b = CnfBuilder()
+    y = BitVec([b.FALSE])
+    with pytest.raises(ValueError):
+        b.lfsr_successors(BitVec([b.TRUE]), [(y, [b.new_var()])])
+    wide = b.new_bitvec(len(_LFSR_TAPS))
+    with pytest.raises(ValueError):
+        b.lfsr_successors(wide, [(b.new_bitvec(len(_LFSR_TAPS)), [b.new_var()])])
+
+
 def dimacs(b):
     out = io.StringIO()
     b.emit_dimacs(out)
@@ -576,17 +644,6 @@ def test_parse_dimacs_rejects_variable_above_header():
     with pytest.raises(ValueError, match="-3"):
         parse_dimacs("p cnf 2 1\n1 -3 0\n")
     assert parse_dimacs("p cnf 3 1\n1 -3 0\n") == (3, [[1, -3]])
-
-
-def test_distance_width():
-    assert distance_width(1) == 1
-    assert distance_width(2) == 1
-    assert distance_width(3) == 2
-    assert distance_width(4) == 2
-    assert distance_width(9) == 4
-    assert distance_width(16) == 4
-    with pytest.raises(ValueError):
-        distance_width(0)
 
 
 def test_parse_dimacs_keeps_a_repeated_literal_once():

@@ -9,7 +9,6 @@ from gridloop import (
     EdgeSpec,
     GridVars,
     VertexSpec,
-    distance_width,
     hcp,
     hcp_grid,
     make_grid,
@@ -22,7 +21,9 @@ from oracles import (
     connected_in_graph,
     directed_cycles,
     has_ham_cycle_grid,
+    label_step,
     orthogonally_connected,
+    sat_under,
 )
 
 
@@ -129,29 +130,21 @@ def test_hcp_empty_forbidden_by_default():
 
 
 def test_hcp_distances_bijection():
-    # labels carry no bound and the start's is not pinned, but 4 vertices
-    # fill the 2-bit width: three steps of +1 mod 4 from the start leave
-    # only {0..3}
+    # a complete digraph has odd cycles, so all 3 bits of each label are
+    # the shift register's state (2^3 - 1 > 4 - 1): each active edge into a
+    # vertex but the start shifts the label once, and the four labels round
+    # the cycle are distinct and nonzero
     b = CnfBuilder()
     vs, es = complete_digraph(b, 4)
     hcp(b, vs, es)
     force_in(b, vs, {0, 1, 2, 3})
     out = solve_internal(b.clauses, b.var_count)
     assert out.is_sat
-    # distance bits are named dist_<term>_<i>
-    by_vertex = {i: [] for i in range(4)}
-    for idx, name in b.names.items():
-        if name.startswith("dist_"):
-            _, term, bit = name.split("_")
-            by_vertex[int(term)].append((int(bit), idx))
-    values = []
-    for term, bits in by_vertex.items():
-        v = 0
-        for bit, idx in bits:
-            if out.model.assignment[idx]:
-                v |= 1 << bit
-        values.append(v)
-    assert sorted(values) == [0, 1, 2, 3]
+    d = labels(b, out.model, "dist", range(4))
+    for e in es:
+        if out.model[e.lit] and e.dst != 0:
+            assert d[e.dst] == label_step(d[e.src], 3, coloured=False), e
+    assert len(set(d.values())) == 4 and 0 not in d.values()
 
 
 def test_hcp_random_digraphs_vs_oracle():
@@ -287,27 +280,32 @@ def test_hcp_grid_started_exhaustive(rows, cols):
             assert got == (start in subset and has_ham_cycle_grid(subset)), (start, subset)
 
 
-def labels(b, model, prefix, terms, width, bit0):
-    """Each term's label in ``model``: its bits named ``<prefix>_<term>_<i>``
-    for i >= 1, and bit 0 from ``bit0(term)``."""
+def labels(b, model, prefix, terms, bit0=None):
+    """Each term's label in ``model``: its bits named ``<prefix>_<term>_<i>``,
+    and with ``bit0`` bit 0 from ``bit0(term)`` in place of a variable."""
     lit = {name: v for v, name in b.names.items()}
     out = {}
     for term in terms:
-        assert f"{prefix}_{term}_0" not in lit  # bit 0 is no variable
-        out[term] = int(bit0(term)) | sum(
-            model[lit[f"{prefix}_{term}_{i}"]] << i for i in range(1, width)
-        )
+        low = 0 if bit0 is None else 1  # a constant bit 0 is no variable
+        assert (f"{prefix}_{term}_0" in lit) == (low == 0)
+        bits = itertools.takewhile(bool, (lit.get(f"{prefix}_{term}_{i}") for i in itertools.count(low)))
+        out[term] = sum(model[v] << i for i, v in enumerate(bits, start=low)) | (bit0(term) if low else 0)
     return out
+
+
+def colour(rc):
+    return sum(rc) % 2
 
 
 @pytest.mark.parametrize("started", [False, True])
 def test_hcp_grid_label_bit_0_is_the_cell_colour(started):
     # on a full grid the side of (1, 1) is FALSE, so bit 0 of a cell's label
-    # is (r + c) odd; in every model found, each active edge into a cell
-    # other than the start steps that label by +1 mod 2^w
+    # is (r + c) odd, and 3 state bits sit above it (2^3 - 1 > 11 // 2); in
+    # every model found, each active edge into a cell other than the start
+    # steps the label (the state shifts out of a TRUE cell only), and the
+    # labels round the cycle are distinct with nonzero states
     rows, cols = 3, 4
     cells = grid_cells(rows, cols)
-    width = distance_width(len(cells))
     for mask in range(1, 1 << len(cells)):
         subset = {cell for i, cell in enumerate(cells) if mask >> i & 1}
         if not has_ham_cycle_grid(subset):
@@ -318,18 +316,22 @@ def test_hcp_grid_label_bit_0_is_the_cell_colour(started):
         edges = hcp_grid(b, grid, start=start if started else None)
         units = [[lit] if cell in subset else [-lit] for cell, lit in grid.cells.items()]
         out = solve_internal(b.clauses + units, b.var_count)
-        d = labels(b, out.model, "dist", cells, width, lambda rc: sum(rc) % 2)
+        d = labels(b, out.model, "dist", cells, colour)
+        assert all(d[rc] < 1 << 4 for rc in cells)
         for e in edges:
             if out.model[e.lit] and e.dst != start:
-                assert d[e.dst] == (d[e.src] + 1) % (1 << width), (subset, e)
+                assert d[e.dst] == label_step(d[e.src], 3, coloured=True), (subset, e)
+        if len(subset) > 1:
+            assert len({d[rc] for rc in subset}) == len(subset), subset
+            assert all(d[rc] >> 1 for rc in subset), subset
 
 
 def test_scc_grid_label_bit_0_is_the_cell_colour():
     # every in-cell but the root, the first in row-major order, has an
-    # in-neighbour whose label is one less, mod 2^w
+    # in-neighbour whose label steps to its own (3 state bits: 2^3 - 1 >
+    # 8 // 2), and every in-cell's state is nonzero
     rows, cols = 3, 3
     cells = grid_cells(rows, cols)
-    width = distance_width(len(cells))
     for mask in range(1, 1 << len(cells)):
         subset = {cell for i, cell in enumerate(cells) if mask >> i & 1}
         if not orthogonally_connected(subset):
@@ -339,10 +341,93 @@ def test_scc_grid_label_bit_0_is_the_cell_colour():
         scc_grid(b, grid)
         units = [[lit] if cell in subset else [-lit] for cell, lit in grid.cells.items()]
         out = solve_internal(b.clauses + units, b.var_count)
-        d = labels(b, out.model, "sdist", cells, width, lambda rc: sum(rc) % 2)
+        d = labels(b, out.model, "sdist", cells, colour)
+        assert all(d[rc] < 1 << 4 for rc in cells)
         for r, c in subset - {min(subset)}:
             nbrs = {(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)} & subset
-            assert any(d[(r, c)] == (d[nb] + 1) % (1 << width) for nb in nbrs), (subset, (r, c))
+            assert any(d[(r, c)] == label_step(d[nb], 3, coloured=True) for nb in nbrs), (subset, (r, c))
+        if len(subset) > 1:
+            assert all(d[rc] >> 1 for rc in subset), subset
+
+
+@pytest.mark.parametrize("hole", [None, (2, 1)], ids=["n8", "n7"])
+def test_hcp_grid_labels_where_the_width_steps_up(hole):
+    # every in-subset of a 2x4 grid, whole (n = 8) and without a corner
+    # (n = 7), against brute-force cycle search: from n = 7 the labels need
+    # 3 state bits (2^2 - 1 = 3 = 6 // 2), and with 2 a cycle of the 6 cells
+    # right of (1, 1), the start, would go round in 3 shifts
+    cells = [rc for rc in grid_cells(2, 4) if rc != hole]
+    b = CnfBuilder()
+    grid = GridVars(2, 4, {cell: b.new_var() for cell in cells})
+    hcp_grid(b, grid)
+    for mask in range(1 << len(cells)):
+        subset = {cell for i, cell in enumerate(cells) if mask >> i & 1}
+        units = [[lit] if cell in subset else [-lit] for cell, lit in grid.cells.items()]
+        assert solve_internal(b.clauses + units, b.var_count).is_sat == has_ham_cycle_grid(subset), subset
+
+
+@pytest.mark.parametrize("hole", [None, (2, 1)], ids=["n8", "n7"])
+def test_scc_labels_where_the_width_steps_up(hole):
+    # scc over the same 2x4 grid graph with its edges free: every in-subset
+    # with every set of active edges inside it, against flood fill.  With 2
+    # state bits, a lone (1, 1), the root, beside a parent cycle round the 6
+    # cells right of it would pass
+    cells = [rc for rc in grid_cells(2, 4) if rc != hole]
+    b = CnfBuilder()
+    vs = [VertexSpec(rc, b.new_var()) for rc in cells]
+    es = [EdgeSpec(u, w, b.new_var()) for u, w in itertools.combinations(cells, 2)
+          if abs(u[0] - w[0]) + abs(u[1] - w[1]) == 1]
+    scc(b, vs, es)
+    for mask in range(1 << len(cells)):
+        subset = {cell for i, cell in enumerate(cells) if mask >> i & 1}
+        inside = [e for e in es if e.src in subset and e.dst in subset]
+        for edge_mask in range(1 << len(inside)):
+            active = {e.lit: (e.src, e.dst) for i, e in enumerate(inside) if edge_mask >> i & 1}
+            units = [v.in_lit if v.term in subset else -v.in_lit for v in vs]
+            units += [e.lit if e.lit in active else -e.lit for e in es]
+            want = connected_in_graph(subset, list(active.values()))
+            assert sat_under(b.clauses, b.var_count, units).is_sat == want, (subset, active)
+
+
+def compositions(n):
+    """Every ordered split of n into positive parts."""
+    for cuts in itertools.product([False, True], repeat=n - 1):
+        parts, size = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(size)
+                size = 0
+            size += 1
+        yield parts + [size]
+
+
+@pytest.mark.parametrize("encode", [hcp, scc])
+@pytest.mark.parametrize("n", [4, 8])
+def test_complete_graph_labels_where_the_width_steps_up(encode, n):
+    # every vertex of a complete graph in, and its edges fixed to disjoint
+    # cycles over 0..n-1 in order, one per part of a composition of n (a
+    # part of 1 is a lone vertex, of 2 one edge, or a 2-cycle for hcp):
+    # satisfiable as the oracle says.  n = 4 and 8 are where the labels
+    # need one bit more (2^m - 1 > n - 1); with a bit less, a lone vertex 0,
+    # the start or root, beside one cycle of n - 1 would pass
+    for parts in compositions(n):
+        b = CnfBuilder()
+        vs = [VertexSpec(i, b.new_var()) for i in range(n)]
+        pairs = itertools.permutations(range(n), 2) if encode is hcp else itertools.combinations(range(n), 2)
+        es = {p: EdgeSpec(*p, b.new_var()) for p in pairs}
+        encode(b, vs, list(es.values()))
+        on, first = set(), 0
+        for size in parts:
+            ring = list(range(first, first + size))
+            on |= {(u, w) for u, w in zip(ring, ring[1:] + ring[:1]) if u != w}
+            first += size
+        if encode is scc:
+            on = {tuple(sorted(p)) for p in on}
+            want = connected_in_graph(set(range(n)), sorted(on))
+        else:
+            want = (frozenset(range(n)), frozenset(on)) in directed_cycles(n, sorted(on))
+        units = [v.in_lit for v in vs] + [e.lit if p in on else -e.lit for p, e in es.items()]
+        assert sat_under(b.clauses, b.var_count, units).is_sat == want, parts
 
 
 @pytest.mark.parametrize("encode", [hcp, scc])
