@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import json
 import math
 import os
@@ -431,7 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.  The cyclic garbage
+    collector is paused while the command runs: a formula is many small
+    lists with no cycles, whose allocation would set off collection passes
+    that free nothing.  It is switched back on afterwards if it was on."""
     args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
@@ -443,6 +450,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_REJECT
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

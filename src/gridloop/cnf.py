@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Lit = int
 
@@ -84,6 +84,17 @@ _LFSR_TAPS = (
     None, 0x1, 0x3, 0x3, 0x3, 0x5, 0x3, 0x3, 0x1D, 0x11, 0x9,
     0x5, 0x53, 0x1B, 0x2B, 0x3, 0x2D, 0x9, 0x81, 0x27, 0x9,
 )
+
+
+def _merge_tree(seg: Sequence[Lit], merge: Callable[[list[Lit], list[Lit]], list[Lit]]) -> list[Lit]:
+    """``merge`` over the halves of ``seg``, each built the same way first,
+    the left one before the right; a single literal is its own list.  A
+    module function, not a closure that calls itself: that would be a
+    reference cycle, left for the cyclic collector, on every call."""
+    if len(seg) == 1:
+        return [seg[0]]
+    mid = len(seg) // 2
+    return merge(_merge_tree(seg[:mid], merge), _merge_tree(seg[mid:], merge))
 
 
 def _fold(lits: list[Lit]) -> list[Lit] | None:
@@ -250,12 +261,6 @@ class CnfBuilder:
         elif exact < 0:
             raise ValueError(f"exact must be >= 0, not {exact}")
 
-        def build(seg: Sequence[Lit]) -> list[Lit]:
-            if len(seg) == 1:
-                return [seg[0]]
-            mid = len(seg) // 2
-            return merge(build(seg[:mid]), build(seg[mid:]))
-
         add = self.clauses.append
 
         def merge(a: list[Lit], b: list[Lit]) -> list[Lit]:
@@ -279,7 +284,7 @@ class CnfBuilder:
             return r
 
         inputs = list(lits)
-        return UnaryCount(build(inputs), inputs)
+        return UnaryCount(_merge_tree(inputs, merge), inputs)
 
     def fix_count(self, count: UnaryCount, k: int) -> None:
         self.bound_ge(count, k)

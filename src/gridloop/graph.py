@@ -361,7 +361,9 @@ def cycle_grid(
     active edges, so the active edges form disjoint cycles.  No distance
     label bans a second cycle; the returned propagator (see ``OneCycle``)
     does that during the search.  The caller puts a cell in: ``anchors`` are
-    cells that every model has in (a circle, say).
+    cells that every model has in (a circle, say), and the caller asserts
+    each one as a unit, so no clause here says that an edge puts an anchor
+    in.
 
     ``count``, a counter over the cell literals, lets a cycle have one or two
     cells, as in ``hcp``: an in-cell needs an active edge only if the count
@@ -372,6 +374,7 @@ def cycle_grid(
     """
     edges: list[EdgeSpec] = []
     incident: dict[Cell, list[Lit]] = {rc: [] for rc in grid.cells}
+    anchored = set(anchors)
     for (r, c), a in grid.cells.items():
         for b in ((r + 1, c), (r, c + 1)):
             if b in grid.cells:
@@ -379,8 +382,10 @@ def cycle_grid(
                 edges.append(EdgeSpec((r, c), b, e))
                 incident[(r, c)].append(e)
                 incident[b].append(e)
-                builder.add_trusted([-e, a])
-                builder.add_trusted([-e, grid.cells[b]])
+                if (r, c) not in anchored:
+                    builder.add_trusted([-e, a])
+                if b not in anchored:
+                    builder.add_trusted([-e, grid.cells[b]])
     # a counter over fewer than three cells lacks an output, which is false
     at_least_2, at_least_3 = (count.outputs + [builder.FALSE] * 2)[1:3] if count else (None, None)
     for rc, lits in incident.items():

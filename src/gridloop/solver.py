@@ -124,6 +124,14 @@ def check_model(clauses: Iterable[Sequence[Lit]], model: Model) -> bool:
 
 
 class _Solver:
+    """The CDCL search over one formula, solved once per ``solve`` call.
+
+    ``clauses`` is a list of clauses, each a list of ints, that the solver
+    takes over: the search reorders each clause's literals in place, so a
+    clause list must appear once in the formula and must not be shared with
+    a second live solver.  A caller that reuses a formula passes each
+    solver its own copy."""
+
     def __init__(self, clauses, nvars, propagator: Propagator | None = None):
         self.nvars = nvars
         self.var_inc = 1.0
@@ -140,11 +148,12 @@ class _Solver:
         """Build the search state and attach the pending clauses.
 
         The state is empty, so each clause goes in as given, unfiltered: a
-        clause of two or more literals is copied (the search reorders its
-        literals in place) and watched on its first two, and a unit is
-        assigned.  The closing ``_propagate`` walks the whole trail, so it
-        meets every watched literal that a unit made false; the decision
-        heap is built after it.  A clause must repeat no literal."""
+        clause of two or more literals is watched on its first two, and a
+        unit is assigned.  The watches hold the given lists, not copies
+        (see ``_Solver``): the search reorders their literals in place.  The
+        closing ``_propagate`` walks the whole trail, so it meets every
+        watched literal that a unit made false; the decision heap is built
+        after it.  A clause must repeat no literal."""
         nvars = self.nvars
         # val[lit + nvars]: 1 true, -1 false, 0 unassigned; both polarities kept
         self.val = [0] * (2 * nvars + 1)
@@ -162,7 +171,6 @@ class _Solver:
         clauses, self.pending = self.pending, None
         for cl in clauses:
             if len(cl) > 1:
-                cl = list(cl)
                 watches[cl[0] + nvars].append(cl)
                 watches[cl[1] + nvars].append(cl)
                 continue
@@ -507,7 +515,7 @@ def _luby(x: int) -> int:
 
 
 def solve_internal(
-    clauses: Sequence[Sequence[Lit]],
+    clauses: Sequence[list[Lit]],
     nvars: int,
     timeout: float | None = None,
     assumptions: Sequence[Lit] = (),
@@ -519,7 +527,9 @@ def solve_internal(
     ``assumptions``.  ``solver`` is a ``_Solver`` opened on ``clauses`` and
     solved again here, so that what it learnt in earlier calls carries over;
     without one the call builds its own.  A model is checked against the
-    clauses and every clause that the solver's propagator returned.
+    clauses and every clause that the solver's propagator returned.  The
+    solver takes the clause lists over and reorders their literals in place
+    (see ``_Solver``): pass a copy to reuse the formula in another solver.
     ``timeout`` is a wall-clock budget in seconds for this call, checked at
     each conflict; when it runs out the outcome is unknown.
     """
@@ -539,7 +549,7 @@ def solve_internal(
 
 
 def open_internal(
-    clauses: Sequence[Sequence[Lit]],
+    clauses: Sequence[list[Lit]],
     nvars: int,
     propagator: Propagator | None = None,
     timeout: float | None = None,
@@ -553,7 +563,9 @@ def open_internal(
     accepts, so an unsat call is the answer and the clauses stay for later
     calls.  A call is one ``solve_internal`` call under its assumptions,
     bounded by ``timeout``, and its ``stats`` are that search's counters,
-    with ``propagated`` under a propagator.
+    with ``propagated`` under a propagator.  The probe's solver owns the
+    clause lists and reorders their literals in place (see ``_Solver``), so
+    they must not go to a second solver while this probe is in use.
     """
     solver = _Solver(clauses, nvars, propagator)
 

@@ -1,4 +1,5 @@
 """CLI subcommands, exit codes, output formats, and encode round-trips."""
+import gc
 import json
 import os
 import shlex
@@ -13,6 +14,7 @@ from gridloop.puzzles import parse_roadrunner, parse_tapa
 from gridloop.cli import (
     _BUILDERS,
     _PARSERS,
+    _VERIFIERS,
     EXIT_INFEASIBLE,
     EXIT_INPUT,
     EXIT_OK,
@@ -401,6 +403,42 @@ def test_encode_closed_stdout_exits_cleanly(tmp_path, monkeypatch):
     finally:
         os.close(pipe.fd)
     assert (tmp_path / "m.cnf").exists()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    "case,argv,code",
+    [
+        ("verified", ["solve", inst_path("masyu_4x4.masyu")], EXIT_OK),
+        ("missing-file", ["solve", "/nonexistent.masyu"], EXIT_INPUT),
+        ("closed-pipe", ["solve", inst_path("masyu_4x4.masyu")], EXIT_REJECT),
+    ],
+    ids=["exit-0", "exit-2", "broken-pipe"],
+)
+def test_main_leaves_the_collector_as_it_found_it(case, argv, code, enabled, tmp_path, monkeypatch):
+    # main pauses the cyclic collector while a command runs, and on every
+    # way out switches it back on only if it was on
+    during = []
+    verify = _VERIFIERS["masyu"]
+
+    def recording_verify(inst, sol):
+        during.append(gc.isenabled())
+        return verify(inst, sol)
+
+    monkeypatch.setitem(_VERIFIERS, "masyu", recording_verify)
+    pipe = _ClosedPipe(tmp_path / "stdout") if case == "closed-pipe" else None
+    if pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+    if not enabled:
+        gc.disable()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+        if pipe:
+            os.close(pipe.fd)
+    assert during == ([] if case == "missing-file" else [False])
 
 
 def test_encode_external_solver_protocol(tmp_path, capsys):

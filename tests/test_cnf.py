@@ -1,4 +1,5 @@
 """Exhaustive truth-table tests for the CNF substrate."""
+import gc
 import io
 import itertools
 import os
@@ -233,6 +234,24 @@ def test_unary_count_single_input():
     a = b.new_var()
     count = b.unary_count([a])
     assert count.outputs == [a]
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_a_road_runner_formula_leaves_no_cycle_for_the_collector(lazy):
+    # unary_count's tree of merges used to be a closure that called itself:
+    # a reference cycle that kept the builder alive until a collection pass
+    with open(os.path.join(INSTANCES, "roadrunner_6x6_3.roadrunner")) as f:
+        inst = _PARSERS["roadrunner"](f.read())
+    gc.collect()
+    gc.disable()
+    try:
+        b = CnfBuilder()
+        _BUILDERS["roadrunner"](b, inst, lazy=lazy)
+        assert len(b.clauses) > 100
+        del b
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_fix_count_model_counts():

@@ -129,6 +129,38 @@ def test_with_anchors_only_a_cycle_through_them_is_left(rows, cols):
     assert bool(checked) == (cols == 5)
 
 
+@pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3), (3, 3)])
+def test_an_anchor_needs_no_clause_from_its_edges(rows, cols):
+    # every choice of one or two anchors, each asserted by a unit as the
+    # callers do: the formula lacks exactly the clause [-e, in_a] of each
+    # edge e at each anchor a, and has the cell and edge models of the
+    # formula that keeps them
+    cells = grid_cells(rows, cols)
+
+    def build(anchors, passed):
+        b = CnfBuilder()
+        grid = GridVars(rows, cols, {cell: b.new_var() for cell in cells})
+        edges, _ = cycle_grid(b, grid, passed)
+        for cell in anchors:
+            b.add_clause([grid.cells[cell]])
+        return b, grid, edges
+
+    choices = [[a] for a in cells] + [list(pair) for pair in itertools.combinations(cells, 2)]
+    for anchors in choices:
+        b, grid, edges = build(anchors, anchors)
+        full, _, _ = build(anchors, ())
+        dropped = [[-e.lit, grid.cells[end]] for e in edges for end in (e.src, e.dst) if end in anchors]
+        pairs = sum(abs(r - r2) + abs(c - c2) == 1 for r, c in anchors for r2, c2 in cells)
+        assert len(dropped) == pairs and len(full.clauses) - len(b.clauses) == pairs
+        # compared before the solver reorders the literals of the lists
+        assert sorted(b.clauses + dropped) == sorted(full.clauses), anchors
+        kept = list(range(2, b.var_count + 1))  # every cell and edge
+        models = {frozenset(m.items()) for m in all_kept_models(b.clauses, b.var_count, kept)}
+        assert models == {frozenset(m.items()) for m in all_kept_models(full.clauses, full.var_count, kept)}
+        # a cycle through the anchors is among them
+        assert any(m[e.lit] for m in map(dict, models) for e in edges), anchors
+
+
 def path_ends(pairs, ncells):
     """For each cell with at most one of the edges ``pairs`` (cell index
     pairs): the other end of its path, or the cell itself with none."""
@@ -156,6 +188,7 @@ def test_undo_restores_the_path_ends(n):
     rng = random.Random(f"undo/{n}")
     b = CnfBuilder()
     grid = GridVars(n, n, {cell: b.new_var() for cell in grid_cells(n, n)})
+    b.add_clause([grid.cells[(1, 1)]])  # an anchor is in, as cycle_grid's callers assert
     edges, propagator = cycle_grid(b, grid, anchors=[(1, 1)])
     index = {cell: i for i, cell in enumerate(grid.cells)}
     pair = {e.lit: (index[e.src], index[e.dst]) for e in edges}

@@ -65,15 +65,43 @@ def test_random_3cnf_vs_enumeration():
             assert eval_clauses(clauses, out.model.assignment)
 
 
+def copied(clauses):
+    """A copy of each clause: a solver reorders the literals of the clause
+    lists it is given, so each solver of one formula gets its own."""
+    return [list(cl) for cl in clauses]
+
+
 def test_determinism():
     rng = random.Random(3)
     clauses = random_3cnf(rng, 15, 60)
-    first = solve_internal(clauses, 15)
+    first = solve_internal(copied(clauses), 15)
     for _ in range(3):
-        again = solve_internal(clauses, 15)
+        again = solve_internal(copied(clauses), 15)
         assert again.status == first.status
         if first.is_sat:
             assert again.model.assignment == first.model.assignment
+
+
+def test_a_solve_keeps_each_clause_literal_set():
+    # the solver watches the lists it is given, not copies, and reorders
+    # their literals in place; each keeps its literals, so check_model and a
+    # later solver of the same lists read the same formula
+    rng = random.Random(5)
+    formulas = [pigeonhole(5, 4), puzzle_formula("masyu_6x6.masyu", parse_masyu, build_masyu)]
+    formulas += [(random_3cnf(rng, 20, 85), 20) for _ in range(10)]
+    reordered = 0
+    for clauses, nvars in formulas:
+        before = [list(cl) for cl in clauses]
+        s = _Solver(clauses, nvars)
+        s._load()
+        watched = {id(cl) for ws in s.watches for cl in ws}
+        assert all(id(cl) in watched for cl in clauses if len(cl) > 1)
+        for _ in range(3):
+            vs = rng.sample(range(1, nvars + 1), 2)
+            solve_internal(clauses, nvars, assumptions=[v if rng.random() < 0.5 else -v for v in vs], solver=s)
+        assert [sorted(cl) for cl in clauses] == [sorted(cl) for cl in before]
+        reordered += sum(cl != old for cl, old in zip(clauses, before))
+    assert reordered  # the search did move literals
 
 
 def test_timeout_unknown():
@@ -104,14 +132,14 @@ def test_incremental_solving_agrees_with_fresh():
     for _ in range(40):
         nvars = rng.randint(20, 40)
         clauses = random_3cnf(rng, nvars, round(4.26 * nvars))
-        fresh_status = solve_internal(clauses, nvars).status
-        s = _Solver(clauses, nvars)
+        fresh_status = solve_internal(copied(clauses), nvars).status
+        s = _Solver(copied(clauses), nvars)
         for _ in range(6):
             vs = rng.sample(range(1, nvars + 1), rng.randint(0, 3))
             assumptions = [v if rng.random() < 0.5 else -v for v in vs]
             out = s.solve(assumptions)
             assert s.trail_lim == []  # every call ends at level 0
-            want = solve_internal(clauses + [[a] for a in assumptions], nvars).status
+            want = solve_internal(copied(clauses) + [[a] for a in assumptions], nvars).status
             assert out.status == want, (clauses, assumptions)
             seen.add((fresh_status, out.status, bool(assumptions)))
             if out.is_sat:
@@ -446,7 +474,7 @@ def puzzle_formula(name, parse, build):
 def same_search(clauses, nvars, var_inc=1.0):
     outcomes = []
     for cls in (_Solver, ScanSolver):
-        s = cls(clauses, nvars)
+        s = cls(copied(clauses), nvars)
         s.var_inc = var_inc
         outcomes.append(s.solve())
     heap, scan = outcomes
