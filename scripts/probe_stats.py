@@ -7,17 +7,25 @@ The puzzles are the first ROUNDS rounds (default 40) of the puzzle-mix and
 roadrunner-opt benchmark workloads at SEED (default 300), then every bundled
 instance.  Each is solved by ``gridloop.cli.run`` from CHECKOUT's ``src``,
 and one JSON line per puzzle gives its name, its result, the size of its
-formula (``vars`` and ``clauses``) and the ``stats`` of each solver probe in
-order.  Then each bundled instance but ``masyu_30x30`` (which the internal
+formula (``vars`` and ``clauses``), its ``formula`` fingerprint and the
+``stats`` of each solver probe in order.  The fingerprint is a SHA-256 over
+the builder's ``var_count``, its clauses in order and its ``names``, taken
+when the build returns, before a solver reorders any clause's literals.  Then each bundled instance but ``masyu_30x30`` (which the internal
 solver does not finish without a propagator) is solved the same way through
 its eager formula, the one ``encode`` and ``--solver`` take, with no
 propagator: its line is named ``eager/<instance>``, and Road Runner's probes
 are ``maximize``'s.  Run it on two checkouts and compare the lines to tell
-whether a change keeps the formula and the search step for step.
+whether a change keeps the formula byte for byte and the search step for
+step:
+
+    python scripts/probe_stats.py OLD > old.jsonl
+    python scripts/probe_stats.py NEW > new.jsonl
+    diff old.jsonl new.jsonl
 """
 from __future__ import annotations
 
 import glob
+import hashlib
 import json
 import os
 import sys
@@ -33,6 +41,7 @@ import workloads  # noqa: E402
 from gridloop.cli import _BUILDERS, _PARSERS, RunConfig, infer_kind, run  # noqa: E402
 
 probes = []
+formulas = []
 solve_internal = gridloop.solver.solve_internal
 
 
@@ -45,6 +54,22 @@ def recorded(*args, **kwargs):
 # open_internal's probe looks solve_internal up in its module on every call
 gridloop.solver.solve_internal = recorded
 
+
+def fingerprinted(build, eager):
+    """``build``, recording the formula's fingerprint when it returns; with
+    ``eager`` it builds the eager model whatever ``run`` asks for."""
+
+    def wrapped(builder, inst, lazy=False):
+        out = build(builder, inst) if eager else build(builder, inst, lazy=lazy)
+        text = json.dumps([builder.var_count, builder.clauses, sorted(builder.names.items())])
+        formulas.append(hashlib.sha256(text.encode()).hexdigest())
+        return out
+
+    return wrapped
+
+
+builders = dict(_BUILDERS)
+
 puzzles = [
     (f"{w}/{inst.name}", inst.kind, inst.text)
     for w in ("puzzle-mix", "roadrunner-opt")
@@ -56,16 +81,19 @@ for path in sorted(glob.glob(os.path.join(root, "instances", "*"))):
         bundled.append((os.path.basename(path), infer_kind(path, None), f.read()))
 
 
-def report(puzzles):
+def report(puzzles, eager):
+    for kind, build in builders.items():
+        _BUILDERS[kind] = fingerprinted(build, eager)
     for name, kind, text in puzzles:
         probes.clear()
+        formulas.clear()
         result = run(RunConfig(kind, None, None), _PARSERS[kind](text))
-        print(json.dumps({"name": name, "result": result.status, "vars": result.vars, "clauses": result.clauses, "probes": probes}))
+        (formula,) = formulas
+        print(json.dumps({"name": name, "result": result.status, "vars": result.vars, "clauses": result.clauses,
+                          "formula": formula, "probes": probes}))
 
 
-report(puzzles + bundled)
-# ``run`` builds the lazy model for the internal solver; these builders
-# ignore that and build the eager one, whose propagator is None
-for kind, build in list(_BUILDERS.items()):
-    _BUILDERS[kind] = lambda b, inst, lazy, build=build: build(b, inst)
-report((f"eager/{name}", kind, text) for name, kind, text in bundled if name != "masyu_30x30.masyu")
+report(puzzles + bundled, eager=False)
+# ``run`` builds the lazy model for the internal solver; the eager pass
+# builds the eager one instead, whose propagator is None
+report([(f"eager/{name}", kind, text) for name, kind, text in bundled if name != "masyu_30x30.masyu"], eager=True)

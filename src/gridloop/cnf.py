@@ -136,8 +136,20 @@ class CnfBuilder:
 
     def new_vars(self, n: int, prefix: str | None = None) -> list[Lit]:
         if prefix is None:
-            return [self.new_var() for _ in range(n)]
-        return [self.new_var(f"{prefix}_{i}") for i in range(n)]
+            first = self.var_count + 1
+            self.var_count += max(n, 0)
+            return list(range(first, self.var_count + 1))
+        return self.named_vars([f"{prefix}_{i}" for i in range(n)])
+
+    def named_vars(self, names: Sequence[str]) -> list[Lit]:
+        """One fresh variable per name of ``names``, in order: the batch
+        form of ``new_var(name)``.  ``names`` and the returned literals share
+        each int, as ``new_var`` does."""
+        first = self.var_count + 1
+        self.var_count += len(names)
+        lits = list(range(first, self.var_count + 1))
+        self.names.update(zip(lits, names))
+        return lits
 
     def add_clause(self, lits: Iterable[Lit]) -> None:
         """Append a normalized clause.
@@ -186,7 +198,7 @@ class CnfBuilder:
             raise ValueError("an AND gate needs at least one literal")
         if len(lits) == 1:
             return lits[0]
-        g = self.new_var()
+        g = self.var_count = self.var_count + 1
         add = self.clauses.append
         for l in lits:
             add([-g, l])
@@ -197,7 +209,7 @@ class CnfBuilder:
             raise ValueError("gate_or needs at least one literal")
         if len(lits) == 1:
             return lits[0]
-        g = self.new_var()
+        g = self.var_count = self.var_count + 1
         add = self.clauses.append
         for l in lits:
             add([g, -l])
@@ -205,7 +217,7 @@ class CnfBuilder:
         return g
 
     def gate_xor(self, a: Lit, b: Lit) -> Lit:
-        g = self.new_var()
+        g = self.var_count = self.var_count + 1
         self.clauses += [[-g, a, b], [-g, -a, -b], [g, -a, b], [g, a, -b]]
         return g
 
@@ -214,7 +226,7 @@ class CnfBuilder:
     def at_least_one(self, lits: Sequence[Lit]) -> None:
         if not lits:
             raise ValueError("at_least_one needs at least one literal")
-        self.add_trusted(list(lits))
+        self.clauses.append(list(lits))
 
     def at_most_one(self, lits: Sequence[Lit]) -> None:
         if not lits:
@@ -228,7 +240,7 @@ class CnfBuilder:
         # sequential ladder: s_i = "some true among lits[0..i]"
         s_prev = lits[0]
         for l in lits[1:]:
-            s = self.new_var()
+            s = self.var_count = self.var_count + 1
             add([-s_prev, s])
             add([-l, s])
             add([-l, -s_prev])

@@ -28,9 +28,9 @@ Plus grid variants that synthesize the orthogonal-adjacency edges of a cell
 grid, and ``cycle_grid``, whose cycles are cut down to one during the
 search by its propagator, ``OneCycle``.
 
-Clauses go in unchecked, through ``CnfBuilder.add_trusted`` or appended to
-``CnfBuilder.clauses`` in a batch, so every vertex
-and edge literal given to these functions must be over a variable of its own.
+Clauses go in unchecked, appended to ``CnfBuilder.clauses`` in batches
+under ``CnfBuilder.add_trusted``'s contract, so every vertex and edge literal
+given to these functions must be over a variable of its own.
 """
 from __future__ import annotations
 
@@ -83,12 +83,8 @@ def make_grid(builder: CnfBuilder, rows: int, cols: int) -> GridVars:
     """A grid in which every cell can be in."""
     if rows < 1 or cols < 1:
         raise ValueError("grid must be at least 1x1")
-    cells = {
-        (r, c): builder.new_var(f"cell_{r}_{c}")
-        for r in range(1, rows + 1)
-        for c in range(1, cols + 1)
-    }
-    return GridVars(rows, cols, cells)
+    keys = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    return GridVars(rows, cols, dict(zip(keys, builder.named_vars([f"cell_{r}_{c}" for r, c in keys]))))
 
 
 def _check_vertices_edges(vs, es, directed: bool):
@@ -131,11 +127,16 @@ def _start_chain(builder: CnfBuilder, in_lits: Sequence[Lit]) -> tuple[list[Lit]
     and not seen_{i-1}, one way only, since every reader reads start_i
     positively.  So at most one start is true, and possibly none.
     """
-    starts = [in_lits[0]]
-    seen = [in_lits[0]]
-    for in_i in in_lits[1:]:
-        starts.append(builder.implies_and([in_i, -seen[-1]]))
-        seen.append(builder.gate_or([seen[-1], in_i]))
+    # per vertex after the first, two fresh variables: start_i, then seen_i
+    first, n = builder.var_count + 1, len(in_lits)
+    builder.var_count += 2 * (n - 1)
+    starts = [in_lits[0], *range(first, first + 2 * (n - 1), 2)]
+    seen = [in_lits[0], *range(first + 1, first + 2 * (n - 1), 2)]
+    builder.clauses += [
+        cl
+        for in_i, s, prev, o in zip(in_lits[1:], starts[1:], seen, seen[1:])
+        for cl in ([-s, in_i], [-s, -prev], [o, -prev], [o, -in_i], [-o, prev, in_i])
+    ]
     return starts, seen
 
 
@@ -184,12 +185,9 @@ def _distance_labels(
         builder.clauses += [list(d.bits) for d in labels]
         return labels
     width = 1 + ((n - 1) // 2 + 1).bit_length()
-    labels = []
-    for v, side in zip(vs, sides):
-        name = f"{prefix}_{v.term}"
-        labels.append(BitVec([side] + [builder.new_var(f"{name}_{i}") for i in range(1, width)]))
-        if side == builder.TRUE:
-            builder.add_trusted(labels[-1].bits[1:])
+    lits = builder.named_vars([f"{prefix}_{v.term}_{i}" for v in vs for i in range(1, width)])
+    labels = [BitVec([side] + lits[k : k + width - 1]) for side, k in zip(sides, range(0, len(lits), width - 1))]
+    builder.clauses += [d.bits[1:] for d in labels if d.bits[0] == builder.TRUE]
     return labels
 
 
@@ -235,7 +233,7 @@ def hcp(
     else:
         # vertex 0 is the start whenever it is in
         start, (starts, seen) = 0, _start_chain(builder, in_lits)
-        builder.add_trusted([seen[-1]])
+        builder.clauses.append([seen[-1]])
 
     # every in-vertex but the start: exactly one out-edge and one in-edge
     outgoing: list[list[Lit]] = [[] for _ in range(n)]
@@ -243,10 +241,11 @@ def hcp(
     for e, (i, j) in zip(es, ends):
         outgoing[i].append(e.lit)
         incoming[j].append(e.lit)
+    add = builder.clauses.append
     for i in range(n):
         for lits in (outgoing[i], incoming[i]):
             if i != start:
-                builder.add_trusted(([starts[i], -in_lits[i]] if starts else [-in_lits[i]]) + lits)
+                add(([starts[i], -in_lits[i]] if starts else [-in_lits[i]]) + lits)
             if not lits:
                 break  # the clause above subsumes the other direction's clause
             if len(lits) > 1:
@@ -266,13 +265,10 @@ def hcp(
 def grid_graph_edges(builder: CnfBuilder, grid: GridVars) -> list[EdgeSpec]:
     """Directed edges between orthogonally adjacent cells, in row-major,
     direction-stable order (per cell: up, down, left, right)."""
-    edges = []
-    for r, c in grid.cells:
-        for r2, c2 in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if (r2, c2) in grid.cells:
-                lit = builder.new_var(f"edge_{r}_{c}_{r2}_{c2}")
-                edges.append(EdgeSpec((r, c), (r2, c2), lit))
-    return edges
+    cells = grid.cells
+    ends = [((r, c), b) for r, c in cells for b in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)) if b in cells]
+    lits = builder.named_vars([f"edge_{r}_{c}_{r2}_{c2}" for (r, c), (r2, c2) in ends])
+    return [EdgeSpec(a, b, e) for (a, b), e in zip(ends, lits)]
 
 
 def _grid_vertices(grid: GridVars) -> list[VertexSpec]:
@@ -324,14 +320,13 @@ def scc(
 
     # selected parent j of i -> d_i = f(d_j)
     steps: list[list[tuple[BitVec, list[Lit]]]] = [[] for _ in range(n)]
+    clauses = builder.clauses
     for i in range(1, n):
-        parents = []
-        for elit, j in incident[i]:
-            p = builder.new_var()
-            builder.add_trusted([-p, elit])
-            parents.append(p)
+        parents = builder.new_vars(len(incident[i]))
+        clauses += [[-p, elit] for p, (elit, _) in zip(parents, incident[i])]
+        for p, (_, j) in zip(parents, incident[i]):
             steps[j].append((dist[i], [p]))
-        builder.add_trusted([roots[i], -in_lits[i]] + parents)
+        clauses.append([roots[i], -in_lits[i]] + parents)
         if len(parents) > 1:
             builder.at_most_one(parents)
     for j in range(n):
@@ -342,15 +337,12 @@ def scc(
 def scc_grid(builder: CnfBuilder, grid: GridVars) -> None:
     """scc over the grid cells, with one undirected edge literal per
     orthogonally adjacent pair, defined as the conjunction of the two cells."""
-    es = []
-    for (r, c), a in grid.cells.items():
-        for r2, c2 in ((r + 1, c), (r, c + 1)):
-            if (r2, c2) in grid.cells:
-                g = builder.new_var(f"uedge_{r}_{c}_{r2}_{c2}")
-                # scc's endpoint clauses give g -> a and g -> b
-                builder.add_trusted([g, -a, -grid.cells[(r2, c2)]])
-                es.append(EdgeSpec((r, c), (r2, c2), g))
-    scc(builder, _grid_vertices(grid), es)
+    cells = grid.cells
+    ends = [((r, c), b) for r, c in cells for b in ((r + 1, c), (r, c + 1)) if b in cells]
+    lits = builder.named_vars([f"uedge_{r}_{c}_{r2}_{c2}" for (r, c), (r2, c2) in ends])
+    # scc's endpoint clauses give g -> a and g -> b
+    builder.clauses += [[g, -cells[a], -cells[b]] for (a, b), g in zip(ends, lits)]
+    scc(builder, _grid_vertices(grid), [EdgeSpec(a, b, g) for (a, b), g in zip(ends, lits)])
 
 
 def cycle_grid(
@@ -372,33 +364,42 @@ def cycle_grid(
     ``exact`` at least 3).  Returns the edges,
     row-major as (up or left cell, other), and the propagator.
     """
-    edges: list[EdgeSpec] = []
-    incident: dict[Cell, list[Lit]] = {rc: [] for rc in grid.cells}
+    cells = grid.cells
+    ends = [((r, c), b) for r, c in cells for b in ((r + 1, c), (r, c + 1)) if b in cells]
+    lits = builder.named_vars([f"edge_{r}_{c}_{r2}_{c2}" for (r, c), (r2, c2) in ends])
+    edges = [EdgeSpec(a, b, e) for (a, b), e in zip(ends, lits)]
+    # an active edge puts each of its cells in, unless it is an anchor
     anchored = set(anchors)
-    for (r, c), a in grid.cells.items():
-        for b in ((r + 1, c), (r, c + 1)):
-            if b in grid.cells:
-                e = builder.new_var(f"edge_{r}_{c}_{b[0]}_{b[1]}")
-                edges.append(EdgeSpec((r, c), b, e))
-                incident[(r, c)].append(e)
-                incident[b].append(e)
-                if (r, c) not in anchored:
-                    builder.add_trusted([-e, a])
-                if b not in anchored:
-                    builder.add_trusted([-e, grid.cells[b]])
+    free = {rc: lit for rc, lit in cells.items() if rc not in anchored}
+    clauses = builder.clauses
+    clauses += [[-e, free[x]] for (a, b), e in zip(ends, lits) for x in (a, b) if x in free]
+    # per cell, its edges up, left, down, right, as far as they exist
+    incident: dict[Cell, list[Lit]] = {rc: [] for rc in cells}
+    for (a, b), e in zip(ends, lits):
+        incident[a].append(e)
+        incident[b].append(e)
     # a counter over fewer than three cells lacks an output, which is false
     at_least_2, at_least_3 = (count.outputs + [builder.FALSE] * 2)[1:3] if count else (None, None)
-    for rc, lits in incident.items():
-        guard = [-grid.cells[rc]] + ([-at_least_3] if count else [])
-        for trio in itertools.combinations(lits, 3):
-            builder.add_trusted([-e for e in trio])
+    # per cell, written out by its number of edges: no three edges on, then
+    # (in -> some other edge besides each one) at least two on
+    for x, inc in zip(cells.values(), incident.values()):
+        guard = [-x, -at_least_3] if count else [-x]
+        if len(inc) == 4:
+            a, b, c, d = inc
+            trios = ([-a, -b, -c], [-a, -b, -d], [-a, -c, -d], [-b, -c, -d])
+            others = (guard + [b, c, d], guard + [a, c, d], guard + [a, b, d], guard + [a, b, c])
+        elif len(inc) == 3:
+            a, b, c = inc
+            trios, others = ([-a, -b, -c],), (guard + [b, c], guard + [a, c], guard + [a, b])
+        elif len(inc) == 2:
+            a, b = inc
+            trios, others = (), (guard + [b], guard + [a])
+        else:
+            trios, others = (), (guard,)
+        clauses += trios
         if count:
-            builder.add_trusted([-grid.cells[rc], -at_least_2] + lits)
-        # in -> some other edge besides each one: at least two edges
-        for i in range(len(lits)):
-            builder.add_trusted(guard + lits[:i] + lits[i + 1 :])
-        if not lits:
-            builder.add_trusted(guard)
+            clauses.append([-x, -at_least_2] + inc)
+        clauses += others
     return edges, OneCycle(grid, edges, anchors)
 
 

@@ -5,6 +5,7 @@ model, the arm ladders that every circle's rule is written over, and
 cycle."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Container, Sequence
 
@@ -31,13 +32,13 @@ def reaches(n: int, cell: Cell, black: Container[Cell], depth: int) -> tuple[int
     cuts.  A reach is cut to 1 at least, so a first edge on the board
     stays."""
     r, c = cell
-    out = []
-    for (dr, dc), reach in zip(STEPS, (r - 1, n - r, c - 1, n - c)):
-        for i in range(1, min(reach, depth)):
-            if (r + i * dr, c + i * dc) in black:
-                reach = i
-                break
-        out.append(reach)
+    out = [r - 1, n - r, c - 1, n - c]
+    if black:
+        for d, (dr, dc) in enumerate(STEPS):
+            for i in range(1, min(out[d], depth)):
+                if (r + i * dr, c + i * dc) in black:
+                    out[d] = i
+                    break
     return tuple(out)
 
 
@@ -53,9 +54,11 @@ def arm_ladders(
     """The loop passes the circle at ``cell`` along one of ``pairs``, pairs
     of directions (indices into ``STEPS``) whose first edges are on the
     board; ``reach`` is the circle's ``reaches``.  ``edge(a, b)`` is the
-    literal of the edge between cells a and b being on, and ``add_once``
-    adds a clause unless it was added before: two circles can force one edge
-    off alike, or both be unmet.
+    literal of the edge between cells a and b being on, read once per edge.
+    ``add_once`` adds a clause unless it was added before, and takes only
+    the clauses that two circles can both write: the unit that forces an
+    edge off, and the empty clause of an unmet circle.  Every other clause
+    goes straight into ``builder.clauses``.
 
     Returns the arm ladders, the order encoding of each arm's length
     (Tamura et al., "Compiling finite linear CSP into SAT", Constraints
@@ -75,28 +78,57 @@ def arm_ladders(
     if not pairs:
         add_once([])
         return {}
+    dirs, live, colour, partners = _arm_shape(tuple(pairs), (reach[0] > 0, reach[1] > 0, reach[2] > 0, reach[3] > 0))
     r, c = cell
-    first = {d: edge(cell, (r + dr, c + dc)) for d, (dr, dc) in enumerate(STEPS) if reach[d]}
-    partners = {d: [q for pair in pairs if d in pair for q in pair if q != d] for d in first}
-    live = [d for d in first if partners[d]]
+    nbrs = ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+    first = [0] * len(STEPS)
+    for d in dirs:
+        first[d] = edge(cell, nbrs[d])
+    clauses = builder.clauses
+    add = clauses.append
     # implied where a cell has at most two on edges, but without them, or
     # the forced-off units below, the lazy masyu_30x30 took 123 s, not 7 s
-    for i, d in enumerate(live):
-        for p in live[i + 1 :]:
-            if p not in partners[d]:
-                builder.add_trusted([-first[d], -first[p]])
-    for d in first:
-        add_once([-first[d]] + [first[q] for q in partners[d]])
-    builder.add_trusted([first[d] for d in live])
+    for d, p in colour:
+        add([-first[d], -first[p]])
+    for d, qs in partners:
+        if len(qs) == 1:
+            add([-first[d], first[qs[0]]])
+        elif qs:
+            add([-first[d]] + [first[q] for q in qs])
+        else:
+            add_once([-first[d]])
+    add([first[d] for d in live])
 
     ladder = {}
     for d in live:
-        (dr, dc), arm = STEPS[d], [first[d]]
-        for i in range(1, min(depth, reach[d])):
-            a, b = (r + i * dr, c + i * dc), (r + (i + 1) * dr, c + (i + 1) * dc)
-            arm.append(builder.gate_and([arm[-1], edge(a, b)]))
+        (dr, dc), arm, a = STEPS[d], [first[d]], nbrs[d]
+        for i in range(2, min(depth, reach[d]) + 1):
+            b = (r + i * dr, c + i * dc)
+            e = edge(a, b)  # in the eager model, a first read makes a gate
+            # g <-> the arm so far and e, as gate_and writes it
+            g = builder.var_count = builder.var_count + 1
+            prev = arm[-1]
+            clauses += ([-g, prev], [-g, e], [g, -prev, -e])
+            arm.append(g)
+            a = b
         ladder[d] = arm
     return ladder
+
+
+@functools.cache
+def _arm_shape(
+    pairs: tuple[tuple[int, int], ...], on_board: tuple[bool, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...], tuple[tuple[int, tuple[int, ...]], ...]]:
+    """What ``arm_ladders`` writes for ``pairs`` at a circle whose first
+    edge toward each direction of ``STEPS`` is on the board or not, in
+    direction indices: the directions on the board, those in some pair
+    (live), the live pairs that are not a pair (colour), and each on-board
+    direction with its partners."""
+    dirs = tuple(d for d in range(len(STEPS)) if on_board[d])
+    partners = {d: tuple(q for pair in pairs if d in pair for q in pair if q != d) for d in dirs}
+    live = tuple(d for d in dirs if partners[d])
+    colour = tuple((d, p) for i, d in enumerate(live) for p in live[i + 1 :] if p not in partners[d])
+    return dirs, live, colour, tuple(partners.items())
 
 
 def build_loop(
@@ -128,24 +160,31 @@ def build_loop(
         edges, propagator = cycle_grid(builder, grid, circles)
     else:
         edges, propagator = hcp_grid(builder, grid, circles[0] if circles else None), None
+    clauses = builder.clauses
     directed = {(e.src, e.dst): e.lit for e in edges}
-    # keyed (up or left cell, other), as the lazy model lists its edges
-    undirected = dict(directed) if propagator is not None else {}
+    # the literal of each edge under both of its orientations: the lazy
+    # model's own, the eager model's made as a rule first reads the edge
+    undirected: dict[tuple[Cell, Cell], Lit] = {}
+    if propagator is not None:
+        undirected.update(directed)
+        undirected.update(((b, a), lit) for (a, b), lit in directed.items())
     added: set[tuple[Lit, ...]] = set()
 
     def edge(a: Cell, b: Cell) -> Lit:
-        key = (a, b) if a < b else (b, a)
-        if key not in undirected:
-            undirected[key] = builder.gate_or([directed[(a, b)], directed[(b, a)]])
-        return undirected[key]
+        try:
+            return undirected[a, b]
+        except KeyError:
+            g = undirected[a, b] = undirected[b, a] = builder.gate_or([directed[a, b], directed[b, a]])
+            return g
 
     def add_once(clause: list[Lit]) -> None:
-        if tuple(clause) not in added:
-            added.add(tuple(clause))
-            builder.add_trusted(clause)
+        key = tuple(clause)
+        if key not in added:
+            added.add(key)
+            clauses.append(clause)
 
     for cell in circles:
-        builder.add_trusted([grid.cell(*cell)])
+        clauses.append([grid.cells[cell]])
         constrain(cell, edge, add_once)
     return (lambda assignment: decode_loop(assignment, grid, edges)), None, propagator
 

@@ -72,27 +72,22 @@ def constrain_circle(
     pairs = [(d, p) for d, p in PAIRS[color] if min(reach[d], reach[p]) >= least]
     ladder = arm_ladders(builder, edge, add_once, reach, cell, pairs, 2)
     if color == WHITE:
-        for d, p in pairs:
-            if len(ladder[d]) == len(ladder[p]) == 2:
-                builder.add_trusted([-ladder[d][1], -ladder[p][1]])
+        builder.clauses += [
+            [-ladder[d][1], -ladder[p][1]] for d, p in pairs if len(ladder[d]) == len(ladder[p]) == 2
+        ]
     else:
-        for arm in ladder.values():
-            builder.add_trusted([-arm[0], arm[1]])
+        builder.clauses += [[-arm[0], arm[1]] for arm in ladder.values()]
 
 
 def build_masyu(builder: CnfBuilder, inst: MasyuInstance, lazy: bool = False):
     """Returns (decode, None, propagator); see ``build_loop``, which ``lazy`` is
     passed to.  Each circle gets the rule of ``constrain_circle``."""
-    circles = [
-        (r, c)
-        for r in range(1, inst.n + 1)
-        for c in range(1, inst.n + 1)
-        if inst.at(r, c) != EMPTY
-    ]
-    black = {cell for cell in circles if inst.at(*cell) == BLACK}
+    marks = {(r, c): mark for r, row in enumerate(inst.board, 1) for c, mark in enumerate(row, 1) if mark != EMPTY}
+    circles = list(marks)
+    black = {cell for cell, mark in marks.items() if mark == BLACK}
 
     def constrain(cell: Cell, edge: EdgeReader, add_once: AddOnce) -> None:
-        constrain_circle(builder, edge, add_once, inst.n, black, cell, inst.at(*cell))
+        constrain_circle(builder, edge, add_once, inst.n, black, cell, marks[cell])
 
     return build_loop(builder, inst.n, circles, constrain, lazy)
 

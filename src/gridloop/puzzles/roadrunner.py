@@ -6,6 +6,7 @@ Coordinates are (x, y) with x the 1-based column and y the 1-based row.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,12 +31,8 @@ class RoadrunnerInstance:
         return 1 <= x <= self.max_x and 1 <= y <= self.max_y
 
     def white_cells(self) -> list[Pos]:
-        return [
-            (x, y)
-            for y in range(1, self.max_y + 1)
-            for x in range(1, self.max_x + 1)
-            if not self.is_hill(x, y)
-        ]
+        """The cells that are not hills, row by row."""
+        return [(x, y) for y, row in enumerate(self.hill, 1) for x, h in enumerate(row, 1) if not h]
 
 
 def parse_roadrunner(text: str) -> RoadrunnerInstance:
@@ -72,19 +69,25 @@ def parse_roadrunner(text: str) -> RoadrunnerInstance:
     return RoadrunnerInstance(max_x, max_y, hill, clues)
 
 
+def _sight_runs(inst: RoadrunnerInstance) -> list[list[Pos]]:
+    """The runs of white cells between hills (or the edge) along each row,
+    then along each column, in order: a laser beams along its row run and
+    its column run."""
+    white = set(inst.white_cells())
+    lines = [[(x, y) for x in range(1, inst.max_x + 1)] for y in range(1, inst.max_y + 1)]
+    lines += [[(x, y) for y in range(1, inst.max_y + 1)] for x in range(1, inst.max_x + 1)]
+    return [list(run) for line in lines for is_white, run in itertools.groupby(line, key=white.__contains__) if is_white]
+
+
 def attacked_positions(inst: RoadrunnerInstance, x: int, y: int) -> list[Pos]:
     """White cells a laser at (x, y) beams over: four rays (left, right, up,
-    down), each stopping before the first hill or at the edge."""
+    down), nearest first, each stopping before the first hill or at the
+    edge."""
     if inst.is_hill(x, y):
         raise ValueError(f"({x}, {y}) is a hill cell")
-    ps: list[Pos] = []
-    for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        cx, cy = x + dx, y + dy
-        while inst.in_bounds(cx, cy) and not inst.is_hill(cx, cy):
-            ps.append((cx, cy))
-            cx += dx
-            cy += dy
-    return ps
+    row, col = (run for run in _sight_runs(inst) if (x, y) in run)
+    i, j = row.index((x, y)), col.index((x, y))
+    return row[:i][::-1] + row[i + 1 :] + col[:j][::-1] + col[j + 1 :]
 
 
 def quadrantal_neighbors(inst: RoadrunnerInstance, x: int, y: int) -> list[Pos]:
@@ -117,39 +120,54 @@ def build_roadrunner(
             raise ValueError(f"clue value {num} out of range")
 
     # only white cells can be on the road: hills get no road literal
+    white = inst.white_cells()
     road = GridVars(
         inst.max_y,
         inst.max_x,
-        {(y, x): builder.new_var(f"road_{y}_{x}") for (x, y) in inst.white_cells()},
+        dict(zip([(y, x) for x, y in white], builder.named_vars([f"road_{y}_{x}" for x, y in white]))),
     )
-
-    def road_lit(x: int, y: int) -> Lit:
-        return road.cell(y, x)
-
-    laser = {
-        (x, y): builder.new_var(f"laser_{x}_{y}") for (x, y) in inst.white_cells()
-    }
+    road_at = {(x, y): road.cells[(y, x)] for x, y in white}
+    laser = dict(zip(white, builder.named_vars([f"laser_{x}_{y}" for x, y in white])))
+    clauses = builder.clauses
 
     for x, y, num in inst.clues:
         neighbor_lasers = [
             laser[p] for p in quadrantal_neighbors(inst, x, y) if p in laser
         ]
         if num > len(neighbor_lasers):
-            builder.add_trusted([])  # clue cannot be met
+            clauses.append([])  # clue cannot be met
             continue
         if neighbor_lasers:
             count = builder.unary_count(neighbor_lasers)
             builder.fix_count(count, num)
 
-    for (x, y), lz in laser.items():
-        ps = attacked_positions(inst, x, y)
-        for p in ps:
-            if p > (x, y):  # sight is symmetric: one clause per pair
-                builder.add_trusted([-lz, -laser[p]])
-            builder.add_trusted([-lz, -road_lit(*p)])
-        # road(x, y) <-> no laser on (x, y) or any attacked position
-        builder.add_trusted([-road_lit(x, y), -lz])
-        builder.add_trusted([road_lit(x, y), lz] + [laser[p] for p in ps])
+    # per white cell, the laser and road literals of its row run and its
+    # column run (``_sight_runs``), and its place in each
+    sight: dict[Pos, list[tuple[list[Lit], list[Lit], int]]] = {p: [] for p in white}
+    for run in _sight_runs(inst):
+        lasers, roads = [laser[p] for p in run], [road_at[p] for p in run]
+        for i, p in enumerate(run):
+            sight[p].append((lasers, roads, i))
+
+    # A laser at p sees the cells left, right, up and down of it, nearest
+    # first, as ``attacked_positions`` lists them.  It bans a laser there
+    # (one clause per pair: the cell to the right or below writes it) and
+    # the road there, and road(p) <-> no laser on p or any cell it sees.
+    add = clauses.append
+    for p, lz in laser.items():
+        (row_l, row_r, i), (col_l, col_r, j) = sight[p]
+        for q in reversed(row_r[:i]):
+            add([-lz, -q])
+        for l, q in zip(row_l[i + 1 :], row_r[i + 1 :]):
+            add([-lz, -l])
+            add([-lz, -q])
+        for q in reversed(col_r[:j]):
+            add([-lz, -q])
+        for l, q in zip(col_l[j + 1 :], col_r[j + 1 :]):
+            add([-lz, -l])
+            add([-lz, -q])
+        rd = road_at[p]
+        clauses += ([-rd, -lz], [rd, lz] + row_l[:i][::-1] + row_l[i + 1 :] + col_l[:j][::-1] + col_l[j + 1 :])
 
     # an all-hill board still gets a counter to bound, over constant false
     cells = list(road.cells.values()) or [builder.FALSE]
@@ -157,13 +175,13 @@ def build_roadrunner(
     if lazy:
         # the counter comes first: cycle_grid's degree clauses read it
         count = builder.unary_count(cells, exact=3)
-        builder.add_trusted([count.outputs[0]])  # K >= 1
+        clauses.append([count.outputs[0]])  # K >= 1
         edges, propagator = cycle_grid(builder, road, count=count)
     else:
         if road.cells:
             edges = hcp_grid(builder, road)  # hcp itself requires K >= 1
         else:
-            builder.add_trusted([])  # all hills: no road
+            clauses.append([])  # all hills: no road
         count = builder.unary_count(cells, exact=0)
     return (lambda assignment: decode_roadrunner(assignment, inst, laser, road, edges)), count, propagator
 

@@ -80,31 +80,30 @@ def constrain_arms(
     reach = reaches(n, cell, black, clue)
     pairs = [(d, p) for d, p in PAIRS[color] if reach[d] and reach[p] and reach[d] + reach[p] >= clue]
     ladder = arm_ladders(builder, edge, add_once, reach, cell, pairs, clue)
+    add = builder.clauses.append
     for d, p in pairs:
         a, b = ladder[d], ladder[p]
-        for L in range(max(1, clue + 1 - len(b)), len(a) + 1):
-            builder.add_trusted([-a[L - 1], -b[clue - L]])
-        # L = 1 and L = clue hold by the guard; one side is on the board,
-        # since the arms reach clue in sum
+        # L from lo up to len(a): a_d(L) against a_p(clue+1-L), downward
+        lo = max(1, clue + 1 - len(b))
+        for x, y in zip(a[lo - 1 :], b[clue - lo :: -1]):
+            add([-x, -y])
+        # L = 1 and L = clue hold by the guard; a slice past an arm's end
+        # is empty, and one side is on the board, since the arms reach
+        # clue in sum
+        guard = [-a[0], -b[0]]
         for L in range(2, clue):
-            longer = [a[L - 1]] if L <= len(a) else []
-            longer += [b[clue - L]] if clue - L < len(b) else []
-            builder.add_trusted([-a[0], -b[0]] + longer)
+            add(guard + a[L - 1 : L] + b[clue - L : clue - L + 1])
 
 
 def build_shingoki(builder: CnfBuilder, inst: ShingokiInstance, lazy: bool = False):
     """Returns (decode, None, propagator); see ``build_loop``, which ``lazy`` is
     passed to.  Each circle gets the arm rule of ``constrain_arms``."""
-    circles = [
-        (r, c)
-        for r in range(1, inst.n + 1)
-        for c in range(1, inst.n + 1)
-        if inst.at(r, c) is not None
-    ]
-    black = {cell for cell in circles if inst.at(*cell)[0] == "b"}
+    marks = {(r, c): mark for r, row in enumerate(inst.board, 1) for c, mark in enumerate(row, 1) if mark is not None}
+    circles = list(marks)
+    black = {cell for cell, (color, _) in marks.items() if color == "b"}
 
     def constrain(cell: Cell, edge: EdgeReader, add_once: AddOnce) -> None:
-        constrain_arms(builder, edge, add_once, inst.n, black, cell, *inst.at(*cell))
+        constrain_arms(builder, edge, add_once, inst.n, black, cell, *marks[cell])
 
     return build_loop(builder, inst.n, circles, constrain, lazy)
 

@@ -4,6 +4,8 @@ contains black blocks of exactly the given sizes, separated by whites."""
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,11 +25,9 @@ class TapaInstance:
     def at(self, r: int, c: int):
         return self.board[r - 1][c - 1]
 
-    def clue_cells(self):
-        for r in range(1, self.n + 1):
-            for c in range(1, self.n + 1):
-                if self.board[r - 1][c - 1] is not None:
-                    yield r, c
+    def clue_cells(self) -> list[tuple[int, int]]:
+        """The clue cells, row by row."""
+        return [(r, c) for r, row in enumerate(self.board, 1) for c, clue in enumerate(row, 1) if clue is not None]
 
 
 @dataclass
@@ -105,6 +105,20 @@ def _ring_layouts(ring_len: int, circular: bool) -> dict[tuple[int, ...], list[t
     return by_sizes
 
 
+# 2^i, the bit of ring position i in a mask of positions
+_POSITION_BITS = tuple(1 << i for i in range(8))
+
+
+@functools.cache
+def _layout_signs(clue: tuple[int, ...], ring_len: int, circular: bool) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The layouts of ``findall_layouts``, in ascending order, each as the
+    mask of its black positions and the signs (1 black, -1 white) of all
+    its positions.  A ring of no cells (a 1x1 board) has the one empty
+    layout, which meets only a clue of zeros."""
+    layouts = findall_layouts(clue, ring_len, circular) if ring_len else [()] * (not any(clue))
+    return tuple((sum(itertools.compress(_POSITION_BITS, lay)), tuple(2 * bit - 1 for bit in lay)) for lay in layouts)
+
+
 def _block_sizes(bits: str, circular: bool) -> tuple[int, ...]:
     """Sorted lengths of the black blocks ("1" runs) of a layout.  On a
     circular ring the layout is first turned to start at a white cell, so
@@ -128,48 +142,46 @@ def build_tapa(
     propagator's check on a total trail gives the clauses that exclude a
     model whose black cells do (see ``Connectivity``), or no clause for a
     connected one."""
-    # clue cells are white: only the other cells get a literal
-    grid = GridVars(
-        inst.n,
-        inst.n,
-        {
-            (r, c): builder.new_var(f"cell_{r}_{c}")
-            for r in range(1, inst.n + 1)
-            for c in range(1, inst.n + 1)
-            if inst.at(r, c) is None
-        },
-    )
+    n = inst.n
+    # clue cells are white: only the other cells get a literal, and a 0 in
+    # the row-major table ``lit``
+    free = [(r, c) for r, row in enumerate(inst.board, 1) for c, clue in enumerate(row, 1) if clue is None]
+    grid = GridVars(n, n, dict(zip(free, builder.named_vars([f"cell_{r}_{c}" for r, c in free]))))
+    cells = grid.cells
+    lit = [[cells.get((r, c), 0) for c in range(1, n + 1)] for r in range(1, n + 1)]
     propagator = None
     if lazy:
         propagator = Connectivity(grid)
-    elif grid.cells:  # an all-clue board has no black cell to connect
+    elif cells:  # an all-clue board has no black cell to connect
         scc_grid(builder, grid)
-    for r in range(1, inst.n):
-        for c in range(1, inst.n):
-            window = [(r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1)]
-            if all(p in grid.cells for p in window):
-                builder.add_trusted([-grid.cells[p] for p in window])
+    clauses = builder.clauses
+    # no 2x2 window of four non-clue cells is all black
+    clauses += [
+        [-a, -b, -c, -d]
+        for top, bottom in zip(lit, lit[1:])
+        for a, b, c, d in zip(top, top[1:], bottom, bottom[1:])
+        if a and b and c and d
+    ]
     for r, c in inst.clue_cells():
-        ring, circular = neighbor_ring(inst.n, r, c)
-        if ring:
-            layouts = findall_layouts(inst.at(r, c), len(ring), circular)
-        else:  # a 1x1 board: the ring is empty, so only an all-zero clue is met
-            layouts = [] if any(inst.at(r, c)) else [()]
-        choices = []
-        for lay in layouts:
-            if any(bit and p not in grid.cells for p, bit in zip(ring, lay)):
-                continue  # black on a clue cell
-            lits = [
-                grid.cells[p] if bit else -grid.cells[p]
-                for p, bit in zip(ring, lay)
-                if p in grid.cells
-            ]
-            if not lits:
-                break  # the clue is met whatever the cells are: no clause
-            # a choice is read only in OR(choices), so it need only imply its layout
-            choices.append(builder.implies_and(lits))
-        else:
-            builder.add_trusted(choices)  # empty if no layout fits: infeasible
+        ring, circular = neighbor_ring(n, r, c)
+        ring_lits = [lit[r1 - 1][c1 - 1] for r1, c1 in ring]
+        # the layouts that leave every clue cell of the ring white, as the
+        # signs of its positions; a clue cell's literal is 0
+        on = [x for x in ring_lits if x]
+        clue_mask = sum(itertools.compress(_POSITION_BITS, map(operator.not_, ring_lits)))
+        layouts = [signs for black, signs in _layout_signs(tuple(inst.at(r, c)), len(ring), circular) if not black & clue_mask]
+        if not on:
+            if not layouts:
+                clauses.append([])  # no layout fits: infeasible
+            continue  # else the clue is met whatever the cells are: no clause
+        if len(on) == 1:  # a choice of one literal is that literal
+            k = ring_lits.index(on[0])
+            clauses.append([signs[k] * on[0] for signs in layouts])
+            continue
+        # a choice is read only in OR(choices), so it need only imply its layout
+        choices = builder.new_vars(len(layouts))
+        clauses += [[-g, s * x] for g, signs in zip(choices, layouts) for s, x in zip(signs, ring_lits) if x]
+        clauses.append(choices)  # empty if no layout fits: infeasible
     return (lambda assignment: decode_coloring(assignment, grid)), None, propagator
 
 
