@@ -365,12 +365,12 @@ class CnfBuilder:
         if overflow is not None:
             self.add_trusted([-g for g in guard] + overflow)
 
-    def bitvec_successors(self, x: BitVec, steps: Sequence[tuple[BitVec, Sequence[Lit]]]) -> None:
+    def bitvec_successors(self, x: BitVec, steps: Sequence[tuple[BitVec, Sequence[Lit]]]) -> list[int]:
         """For each (y, guard) of ``steps``: AND(guard) -> (y = x + 1 mod
         2^width), over one ``increment`` of x (see ``_steps_to``)."""
-        self._steps_to(self.increment(x).bits, steps)
+        return self._steps_to(self.increment(x).bits, steps)
 
-    def lfsr_successors(self, x: BitVec, steps: Sequence[tuple[BitVec, Sequence[Lit]]]) -> None:
+    def lfsr_successors(self, x: BitVec, steps: Sequence[tuple[BitVec, Sequence[Lit]]]) -> list[int]:
         """For each (y, guard) of ``steps``: AND(guard) -> (y = f(x)), where
         f is one step of a Galois shift register (LFSR) over the primitive
         polynomial ``_LFSR_TAPS[m]`` of x's m state bits (see ``_steps_to``).
@@ -390,19 +390,22 @@ class CnfBuilder:
         if bits[0] != self.FALSE:
             taps, out = _LFSR_TAPS[m], state[-1]
             state = [out] + [self.gate_xor(s, out) if taps >> k & 1 else s for k, s in enumerate(state[:-1], 1)]
-        self._steps_to(head + state, steps)
+        return self._steps_to(head + state, steps)
 
-    def _steps_to(self, image: list[Lit], steps: Sequence[tuple[BitVec, Sequence[Lit]]]) -> None:
+    def _steps_to(self, image: list[Lit], steps: Sequence[tuple[BitVec, Sequence[Lit]]]) -> list[int]:
         """For each (y, guard) of ``steps``: AND(guard) -> (y = image), with
         the clauses appended in one batch.  Each guard needs at least one
-        literal.
+        literal.  Returns where each step's clauses start in ``clauses``,
+        and where the last one's end: step t's are ``clauses[b[t]:b[t + 1]]``.
 
         Constant bits fold: a clause with a ``TRUE`` literal is dropped and
         ``FALSE`` literals are stripped, so a bit that is the same literal in
         y and in the image costs nothing."""
         out: list[list[Lit]] = []
         add = out.append
+        marks = []
         for y, guard in steps:
+            marks.append(len(out))
             if not guard:
                 raise ValueError("a successor step needs a guard literal")
             if y.width != len(image):
@@ -418,7 +421,9 @@ class CnfBuilder:
                 else:
                     add(pre + [-yb, sb])
                     add(pre + [yb, -sb])
+        first = len(self.clauses)
         self.clauses += out
+        return [first + m for m in marks] + [first + len(out)]
 
     # -- output ---------------------------------------------------------
 
@@ -427,12 +432,15 @@ class CnfBuilder:
         write_dimacs(sink, self.var_count, self.clauses)
 
     def emit_varmap(self, sink) -> None:
-        """Write 'index name' lines for every named variable."""
-        for idx in sorted(self.names):
-            sink.write(f"{idx} {self.names[idx]}\n")
+        """Write 'index name' lines for every named variable, in index
+        order, one ``sink.write`` per ``_DIMACS_CHUNK`` lines."""
+        names = self.names
+        keys = sorted(names)
+        for i in range(0, len(keys), _DIMACS_CHUNK):
+            sink.write("".join([f"{k} {names[k]}\n" for k in keys[i : i + _DIMACS_CHUNK]]))
 
 
-# Clauses joined into one string per ``sink.write`` call.
+# Clauses (or ``.map`` lines) joined into one string per ``sink.write`` call.
 _DIMACS_CHUNK = 4096
 # Clauses formatted by one ``%``; divides _DIMACS_CHUNK.  A whole chunk's
 # literal tuple and text can pass glibc's 128 KiB mmap threshold, and on

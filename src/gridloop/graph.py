@@ -31,12 +31,18 @@ search by its propagator, ``OneCycle``.
 Clauses go in unchecked, appended to ``CnfBuilder.clauses`` in batches
 under ``CnfBuilder.add_trusted``'s contract, so every vertex and edge literal
 given to these functions must be over a variable of its own.
+
+On a grid that ``make_grid`` made, ``hcp_grid`` and ``cycle_grid`` encode
+each shape once per process and stamp every later board of that shape out
+of a compact copy (see ``_Template``); ``clear_templates`` forgets them.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+from array import array
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from .cnf import BitVec, CnfBuilder, Lit, UnaryCount
 from .solver import Propagator
@@ -79,12 +85,149 @@ class GridVars:
         return grid
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_shape(rows: int, cols: int) -> tuple[tuple[Cell, ...], tuple[str, ...]]:
+    """The cells of the whole rows x cols rectangle in row-major order, and
+    their names, kept for the last shape asked for."""
+    keys = tuple((r, c) for r in range(1, rows + 1) for c in range(1, cols + 1))
+    return keys, tuple(f"cell_{r}_{c}" for r, c in keys)
+
+
 def make_grid(builder: CnfBuilder, rows: int, cols: int) -> GridVars:
-    """A grid in which every cell can be in."""
+    """A grid in which every cell can be in: the whole rectangle, its cells
+    numbered in row-major order from the builder's next variable.
+    ``hcp_grid`` and ``cycle_grid`` stamp such a grid's clauses from a
+    template of its shape (see ``_Template``), once it has been built twice
+    in a row; the cell names are shared, and each board gets its own
+    ``cells`` dict."""
     if rows < 1 or cols < 1:
         raise ValueError("grid must be at least 1x1")
-    keys = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
-    return GridVars(rows, cols, dict(zip(keys, builder.named_vars([f"cell_{r}_{c}" for r, c in keys]))))
+    keys, names = _grid_shape(rows, cols)
+    return GridVars(rows, cols, dict(zip(keys, builder.named_vars(names))))
+
+
+def _numbered_from(grid: GridVars) -> int | None:
+    """The first cell variable of a grid laid out as ``make_grid`` lays one
+    out (every cell of the rectangle, in row-major order, numbered up from
+    it), else None."""
+    cells = grid.cells
+    if len(cells) != grid.rows * grid.cols:
+        return None
+    first = next(iter(cells.values()))
+    if tuple(cells) != _grid_shape(grid.rows, grid.cols)[0]:
+        return None
+    return first if list(cells.values()) == list(range(first, first + len(cells))) else None
+
+
+def _position(grid: GridVars, cell: Cell) -> int:
+    """The row-major index of ``cell`` in a grid laid out as ``make_grid``
+    lays one out; KeyError if it is not one of its cells."""
+    if cell not in grid.cells:
+        raise KeyError(cell)
+    return (cell[0] - 1) * grid.cols + cell[1] - 1
+
+
+class _Template:
+    """What one grid encoder added to a builder under one key, kept compact
+    to be stamped into every later builder that asks for the same key.
+
+    The key names the encoder's grid (rows, cols, first cell variable), the
+    first variable the encoder allocates and its variant; every literal,
+    name and the variable count after the build are then the same on each
+    board, so they are kept as they are, in ``array('i')``s: ``lits`` holds
+    the literals of the clauses in order, and ``runs`` (length, count) per
+    run of equal-length clauses, so a 20x20 ``hcp`` takes about 392 KiB,
+    where its clauses as lists would take about 4.5 MB.  No clause is
+    empty.  ``bounds[at[v]:at[v + 1]]`` holds, pairwise, the (first, end)
+    positions, counted from the first clause, of the clauses that a board
+    leaves out when vertex v is its start or one of its anchors.  The names
+    (``name_strs``, of ``name_vars``), ``edges`` and ``extra`` are shared
+    by every board stamped, which read them and never change them; each
+    board gets fresh clause lists, which its solver may reorder."""
+
+    def __init__(self, key, builder: CnfBuilder, base: int, named: int, groups, edges, extra):
+        clauses = builder.clauses
+        self.key = key
+        self.size = len(clauses) - base
+        self.lits = array("i", itertools.chain.from_iterable(itertools.islice(clauses, base, None)))
+        self.runs = array("i")
+        for k, run in itertools.groupby(itertools.islice(clauses, base, None), len):
+            self.runs += array("i", (k, sum(1 for _ in run)))
+        groups = groups or ()
+        self.at = array("i", itertools.accumulate((2 * len(g) for g in groups), initial=0))
+        self.bounds = array("i", (p - base for g in groups for lo_hi in g for p in lo_hi))
+        names = builder.names
+        self.name_vars = array("i", itertools.islice(names, named, None))
+        self.name_strs = tuple(itertools.islice(names.values(), named, None))
+        self.var_count = builder.var_count
+        self.edges = tuple(edges)
+        self.extra = extra
+
+    def keep(self, drop: Sequence[int]) -> bytearray:
+        """One byte per clause: 0 where a vertex of ``drop`` leaves it out."""
+        mask = bytearray(b"\x01") * self.size
+        bounds = self.bounds
+        for v in drop:
+            for i in range(self.at[v], self.at[v + 1], 2):
+                lo, hi = bounds[i], bounds[i + 1]
+                mask[lo:hi] = bytes(hi - lo)
+        return mask
+
+    def stamp(self, builder: CnfBuilder, drop: Sequence[int]) -> list[EdgeSpec]:
+        """Add the template to ``builder`` less the clauses of ``drop``'s
+        vertices; returns a fresh list of the shared edges."""
+        lits, runs = iter(self.lits), self.runs
+        tuples = (zip(*[itertools.islice(lits, k * count)] * k) for k, count in zip(runs[::2], runs[1::2]))
+        lists = map(list, itertools.chain.from_iterable(tuples))
+        builder.clauses += itertools.compress(lists, self.keep(drop)) if drop else lists
+        builder.names.update(zip(self.name_vars, self.name_strs))
+        builder.var_count = self.var_count
+        return list(self.edges)
+
+
+# Per encoder, the key of its last build, and its template: one at most,
+# of that key.
+_LAST_KEYS: dict[str, tuple] = {}
+_TEMPLATES: dict[str, _Template] = {}
+
+
+def clear_templates() -> None:
+    """Forget every grid template, so that the next build of each shape is
+    a cold one."""
+    _LAST_KEYS.clear()
+    _TEMPLATES.clear()
+    _grid_shape.cache_clear()
+
+
+def _repeats(name: str, key) -> bool:
+    """Whether encoder ``name``'s last build had ``key`` too.  Only such a
+    key gets a template: a shape built once among boards of other shapes
+    (the one 30x30 among 20x20s, or a one-off ``encode``) is encoded
+    directly and never copied, which would raise the peak memory of its
+    build, and the template of another key is let go first."""
+    last, _LAST_KEYS[name] = _LAST_KEYS.get(name), key
+    if last != key:
+        _TEMPLATES.pop(name, None)
+    return last == key
+
+
+def _stamped(name: str, key, builder: CnfBuilder, drop: Sequence[int], build: Callable[[], tuple]) -> tuple:
+    """(edges, extra) of encoder ``name`` for a key that ``_repeats``:
+    stamped from its template, or on a miss built by ``build()``, which
+    writes every group's clauses into ``builder`` and returns (edges, groups
+    as absolute positions, extra); its compact copy becomes the template,
+    and the clauses of ``drop``'s vertices are then taken out of the
+    builder."""
+    tpl = _TEMPLATES.get(name)
+    if tpl is not None and tpl.key == key:
+        return tpl.stamp(builder, drop), tpl.extra
+    base, named = len(builder.clauses), len(builder.names)
+    edges, groups, extra = build()
+    tpl = _TEMPLATES[name] = _Template(key, builder, base, named, groups, edges, extra)
+    if drop:
+        clauses = builder.clauses
+        clauses[base:] = itertools.compress(itertools.islice(clauses, base, None), tpl.keep(drop))
+    return edges, extra
 
 
 def _check_vertices_edges(vs, es, directed: bool):
@@ -221,6 +364,21 @@ def hcp(
     answer, except that vertex 0 is then in and start_0 is in_0.  So every
     model has its start.
     """
+    _hcp(builder, vs, es, start, None)
+
+
+def _hcp(
+    builder: CnfBuilder,
+    vs: Sequence[VertexSpec],
+    es: Sequence[EdgeSpec],
+    start: Hashable | None,
+    groups: list[list[tuple[int, int]]] | None,
+) -> None:
+    """``hcp``; with ``groups`` (one empty list per vertex) and a ``start``,
+    it writes for every vertex, the start too, the clauses that ``hcp``
+    leaves out at the start, and appends to groups[v] the (first, end)
+    positions in ``builder.clauses`` of those that a start at v leaves out:
+    its two degree clauses and the steps of the edges into it."""
     index = _check_vertices_edges(vs, es, directed=True)
     n = len(vs)
     in_lits = [v.in_lit for v in vs]
@@ -234,6 +392,7 @@ def hcp(
         # vertex 0 is the start whenever it is in
         start, (starts, seen) = 0, _start_chain(builder, in_lits)
         builder.clauses.append([seen[-1]])
+    skip = start if groups is None else -1  # the vertex whose clauses are left out
 
     # every in-vertex but the start: exactly one out-edge and one in-edge
     outgoing: list[list[Lit]] = [[] for _ in range(n)]
@@ -241,10 +400,13 @@ def hcp(
     for e, (i, j) in zip(es, ends):
         outgoing[i].append(e.lit)
         incoming[j].append(e.lit)
-    add = builder.clauses.append
+    clauses = builder.clauses
+    add = clauses.append
     for i in range(n):
         for lits in (outgoing[i], incoming[i]):
-            if i != start:
+            if groups is not None:
+                groups[i].append((len(clauses), len(clauses) + 1))
+            if i != skip:
                 add(([starts[i], -in_lits[i]] if starts else [-in_lits[i]]) + lits)
             if not lits:
                 break  # the clause above subsumes the other direction's clause
@@ -254,12 +416,17 @@ def hcp(
     # active edge (i, j), j not the start -> d_j = f(d_i)
     dist = _distance_labels(builder, vs, ends, "dist")
     steps: list[list[tuple[BitVec, list[Lit]]]] = [[] for _ in range(n)]
+    into: list[list[int]] = [[] for _ in range(n)]
     for e, (i, j) in zip(es, ends):
-        if j != start:
+        if j != skip:
             steps[i].append((dist[j], [e.lit, -starts[j]] if starts else [e.lit]))
+            into[i].append(j)
     for i in range(n):
         if steps[i]:
-            builder.lfsr_successors(dist[i], steps[i])
+            bounds = builder.lfsr_successors(dist[i], steps[i])
+            if groups is not None:
+                for j, lo, hi in zip(into[i], bounds, bounds[1:]):
+                    groups[j].append((lo, hi))
 
 
 def grid_graph_edges(builder: CnfBuilder, grid: GridVars) -> list[EdgeSpec]:
@@ -277,10 +444,37 @@ def _grid_vertices(grid: GridVars) -> list[VertexSpec]:
 
 def hcp_grid(builder: CnfBuilder, grid: GridVars, start: Cell | None = None) -> list[EdgeSpec]:
     """Apply hcp over the grid's cells, with ``start`` as hcp's; returns
-    the edge list."""
-    edges = grid_graph_edges(builder, grid)
-    hcp(builder, _grid_vertices(grid), edges, start)
-    return edges
+    the edge list.
+
+    A grid from ``make_grid`` of two rows and two columns or more is
+    stamped from a template (``_Template``, about 392 KiB for 20x20) keyed
+    by rows, cols, the first cell variable, the first edge variable and
+    whether there is a start, once that key has been built twice in a row
+    (``_repeats``).  The template holds every vertex's degree clauses and
+    steps: a start at v leaves out v's two degree clauses and the steps of
+    the edges into v, as ``hcp`` does.  On one row or column an edge into
+    the start can be its source's only step, whose shift-register gates
+    would go too, so such a grid, and every grid not from ``make_grid``, is
+    encoded directly.  Each board gets fresh clause lists; the names and
+    EdgeSpecs are shared by the boards of one template."""
+    first = _numbered_from(grid) if grid.rows > 1 and grid.cols > 1 else None
+    key = (grid.rows, grid.cols, first, builder.var_count + 1, start is None)
+    if first is None or not _repeats("hcp", key):
+        edges = grid_graph_edges(builder, grid)
+        hcp(builder, _grid_vertices(grid), edges, start)
+        return edges
+    try:
+        drop = () if start is None else (_position(grid, start),)
+    except KeyError:
+        raise ValueError(f"start {start!r} is not a vertex") from None
+
+    def build():
+        edges = grid_graph_edges(builder, grid)
+        groups = None if start is None else [[] for _ in grid.cells]
+        _hcp(builder, _grid_vertices(grid), edges, start, groups)
+        return edges, groups, None
+
+    return _stamped("hcp", key, builder, drop, build)[0]
 
 
 def scc(
@@ -363,8 +557,53 @@ def cycle_grid(
     outputs 2 and 3 as false, so both must be exact (``unary_count`` with
     ``exact`` at least 3).  Returns the edges,
     row-major as (up or left cell, other), and the propagator.
-    """
+
+    A grid from ``make_grid`` with no ``count`` is stamped from a template
+    (``_Template``) keyed by rows, cols, the first cell variable and the
+    first edge variable, once that key has been built twice in a row
+    (``_repeats``).  The template holds every cell's ``[-e, in]`` clauses,
+    and each anchor leaves its own out.  Each board gets fresh clause lists
+    and its own ``OneCycle`` state; the names, EdgeSpecs and the
+    propagator's tables are shared by the boards of one template.  Other
+    grids, Road Runner's with their counter among them, are encoded
+    directly, with the same tables."""
+    first = _numbered_from(grid) if count is None else None
+    key = (grid.rows, grid.cols, first, builder.var_count + 1)
+    if first is None or not _repeats("cycle", key):
+        edges, tables = _cycle_grid(builder, grid, anchors, count)
+        return edges, OneCycle(tables, anchors)
+    drop = [_position(grid, a) for a in anchors]
+
+    def build():
+        at = len(builder.clauses)
+        edges, tables = _cycle_grid(builder, grid, (), None)
+        # the edge clauses come first, [-e, in_a] then [-e, in_b] per edge
+        groups: list[list[tuple[int, int]]] = [[] for _ in grid.cells]
+        for p, e in zip(range(at, at + 2 * len(edges), 2), edges):
+            groups[tables.index[e.src]].append((p, p + 1))
+            groups[tables.index[e.dst]].append((p + 1, p + 2))
+        return edges, groups, tables
+
+    edges, tables = _stamped("cycle", key, builder, drop, build)
+    return edges, OneCycle(tables, anchors)
+
+
+class _CycleTables(NamedTuple):
+    """A grid's tables for ``OneCycle``, which only reads them."""
+
+    index: dict[Cell, int]  # cell -> its place in the grid's cells, row-major
+    in_lits: list[Lit]  # per cell index
+    incident: list[list[tuple[Lit, int]]]  # per cell index: (edge literal, other cell index)
+    ends_of: list[tuple[int, int] | None]  # edge variable -> its two cell indices
+
+
+def _cycle_grid(
+    builder: CnfBuilder, grid: GridVars, anchors: Sequence[Cell], count: UnaryCount | None
+) -> tuple[list[EdgeSpec], _CycleTables]:
+    """``cycle_grid``'s clauses, written directly; returns the edges and the
+    tables for ``OneCycle``."""
     cells = grid.cells
+    index = {rc: i for i, rc in enumerate(cells)}
     ends = [((r, c), b) for r, c in cells for b in ((r + 1, c), (r, c + 1)) if b in cells]
     lits = builder.named_vars([f"edge_{r}_{c}_{r2}_{c2}" for (r, c), (r2, c2) in ends])
     edges = [EdgeSpec(a, b, e) for (a, b), e in zip(ends, lits)]
@@ -373,16 +612,21 @@ def cycle_grid(
     free = {rc: lit for rc, lit in cells.items() if rc not in anchored}
     clauses = builder.clauses
     clauses += [[-e, free[x]] for (a, b), e in zip(ends, lits) for x in (a, b) if x in free]
-    # per cell, its edges up, left, down, right, as far as they exist
-    incident: dict[Cell, list[Lit]] = {rc: [] for rc in cells}
+    # per cell, its edges up, left, down, right, as far as they exist, each
+    # with the cell at its other end
+    incident: list[list[tuple[Lit, int]]] = [[] for _ in cells]
+    ends_of: list[tuple[int, int] | None] = [None] * (lits[-1] + 1 if lits else 1)
     for (a, b), e in zip(ends, lits):
-        incident[a].append(e)
-        incident[b].append(e)
+        i, j = index[a], index[b]
+        ends_of[e] = (i, j)
+        incident[i].append((e, j))
+        incident[j].append((e, i))
     # a counter over fewer than three cells lacks an output, which is false
     at_least_2, at_least_3 = (count.outputs + [builder.FALSE] * 2)[1:3] if count else (None, None)
     # per cell, written out by its number of edges: no three edges on, then
     # (in -> some other edge besides each one) at least two on
-    for x, inc in zip(cells.values(), incident.values()):
+    for x, pairs in zip(cells.values(), incident):
+        inc = [e for e, _ in pairs]
         guard = [-x, -at_least_3] if count else [-x]
         if len(inc) == 4:
             a, b, c, d = inc
@@ -400,7 +644,7 @@ def cycle_grid(
         if count:
             clauses.append([-x, -at_least_2] + inc)
         clauses += others
-    return edges, OneCycle(grid, edges, anchors)
+    return edges, _CycleTables(index, list(cells.values()), incident, ends_of)
 
 
 class OneCycle(Propagator):
@@ -430,23 +674,14 @@ class OneCycle(Propagator):
     ``decode_roadrunner`` still raise on a model of two cycles, so a fault
     here shows as a rejected answer (exit 1), never as a wrong VERIFIED."""
 
-    def __init__(self, grid: GridVars, edges: Sequence[EdgeSpec], anchors: Sequence[Cell]):
-        cells = list(grid.cells)  # row-major: a cell's index orders it
-        self.index = {rc: i for i, rc in enumerate(cells)}
-        self.in_lits = list(grid.cells.values())
-        self.anchors = [self.index[a] for a in anchors]
-        # edge variable -> its two cells; cell -> [(edge literal, other cell)]
-        top = max((e.lit for e in edges), default=0)
-        self.ends_of: list[tuple[int, int] | None] = [None] * (top + 1)
-        self.incident: list[list[tuple[Lit, int]]] = [[] for _ in cells]
-        for e in edges:
-            a, b = self.index[e.src], self.index[e.dst]
-            self.ends_of[e.lit] = (a, b)
-            self.incident[a].append((e.lit, b))
-            self.incident[b].append((e.lit, a))
+    def __init__(self, tables: _CycleTables, anchors: Sequence[Cell]):
+        # cells by their row-major index, which orders them; the tables are
+        # the grid's, shared with every other OneCycle over it
+        _, self.in_lits, self.incident, self.ends_of = tables
+        self.anchors = [tables.index[a] for a in anchors]
         # end[c]: the other end of the path that ends at c, c itself if c has
         # no true edge; stale at a cell inside a path, which no edge reaches
-        self.end = list(range(len(cells)))
+        self.end = list(range(len(self.in_lits)))
         self.log: list[tuple[int, int, int]] = []  # (trail position, cell, old end)
         self.head = 0  # the trail entries before head have been read
 

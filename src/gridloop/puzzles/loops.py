@@ -161,13 +161,7 @@ def build_loop(
     else:
         edges, propagator = hcp_grid(builder, grid, circles[0] if circles else None), None
     clauses = builder.clauses
-    directed = {(e.src, e.dst): e.lit for e in edges}
-    # the literal of each edge under both of its orientations: the lazy
-    # model's own, the eager model's made as a rule first reads the edge
-    undirected: dict[tuple[Cell, Cell], Lit] = {}
-    if propagator is not None:
-        undirected.update(directed)
-        undirected.update(((b, a), lit) for (a, b), lit in directed.items())
+    directed, undirected = _edge_maps(edges, propagator is not None)
     added: set[tuple[Lit, ...]] = set()
 
     def edge(a: Cell, b: Cell) -> Lit:
@@ -187,6 +181,28 @@ def build_loop(
         clauses.append([grid.cells[cell]])
         constrain(cell, edge, add_once)
     return (lambda assignment: decode_loop(assignment, grid, edges)), None, propagator
+
+
+# The edge maps of the last loop grid, with its first EdgeSpec: the grid
+# encoders hand out the same EdgeSpecs for every board stamped from one
+# template, so the maps hold while they come back.
+_last_maps: tuple[EdgeSpec | None, dict, dict] = (None, {}, {})
+
+
+def _edge_maps(
+    edges: Sequence[EdgeSpec], lazy: bool
+) -> tuple[dict[tuple[Cell, Cell], Lit], dict[tuple[Cell, Cell], Lit]]:
+    """``build_loop``'s maps over ``edges``: each directed edge's literal,
+    and the literal of each edge under both of its orientations, which is
+    the lazy model's own and shared, while the eager model's starts empty
+    for each board and gets a gate as a rule first reads the edge."""
+    global _last_maps
+    first, directed, undirected = _last_maps
+    if not edges or edges[0] is not first:
+        directed = {(e.src, e.dst): e.lit for e in edges}
+        undirected = {**directed, **{(b, a): lit for (a, b), lit in directed.items()}} if lazy else {}
+        _last_maps = (edges[0] if edges else None, directed, undirected)
+    return directed, undirected if lazy else {}
 
 
 @dataclass

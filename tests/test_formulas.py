@@ -1,17 +1,19 @@
 """The formulas themselves: every encoder writes the same formula for the
-same board however often and in whatever order it is asked, a wrong
-verifier helper leaves every formula as it was, and the edge cases of the
-batch writers (boards of one cell or of clues only, rings and circles that
-no layout or pair fits, a unit that two circles write, a cell closed in by
-hills) give the clauses their rules ask for."""
+same board however often and in whatever order it is asked, a grid stamped
+from a template is its cold build byte for byte, a wrong verifier helper
+leaves every formula as it was, and the edge cases of the batch writers
+(boards of one cell or of clues only, rings and circles that no layout or
+pair fits, a unit that two circles write, a cell closed in by hills) give
+the clauses their rules ask for."""
 import hashlib
 import json
 import os
 
 import pytest
 
-from gridloop import CnfBuilder, maximize
+from gridloop import CnfBuilder, graph, maximize
 from gridloop.cli import _BUILDERS, _PARSERS, _VERIFIERS, infer_kind
+from gridloop.graph import cycle_grid, hcp_grid, make_grid
 from gridloop.solver import open_internal
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
@@ -53,7 +55,10 @@ def solve(kind, text, lazy):
     return status, _VERIFIERS[kind](inst, decode(model.assignment)) if status == "sat" else None
 
 
-@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+LAZY = pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+
+
+@LAZY
 @pytest.mark.parametrize("kind", sorted(_BUILDERS))
 def test_builds_keep_no_state_between_boards(kind, lazy):
     # instance A, another instance B of the kind, then A again: cached
@@ -64,6 +69,133 @@ def test_builds_keep_no_state_between_boards(kind, lazy):
     first = formula(*bundled(a), lazy)
     formula(*bundled(b), lazy)
     assert formula(*bundled(a), lazy) == first
+
+
+# -- grids stamped from a template ----------------------------------------
+
+
+@pytest.fixture
+def stamps(monkeypatch):
+    """Counts the boards stamped from a template; every template is
+    forgotten before the test and after it."""
+    graph.clear_templates()
+    count = [0]
+    stamp = graph._Template.stamp
+
+    def counted(self, builder, drop):
+        count[0] += 1
+        return stamp(self, builder, drop)
+
+    monkeypatch.setattr(graph._Template, "stamp", counted)
+    yield count
+    graph.clear_templates()
+
+
+def cold(build):
+    """``build()`` with no template left from an earlier board."""
+    graph.clear_templates()
+    return build()
+
+
+@LAZY
+@pytest.mark.parametrize("kind, other", [("masyu", "shingoki"), ("shingoki", "masyu")])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_loop_board_stamped_after_the_other_kind_is_its_cold_build(stamps, kind, other, n, lazy):
+    # the other kind's board of the same size, built twice, leaves a
+    # template of the shape with its own start or anchors
+    board = bundled(f"{kind}_{n}x{n}.{kind}")
+    expected = cold(lambda: formula(*board, lazy))
+    for _ in range(2):
+        formula(*bundled(f"{other}_{n}x{n}.{other}"), lazy)
+    before = stamps[0]
+    assert formula(*board, lazy) == expected
+    assert stamps[0] == before + 1
+
+
+def grid_formula(encode, rows, cols, arg):
+    """A SHA-256 over a fresh builder's formula after make_grid and
+    ``encode(builder, grid, arg)``, with the returned edges."""
+    b = CnfBuilder()
+    out = encode(b, make_grid(b, rows, cols), arg)
+    edges = out[0] if isinstance(out, tuple) else out
+    text = json.dumps([b.var_count, b.clauses, sorted(b.names.items()), [(e.src, e.dst, e.lit) for e in edges]])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+SHAPES = [(1, 1), (1, 4), (4, 1), (2, 2), (2, 3)]
+
+
+def shape_cells(rows, cols):
+    return [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+
+
+@pytest.mark.parametrize("rows, cols", SHAPES)
+def test_hcp_grid_stamped_for_every_start_is_its_cold_build(stamps, rows, cols):
+    starts = [None] + shape_cells(rows, cols)
+    expected = [cold(lambda: grid_formula(hcp_grid, rows, cols, s)) for s in starts]
+    # each start after every other one, so each is stamped from a template
+    # that another start left
+    for s, want in zip(starts, expected):
+        for prior in starts:
+            grid_formula(hcp_grid, rows, cols, prior)
+            assert grid_formula(hcp_grid, rows, cols, s) == want, (prior, s)
+    # one row or column is encoded directly, every other shape is stamped
+    assert (stamps[0] > 0) == (rows > 1 and cols > 1)
+
+
+@pytest.mark.parametrize("rows, cols", SHAPES)
+def test_cycle_grid_stamped_for_any_anchors_is_its_cold_build(stamps, rows, cols):
+    cells = shape_cells(rows, cols)
+    anchor_sets = [(), tuple(cells)] + [(c,) for c in cells]
+    expected = [cold(lambda: grid_formula(cycle_grid, rows, cols, a)) for a in anchor_sets]
+    for anchors, want in zip(anchor_sets, expected):
+        for prior in anchor_sets:
+            grid_formula(cycle_grid, rows, cols, prior)
+            assert grid_formula(cycle_grid, rows, cols, anchors) == want, (prior, anchors)
+    # every build but the first after the cold ones, which makes the template
+    assert stamps[0] == 2 * len(anchor_sets) ** 2 - 1
+
+
+@LAZY
+@pytest.mark.parametrize("kind", ["masyu", "shingoki"])
+def test_solving_a_board_changes_no_later_formula(stamps, kind, lazy):
+    # the solver reorders the literals of the clause lists it is given: the
+    # cold build's, then a stamped board's
+    name = f"{kind}_6x6.{kind}"
+    expected = cold(lambda: formula(*bundled(name), lazy))
+    with open(os.path.join(INSTANCES, name)) as f:
+        text = f.read()
+    for _ in range(2):
+        inst, b, decode, _, propagator = build(kind, text, lazy)
+        out = open_internal(b.clauses, b.var_count, propagator)()
+        assert out.status == "sat" and _VERIFIERS[kind](inst, decode(out.model.assignment)) is None
+        assert formula(*bundled(name), lazy) == expected
+    assert stamps[0] == 3  # every build after the one that makes the template
+
+
+@LAZY
+def test_clearing_the_templates_restores_a_cold_build(stamps, lazy):
+    # a shape's first build is direct, its second makes the template, and
+    # the third is stamped
+    board = bundled("masyu_5x5.masyu")
+    expected = formula(*board, lazy)
+    assert [formula(*board, lazy) for _ in range(2)] == [expected] * 2
+    assert stamps[0] == 1
+    graph.clear_templates()
+    assert formula(*board, lazy) == expected
+    assert stamps[0] == 1
+
+
+@LAZY
+def test_a_shape_built_once_among_others_makes_no_template(stamps, lazy):
+    small, large = bundled("masyu_5x5.masyu"), bundled("masyu_7x7.masyu")
+    for _ in range(3):
+        formula(*small, lazy)
+    formula(*large, lazy)
+    assert graph._TEMPLATES == {}
+    formula(*small, lazy)
+    assert graph._TEMPLATES == {}
+    assert stamps[0] == 1
 
 
 VERIFIER_HELPERS = [
@@ -87,8 +219,6 @@ def test_formulas_ignore_the_verifier_helpers(monkeypatch):
 
 
 # -- edge cases of the batch writers ------------------------------------
-
-LAZY = pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
 
 
 @LAZY
