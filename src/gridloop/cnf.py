@@ -10,8 +10,9 @@ wherever a literal is expected (``builder.TRUE`` / ``builder.FALSE``).
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 Lit = int
 
@@ -122,6 +123,10 @@ class CnfBuilder:
         self.clauses: list[list[Lit]] = [[1]]
         self.names: dict[int, str] = {1: "const_true"}
         self._increments: dict[tuple[Lit, ...], BitVec] = {}
+        # the record of the grid template last stamped in (see
+        # ``graph._Template.stamp``), whose text ``emit_dimacs`` and
+        # ``emit_varmap`` write for its span
+        self.stamped = None
 
     TRUE: Lit = 1
     FALSE: Lit = -1
@@ -428,16 +433,53 @@ class CnfBuilder:
     # -- output ---------------------------------------------------------
 
     def emit_dimacs(self, sink) -> None:
-        """Write the formula in DIMACS CNF to a text sink."""
-        write_dimacs(sink, self.var_count, self.clauses)
+        """Write the formula in DIMACS CNF to a text sink.
+
+        On a builder that a grid template stamped (``stamped``, see
+        ``graph._Template``), the stamped span's lines are slices of the
+        text that the template rendered once, at the first emit of a board
+        stamped from it; only the clauses before and after the span are
+        formatted.  Cold and direct builds are formatted whole."""
+        rendered = self.stamped.clause_lines(self.clauses) if self.stamped else None
+        write_dimacs(sink, self.var_count, self.clauses, rendered)
 
     def emit_varmap(self, sink) -> None:
         """Write 'index name' lines for every named variable, in index
-        order, one ``sink.write`` per ``_DIMACS_CHUNK`` lines."""
+        order, one ``sink.write`` per ``_DIMACS_CHUNK`` lines.  On a stamped
+        builder the template's names are one run of its rendered name
+        lines, as in ``emit_dimacs``."""
         names = self.names
         keys = sorted(names)
-        for i in range(0, len(keys), _DIMACS_CHUNK):
-            sink.write("".join([f"{k} {names[k]}\n" for k in keys[i : i + _DIMACS_CHUNK]]))
+        rendered = self.stamped.name_lines(keys) if self.stamped else None
+        first, end = (rendered.first, rendered.end) if rendered else (len(keys), len(keys))
+
+        def write(lo: int, hi: int) -> None:
+            for i in range(lo, hi, _DIMACS_CHUNK):
+                sink.write("".join([f"{k} {names[k]}\n" for k in keys[i : min(i + _DIMACS_CHUNK, hi)]]))
+
+        write(0, first)
+        if rendered:
+            rendered.write(sink)
+        write(end, len(keys))
+
+
+class Rendered(NamedTuple):
+    """Lines rendered ahead for the items ``first`` to ``end`` of a list
+    (clauses, or sorted ``.map`` variables): ``text``'s ranges ``cuts``, in
+    order."""
+
+    first: int
+    end: int
+    text: str
+    cuts: Sequence[tuple[int, int]]
+
+    def write(self, sink) -> None:
+        """Write the cuts, at most ``_TEXT_CHUNK`` characters per
+        ``sink.write``."""
+        text = self.text
+        for a, b in self.cuts:
+            for i in range(a, b, _TEXT_CHUNK):
+                sink.write(text[i : min(i + _TEXT_CHUNK, b)])
 
 
 # Clauses (or ``.map`` lines) joined into one string per ``sink.write`` call.
@@ -447,6 +489,10 @@ _DIMACS_CHUNK = 4096
 # encode-large that raised peak RSS by 0.2-0.5 MB at the same puzzle count;
 # a quarter chunk did not, at the same speed.
 _FORMAT_BATCH = 1024
+# Characters of rendered text per ``sink.write``: about one chunk of
+# clauses, and each slice, with the bytes a file sink encodes it to, below
+# that threshold.
+_TEXT_CHUNK = 1 << 16
 
 
 class _LineFormats(dict):
@@ -462,25 +508,49 @@ class _LineFormats(dict):
 _LINE = _LineFormats()
 
 
-def write_dimacs(sink, nvars: int, clauses: Sequence[Sequence[Lit]]) -> None:
-    """Write ``clauses`` over ``nvars`` variables in DIMACS CNF to a text
-    sink: the header, then one line per clause, ended by 0.
+def _dimacs_lines(batch: Sequence[Sequence[Lit]]) -> str:
+    """The DIMACS lines of the clauses of ``batch``, one per clause, for at
+    most ``_FORMAT_BATCH`` clauses.
 
     Formatting literals is most of the cost, so no Python code runs per
-    clause or per literal: each batch's format string is joined from the
-    clause lengths, and one ``%`` fills it with the batch's literals, all
-    in C.  The formats are kept per clause length, not per variable, so
-    the writer holds no table that grows with the number of variables."""
+    clause or per literal: the format string is joined from the clause
+    lengths, and one ``%`` fills it with the literals, all in C.  The
+    formats are kept per clause length, not per variable, so the writer
+    holds no table that grows with the number of variables."""
+    return "".join(map(_LINE.__getitem__, map(len, batch))) % tuple(itertools.chain.from_iterable(batch))
+
+
+def dimacs_text(clauses: Iterable[Sequence[Lit]]) -> tuple[str, array]:
+    """The DIMACS lines of ``clauses``, as ``write_dimacs`` formats them, in
+    one string, and where each clause's line starts in it, followed by the
+    string's length."""
+    clauses, parts, starts = iter(clauses), [], array("i", [0])
+    while batch := list(itertools.islice(clauses, _FORMAT_BATCH)):
+        part = _dimacs_lines(batch)
+        parts.append(part)
+        starts += array("i", itertools.accumulate(map(len, part.splitlines(True)), initial=starts.pop()))
+    return "".join(parts), starts
+
+
+def write_dimacs(sink, nvars: int, clauses: Sequence[Sequence[Lit]], rendered: Rendered | None = None) -> None:
+    """Write ``clauses`` over ``nvars`` variables in DIMACS CNF to a text
+    sink: the header, then one line per clause, ended by 0, formatted by
+    ``_dimacs_lines``.  With ``rendered``, the lines of clauses[rendered.first:
+    rendered.end] are its text, written as it is."""
     sink.write(f"p cnf {nvars} {len(clauses)}\n")
-    line = _LINE.__getitem__
-    flatten = itertools.chain.from_iterable
+    first, end = (rendered.first, rendered.end) if rendered else (len(clauses), len(clauses))
+    _write_clauses(sink, clauses, 0, first)
+    if rendered:
+        rendered.write(sink)
+    _write_clauses(sink, clauses, end, len(clauses))
 
-    def lines(batch: Sequence[Sequence[Lit]]) -> str:
-        return "".join(map(line, map(len, batch))) % tuple(flatten(batch))
 
-    for i in range(0, len(clauses), _DIMACS_CHUNK):
-        end = min(i + _DIMACS_CHUNK, len(clauses))
-        sink.write("".join([lines(clauses[j : j + _FORMAT_BATCH]) for j in range(i, end, _FORMAT_BATCH)]))
+def _write_clauses(sink, clauses: Sequence[Sequence[Lit]], lo: int, hi: int) -> None:
+    """Write the lines of clauses[lo:hi], one ``sink.write`` per
+    ``_DIMACS_CHUNK`` clauses."""
+    for i in range(lo, hi, _DIMACS_CHUNK):
+        end = min(i + _DIMACS_CHUNK, hi)
+        sink.write("".join([_dimacs_lines(clauses[j : min(j + _FORMAT_BATCH, end)]) for j in range(i, end, _FORMAT_BATCH)]))
 
 
 def parse_dimacs(text: str) -> tuple[int, list[list[Lit]]]:

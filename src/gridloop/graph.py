@@ -38,13 +38,14 @@ of a compact copy (see ``_Template``); ``clear_templates`` forgets them.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
-from .cnf import BitVec, CnfBuilder, Lit, UnaryCount
+from .cnf import BitVec, CnfBuilder, Lit, Rendered, UnaryCount, dimacs_text
 from .solver import Propagator
 
 Cell = tuple[int, int]
@@ -143,7 +144,19 @@ class _Template:
     leaves out when vertex v is its start or one of its anchors.  The names
     (``name_strs``, of ``name_vars``), ``edges`` and ``extra`` are shared
     by every board stamped, which read them and never change them; each
-    board gets fresh clause lists, which its solver may reorder."""
+    board gets fresh clause lists, which its solver may reorder.
+
+    A stamp records its span on the builder (``_Stamp``).  The first time a
+    builder stamped from the template writes its DIMACS or ``.map``
+    (``CnfBuilder.emit_dimacs``, ``emit_varmap``), the template renders the
+    lines of all its clauses, with where each line starts, or of all its
+    names, once (``clause_text``, ``name_text``; for a 20x20 ``hcp`` about
+    602 KiB of clause lines, 137 KiB of line starts and 92 KiB of names).
+    Every board's span is then written as slices of that text, cut where its
+    dropped groups' clauses were.  The text lives as long as the template,
+    which goes when another key comes (``_repeats``) or at
+    ``clear_templates``, or as a builder stamped from it; a template whose
+    boards are never written, as on the lazy path, never renders it."""
 
     def __init__(self, key, builder: CnfBuilder, base: int, named: int, groups, edges, extra):
         clauses = builder.clauses
@@ -162,27 +175,101 @@ class _Template:
         self.var_count = builder.var_count
         self.edges = tuple(edges)
         self.extra = extra
+        self._clause_text: tuple[str, array] | None = None
+        self._name_text: tuple[str, int, int] | None = None
+
+    def _rows(self) -> Iterator[tuple[Lit, ...]]:
+        """The clauses in order, each a tuple of its literals."""
+        lits, runs = iter(self.lits), self.runs
+        return itertools.chain.from_iterable(
+            zip(*[itertools.islice(lits, k * count)] * k) for k, count in zip(runs[::2], runs[1::2])
+        )
+
+    def _dropped(self, drop: Sequence[int]) -> list[tuple[int, int]]:
+        """The (first, end) clause ranges that the vertices of ``drop``
+        leave out, in order."""
+        at, bounds = self.at, self.bounds
+        return sorted((bounds[i], bounds[i + 1]) for v in drop for i in range(at[v], at[v + 1], 2))
 
     def keep(self, drop: Sequence[int]) -> bytearray:
         """One byte per clause: 0 where a vertex of ``drop`` leaves it out."""
         mask = bytearray(b"\x01") * self.size
-        bounds = self.bounds
-        for v in drop:
-            for i in range(self.at[v], self.at[v + 1], 2):
-                lo, hi = bounds[i], bounds[i + 1]
-                mask[lo:hi] = bytes(hi - lo)
+        for lo, hi in self._dropped(drop):
+            mask[lo:hi] = bytes(hi - lo)
         return mask
 
     def stamp(self, builder: CnfBuilder, drop: Sequence[int]) -> list[EdgeSpec]:
         """Add the template to ``builder`` less the clauses of ``drop``'s
-        vertices; returns a fresh list of the shared edges."""
-        lits, runs = iter(self.lits), self.runs
-        tuples = (zip(*[itertools.islice(lits, k * count)] * k) for k, count in zip(runs[::2], runs[1::2]))
-        lists = map(list, itertools.chain.from_iterable(tuples))
-        builder.clauses += itertools.compress(lists, self.keep(drop)) if drop else lists
+        vertices, and record the span on it (``builder.stamped``); returns
+        a fresh list of the shared edges."""
+        clauses = builder.clauses
+        first = len(clauses)
+        lists = map(list, self._rows())
+        clauses += itertools.compress(lists, self.keep(drop)) if drop else lists
         builder.names.update(zip(self.name_vars, self.name_strs))
         builder.var_count = self.var_count
+        builder.stamped = _Stamp(self, clauses, first, len(clauses), tuple(drop))
         return list(self.edges)
+
+    def clause_text(self) -> tuple[str, array]:
+        """``dimacs_text`` of every clause, rendered at the first call."""
+        if self._clause_text is None:
+            self._clause_text = dimacs_text(self._rows())
+        return self._clause_text
+
+    def name_text(self) -> tuple[str, int, int]:
+        """The ``.map`` lines of the names, in variable order, with the
+        first and last of those variables; rendered at the first call."""
+        if self._name_text is None:
+            pairs = sorted(zip(self.name_vars, self.name_strs))
+            self._name_text = "".join([f"{k} {name}\n" for k, name in pairs]), pairs[0][0], pairs[-1][0]
+        return self._name_text
+
+
+class _Stamp(NamedTuple):
+    """Where a template was stamped into a builder: its span is
+    ``clauses[first:end]`` of the list it was made in, less the clauses of
+    the vertices of ``drop``.
+
+    Its text stands for the span only while the span's lists are the ones
+    stamped, with the literals stamped: the writers fall back to formatting
+    every clause when ``builder.clauses`` has been replaced or no longer
+    reaches the span's end, but a list changed in place, as a solver's
+    reordering of its literals changes it, or a clause inserted or removed
+    before the span, goes unseen.  A caller that solves a stamped builder's
+    clauses and then writes them passes the solver a copy.  Likewise the
+    names of the template's variables must be the ones stamped."""
+
+    template: _Template
+    clauses: list[list[Lit]]
+    first: int
+    end: int
+    drop: tuple[int, ...]
+
+    def clause_lines(self, clauses: list[list[Lit]]) -> Rendered | None:
+        """The span's clause lines for ``clauses``, the builder's list; None
+        unless the span still lies in it."""
+        if clauses is not self.clauses or len(clauses) < self.end:
+            return None
+        text, starts = self.template.clause_text()
+        cuts, at = [], 0
+        for lo, hi in self.template._dropped(self.drop) + [(self.template.size, self.template.size)]:
+            if lo > at:
+                cuts.append((starts[at], starts[lo]))
+            at = hi
+        return Rendered(self.first, self.end, text, cuts)
+
+    def name_lines(self, keys: Sequence[int]) -> Rendered | None:
+        """The ``.map`` lines of the template's names for ``keys``, the
+        builder's sorted variables; None unless the template's variables
+        are the run of ``keys`` between its first and last."""
+        if not self.template.name_vars:
+            return None
+        text, low, high = self.template.name_text()
+        lo, hi = bisect.bisect_left(keys, low), bisect.bisect_right(keys, high)
+        if hi - lo != len(self.template.name_vars):
+            return None
+        return Rendered(lo, hi, text, [(0, len(text))])
 
 
 # Per encoder, the key of its last build, and its template: one at most,

@@ -1,11 +1,12 @@
 """The formulas themselves: every encoder writes the same formula for the
 same board however often and in whatever order it is asked, a grid stamped
-from a template is its cold build byte for byte, a wrong verifier helper
-leaves every formula as it was, and the edge cases of the batch writers
-(boards of one cell or of clues only, rings and circles that no layout or
-pair fits, a unit that two circles write, a cell closed in by hills) give
-the clauses their rules ask for."""
+from a template is its cold build byte for byte and writes the same .cnf
+and .map text, a wrong verifier helper leaves every formula as it was, and
+the edge cases of the batch writers (boards of one cell or of clues only,
+rings and circles that no layout or pair fits, a unit that two circles
+write, a cell closed in by hills) give the clauses their rules ask for."""
 import hashlib
+import io
 import json
 import os
 
@@ -196,6 +197,150 @@ def test_a_shape_built_once_among_others_makes_no_template(stamps, lazy):
     formula(*small, lazy)
     assert graph._TEMPLATES == {}
     assert stamps[0] == 1
+
+
+# -- a stamped board's .cnf and .map, written from its template's text -------
+
+
+def emitted(b):
+    """The builder's .cnf and .map text, through its own writers."""
+    cnf, varmap = io.StringIO(), io.StringIO()
+    b.emit_dimacs(cnf)
+    b.emit_varmap(varmap)
+    return cnf.getvalue(), varmap.getvalue()
+
+
+def plain(b):
+    """The builder's .cnf and .map text, one line per clause and per name."""
+    cnf = "".join(" ".join(map(str, cl)) + " 0\n" for cl in b.clauses)
+    return f"p cnf {b.var_count} {len(b.clauses)}\n" + cnf, "".join(f"{k} {v}\n" for k, v in sorted(b.names.items()))
+
+
+def grid_builder(encode, rows, cols, arg):
+    b = CnfBuilder()
+    encode(b, make_grid(b, rows, cols), arg)
+    return b
+
+
+EMIT_SHAPES = [(2, 2), (2, 3), (3, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("rows, cols", EMIT_SHAPES)
+def test_hcp_grid_stamped_for_every_start_writes_its_cold_text(stamps, rows, cols):
+    starts = [None] + shape_cells(rows, cols)
+    expected = [cold(lambda: emitted(grid_builder(hcp_grid, rows, cols, s))) for s in starts]
+    cut = set()
+    for s, want in zip(starts, expected):
+        # stamped from a template that each prior of the same key left: a
+        # start, or none
+        for prior in [x for x in starts if (x is None) == (s is None)]:
+            for _ in range(2):
+                grid_builder(hcp_grid, rows, cols, prior)
+            b = grid_builder(hcp_grid, rows, cols, s)
+            assert b.stamped is not None
+            assert emitted(b) == want == plain(b), (prior, s)
+            cut.update(p for lo, hi in b.stamped.template._dropped(b.stamped.drop) for p in (lo, hi))
+    # some start leaves out the template's last clause
+    assert graph._TEMPLATES["hcp"].size in cut
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1)] + EMIT_SHAPES)
+def test_cycle_grid_stamped_for_every_anchor_writes_its_cold_text(stamps, rows, cols):
+    anchor_sets = [(), tuple(shape_cells(rows, cols))] + [(c,) for c in shape_cells(rows, cols)]
+    expected = [cold(lambda: emitted(grid_builder(cycle_grid, rows, cols, a))) for a in anchor_sets]
+    cut = set()
+    for anchors, want in zip(anchor_sets, expected):
+        grid_builder(cycle_grid, rows, cols, anchors)
+        b = grid_builder(cycle_grid, rows, cols, anchors)
+        assert b.stamped is not None
+        assert emitted(b) == want == plain(b), anchors
+        cut.update(p for lo, hi in b.stamped.template._dropped(b.stamped.drop) for p in (lo, hi))
+    # the first cell's anchor leaves out the template's first clause, on
+    # every grid with an edge
+    assert (0 in cut) == (rows * cols > 1)
+
+
+@LAZY
+@pytest.mark.parametrize("kind, other", [("masyu", "shingoki"), ("shingoki", "masyu")])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_loop_board_stamped_after_the_other_kind_writes_its_cold_text(stamps, kind, other, n, lazy):
+    texts = {}
+    for k in (kind, other):
+        with open(os.path.join(INSTANCES, f"{k}_{n}x{n}.{k}")) as f:
+            texts[k] = f.read()
+    expected = cold(lambda: emitted(build(kind, texts[kind], lazy)[1]))
+    for _ in range(2):
+        build(other, texts[other], lazy)
+    b = build(kind, texts[kind], lazy)[1]
+    assert b.stamped is not None
+    assert emitted(b) == expected == plain(b)
+
+
+def between():
+    """A builder with clauses and names of its own before and after a 3x3
+    ``hcp_grid``."""
+    b = CnfBuilder()
+    before = b.new_vars(2, "before")
+    b.add_clause([before[0], -before[1]])
+    hcp_grid(b, make_grid(b, 3, 3), (2, 2))
+    after = b.new_vars(2, "after")
+    b.add_clause([-after[0], before[1]])
+    b.add_clause([after[1]])
+    return b
+
+
+def stamped_builder():
+    """``between()`` stamped from the template of the two before it."""
+    for _ in range(2):
+        between()
+    b = between()
+    assert b.stamped is not None and 0 < b.stamped.first < b.stamped.end < len(b.clauses)
+    return b
+
+
+def test_stamped_span_between_clauses_writes_every_line(stamps):
+    expected = cold(lambda: emitted(between()))
+    assert emitted(stamped_builder()) == expected
+
+
+def test_a_stamped_builder_writes_the_same_text_twice(stamps):
+    b = stamped_builder()
+    first = emitted(b)
+    assert emitted(b) == first == plain(b)
+
+
+def test_stamped_builders_write_their_text_after_the_templates_are_cleared(stamps):
+    b = stamped_builder()
+    expected = plain(b)
+    graph.clear_templates()
+    # the builder keeps its template, and the next build is a cold one
+    assert emitted(b) == expected
+    again = between()
+    assert again.stamped is None
+    assert emitted(again) == expected
+
+
+def test_stamped_builder_with_its_clause_list_replaced_formats_every_clause(stamps):
+    b = stamped_builder()
+    # a copy with one of the span's clauses changed
+    b.clauses = [list(cl) for cl in b.clauses]
+    b.clauses[b.stamped.first].reverse()
+    assert b.stamped.clause_lines(b.clauses) is None
+    assert emitted(b) == plain(b)
+
+
+def test_stamped_builder_cut_short_of_its_span_formats_every_clause(stamps):
+    b = stamped_builder()
+    del b.clauses[b.stamped.end - 1 :]
+    assert b.stamped.clause_lines(b.clauses) is None
+    assert emitted(b) == plain(b)
+
+
+def test_stamped_builder_missing_one_of_its_names_writes_every_name(stamps):
+    b = stamped_builder()
+    del b.names[b.stamped.template.name_vars[0]]
+    assert b.stamped.name_lines(sorted(b.names)) is None
+    assert emitted(b) == plain(b)
 
 
 VERIFIER_HELPERS = [
