@@ -10,13 +10,19 @@ and one JSON line per puzzle gives its name, its result, the size of its
 formula (``vars`` and ``clauses``), its ``formula`` fingerprint and the
 ``stats`` of each solver probe in order.  The fingerprint is a SHA-256 over
 the builder's ``var_count``, its clauses in order and its ``names``, taken
-when the build returns, before a solver reorders any clause's literals.  Then each bundled instance but ``masyu_30x30`` (which the internal
-solver does not finish without a propagator) is solved the same way through
-its eager formula, the one ``encode`` and ``--solver`` take, with no
+when the build returns, before a solver reorders any clause's literals.
+Then each bundled instance but ``masyu_30x30`` (which the internal solver
+does not finish without a propagator) is solved the same way through its
+eager formula, the one ``encode`` and ``--solver`` take, with no
 propagator: its line is named ``eager/<instance>``, and Road Runner's probes
-are ``maximize``'s.  Run it on two checkouts and compare the lines to tell
-whether a change keeps the formula byte for byte and the search step for
-step:
+are ``maximize``'s.  Last, the first 31 encode-large items at SEED are
+encoded in this one process, in workload order, as ``gridloop encode``
+builds them, so that its 20x20 loop boards are stamped from templates: each
+line is named ``encode/<item>``, its result is ``encoded``, it has no
+probes, and its ``formula`` is a SHA-256 over the text that
+``emit_dimacs`` and ``emit_varmap`` write.  Run it on two checkouts and
+compare the lines to tell whether a change keeps the formula and the
+``.cnf`` and ``.map`` text byte for byte and the search step for step:
 
     python scripts/probe_stats.py OLD > old.jsonl
     python scripts/probe_stats.py NEW > new.jsonl
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import glob
 import hashlib
+import io
 import json
 import os
 import sys
@@ -36,8 +43,10 @@ rounds = int(sys.argv[3]) if len(sys.argv) > 3 else 40
 perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
 sys.path[:0] = [os.path.join(root, "src"), perfbench]
 
+import gridloop.graph  # noqa: E402
 import gridloop.solver  # noqa: E402
 import workloads  # noqa: E402
+from gridloop import CnfBuilder  # noqa: E402
 from gridloop.cli import _BUILDERS, _PARSERS, RunConfig, infer_kind, run  # noqa: E402
 
 probes = []
@@ -97,3 +106,21 @@ report(puzzles + bundled, eager=False)
 # ``run`` builds the lazy model for the internal solver; the eager pass
 # builds the eager one instead, whose propagator is None
 report([(f"eager/{name}", kind, text) for name, kind, text in bundled if name != "masyu_30x30.masyu"], eager=True)
+
+
+def report_encoded(items):
+    # no template left from the lines above, so which boards are stamped
+    # depends on these items alone
+    gridloop.graph.clear_templates()
+    for inst in items:
+        builder = CnfBuilder()
+        builders[inst.kind](builder, _PARSERS[inst.kind](inst.text))
+        cnf, varmap = io.StringIO(), io.StringIO()
+        builder.emit_dimacs(cnf)
+        builder.emit_varmap(varmap)
+        formula = hashlib.sha256((cnf.getvalue() + varmap.getvalue()).encode()).hexdigest()
+        print(json.dumps({"name": f"encode/{inst.name}", "result": "encoded", "vars": builder.var_count,
+                          "clauses": len(builder.clauses), "formula": formula, "probes": []}))
+
+
+report_encoded(workloads.make_pool("encode-large", seed, root, rounds=10).items)

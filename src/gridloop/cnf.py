@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 Lit = int
 
@@ -115,17 +116,21 @@ class CnfBuilder:
     does, so the literals passed to one call must be over distinct
     variables.
 
+    A variable's name is kept in ``name_runs``, a list of (first variable,
+    names) runs in variable order, one per ``new_var(name)`` or
+    ``named_vars`` call; ``names`` reads them as one mapping.
+
     Single-owner: a builder must not be shared across concurrent tasks.
     """
 
     def __init__(self):
         self.var_count = 1  # variable 1 is the reserved constant-true
         self.clauses: list[list[Lit]] = [[1]]
-        self.names: dict[int, str] = {1: "const_true"}
+        self.name_runs: list[tuple[int, Sequence[str]]] = [(1, ("const_true",))]
         self._increments: dict[tuple[Lit, ...], BitVec] = {}
         # the record of the grid template last stamped in (see
-        # ``graph._Template.stamp``), whose text ``emit_dimacs`` and
-        # ``emit_varmap`` write for its span
+        # ``graph._Template.stamp``), whose text ``emit_dimacs`` writes for
+        # its span
         self.stamped = None
 
     TRUE: Lit = 1
@@ -133,10 +138,19 @@ class CnfBuilder:
 
     # -- variables and clauses ------------------------------------------
 
+    @property
+    def names(self) -> Mapping[int, str]:
+        """Variable -> name for every named variable, in variable order: a
+        read-only view of a dict built from ``name_runs`` at each read."""
+        out: dict[int, str] = {}
+        for first, run in self.name_runs:
+            out.update(zip(range(first, first + len(run)), run))
+        return MappingProxyType(out)
+
     def new_var(self, name: str | None = None) -> Lit:
         self.var_count += 1
         if name is not None:
-            self.names[self.var_count] = name
+            self.name_runs.append((self.var_count, (name,)))
         return self.var_count
 
     def new_vars(self, n: int, prefix: str | None = None) -> list[Lit]:
@@ -148,13 +162,13 @@ class CnfBuilder:
 
     def named_vars(self, names: Sequence[str]) -> list[Lit]:
         """One fresh variable per name of ``names``, in order: the batch
-        form of ``new_var(name)``.  ``names`` and the returned literals share
-        each int, as ``new_var`` does."""
+        form of ``new_var(name)``.  ``names`` becomes one run of
+        ``name_runs`` as it is, not copied, so the caller must not change
+        it afterwards."""
         first = self.var_count + 1
         self.var_count += len(names)
-        lits = list(range(first, self.var_count + 1))
-        self.names.update(zip(lits, names))
-        return lits
+        self.name_runs.append((first, names))
+        return list(range(first, self.var_count + 1))
 
     def add_clause(self, lits: Iterable[Lit]) -> None:
         """Append a normalized clause.
@@ -228,11 +242,6 @@ class CnfBuilder:
 
     # -- cardinality ----------------------------------------------------
 
-    def at_least_one(self, lits: Sequence[Lit]) -> None:
-        if not lits:
-            raise ValueError("at_least_one needs at least one literal")
-        self.clauses.append(list(lits))
-
     def at_most_one(self, lits: Sequence[Lit]) -> None:
         if not lits:
             raise ValueError("at_most_one needs at least one literal")
@@ -250,12 +259,6 @@ class CnfBuilder:
             add([-l, s])
             add([-l, -s_prev])
             s_prev = s
-
-    def exactly_one(self, lits: Sequence[Lit]) -> None:
-        """No encoder calls it: it stays for criterion 3, whose exhaustive
-        table checks it with ``at_least_one`` and ``at_most_one``."""
-        self.at_least_one(lits)
-        self.at_most_one(lits)
 
     def unary_count(self, lits: Sequence[Lit], exact: int | None = None) -> UnaryCount:
         """Totalizer over ``lits`` (Bailleux & Boufkhad, CP 2003).
@@ -336,8 +339,7 @@ class CnfBuilder:
         carry out of the top bit is never built.  No encoder calls it: the
         labels of ``hcp`` and ``scc`` step by ``lfsr_successors``.  It stays,
         with the two successor methods over it, for criterion 3, whose
-        exhaustive table checks ``bitvec_successor``, as ``exactly_one``
-        does."""
+        exhaustive table checks ``bitvec_successor``."""
         key = tuple(x.bits)
         if key in self._increments:
             return self._increments[key]
@@ -444,29 +446,18 @@ class CnfBuilder:
         write_dimacs(sink, self.var_count, self.clauses, rendered)
 
     def emit_varmap(self, sink) -> None:
-        """Write 'index name' lines for every named variable, in index
-        order, one ``sink.write`` per ``_DIMACS_CHUNK`` lines.  On a stamped
-        builder the template's names are one run of its rendered name
-        lines, as in ``emit_dimacs``."""
-        names = self.names
-        keys = sorted(names)
-        rendered = self.stamped.name_lines(keys) if self.stamped else None
-        first, end = (rendered.first, rendered.end) if rendered else (len(keys), len(keys))
-
-        def write(lo: int, hi: int) -> None:
-            for i in range(lo, hi, _DIMACS_CHUNK):
-                sink.write("".join([f"{k} {names[k]}\n" for k in keys[i : min(i + _DIMACS_CHUNK, hi)]]))
-
-        write(0, first)
-        if rendered:
-            rendered.write(sink)
-        write(end, len(keys))
+        """Write one 'index name' line per named variable, run by run of
+        ``name_runs``, so in index order: one ``sink.write`` per run, or per
+        ``_DIMACS_CHUNK`` lines of a longer one."""
+        for first, run in self.name_runs:
+            for i in range(0, len(run), _DIMACS_CHUNK):
+                part = run[i : i + _DIMACS_CHUNK]
+                sink.write("".join([f"{v} {name}\n" for v, name in zip(itertools.count(first + i), part)]))
 
 
 class Rendered(NamedTuple):
-    """Lines rendered ahead for the items ``first`` to ``end`` of a list
-    (clauses, or sorted ``.map`` variables): ``text``'s ranges ``cuts``, in
-    order."""
+    """Lines rendered ahead for the clauses ``first`` to ``end`` of a list:
+    ``text``'s ranges ``cuts``, in order."""
 
     first: int
     end: int
@@ -555,7 +546,9 @@ def _write_clauses(sink, clauses: Sequence[Sequence[Lit]], lo: int, hi: int) -> 
 
 def parse_dimacs(text: str) -> tuple[int, list[list[Lit]]]:
     """Parse a DIMACS CNF string into (nvars, clauses).  A literal repeated
-    within a clause is kept once, as the internal solver needs."""
+    within a clause is kept once, as the internal solver needs.  Raises
+    ValueError unless there is exactly one header, with counts of at least
+    zero, that bounds every literal and counts every clause."""
     nvars = None
     nclauses = None
     clauses: list[list[Lit]] = []
@@ -568,7 +561,11 @@ def parse_dimacs(text: str) -> tuple[int, list[list[Lit]]]:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad DIMACS header: {line!r}")
+            if nvars is not None:
+                raise ValueError(f"second DIMACS header: {line!r}")
             nvars, nclauses = int(parts[2]), int(parts[3])
+            if nvars < 0 or nclauses < 0:
+                raise ValueError(f"negative count in DIMACS header: {line!r}")
             continue
         if nvars is None:
             raise ValueError("missing DIMACS header")
@@ -585,6 +582,6 @@ def parse_dimacs(text: str) -> tuple[int, list[list[Lit]]]:
         clauses.append(list(dict.fromkeys(cur)))
     if nvars is None:
         raise ValueError("missing DIMACS header")
-    if nclauses is not None and nclauses != len(clauses):
+    if nclauses != len(clauses):
         raise ValueError(f"header declares {nclauses} clauses, found {len(clauses)}")
     return nvars, clauses

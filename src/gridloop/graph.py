@@ -32,13 +32,12 @@ Clauses go in unchecked, appended to ``CnfBuilder.clauses`` in batches
 under ``CnfBuilder.add_trusted``'s contract, so every vertex and edge literal
 given to these functions must be over a variable of its own.
 
-On a grid that ``make_grid`` made, ``hcp_grid`` and ``cycle_grid`` encode
-each shape once per process and stamp every later board of that shape out
-of a compact copy (see ``_Template``); ``clear_templates`` forgets them.
+On a grid that ``make_grid`` made, ``hcp_grid`` and ``cycle_grid`` stamp a
+shape built twice in a row from a template (``_Template``);
+``clear_templates`` forgets them.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 from array import array
@@ -99,8 +98,8 @@ def make_grid(builder: CnfBuilder, rows: int, cols: int) -> GridVars:
     numbered in row-major order from the builder's next variable.
     ``hcp_grid`` and ``cycle_grid`` stamp such a grid's clauses from a
     template of its shape (see ``_Template``), once it has been built twice
-    in a row; the cell names are shared, and each board gets its own
-    ``cells`` dict."""
+    in a row.  Every board of the shape shares one tuple of cell names as
+    its run of ``CnfBuilder.name_runs``, and gets its own ``cells`` dict."""
     if rows < 1 or cols < 1:
         raise ValueError("grid must be at least 1x1")
     keys, names = _grid_shape(rows, cols)
@@ -135,28 +134,26 @@ class _Template:
     The key names the encoder's grid (rows, cols, first cell variable), the
     first variable the encoder allocates and its variant; every literal,
     name and the variable count after the build are then the same on each
-    board, so they are kept as they are, in ``array('i')``s: ``lits`` holds
-    the literals of the clauses in order, and ``runs`` (length, count) per
-    run of equal-length clauses, so a 20x20 ``hcp`` takes about 392 KiB,
-    where its clauses as lists would take about 4.5 MB.  No clause is
-    empty.  ``bounds[at[v]:at[v + 1]]`` holds, pairwise, the (first, end)
-    positions, counted from the first clause, of the clauses that a board
-    leaves out when vertex v is its start or one of its anchors.  The names
-    (``name_strs``, of ``name_vars``), ``edges`` and ``extra`` are shared
-    by every board stamped, which read them and never change them; each
-    board gets fresh clause lists, which its solver may reorder.
+    board.  ``lits`` holds the literals of the clauses in order, and
+    ``runs`` (length, count) per run of equal-length clauses, both as
+    ``array('i')``, so a 20x20 ``hcp`` takes about 392 KiB, where its
+    clauses as lists would take about 4.5 MB.  No clause is empty.
+    ``bounds[at[v]:at[v + 1]]`` holds, pairwise, the (first, end) positions,
+    counted from the first clause, of the clauses that a board leaves out
+    when vertex v is its start or one of its anchors.  ``name_runs`` (the
+    build's runs of ``CnfBuilder.name_runs``), ``edges`` and ``extra`` are
+    shared by every board stamped, which read them and never change them;
+    each board gets fresh clause lists, which its solver may reorder.
 
     A stamp records its span on the builder (``_Stamp``).  The first time a
-    builder stamped from the template writes its DIMACS or ``.map``
-    (``CnfBuilder.emit_dimacs``, ``emit_varmap``), the template renders the
-    lines of all its clauses, with where each line starts, or of all its
-    names, once (``clause_text``, ``name_text``; for a 20x20 ``hcp`` about
-    602 KiB of clause lines, 137 KiB of line starts and 92 KiB of names).
-    Every board's span is then written as slices of that text, cut where its
+    builder stamped from the template writes its DIMACS
+    (``CnfBuilder.emit_dimacs``), the template renders the lines of all its
+    clauses once, with where each line starts (``clause_text``; for a 20x20
+    ``hcp`` about 602 KiB of lines and 137 KiB of line starts).  Every
+    board's span is then written as slices of that text, cut where its
     dropped groups' clauses were.  The text lives as long as the template,
     which goes when another key comes (``_repeats``) or at
-    ``clear_templates``, or as a builder stamped from it; a template whose
-    boards are never written, as on the lazy path, never renders it."""
+    ``clear_templates``, or as a builder stamped from it."""
 
     def __init__(self, key, builder: CnfBuilder, base: int, named: int, groups, edges, extra):
         clauses = builder.clauses
@@ -169,14 +166,11 @@ class _Template:
         groups = groups or ()
         self.at = array("i", itertools.accumulate((2 * len(g) for g in groups), initial=0))
         self.bounds = array("i", (p - base for g in groups for lo_hi in g for p in lo_hi))
-        names = builder.names
-        self.name_vars = array("i", itertools.islice(names, named, None))
-        self.name_strs = tuple(itertools.islice(names.values(), named, None))
+        self.name_runs = builder.name_runs[named:]
         self.var_count = builder.var_count
         self.edges = tuple(edges)
         self.extra = extra
         self._clause_text: tuple[str, array] | None = None
-        self._name_text: tuple[str, int, int] | None = None
 
     def _rows(self) -> Iterator[tuple[Lit, ...]]:
         """The clauses in order, each a tuple of its literals."""
@@ -206,7 +200,7 @@ class _Template:
         first = len(clauses)
         lists = map(list, self._rows())
         clauses += itertools.compress(lists, self.keep(drop)) if drop else lists
-        builder.names.update(zip(self.name_vars, self.name_strs))
+        builder.name_runs += self.name_runs
         builder.var_count = self.var_count
         builder.stamped = _Stamp(self, clauses, first, len(clauses), tuple(drop))
         return list(self.edges)
@@ -216,14 +210,6 @@ class _Template:
         if self._clause_text is None:
             self._clause_text = dimacs_text(self._rows())
         return self._clause_text
-
-    def name_text(self) -> tuple[str, int, int]:
-        """The ``.map`` lines of the names, in variable order, with the
-        first and last of those variables; rendered at the first call."""
-        if self._name_text is None:
-            pairs = sorted(zip(self.name_vars, self.name_strs))
-            self._name_text = "".join([f"{k} {name}\n" for k, name in pairs]), pairs[0][0], pairs[-1][0]
-        return self._name_text
 
 
 class _Stamp(NamedTuple):
@@ -237,8 +223,7 @@ class _Stamp(NamedTuple):
     reaches the span's end, but a list changed in place, as a solver's
     reordering of its literals changes it, or a clause inserted or removed
     before the span, goes unseen.  A caller that solves a stamped builder's
-    clauses and then writes them passes the solver a copy.  Likewise the
-    names of the template's variables must be the ones stamped."""
+    clauses and then writes them passes the solver a copy."""
 
     template: _Template
     clauses: list[list[Lit]]
@@ -258,18 +243,6 @@ class _Stamp(NamedTuple):
                 cuts.append((starts[at], starts[lo]))
             at = hi
         return Rendered(self.first, self.end, text, cuts)
-
-    def name_lines(self, keys: Sequence[int]) -> Rendered | None:
-        """The ``.map`` lines of the template's names for ``keys``, the
-        builder's sorted variables; None unless the template's variables
-        are the run of ``keys`` between its first and last."""
-        if not self.template.name_vars:
-            return None
-        text, low, high = self.template.name_text()
-        lo, hi = bisect.bisect_left(keys, low), bisect.bisect_right(keys, high)
-        if hi - lo != len(self.template.name_vars):
-            return None
-        return Rendered(lo, hi, text, [(0, len(text))])
 
 
 # Per encoder, the key of its last build, and its template: one at most,
@@ -308,7 +281,7 @@ def _stamped(name: str, key, builder: CnfBuilder, drop: Sequence[int], build: Ca
     tpl = _TEMPLATES.get(name)
     if tpl is not None and tpl.key == key:
         return tpl.stamp(builder, drop), tpl.extra
-    base, named = len(builder.clauses), len(builder.names)
+    base, named = len(builder.clauses), len(builder.name_runs)
     edges, groups, extra = build()
     tpl = _TEMPLATES[name] = _Template(key, builder, base, named, groups, edges, extra)
     if drop:

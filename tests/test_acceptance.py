@@ -148,16 +148,17 @@ def test_criterion_3_encoding_unit_suites(capsys):
             if lit_value(ga, m) != all(bits) or lit_value(go, m) != any(bits):
                 failures.append(f"gate n={n} {bits}")
 
-    # exactly-one up to 8 inputs: accepted input assignments are the unit rows
+    # at-most-one up to 8 inputs, pairwise then the ladder: accepted input
+    # assignments are those with at most one true input
     for n in range(1, 9):
         b = CnfBuilder()
         xs = b.new_vars(n)
-        b.exactly_one(xs)
+        b.at_most_one(xs)
         for bits in itertools.product([False, True], repeat=n):
             units = [x if bit else -x for x, bit in zip(xs, bits)]
             got = sat_under(b.clauses, b.var_count, units).is_sat
-            if got != (sum(bits) == 1):
-                failures.append(f"exactly_one n={n} {bits}")
+            if got != (sum(bits) <= 1):
+                failures.append(f"at_most_one n={n} {bits}")
 
     # unary counters up to 8 inputs: outputs forced to the exact thresholds
     for n in range(1, 9):
@@ -232,7 +233,7 @@ def test_criterion_3_encoding_unit_suites(capsys):
     report(
         capsys,
         f"ACCEPTANCE 3: {'PASS' if ok else 'FAIL'} — exhaustive truth tables for "
-        f"gates, exactly-one (<=8), unary counters (<=8), bitvec successor (<=4), "
+        f"gates, at-most-one (<=8), unary counters (<=8), bitvec successor (<=4), "
         f"shift-register label step (<=4 state bits): {len(failures)} failures",
     )
     assert ok, failures[:5]

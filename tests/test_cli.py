@@ -545,6 +545,23 @@ def test_dimacs_solver_takes_a_repeated_literal(tmp_path):
     assert " ".join(ln[2:] for ln in lines[1:]) == "-1 -2 0"
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["p cnf 3 2\n3 0\n-3 2 0\np cnf 1 2\n", "p cnf -2 0\n"],
+    ids=["second-header", "negative-count"],
+)
+def test_dimacs_solver_refuses_a_bad_header(tmp_path, text):
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridloop.dimacs_solver", str(cnf)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_roadrunner_json_carries_its_circuit(tmp_path, capsys):
     # an empty 8x8 board puts all 64 cells on the road; without the order
     # in the JSON, verify would search for a circuit through them

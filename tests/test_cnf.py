@@ -130,28 +130,6 @@ def test_gate_and_single_literal_identity():
         b.implies_and([])
 
 
-def test_exactly_one_small_clauses():
-    b = CnfBuilder()
-    a = b.new_var()
-    b.exactly_one([a])
-    assert [a] in b.clauses
-    b2 = CnfBuilder()
-    x, y = b2.new_var(), b2.new_var()
-    b2.exactly_one([x, y])
-    assert [x, y] in b2.clauses
-    assert [-x, -y] in b2.clauses
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
-def test_exactly_one_model_counts(n):
-    # n=8 exercises the sequential ladder (> 6 literals)
-    b = CnfBuilder()
-    xs = b.new_vars(n)
-    b.exactly_one(xs)
-    proj = input_projection(b.clauses, b.var_count, xs)
-    assert proj == {tuple(i == j for j in range(n)) for i in range(n)}
-
-
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_at_most_one_model_counts(n):
     b = CnfBuilder()
@@ -565,8 +543,8 @@ def dimacs(b):
 
 def test_emit_dimacs_round_trip():
     b = CnfBuilder()
-    xs = b.new_vars(5)
-    b.exactly_one(xs)
+    xs = b.new_vars(8)
+    b.at_most_one(xs)
     b.gate_and(xs[:3])
     nvars, clauses = parse_dimacs(dimacs(b))
     assert nvars == b.var_count
@@ -663,6 +641,19 @@ def test_parse_dimacs_rejects_variable_above_header():
     with pytest.raises(ValueError, match="-3"):
         parse_dimacs("p cnf 2 1\n1 -3 0\n")
     assert parse_dimacs("p cnf 3 1\n1 -3 0\n") == (3, [[1, -3]])
+
+
+def test_parse_dimacs_rejects_a_second_header():
+    # the second header would shrink the bound that the clauses above it
+    # were checked against
+    with pytest.raises(ValueError, match="second DIMACS header"):
+        parse_dimacs("p cnf 3 2\n3 0\n-3 2 0\np cnf 1 2\n")
+
+
+@pytest.mark.parametrize("header", ["p cnf -2 0", "p cnf 2 -1"])
+def test_parse_dimacs_rejects_a_negative_count(header):
+    with pytest.raises(ValueError, match="negative count"):
+        parse_dimacs(header + "\n")
 
 
 def test_parse_dimacs_keeps_a_repeated_literal_once():

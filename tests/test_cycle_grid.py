@@ -264,19 +264,20 @@ def undirected_solutions(b):
     """Every model of an eager formula, as the set of names of its true cell,
     road and laser literals and of the lazy model's undirected edges
     ``edge_{up or left cell}_{other}``: on where either direction is on."""
-    kept = [v for v, name in b.names.items() if name.startswith(("cell_", "road_", "laser_", "edge_"))]
+    name_of = b.names
+    kept = [v for v, name in name_of.items() if name.startswith(("cell_", "road_", "laser_", "edge_"))]
     out = []
     for a in all_kept_models(b.clauses, b.var_count, kept):
         names = set()
         for v in kept:
             if a[v]:
-                kind, *rc = b.names[v].split("_")
+                kind, *rc = name_of[v].split("_")
                 if kind == "edge":
                     r1, c1, r2, c2 = map(int, rc)
                     (r1, c1), (r2, c2) = sorted([(r1, c1), (r2, c2)])
                     names.add(f"edge_{r1}_{c1}_{r2}_{c2}")
                 else:
-                    names.add(b.names[v])
+                    names.add(name_of[v])
         out.append(names)
     return out
 
@@ -314,9 +315,10 @@ def test_every_cut_keeps_every_solution(kind, text):
     else:
         assert maximize(probe, count, lo=1).certified
     assert recording.clauses and solutions
+    name_of = b.names
     for cut in recording.clauses:
         for names in solutions:
-            assert any((b.names[abs(lit)] in names) == (lit > 0) for lit in cut), (cut, names)
+            assert any((name_of[abs(lit)] in names) == (lit > 0) for lit in cut), (cut, names)
 
 
 def random_roadrunner_board(rng):

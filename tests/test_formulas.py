@@ -7,6 +7,7 @@ rings and circles that no layout or pair fits, a unit that two circles
 write, a cell closed in by hills) give the clauses their rules ask for."""
 import hashlib
 import io
+import itertools
 import json
 import os
 
@@ -336,11 +337,52 @@ def test_stamped_builder_cut_short_of_its_span_formats_every_clause(stamps):
     assert emitted(b) == plain(b)
 
 
-def test_stamped_builder_missing_one_of_its_names_writes_every_name(stamps):
-    b = stamped_builder()
-    del b.names[b.stamped.template.name_vars[0]]
-    assert b.stamped.name_lines(sorted(b.names)) is None
-    assert emitted(b) == plain(b)
+def every_naming_call():
+    """A builder named through every call that names, with a 3x3
+    ``hcp_grid`` among them, and its names as a dict built by hand."""
+    b = CnfBuilder()
+    want = {1: "const_true"}
+    b.new_var()
+    want[b.new_var("lone")] = "lone"
+    want.update(zip(b.new_vars(3, "vec"), ["vec_0", "vec_1", "vec_2"]))
+    b.new_vars(2)
+    want.update(zip(b.named_vars(("x", "y")), ("x", "y")))
+    grid = make_grid(b, 3, 3)
+    want.update((lit, f"cell_{r}_{c}") for (r, c), lit in grid.cells.items())
+    edges = hcp_grid(b, grid, (2, 2))
+    want.update((e.lit, "edge_{}_{}_{}_{}".format(*e.src, *e.dst)) for e in edges)
+    # then the distance labels: 9 vertices on a 2-coloured grid take 3
+    # state bits each, named per cell in row-major order
+    label = itertools.count(edges[-1].lit + 1)
+    want.update((next(label), f"dist_{rc}_{i}") for rc in grid.cells for i in (1, 2, 3))
+    b.add_clause([b.new_var()])
+    want[b.new_var("last")] = "last"
+    return b, want
+
+
+def test_names_from_every_naming_call_are_the_dict_built_by_hand(stamps):
+    for _ in range(3):
+        b, want = every_naming_call()
+        assert dict(b.names) == want
+        assert list(b.names) == sorted(want)
+    # the third build was stamped from the template that the second made
+    assert stamps[0] == 1 and b.stamped is not None
+
+
+def test_varmap_lists_the_sorted_names(stamps):
+    for _ in range(3):
+        b, _ = every_naming_call()
+        assert emitted(b)[1] == "".join(f"{k} {v}\n" for k, v in sorted(b.names.items()))
+    assert b.stamped is not None
+
+
+def test_names_cannot_be_written():
+    b = CnfBuilder()
+    b.new_vars(2, "x")
+    with pytest.raises(TypeError):
+        b.names[b.var_count] = "x"
+    with pytest.raises(TypeError):
+        del b.names[1]
 
 
 VERIFIER_HELPERS = [

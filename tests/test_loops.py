@@ -112,7 +112,8 @@ def two_squares(b):
     } | {f"cell_{r}_{c}" for r, c in ((1, 1), (1, 2), (2, 1), (2, 2))} | {
         f"cell_{r}_{c}" for r, c in ((3, 3), (3, 4), (4, 3), (4, 4))
     }
-    return {v: v == 1 or b.names.get(v) in on for v in range(1, b.var_count + 1)}
+    names = b.names
+    return {v: v == 1 or names.get(v) in on for v in range(1, b.var_count + 1)}
 
 
 def edges(b, *names):

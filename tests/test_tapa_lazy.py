@@ -111,11 +111,12 @@ def black_sets(text):
     inst = parse_tapa(text)
     b = CnfBuilder()
     decode, _, _ = build_tapa(b, inst)
-    cells = [v for v, name in b.names.items() if name.startswith("cell_")]
+    names = b.names
+    cells = [v for v, name in names.items() if name.startswith("cell_")]
     out = []
     for a in all_kept_models(b.clauses, b.var_count, cells):
         assert verify_tapa(inst, decode(a)) is None
-        out.append({b.names[v] for v in cells if a[v]})
+        out.append({names[v] for v in cells if a[v]})
     return out
 
 
@@ -136,9 +137,10 @@ def test_every_cut_keeps_every_solution(text):
     recording = Recording(propagator)
     out = open_internal(b.clauses, b.var_count, recording)()
     assert out.is_sat and recording.clauses and solutions
+    names = b.names
     for cut in recording.clauses:
         for black in solutions:
-            assert any((b.names[abs(l)] in black) == (l > 0) for l in cut), (cut, black)
+            assert any((names[abs(l)] in black) == (l > 0) for l in cut), (cut, black)
 
 
 def test_probe_reports_its_cut_clauses():
