@@ -37,9 +37,13 @@ import json
 import os
 import sys
 
-root = os.path.abspath(sys.argv[1])
-seed = int(sys.argv[2]) if len(sys.argv) > 2 else 300
-rounds = int(sys.argv[3]) if len(sys.argv) > 3 else 40
+args = sys.argv[1:]
+if not 1 <= len(args) <= 3 or not all(a.isdigit() for a in args[1:]):
+    print("usage: python scripts/probe_stats.py CHECKOUT [SEED] [ROUNDS]", file=sys.stderr)
+    sys.exit(2)
+root = os.path.abspath(args[0])
+seed = int(args[1]) if len(args) > 1 else 300
+rounds = int(args[2]) if len(args) > 2 else 40
 perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
 sys.path[:0] = [os.path.join(root, "src"), perfbench]
 

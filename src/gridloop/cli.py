@@ -10,6 +10,7 @@ import argparse
 import csv
 import functools
 import gc
+import itertools
 import json
 import math
 import os
@@ -258,17 +259,23 @@ def solution_json(kind: str, inst, sol) -> dict:
 
 
 def solution_from_json(kind: str, inst, data: dict):
+    """The solution a ``solve --output json`` file holds.  Its numbers must
+    be JSON integers, else ValueError: ``int()`` reads 1.9, true and "1" as 1."""
     if kind == "roadrunner":
         laser, road = data["laser"], data["road"]
-        k = int(data.get("k", sum(map(sum, road))))
+        k = data.get("k", sum(map(sum, road)))
         cycle = data.get("cycle")  # absent from older files: then the verifier searches
-        if cycle is not None:
-            cycle = [(int(x), int(y)) for x, y in cycle]
-        return RoadrunnerSolution(laser, road, k, cycle)
-    if kind == "tapa":
-        return ColoringSolution(data["black"])
-    cycle = [(int(r), int(c)) for r, c in data["cycle"]]
-    return LoopSolution(set(cycle), cycle)
+        rows = [*laser, *road, [k], *(cycle or ())]
+        sol = RoadrunnerSolution(laser, road, k, None if cycle is None else [(x, y) for x, y in cycle])
+    elif kind == "tapa":
+        rows = data["black"]
+        sol = ColoringSolution(rows)
+    else:
+        rows = cycle = [(r, c) for r, c in data["cycle"]]
+        sol = LoopSolution(set(cycle), cycle)
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        raise ValueError("a number that is not an integer")
+    return sol
 
 
 # -- subcommands --------------------------------------------------------
@@ -342,8 +349,8 @@ def cmd_verify(args) -> int:
         return EXIT_INPUT
     if reason:
         print(f"REJECT {reason}")
-        # a wrong-size grid is a malformed solution file, not a near-miss
-        return EXIT_INPUT if reason == "wrong-grid-size" else EXIT_REJECT
+        # a wrong-size grid or a bad cell is a malformed file, not a near-miss
+        return EXIT_INPUT if reason in ("wrong-grid-size", "bad-cell-value") else EXIT_REJECT
     print("ACCEPT")
     return EXIT_OK
 

@@ -127,7 +127,6 @@ class CnfBuilder:
         self.var_count = 1  # variable 1 is the reserved constant-true
         self.clauses: list[list[Lit]] = [[1]]
         self.name_runs: list[tuple[int, Sequence[str]]] = [(1, ("const_true",))]
-        self._increments: dict[tuple[Lit, ...], BitVec] = {}
         # the record of the grid template last stamped in (see
         # ``graph._Template.stamp``), whose text ``emit_dimacs`` writes for
         # its span
@@ -201,27 +200,6 @@ class CnfBuilder:
         self.clauses.append(clause)
 
     # -- Tseitin gates --------------------------------------------------
-
-    def gate_and(self, lits: Sequence[Lit]) -> Lit:
-        """Fresh g with g <-> AND(lits).  A single literal is returned as-is."""
-        g = self.implies_and(lits)
-        if len(lits) > 1:
-            self.clauses.append([g] + [-l for l in lits])
-        return g
-
-    def implies_and(self, lits: Sequence[Lit]) -> Lit:
-        """Fresh g with g -> AND(lits): the half of ``gate_and`` that a
-        reader of g in positive polarity needs (Plaisted & Greenbaum, J.
-        Symbolic Computation 1986).  A single literal is returned as-is."""
-        if not lits:
-            raise ValueError("an AND gate needs at least one literal")
-        if len(lits) == 1:
-            return lits[0]
-        g = self.var_count = self.var_count + 1
-        add = self.clauses.append
-        for l in lits:
-            add([-g, l])
-        return g
 
     def gate_or(self, lits: Sequence[Lit]) -> Lit:
         if not lits:
@@ -328,54 +306,7 @@ class CnfBuilder:
     # -- bit-vector arithmetic ------------------------------------------
 
     def new_bitvec(self, width: int, prefix: str | None = None) -> BitVec:
-        if width < 1:
-            raise ValueError("BitVec width must be >= 1")
         return BitVec(self.new_vars(width, prefix))
-
-    def increment(self, x: BitVec) -> BitVec:
-        """x + 1 mod 2^width as a ripple carry, built once per bit vector; a
-        repeat call adds nothing.  Constant bits (``TRUE``, ``FALSE``) fold: a
-        constant carry, or a carry into a constant bit, adds no gate, and the
-        carry out of the top bit is never built.  No encoder calls it: the
-        labels of ``hcp`` and ``scc`` step by ``lfsr_successors``.  It stays,
-        with the two successor methods over it, for criterion 3, whose
-        exhaustive table checks ``bitvec_successor``."""
-        key = tuple(x.bits)
-        if key in self._increments:
-            return self._increments[key]
-        TRUE, FALSE = self.TRUE, self.FALSE
-        succ: list[Lit] = []
-        carry = TRUE
-        top = x.width - 1
-        for k, b in enumerate(x.bits):
-            if carry == TRUE:
-                succ.append(-b)
-                carry = b
-            elif carry == FALSE or b == FALSE:
-                succ.append(b if carry == FALSE else carry)
-                carry = FALSE
-            elif b == TRUE:
-                succ.append(-carry)
-            else:
-                succ.append(self.gate_xor(b, carry))
-                if k < top:
-                    carry = self.gate_and([b, carry])
-        self._increments[key] = BitVec(succ)
-        return self._increments[key]
-
-    def bitvec_successor(self, x: BitVec, y: BitVec, *guard: Lit) -> None:
-        """AND(guard) -> (y = x + 1), with overflow (x all-ones) banned under
-        the guard.  Needs at least one guard literal.  No encoder calls it;
-        criterion 3's exhaustive table checks it."""
-        self.bitvec_successors(x, [(y, guard)])
-        overflow = _fold([-b for b in x.bits])
-        if overflow is not None:
-            self.add_trusted([-g for g in guard] + overflow)
-
-    def bitvec_successors(self, x: BitVec, steps: Sequence[tuple[BitVec, Sequence[Lit]]]) -> list[int]:
-        """For each (y, guard) of ``steps``: AND(guard) -> (y = x + 1 mod
-        2^width), over one ``increment`` of x (see ``_steps_to``)."""
-        return self._steps_to(self.increment(x).bits, steps)
 
     def lfsr_successors(self, x: BitVec, steps: Sequence[tuple[BitVec, Sequence[Lit]]]) -> list[int]:
         """For each (y, guard) of ``steps``: AND(guard) -> (y = f(x)), where

@@ -2,7 +2,6 @@ from .loops import LoopSolution, decode_loop
 from .roadrunner import (
     RoadrunnerInstance,
     RoadrunnerSolution,
-    attacked_positions,
     build_roadrunner,
     decode_roadrunner,
     parse_roadrunner,
@@ -26,7 +25,6 @@ __all__ = [
     "decode_loop",
     "RoadrunnerInstance",
     "RoadrunnerSolution",
-    "attacked_positions",
     "build_roadrunner",
     "decode_roadrunner",
     "parse_roadrunner",

@@ -105,7 +105,7 @@ def arm_ladders(
         for i in range(2, min(depth, reach[d]) + 1):
             b = (r + i * dr, c + i * dc)
             e = edge(a, b)  # in the eager model, a first read makes a gate
-            # g <-> the arm so far and e, as gate_and writes it
+            # g <-> the arm so far and e: an AND gate's three clauses
             g = builder.var_count = builder.var_count + 1
             prev = arm[-1]
             clauses += ([-g, prev], [-g, e], [g, -prev, -e])

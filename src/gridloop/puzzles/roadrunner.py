@@ -79,17 +79,6 @@ def _sight_runs(inst: RoadrunnerInstance) -> list[list[Pos]]:
     return [list(run) for line in lines for is_white, run in itertools.groupby(line, key=white.__contains__) if is_white]
 
 
-def attacked_positions(inst: RoadrunnerInstance, x: int, y: int) -> list[Pos]:
-    """White cells a laser at (x, y) beams over: four rays (left, right, up,
-    down), nearest first, each stopping before the first hill or at the
-    edge."""
-    if inst.is_hill(x, y):
-        raise ValueError(f"({x}, {y}) is a hill cell")
-    row, col = (run for run in _sight_runs(inst) if (x, y) in run)
-    i, j = row.index((x, y)), col.index((x, y))
-    return row[:i][::-1] + row[i + 1 :] + col[:j][::-1] + col[j + 1 :]
-
-
 def quadrantal_neighbors(inst: RoadrunnerInstance, x: int, y: int) -> list[Pos]:
     return [
         (x1, y1)
@@ -149,10 +138,10 @@ def build_roadrunner(
         for i, p in enumerate(run):
             sight[p].append((lasers, roads, i))
 
-    # A laser at p sees the cells left, right, up and down of it, nearest
-    # first, as ``attacked_positions`` lists them.  It bans a laser there
-    # (one clause per pair: the cell to the right or below writes it) and
-    # the road there, and road(p) <-> no laser on p or any cell it sees.
+    # A laser at p sees four rays of white cells, nearest first, each ending
+    # before the first hill or at the edge.  It bans a laser there (one
+    # clause per pair: the cell to the right or below writes it) and the
+    # road there, and road(p) <-> no laser on p or any cell it sees.
     add = clauses.append
     for p, lz in laser.items():
         (row_l, row_r, i), (col_l, col_r, j) = sight[p]
@@ -254,10 +243,10 @@ def verify_roadrunner(inst: RoadrunnerInstance, sol: RoadrunnerSolution) -> str 
     road = safe cells (set equality), and the single-circuit property: the
     solution's cycle order must walk the road, or, without an order, a
     search must find such a walk."""
-    if len(sol.laser) != inst.max_y or len(sol.road) != inst.max_y:
+    if len(sol.laser) != inst.max_y or len(sol.road) != inst.max_y or any(len(row) != inst.max_x for row in sol.laser + sol.road):
         return "wrong-grid-size"
-    if any(len(row) != inst.max_x for row in sol.laser + sol.road):
-        return "wrong-grid-size"
+    if any(bit not in (0, 1) for row in sol.laser + sol.road for bit in row):
+        return "bad-cell-value"
     for y in range(1, inst.max_y + 1):
         for x in range(1, inst.max_x + 1):
             if inst.is_hill(x, y) and (sol.laser_at(x, y) or sol.road_at(x, y)):

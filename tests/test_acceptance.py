@@ -136,17 +136,16 @@ def test_criterion_2_connectivity_oracle(capsys):
 def test_criterion_3_encoding_unit_suites(capsys):
     failures = []
 
-    # gates: full truth tables
+    # OR gates: full truth tables
     for n in (2, 3):
         b = CnfBuilder()
         xs = b.new_vars(n)
-        ga, go = b.gate_and(xs), b.gate_or(xs)
+        go = b.gate_or(xs)
         for bits in itertools.product([False, True], repeat=n):
             units = [x if bit else -x for x, bit in zip(xs, bits)]
             out = sat_under(b.clauses, b.var_count, units)
-            m = out.model.assignment
-            if lit_value(ga, m) != all(bits) or lit_value(go, m) != any(bits):
-                failures.append(f"gate n={n} {bits}")
+            if lit_value(go, out.model.assignment) != any(bits):
+                failures.append(f"gate_or n={n} {bits}")
 
     # at-most-one up to 8 inputs, pairwise then the ladder: accepted input
     # assignments are those with at most one true input
@@ -176,32 +175,6 @@ def test_criterion_3_encoding_unit_suites(capsys):
                 wrong = -o if total >= i else o
                 if not sat_under(b.clauses, b.var_count, units + [wrong]).is_unsat:
                     failures.append(f"unary_count n={n} {bits} output {i} unforced")
-
-    # bitvec_successor widths 1..4: y forced to x + 1, overflow banned
-    for width in range(1, 5):
-        b = CnfBuilder()
-        x, y = b.new_bitvec(width), b.new_bitvec(width)
-        guard = b.new_var()
-        b.bitvec_successor(x, y, guard)
-        top = (1 << width) - 1
-        for v in range(top + 1):
-            units = [guard] + [
-                bit if v >> i & 1 else -bit for i, bit in enumerate(x.bits)
-            ]
-            out = sat_under(b.clauses, b.var_count, units)
-            if v == top:
-                if not out.is_unsat:
-                    failures.append(f"successor width={width} overflow")
-                continue
-            if not out.is_sat or y.value(out.model.assignment) != v + 1:
-                failures.append(f"successor width={width} x={v}")
-                continue
-            for w in range(1 << width):
-                if w == v + 1:
-                    continue
-                eq = [bit if w >> i & 1 else -bit for i, bit in enumerate(y.bits)]
-                if not sat_under(b.clauses, b.var_count, units + eq).is_unsat:
-                    failures.append(f"successor width={width} x={v} y={w} allowed")
 
     # lfsr_successors, 1..4 state bits under bit 0 free, FALSE or TRUE (then
     # y's is the other constant): y forced to the label step of x
@@ -233,7 +206,7 @@ def test_criterion_3_encoding_unit_suites(capsys):
     report(
         capsys,
         f"ACCEPTANCE 3: {'PASS' if ok else 'FAIL'} — exhaustive truth tables for "
-        f"gates, at-most-one (<=8), unary counters (<=8), bitvec successor (<=4), "
+        f"OR gates (<=3), at-most-one (<=8), unary counters (<=8), "
         f"shift-register label step (<=4 state bits): {len(failures)} failures",
     )
     assert ok, failures[:5]

@@ -609,6 +609,67 @@ def test_verify_wrong_size_is_input_error(tmp_path, capsys):
     assert main(["verify", inst_path("tapa_4x4.tapa"), str(sol_file)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "kind,data",
+    [
+        ("roadrunner", {"laser": [[0]], "road": [[2]], "k": 1}),
+        ("roadrunner", {"laser": [[2]], "road": [[1]], "k": 1}),
+        ("tapa", {"black": [[2] * 4] * 4}),
+    ],
+    ids=["roadrunner-road", "roadrunner-laser", "tapa-black"],
+)
+def test_verify_cell_value_not_0_or_1_is_input_error(tmp_path, capsys, kind, data):
+    # a cell that is neither 0 nor 1 is a malformed file, as a wrong-size
+    # grid is, not a near-miss
+    board = {"roadrunner": tmp_path / "one.roadrunner", "tapa": inst_path("tapa_4x4.tapa")}[kind]
+    if kind == "roadrunner":
+        board.write_text("1 1\n.\n")
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(data))
+    assert main(["verify", str(board), str(sol)]) == EXIT_INPUT
+    assert capsys.readouterr().out.strip() == "REJECT bad-cell-value"
+
+
+def _tapa_4x4_answer_in_floats(capsys):
+    assert main(["solve", inst_path("tapa_4x4.tapa"), "--output", "json"]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    data["black"] = [[float(bit) for bit in row] for row in data["black"]]
+    return data
+
+
+@pytest.mark.parametrize(
+    "kind,data",
+    [
+        ("masyu", {"cycle": [[True, 1.9]]}),
+        ("masyu", {"cycle": [["1", "1"]]}),
+        ("masyu", {"cycle": [[1, 1.0]]}),
+        ("roadrunner", {"laser": [[0]], "road": [[1]], "k": 1.0}),
+        ("roadrunner", {"laser": [[False]], "road": [[True]], "k": 1}),
+        ("roadrunner", {"laser": [[0]], "road": [[1]], "k": "1"}),
+        ("roadrunner", {"laser": [[0]], "road": [[1]], "k": 1, "cycle": [[1, "1"]]}),
+        ("tapa", None),
+    ],
+    ids=["masyu-bool-float", "masyu-strings", "masyu-float", "roadrunner-k-float", "roadrunner-bool-cells",
+         "roadrunner-k-string", "roadrunner-cycle-string", "tapa-float-cells"],
+)
+def test_verify_refuses_numbers_that_are_not_json_integers(tmp_path, capsys, kind, data):
+    # int() would truncate 1.9 to 1 and read true and "1" as 1, so each of
+    # these files was accepted: a blank 1x1 board's answer, or tapa_4x4's
+    # own answer with its cells written as floats
+    boards = {"masyu": ("one.masyu", "1\n.\n"), "roadrunner": ("one.roadrunner", "1 1\n.\n")}
+    if kind == "tapa":
+        board, data = inst_path("tapa_4x4.tapa"), _tapa_4x4_answer_in_floats(capsys)
+    else:
+        board = tmp_path / boards[kind][0]
+        board.write_text(boards[kind][1])
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(data))
+    assert main(["verify", str(board), str(sol)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "error: bad solution file" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_malformed_json(tmp_path, capsys):
     sol_file = tmp_path / "junk.json"
     sol_file.write_text("{nope")
@@ -652,3 +713,12 @@ def test_bench_result_per_kind(tmp_path, capsys):
     assert main(["bench", str(tmp_path)]) == EXIT_OK
     rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:-1]]
     assert {row[0]: row[4] for row in rows} == expected
+
+
+@pytest.mark.parametrize("argv", [[], [".", "seed"], [".", "1", "2", "3"]], ids=["no-checkout", "bad-seed", "extra"])
+def test_probe_stats_script_prints_its_usage_on_bad_arguments(argv):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "probe_stats.py")
+    proc = subprocess.run([sys.executable, script, *argv], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

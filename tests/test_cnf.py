@@ -77,17 +77,6 @@ def test_add_clause_rejects_bool_literals(lit):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_gate_and_truth_table(n):
-    b = CnfBuilder()
-    xs = b.new_vars(n)
-    g = b.gate_and(xs)
-    for m in all_models(b.clauses, b.var_count):
-        assert m[g] == all(m[x] for x in xs)
-    # every input combination is realizable
-    assert len(input_projection(b.clauses, b.var_count, xs)) == 2**n
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
 def test_gate_or_truth_table(n):
     b = CnfBuilder()
     xs = b.new_vars(n)
@@ -105,29 +94,12 @@ def test_binary_gates_truth_tables():
         assert m[gx] == (m[x] != m[y])
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_implies_and_truth_table(n):
-    b = CnfBuilder()
-    xs = b.new_vars(n)
-    g = b.implies_and(xs)
-    assert len(b.clauses) == 1 + n  # the constant and one [-g, x] per input
-    models = all_models(b.clauses, b.var_count)
-    assert all(all(m[x] for x in xs) for m in models if m[g])
-    # g may be false anywhere, and true wherever the conjunction holds
-    for bits in itertools.product([False, True], repeat=n):
-        units = [x if bit else -x for x, bit in zip(xs, bits)]
-        assert sat_under(b.clauses, b.var_count, units + [-g]).is_sat
-        assert sat_under(b.clauses, b.var_count, units + [g]).is_sat == all(bits)
-
-
-def test_gate_and_single_literal_identity():
+def test_gate_or_single_literal_identity():
     b = CnfBuilder()
     a = b.new_var()
-    assert b.gate_and([a]) == a
     assert b.gate_or([a]) == a
-    assert b.implies_and([a]) == a
     with pytest.raises(ValueError):
-        b.implies_and([])
+        b.gate_or([])
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -272,201 +244,6 @@ def test_count_bounds_out_of_range():
             b.bound_le(count, k)
 
 
-def successor(b, x, y, guards, wrap):
-    """y = x + 1 under ``guards``: mod 2^w through ``bitvec_successors``
-    with ``wrap``, else through ``bitvec_successor``, which bans overflow."""
-    if wrap:
-        b.bitvec_successors(x, [(y, guards)])
-    else:
-        b.bitvec_successor(x, y, *guards)
-
-
-@pytest.mark.parametrize(
-    "width,nguards,wrap",
-    [(w, g, wrap) for wrap in (False, True) for g in (1, 2) for w in range(1, 5)],
-    ids=[
-        f"{w}{'-2guards' if g == 2 else ''}{'-wrap' if wrap else ''}"
-        for wrap in (False, True) for g in (1, 2) for w in range(1, 5)
-    ],
-)
-def test_bitvec_successor_exhaustive(width, nguards, wrap):
-    b = CnfBuilder()
-    x = b.new_bitvec(width)
-    y = b.new_bitvec(width)
-    guards = b.new_vars(nguards)
-    successor(b, x, y, guards, wrap)
-    top = (1 << width) - 1
-    for v in range(top + 1):
-        units = guards + [
-            bit if v >> i & 1 else -bit for i, bit in enumerate(x.bits)
-        ]
-        out = sat_under(b.clauses, b.var_count, units)
-        if v == top and not wrap:
-            assert out.is_unsat
-            continue
-        want = (v + 1) & top
-        assert out.is_sat
-        assert y.value(out.model.assignment) == want
-        # y is forced: any other value is UNSAT
-        for w in range(1 << width):
-            if w == want:
-                continue
-            wrong = [
-                bit if w >> i & 1 else -bit for i, bit in enumerate(y.bits)
-            ]
-            assert sat_under(b.clauses, b.var_count, units + wrong).is_unsat
-
-
-def test_bitvec_successors_several_steps_from_one_x():
-    # three steps out of one x, over one increment: each y is x + 1 mod 8
-    # under its own guard and free under a false one
-    b = CnfBuilder()
-    x = b.new_bitvec(3)
-    ys = [b.new_bitvec(3) for _ in range(3)]
-    guards = [[b.new_var()], [b.new_var(), b.new_var()], [b.new_var()]]
-    b.bitvec_successors(x, list(zip(ys, guards)))
-    gates = b.var_count
-    b.increment(x)
-    assert b.var_count == gates  # the increment was built once
-    flat = [g for gs in guards for g in gs]
-    proj = input_projection(b.clauses, b.var_count, x.bits + [bit for y in ys for bit in y.bits] + flat)
-
-    def value(bits):
-        return sum(bit << i for i, bit in enumerate(bits))
-
-    for bits in itertools.product([False, True], repeat=4):
-        on = [bits[0], bits[1] and bits[2], bits[3]]
-        survivors = [p for p in proj if p[12:] == bits]
-        # every y not forced is free: 8 x values times 8 per free y
-        assert len(survivors) == 8 * 8 ** on.count(False)
-        for p in survivors:
-            v = value(p[:3])
-            for k, y_on in enumerate(on):
-                if y_on:
-                    assert value(p[3 + 3 * k:6 + 3 * k]) == (v + 1) % 8
-
-
-def test_bitvec_successor_overflow_banned():
-    b = CnfBuilder()
-    x = b.new_bitvec(3)
-    y = b.new_bitvec(3)
-    guard = b.new_var()
-    b.bitvec_successor(x, y, guard)
-    units = [guard] + list(x.bits)  # x = 7
-    assert sat_under(b.clauses, b.var_count, units).is_unsat
-
-
-@pytest.mark.parametrize("nguards", [1, 2])
-def test_bitvec_successor_guard_false_unconstrained(nguards):
-    b = CnfBuilder()
-    x = b.new_bitvec(2)
-    y = b.new_bitvec(2)
-    guards = b.new_vars(nguards)
-    b.bitvec_successor(x, y, *guards)
-    proj = input_projection(b.clauses, b.var_count, x.bits + y.bits + guards)
-    # some guard false: all 16 (x, y) combinations survive
-    for gbits in itertools.product([False, True], repeat=nguards):
-        survivors = sum(1 for bits in proj if bits[4:] == gbits)
-        assert survivors == (3 if all(gbits) else 16)
-
-
-def test_bitvec_successor_width_mismatch():
-    b = CnfBuilder()
-    with pytest.raises(ValueError):
-        b.bitvec_successor(b.new_bitvec(2), b.new_bitvec(3), b.new_var())
-
-
-def test_bitvec_successor_needs_guard():
-    b = CnfBuilder()
-    with pytest.raises(ValueError):
-        b.bitvec_successor(b.new_bitvec(2), b.new_bitvec(2))
-
-
-def test_increment_values():
-    # x + 1 wraps: 7 + 1 is 0
-    b = CnfBuilder()
-    x = b.new_bitvec(3)
-    succ = b.increment(x)
-    for v in range(8):
-        units = [bit if v >> i & 1 else -bit for i, bit in enumerate(x.bits)]
-        out = sat_under(b.clauses, b.var_count, units)
-        assert out.is_sat
-        assert succ.value(out.model.assignment) == (v + 1) % 8
-
-
-def test_increment_built_once():
-    b = CnfBuilder()
-    x = b.new_bitvec(3)
-    first = b.increment(x)
-    nvars, nclauses = b.var_count, len(b.clauses)
-    assert b.increment(x).bits == first.bits
-    assert (b.var_count, len(b.clauses)) == (nvars, nclauses)
-
-
-def with_bit0(b, width, bit0):
-    """A bit vector whose bit 0 is the constant ``bit0`` and whose other
-    bits are fresh."""
-    return BitVec([bit0] + b.new_vars(width - 1))
-
-
-def values(vec, bit0):
-    """Every value of ``vec`` with its bit 0 equal to ``bit0``, with the
-    units that set its free bits to it."""
-    for v in range(1 << vec.width):
-        if bool(v & 1) == (bit0 == CnfBuilder.TRUE):
-            yield v, [bit if v >> i & 1 else -bit for i, bit in enumerate(vec.bits[1:], start=1)]
-
-
-@pytest.mark.parametrize("width", range(1, 5))
-@pytest.mark.parametrize("bit0", [CnfBuilder.TRUE, CnfBuilder.FALSE])
-def test_increment_with_a_constant_bit_0(width, bit0):
-    # x + 1 wraps, for every value of x; a carry that is constant, as out of
-    # an even x's bit 0, adds no gate
-    b = CnfBuilder()
-    x = with_bit0(b, width, bit0)
-    nvars, nclauses = b.var_count, len(b.clauses)
-    succ = b.increment(x)
-    if bit0 == CnfBuilder.FALSE:
-        assert (b.var_count, len(b.clauses)) == (nvars, nclauses)
-    for v, units in values(x, bit0):
-        out = sat_under(b.clauses, b.var_count, units)
-        assert out.is_sat
-        assert succ.value(out.model.assignment) == (v + 1) % (1 << width)
-
-
-@pytest.mark.parametrize("width", range(1, 5))
-@pytest.mark.parametrize("bit0", [CnfBuilder.TRUE, CnfBuilder.FALSE])
-@pytest.mark.parametrize("wrap", [False, True])
-def test_bitvec_successor_with_a_constant_bit_0(width, bit0, wrap):
-    # y's bit 0 is the other constant, as across an edge of a bipartite
-    # graph: under the guard y is x + 1 and nothing else, where x + 1
-    # overflows only without wrap; with the guard false, every pair survives
-    b = CnfBuilder()
-    x, y = with_bit0(b, width, bit0), with_bit0(b, width, -bit0)
-    guard = b.new_var()
-    successor(b, x, y, [guard], wrap)
-    top = 1 << width
-    assert all(1 not in cl and -1 not in cl for cl in b.clauses[1:])  # constants folded
-    for v, units in values(x, bit0):
-        if v == top - 1 and not wrap:
-            assert sat_under(b.clauses, b.var_count, [guard] + units).is_unsat
-            continue
-        for w, eq in values(y, -bit0):
-            got = sat_under(b.clauses, b.var_count, [guard] + units + eq).is_sat
-            assert got == (w == (v + 1) % top), (v, w)
-            assert sat_under(b.clauses, b.var_count, [-guard] + units + eq).is_sat
-
-
-def test_bitvec_successor_bans_what_a_constant_bit_rules_out():
-    # y's bit 0 equals x's: y = x + 1 cannot hold, so the guard is false
-    b = CnfBuilder()
-    x, y = with_bit0(b, 2, CnfBuilder.TRUE), with_bit0(b, 2, CnfBuilder.TRUE)
-    guard = b.new_var()
-    b.bitvec_successors(x, [(y, [guard])])
-    assert sat_under(b.clauses, b.var_count, [guard]).is_unsat
-    assert sat_under(b.clauses, b.var_count, [-guard]).is_sat
-
-
 def test_lfsr_taps_have_full_period():
     # from state 1, each register comes back after exactly 2^m - 1 shifts,
     # so its nonzero states form one cycle
@@ -524,6 +301,35 @@ def test_lfsr_successors_exhaustive(m, bit0, nguards):
                 assert sat_under(b.clauses, b.var_count, off).is_sat, (v, w)
 
 
+@pytest.mark.parametrize("m", range(5, len(_LFSR_TAPS)))
+@pytest.mark.parametrize("bit0", [None, CnfBuilder.FALSE, CnfBuilder.TRUE], ids=["free", "FALSE", "TRUE"])
+def test_lfsr_successors_steps_by_every_tap_entry(m, bit0):
+    # the registers too wide to test exhaustively: from zero, the single
+    # bits, all ones and a seeded sample of x, y under its guard is the
+    # step of x and the value one bit off it is refused.  A shift costs one
+    # gate per feedback tap; a step from the FALSE side costs none
+    b = CnfBuilder()
+    coloured = bit0 is not None
+    if coloured:
+        x, y = BitVec([bit0] + b.new_vars(m)), BitVec([-bit0] + b.new_vars(m))
+    else:
+        x, y = b.new_bitvec(m), b.new_bitvec(m)
+    guard = b.new_var()
+    nvars = b.var_count
+    b.lfsr_successors(x, [(y, [guard])])
+    assert b.var_count - nvars == (0 if bit0 == CnfBuilder.FALSE else bin(_LFSR_TAPS[m]).count("1") - 1)
+    rng = random.Random(f"lfsr/{m}")
+    states = {0, (1 << m) - 1} | {1 << k for k in range(m)} | {rng.randrange(1 << m) for _ in range(8)}
+    for s in sorted(states):
+        v = s << 1 | (bit0 == CnfBuilder.TRUE) if coloured else s
+        want = label_step(v, m, coloured)
+        units = [guard] + value_units(x, v)
+        out = sat_under(b.clauses, b.var_count, units)
+        assert out.is_sat and y.value(out.model.assignment) == want, v
+        wrong = want ^ 1 << rng.randrange(coloured, m + coloured)
+        assert sat_under(b.clauses, b.var_count, units + value_units(y, wrong)).is_unsat, (v, wrong)
+
+
 def test_lfsr_successors_needs_a_register():
     # no state bits, or more than the tap table holds
     b = CnfBuilder()
@@ -533,6 +339,72 @@ def test_lfsr_successors_needs_a_register():
     wide = b.new_bitvec(len(_LFSR_TAPS))
     with pytest.raises(ValueError):
         b.lfsr_successors(wide, [(b.new_bitvec(len(_LFSR_TAPS)), [b.new_var()])])
+
+
+@pytest.mark.parametrize("prefix", [None, "d"])
+def test_new_bitvec_needs_a_bit(prefix):
+    with pytest.raises(ValueError, match="at least one bit"):
+        CnfBuilder().new_bitvec(0, prefix)
+
+
+def test_lfsr_successors_needs_a_guard():
+    b = CnfBuilder()
+    with pytest.raises(ValueError, match="guard"):
+        b.lfsr_successors(b.new_bitvec(2), [(b.new_bitvec(2), [])])
+
+
+def test_lfsr_successors_width_mismatch():
+    b = CnfBuilder()
+    with pytest.raises(ValueError, match="width"):
+        b.lfsr_successors(b.new_bitvec(2), [(b.new_bitvec(3), [b.new_var()])])
+
+
+def fits(vec, v):
+    """Whether ``v`` agrees with the constant bits of ``vec``."""
+    return all(v >> i & 1 == (bit == CnfBuilder.TRUE) for i, bit in enumerate(vec.bits) if bit in (CnfBuilder.TRUE, CnfBuilder.FALSE))
+
+
+@pytest.mark.parametrize(
+    "x0,y_bits",
+    [
+        (CnfBuilder.FALSE, [None, None, None]),
+        (CnfBuilder.TRUE, [None, None, None]),
+        (CnfBuilder.TRUE, [None, None, CnfBuilder.TRUE]),
+        (CnfBuilder.FALSE, [CnfBuilder.TRUE, CnfBuilder.FALSE, None]),
+    ],
+    ids=["x0-FALSE", "x0-TRUE", "y2-TRUE", "y0-TRUE-y1-FALSE"],
+)
+def test_lfsr_successors_folds_constants(x0, y_bits):
+    # a constant bit of x's image or of y, facing a variable or the other
+    # constant, leaves no TRUE or FALSE literal in any clause; under the
+    # guard y is the step of x, and an x whose step y's constants refuse
+    # has no y at all
+    b = CnfBuilder()
+    x = BitVec([x0] + b.new_vars(2))
+    y = BitVec([b.new_var() if bit is None else bit for bit in y_bits])
+    guard = b.new_var()
+    b.lfsr_successors(x, [(y, [guard])])
+    assert all(1 not in cl and -1 not in cl for cl in b.clauses[1:])
+    for v in filter(lambda v: fits(x, v), range(8)):
+        want = label_step(v, 2, True)
+        units = [guard] + value_units(x, v)
+        assert sat_under(b.clauses, b.var_count, units).is_sat == fits(y, want), v
+        for w in filter(lambda w: fits(y, w), range(8)):
+            eq = value_units(y, w)
+            assert sat_under(b.clauses, b.var_count, units + eq).is_sat == (w == want), (v, w)
+            assert sat_under(b.clauses, b.var_count, [-guard] + value_units(x, v) + eq).is_sat, (v, w)
+
+
+@pytest.mark.parametrize("bit0", [CnfBuilder.FALSE, CnfBuilder.TRUE], ids=["FALSE", "TRUE"])
+def test_lfsr_successors_bans_what_a_constant_bit_0_rules_out(bit0):
+    # a step flips the constant bit 0, so a y whose bit 0 equals x's is
+    # no step of x, and its guard is false
+    b = CnfBuilder()
+    x, y = BitVec([bit0] + b.new_vars(2)), BitVec([bit0] + b.new_vars(2))
+    guard = b.new_var()
+    b.lfsr_successors(x, [(y, [guard])])
+    assert sat_under(b.clauses, b.var_count, [guard]).is_unsat
+    assert sat_under(b.clauses, b.var_count, [-guard]).is_sat
 
 
 def dimacs(b):
@@ -545,7 +417,7 @@ def test_emit_dimacs_round_trip():
     b = CnfBuilder()
     xs = b.new_vars(8)
     b.at_most_one(xs)
-    b.gate_and(xs[:3])
+    b.gate_or(xs[:3])
     nvars, clauses = parse_dimacs(dimacs(b))
     assert nvars == b.var_count
     assert clauses == b.clauses

@@ -8,15 +8,14 @@ import pytest
 from gridloop import CnfBuilder, maximize, solve_internal
 from gridloop.puzzles import (
     RoadrunnerSolution,
-    attacked_positions,
     build_roadrunner,
     parse_roadrunner,
     verify_roadrunner,
 )
-from gridloop.puzzles.roadrunner import has_grid_cycle, quadrantal_neighbors, walks_circuit
+from gridloop.puzzles.roadrunner import _segment_groups, _sight_runs, has_grid_cycle, quadrantal_neighbors, walks_circuit
 from gridloop.solver import open_external, open_internal
 
-from oracles import rr_optimum
+from oracles import rr_optimum, sat_under
 
 
 def test_parse_roadrunner():
@@ -39,33 +38,66 @@ def test_parse_roadrunner_errors():
         parse_roadrunner("2 2\n.x\n..\n")
 
 
-def test_attacked_positions_center():
-    # paper example: center of a hill-free 3x3 grid, ray order L R U D
-    inst = parse_roadrunner("3 3\n...\n...\n...\n")
-    assert attacked_positions(inst, 2, 2) == [(1, 2), (3, 2), (2, 1), (2, 3)]
-
-
-def test_attacked_positions_blocked_by_hill():
-    # 1-row grid with a hill in column 1: a laser at column 3 only reaches 2
-    inst = parse_roadrunner("3 1\n#..\n")
-    assert attacked_positions(inst, 3, 1) == [(2, 1)]
-
-
-def test_attacked_positions_corner():
-    inst = parse_roadrunner("2 2\n..\n..\n")
-    assert set(attacked_positions(inst, 1, 1)) == {(2, 1), (1, 2)}
-
-
-def test_attacked_positions_on_hill_rejected():
-    inst = parse_roadrunner("2 2\n#.\n..\n")
-    with pytest.raises(ValueError):
-        attacked_positions(inst, 1, 1)
-
-
 def test_quadrantal_neighbors():
     inst = parse_roadrunner("3 3\n...\n...\n...\n")
     assert set(quadrantal_neighbors(inst, 1, 1)) == {(2, 1), (1, 2)}
     assert len(quadrantal_neighbors(inst, 2, 2)) == 4
+
+
+def seen_from(inst, x, y):
+    """The cells a laser at (x, y) sees: the rest of its row and column
+    runs of ``_sight_runs``."""
+    return {q for run in _sight_runs(inst) if (x, y) in run for q in run} - {(x, y)}
+
+
+def test_sight_center():
+    # paper example: the center of a hill-free 3x3 grid sees its four
+    # neighbours; each row, then each column, is one run
+    inst = parse_roadrunner("3 3\n...\n...\n...\n")
+    assert seen_from(inst, 2, 2) == {(1, 2), (3, 2), (2, 1), (2, 3)}
+    assert _sight_runs(inst)[1] == [(1, 2), (2, 2), (3, 2)]
+    assert _sight_runs(inst)[4] == [(2, 1), (2, 2), (2, 3)]
+
+
+def test_sight_blocked_by_hill():
+    # 1-row grid with a hill in column 1: a laser at column 3 only reaches 2
+    inst = parse_roadrunner("3 1\n#..\n")
+    assert seen_from(inst, 3, 1) == {(2, 1)}
+
+
+def test_sight_corner():
+    inst = parse_roadrunner("2 2\n..\n..\n")
+    assert seen_from(inst, 1, 1) == {(2, 1), (1, 2)}
+
+
+def test_sight_runs_hold_no_hill():
+    inst = parse_roadrunner("3 2\n#.1\n...\n")
+    runs = _sight_runs(inst)
+    assert not {(1, 1), (3, 1)} & {q for run in runs for q in run}
+    assert [(1, 2), (2, 2), (3, 2)] in runs and [(2, 1), (2, 2)] in runs
+
+
+@pytest.mark.parametrize("text", ["3 3\n...\n...\n...\n", "4 3\n.#..\n..1.\n#...\n", "3 1\n#.#\n"])
+def test_sight_runs_are_the_verifier_segments(text):
+    # the encoder's sight lines and the verifier's are one set of runs
+    inst = parse_roadrunner(text)
+    assert sorted(_sight_runs(inst)) == sorted(_segment_groups(inst))
+
+
+def test_formula_bans_what_a_laser_sees():
+    # a laser in a corner leaves a road to run, and bans both a road and a
+    # second laser on every cell it sees, and a road on its own cell
+    inst = parse_roadrunner("5 5\n..#..\n.....\n.....\n.....\n.....\n")
+    b = CnfBuilder()
+    build_roadrunner(b, inst)
+    var = {name: v for v, name in b.names.items()}
+    for x, y in [(1, 1), (5, 5)]:
+        lz = var[f"laser_{x}_{y}"]
+        assert sat_under(b.clauses, b.var_count, [lz]).is_sat, (x, y)
+        assert sat_under(b.clauses, b.var_count, [lz, var[f"road_{y}_{x}"]]).is_unsat, (x, y)
+        for q in seen_from(inst, x, y):
+            for banned in (var[f"road_{q[1]}_{q[0]}"], var[f"laser_{q[0]}_{q[1]}"]):
+                assert sat_under(b.clauses, b.var_count, [lz, banned]).is_unsat, (x, y, q)
 
 
 def solve_instance(text):
