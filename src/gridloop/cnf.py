@@ -247,10 +247,10 @@ class CnfBuilder:
         both ways, and above it each merge writes only o_i -> sum >= i, the
         direction that a positive unit or assumption on o_i reads: such an
         output may be false in a model whose sum reaches i, so neither a
-        negative unit on it (``bound_le``) nor its truth value measures the
-        sum.  Each of those outputs is the negation of a fresh variable, so
-        a solver whose saved phase starts positive decides a free one false,
-        which forces nothing.
+        negative unit on it nor its truth value measures the sum.  Each of
+        those outputs is the negation of a fresh variable, so a solver whose
+        saved phase starts positive decides a free one false, which forces
+        nothing.
         """
         if not lits:
             raise ValueError("unary_count needs at least one literal")
@@ -283,25 +283,6 @@ class CnfBuilder:
 
         inputs = list(lits)
         return UnaryCount(_merge_tree(inputs, merge), inputs)
-
-    def fix_count(self, count: UnaryCount, k: int) -> None:
-        self.bound_ge(count, k)
-        self.bound_le(count, k)
-
-    def bound_ge(self, count: UnaryCount, k: int) -> None:
-        n = count.size
-        if not 0 <= k <= n:
-            raise ValueError(f"count bound {k} out of range 0..{n}")
-        if k >= 1:
-            self.add_trusted([count.outputs[k - 1]])
-
-    def bound_le(self, count: UnaryCount, k: int) -> None:
-        """sum <= k, through output k + 1: it must be an exact one."""
-        n = count.size
-        if not 0 <= k <= n:
-            raise ValueError(f"count bound {k} out of range 0..{n}")
-        if k < n:
-            self.add_trusted([-count.outputs[k]])
 
     # -- bit-vector arithmetic ------------------------------------------
 

@@ -93,14 +93,16 @@ def build_roadrunner(
     """Returns (decode, road counter, propagator): ``decode(assignment)``
     reads lasers and road back; the counter is the objective to maximize.
 
-    Road cells are the exact complement of laser-covered cells (full
-    biconditional), and they must form a cycle of length >= 1: ``hcp`` (no
-    propagator), or with ``lazy`` ``cycle_grid`` and its propagator.  The
-    counter defines an output both ways only where a clause reads it as
-    false (see ``CnfBuilder.unary_count``): outputs 1 to 3 in the lazy
-    model, whose ``cycle_grid`` guards read outputs 2 and 3, and none in the
-    eager one, where ``hcp`` requires a road cell by itself.  The others
-    only imply their bound, which is all ``maximize``'s assumptions read.
+    Clues and sight are clauses over lasers and road, with no auxiliary
+    variable.  Road cells are the exact complement of laser-covered cells
+    (full biconditional), and they must form a cycle of length >= 1:
+    ``hcp`` (no propagator), or with ``lazy`` ``cycle_grid`` and its
+    propagator.  The counter defines an output both ways only where a
+    clause reads it as false (see ``CnfBuilder.unary_count``): outputs 1
+    to 3 in the lazy model, whose ``cycle_grid`` guards read outputs 2 and
+    3, and none in the eager one, where ``hcp`` requires a road cell by
+    itself.  The others only imply their bound, which is all
+    ``maximize``'s assumptions read.
     """
     for x, y, num in inst.clues:
         if not inst.in_bounds(x, y) or not inst.is_hill(x, y):
@@ -110,53 +112,32 @@ def build_roadrunner(
 
     # only white cells can be on the road: hills get no road literal
     white = inst.white_cells()
-    road = GridVars(
-        inst.max_y,
-        inst.max_x,
-        dict(zip([(y, x) for x, y in white], builder.named_vars([f"road_{y}_{x}" for x, y in white]))),
-    )
-    road_at = {(x, y): road.cells[(y, x)] for x, y in white}
+    road_at = dict(zip(white, builder.named_vars([f"road_{y}_{x}" for x, y in white])))
+    road = GridVars(inst.max_y, inst.max_x, {(y, x): rd for (x, y), rd in road_at.items()})
     laser = dict(zip(white, builder.named_vars([f"laser_{x}_{y}" for x, y in white])))
     clauses = builder.clauses
 
+    # a clue of num over n lasers: no num + 1 of them on, no n - num + 1 off
     for x, y, num in inst.clues:
-        neighbor_lasers = [
-            laser[p] for p in quadrantal_neighbors(inst, x, y) if p in laser
-        ]
-        if num > len(neighbor_lasers):
+        near = [laser[p] for p in quadrantal_neighbors(inst, x, y) if p in laser]
+        if num > len(near):
             clauses.append([])  # clue cannot be met
             continue
-        if neighbor_lasers:
-            count = builder.unary_count(neighbor_lasers)
-            builder.fix_count(count, num)
+        clauses += [[-l for l in ls] for ls in itertools.combinations(near, num + 1)]
+        clauses += [list(ls) for ls in itertools.combinations(near, len(near) - num + 1)]
 
-    # per white cell, the laser and road literals of its row run and its
-    # column run (``_sight_runs``), and its place in each
-    sight: dict[Pos, list[tuple[list[Lit], list[Lit], int]]] = {p: [] for p in white}
+    # Sight, run by run of ``_sight_runs``: no two lasers in a run, and no
+    # road at another cell of a laser's run; then per cell, no road on a
+    # laser, and a road unless a laser is on it or on one of its two runs.
+    others: dict[Pos, list[Lit]] = {p: [] for p in white}
     for run in _sight_runs(inst):
         lasers, roads = [laser[p] for p in run], [road_at[p] for p in run]
-        for i, p in enumerate(run):
-            sight[p].append((lasers, roads, i))
-
-    # A laser at p sees four rays of white cells, nearest first, each ending
-    # before the first hill or at the edge.  It bans a laser there (one
-    # clause per pair: the cell to the right or below writes it) and the
-    # road there, and road(p) <-> no laser on p or any cell it sees.
-    add = clauses.append
+        clauses += [[-a, -b] for a, b in itertools.combinations(lasers, 2)]
+        for i, (p, lz) in enumerate(zip(run, lasers)):
+            clauses += [[-lz, -q] for q in roads[:i] + roads[i + 1 :]]
+            others[p] += lasers[:i] + lasers[i + 1 :]
     for p, lz in laser.items():
-        (row_l, row_r, i), (col_l, col_r, j) = sight[p]
-        for q in reversed(row_r[:i]):
-            add([-lz, -q])
-        for l, q in zip(row_l[i + 1 :], row_r[i + 1 :]):
-            add([-lz, -l])
-            add([-lz, -q])
-        for q in reversed(col_r[:j]):
-            add([-lz, -q])
-        for l, q in zip(col_l[j + 1 :], col_r[j + 1 :]):
-            add([-lz, -l])
-            add([-lz, -q])
-        rd = road_at[p]
-        clauses += ([-rd, -lz], [rd, lz] + row_l[:i][::-1] + row_l[i + 1 :] + col_l[:j][::-1] + col_l[j + 1 :])
+        clauses += ([-road_at[p], -lz], [road_at[p], lz] + others[p])
 
     # an all-hill board still gets a counter to bound, over constant false
     cells = list(road.cells.values()) or [builder.FALSE]
@@ -217,7 +198,9 @@ def decode_roadrunner(
 
 
 def _segment_groups(inst: RoadrunnerInstance):
-    """Maximal hill-free runs of each row and column (laser sight lines)."""
+    """Maximal hill-free runs of each row and column (laser sight lines).
+    It repeats the encoder's ``_sight_runs`` on purpose: a verifier shares
+    no code with the encoding it checks."""
     groups = []
     for y in range(1, inst.max_y + 1):
         run = []
@@ -317,7 +300,16 @@ def has_grid_cycle(cells: set[Pos]) -> bool:
     }
     if any(len(v) < 2 for v in adj.values()) and len(cells) > 2:
         return False
+    # a circuit is connected: flood from one cell first, since the search
+    # below would try every path through a part that it cannot leave
     start = min(cells)
+    visited, todo = {start}, [start]
+    while todo:
+        new = [p for p in adj[todo.pop()] if p not in visited]
+        visited.update(new)
+        todo += new
+    if len(visited) != len(cells):
+        return False
     visited = {start}
 
     def bt(cur):

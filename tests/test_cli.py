@@ -593,6 +593,20 @@ def test_roadrunner_json_without_a_circuit_on_an_odd_board(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "REJECT road-not-a-circuit"
 
 
+def test_roadrunner_json_without_a_circuit_on_two_blocks(tmp_path, capsys):
+    # two all-road 6x6 blocks split by a column of hills, with no order:
+    # each block alone has a circuit, so only a connectivity check answers
+    # at once, where a search would try every path through the first block
+    board = tmp_path / "two.roadrunner"
+    board.write_text("13 6\n" + "......#......\n" * 6)
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(
+        {"kind": "roadrunner", "laser": [[0] * 13] * 6, "road": [[1] * 6 + [0] + [1] * 6] * 6, "k": 72}
+    ))
+    assert main(["verify", str(board), str(sol)]) == EXIT_REJECT
+    assert capsys.readouterr().out.strip() == "REJECT road-not-a-circuit"
+
+
 def test_verify_mutated_rejects(tmp_path, capsys):
     assert main(["solve", inst_path("tapa_4x4.tapa"), "--output", "json"]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)

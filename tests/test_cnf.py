@@ -204,46 +204,6 @@ def test_a_road_runner_formula_leaves_no_cycle_for_the_collector(lazy):
         gc.enable()
 
 
-def test_fix_count_model_counts():
-    b = CnfBuilder()
-    xs = b.new_vars(4)
-    b.fix_count(b.unary_count(xs), 2)
-    proj = input_projection(b.clauses, b.var_count, xs)
-    assert len(proj) == 6  # C(4, 2)
-    assert all(sum(bits) == 2 for bits in proj)
-
-
-def test_fix_count_zero():
-    b = CnfBuilder()
-    xs = b.new_vars(3)
-    b.fix_count(b.unary_count(xs), 0)
-    proj = input_projection(b.clauses, b.var_count, xs)
-    assert proj == {(False, False, False)}
-
-
-def test_bound_ge_le():
-    b = CnfBuilder()
-    xs = b.new_vars(3)
-    count = b.unary_count(xs)
-    b.bound_ge(count, 1)
-    b.bound_le(count, 2)
-    proj = input_projection(b.clauses, b.var_count, xs)
-    assert all(1 <= sum(bits) <= 2 for bits in proj)
-    assert len(proj) == 6
-
-
-def test_count_bounds_out_of_range():
-    b = CnfBuilder()
-    count = b.unary_count(b.new_vars(3))
-    for k in (-1, 4):
-        with pytest.raises(ValueError):
-            b.fix_count(count, k)
-        with pytest.raises(ValueError):
-            b.bound_ge(count, k)
-        with pytest.raises(ValueError):
-            b.bound_le(count, k)
-
-
 def test_lfsr_taps_have_full_period():
     # from state 1, each register comes back after exactly 2^m - 1 shifts,
     # so its nonzero states form one cycle

@@ -41,7 +41,7 @@ def test_solve_calls_bounded():
     b = CnfBuilder()
     xs = b.new_vars(8)
     count = b.unary_count(xs)
-    b.bound_le(count, 5)
+    b.add_clause([-count.outputs[5]])  # at most 5
     res = maximize(open_internal(b.clauses, b.var_count), count)
     assert res.best_value == 5
     assert res.solve_calls <= 8 + 1
@@ -67,7 +67,7 @@ def test_one_way_objective(exact):
     # counter) is still found and certified
     b = CnfBuilder()
     xs = b.new_vars(8)
-    b.bound_le(b.unary_count(xs), 4)
+    b.add_clause([-b.unary_count(xs).outputs[4]])  # at most 4
     objective = b.unary_count(xs, exact=exact)
     res = maximize(open_internal(b.clauses, b.var_count), objective)
     assert (res.status, res.best_value, res.certified) == ("optimal", 4, True)

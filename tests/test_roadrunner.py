@@ -1,5 +1,6 @@
 """Roadrunner: ray geometry, optimization, exhaustive optimum, verifier."""
 import glob
+import itertools
 import os
 import sys
 
@@ -15,7 +16,7 @@ from gridloop.puzzles import (
 from gridloop.puzzles.roadrunner import _segment_groups, _sight_runs, has_grid_cycle, quadrantal_neighbors, walks_circuit
 from gridloop.solver import open_external, open_internal
 
-from oracles import rr_optimum, sat_under
+from oracles import input_projection, rr_optimum, sat_under
 
 
 def test_parse_roadrunner():
@@ -98,6 +99,42 @@ def test_formula_bans_what_a_laser_sees():
         for q in seen_from(inst, x, y):
             for banned in (var[f"road_{q[1]}_{q[0]}"], var[f"laser_{q[0]}_{q[1]}"]):
                 assert sat_under(b.clauses, b.var_count, [lz, banned]).is_unsat, (x, y, q)
+
+
+def clue_board(n, num):
+    """A 7x7 board whose hill at (4, 4) holds the clue ``num`` and whose
+    first n neighbours of N, E, S and W are white.  Each of those has one
+    white partner, the next cell out, that alone sees it, so its laser may
+    be on or off; the road is a 2x2 block in a corner; all else is hill."""
+    rows = [["#"] * 7 for _ in range(7)]
+    for x, y in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+        rows[y - 1][x - 1] = "."
+    for dx, dy in [(0, -1), (1, 0), (0, 1), (-1, 0)][:n]:
+        for step in (1, 2):
+            rows[3 + step * dy][3 + step * dx] = "."
+    rows[3][3] = str(num)
+    return "7 7\n" + "".join("".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("num", range(5))
+@pytest.mark.parametrize("n", range(5))
+def test_clue_allows_exactly_its_count(n, num):
+    # the built formula, projected on a clue's lasers, allows exactly the
+    # sets of the clue's size; a clue above its neighbour count is the
+    # empty clause
+    inst = parse_roadrunner(clue_board(n, num))
+    b = CnfBuilder()
+    build_roadrunner(b, inst)
+    if num > n:
+        assert [] in b.clauses
+        return
+    assert [] not in b.clauses
+    var = {name: v for v, name in b.names.items()}
+    near = [var[f"laser_{x}_{y}"] for x, y in quadrantal_neighbors(inst, 4, 4) if not inst.is_hill(x, y)]
+    assert len(near) == n
+    assert input_projection(b.clauses, b.var_count, near) == {
+        bits for bits in itertools.product([False, True], repeat=n) if sum(bits) == num
+    }
 
 
 def solve_instance(text):
@@ -288,3 +325,5 @@ def test_has_grid_cycle():
     # a full 7x7 board has 25 cells of one colour and 24 of the other, so
     # no closed walk: rejected by the count, before any search
     assert not has_grid_cycle({(x, y) for x in range(1, 8) for y in range(1, 8)})
+    # two 2x2 blocks: each has a circuit, but not one through both
+    assert not has_grid_cycle({(x, y) for x in (1, 2, 4, 5) for y in (1, 2)})
