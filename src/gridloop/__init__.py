@@ -2,7 +2,7 @@
 subgraphs) to CNF, solve with a built-in or external SAT solver, optimize
 Boolean sums by binary search, and solve four grid loop/coloring puzzles."""
 
-from .cnf import BitVec, CnfBuilder, Lit, UnaryCount, parse_dimacs
+from .cnf import CnfBuilder, Lit, UnaryCount, parse_dimacs
 from .graph import (
     EdgeSpec,
     GridVars,

@@ -19,28 +19,6 @@ Lit = int
 
 
 @dataclass
-class BitVec:
-    """Unsigned integer as a little-endian vector of literals."""
-
-    bits: list[Lit]
-
-    def __post_init__(self):
-        if not self.bits:
-            raise ValueError("BitVec needs at least one bit")
-
-    @property
-    def width(self) -> int:
-        return len(self.bits)
-
-    def value(self, assignment: dict[int, bool]) -> int:
-        v = 0
-        for i, b in enumerate(self.bits):
-            if lit_value(b, assignment):
-                v |= 1 << i
-        return v
-
-
-@dataclass
 class UnaryCount:
     """Threshold outputs over ``inputs``: ``outputs[i-1]`` stands for
     sum >= i (see ``CnfBuilder.unary_count`` for which outputs are defined
@@ -111,10 +89,14 @@ def _fold(lits: list[Lit]) -> list[Lit] | None:
 class CnfBuilder:
     """Fresh-variable allocation and clause storage.
 
-    ``add_clause`` checks and normalizes a clause.  The gate, cardinality
-    and bit-vector methods append theirs unchecked, as ``add_trusted``
-    does, so the literals passed to one call must be over distinct
-    variables.
+    Every clause of ``clauses`` is a list of nonzero literals over
+    allocated variables, with no literal repeated and no complementary
+    pair: the internal solver watches two literals of each clause as given
+    and relies on that.  ``add_clause`` checks and normalizes a clause into
+    that form.  The gate, cardinality and label methods, and the encoders
+    of ``graph`` and ``puzzles``, append theirs to ``clauses`` directly,
+    unchecked and not copied, and keep the contract themselves: the
+    literals passed to one call must be over distinct variables.
 
     A variable's name is kept in ``name_runs``, a list of (first variable,
     names) runs in variable order, one per ``new_var(name)`` or
@@ -152,12 +134,10 @@ class CnfBuilder:
             self.name_runs.append((self.var_count, (name,)))
         return self.var_count
 
-    def new_vars(self, n: int, prefix: str | None = None) -> list[Lit]:
-        if prefix is None:
-            first = self.var_count + 1
-            self.var_count += max(n, 0)
-            return list(range(first, self.var_count + 1))
-        return self.named_vars([f"{prefix}_{i}" for i in range(n)])
+    def new_vars(self, n: int) -> list[Lit]:
+        first = self.var_count + 1
+        self.var_count += max(n, 0)
+        return list(range(first, self.var_count + 1))
 
     def named_vars(self, names: Sequence[str]) -> list[Lit]:
         """One fresh variable per name of ``names``, in order: the batch
@@ -189,15 +169,6 @@ class CnfBuilder:
                 seen.add(l)
                 out.append(l)
         self.clauses.append(out)
-
-    def add_trusted(self, clause: list[Lit]) -> None:
-        """Append ``clause`` as given, with none of ``add_clause``'s checks:
-        the path of this package's own encoders, which build each clause
-        from literals they allocated.  The caller guarantees a list of
-        nonzero literals over allocated variables, none repeated and no
-        complementary pair; the internal solver watches two literals of each
-        clause and relies on that.  The list is stored, not copied."""
-        self.clauses.append(clause)
 
     # -- Tseitin gates --------------------------------------------------
 
@@ -284,14 +255,12 @@ class CnfBuilder:
         inputs = list(lits)
         return UnaryCount(_merge_tree(inputs, merge), inputs)
 
-    # -- bit-vector arithmetic ------------------------------------------
+    # -- distance labels ------------------------------------------------
 
-    def new_bitvec(self, width: int, prefix: str | None = None) -> BitVec:
-        return BitVec(self.new_vars(width, prefix))
-
-    def lfsr_successors(self, x: BitVec, steps: Sequence[tuple[BitVec, Sequence[Lit]]]) -> list[int]:
+    def lfsr_successors(self, x: list[Lit], steps: Sequence[tuple[list[Lit], Sequence[Lit]]]) -> list[int]:
         """For each (y, guard) of ``steps``: AND(guard) -> (y = f(x)), where
-        f is one step of a Galois shift register (LFSR) over the primitive
+        x and y are labels, little-endian lists of literals, and f is one
+        step of a Galois shift register (LFSR) over the primitive
         polynomial ``_LFSR_TAPS[m]`` of x's m state bits (see ``_steps_to``).
 
         Where x's bit 0 is a constant, as on a 2-coloured graph, its other
@@ -301,17 +270,16 @@ class CnfBuilder:
         polynomial, with one ``gate_xor`` per feedback tap, built once per
         call.  Its nonzero states form one cycle of 2^m - 1 shifts, and zero
         is a fixed point, which the caller bans."""
-        bits = x.bits
-        head, state = ([-bits[0]], bits[1:]) if bits[0] in _CONSTANTS else ([], bits)
+        head, state = ([-x[0]], x[1:]) if x and x[0] in _CONSTANTS else ([], x)
         m = len(state)
         if not 0 < m < len(_LFSR_TAPS):
             raise ValueError(f"no shift register of width {m}")
-        if bits[0] != self.FALSE:
+        if x[0] != self.FALSE:
             taps, out = _LFSR_TAPS[m], state[-1]
             state = [out] + [self.gate_xor(s, out) if taps >> k & 1 else s for k, s in enumerate(state[:-1], 1)]
         return self._steps_to(head + state, steps)
 
-    def _steps_to(self, image: list[Lit], steps: Sequence[tuple[BitVec, Sequence[Lit]]]) -> list[int]:
+    def _steps_to(self, image: list[Lit], steps: Sequence[tuple[list[Lit], Sequence[Lit]]]) -> list[int]:
         """For each (y, guard) of ``steps``: AND(guard) -> (y = image), with
         the clauses appended in one batch.  Each guard needs at least one
         literal.  Returns where each step's clauses start in ``clauses``,
@@ -327,12 +295,12 @@ class CnfBuilder:
             marks.append(len(out))
             if not guard:
                 raise ValueError("a successor step needs a guard literal")
-            if y.width != len(image):
-                raise ValueError("bitvec width mismatch")
+            if len(y) != len(image):
+                raise ValueError("label width mismatch")
             # ``pre + [...]`` gives each clause a list of its exact size, where
             # ``[*pre, ...]`` would over-allocate it
             pre = [-g for g in guard]
-            for yb, sb in zip(y.bits, image):
+            for yb, sb in zip(y, image):
                 if yb == sb:
                     continue
                 if yb in _CONSTANTS or sb in _CONSTANTS or yb == -sb:

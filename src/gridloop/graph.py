@@ -29,8 +29,8 @@ grid, and ``cycle_grid``, whose cycles are cut down to one during the
 search by its propagator, ``OneCycle``.
 
 Clauses go in unchecked, appended to ``CnfBuilder.clauses`` in batches
-under ``CnfBuilder.add_trusted``'s contract, so every vertex and edge literal
-given to these functions must be over a variable of its own.
+under the clause contract that ``CnfBuilder`` states, so every vertex and
+edge literal given to these functions must be over a variable of its own.
 
 On a grid that ``make_grid`` made, ``hcp_grid`` and ``cycle_grid`` stamp a
 shape built twice in a row from a template (``_Template``);
@@ -44,7 +44,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
-from .cnf import BitVec, CnfBuilder, Lit, Rendered, UnaryCount, dimacs_text
+from .cnf import CnfBuilder, Lit, Rendered, UnaryCount, dimacs_text
 from .solver import Propagator
 
 Cell = tuple[int, int]
@@ -371,7 +371,7 @@ def _sides(n: int, ends: Sequence[tuple[int, int]]) -> list[Lit] | None:
 
 def _distance_labels(
     builder: CnfBuilder, vs: Sequence[VertexSpec], ends: Sequence[tuple[int, int]], prefix: str
-) -> list[BitVec]:
+) -> list[list[Lit]]:
     """One label per vertex for ``CnfBuilder.lfsr_successors``, its bits
     named ``<prefix>_<term>_<i>``; only the caller's step clauses and a ban
     on the shift register's zero state constrain it.  Where ``_sides``
@@ -384,13 +384,15 @@ def _distance_labels(
     n = len(vs)
     sides = _sides(n, ends)
     if sides is None:
-        labels = [builder.new_bitvec(n.bit_length(), f"{prefix}_{v.term}") for v in vs]
-        builder.clauses += [list(d.bits) for d in labels]
+        width = n.bit_length()
+        lits = builder.named_vars([f"{prefix}_{v.term}_{i}" for v in vs for i in range(width)])
+        labels = [lits[k : k + width] for k in range(0, len(lits), width)]
+        builder.clauses += [d[:] for d in labels]
         return labels
     width = 1 + ((n - 1) // 2 + 1).bit_length()
     lits = builder.named_vars([f"{prefix}_{v.term}_{i}" for v in vs for i in range(1, width)])
-    labels = [BitVec([side] + lits[k : k + width - 1]) for side, k in zip(sides, range(0, len(lits), width - 1))]
-    builder.clauses += [d.bits[1:] for d in labels if d.bits[0] == builder.TRUE]
+    labels = [[side] + lits[k : k + width - 1] for side, k in zip(sides, range(0, len(lits), width - 1))]
+    builder.clauses += [d[1:] for d in labels if d[0] == builder.TRUE]
     return labels
 
 
@@ -475,7 +477,7 @@ def _hcp(
 
     # active edge (i, j), j not the start -> d_j = f(d_i)
     dist = _distance_labels(builder, vs, ends, "dist")
-    steps: list[list[tuple[BitVec, list[Lit]]]] = [[] for _ in range(n)]
+    steps: list[list[tuple[list[Lit], list[Lit]]]] = [[] for _ in range(n)]
     into: list[list[int]] = [[] for _ in range(n)]
     for e, (i, j) in zip(es, ends):
         if j != skip:
@@ -573,7 +575,7 @@ def scc(
         incident[j].append((e.lit, i))
 
     # selected parent j of i -> d_i = f(d_j)
-    steps: list[list[tuple[BitVec, list[Lit]]]] = [[] for _ in range(n)]
+    steps: list[list[tuple[list[Lit], list[Lit]]]] = [[] for _ in range(n)]
     clauses = builder.clauses
     for i in range(1, n):
         parents = builder.new_vars(len(incident[i]))

@@ -300,15 +300,10 @@ def has_grid_cycle(cells: set[Pos]) -> bool:
     }
     if any(len(v) < 2 for v in adj.values()) and len(cells) > 2:
         return False
-    # a circuit is connected: flood from one cell first, since the search
-    # below would try every path through a part that it cannot leave
+    # a circuit is connected and leaves no cut cell: check both first, since
+    # the search below would try every path through a part it cannot leave
     start = min(cells)
-    visited, todo = {start}, [start]
-    while todo:
-        new = [p for p in adj[todo.pop()] if p not in visited]
-        visited.update(new)
-        todo += new
-    if len(visited) != len(cells):
+    if not _two_connected(adj, start):
         return False
     visited = {start}
 
@@ -328,3 +323,31 @@ def has_grid_cycle(cells: set[Pos]) -> bool:
         return False
 
     return bt(start)
+
+
+def _two_connected(adj: dict[Pos, list[Pos]], start: Pos) -> bool:
+    """True iff one depth-first search from ``start`` reaches every cell of
+    ``adj`` and finds no cut cell, a cell whose removal splits the others
+    (Hopcroft & Tarjan, CACM 1973).  ``low[v]`` is the least visit order
+    that v's subtree reaches by one non-tree step; a child v whose ``low``
+    does not reach above its parent u makes u a cut cell, or, for u the
+    start, leaves cells that v's subtree did not reach."""
+    order = {start: 0}
+    low = {start: 0}
+    stack = [(start, iter(adj[start]))]
+    while stack:
+        v, nbrs = stack[-1]
+        for w in nbrs:
+            if w not in order:
+                order[w] = low[w] = len(order)
+                stack.append((w, iter(adj[w])))
+                break
+            low[v] = min(low[v], order[w])
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                if low[v] >= order[u] and (u != start or len(order) < len(adj)):
+                    return False
+                low[u] = min(low[u], low[v])
+    return len(order) == len(adj)

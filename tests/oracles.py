@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from gridloop import solve_internal
-from gridloop.cnf import _LFSR_TAPS
+from gridloop.cnf import _LFSR_TAPS, lit_value
 from gridloop.solver import Propagator, _Solver
 
 
@@ -64,6 +64,12 @@ def lfsr_step(m, v):
     """The m-bit state v one shift on: v times x modulo the polynomial
     ``_LFSR_TAPS[m]``."""
     return (v << 1 & (1 << m) - 1) ^ (_LFSR_TAPS[m] if v >> (m - 1) else 0)
+
+
+def label_value(label, assignment):
+    """The unsigned integer that ``label``, a little-endian list of
+    literals, reads under ``assignment``."""
+    return sum(1 << i for i, bit in enumerate(label) if lit_value(bit, assignment))
 
 
 def label_step(d, m, coloured):

@@ -15,7 +15,6 @@ import time
 import pytest
 
 from gridloop import (
-    BitVec,
     CnfBuilder,
     EdgeSpec,
     VertexSpec,
@@ -50,6 +49,7 @@ from oracles import (
     grid_loops,
     has_ham_cycle_grid,
     label_step,
+    label_value,
     orthogonally_connected,
     rr_optimum,
     sat_under,
@@ -181,24 +181,24 @@ def test_criterion_3_encoding_unit_suites(capsys):
     for m in range(1, 5):
         for bit0 in (None, CnfBuilder.FALSE, CnfBuilder.TRUE):
             b = CnfBuilder()
-            x, y = ((b.new_bitvec(m), b.new_bitvec(m)) if bit0 is None else
-                    (BitVec([bit0] + b.new_vars(m)), BitVec([-bit0] + b.new_vars(m))))
+            x, y = ((b.new_vars(m), b.new_vars(m)) if bit0 is None else
+                    ([bit0] + b.new_vars(m), [-bit0] + b.new_vars(m)))
             guard = b.new_var()
             b.lfsr_successors(x, [(y, [guard])])
             coloured = bit0 is not None
             for v in range(1 << (m + coloured)):
                 if coloured and v & 1 != (bit0 == CnfBuilder.TRUE):
                     continue
-                units = [guard] + [bit if v >> i & 1 else -bit for i, bit in enumerate(x.bits) if i or not coloured]
+                units = [guard] + [bit if v >> i & 1 else -bit for i, bit in enumerate(x) if i or not coloured]
                 want = label_step(v, m, coloured)
                 out = sat_under(b.clauses, b.var_count, units)
-                if not out.is_sat or y.value(out.model.assignment) != want:
+                if not out.is_sat or label_value(y, out.model.assignment) != want:
                     failures.append(f"lfsr step m={m} bit0={bit0} x={v}")
                     continue
                 for w in range(1 << (m + coloured)):
                     if w == want or coloured and w & 1 != want & 1:
                         continue
-                    eq = [bit if w >> i & 1 else -bit for i, bit in enumerate(y.bits) if i or not coloured]
+                    eq = [bit if w >> i & 1 else -bit for i, bit in enumerate(y) if i or not coloured]
                     if not sat_under(b.clauses, b.var_count, units + eq).is_unsat:
                         failures.append(f"lfsr step m={m} bit0={bit0} x={v} y={w} allowed")
 

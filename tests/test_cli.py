@@ -607,6 +607,27 @@ def test_roadrunner_json_without_a_circuit_on_two_blocks(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "REJECT road-not-a-circuit"
 
 
+def test_roadrunner_json_without_a_circuit_through_a_cut_cell(tmp_path):
+    # two 6x6 blocks joined by the one road cell (7,3), with (13,1) a hill
+    # so that the colours balance: connected, every cell of degree two or
+    # more, but no circuit passes (7,3) twice; in its own process, so a
+    # search through every path of the first block is stopped by the timeout
+    rows = ["......#......"] * 6
+    rows[0], rows[2] = "......#.....#", "............."
+    board = tmp_path / "cut.roadrunner"
+    board.write_text("13 6\n" + "".join(row + "\n" for row in rows))
+    road = [[int(ch == ".") for ch in row] for row in rows]
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"kind": "roadrunner", "laser": [[0] * 13] * 6, "road": road, "k": 72}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridloop.cli", "verify", str(board), str(sol)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (EXIT_REJECT, "REJECT road-not-a-circuit")
+
+
 def test_verify_mutated_rejects(tmp_path, capsys):
     assert main(["solve", inst_path("tapa_4x4.tapa"), "--output", "json"]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)

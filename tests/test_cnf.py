@@ -7,11 +7,11 @@ import random
 
 import pytest
 
-from gridloop import BitVec, CnfBuilder, open_internal, parse_dimacs, solve_internal
+from gridloop import CnfBuilder, open_internal, parse_dimacs, solve_internal
 from gridloop.cli import _BUILDERS, _PARSERS, infer_kind
 from gridloop.cnf import _DIMACS_CHUNK, _FORMAT_BATCH, _LFSR_TAPS, lit_value, write_dimacs
 
-from oracles import all_models, input_projection, label_step, lfsr_step, sat_under
+from oracles import all_models, input_projection, label_step, label_value, lfsr_step, sat_under
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
 
@@ -217,7 +217,7 @@ def test_lfsr_taps_have_full_period():
 def value_units(vec, v):
     """Units that set the variable bits of ``vec`` to those of ``v``."""
     constants = (CnfBuilder.TRUE, CnfBuilder.FALSE)
-    return [bit if v >> i & 1 else -bit for i, bit in enumerate(vec.bits) if bit not in constants]
+    return [bit if v >> i & 1 else -bit for i, bit in enumerate(vec) if bit not in constants]
 
 
 @pytest.mark.parametrize("m", range(1, 5))
@@ -232,7 +232,7 @@ def test_lfsr_successors_exhaustive(m, bit0, nguards):
     b = CnfBuilder()
 
     def label(bit0):
-        return b.new_bitvec(m) if bit0 is None else BitVec([bit0] + b.new_vars(m))
+        return b.new_vars(m) if bit0 is None else [bit0] + b.new_vars(m)
 
     x = label(bit0)
     other = None if bit0 is None else -bit0
@@ -250,7 +250,7 @@ def test_lfsr_successors_exhaustive(m, bit0, nguards):
         units = on + value_units(x, v)
         out = sat_under(b.clauses, b.var_count, units)
         assert out.is_sat
-        assert [y.value(out.model.assignment) for y in ys] == [want, want], v
+        assert [label_value(y, out.model.assignment) for y in ys] == [want, want], v
         for y, guard in zip(ys, guards):
             for w in range(1 << (m + coloured)):
                 if coloured and w & 1 != want & 1:
@@ -271,9 +271,9 @@ def test_lfsr_successors_steps_by_every_tap_entry(m, bit0):
     b = CnfBuilder()
     coloured = bit0 is not None
     if coloured:
-        x, y = BitVec([bit0] + b.new_vars(m)), BitVec([-bit0] + b.new_vars(m))
+        x, y = [bit0] + b.new_vars(m), [-bit0] + b.new_vars(m)
     else:
-        x, y = b.new_bitvec(m), b.new_bitvec(m)
+        x, y = b.new_vars(m), b.new_vars(m)
     guard = b.new_var()
     nvars = b.var_count
     b.lfsr_successors(x, [(y, [guard])])
@@ -285,43 +285,39 @@ def test_lfsr_successors_steps_by_every_tap_entry(m, bit0):
         want = label_step(v, m, coloured)
         units = [guard] + value_units(x, v)
         out = sat_under(b.clauses, b.var_count, units)
-        assert out.is_sat and y.value(out.model.assignment) == want, v
+        assert out.is_sat and label_value(y, out.model.assignment) == want, v
         wrong = want ^ 1 << rng.randrange(coloured, m + coloured)
         assert sat_under(b.clauses, b.var_count, units + value_units(y, wrong)).is_unsat, (v, wrong)
 
 
 def test_lfsr_successors_needs_a_register():
-    # no state bits, or more than the tap table holds
+    # no state bits, in an empty label or beside a constant bit 0, or more
+    # than the tap table holds
     b = CnfBuilder()
-    y = BitVec([b.FALSE])
+    with pytest.raises(ValueError, match="width 0"):
+        b.lfsr_successors([], [([], [b.new_var()])])
     with pytest.raises(ValueError):
-        b.lfsr_successors(BitVec([b.TRUE]), [(y, [b.new_var()])])
-    wide = b.new_bitvec(len(_LFSR_TAPS))
+        b.lfsr_successors([b.TRUE], [([b.FALSE], [b.new_var()])])
+    wide = b.new_vars(len(_LFSR_TAPS))
     with pytest.raises(ValueError):
-        b.lfsr_successors(wide, [(b.new_bitvec(len(_LFSR_TAPS)), [b.new_var()])])
-
-
-@pytest.mark.parametrize("prefix", [None, "d"])
-def test_new_bitvec_needs_a_bit(prefix):
-    with pytest.raises(ValueError, match="at least one bit"):
-        CnfBuilder().new_bitvec(0, prefix)
+        b.lfsr_successors(wide, [(b.new_vars(len(_LFSR_TAPS)), [b.new_var()])])
 
 
 def test_lfsr_successors_needs_a_guard():
     b = CnfBuilder()
     with pytest.raises(ValueError, match="guard"):
-        b.lfsr_successors(b.new_bitvec(2), [(b.new_bitvec(2), [])])
+        b.lfsr_successors(b.new_vars(2), [(b.new_vars(2), [])])
 
 
 def test_lfsr_successors_width_mismatch():
     b = CnfBuilder()
     with pytest.raises(ValueError, match="width"):
-        b.lfsr_successors(b.new_bitvec(2), [(b.new_bitvec(3), [b.new_var()])])
+        b.lfsr_successors(b.new_vars(2), [(b.new_vars(3), [b.new_var()])])
 
 
 def fits(vec, v):
     """Whether ``v`` agrees with the constant bits of ``vec``."""
-    return all(v >> i & 1 == (bit == CnfBuilder.TRUE) for i, bit in enumerate(vec.bits) if bit in (CnfBuilder.TRUE, CnfBuilder.FALSE))
+    return all(v >> i & 1 == (bit == CnfBuilder.TRUE) for i, bit in enumerate(vec) if bit in (CnfBuilder.TRUE, CnfBuilder.FALSE))
 
 
 @pytest.mark.parametrize(
@@ -340,8 +336,8 @@ def test_lfsr_successors_folds_constants(x0, y_bits):
     # guard y is the step of x, and an x whose step y's constants refuse
     # has no y at all
     b = CnfBuilder()
-    x = BitVec([x0] + b.new_vars(2))
-    y = BitVec([b.new_var() if bit is None else bit for bit in y_bits])
+    x = [x0] + b.new_vars(2)
+    y = [b.new_var() if bit is None else bit for bit in y_bits]
     guard = b.new_var()
     b.lfsr_successors(x, [(y, [guard])])
     assert all(1 not in cl and -1 not in cl for cl in b.clauses[1:])
@@ -360,7 +356,7 @@ def test_lfsr_successors_bans_what_a_constant_bit_0_rules_out(bit0):
     # a step flips the constant bit 0, so a y whose bit 0 equals x's is
     # no step of x, and its guard is false
     b = CnfBuilder()
-    x, y = BitVec([bit0] + b.new_vars(2)), BitVec([bit0] + b.new_vars(2))
+    x, y = [bit0] + b.new_vars(2), [bit0] + b.new_vars(2)
     guard = b.new_var()
     b.lfsr_successors(x, [(y, [guard])])
     assert sat_under(b.clauses, b.var_count, [guard]).is_unsat
@@ -494,11 +490,3 @@ def test_parse_dimacs_keeps_a_repeated_literal_once():
         2,
         [[1, -2], [1, -1], [-1, 2]],
     )
-
-
-def test_add_trusted_stores_the_clause_as_given():
-    b = CnfBuilder()
-    a, c = b.new_var(), b.new_var()
-    clause = [a, -c]
-    b.add_trusted(clause)
-    assert b.clauses[-1] is clause

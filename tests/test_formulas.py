@@ -15,7 +15,7 @@ import pytest
 
 from gridloop import CnfBuilder, graph, maximize
 from gridloop.cli import _BUILDERS, _PARSERS, _VERIFIERS, infer_kind
-from gridloop.graph import cycle_grid, hcp_grid, make_grid
+from gridloop.graph import EdgeSpec, VertexSpec, cycle_grid, hcp_grid, make_grid
 from gridloop.solver import open_internal
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
@@ -281,10 +281,10 @@ def between():
     """A builder with clauses and names of its own before and after a 3x3
     ``hcp_grid``."""
     b = CnfBuilder()
-    before = b.new_vars(2, "before")
+    before = b.named_vars(["before_0", "before_1"])
     b.add_clause([before[0], -before[1]])
     hcp_grid(b, make_grid(b, 3, 3), (2, 2))
-    after = b.new_vars(2, "after")
+    after = b.named_vars(["after_0", "after_1"])
     b.add_clause([-after[0], before[1]])
     b.add_clause([after[1]])
     return b
@@ -344,7 +344,6 @@ def every_naming_call():
     want = {1: "const_true"}
     b.new_var()
     want[b.new_var("lone")] = "lone"
-    want.update(zip(b.new_vars(3, "vec"), ["vec_0", "vec_1", "vec_2"]))
     b.new_vars(2)
     want.update(zip(b.named_vars(("x", "y")), ("x", "y")))
     grid = make_grid(b, 3, 3)
@@ -378,11 +377,67 @@ def test_varmap_lists_the_sorted_names(stamps):
 
 def test_names_cannot_be_written():
     b = CnfBuilder()
-    b.new_vars(2, "x")
+    b.named_vars(["x_0", "x_1"])
     with pytest.raises(TypeError):
         b.names[b.var_count] = "x"
     with pytest.raises(TypeError):
         del b.names[1]
+
+
+# SHA-256 over the .cnf and .map text of hcp (both directions of each
+# edge) and scc on three graphs with an odd cycle, whose labels take the
+# path that names and bans every bit: no bundled board or workload reaches it
+ODD_GRAPHS = {
+    "cycle5": (5, [(i, (i + 1) % 5) for i in range(5)]),
+    "K4": (4, list(itertools.combinations(range(4), 2))),
+    "K8": (8, list(itertools.combinations(range(8), 2))),
+}
+ODD_GRAPH_TEXT = {
+    ("hcp", "cycle5"): "0d43fa24efcce5351a9586cb7ec701d2f172bca79e716b1566956241b82e79cf",
+    ("hcp", "K4"): "66cfdc549f7a06e2a9e7ad4232607ad2c86da0ec9780bbad56b34bbbf52fc747",
+    ("hcp", "K8"): "1b6d62add9b1768b5cd953e7ea7928d253b0d5e4e7fdab8bf2287f920f82ecaa",
+    ("scc", "cycle5"): "2dfddada9b98c69fdb5a173c3c5cfaa2ae626dacf8ef2670415fe258914c3ad5",
+    ("scc", "K4"): "b4ea6a73a1f2d23a4b5859f84918f5f927b46a536925ec6dfc726a77371962c6",
+    ("scc", "K8"): "4e04604c470d5ec989fe531c1c1fd0b460729fd79065e3b102da5d6c86efd804",
+}
+
+
+def odd_graph_builder(kind, graph_name):
+    """A builder holding ``kind`` over the graph ``ODD_GRAPHS[graph_name]``."""
+    n, pairs = ODD_GRAPHS[graph_name]
+    b = CnfBuilder()
+    vs = [VertexSpec(i, lit) for i, lit in enumerate(b.named_vars([f"in_{i}" for i in range(n)]))]
+    if kind == "hcp":
+        pairs = pairs + [(j, i) for i, j in pairs]
+    lits = b.named_vars([f"edge_{i}_{j}" for i, j in pairs])
+    getattr(graph, kind)(b, vs, [EdgeSpec(i, j, e) for (i, j), e in zip(pairs, lits)])
+    return b
+
+
+@pytest.mark.parametrize("kind, graph_name", sorted(ODD_GRAPH_TEXT))
+def test_labels_on_a_graph_with_an_odd_cycle_keep_their_text(kind, graph_name):
+    b = odd_graph_builder(kind, graph_name)
+    cnf, varmap = emitted(b)
+    assert hashlib.sha256((cnf + varmap).encode()).hexdigest() == ODD_GRAPH_TEXT[kind, graph_name]
+    # every bit is state, named from 0
+    prefix = "dist" if kind == "hcp" else "sdist"
+    assert all(f"{prefix}_{i}_0" in b.names.values() for i in range(ODD_GRAPHS[graph_name][0]))
+
+
+@pytest.mark.parametrize("kind", ["hcp", "scc"])
+def test_a_label_is_not_its_own_zero_state_ban(monkeypatch, kind):
+    # each label's ban is a clause with its literals, but a list of its own
+    labels = []
+
+    def recorded(*args):
+        labels.extend(distance_labels(*args))
+        return labels
+
+    distance_labels = graph._distance_labels
+    monkeypatch.setattr(graph, "_distance_labels", recorded)
+    b = odd_graph_builder(kind, "cycle5")
+    assert len(labels) == 5 and all(d in b.clauses for d in labels)
+    assert all(cl is not d for d in labels for cl in b.clauses)
 
 
 VERIFIER_HELPERS = [

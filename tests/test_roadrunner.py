@@ -16,7 +16,7 @@ from gridloop.puzzles import (
 from gridloop.puzzles.roadrunner import _segment_groups, _sight_runs, has_grid_cycle, quadrantal_neighbors, walks_circuit
 from gridloop.solver import open_external, open_internal
 
-from oracles import input_projection, rr_optimum, sat_under
+from oracles import has_ham_cycle_grid, input_projection, rr_optimum, sat_under
 
 
 def test_parse_roadrunner():
@@ -327,3 +327,16 @@ def test_has_grid_cycle():
     assert not has_grid_cycle({(x, y) for x in range(1, 8) for y in range(1, 8)})
     # two 2x2 blocks: each has a circuit, but not one through both
     assert not has_grid_cycle({(x, y) for x in (1, 2, 4, 5) for y in (1, 2)})
+    # two 4x4 blocks joined through the cut cell (5,2), less the corner
+    # (9,4) so that the colours balance: connected, every cell of degree two
+    # or more, but no circuit
+    blocks = {(x, y) for x in (1, 2, 3, 4, 6, 7, 8, 9) for y in (1, 2, 3, 4)}
+    assert not has_grid_cycle(blocks - {(9, 4)} | {(5, 2)})
+
+
+def test_has_grid_cycle_matches_the_search_oracle():
+    # every cell set of a 3x4 board, cut cells and all
+    board = [(x, y) for x in range(1, 5) for y in range(1, 4)]
+    for mask in range(1 << len(board)):
+        cells = {p for i, p in enumerate(board) if mask >> i & 1}
+        assert has_grid_cycle(cells) == has_ham_cycle_grid(cells), sorted(cells)

@@ -1,8 +1,9 @@
-"""The encoders write their clauses through ``CnfBuilder.add_trusted``, and
-the internal solver attaches them as given: every clause of every bundled
-instance, in the eager and the lazy model, and every clause that the lazy
-model's propagator returns while solving, must keep the contract that
-``oracles.clause_faults`` checks."""
+"""The encoders append their clauses to ``CnfBuilder.clauses`` unchecked,
+where ``add_clause`` is the one checked path, and the internal solver
+attaches them as given: every clause of every bundled instance, in the
+eager and the lazy model, and every clause that the lazy model's
+propagator returns while solving, must keep the contract that the
+``CnfBuilder`` docstring states and ``oracles.clause_faults`` checks."""
 import os
 
 import pytest
