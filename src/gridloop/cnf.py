@@ -89,14 +89,18 @@ def _fold(lits: list[Lit]) -> list[Lit] | None:
 class CnfBuilder:
     """Fresh-variable allocation and clause storage.
 
-    Every clause of ``clauses`` is a list of nonzero literals over
+    Every clause of ``clauses`` is a sequence of nonzero literals over
     allocated variables, with no literal repeated and no complementary
     pair: the internal solver watches two literals of each clause as given
-    and relies on that.  ``add_clause`` checks and normalizes a clause into
-    that form.  The gate, cardinality and label methods, and the encoders
-    of ``graph`` and ``puzzles``, append theirs to ``clauses`` directly,
-    unchecked and not copied, and keep the contract themselves: the
-    literals passed to one call must be over distinct variables.
+    and relies on that.  A clause is a list, which the solver that takes
+    the formula may reorder in place, or a tuple: a grid template's row,
+    shared by every board stamped from it (``graph._Template``), which
+    nobody changes.  No other container is a clause.  ``add_clause``
+    checks and normalizes a clause into a list of that form.  The gate,
+    cardinality and label methods, and the encoders of ``graph`` and
+    ``puzzles``, append theirs to ``clauses`` directly, unchecked and not
+    copied, and keep the contract themselves: the literals passed to one
+    call must be over distinct variables.
 
     A variable's name is kept in ``name_runs``, a list of (first variable,
     names) runs in variable order, one per ``new_var(name)`` or
@@ -107,11 +111,11 @@ class CnfBuilder:
 
     def __init__(self):
         self.var_count = 1  # variable 1 is the reserved constant-true
-        self.clauses: list[list[Lit]] = [[1]]
+        self.clauses: list[list[Lit] | tuple[Lit, ...]] = [[1]]
         self.name_runs: list[tuple[int, Sequence[str]]] = [(1, ("const_true",))]
         # the record of the grid template last stamped in (see
-        # ``graph._Template.stamp``), whose text ``emit_dimacs`` writes for
-        # its span
+        # ``graph._Template.stamp``), whose text ``emit_dimacs`` and
+        # ``emit_varmap`` write for its span
         self.stamped = None
 
     TRUE: Lit = 1
@@ -328,16 +332,24 @@ class CnfBuilder:
     def emit_varmap(self, sink) -> None:
         """Write one 'index name' line per named variable, run by run of
         ``name_runs``, so in index order: one ``sink.write`` per run, or per
-        ``_DIMACS_CHUNK`` lines of a longer one."""
-        for first, run in self.name_runs:
-            for i in range(0, len(run), _DIMACS_CHUNK):
-                part = run[i : i + _DIMACS_CHUNK]
-                sink.write("".join([f"{v} {name}\n" for v, name in zip(itertools.count(first + i), part)]))
+        ``_DIMACS_CHUNK`` lines of a longer one.
+
+        On a stamped builder the lines of the template's runs are the text
+        that the template rendered once (``graph._Template.name_text``);
+        only the runs before and after them are formatted."""
+        runs = self.name_runs
+        rendered = self.stamped.name_lines(runs) if self.stamped else None
+        if rendered is None:
+            _write_names(sink, runs)
+            return
+        _write_names(sink, runs[: rendered.first])
+        rendered.write(sink)
+        _write_names(sink, runs[rendered.end :])
 
 
 class Rendered(NamedTuple):
-    """Lines rendered ahead for the clauses ``first`` to ``end`` of a list:
-    ``text``'s ranges ``cuts``, in order."""
+    """Lines rendered ahead for the items ``first`` to ``end`` of a list
+    (clauses, or runs of names): ``text``'s ranges ``cuts``, in order."""
 
     first: int
     end: int
@@ -401,6 +413,20 @@ def dimacs_text(clauses: Iterable[Sequence[Lit]]) -> tuple[str, array]:
         parts.append(part)
         starts += array("i", itertools.accumulate(map(len, part.splitlines(True)), initial=starts.pop()))
     return "".join(parts), starts
+
+
+def varmap_text(runs: Iterable[tuple[int, Sequence[str]]]) -> str:
+    """The ``.map`` lines of the (first variable, names) runs ``runs``, one
+    'index name' line per name, in one string."""
+    return "".join([f"{v} {name}\n" for first, run in runs for v, name in zip(itertools.count(first), run)])
+
+
+def _write_names(sink, runs: Iterable[tuple[int, Sequence[str]]]) -> None:
+    """Write the ``.map`` lines of ``runs``, one ``sink.write`` per run, or
+    per ``_DIMACS_CHUNK`` lines of a longer one."""
+    for first, run in runs:
+        for i in range(0, len(run), _DIMACS_CHUNK):
+            sink.write(varmap_text([(first + i, run[i : i + _DIMACS_CHUNK])]))
 
 
 def write_dimacs(sink, nvars: int, clauses: Sequence[Sequence[Lit]], rendered: Rendered | None = None) -> None:

@@ -42,9 +42,9 @@ import functools
 import itertools
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
-from .cnf import CnfBuilder, Lit, Rendered, UnaryCount, dimacs_text
+from .cnf import CnfBuilder, Lit, Rendered, UnaryCount, dimacs_text, varmap_text
 from .solver import Propagator
 
 Cell = tuple[int, int]
@@ -134,35 +134,36 @@ class _Template:
     The key names the encoder's grid (rows, cols, first cell variable), the
     first variable the encoder allocates and its variant; every literal,
     name and the variable count after the build are then the same on each
-    board.  ``lits`` holds the literals of the clauses in order, and
-    ``runs`` (length, count) per run of equal-length clauses, both as
-    ``array('i')``, so a 20x20 ``hcp`` takes about 392 KiB, where its
-    clauses as lists would take about 4.5 MB.  No clause is empty.
-    ``bounds[at[v]:at[v + 1]]`` holds, pairwise, the (first, end) positions,
-    counted from the first clause, of the clauses that a board leaves out
-    when vertex v is its start or one of its anchors.  ``name_runs`` (the
-    build's runs of ``CnfBuilder.name_runs``), ``edges`` and ``extra`` are
-    shared by every board stamped, which read them and never change them;
-    each board gets fresh clause lists, which its solver may reorder.
+    board.  ``rows`` holds the clauses in order, each a tuple, with one int
+    object per distinct literal: for a 20x20 ``hcp`` 35,088 tuples over
+    11,440 ints, about 2.8 MB.  A board's span is these very tuples, not
+    copies (the clause contract in ``CnfBuilder`` lets a shared row be a
+    tuple, which nobody changes), so a stamped Masyu 20x20 holds about
+    0.5 MB of clauses of its own, where fresh lists took about 6.6 MB.  No
+    clause is empty.  ``bounds[at[v]:at[v + 1]]`` holds, pairwise, the
+    (first, end) positions, counted from the first clause, of the clauses
+    that a board leaves out when vertex v is its start or one of its
+    anchors.  ``name_runs`` (the build's runs of ``CnfBuilder.name_runs``),
+    ``edges`` and ``extra`` are shared by every board stamped too, which
+    read them and never change them.
 
-    A stamp records its span on the builder (``_Stamp``).  The first time a
-    builder stamped from the template writes its DIMACS
+    A stamp records its span and its name runs on the builder (``_Stamp``).
+    The first time a builder stamped from the template writes its DIMACS
     (``CnfBuilder.emit_dimacs``), the template renders the lines of all its
     clauses once, with where each line starts (``clause_text``; for a 20x20
     ``hcp`` about 602 KiB of lines and 137 KiB of line starts).  Every
     board's span is then written as slices of that text, cut where its
-    dropped groups' clauses were.  The text lives as long as the template,
-    which goes when another key comes (``_repeats``) or at
-    ``clear_templates``, or as a builder stamped from it."""
+    dropped groups' clauses were.  Its ``.map`` lines are rendered once too,
+    at the first ``CnfBuilder.emit_varmap`` (``name_text``), and written as
+    they are.  The rows and the text live as long as the template, which
+    goes when another key comes (``_repeats``) or at ``clear_templates``,
+    or as a builder stamped from it."""
 
     def __init__(self, key, builder: CnfBuilder, base: int, named: int, groups, edges, extra):
-        clauses = builder.clauses
+        one = {}  # literal -> the int object that every row holding it shares
         self.key = key
-        self.size = len(clauses) - base
-        self.lits = array("i", itertools.chain.from_iterable(itertools.islice(clauses, base, None)))
-        self.runs = array("i")
-        for k, run in itertools.groupby(itertools.islice(clauses, base, None), len):
-            self.runs += array("i", (k, sum(1 for _ in run)))
+        self.rows = [tuple(map(one.setdefault, cl, cl)) for cl in itertools.islice(builder.clauses, base, None)]
+        self.size = len(self.rows)
         groups = groups or ()
         self.at = array("i", itertools.accumulate((2 * len(g) for g in groups), initial=0))
         self.bounds = array("i", (p - base for g in groups for lo_hi in g for p in lo_hi))
@@ -171,13 +172,7 @@ class _Template:
         self.edges = tuple(edges)
         self.extra = extra
         self._clause_text: tuple[str, array] | None = None
-
-    def _rows(self) -> Iterator[tuple[Lit, ...]]:
-        """The clauses in order, each a tuple of its literals."""
-        lits, runs = iter(self.lits), self.runs
-        return itertools.chain.from_iterable(
-            zip(*[itertools.islice(lits, k * count)] * k) for k, count in zip(runs[::2], runs[1::2])
-        )
+        self._name_text: str | None = None
 
     def _dropped(self, drop: Sequence[int]) -> list[tuple[int, int]]:
         """The (first, end) clause ranges that the vertices of ``drop``
@@ -193,45 +188,53 @@ class _Template:
         return mask
 
     def stamp(self, builder: CnfBuilder, drop: Sequence[int]) -> list[EdgeSpec]:
-        """Add the template to ``builder`` less the clauses of ``drop``'s
-        vertices, and record the span on it (``builder.stamped``); returns
-        a fresh list of the shared edges."""
-        clauses = builder.clauses
-        first = len(clauses)
-        lists = map(list, self._rows())
-        clauses += itertools.compress(lists, self.keep(drop)) if drop else lists
-        builder.name_runs += self.name_runs
+        """Add the template's rows to ``builder`` less the clauses of
+        ``drop``'s vertices, and its name runs, and record both spans on it
+        (``builder.stamped``); returns a fresh list of the shared edges."""
+        clauses, name_runs = builder.clauses, builder.name_runs
+        first, named = len(clauses), len(name_runs)
+        clauses += itertools.compress(self.rows, self.keep(drop)) if drop else self.rows
+        name_runs += self.name_runs
         builder.var_count = self.var_count
-        builder.stamped = _Stamp(self, clauses, first, len(clauses), tuple(drop))
+        builder.stamped = _Stamp(self, clauses, first, len(clauses), tuple(drop), name_runs, named)
         return list(self.edges)
 
     def clause_text(self) -> tuple[str, array]:
         """``dimacs_text`` of every clause, rendered at the first call."""
         if self._clause_text is None:
-            self._clause_text = dimacs_text(self._rows())
+            self._clause_text = dimacs_text(self.rows)
         return self._clause_text
+
+    def name_text(self) -> str:
+        """``varmap_text`` of the name runs, rendered at the first call."""
+        if self._name_text is None:
+            self._name_text = varmap_text(self.name_runs)
+        return self._name_text
 
 
 class _Stamp(NamedTuple):
     """Where a template was stamped into a builder: its span is
     ``clauses[first:end]`` of the list it was made in, less the clauses of
-    the vertices of ``drop``.
+    the vertices of ``drop``, and its names are the template's runs from
+    ``name_runs[named]`` on, of the list they were added to.
 
-    Its text stands for the span only while the span's lists are the ones
-    stamped, with the literals stamped: the writers fall back to formatting
-    every clause when ``builder.clauses`` has been replaced or no longer
-    reaches the span's end, but a list changed in place, as a solver's
-    reordering of its literals changes it, or a clause inserted or removed
-    before the span, goes unseen.  A caller that solves a stamped builder's
-    clauses and then writes them passes the solver a copy."""
+    The span holds the template's rows, tuples that nobody changes, so a
+    solver that takes the builder's clauses leaves them, and their text,
+    as they were.  The text stands for the span only while the span still
+    lies where it was stamped: the writers fall back to formatting every
+    clause, or every name, when ``builder.clauses`` or ``builder.name_runs``
+    has been replaced or no longer reaches the span's end, but a clause or
+    run inserted or removed before the span goes unseen."""
 
     template: _Template
-    clauses: list[list[Lit]]
+    clauses: list[Sequence[Lit]]
     first: int
     end: int
     drop: tuple[int, ...]
+    name_runs: list[tuple[int, Sequence[str]]]
+    named: int
 
-    def clause_lines(self, clauses: list[list[Lit]]) -> Rendered | None:
+    def clause_lines(self, clauses: list[Sequence[Lit]]) -> Rendered | None:
         """The span's clause lines for ``clauses``, the builder's list; None
         unless the span still lies in it."""
         if clauses is not self.clauses or len(clauses) < self.end:
@@ -243,6 +246,15 @@ class _Stamp(NamedTuple):
                 cuts.append((starts[at], starts[lo]))
             at = hi
         return Rendered(self.first, self.end, text, cuts)
+
+    def name_lines(self, name_runs: list[tuple[int, Sequence[str]]]) -> Rendered | None:
+        """The ``.map`` lines of the stamped runs for ``name_runs``, the
+        builder's list; None unless the runs still lie in it."""
+        end = self.named + len(self.template.name_runs)
+        if name_runs is not self.name_runs or len(name_runs) < end:
+            return None
+        text = self.template.name_text()
+        return Rendered(self.named, end, text, [(0, len(text))])
 
 
 # Per encoder, the key of its last build, and its template: one at most,
@@ -509,16 +521,16 @@ def hcp_grid(builder: CnfBuilder, grid: GridVars, start: Cell | None = None) -> 
     the edge list.
 
     A grid from ``make_grid`` of two rows and two columns or more is
-    stamped from a template (``_Template``, about 392 KiB for 20x20) keyed
-    by rows, cols, the first cell variable, the first edge variable and
-    whether there is a start, once that key has been built twice in a row
-    (``_repeats``).  The template holds every vertex's degree clauses and
-    steps: a start at v leaves out v's two degree clauses and the steps of
-    the edges into v, as ``hcp`` does.  On one row or column an edge into
-    the start can be its source's only step, whose shift-register gates
-    would go too, so such a grid, and every grid not from ``make_grid``, is
-    encoded directly.  Each board gets fresh clause lists; the names and
-    EdgeSpecs are shared by the boards of one template."""
+    stamped from a template (``_Template``, about 2.8 MB of rows for
+    20x20) keyed by rows, cols, the first cell variable, the first edge
+    variable and whether there is a start, once that key has been built
+    twice in a row (``_repeats``).  The template holds every vertex's
+    degree clauses and steps: a start at v leaves out v's two degree
+    clauses and the steps of the edges into v, as ``hcp`` does.  On one row
+    or column an edge into the start can be its source's only step, whose
+    shift-register gates would go too, so such a grid, and every grid not
+    from ``make_grid``, is encoded directly.  The clause rows, names and EdgeSpecs are shared by
+    the boards of one template."""
     first = _numbered_from(grid) if grid.rows > 1 and grid.cols > 1 else None
     key = (grid.rows, grid.cols, first, builder.var_count + 1, start is None)
     if first is None or not _repeats("hcp", key):
@@ -624,8 +636,8 @@ def cycle_grid(
     (``_Template``) keyed by rows, cols, the first cell variable and the
     first edge variable, once that key has been built twice in a row
     (``_repeats``).  The template holds every cell's ``[-e, in]`` clauses,
-    and each anchor leaves its own out.  Each board gets fresh clause lists
-    and its own ``OneCycle`` state; the names, EdgeSpecs and the
+    and each anchor leaves its own out.  Each board gets its own
+    ``OneCycle`` state; the clause rows, names, EdgeSpecs and the
     propagator's tables are shared by the boards of one template.  Other
     grids, Road Runner's with their counter among them, are encoded
     directly, with the same tables."""

@@ -126,11 +126,13 @@ def check_model(clauses: Iterable[Sequence[Lit]], model: Model) -> bool:
 class _Solver:
     """The CDCL search over one formula, solved once per ``solve`` call.
 
-    ``clauses`` is a list of clauses, each a list of ints, that the solver
-    takes over: the search reorders each clause's literals in place, so a
-    clause list must appear once in the formula and must not be shared with
-    a second live solver.  A caller that reuses a formula passes each
-    solver its own copy."""
+    ``clauses`` is a list of clauses under the contract that ``CnfBuilder``
+    states.  The solver takes each list over: the search reorders its
+    literals in place, so a clause list must appear once in the formula and
+    must not be shared with a second live solver, and a caller that reuses
+    a formula of lists passes each solver its own copy.  A tuple is a row
+    shared with other formulas: the solver watches a list copy of it, and
+    the tuple stays as it was."""
 
     def __init__(self, clauses, nvars, propagator: Propagator | None = None):
         self.nvars = nvars
@@ -150,10 +152,11 @@ class _Solver:
         The state is empty, so each clause goes in as given, unfiltered: a
         clause of two or more literals is watched on its first two, and a
         unit is assigned.  The watches hold the given lists, not copies
-        (see ``_Solver``): the search reorders their literals in place.  The
-        closing ``_propagate`` walks the whole trail, so it meets every
-        watched literal that a unit made false; the decision heap is built
-        after it.  A clause must repeat no literal."""
+        (see ``_Solver``): the search reorders their literals in place.  A
+        tuple is watched as a list of its own, copied from it.  The closing
+        ``_propagate`` walks the whole trail, so it meets every watched
+        literal that a unit made false; the decision heap is built after it.
+        A clause must repeat no literal."""
         nvars = self.nvars
         # val[lit + nvars]: 1 true, -1 false, 0 unassigned; both polarities kept
         self.val = [0] * (2 * nvars + 1)
@@ -171,6 +174,8 @@ class _Solver:
         clauses, self.pending = self.pending, None
         for cl in clauses:
             if len(cl) > 1:
+                if cl.__class__ is tuple:
+                    cl = list(cl)
                 watches[cl[0] + nvars].append(cl)
                 watches[cl[1] + nvars].append(cl)
                 continue
@@ -515,7 +520,7 @@ def _luby(x: int) -> int:
 
 
 def solve_internal(
-    clauses: Sequence[list[Lit]],
+    clauses: Sequence[Sequence[Lit]],
     nvars: int,
     timeout: float | None = None,
     assumptions: Sequence[Lit] = (),
@@ -528,8 +533,9 @@ def solve_internal(
     solved again here, so that what it learnt in earlier calls carries over;
     without one the call builds its own.  A model is checked against the
     clauses and every clause that the solver's propagator returned.  The
-    solver takes the clause lists over and reorders their literals in place
-    (see ``_Solver``): pass a copy to reuse the formula in another solver.
+    solver takes the clause lists over and reorders their literals in place,
+    and leaves each tuple as it is (see ``_Solver``): pass a copy of the
+    lists to reuse the formula in another solver.
     ``timeout`` is a wall-clock budget in seconds for this call, checked at
     each conflict; when it runs out the outcome is unknown.
     """
@@ -549,7 +555,7 @@ def solve_internal(
 
 
 def open_internal(
-    clauses: Sequence[list[Lit]],
+    clauses: Sequence[Sequence[Lit]],
     nvars: int,
     propagator: Propagator | None = None,
     timeout: float | None = None,
@@ -565,7 +571,8 @@ def open_internal(
     bounded by ``timeout``, and its ``stats`` are that search's counters,
     with ``propagated`` under a propagator.  The probe's solver owns the
     clause lists and reorders their literals in place (see ``_Solver``), so
-    they must not go to a second solver while this probe is in use.
+    they must not go to a second solver while this probe is in use; it
+    changes no tuple clause, a template's row that other boards share.
     """
     solver = _Solver(clauses, nvars, propagator)
 

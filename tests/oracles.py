@@ -314,12 +314,13 @@ def rr_optimum(inst):
 
 def clause_faults(clauses, nvars):
     """Why each clause, if any, breaks the contract of clauses that reach
-    the internal solver unchecked: a list of ints, each over a variable in
-    1..nvars, with no literal repeated and no complementary pair."""
+    the internal solver unchecked: a list, or a tuple (a template's shared
+    row), of ints, each over a variable in 1..nvars, with no literal
+    repeated and no complementary pair."""
     faults = []
     for i, cl in enumerate(clauses):
-        if type(cl) is not list:
-            why = f"a {type(cl).__name__}, not a list"
+        if type(cl) not in (list, tuple):
+            why = f"a {type(cl).__name__}, not a list or a tuple"
         elif not all(type(l) is int for l in cl):
             why = "a literal that is not an int"
         elif not all(0 < abs(l) <= nvars for l in cl):

@@ -337,6 +337,53 @@ def test_stamped_builder_cut_short_of_its_span_formats_every_clause(stamps):
     assert emitted(b) == plain(b)
 
 
+def test_stamped_builder_with_its_name_runs_replaced_formats_every_name(stamps):
+    b = stamped_builder()
+    # a copy with one of the stamped runs renamed
+    b.name_runs = list(b.name_runs)
+    first, run = b.name_runs[b.stamped.named]
+    b.name_runs[b.stamped.named] = (first, [f"renamed_{i}" for i in range(len(run))])
+    assert b.stamped.name_lines(b.name_runs) is None
+    assert emitted(b) == plain(b)
+
+
+def test_stamped_builder_cut_short_of_its_names_formats_every_name(stamps):
+    b = stamped_builder()
+    del b.name_runs[b.stamped.named + len(b.stamped.template.name_runs) - 1 :]
+    assert b.stamped.name_lines(b.name_runs) is None
+    assert emitted(b) == plain(b)
+
+
+def test_boards_stamped_from_one_template_share_its_rows(stamps):
+    # no board copies a row: each span is the template's own tuples, less
+    # those of its start
+    boards = [stamped_builder(), between()]
+    tpl = boards[0].stamped.template
+    kept = list(itertools.compress(tpl.rows, tpl.keep(boards[0].stamped.drop)))
+    for b in boards:
+        assert b.stamped.template is tpl
+        span = b.clauses[b.stamped.first : b.stamped.end]
+        assert len(span) == len(kept) and all(x is y for x, y in zip(span, kept))
+        assert all(type(row) is tuple for row in span)
+
+
+@LAZY
+@pytest.mark.parametrize("kind", ["masyu", "shingoki"])
+def test_solving_a_stamped_board_leaves_its_template_rows(stamps, kind, lazy):
+    with open(os.path.join(INSTANCES, f"{kind}_6x6.{kind}")) as f:
+        text = f.read()
+    for _ in range(2):
+        build(kind, text, lazy)
+    inst, b, decode, _, propagator = build(kind, text, lazy)
+    rows = b.stamped.template.rows
+    before = [list(row) for row in rows]
+    out = open_internal(b.clauses, b.var_count, propagator)()
+    assert out.status == "sat" and _VERIFIERS[kind](inst, decode(out.model.assignment)) is None
+    assert [list(row) for row in rows] == before
+    # the span's text still stands for its clauses, as the solver left them
+    assert emitted(b) == plain(b)
+
+
 def every_naming_call():
     """A builder named through every call that names, with a 3x3
     ``hcp_grid`` among them, and its names as a dict built by hand."""

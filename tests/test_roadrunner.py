@@ -292,6 +292,12 @@ def test_walks_circuit():
     square = [(1, 1), (2, 1), (2, 2), (1, 2)]
     assert walks_circuit(set(square), square)
     assert not walks_circuit(set(square), [(1, 1), (2, 2), (2, 1), (1, 2)])
+    # an open path over the whole road: its last cell does not step back
+    # to its first
+    path = [(1, 1), (1, 2), (2, 2), (2, 1), (3, 1), (3, 2)]
+    assert not walks_circuit(set(path), path)
+    # every step is orthogonal, but the walk repeats two cells
+    assert not walks_circuit(set(square), square + square[:2])
 
 
 @pytest.mark.parametrize(

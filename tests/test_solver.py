@@ -104,6 +104,27 @@ def test_a_solve_keeps_each_clause_literal_set():
     assert reordered  # the search did move literals
 
 
+def test_tuple_clauses_search_like_lists_and_stay_as_they_are():
+    # a tuple is a row that other formulas share, as a grid template's
+    # rows are: the solver watches a list copy of it, so a formula of
+    # tuples, or of both, searches step for step as its lists do, and the
+    # caller's list still holds the same tuples
+    rng = random.Random(6)
+    formulas = [pigeonhole(5, 4), puzzle_formula("masyu_6x6.masyu", parse_masyu, build_masyu)]
+    formulas += [(random_3cnf(rng, 20, 85), 20) for _ in range(10)]
+    statuses = set()
+    for clauses, nvars in formulas:
+        rows = [tuple(cl) for cl in clauses]
+        want = solve_internal(copied(clauses), nvars)
+        for given in (list(rows), [row if i % 2 else list(row) for i, row in enumerate(rows)]):
+            out = solve_internal(given, nvars)
+            assert (out.status, out.stats) == (want.status, want.stats)
+            assert (out.model and out.model.assignment) == (want.model and want.model.assignment)
+            assert all(x is y for x, y in zip(given, rows) if type(x) is tuple)
+        statuses.add(want.status)
+    assert statuses == {"sat", "unsat"}
+
+
 def test_timeout_unknown():
     # the budget is checked at each conflict; this formula conflicts at once
     hard = [[1, 2], [1, -2], [-1, 2], [-1, -2]]

@@ -38,10 +38,10 @@ def test_encoders_keep_the_trusted_contract(name, lazy):
 
 
 def test_clause_faults_names_each_breach():
-    clauses = [[1, -2], (1, 2), [1, 2.0], [1, 4], [-3, 2, -3], [2, 1, -2], []]
+    clauses = [[1, -2], (1, 2), {1, 3}, [1, 2.0], [1, 4], [-3, 2, -3], [2, 1, -2], []]
     faults = clause_faults(clauses, 3)
     assert [f.split(": ", 1)[1] for f in faults] == [
-        "a tuple, not a list",
+        "a set, not a list or a tuple",
         "a literal that is not an int",
         "a literal over no variable in 1..3",
         "a repeated literal",
