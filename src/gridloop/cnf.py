@@ -13,7 +13,7 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Lit = int
 
@@ -66,6 +66,32 @@ _LFSR_TAPS = (
 )
 
 
+class NameRule:
+    """The names of a run of variables: ``fmt % key`` for each key of
+    ``keys`` (not copied, so the caller must not change them), formatted
+    only when ``names`` or ``lines`` is called, which no solve does.
+    ``lines`` keeps the ``.map`` text of the last first variable asked for,
+    so every board stamped from one grid template shares its rules' text."""
+
+    def __init__(self, fmt: str, keys: Sequence):
+        self.fmt, self.keys = fmt, keys
+        self._lines: tuple[int, str] | None = None
+
+    def names(self) -> list[str]:
+        fmt = self.fmt
+        return [fmt % k for k in self.keys]
+
+    def lines(self, first: int) -> str:
+        """One 'index name' line per name, numbered from ``first``."""
+        if self._lines is None or self._lines[0] != first:
+            self._lines = first, "".join([f"{v} {name}\n" for v, name in zip(itertools.count(first), self.names())])
+        return self._lines[1]
+
+
+# The name of variable 1, one rule that every builder shares.
+_CONST_TRUE = NameRule("%s", ("const_true",))
+
+
 def _merge_tree(seg: Sequence[Lit], merge: Callable[[list[Lit], list[Lit]], list[Lit]]) -> list[Lit]:
     """``merge`` over the halves of ``seg``, each built the same way first,
     the left one before the right; a single literal is its own list.  A
@@ -103,7 +129,7 @@ class CnfBuilder:
     call must be over distinct variables.
 
     A variable's name is kept in ``name_runs``, a list of (first variable,
-    names) runs in variable order, one per ``new_var(name)`` or
+    ``NameRule``) runs in variable order, one per ``new_var(name)`` or
     ``named_vars`` call; ``names`` reads them as one mapping.
 
     Single-owner: a builder must not be shared across concurrent tasks.
@@ -112,10 +138,10 @@ class CnfBuilder:
     def __init__(self):
         self.var_count = 1  # variable 1 is the reserved constant-true
         self.clauses: list[list[Lit] | tuple[Lit, ...]] = [[1]]
-        self.name_runs: list[tuple[int, Sequence[str]]] = [(1, ("const_true",))]
+        self.name_runs: list[tuple[int, NameRule]] = [(1, _CONST_TRUE)]
         # the record of the grid template last stamped in (see
-        # ``graph._Template.stamp``), whose text ``emit_dimacs`` and
-        # ``emit_varmap`` write for its span
+        # ``graph._Template.stamp``), whose text ``emit_dimacs`` writes for
+        # its span
         self.stamped = None
 
     TRUE: Lit = 1
@@ -128,14 +154,14 @@ class CnfBuilder:
         """Variable -> name for every named variable, in variable order: a
         read-only view of a dict built from ``name_runs`` at each read."""
         out: dict[int, str] = {}
-        for first, run in self.name_runs:
-            out.update(zip(range(first, first + len(run)), run))
+        for first, rule in self.name_runs:
+            out.update(zip(itertools.count(first), rule.names()))
         return MappingProxyType(out)
 
     def new_var(self, name: str | None = None) -> Lit:
         self.var_count += 1
         if name is not None:
-            self.name_runs.append((self.var_count, (name,)))
+            self.name_runs.append((self.var_count, NameRule("%s", (name,))))
         return self.var_count
 
     def new_vars(self, n: int) -> list[Lit]:
@@ -143,14 +169,12 @@ class CnfBuilder:
         self.var_count += max(n, 0)
         return list(range(first, self.var_count + 1))
 
-    def named_vars(self, names: Sequence[str]) -> list[Lit]:
-        """One fresh variable per name of ``names``, in order: the batch
-        form of ``new_var(name)``.  ``names`` becomes one run of
-        ``name_runs`` as it is, not copied, so the caller must not change
-        it afterwards."""
+    def named_vars(self, rule: NameRule) -> list[Lit]:
+        """One fresh variable per name of ``rule``, in order: the batch form
+        of ``new_var(name)``.  ``rule`` becomes one run of ``name_runs``."""
         first = self.var_count + 1
-        self.var_count += len(names)
-        self.name_runs.append((first, names))
+        self.var_count += len(rule.keys)
+        self.name_runs.append((first, rule))
         return list(range(first, self.var_count + 1))
 
     def add_clause(self, lits: Iterable[Lit]) -> None:
@@ -322,59 +346,38 @@ class CnfBuilder:
         """Write the formula in DIMACS CNF to a text sink.
 
         On a builder that a grid template stamped (``stamped``, see
-        ``graph._Template``), the stamped span's lines are slices of the
-        text that the template rendered once, at the first emit of a board
-        stamped from it; only the clauses before and after the span are
-        formatted.  Cold and direct builds are formatted whole."""
-        rendered = self.stamped.clause_lines(self.clauses) if self.stamped else None
-        write_dimacs(sink, self.var_count, self.clauses, rendered)
+        ``graph._Stamp``), the stamped span's lines are slices of the text
+        that the template rendered once, at the first emit of a board
+        stamped from it, while the span still holds the template's rows;
+        only the clauses before and after the span are formatted.  Cold and
+        direct builds are formatted whole."""
+        clauses, stamp = self.clauses, self.stamped
+        if stamp is None or not stamp.lies_in(clauses):
+            write_dimacs(sink, self.var_count, clauses)
+            return
+        sink.write(f"p cnf {self.var_count} {len(clauses)}\n")
+        _write_clauses(sink, clauses, 0, stamp.first)
+        stamp.write(sink)
+        _write_clauses(sink, clauses, stamp.end, len(clauses))
 
     def emit_varmap(self, sink) -> None:
         """Write one 'index name' line per named variable, run by run of
-        ``name_runs``, so in index order: one ``sink.write`` per run, or per
-        ``_DIMACS_CHUNK`` lines of a longer one.
-
-        On a stamped builder the lines of the template's runs are the text
-        that the template rendered once (``graph._Template.name_text``);
-        only the runs before and after them are formatted."""
-        runs = self.name_runs
-        rendered = self.stamped.name_lines(runs) if self.stamped else None
-        if rendered is None:
-            _write_names(sink, runs)
-            return
-        _write_names(sink, runs[: rendered.first])
-        rendered.write(sink)
-        _write_names(sink, runs[rendered.end :])
+        ``name_runs``, so in index order: each run's ``NameRule.lines``,
+        which a rule renders once per first variable and keeps."""
+        for first, rule in self.name_runs:
+            write_text(sink, rule.lines(first))
 
 
-class Rendered(NamedTuple):
-    """Lines rendered ahead for the items ``first`` to ``end`` of a list
-    (clauses, or runs of names): ``text``'s ranges ``cuts``, in order."""
-
-    first: int
-    end: int
-    text: str
-    cuts: Sequence[tuple[int, int]]
-
-    def write(self, sink) -> None:
-        """Write the cuts, at most ``_TEXT_CHUNK`` characters per
-        ``sink.write``."""
-        text = self.text
-        for a, b in self.cuts:
-            for i in range(a, b, _TEXT_CHUNK):
-                sink.write(text[i : min(i + _TEXT_CHUNK, b)])
-
-
-# Clauses (or ``.map`` lines) joined into one string per ``sink.write`` call.
+# Clauses joined into one string per ``sink.write`` call.
 _DIMACS_CHUNK = 4096
 # Clauses formatted by one ``%``; divides _DIMACS_CHUNK.  A whole chunk's
 # literal tuple and text can pass glibc's 128 KiB mmap threshold, and on
 # encode-large that raised peak RSS by 0.2-0.5 MB at the same puzzle count;
 # a quarter chunk did not, at the same speed.
 _FORMAT_BATCH = 1024
-# Characters of rendered text per ``sink.write``: about one chunk of
-# clauses, and each slice, with the bytes a file sink encodes it to, below
-# that threshold.
+# Characters of kept text per ``sink.write``: about one chunk of clauses,
+# and each slice, with the bytes a file sink encodes it to, below that
+# threshold.
 _TEXT_CHUNK = 1 << 16
 
 
@@ -415,31 +418,21 @@ def dimacs_text(clauses: Iterable[Sequence[Lit]]) -> tuple[str, array]:
     return "".join(parts), starts
 
 
-def varmap_text(runs: Iterable[tuple[int, Sequence[str]]]) -> str:
-    """The ``.map`` lines of the (first variable, names) runs ``runs``, one
-    'index name' line per name, in one string."""
-    return "".join([f"{v} {name}\n" for first, run in runs for v, name in zip(itertools.count(first), run)])
+def write_text(sink, text: str, lo: int = 0, hi: int | None = None) -> None:
+    """Write text[lo:hi], kept text such as a template's clause lines or a
+    ``NameRule``'s ``.map`` lines, at most ``_TEXT_CHUNK`` characters per
+    ``sink.write``."""
+    hi = len(text) if hi is None else hi
+    for i in range(lo, hi, _TEXT_CHUNK):
+        sink.write(text[i : min(i + _TEXT_CHUNK, hi)])
 
 
-def _write_names(sink, runs: Iterable[tuple[int, Sequence[str]]]) -> None:
-    """Write the ``.map`` lines of ``runs``, one ``sink.write`` per run, or
-    per ``_DIMACS_CHUNK`` lines of a longer one."""
-    for first, run in runs:
-        for i in range(0, len(run), _DIMACS_CHUNK):
-            sink.write(varmap_text([(first + i, run[i : i + _DIMACS_CHUNK])]))
-
-
-def write_dimacs(sink, nvars: int, clauses: Sequence[Sequence[Lit]], rendered: Rendered | None = None) -> None:
+def write_dimacs(sink, nvars: int, clauses: Sequence[Sequence[Lit]]) -> None:
     """Write ``clauses`` over ``nvars`` variables in DIMACS CNF to a text
     sink: the header, then one line per clause, ended by 0, formatted by
-    ``_dimacs_lines``.  With ``rendered``, the lines of clauses[rendered.first:
-    rendered.end] are its text, written as it is."""
+    ``_dimacs_lines``."""
     sink.write(f"p cnf {nvars} {len(clauses)}\n")
-    first, end = (rendered.first, rendered.end) if rendered else (len(clauses), len(clauses))
-    _write_clauses(sink, clauses, 0, first)
-    if rendered:
-        rendered.write(sink)
-    _write_clauses(sink, clauses, end, len(clauses))
+    _write_clauses(sink, clauses, 0, len(clauses))
 
 
 def _write_clauses(sink, clauses: Sequence[Sequence[Lit]], lo: int, hi: int) -> None:

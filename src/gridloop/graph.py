@@ -44,7 +44,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
-from .cnf import CnfBuilder, Lit, Rendered, UnaryCount, dimacs_text, varmap_text
+from .cnf import CnfBuilder, Lit, NameRule, UnaryCount, dimacs_text, write_text
 from .solver import Propagator
 
 Cell = tuple[int, int]
@@ -86,11 +86,11 @@ class GridVars:
 
 
 @functools.lru_cache(maxsize=1)
-def _grid_shape(rows: int, cols: int) -> tuple[tuple[Cell, ...], tuple[str, ...]]:
-    """The cells of the whole rows x cols rectangle in row-major order, and
-    their names, kept for the last shape asked for."""
-    keys = tuple((r, c) for r in range(1, rows + 1) for c in range(1, cols + 1))
-    return keys, tuple(f"cell_{r}_{c}" for r, c in keys)
+def _grid_shape(rows: int, cols: int) -> NameRule:
+    """The naming rule of the cells of the whole rows x cols rectangle,
+    whose keys are the cells in row-major order, kept for the last shape
+    asked for."""
+    return NameRule("cell_%d_%d", tuple((r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)))
 
 
 def make_grid(builder: CnfBuilder, rows: int, cols: int) -> GridVars:
@@ -98,12 +98,13 @@ def make_grid(builder: CnfBuilder, rows: int, cols: int) -> GridVars:
     numbered in row-major order from the builder's next variable.
     ``hcp_grid`` and ``cycle_grid`` stamp such a grid's clauses from a
     template of its shape (see ``_Template``), once it has been built twice
-    in a row.  Every board of the shape shares one tuple of cell names as
-    its run of ``CnfBuilder.name_runs``, and gets its own ``cells`` dict."""
+    in a row.  Every board of the shape shares one naming rule of its cells
+    as its run of ``CnfBuilder.name_runs``, and gets its own ``cells``
+    dict."""
     if rows < 1 or cols < 1:
         raise ValueError("grid must be at least 1x1")
-    keys, names = _grid_shape(rows, cols)
-    return GridVars(rows, cols, dict(zip(keys, builder.named_vars(names))))
+    rule = _grid_shape(rows, cols)
+    return GridVars(rows, cols, dict(zip(rule.keys, builder.named_vars(rule))))
 
 
 def _numbered_from(grid: GridVars) -> int | None:
@@ -114,7 +115,7 @@ def _numbered_from(grid: GridVars) -> int | None:
     if len(cells) != grid.rows * grid.cols:
         return None
     first = next(iter(cells.values()))
-    if tuple(cells) != _grid_shape(grid.rows, grid.cols)[0]:
+    if tuple(cells) != _grid_shape(grid.rows, grid.cols).keys:
         return None
     return first if list(cells.values()) == list(range(first, first + len(cells))) else None
 
@@ -145,19 +146,19 @@ class _Template:
     that a board leaves out when vertex v is its start or one of its
     anchors.  ``name_runs`` (the build's runs of ``CnfBuilder.name_runs``),
     ``edges`` and ``extra`` are shared by every board stamped too, which
-    read them and never change them.
+    read them and never change them.  So each board holds the very
+    ``NameRule`` objects of its template's runs, at the same first
+    variables, and writes the ``.map`` text that each rule keeps.
 
-    A stamp records its span and its name runs on the builder (``_Stamp``).
-    The first time a builder stamped from the template writes its DIMACS
+    A stamp records its span on the builder (``_Stamp``).  The first time a
+    builder stamped from the template writes its DIMACS
     (``CnfBuilder.emit_dimacs``), the template renders the lines of all its
     clauses once, with where each line starts (``clause_text``; for a 20x20
     ``hcp`` about 602 KiB of lines and 137 KiB of line starts).  Every
     board's span is then written as slices of that text, cut where its
-    dropped groups' clauses were.  Its ``.map`` lines are rendered once too,
-    at the first ``CnfBuilder.emit_varmap`` (``name_text``), and written as
-    they are.  The rows and the text live as long as the template, which
-    goes when another key comes (``_repeats``) or at ``clear_templates``,
-    or as a builder stamped from it."""
+    dropped groups' clauses were.  The rows and the text live as long as
+    the template, which goes when another key comes (``_repeats``) or at
+    ``clear_templates``, or as a builder stamped from it."""
 
     def __init__(self, key, builder: CnfBuilder, base: int, named: int, groups, edges, extra):
         one = {}  # literal -> the int object that every row holding it shares
@@ -172,7 +173,6 @@ class _Template:
         self.edges = tuple(edges)
         self.extra = extra
         self._clause_text: tuple[str, array] | None = None
-        self._name_text: str | None = None
 
     def _dropped(self, drop: Sequence[int]) -> list[tuple[int, int]]:
         """The (first, end) clause ranges that the vertices of ``drop``
@@ -189,14 +189,14 @@ class _Template:
 
     def stamp(self, builder: CnfBuilder, drop: Sequence[int]) -> list[EdgeSpec]:
         """Add the template's rows to ``builder`` less the clauses of
-        ``drop``'s vertices, and its name runs, and record both spans on it
-        (``builder.stamped``); returns a fresh list of the shared edges."""
-        clauses, name_runs = builder.clauses, builder.name_runs
-        first, named = len(clauses), len(name_runs)
+        ``drop``'s vertices, and its name runs, and record the rows' span on
+        it (``builder.stamped``); returns a fresh list of the shared edges."""
+        clauses = builder.clauses
+        first = len(clauses)
         clauses += itertools.compress(self.rows, self.keep(drop)) if drop else self.rows
-        name_runs += self.name_runs
+        builder.name_runs += self.name_runs
         builder.var_count = self.var_count
-        builder.stamped = _Stamp(self, clauses, first, len(clauses), tuple(drop), name_runs, named)
+        builder.stamped = _Stamp(self, first, len(clauses), tuple(drop))
         return list(self.edges)
 
     def clause_text(self) -> tuple[str, array]:
@@ -205,56 +205,47 @@ class _Template:
             self._clause_text = dimacs_text(self.rows)
         return self._clause_text
 
-    def name_text(self) -> str:
-        """``varmap_text`` of the name runs, rendered at the first call."""
-        if self._name_text is None:
-            self._name_text = varmap_text(self.name_runs)
-        return self._name_text
-
 
 class _Stamp(NamedTuple):
     """Where a template was stamped into a builder: its span is
-    ``clauses[first:end]`` of the list it was made in, less the clauses of
-    the vertices of ``drop``, and its names are the template's runs from
-    ``name_runs[named]`` on, of the list they were added to.
+    ``clauses[first:end]``, the template's rows less the clauses of the
+    vertices of ``drop``.
 
     The span holds the template's rows, tuples that nobody changes, so a
     solver that takes the builder's clauses leaves them, and their text,
     as they were.  The text stands for the span only while the span still
-    lies where it was stamped: the writers fall back to formatting every
-    clause, or every name, when ``builder.clauses`` or ``builder.name_runs``
-    has been replaced or no longer reaches the span's end, but a clause or
-    run inserted or removed before the span goes unseen."""
+    holds those rows where it was stamped, which ``lies_in`` checks."""
 
     template: _Template
-    clauses: list[Sequence[Lit]]
     first: int
     end: int
     drop: tuple[int, ...]
-    name_runs: list[tuple[int, Sequence[str]]]
-    named: int
 
-    def clause_lines(self, clauses: list[Sequence[Lit]]) -> Rendered | None:
-        """The span's clause lines for ``clauses``, the builder's list; None
-        unless the span still lies in it."""
-        if clauses is not self.clauses or len(clauses) < self.end:
-            return None
-        text, starts = self.template.clause_text()
-        cuts, at = [], 0
+    def _kept(self) -> list[tuple[int, int]]:
+        """The (first, end) ranges of the template's rows that the span
+        holds, in order."""
+        kept, at = [], 0
         for lo, hi in self.template._dropped(self.drop) + [(self.template.size, self.template.size)]:
             if lo > at:
-                cuts.append((starts[at], starts[lo]))
+                kept.append((at, lo))
             at = hi
-        return Rendered(self.first, self.end, text, cuts)
+        return kept
 
-    def name_lines(self, name_runs: list[tuple[int, Sequence[str]]]) -> Rendered | None:
-        """The ``.map`` lines of the stamped runs for ``name_runs``, the
-        builder's list; None unless the runs still lie in it."""
-        end = self.named + len(self.template.name_runs)
-        if name_runs is not self.name_runs or len(name_runs) < end:
-            return None
-        text = self.template.name_text()
-        return Rendered(self.named, end, text, [(0, len(text))])
+    def lies_in(self, clauses: Sequence[Sequence[Lit]]) -> bool:
+        """Whether ``clauses``, the builder's list, still holds the
+        template's first and last kept rows themselves at the span's ends:
+        two O(1) identity checks, which a clause inserted or removed before
+        the span, or a list of copies, fails."""
+        if len(clauses) < self.end:
+            return False
+        kept, rows = self._kept(), self.template.rows
+        return clauses[self.first] is rows[kept[0][0]] and clauses[self.end - 1] is rows[kept[-1][1] - 1]
+
+    def write(self, sink) -> None:
+        """Write the span's lines: slices of the template's clause text."""
+        text, starts = self.template.clause_text()
+        for a, b in self._kept():
+            write_text(sink, text, starts[a], starts[b])
 
 
 # Per encoder, the key of its last build, and its template: one at most,
@@ -397,12 +388,12 @@ def _distance_labels(
     sides = _sides(n, ends)
     if sides is None:
         width = n.bit_length()
-        lits = builder.named_vars([f"{prefix}_{v.term}_{i}" for v in vs for i in range(width)])
+        lits = builder.named_vars(NameRule(prefix + "_%s_%d", [(v.term, i) for v in vs for i in range(width)]))
         labels = [lits[k : k + width] for k in range(0, len(lits), width)]
         builder.clauses += [d[:] for d in labels]
         return labels
     width = 1 + ((n - 1) // 2 + 1).bit_length()
-    lits = builder.named_vars([f"{prefix}_{v.term}_{i}" for v in vs for i in range(1, width)])
+    lits = builder.named_vars(NameRule(prefix + "_%s_%d", [(v.term, i) for v in vs for i in range(1, width)]))
     labels = [[side] + lits[k : k + width - 1] for side, k in zip(sides, range(0, len(lits), width - 1))]
     builder.clauses += [d[1:] for d in labels if d[0] == builder.TRUE]
     return labels
@@ -508,7 +499,7 @@ def grid_graph_edges(builder: CnfBuilder, grid: GridVars) -> list[EdgeSpec]:
     direction-stable order (per cell: up, down, left, right)."""
     cells = grid.cells
     ends = [((r, c), b) for r, c in cells for b in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)) if b in cells]
-    lits = builder.named_vars([f"edge_{r}_{c}_{r2}_{c2}" for (r, c), (r2, c2) in ends])
+    lits = builder.named_vars(NameRule("edge_%d_%d_%d_%d", [a + b for a, b in ends]))
     return [EdgeSpec(a, b, e) for (a, b), e in zip(ends, lits)]
 
 
@@ -607,7 +598,7 @@ def scc_grid(builder: CnfBuilder, grid: GridVars) -> None:
     orthogonally adjacent pair, defined as the conjunction of the two cells."""
     cells = grid.cells
     ends = [((r, c), b) for r, c in cells for b in ((r + 1, c), (r, c + 1)) if b in cells]
-    lits = builder.named_vars([f"uedge_{r}_{c}_{r2}_{c2}" for (r, c), (r2, c2) in ends])
+    lits = builder.named_vars(NameRule("uedge_%d_%d_%d_%d", [a + b for a, b in ends]))
     # scc's endpoint clauses give g -> a and g -> b
     builder.clauses += [[g, -cells[a], -cells[b]] for (a, b), g in zip(ends, lits)]
     scc(builder, _grid_vertices(grid), [EdgeSpec(a, b, g) for (a, b), g in zip(ends, lits)])
@@ -679,7 +670,7 @@ def _cycle_grid(
     cells = grid.cells
     index = {rc: i for i, rc in enumerate(cells)}
     ends = [((r, c), b) for r, c in cells for b in ((r + 1, c), (r, c + 1)) if b in cells]
-    lits = builder.named_vars([f"edge_{r}_{c}_{r2}_{c2}" for (r, c), (r2, c2) in ends])
+    lits = builder.named_vars(NameRule("edge_%d_%d_%d_%d", [a + b for a, b in ends]))
     edges = [EdgeSpec(a, b, e) for (a, b), e in zip(ends, lits)]
     # an active edge puts each of its cells in, unless it is an anchor
     anchored = set(anchors)

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from ..cnf import CnfBuilder, Lit, UnaryCount
+from ..cnf import CnfBuilder, Lit, NameRule, UnaryCount
 from ..graph import EdgeSpec, GridVars, cycle_grid, grid_cycles, hcp_grid
 from ..solver import Propagator
 
@@ -112,9 +112,9 @@ def build_roadrunner(
 
     # only white cells can be on the road: hills get no road literal
     white = inst.white_cells()
-    road_at = dict(zip(white, builder.named_vars([f"road_{y}_{x}" for x, y in white])))
+    road_at = dict(zip(white, builder.named_vars(NameRule("road_%d_%d", [(y, x) for x, y in white]))))
     road = GridVars(inst.max_y, inst.max_x, {(y, x): rd for (x, y), rd in road_at.items()})
-    laser = dict(zip(white, builder.named_vars([f"laser_{x}_{y}" for x, y in white])))
+    laser = dict(zip(white, builder.named_vars(NameRule("laser_%d_%d", white))))
     clauses = builder.clauses
 
     # a clue of num over n lasers: no num + 1 of them on, no n - num + 1 off

@@ -9,7 +9,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from ..cnf import CnfBuilder, Lit
+from ..cnf import CnfBuilder, Lit, NameRule
 from ..graph import GridVars, scc_grid
 from ..solver import Propagator
 from .board import square_rows
@@ -146,7 +146,7 @@ def build_tapa(
     # clue cells are white: only the other cells get a literal, and a 0 in
     # the row-major table ``lit``
     free = [(r, c) for r, row in enumerate(inst.board, 1) for c, clue in enumerate(row, 1) if clue is None]
-    grid = GridVars(n, n, dict(zip(free, builder.named_vars([f"cell_{r}_{c}" for r, c in free]))))
+    grid = GridVars(n, n, dict(zip(free, builder.named_vars(NameRule("cell_%d_%d", free)))))
     cells = grid.cells
     lit = [[cells.get((r, c), 0) for c in range(1, n + 1)] for r in range(1, n + 1)]
     propagator = None

@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from gridloop import CnfBuilder, parse_dimacs, solve_internal
+from gridloop import CnfBuilder, graph, parse_dimacs, solve_internal
+from gridloop.cnf import NameRule
 from gridloop.puzzles import parse_roadrunner, parse_tapa
 from gridloop.cli import (
     _BUILDERS,
@@ -338,6 +339,24 @@ def test_run_takes_the_lazy_model_on_the_internal_solver_only(external):
         _BUILDERS[kind](b, inst, lazy=not external)
         assert result.status == "verified", name
         assert (result.vars, result.clauses) == (b.var_count, len(b.clauses)), name
+
+
+def test_a_solve_formats_no_name(monkeypatch):
+    # each board three times in a row: built cold, then making its grid
+    # template, then stamped from it
+    def formatted(*args):
+        raise AssertionError("a name was formatted")
+
+    monkeypatch.setattr(NameRule, "names", formatted)
+    monkeypatch.setattr(NameRule, "lines", formatted)
+    for name in sorted(os.listdir(INSTANCES)):
+        kind = infer_kind(name, None)
+        with open(inst_path(name)) as f:
+            inst = _PARSERS[kind](f.read())
+        for _ in range(3):
+            result = run(RunConfig(kind, None, None), inst)
+            assert result.status == "verified", name
+    assert graph._TEMPLATES  # the last board's template stamped it
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ import pytest
 
 from gridloop import CnfBuilder, graph, maximize
 from gridloop.cli import _BUILDERS, _PARSERS, _VERIFIERS, infer_kind
+from gridloop.cnf import NameRule
 from gridloop.graph import EdgeSpec, VertexSpec, cycle_grid, hcp_grid, make_grid
 from gridloop.solver import open_internal
 
@@ -281,10 +282,10 @@ def between():
     """A builder with clauses and names of its own before and after a 3x3
     ``hcp_grid``."""
     b = CnfBuilder()
-    before = b.named_vars(["before_0", "before_1"])
+    before = b.named_vars(NameRule("before_%d", range(2)))
     b.add_clause([before[0], -before[1]])
     hcp_grid(b, make_grid(b, 3, 3), (2, 2))
-    after = b.named_vars(["after_0", "after_1"])
+    after = b.named_vars(NameRule("after_%d", range(2)))
     b.add_clause([-after[0], before[1]])
     b.add_clause([after[1]])
     return b
@@ -326,32 +327,50 @@ def test_stamped_builder_with_its_clause_list_replaced_formats_every_clause(stam
     # a copy with one of the span's clauses changed
     b.clauses = [list(cl) for cl in b.clauses]
     b.clauses[b.stamped.first].reverse()
-    assert b.stamped.clause_lines(b.clauses) is None
+    assert not b.stamped.lies_in(b.clauses)
     assert emitted(b) == plain(b)
 
 
 def test_stamped_builder_cut_short_of_its_span_formats_every_clause(stamps):
     b = stamped_builder()
     del b.clauses[b.stamped.end - 1 :]
-    assert b.stamped.clause_lines(b.clauses) is None
+    assert not b.stamped.lies_in(b.clauses)
     assert emitted(b) == plain(b)
 
 
-def test_stamped_builder_with_its_name_runs_replaced_formats_every_name(stamps):
-    b = stamped_builder()
-    # a copy with one of the stamped runs renamed
-    b.name_runs = list(b.name_runs)
-    first, run = b.name_runs[b.stamped.named]
-    b.name_runs[b.stamped.named] = (first, [f"renamed_{i}" for i in range(len(run))])
-    assert b.stamped.name_lines(b.name_runs) is None
-    assert emitted(b) == plain(b)
+@LAZY
+@pytest.mark.parametrize("edit", ["insert", "remove"])
+def test_a_clause_inserted_or_removed_before_a_stamped_span_is_written(stamps, edit, lazy):
+    with open(os.path.join(INSTANCES, "masyu_6x6.masyu")) as f:
+        text = f.read()
+    for _ in range(2):
+        build("masyu", text, lazy)
+    b = build("masyu", text, lazy)[1]
+    # the span starts after the constant's unit clause
+    assert b.stamped is not None and b.stamped.first == 1
+    if edit == "insert":
+        b.clauses.insert(1, [1])
+    else:
+        del b.clauses[0]
+    assert not b.stamped.lies_in(b.clauses)
+    assert emitted(b)[0] == plain(b)[0]
 
 
-def test_stamped_builder_cut_short_of_its_names_formats_every_name(stamps):
-    b = stamped_builder()
-    del b.name_runs[b.stamped.named + len(b.stamped.template.name_runs) - 1 :]
-    assert b.stamped.name_lines(b.name_runs) is None
-    assert emitted(b) == plain(b)
+def test_a_name_run_inserted_before_a_stamped_boards_runs_is_written(stamps):
+    def named_late():
+        # variable 2 is named after the grid, out of its place in the runs
+        b = CnfBuilder()
+        b.new_var()
+        hcp_grid(b, make_grid(b, 3, 3), (2, 2))
+        return b
+
+    for _ in range(2):
+        named_late()
+    b = named_late()
+    assert b.stamped is not None
+    b.name_runs.insert(1, (2, NameRule("%s", ("late",))))
+    assert b.names[2] == "late"
+    assert emitted(b)[1] == plain(b)[1]
 
 
 def test_boards_stamped_from_one_template_share_its_rows(stamps):
@@ -392,7 +411,7 @@ def every_naming_call():
     b.new_var()
     want[b.new_var("lone")] = "lone"
     b.new_vars(2)
-    want.update(zip(b.named_vars(("x", "y")), ("x", "y")))
+    want.update(zip(b.named_vars(NameRule("%s", ("x", "y"))), ("x", "y")))
     grid = make_grid(b, 3, 3)
     want.update((lit, f"cell_{r}_{c}") for (r, c), lit in grid.cells.items())
     edges = hcp_grid(b, grid, (2, 2))
@@ -422,9 +441,33 @@ def test_varmap_lists_the_sorted_names(stamps):
     assert b.stamped is not None
 
 
+def test_a_stamped_board_writes_its_map_text_as_kept(stamps, monkeypatch):
+    # the third build is stamped, and its .map text is kept by the rules
+    # that the next stamped board shares
+    expected = [emitted(grid_builder(hcp_grid, 4, 4, (2, 2)))[1] for _ in range(3)][-1]
+
+    def formatted(*args):
+        raise AssertionError("a name was formatted again")
+
+    monkeypatch.setattr(NameRule, "names", formatted)
+    b = grid_builder(hcp_grid, 4, 4, (2, 2))
+    assert b.stamped is not None
+    assert emitted(b)[1] == expected
+
+
+def test_a_shape_named_from_another_first_variable_writes_its_own_numbers():
+    # every grid of one shape shares the naming rule of its cells, which
+    # keeps the .map text of one first variable at a time
+    for skip in (0, 3, 0):
+        b = CnfBuilder()
+        b.new_vars(skip)
+        make_grid(b, 3, 3)
+        assert emitted(b)[1] == plain(b)[1]
+
+
 def test_names_cannot_be_written():
     b = CnfBuilder()
-    b.named_vars(["x_0", "x_1"])
+    b.named_vars(NameRule("x_%d", range(2)))
     with pytest.raises(TypeError):
         b.names[b.var_count] = "x"
     with pytest.raises(TypeError):
@@ -453,10 +496,10 @@ def odd_graph_builder(kind, graph_name):
     """A builder holding ``kind`` over the graph ``ODD_GRAPHS[graph_name]``."""
     n, pairs = ODD_GRAPHS[graph_name]
     b = CnfBuilder()
-    vs = [VertexSpec(i, lit) for i, lit in enumerate(b.named_vars([f"in_{i}" for i in range(n)]))]
+    vs = [VertexSpec(i, lit) for i, lit in enumerate(b.named_vars(NameRule("in_%d", range(n))))]
     if kind == "hcp":
         pairs = pairs + [(j, i) for i, j in pairs]
-    lits = b.named_vars([f"edge_{i}_{j}" for i, j in pairs])
+    lits = b.named_vars(NameRule("edge_%d_%d", pairs))
     getattr(graph, kind)(b, vs, [EdgeSpec(i, j, e) for (i, j), e in zip(pairs, lits)])
     return b
 
