@@ -260,13 +260,15 @@ def solution_json(kind: str, inst, sol) -> dict:
 
 def solution_from_json(kind: str, inst, data: dict):
     """The solution a ``solve --output json`` file holds.  Its numbers must
-    be JSON integers, else ValueError: ``int()`` reads 1.9, true and "1" as 1."""
+    be JSON integers, else ValueError: ``int()`` reads 1.9, true and "1" as 1.
+    A loop's ``"cycle"``, Road Runner's too, is required, else KeyError: the
+    order is the certificate, and without it a verifier would search."""
     if kind == "roadrunner":
         laser, road = data["laser"], data["road"]
         k = data.get("k", sum(map(sum, road)))
-        cycle = data.get("cycle")  # absent from older files: then the verifier searches
-        rows = [*laser, *road, [k], *(cycle or ())]
-        sol = RoadrunnerSolution(laser, road, k, None if cycle is None else [(x, y) for x, y in cycle])
+        cycle = [(x, y) for x, y in data["cycle"]]
+        rows = [*laser, *road, [k], *cycle]
+        sol = RoadrunnerSolution(laser, road, k, cycle)
     elif kind == "tapa":
         rows = data["black"]
         sol = ColoringSolution(rows)

@@ -1,8 +1,9 @@
 """Shared machinery for loop puzzles: the one loop-puzzle encoding (a loop
 through circles, each held to its puzzle's rule) in an eager and a lazy
-model, the arm ladders that every circle's rule is written over, and
+model, the arm ladders that every circle's rule is written over,
 ``decode_loop``, which reads a model of either model back into a closed cell
-cycle."""
+cycle, and, apart from the encoding, the checks that the loop verifiers
+share (``check_cycle_shape``, ``check_circles``)."""
 from __future__ import annotations
 
 import functools
@@ -234,27 +235,56 @@ def decode_loop(
     return LoopSolution(in_cells, cycles[0])
 
 
-def check_cycle_shape(sol: LoopSolution, rows: int, cols: int) -> str | None:
-    """Structural validity of a LoopSolution; returns a reason code or None."""
-    if not sol.cycle:
+def check_cycle_shape(cycle: list[Cell], cells: set[Cell], rows: int, cols: int) -> str | None:
+    """The one check of a circuit's order: ``cycle`` must be a closed walk of
+    orthogonal steps on the rows x cols board that visits every cell of
+    ``cells`` exactly once and steps back to its start.  One cell is a loop,
+    and two adjacent cells are one; a caller that needs more says so.
+    Returns a reason code, or None."""
+    if not cycle:
         return "empty-cycle"
-    for r, c in sol.cycle:
+    for r, c in cycle:
         if not (1 <= r <= rows and 1 <= c <= cols):
             return "cell-out-of-bounds"
-    if len(set(sol.cycle)) != len(sol.cycle):
+    visited = set(cycle)
+    if len(visited) != len(cycle):
         return "repeated-cell"
-    if set(sol.cycle) != sol.in_cells:
+    if visited != cells:
         return "cycle-incell-mismatch"
-    if len(sol.cycle) == 1:
+    if len(cycle) == 1:
         return None
-    if len(sol.cycle) == 2:
-        (r1, c1), (r2, c2) = sol.cycle
-        return None if abs(r1 - r2) + abs(c1 - c2) == 1 else "not-adjacent"
-    for i in range(len(sol.cycle)):
-        r1, c1 = sol.cycle[i]
-        r2, c2 = sol.cycle[(i + 1) % len(sol.cycle)]
+    for (r1, c1), (r2, c2) in zip(cycle, cycle[1:] + cycle[:1]):
         if abs(r1 - r2) + abs(c1 - c2) != 1:
             return "not-adjacent"
+    return None
+
+
+def check_circles(
+    sol: LoopSolution, n: int, marks: dict[Cell, str], rule: Callable[[dict[Cell, tuple[Cell, Cell]], Cell], str | None]
+) -> str | None:
+    """The rules that Masyu and Shingoki share, then the kind's own.  ``sol``
+    must be a loop on the n x n board (``check_cycle_shape``), and each
+    circle of ``marks``, its colour ("w" or "b") by cell in row-major
+    order, must be on the loop, the loop must have three cells or more, a
+    white circle must be passed straight and a black one turned upon; then
+    ``rule(neighbors, cell)``, over the loop's ``loop_neighbors``, returns
+    the circle's reason code or None.  Returns the first reason code, or
+    None."""
+    reason = check_cycle_shape(sol.cycle, sol.in_cells, n, n)
+    if reason:
+        return reason
+    neighbors = loop_neighbors(sol)
+    for cell, color in marks.items():
+        if cell not in sol.in_cells:
+            return "circle-not-on-loop"
+        if len(sol.cycle) < 3:
+            return "degenerate-loop-at-circle"
+        prev, nxt = neighbors[cell]
+        if straight_at(prev, cell, nxt) != (color == "w"):
+            return "white-not-straight" if color == "w" else "black-not-turned"
+        reason = rule(neighbors, cell)
+        if reason:
+            return reason
     return None
 
 

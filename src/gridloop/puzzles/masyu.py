@@ -16,8 +16,7 @@ from .loops import (
     LoopSolution,
     arm_ladders,
     build_loop,
-    check_cycle_shape,
-    loop_neighbors,
+    check_circles,
     reaches,
     straight_at,
 )
@@ -94,37 +93,16 @@ def build_masyu(builder: CnfBuilder, inst: MasyuInstance, lazy: bool = False):
 
 def verify_masyu(inst: MasyuInstance, sol: LoopSolution) -> str | None:
     """Check a solution directly against the puzzle rules (no shared
-    constraint code).  Returns a reason code on rejection, None on accept."""
-    reason = check_cycle_shape(sol, inst.n, inst.n)
-    if reason:
-        return reason
-    neighbors = loop_neighbors(sol)
-    for r in range(1, inst.n + 1):
-        for c in range(1, inst.n + 1):
-            mark = inst.at(r, c)
-            if mark == EMPTY:
-                continue
-            if (r, c) not in sol.in_cells:
-                return "circle-not-on-loop"
-            if len(sol.cycle) < 3:
-                return "degenerate-loop-at-circle"
-            prev, nxt = neighbors[(r, c)]
-            if mark == WHITE:
-                if not straight_at(prev, (r, c), nxt):
-                    return "white-not-straight"
-                turns = 0
-                for side in (prev, nxt):
-                    if side in neighbors:
-                        p2, n2 = neighbors[side]
-                        if not straight_at(p2, side, n2):
-                            turns += 1
-                if turns == 0:
-                    return "white-no-adjacent-turn"
-            else:
-                if straight_at(prev, (r, c), nxt):
-                    return "black-not-turned"
-                for side in (prev, nxt):
-                    p2, n2 = neighbors[side]
-                    if not straight_at(p2, side, n2):
-                        return "black-arm-not-straight"
-    return None
+    constraint code): ``check_circles``, then the loop turns in the cell
+    before or after a white circle, and runs straight through both
+    neighbours of a black one.  Returns a reason code on rejection, None on
+    accept."""
+    marks = {(r, c): mark for r, row in enumerate(inst.board, 1) for c, mark in enumerate(row, 1) if mark != EMPTY}
+
+    def rule(neighbors: dict[Cell, tuple[Cell, Cell]], cell: Cell) -> str | None:
+        turned = [not straight_at(neighbors[side][0], side, neighbors[side][1]) for side in neighbors[cell]]
+        if marks[cell] == WHITE:
+            return None if any(turned) else "white-no-adjacent-turn"
+        return "black-arm-not-straight" if any(turned) else None
+
+    return check_circles(sol, inst.n, marks, rule)

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..cnf import CnfBuilder, Lit, NameRule, UnaryCount
-from ..graph import EdgeSpec, GridVars, cycle_grid, grid_cycles, hcp_grid
+from ..graph import EdgeSpec, GridVars, cycle_grid, hcp_grid
 from ..solver import Propagator
+from .loops import check_cycle_shape, decode_loop
 
 Pos = tuple[int, int]  # (x, y)
 
@@ -161,8 +162,8 @@ class RoadrunnerSolution:
     laser: list[list[int]]  # laser[y-1][x-1]
     road: list[list[int]]
     k: int
-    # the circuit's road cells in walk order, or None when unknown (a JSON
-    # solution without "cycle" carries no order)
+    # the circuit's road cells in walk order, or None where a library
+    # caller has no order, which ``verify_roadrunner`` then searches for
     cycle: list[Pos] | None = None
 
     def laser_at(self, x: int, y: int) -> bool:
@@ -179,10 +180,10 @@ def decode_roadrunner(
     road: GridVars,
     edges: list[EdgeSpec],
 ) -> RoadrunnerSolution:
-    """Lasers and road, and the circuit's order: the cycle of active edges
-    (see ``grid_cycles``), or the road cells in row-major order where there
-    are at most two, which need no edge.  Raises RuntimeError unless the
-    active edges form one cycle."""
+    """Lasers and road, and the circuit's order: the one cycle of active
+    edges, read by ``decode_loop``, which must pass every road cell, or the
+    road cells in row-major order where there are at most two, which need
+    no edge.  Raises RuntimeError otherwise."""
     laser_grid = [[0] * inst.max_x for _ in range(inst.max_y)]
     for (x, y), lit in laser.items():
         if assignment[lit]:
@@ -190,10 +191,7 @@ def decode_roadrunner(
     road_grid = road.read(assignment)
     cycle = [(x, y) for (y, x), lit in road.cells.items() if assignment[lit]]
     if len(cycle) > 2:
-        cycles = grid_cycles(assignment, road, edges)
-        if len(cycles) != 1:
-            raise RuntimeError(f"active edges form {len(cycles)} cycles, not one")
-        cycle = [(x, y) for y, x in cycles[0]]
+        cycle = [(x, y) for y, x in decode_loop(assignment, road, edges).cycle]
     return RoadrunnerSolution(laser_grid, road_grid, sum(map(sum, road_grid)), cycle)
 
 
@@ -224,8 +222,10 @@ def _segment_groups(inst: RoadrunnerInstance):
 def verify_roadrunner(inst: RoadrunnerInstance, sol: RoadrunnerSolution) -> str | None:
     """Re-check the game rules directly: laser mutual visibility, clue sums,
     road = safe cells (set equality), and the single-circuit property: the
-    solution's cycle order must walk the road, or, without an order, a
-    search must find such a walk."""
+    solution's cycle order must pass ``check_cycle_shape`` over the road
+    cells on the max_x x max_y board, in linear time.  A solution with no
+    order (``cycle`` None, which only a library caller passes) is searched
+    with ``has_grid_cycle`` instead."""
     if len(sol.laser) != inst.max_y or len(sol.road) != inst.max_y or any(len(row) != inst.max_x for row in sol.laser + sol.road):
         return "wrong-grid-size"
     if any(bit not in (0, 1) for row in sol.laser + sol.road for bit in row):
@@ -260,28 +260,18 @@ def verify_roadrunner(inst: RoadrunnerInstance, sol: RoadrunnerSolution) -> str 
         return "k-mismatch"
     if not roads:
         return "no-road-cell"
-    if not (has_grid_cycle(roads) if sol.cycle is None else walks_circuit(roads, sol.cycle)):
-        return "road-not-a-circuit"
-    return None
-
-
-def walks_circuit(cells: set[Pos], order: list[Pos]) -> bool:
-    """True iff ``order`` is a closed walk of orthogonal steps that visits
-    every cell of ``cells`` exactly once, back to its start.  A single cell
-    counts; two adjacent cells form a 2-cycle."""
-    if len(order) != len(cells) or set(order) != cells:
-        return False
-    if len(order) == 1:
-        return True
-    return all(
-        abs(x1 - x2) + abs(y1 - y2) == 1
-        for (x1, y1), (x2, y2) in zip(order, order[1:] + order[:1])
-    )
+    if sol.cycle is None:
+        return None if has_grid_cycle(roads) else "road-not-a-circuit"
+    return "road-not-a-circuit" if check_cycle_shape(sol.cycle, roads, inst.max_x, inst.max_y) else None
 
 
 def has_grid_cycle(cells: set[Pos]) -> bool:
     """True iff a closed walk visits every cell exactly once (orthogonal
-    steps).  A single cell counts; two adjacent cells form a 2-cycle."""
+    steps).  A single cell counts; two adjacent cells form a 2-cycle.  Only
+    for library callers that pass ``verify_roadrunner`` no circuit order,
+    such as the benchmark's checker: the search is exponential in the worst
+    case, since Hamiltonian cycle on grid graphs is NP-complete, so the CLI
+    requires the order."""
     if not cells:
         return False
     if len(cells) == 1:
@@ -331,7 +321,8 @@ def _two_connected(adj: dict[Pos, list[Pos]], start: Pos) -> bool:
     (Hopcroft & Tarjan, CACM 1973).  ``low[v]`` is the least visit order
     that v's subtree reaches by one non-tree step; a child v whose ``low``
     does not reach above its parent u makes u a cut cell, or, for u the
-    start, leaves cells that v's subtree did not reach."""
+    start, leaves cells that v's subtree did not reach.  Only
+    ``has_grid_cycle`` calls it, ahead of its search."""
     order = {start: 0}
     low = {start: 0}
     stack = [(start, iter(adj[start]))]

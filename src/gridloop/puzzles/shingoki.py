@@ -16,10 +16,8 @@ from .loops import (
     arm_ladders,
     arm_length,
     build_loop,
-    check_cycle_shape,
-    loop_neighbors,
+    check_circles,
     reaches,
-    straight_at,
 )
 
 
@@ -109,28 +107,15 @@ def build_shingoki(builder: CnfBuilder, inst: ShingokiInstance, lazy: bool = Fal
 
 
 def verify_shingoki(inst: ShingokiInstance, sol: LoopSolution) -> str | None:
-    """Recompute both arm lengths per circle on the decoded loop."""
-    reason = check_cycle_shape(sol, inst.n, inst.n)
-    if reason:
-        return reason
-    neighbors = loop_neighbors(sol)
-    for r in range(1, inst.n + 1):
-        for c in range(1, inst.n + 1):
-            mark = inst.at(r, c)
-            if mark is None:
-                continue
-            if (r, c) not in sol.in_cells:
-                return "circle-not-on-loop"
-            if len(sol.cycle) < 3:
-                return "degenerate-loop-at-circle"
-            color, clue = mark
-            prev, nxt = neighbors[(r, c)]
-            straight = straight_at(prev, (r, c), nxt)
-            if color == "w" and not straight:
-                return "white-not-straight"
-            if color == "b" and straight:
-                return "black-not-turned"
-            total = arm_length(neighbors, (r, c), prev) + arm_length(neighbors, (r, c), nxt)
-            if total != clue:
-                return "clue-length-mismatch"
-    return None
+    """Check a solution directly against the puzzle rules (no shared
+    constraint code): ``check_circles``, then both arm lengths of each
+    circle, recomputed on the loop, sum to its clue.  Returns a reason code
+    on rejection, None on accept."""
+    marks = {(r, c): mark[0] for r, row in enumerate(inst.board, 1) for c, mark in enumerate(row, 1) if mark is not None}
+
+    def rule(neighbors: dict[Cell, tuple[Cell, Cell]], cell: Cell) -> str | None:
+        prev, nxt = neighbors[cell]
+        total = arm_length(neighbors, cell, prev) + arm_length(neighbors, cell, nxt)
+        return None if total == inst.at(*cell)[1] else "clue-length-mismatch"
+
+    return check_circles(sol, inst.n, marks, rule)

@@ -7,12 +7,15 @@ and a label step of the shift register on integers (it reads only the
 encoder's tap table).
 ``Recording`` wraps a propagator and keeps the clauses it returns, for tests
 that hold them against these oracles; ``check_on`` runs a propagator's
-check on a trail of one's choosing, and ``all_kept_models`` enumerates the
-models of a formula.
+check on a trail of one's choosing, ``all_kept_models`` enumerates the
+models of a formula, and ``deadline`` turns a call that hangs into a failed
+test.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
+import signal
 
 from gridloop import solve_internal
 from gridloop.cnf import _LFSR_TAPS, lit_value
@@ -402,3 +405,20 @@ def all_kept_models(clauses, nvars, kept):
     enumerator = Enumerator(kept)
     assert _Solver(clauses, nvars, enumerator).solve().is_unsat
     return enumerator.models
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run ``seconds``, so that
+    a search that would hang fails its test instead (POSIX, main thread)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -28,6 +28,8 @@ from gridloop.cli import (
     run,
 )
 
+from oracles import deadline
+
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
 
 
@@ -582,8 +584,8 @@ def test_dimacs_solver_refuses_a_bad_header(tmp_path, text):
 
 
 def test_roadrunner_json_carries_its_circuit(tmp_path, capsys):
-    # an empty 8x8 board puts all 64 cells on the road; without the order
-    # in the JSON, verify would search for a circuit through them
+    # an empty 8x8 board puts all 64 cells on the road, and the JSON carries
+    # their order, which verify checks in place of a search
     board = tmp_path / "empty.roadrunner"
     board.write_text("8 8\n" + "........\n" * 8)
     assert main(["solve", str(board), "--output", "json"]) == EXIT_OK
@@ -600,51 +602,34 @@ def test_roadrunner_json_carries_its_circuit(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "REJECT road-not-a-circuit"
 
 
-def test_roadrunner_json_without_a_circuit_on_an_odd_board(tmp_path, capsys):
-    # an all-road 7x7 answer with no order: 49 cells have no closed walk
-    board = tmp_path / "empty.roadrunner"
-    board.write_text("7 7\n" + ".......\n" * 7)
-    sol = tmp_path / "sol.json"
-    sol.write_text(json.dumps(
-        {"kind": "roadrunner", "laser": [[0] * 7] * 7, "road": [[1] * 7] * 7, "k": 49}
-    ))
-    assert main(["verify", str(board), str(sol)]) == EXIT_REJECT
-    assert capsys.readouterr().out.strip() == "REJECT road-not-a-circuit"
+# two 6x6 blocks joined only by the road cells (7,2) and (7,4), with hills
+# at (6,1) and (1,6) so that the colours balance: no cut cell, yet no
+# circuit, and a search for one tries every path through a block
+TWO_CELL_CUT = [
+    ".....##......",
+    ".............",
+    "......#......",
+    ".............",
+    "......#......",
+    "#.....#......",
+]
 
 
-def test_roadrunner_json_without_a_circuit_on_two_blocks(tmp_path, capsys):
-    # two all-road 6x6 blocks split by a column of hills, with no order:
-    # each block alone has a circuit, so only a connectivity check answers
-    # at once, where a search would try every path through the first block
-    board = tmp_path / "two.roadrunner"
-    board.write_text("13 6\n" + "......#......\n" * 6)
-    sol = tmp_path / "sol.json"
-    sol.write_text(json.dumps(
-        {"kind": "roadrunner", "laser": [[0] * 13] * 6, "road": [[1] * 6 + [0] + [1] * 6] * 6, "k": 72}
-    ))
-    assert main(["verify", str(board), str(sol)]) == EXIT_REJECT
-    assert capsys.readouterr().out.strip() == "REJECT road-not-a-circuit"
-
-
-def test_roadrunner_json_without_a_circuit_through_a_cut_cell(tmp_path):
-    # two 6x6 blocks joined by the one road cell (7,3), with (13,1) a hill
-    # so that the colours balance: connected, every cell of degree two or
-    # more, but no circuit passes (7,3) twice; in its own process, so a
-    # search through every path of the first block is stopped by the timeout
-    rows = ["......#......"] * 6
-    rows[0], rows[2] = "......#.....#", "............."
-    board = tmp_path / "cut.roadrunner"
-    board.write_text("13 6\n" + "".join(row + "\n" for row in rows))
+@pytest.mark.parametrize("rows", [["......."] * 7, TWO_CELL_CUT], ids=["all-road-7x7", "two-cell-cut"])
+def test_roadrunner_json_without_a_circuit_is_input_error(rows, tmp_path, capsys):
+    # the order is the certificate: a file without it is refused at once,
+    # where a search for a circuit could run for ever
+    board = tmp_path / "road.roadrunner"
+    board.write_text(f"{len(rows[0])} {len(rows)}\n" + "".join(row + "\n" for row in rows))
     road = [[int(ch == ".") for ch in row] for row in rows]
     sol = tmp_path / "sol.json"
-    sol.write_text(json.dumps({"kind": "roadrunner", "laser": [[0] * 13] * 6, "road": road, "k": 72}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gridloop.cli", "verify", str(board), str(sol)],
-        capture_output=True,
-        text=True,
-        timeout=10,
-    )
-    assert (proc.returncode, proc.stdout.strip()) == (EXIT_REJECT, "REJECT road-not-a-circuit")
+    sol.write_text(json.dumps({"kind": "roadrunner", "laser": [[0] * len(rows[0])] * len(rows), "road": road}))
+    start = time.monotonic()
+    with deadline(10):
+        assert main(["verify", str(board), str(sol)]) == EXIT_INPUT
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert "error: bad solution file" in captured.err and captured.out == ""
 
 
 def test_verify_mutated_rejects(tmp_path, capsys):
@@ -666,8 +651,8 @@ def test_verify_wrong_size_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "kind,data",
     [
-        ("roadrunner", {"laser": [[0]], "road": [[2]], "k": 1}),
-        ("roadrunner", {"laser": [[2]], "road": [[1]], "k": 1}),
+        ("roadrunner", {"laser": [[0]], "road": [[2]], "k": 1, "cycle": [[1, 1]]}),
+        ("roadrunner", {"laser": [[2]], "road": [[1]], "k": 1, "cycle": [[1, 1]]}),
         ("tapa", {"black": [[2] * 4] * 4}),
     ],
     ids=["roadrunner-road", "roadrunner-laser", "tapa-black"],
@@ -697,9 +682,9 @@ def _tapa_4x4_answer_in_floats(capsys):
         ("masyu", {"cycle": [[True, 1.9]]}),
         ("masyu", {"cycle": [["1", "1"]]}),
         ("masyu", {"cycle": [[1, 1.0]]}),
-        ("roadrunner", {"laser": [[0]], "road": [[1]], "k": 1.0}),
-        ("roadrunner", {"laser": [[False]], "road": [[True]], "k": 1}),
-        ("roadrunner", {"laser": [[0]], "road": [[1]], "k": "1"}),
+        ("roadrunner", {"laser": [[0]], "road": [[1]], "k": 1.0, "cycle": [[1, 1]]}),
+        ("roadrunner", {"laser": [[False]], "road": [[True]], "k": 1, "cycle": [[1, 1]]}),
+        ("roadrunner", {"laser": [[0]], "road": [[1]], "k": "1", "cycle": [[1, 1]]}),
         ("roadrunner", {"laser": [[0]], "road": [[1]], "k": 1, "cycle": [[1, "1"]]}),
         ("tapa", None),
     ],

@@ -532,9 +532,14 @@ def test_a_label_is_not_its_own_zero_state_ban(monkeypatch, kind):
 
 VERIFIER_HELPERS = [
     ("gridloop.puzzles.roadrunner._segment_groups", lambda inst: []),
+    ("gridloop.puzzles.loops.check_cycle_shape", lambda cycle, cells, rows, cols: "wrong"),
+    ("gridloop.puzzles.roadrunner.check_cycle_shape", lambda cycle, cells, rows, cols: "wrong"),
+    ("gridloop.puzzles.loops.check_circles", lambda sol, n, marks, rule: "wrong"),
+    ("gridloop.puzzles.masyu.check_circles", lambda sol, n, marks, rule: "wrong"),
+    ("gridloop.puzzles.shingoki.check_circles", lambda sol, n, marks, rule: "wrong"),
     ("gridloop.puzzles.loops.loop_neighbors", lambda sol: {}),
-    ("gridloop.puzzles.masyu.loop_neighbors", lambda sol: {}),
-    ("gridloop.puzzles.shingoki.loop_neighbors", lambda sol: {}),
+    ("gridloop.puzzles.loops.straight_at", lambda prev, cell, nxt: True),
+    ("gridloop.puzzles.masyu.straight_at", lambda prev, cell, nxt: True),
     ("gridloop.puzzles.loops.arm_length", lambda neighbors, cell, first: 0),
     ("gridloop.puzzles.shingoki.arm_length", lambda neighbors, cell, first: 0),
     ("gridloop.puzzles.tapa._ring_runs", lambda pattern, circular: [9]),

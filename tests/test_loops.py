@@ -1,6 +1,7 @@
 """The lazy loop model (Masyu and Shingoki on the internal solver) against
 the eager ``hcp`` model: the same status on every board, and every lazy
-answer accepted by the puzzle's verifier."""
+answer accepted by the puzzle's verifier; how ``decode_loop`` reads a loop
+back, and how ``check_cycle_shape`` checks one."""
 import glob
 import os
 import random
@@ -9,6 +10,7 @@ import pytest
 
 from gridloop import CnfBuilder, make_grid, solve_internal
 from gridloop.graph import grid_graph_edges
+from gridloop.puzzles.loops import check_cycle_shape
 from gridloop.puzzles import (
     build_masyu,
     build_shingoki,
@@ -246,3 +248,33 @@ SQUARE = {((1, 1), (1, 2)), ((1, 2), (2, 2)), ((2, 2), (2, 1)), ((2, 1), (1, 1))
 def test_decode_rejects_anything_but_one_cycle(rows, cols, cells, steps, message):
     with pytest.raises(RuntimeError, match=message):
         walk(rows, cols, cells, steps)
+
+
+RING = [(1, 1), (2, 1), (2, 2), (1, 2)]
+OPEN_PATH = [(1, 1), (1, 2), (2, 2), (2, 1), (3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize(
+    "cells,cycle,reason",
+    [
+        ({(1, 1)}, [(1, 1)], None),
+        ({(1, 1), (1, 2)}, [(1, 2), (1, 1)], None),
+        (set(RING), RING, None),
+        ({(1, 1)}, [], "empty-cycle"),
+        ({(0, 1)}, [(0, 1)], "cell-out-of-bounds"),
+        ({(1, 1), (1, 4)}, [(1, 1), (1, 4)], "cell-out-of-bounds"),
+        # every step is orthogonal, but the walk repeats two cells
+        (set(RING), RING + RING[:2], "repeated-cell"),
+        (set(RING), RING[:3], "cycle-incell-mismatch"),
+        (set(RING[:3]), RING, "cycle-incell-mismatch"),
+        ({(1, 1), (1, 3)}, [(1, 1), (1, 3)], "not-adjacent"),
+        (set(RING), [(1, 1), (2, 2), (2, 1), (1, 2)], "not-adjacent"),
+        # a path over every cell whose last cell does not step back to its first
+        (set(OPEN_PATH), OPEN_PATH, "not-adjacent"),
+    ],
+    ids=["one-cell", "two-cells", "ring", "empty", "row-0", "column-past-the-board", "repeated-cell",
+         "missed-cell", "extra-cell", "a-step-of-two", "diagonal-steps", "open-path"],
+)
+def test_check_cycle_shape(cells, cycle, reason):
+    # the one circuit-order check, on a 3x3 board
+    assert check_cycle_shape(cycle, cells, 3, 3) == reason

@@ -100,8 +100,8 @@ def test_verify_masyu_broken_cycles():
 
 
 def test_check_cycle_shape_bounds():
-    assert check_cycle_shape(LoopSolution({(0, 1)}, [(0, 1)]), 4, 4) == "cell-out-of-bounds"
-    assert check_cycle_shape(LoopSolution(set(), []), 4, 4) == "empty-cycle"
+    assert check_cycle_shape([(0, 1)], {(0, 1)}, 4, 4) == "cell-out-of-bounds"
+    assert check_cycle_shape([], set(), 4, 4) == "empty-cycle"
 
 
 def test_decode_loop_roundtrip():
@@ -111,5 +111,5 @@ def test_decode_loop_roundtrip():
     out = solve_internal(b.clauses, b.var_count)
     assert out.is_sat
     sol = decode(out.model.assignment)
-    assert check_cycle_shape(sol, 4, 4) is None
+    assert check_cycle_shape(sol.cycle, sol.in_cells, 4, 4) is None
     assert sol.k == len(sol.cycle) == len(sol.in_cells)

@@ -3,6 +3,7 @@ import glob
 import itertools
 import os
 import sys
+import time
 
 import pytest
 
@@ -13,10 +14,11 @@ from gridloop.puzzles import (
     parse_roadrunner,
     verify_roadrunner,
 )
-from gridloop.puzzles.roadrunner import _segment_groups, _sight_runs, has_grid_cycle, quadrantal_neighbors, walks_circuit
+from gridloop.puzzles.loops import check_cycle_shape
+from gridloop.puzzles.roadrunner import _segment_groups, _sight_runs, has_grid_cycle, quadrantal_neighbors
 from gridloop.solver import open_external, open_internal
 
-from oracles import has_ham_cycle_grid, input_projection, rr_optimum, sat_under
+from oracles import deadline, has_ham_cycle_grid, input_projection, rr_optimum, sat_under
 
 
 def test_parse_roadrunner():
@@ -284,22 +286,6 @@ def test_verify_roadrunner_checks_the_cycle_order():
     assert verify_roadrunner(inst, RoadrunnerSolution(none, road, 6)) is None
 
 
-def test_walks_circuit():
-    assert walks_circuit({(1, 1)}, [(1, 1)])
-    assert walks_circuit({(1, 1), (1, 2)}, [(1, 2), (1, 1)])
-    assert not walks_circuit({(1, 1), (1, 3)}, [(1, 1), (1, 3)])
-    assert not walks_circuit({(1, 1)}, [])
-    square = [(1, 1), (2, 1), (2, 2), (1, 2)]
-    assert walks_circuit(set(square), square)
-    assert not walks_circuit(set(square), [(1, 1), (2, 2), (2, 1), (1, 2)])
-    # an open path over the whole road: its last cell does not step back
-    # to its first
-    path = [(1, 1), (1, 2), (2, 2), (2, 1), (3, 1), (3, 2)]
-    assert not walks_circuit(set(path), path)
-    # every step is orthogonal, but the walk repeats two cells
-    assert not walks_circuit(set(square), square + square[:2])
-
-
 @pytest.mark.parametrize(
     "path",
     sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "instances", "*.roadrunner"))),
@@ -313,8 +299,23 @@ def test_decoded_solutions_carry_their_cycle(path):
         res = maximize(open_internal(b.clauses, b.var_count, propagator), count, lo=1)
         sol = decode(res.best_model.assignment)
         roads = {(x, y) for y, row in enumerate(sol.road, 1) for x, bit in enumerate(row, 1) if bit}
-        assert sol.cycle is not None and walks_circuit(roads, sol.cycle)
+        assert sol.cycle is not None and check_cycle_shape(sol.cycle, roads, inst.max_x, inst.max_y) is None
         assert verify_roadrunner(inst, sol) is None
+
+
+def test_decode_refuses_a_road_cell_off_the_cycle():
+    # the active edges form one 4-cycle over (1,1), (2,1), (2,2) and (1,2),
+    # and the road cell (3,1) is on with no active edge: not one circuit
+    inst = parse_roadrunner("3 2\n...\n...\n")
+    b = CnfBuilder()
+    decode, _, _ = build_roadrunner(b, inst, lazy=True)
+    on = ["road_1_1", "road_1_2", "road_2_1", "road_2_2", "road_1_3",
+          "edge_1_1_1_2", "edge_1_2_2_2", "edge_2_1_2_2", "edge_1_1_2_1"]
+    var = {name: v for v, name in b.names.items()}
+    assignment = {v: False for v in range(1, b.var_count + 1)}
+    assignment.update((var[name], True) for name in on)
+    with pytest.raises(RuntimeError, match="in-cells"):
+        decode(assignment)
 
 
 def test_has_grid_cycle():
@@ -338,6 +339,37 @@ def test_has_grid_cycle():
     # or more, but no circuit
     blocks = {(x, y) for x in (1, 2, 3, 4, 6, 7, 8, 9) for y in (1, 2, 3, 4)}
     assert not has_grid_cycle(blocks - {(9, 4)} | {(5, 2)})
+
+
+def test_verify_roadrunner_without_an_order_on_an_odd_board():
+    # an all-road 7x7 answer with no order: 49 cells have no closed walk
+    inst = parse_roadrunner("7 7\n" + ".......\n" * 7)
+    sol = RoadrunnerSolution([[0] * 7] * 7, [[1] * 7] * 7, 49)
+    assert verify_roadrunner(inst, sol) == "road-not-a-circuit"
+
+
+def test_verify_roadrunner_without_an_order_on_two_blocks():
+    # two all-road 6x6 blocks split by a column of hills, with no order:
+    # each block alone has a circuit, so only a connectivity check answers
+    # at once, where a search would try every path through the first block
+    inst = parse_roadrunner("13 6\n" + "......#......\n" * 6)
+    sol = RoadrunnerSolution([[0] * 13] * 6, [[1] * 6 + [0] + [1] * 6] * 6, 72)
+    assert verify_roadrunner(inst, sol) == "road-not-a-circuit"
+
+
+def test_verify_roadrunner_without_an_order_through_a_cut_cell():
+    # two 6x6 blocks joined by the one road cell (7,3), with (13,1) a hill
+    # so that the colours balance: connected, every cell of degree two or
+    # more, but no circuit passes (7,3) twice; the cut-cell check answers at
+    # once, where a search would try every path through the first block
+    rows = ["......#......"] * 6
+    rows[0], rows[2] = "......#.....#", "............."
+    inst = parse_roadrunner("13 6\n" + "".join(row + "\n" for row in rows))
+    road = [[int(ch == ".") for ch in row] for row in rows]
+    start = time.monotonic()
+    with deadline(10):
+        assert verify_roadrunner(inst, RoadrunnerSolution([[0] * 13] * 6, road, 72)) == "road-not-a-circuit"
+    assert time.monotonic() - start < 1.0
 
 
 def test_has_grid_cycle_matches_the_search_oracle():
